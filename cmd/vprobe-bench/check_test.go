@@ -71,6 +71,51 @@ func TestRunCheckNewBenchmarkAndEmptyHistory(t *testing.T) {
 	}
 }
 
+func TestRunCheckOtherCPUModelSkipsNsGatesAllocs(t *testing.T) {
+	base := snap("baseline", map[string]Metrics{"BenchmarkHot": {NsPerOp: 100, AllocsPerOp: 0}})
+	base.CPUModel = "Intel(R) Xeon(R) Processor"
+	slower := snap("", map[string]Metrics{"BenchmarkHot": {NsPerOp: 300, AllocsPerOp: 0}})
+	slower.CPUModel = "AMD EPYC 7B13"
+	if code := runCheck([]Snapshot{base}, slower, "BENCH.json"); code != 0 {
+		t.Errorf("exit = %d, want 0: ns/op is not compared across CPU models", code)
+	}
+	allocating := snap("", map[string]Metrics{"BenchmarkHot": {NsPerOp: 100, AllocsPerOp: 1}})
+	allocating.CPUModel = "AMD EPYC 7B13"
+	if code := runCheck([]Snapshot{base}, allocating, "BENCH.json"); code != 1 {
+		t.Errorf("exit = %d, want 1: allocs/op stays gated across CPU models", code)
+	}
+	slower.CPUModel = base.CPUModel
+	if code := runCheck([]Snapshot{base}, slower, "BENCH.json"); code != 1 {
+		t.Errorf("exit = %d, want 1: ns/op is compared on the same CPU model", code)
+	}
+}
+
+func TestRunCheckBaselineWithoutModelStaysComparable(t *testing.T) {
+	// Entries written before machine metadata existed have no model; their
+	// ns/op is still compared.
+	base := snap("baseline", map[string]Metrics{"BenchmarkHot": {NsPerOp: 100}})
+	fresh := snap("", map[string]Metrics{"BenchmarkHot": {NsPerOp: 126}})
+	fresh.CPUModel = "Intel(R) Xeon(R) Processor"
+	if code := runCheck([]Snapshot{base}, fresh, "BENCH.json"); code != 1 {
+		t.Errorf("exit = %d, want 1: a model-less baseline is compared on ns/op", code)
+	}
+}
+
+func TestParseCPUModel(t *testing.T) {
+	cases := []struct{ cpuinfo, want string }{
+		{"processor\t: 0\nvendor_id\t: GenuineIntel\nmodel\t\t: 85\nmodel name\t: Intel(R) Xeon(R) Processor\n" +
+			"processor\t: 1\nmodel name\t: Intel(R) Xeon(R) Processor\n", "Intel(R) Xeon(R) Processor"},
+		{"processor\t: 0\nBogoMIPS\t: 50.00\nCPU part\t: 0xd0c\n", "unknown"}, // no model name line
+		{"model name\t:\n", "unknown"},
+		{"", "unknown"},
+	}
+	for _, c := range cases {
+		if got := parseCPUModel(c.cpuinfo); got != c.want {
+			t.Errorf("parseCPUModel(%q) = %q, want %q", c.cpuinfo, got, c.want)
+		}
+	}
+}
+
 func TestParseBenchmarksAggregatesRepetitions(t *testing.T) {
 	// -count=3 output: min ns/op wins (noise is one-sided), max allocs/op
 	// wins (one clean repetition must not hide an allocating one).

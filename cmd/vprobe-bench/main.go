@@ -11,6 +11,14 @@
 // zero, fails the check. ns/op on shared CI hardware is noisy, hence the
 // wide tolerance; allocs/op is deterministic, hence none.
 //
+// Each snapshot records the machine it was measured on: the CPU model
+// (from /proc/cpuinfo, "unknown" elsewhere) and GOMAXPROCS. ns/op from
+// another CPU model says nothing about a regression, so when the
+// baseline's model differs from the current one -check prints a note and
+// skips the ns/op comparison; allocs/op is machine-independent and stays
+// gated. Entries written before the metadata existed carry no model and
+// stay comparable.
+//
 // Repeated result lines for the same benchmark (from `go test -count=N`)
 // are aggregated: minimum ns/op — the least noise-sensitive statistic,
 // since contention only ever adds time — and maximum B/op and allocs/op,
@@ -36,6 +44,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Metrics is one benchmark's reported costs.
@@ -48,8 +57,12 @@ type Metrics struct {
 // Snapshot is one appended history entry: every benchmark parsed from a
 // single `go test -bench` run.
 type Snapshot struct {
-	Label      string             `json:"label"`
-	GoVersion  string             `json:"go_version"`
+	Label     string `json:"label"`
+	GoVersion string `json:"go_version"`
+	// CPUModel and GOMAXPROCS identify the machine; both are empty in
+	// entries written before they were recorded.
+	CPUModel   string             `json:"cpu_model,omitempty"`
+	GOMAXPROCS int                `json:"gomaxprocs,omitempty"`
 	Benchmarks map[string]Metrics `json:"benchmarks"`
 }
 
@@ -77,9 +90,14 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The benchmarks ran in the `go test` process feeding stdin, on this
+	// machine and under the same environment, so this process's CPU model
+	// and GOMAXPROCS are theirs.
 	snap := Snapshot{
 		Label:      *label,
 		GoVersion:  runtime.Version(),
+		CPUModel:   cpuModel(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Benchmarks: map[string]Metrics{},
 	}
 	if err := parseBenchmarks(os.Stdin, snap.Benchmarks); err != nil {
@@ -122,6 +140,30 @@ func main() {
 		snap.Label, len(snap.Benchmarks), *out, len(history))
 }
 
+// cpuModel reports the machine's CPU model from /proc/cpuinfo, or
+// "unknown" where that file is absent or names no model.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	return parseCPUModel(string(data))
+}
+
+// parseCPUModel returns the first non-empty "model name" value of a
+// /proc/cpuinfo listing, or "unknown".
+func parseCPUModel(cpuinfo string) string {
+	for _, line := range strings.Split(cpuinfo, "\n") {
+		key, val, ok := strings.Cut(line, ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			if v := strings.TrimSpace(val); v != "" {
+				return v
+			}
+		}
+	}
+	return "unknown"
+}
+
 // parseBenchmarks scans `go test -bench` output and fills into with one
 // Metrics per benchmark name. Repetitions of the same benchmark (`go test
 // -count=N`) collapse to min ns/op and max B/op / allocs/op: time noise
@@ -151,13 +193,19 @@ func parseBenchmarks(r io.Reader, into map[string]Metrics) error {
 }
 
 // runCheck compares the fresh snapshot against the last committed entry
-// and returns the process exit code: 0 clean, 1 regression.
+// and returns the process exit code: 0 clean, 1 regression. ns/op is
+// compared only when the baseline has no CPU model or the same one.
 func runCheck(history []Snapshot, fresh Snapshot, out string) int {
 	if len(history) == 0 {
 		fmt.Fprintf(os.Stderr, "vprobe-bench: -check needs at least one committed snapshot in %s\n", out)
 		return 2
 	}
 	base := history[len(history)-1]
+	compareNs := base.CPUModel == "" || base.CPUModel == fresh.CPUModel
+	if !compareNs {
+		fmt.Printf("vprobe-bench: note: snapshot %q was measured on %q, this run on %q: ns/op not compared, allocs/op still gated\n",
+			base.Label, base.CPUModel, fresh.CPUModel)
+	}
 
 	names := make([]string, 0, len(fresh.Benchmarks))
 	for name := range fresh.Benchmarks {
@@ -180,7 +228,7 @@ func runCheck(history []Snapshot, fresh Snapshot, out string) int {
 				name, cur.AllocsPerOp, base.Label)
 			failures++
 		}
-		if ref.NsPerOp > 0 && cur.NsPerOp > ref.NsPerOp*maxNsRegression {
+		if compareNs && ref.NsPerOp > 0 && cur.NsPerOp > ref.NsPerOp*maxNsRegression {
 			fmt.Printf("vprobe-bench: FAIL %s: %.1f ns/op vs %.1f ns/op in %q (+%.0f%%, tolerance %.0f%%)\n",
 				name, cur.NsPerOp, ref.NsPerOp, base.Label,
 				(cur.NsPerOp/ref.NsPerOp-1)*100, (maxNsRegression-1)*100)

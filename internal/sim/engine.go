@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -42,49 +41,19 @@ func (ev *Event) Cancel() { ev.cancel = true }
 // Cancelled reports whether Cancel was called on the event.
 func (ev *Event) Cancelled() bool { return ev.cancel }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
-
 // Engine is a single-threaded discrete-event simulator.
 //
 // The zero value is not usable; construct with NewEngine.
 type Engine struct {
 	now     Time
-	queue   eventHeap
 	seq     uint64
 	fired   uint64
 	stopped bool
 	horizon Time // 0 means unbounded
+
+	// queue is a binary min-heap of pending events ordered by before, the
+	// (at, seq) order; each queued event's index field holds its slot.
+	queue []*Event
 
 	// free is the event pool: fired and discarded-after-cancel events are
 	// recycled here, so a steady-state simulation allocates no events.
@@ -154,7 +123,7 @@ func (e *Engine) ScheduleAt(at Time, label string, fn func(*Engine)) *Event {
 	ev.label = label
 	ev.cancel = false
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.push(ev)
 	return ev
 }
 
@@ -166,36 +135,115 @@ func (e *Engine) Schedule(d Duration, label string, fn func(*Engine)) *Event {
 	return e.ScheduleAt(e.now.Add(d), label, fn)
 }
 
-// armPinnedAt queues a caller-owned (pinned) event. The event must not be
-// queued already; pinned events are re-armed in place rather than pooled.
+// armPinnedAt queues a caller-owned (pinned) event at time at, taking one
+// sequence number. Pinned events are re-armed in place rather than
+// pooled: a still-pending event is re-keyed and sifted from its current
+// slot, so it can never occupy two slots (and so never double-fire).
 func (e *Engine) armPinnedAt(ev *Event, at Time) {
 	if at < e.now {
 		panic(fmt.Errorf("%w: now=%v at=%v label=%q", ErrPastEvent, e.now, at, ev.label))
-	}
-	if ev.index >= 0 {
-		panic(fmt.Sprintf("sim: pinned event %q armed while pending", ev.label))
 	}
 	ev.at = at
 	ev.seq = e.seq
 	ev.cancel = false
 	e.seq++
-	heap.Push(&e.queue, ev)
+	if ev.index < 0 {
+		e.push(ev)
+	} else {
+		e.fix(ev, ev.index)
+	}
 }
 
 // unqueue removes a pending event from the queue immediately (as opposed
 // to Cancel's lazy skip-at-pop). Reports whether the event was queued.
+// It takes no sequence number.
 func (e *Engine) unqueue(ev *Event) bool {
-	if ev.index < 0 {
+	i := ev.index
+	if i < 0 {
 		return false
 	}
-	heap.Remove(&e.queue, ev.index)
+	n := len(e.queue) - 1
+	last := e.queue[n]
+	e.queue[n] = nil
+	e.queue = e.queue[:n]
+	ev.index = -1
+	if i < n {
+		e.fix(last, i)
+	}
 	return true
+}
+
+// before is the queue order: earlier time first, FIFO (lower seq) among
+// simultaneous events. seq is unique, so this is a total order and any
+// correct priority queue pops events in exactly the same sequence.
+func before(a, b *Event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// push appends ev to the queue and sifts it up to its slot.
+func (e *Engine) push(ev *Event) {
+	e.queue = append(e.queue, ev) //vet:alloc queue grows to peak pending events during warmup, then flattens
+	e.siftUp(ev, len(e.queue)-1)
+}
+
+// fix places ev in the hole at slot i and restores heap order, sifting
+// up if ev precedes i's parent and down otherwise.
+func (e *Engine) fix(ev *Event, i int) {
+	if i > 0 && before(ev, e.queue[(i-1)/2]) {
+		e.siftUp(ev, i)
+	} else {
+		e.siftDown(ev, i)
+	}
+}
+
+// siftUp moves ev from the hole at slot i toward the root: each parent
+// that ev precedes drops into the hole, and ev is written once where the
+// climb stops. Every moved event's index is written exactly once.
+func (e *Engine) siftUp(ev *Event, i int) {
+	q := e.queue
+	for i > 0 {
+		p := (i - 1) / 2
+		parent := q[p]
+		if !before(ev, parent) {
+			break
+		}
+		q[i] = parent
+		parent.index = i
+		i = p
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// siftDown moves ev from the hole at slot i toward the leaves: the
+// earlier child rises into the hole while it precedes ev.
+func (e *Engine) siftDown(ev *Event, i int) {
+	q := e.queue
+	n := len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(q[r], q[c]) {
+			c = r
+		}
+		child := q[c]
+		if !before(child, ev) {
+			break
+		}
+		q[i] = child
+		child.index = i
+		i = c
+	}
+	q[i] = ev
+	ev.index = i
 }
 
 // Timer is a reusable one-shot event with a callback bound at construction
 // time. Arming, firing, and stopping a Timer never allocates: the Timer
-// owns one pinned event that is pushed back into the engine's queue on
-// every Arm. Use it for recurring hot-path deadlines (quantum ends, VCPU
+// owns one pinned event that every Arm queues, or re-keys in place while it
+// is still pending. Use it for recurring hot-path deadlines (quantum ends, VCPU
 // wakeups) where Schedule's per-call closure would churn the GC.
 type Timer struct {
 	engine *Engine
@@ -222,9 +270,8 @@ func (t *Timer) Arm(d Duration) {
 }
 
 // ArmAt schedules the timer to fire at absolute time at, replacing any
-// pending arming.
+// pending arming: a pending timer is re-keyed in place.
 func (t *Timer) ArmAt(at Time) {
-	t.engine.unqueue(&t.ev)
 	t.engine.armPinnedAt(&t.ev, at)
 }
 
@@ -339,7 +386,7 @@ func (e *Engine) run(ctx context.Context) (uint64, error) {
 			e.now = e.horizon
 			break
 		}
-		heap.Pop(&e.queue)
+		e.unqueue(ev)
 		if ev.cancel {
 			e.release(ev)
 			continue
