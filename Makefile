@@ -18,9 +18,9 @@ vet:
 	$(GO) vet ./...
 
 # lint = go vet + the determinism contract (mapiter, walltime, ctxflow,
-# eventswitch, errsentinel), the deprecation fence (deprecated), the
-# module-wide contract analyzers (hotpath, specfield, telemetryhandle),
-# and the compiler's escape-analysis baseline (vprobe-escape -diff).
+# eventswitch, errsentinel), the module-wide contract analyzers (hotpath,
+# specfield, telemetryhandle), and the compiler's escape-analysis
+# baseline (vprobe-escape -diff).
 # `go run ./cmd/vprobe-vet -list` shows the analyzers.
 lint: vet
 	$(GO) run ./cmd/vprobe-vet ./...

@@ -112,48 +112,6 @@ func TestTypedEvents(t *testing.T) {
 	}
 }
 
-// TestTraceAdapterMatchesDeprecatedTrace asserts the deprecated Config.Trace
-// hook and a TraceAdapter sink observe identical lines.
-func TestTraceAdapterMatchesDeprecatedTrace(t *testing.T) {
-	run := func(cfg vprobe.Config) []string {
-		t.Helper()
-		sim, err := vprobe.NewSimulator(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vm, err := sim.AddVM(vprobe.VMConfig{Name: "vm", MemoryMB: 2 * 1024, VCPUs: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := vm.RunApp("soplex"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sim.Run(500 * time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		return nil
-	}
-	var viaTrace, viaAdapter []string
-	run(vprobe.Config{Seed: 3, Trace: func(at time.Duration, line string) {
-		viaTrace = append(viaTrace, at.String()+" "+line)
-	}})
-	run(vprobe.Config{Seed: 3, Events: vprobe.TraceAdapter(func(at time.Duration, line string) {
-		viaAdapter = append(viaAdapter, at.String()+" "+line)
-	})})
-	if len(viaTrace) == 0 {
-		t.Fatal("deprecated Trace hook saw nothing")
-	}
-	if len(viaTrace) != len(viaAdapter) {
-		t.Fatalf("line counts differ: %d vs %d", len(viaTrace), len(viaAdapter))
-	}
-	for i := range viaTrace {
-		if viaTrace[i] != viaAdapter[i] {
-			t.Fatalf("line %d differs:\n  trace:   %s\n  adapter: %s",
-				i, viaTrace[i], viaAdapter[i])
-		}
-	}
-}
-
 // TestRunContextCancelled asserts a cancelled context interrupts the
 // simulation with a wrapped context error.
 func TestRunContextCancelled(t *testing.T) {
@@ -178,8 +136,8 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
-// TestTypedServerHelpers asserts RunMemcached/RunRedis attach servers and
-// the deprecated RunServer shim still dispatches to the same profiles.
+// TestTypedServerHelpers asserts RunMemcached/RunRedis attach servers that
+// serve requests.
 func TestTypedServerHelpers(t *testing.T) {
 	build := func(attach func(vm *vprobe.VM) error) *vprobe.Report {
 		t.Helper()
@@ -207,26 +165,9 @@ func TestTypedServerHelpers(t *testing.T) {
 	if typed.TotalRequests() <= 0 {
 		t.Fatal("RunRedis served no requests")
 	}
-	shim := build(func(vm *vprobe.VM) error { return vm.RunServer("redis", 4000) })
-	if typed.TotalRequests() != shim.TotalRequests() {
-		t.Fatalf("RunRedis (%v reqs) and RunServer shim (%v reqs) diverge",
-			typed.TotalRequests(), shim.TotalRequests())
-	}
 
 	mc := build(func(vm *vprobe.VM) error { return vm.RunMemcached(64) })
 	if mc.TotalRequests() <= 0 {
 		t.Fatal("RunMemcached served no requests")
-	}
-
-	sim, err := vprobe.NewSimulator(vprobe.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := sim.AddVM(vprobe.VMConfig{Name: "x", MemoryMB: 1024, VCPUs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.RunServer("etcd", 1); err == nil {
-		t.Fatal("unknown server kind accepted")
 	}
 }

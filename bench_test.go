@@ -43,7 +43,7 @@ func runExperiment(b *testing.B, id string, opts experiments.Options) *experimen
 	}
 	var res *experiments.Result
 	for i := 0; i < b.N; i++ {
-		res, err = e.Run(opts)
+		res, err = e.RunContext(context.Background(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -17,84 +17,105 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 
-	"vprobe/internal/harness"
-	"vprobe/internal/mem"
+	"vprobe/internal/experiments"
 	"vprobe/internal/metrics"
 	"vprobe/internal/numa"
 	"vprobe/internal/sched"
 	"vprobe/internal/sim"
 	"vprobe/internal/workload"
-	"vprobe/internal/xen"
 )
 
 func main() {
-	wSpec := flag.String("w", "soplex:4", "measured VM workload spec")
-	iSpec := flag.String("i", "soplex:4", "interfering VM workload spec")
-	schedList := flag.String("sched", "credit,vprobe,vcpu-p,lb,brm", "schedulers to compare")
-	seeds := flag.Int("seeds", 3, "seeds to average over")
-	scale := flag.Float64("scale", 0.5, "workload scale factor")
-	horizon := flag.Float64("horizon", 1200, "virtual-time cap in seconds")
-	topoName := flag.String("topo", "xeon-e5620", "topology preset name or JSON file path")
-	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		fmt.Fprintln(os.Stderr, "vprobe-compare:", err)
+		os.Exit(1)
+	}
+}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	top, err := numa.Resolve(*topoName)
-	if err != nil {
-		fatal(err)
+// run parses args, runs the (scheduler, seed) grid and writes the table
+// to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("vprobe-compare", flag.ContinueOnError)
+	wSpec := fs.String("w", "soplex:4", "measured VM workload spec")
+	iSpec := fs.String("i", "soplex:4", "interfering VM workload spec")
+	schedList := fs.String("sched", "credit,vprobe,vcpu-p,lb,brm", "schedulers to compare")
+	seeds := fs.Int("seeds", 3, "seeds to average over")
+	scale := fs.Float64("scale", 0.5, "workload scale factor")
+	horizon := fs.Float64("horizon", 1200, "virtual-time cap in seconds")
+	topoName := fs.String("topo", "xeon-e5620", "topology preset name or JSON file path")
+	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
+	if *seeds < 1 {
+		return fmt.Errorf("-seeds %d: need at least 1", *seeds)
+	}
+	top, err := numa.Resolve(*topoName)
+	if err != nil {
+		return err
+	}
 	apps1, err := workload.ParseSpec(*wSpec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	apps2, err := workload.ParseSpec(*iSpec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(apps1) > 8 || len(apps2) > 8 {
-		fatal(fmt.Errorf("at most 8 apps per VM (got %d / %d)", len(apps1), len(apps2)))
+		return fmt.Errorf("at most 8 apps per VM (got %d / %d)", len(apps1), len(apps2))
 	}
-
 	var kinds []sched.Kind
 	for _, name := range strings.Split(*schedList, ",") {
-		kinds = append(kinds, sched.Kind(strings.TrimSpace(name)))
+		kind := sched.Kind(strings.TrimSpace(name))
+		if kind == "" {
+			return fmt.Errorf("-sched %q: empty scheduler name", *schedList)
+		}
+		if _, err := sched.New(kind); err != nil {
+			return err
+		}
+		kinds = append(kinds, kind)
 	}
 
-	// One job per (scheduler, seed) cell, assembled in grid order so the
-	// printed table never depends on completion order.
-	n := len(kinds) * *seeds
-	cells, err := harness.Map(ctx, *workers, n,
-		func(ctx context.Context, i int) (oneResult, error) {
-			kind := kinds[i / *seeds]
-			s := i % *seeds
-			return runOnce(ctx, top, kind, apps1, apps2, uint64(s+1), *scale, *horizon)
-		})
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	byKind, err := experiments.RunSchedulers(ctx, top, "", apps1, apps2, experiments.Options{
+		Seed:       1,
+		Scale:      *scale,
+		Horizon:    sim.DurationFromSeconds(*horizon),
+		Schedulers: kinds,
+		Repeats:    *seeds,
+		Workers:    *workers,
+	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	t := metrics.NewTable(
 		fmt.Sprintf("workload %q vs interference %q (%d seeds, scale %.2f)",
 			*wSpec, *iSpec, *seeds, *scale),
 		"scheduler", "exec(s)", "remote", "page-remote", "moves/app", "overhead")
-	for ki, kind := range kinds {
+	for _, kind := range kinds {
 		var execs, remotes, pages, moves, overheads []float64
-		for _, res := range cells[ki**seeds : (ki+1)**seeds] {
-			execs = append(execs, res.exec)
-			remotes = append(remotes, res.remote)
-			pages = append(pages, res.page)
-			moves = append(moves, res.moves)
-			overheads = append(overheads, res.overhead)
+		for _, r := range byKind[kind] {
+			execs = append(execs, metrics.AvgExecSeconds(r.Runs))
+			remotes = append(remotes, metrics.AvgRemoteRatio(r.Runs))
+			pages = append(pages, metrics.AvgPageRemoteRatio(r.Runs))
+			moves = append(moves, movesPerApp(r.Runs))
+			overheads = append(overheads, r.Overhead)
 		}
 		t.AddRow(string(kind),
 			fmt.Sprintf("%.2f", sim.Mean(execs)),
@@ -103,68 +124,12 @@ func main() {
 			fmt.Sprintf("%.1f", sim.Mean(moves)),
 			fmt.Sprintf("%.5f%%", 100*sim.Mean(overheads)))
 	}
-	fmt.Print(t.String())
+	_, err = io.WriteString(stdout, t.String())
+	return err
 }
 
-type oneResult struct {
-	exec, remote, page, moves, overhead float64
-}
-
-func runOnce(ctx context.Context, top *numa.Topology, kind sched.Kind, apps1, apps2 []*workload.Profile, seed uint64, scale, horizon float64) (oneResult, error) {
-	pol, err := sched.New(kind)
-	if err != nil {
-		return oneResult{}, err
-	}
-	cfg := xen.DefaultConfig()
-	cfg.Seed = seed
-	h := xen.New(top, pol, cfg)
-
-	vm1, err := h.CreateDomain("VM1", 15*1024, 8, mem.PolicyStripe)
-	if err != nil {
-		return oneResult{}, err
-	}
-	vm2, err := h.CreateDomain("VM2", 5*1024, 8, mem.PolicyFill)
-	if err != nil {
-		return oneResult{}, err
-	}
-	vm3, err := h.CreateDomain("VM3", 1024, 8, mem.PolicyFill)
-	if err != nil {
-		return oneResult{}, err
-	}
-	attach := func(d *xen.Domain, apps []*workload.Profile) error {
-		for i, app := range apps {
-			p := app.Clone()
-			if p.TotalInstructions > 0 && p.TotalInstructions < 1e17 {
-				p.TotalInstructions *= scale
-			}
-			if _, err := h.AttachApp(d, i, p); err != nil {
-				return err
-			}
-		}
-		for i := len(apps); i < len(d.VCPUs); i++ {
-			if _, err := h.AttachApp(d, i, workload.GuestIdle()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := attach(vm1, apps1); err != nil {
-		return oneResult{}, err
-	}
-	if err := attach(vm2, apps2); err != nil {
-		return oneResult{}, err
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := h.AttachApp(vm3, i, workload.Hungry()); err != nil {
-			return oneResult{}, err
-		}
-	}
-	h.WatchDomains(vm1)
-	end, err := h.RunContext(ctx, sim.DurationFromSeconds(horizon))
-	if err != nil {
-		return oneResult{}, err
-	}
-	runs := metrics.CollectDomain(vm1, end)
+// movesPerApp is the mean node-move count over one run's apps.
+func movesPerApp(runs []metrics.AppRun) float64 {
 	var mv float64
 	for _, r := range runs {
 		mv += float64(r.NodeMoves)
@@ -172,16 +137,5 @@ func runOnce(ctx context.Context, top *numa.Topology, kind sched.Kind, apps1, ap
 	if len(runs) > 0 {
 		mv /= float64(len(runs))
 	}
-	return oneResult{
-		exec:     metrics.AvgExecSeconds(runs),
-		remote:   metrics.AvgRemoteRatio(runs),
-		page:     metrics.AvgPageRemoteRatio(runs),
-		moves:    mv,
-		overhead: h.OverheadFraction(),
-	}, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "vprobe-compare:", err)
-	os.Exit(1)
+	return mv
 }

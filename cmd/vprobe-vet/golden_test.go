@@ -103,7 +103,7 @@ func TestKnownDirectivesComplete(t *testing.T) {
 	for _, n := range knownDirectives() {
 		known[n] = true
 	}
-	for _, want := range []string{"ordered", "wallclock", "ctx", "partial", "nowrap", "deprecated",
+	for _, want := range []string{"ordered", "wallclock", "ctx", "partial", "nowrap",
 		"alloc", "spec", "handle"} {
 		if !known[want] {
 			t.Errorf("directive %q not claimed by any analyzer", want)

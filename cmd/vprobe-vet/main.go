@@ -1,10 +1,10 @@
 // Command vprobe-vet is the repo's determinism-and-correctness linter: a
 // multichecker over the custom analyzers that machine-check the
-// determinism contract (DESIGN.md §8), the hot-path allocation contract
-// (§13), and the deprecation fences (§11). Per-package analyzers run over
-// each loaded package; module analyzers (hotpath, specfield,
-// telemetryhandle) run once over the whole loaded set so they can follow
-// call edges and contracts across package boundaries. A final pass
+// determinism contract (DESIGN.md §8) and the hot-path allocation
+// contract (§13). Per-package analyzers run over each loaded package;
+// module analyzers (hotpath, specfield, telemetryhandle) run once over the
+// whole loaded set so they can follow call edges and contracts across
+// package boundaries. A final pass
 // reports dangling //vet: directives — suppressions naming no known
 // analyzer, which would otherwise silently suppress nothing forever.
 //
@@ -32,7 +32,6 @@ import (
 	"strings"
 
 	"vprobe/internal/analysis/ctxflow"
-	"vprobe/internal/analysis/deprecated"
 	"vprobe/internal/analysis/errsentinel"
 	"vprobe/internal/analysis/eventswitch"
 	"vprobe/internal/analysis/framework"
@@ -45,7 +44,6 @@ import (
 
 var analyzers = []*framework.Analyzer{
 	ctxflow.Analyzer,
-	deprecated.Analyzer,
 	errsentinel.Analyzer,
 	eventswitch.Analyzer,
 	mapiter.Analyzer,

@@ -118,7 +118,7 @@ func CompileScenario(s spec.ScenarioV1, opts CompileOptions) (*Simulator, time.D
 }
 
 // runSpecApp starts one AppV1 on the VM — the single lowering every app
-// reference shares, including the deprecated RunServer shim.
+// reference shares.
 func (vm *VM) runSpecApp(app spec.AppV1) error {
 	switch {
 	case app.Name != "":

@@ -63,19 +63,3 @@ func TestSpecSentinelAliases(t *testing.T) {
 		t.Errorf("spec validation error %v does not match the public alias", err)
 	}
 }
-
-// TestRunServerShimSentinel asserts the deprecated shim's unknown-kind
-// failure wraps the spec sentinel rather than a bespoke error.
-func TestRunServerShimSentinel(t *testing.T) {
-	sim, err := vprobe.NewSimulator(vprobe.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := sim.AddVM(vprobe.VMConfig{Name: "x", MemoryMB: 1024, VCPUs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.RunServer("etcd", 1); !errors.Is(err, vprobe.ErrInvalidSpec) { //vet:deprecated shim's own test
-		t.Fatalf("RunServer(etcd) = %v, want ErrInvalidSpec", err)
-	}
-}

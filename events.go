@@ -96,36 +96,20 @@ type EventFunc func(Event)
 // HandleEvent calls f.
 func (f EventFunc) HandleEvent(ev Event) { f(ev) }
 
-// TraceAdapter converts typed events into the formatted lines of the old
-// Config.Trace signature. It exists so callers migrating off the deprecated
-// string hook can keep their formatting code while switching to Events.
-func TraceAdapter(fn func(at time.Duration, line string)) EventSink {
-	return EventFunc(func(ev Event) { fn(ev.At, ev.Detail) })
-}
-
-// eventFanout builds the xen-level event hook dispatching to the
-// configured sinks (nil when tracing is off).
-func eventFanout(sinks ...EventSink) func(xen.Event) {
-	var active []EventSink
-	for _, s := range sinks {
-		if s != nil {
-			active = append(active, s)
-		}
-	}
-	if len(active) == 0 {
+// eventHook builds the xen-level event hook delivering to sink (nil when
+// tracing is off, so the hypervisor skips formatting entirely).
+func eventHook(sink EventSink) func(xen.Event) {
+	if sink == nil {
 		return nil
 	}
 	return func(xe xen.Event) {
-		ev := Event{
+		sink.HandleEvent(Event{
 			At:     time.Duration(xe.At) * time.Microsecond,
 			Kind:   EventKind(xe.Kind),
 			VCPU:   int(xe.VCPU),
 			Node:   int(xe.Node),
 			App:    xe.App,
 			Detail: xe.Detail,
-		}
-		for _, s := range active {
-			s.HandleEvent(ev)
-		}
+		})
 	}
 }

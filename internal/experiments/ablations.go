@@ -5,18 +5,13 @@ import (
 	"fmt"
 
 	"vprobe/internal/core"
-	"vprobe/internal/harness"
 	"vprobe/internal/mem"
 	"vprobe/internal/metrics"
 	"vprobe/internal/numa"
 	"vprobe/internal/sched"
-	"vprobe/internal/sim"
 	"vprobe/internal/workload"
 	"vprobe/internal/xen"
 )
-
-// coreDynamic builds the adaptive-bounds tracker.
-func coreDynamic() *core.DynamicBounds { return core.NewDynamicBounds() }
 
 // ablationVariant is one configuration of the vProbe family under test.
 type ablationVariant struct {
@@ -30,54 +25,40 @@ type ablationVariant struct {
 // option seeds and reports mean VM1 execution time and remote ratio. The
 // (variant, seed) grid fans out across opts.Workers; rows keep the
 // variants' declared order.
-func runVariants(ctx context.Context, r *Result, variants []ablationVariant, opts Options, top func() *numa.Topology) error {
+func runVariants(ctx context.Context, r *Result, variants []ablationVariant, opts Options) error {
 	t := metrics.NewTable(r.Title, "variant", "exec(s)", "remote", "node-moves")
-	type cell struct{ exec, remote, moves float64 }
-	n := len(variants) * opts.Repeats
-	cells, err := harness.Map(ctx, harness.Workers(opts.Workers, n), n,
-		func(ctx context.Context, i int) (cell, error) {
-			variant := variants[i/opts.Repeats]
-			rep := i % opts.Repeats
-			cfg := xen.DefaultConfig()
-			cfg.Seed = opts.Seed + uint64(rep)
-			h := xen.New(top(), variant.Make(), cfg)
+	cells, err := grid(ctx, opts.Workers, len(variants), opts.Repeats,
+		func(ctx context.Context, v, rep int) ([]float64, error) {
+			variant := variants[v]
+			sc, err := standardScenario(numa.XeonE5620(), variant.Make(), opts.Seed+uint64(rep),
+				mixApps(), mixApps(), opts.Scale)
+			if err != nil {
+				return nil, err
+			}
 			if variant.Migrate {
-				h.Migrator = mem.DefaultMigrator()
+				sc.H.Migrator = mem.DefaultMigrator()
 			}
-			sc, err := buildStandardVMs(h, mixApps(), mixApps(), opts)
+			run, err := sc.run(ctx, opts.Horizon)
 			if err != nil {
-				return cell{}, err
+				return nil, fmt.Errorf("%s/seed%d: %w", variant.Label, rep, err)
 			}
-			runs, end, err := sc.runMeasured(ctx, opts)
-			if err != nil {
-				return cell{}, fmt.Errorf("%s/seed%d: %w", variant.Label, rep, err)
+			opts.emitScenario(scenarioName("", variant.Label, rep), run.End)
+			var moves float64
+			for _, app := range run.Runs {
+				moves += float64(app.NodeMoves)
 			}
-			opts.emitScenario(scenarioName("", variant.Label, rep), end)
-			c := cell{
-				exec:   metrics.AvgExecSeconds(runs),
-				remote: metrics.AvgRemoteRatio(runs),
-			}
-			for _, run := range runs {
-				c.moves += float64(run.NodeMoves)
-			}
-			return c, nil
+			return []float64{metrics.AvgExecSeconds(run.Runs), metrics.AvgRemoteRatio(run.Runs), moves}, nil
 		})
 	if err != nil {
 		return err
 	}
-	for vi, variant := range variants {
-		var execs, remotes, moves []float64
-		for _, c := range cells[vi*opts.Repeats : (vi+1)*opts.Repeats] {
-			execs = append(execs, c.exec)
-			remotes = append(remotes, c.remote)
-			moves = append(moves, c.moves)
-		}
-		exec := sim.Mean(execs)
-		remote := sim.Mean(remotes)
+	for v, variant := range variants {
+		m := means(cells[v])
+		exec, remote, moves := m[0], m[1], m[2]
 		r.Set("exec/"+variant.Label, "mix", exec)
 		r.Set("remote/"+variant.Label, "mix", remote)
 		t.AddRow(variant.Label, fmt.Sprintf("%.2f", exec),
-			metrics.Pct(remote), fmt.Sprintf("%.0f", sim.Mean(moves)))
+			metrics.Pct(remote), fmt.Sprintf("%.0f", moves))
 	}
 	r.Tables = append(r.Tables, t)
 	return nil
@@ -98,7 +79,7 @@ func runAblateAffinity(ctx context.Context, opts Options) (*Result, error) {
 			return p
 		}},
 	}
-	if err := runVariants(ctx, r, variants, opts, numa.XeonE5620); err != nil {
+	if err := runVariants(ctx, r, variants, opts); err != nil {
 		return nil, err
 	}
 	r.Tables[0].AddNote("without Eq. 1, partitioning balances LLC pressure but scatters memory")
@@ -113,11 +94,11 @@ func runAblateDynamic(ctx context.Context, opts Options) (*Result, error) {
 		{Label: "vprobe-static", Make: func() xen.Policy { return sched.NewVProbe() }},
 		{Label: "vprobe-dynamic", Make: func() xen.Policy {
 			p := sched.NewVProbe()
-			p.Dynamic = coreDynamic()
+			p.Dynamic = core.NewDynamicBounds()
 			return p
 		}},
 	}
-	if err := runVariants(ctx, r, variants, opts, numa.XeonE5620); err != nil {
+	if err := runVariants(ctx, r, variants, opts); err != nil {
 		return nil, err
 	}
 	r.Tables[0].AddNote("bounds adapt to the running pressure distribution instead of (3, 20)")
@@ -135,7 +116,7 @@ func runAblatePageMigration(ctx context.Context, opts Options) (*Result, error) 
 		{Label: "vprobe", Make: func() xen.Policy { return sched.NewVProbe() }},
 		{Label: "vprobe+pagemig", Make: func() xen.Policy { return sched.NewVProbe() }, Migrate: true},
 	}
-	if err := runVariants(ctx, r, variants, opts, numa.XeonE5620); err != nil {
+	if err := runVariants(ctx, r, variants, opts); err != nil {
 		return nil, err
 	}
 	r.Tables[0].AddNote("pages lazily follow the VCPU; the paper expects this to help Credit most")
@@ -153,66 +134,41 @@ func runFourNode(ctx context.Context, opts Options) (*Result, error) {
 		workload.LU(), workload.MG(), workload.SP(), workload.CG(),
 	}
 	kinds := []sched.Kind{sched.KindCredit, sched.KindVProbe, sched.KindLB}
-	type cell struct{ exec, remote float64 }
-	n := len(kinds) * opts.Repeats
-	cells, err := harness.Map(ctx, harness.Workers(opts.Workers, n), n,
-		func(ctx context.Context, i int) (cell, error) {
-			kind := kinds[i/opts.Repeats]
-			rep := i % opts.Repeats
-			pol, err := sched.New(kind)
-			if err != nil {
-				return cell{}, err
-			}
+	cells, err := grid(ctx, opts.Workers, len(kinds), opts.Repeats,
+		func(ctx context.Context, v, rep int) ([]float64, error) {
+			kind := kinds[v]
 			cfg := xen.DefaultConfig()
 			cfg.Seed = opts.Seed + uint64(rep)
-			h := xen.New(numa.FourNode(), pol, cfg)
+			h := xen.New(numa.FourNode(), sched.MustNew(kind), cfg)
 			vm1, err := h.CreateDomain("VM1", 32*1024, 16, mem.PolicyStripe)
 			if err != nil {
-				return cell{}, err
+				return nil, err
 			}
 			vm2, err := h.CreateDomain("VM2", 16*1024, 16, mem.PolicyFill)
 			if err != nil {
-				return cell{}, err
+				return nil, err
 			}
-			for i, app := range apps {
-				p := app.Clone()
-				p.TotalInstructions *= opts.Scale
-				if _, err := h.AttachApp(vm1, i, p); err != nil {
-					return cell{}, err
-				}
-				q := app.Clone()
-				q.TotalInstructions *= opts.Scale
-				if _, err := h.AttachApp(vm2, i, q); err != nil {
-					return cell{}, err
-				}
+			if err := attachScaled(h, vm1, pad(apps, len(vm1.VCPUs), workload.GuestIdle()), opts.Scale); err != nil {
+				return nil, err
 			}
-			for i := len(apps); i < 16; i++ {
-				h.AttachApp(vm1, i, workload.GuestIdle())
-				h.AttachApp(vm2, i, workload.Hungry())
+			if err := attachScaled(h, vm2, pad(apps, len(vm2.VCPUs), workload.Hungry()), opts.Scale); err != nil {
+				return nil, err
 			}
 			h.WatchDomains(vm1)
 			end, err := h.RunContext(ctx, opts.Horizon)
 			if err != nil {
-				return cell{}, fmt.Errorf("%s/seed%d: %w", kind, rep, err)
+				return nil, fmt.Errorf("%s/seed%d: %w", kind, rep, err)
 			}
 			opts.emitScenario(scenarioName("fournode", string(kind), rep), end)
 			runs := metrics.CollectDomain(vm1, end)
-			return cell{
-				exec:   metrics.AvgExecSeconds(runs),
-				remote: metrics.AvgRemoteRatio(runs),
-			}, nil
+			return []float64{metrics.AvgExecSeconds(runs), metrics.AvgRemoteRatio(runs)}, nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	for ki, kind := range kinds {
-		var execs, remotes []float64
-		for _, c := range cells[ki*opts.Repeats : (ki+1)*opts.Repeats] {
-			execs = append(execs, c.exec)
-			remotes = append(remotes, c.remote)
-		}
-		exec := sim.Mean(execs)
-		remote := sim.Mean(remotes)
+	for v, kind := range kinds {
+		m := means(cells[v])
+		exec, remote := m[0], m[1]
 		r.Set("exec/"+string(kind), "fournode", exec)
 		r.Set("remote/"+string(kind), "fournode", remote)
 		t.AddRow(string(kind), fmt.Sprintf("%.2f", exec), metrics.Pct(remote))

@@ -45,32 +45,16 @@ func runCluster(ctx context.Context, opts Options) (*Result, error) {
 		horizon = opts.Horizon
 	}
 
-	type cell struct {
-		pol  string
-		kind sched.Kind
-		rep  int
-	}
-	var cells []cell
-	for _, pol := range policies {
-		for _, kind := range kinds {
-			for rep := 0; rep < opts.Repeats; rep++ {
-				cells = append(cells, cell{pol, kind, rep})
-			}
-		}
-	}
-
-	type outcome struct {
-		reject, remote, util, migrations float64
-	}
-	outs, err := harness.Map(ctx, harness.Workers(opts.Workers, len(cells)), len(cells),
-		func(ctx context.Context, i int) (outcome, error) {
-			cl := cells[i]
+	// One variant per (policy, scheduler) pair, policy-major.
+	cells, err := grid(ctx, opts.Workers, len(policies)*len(kinds), opts.Repeats,
+		func(ctx context.Context, v, rep int) ([]float64, error) {
+			pol, kind := policies[v/len(kinds)], kinds[v%len(kinds)]
 			c, err := cluster.New(cluster.Config{
 				Hosts:     3,
-				Scheduler: cl.kind,
-				Policy:    cl.pol,
-				Seed: harness.DeriveSeed(opts.Seed, "cluster", cl.pol,
-					string(cl.kind), fmt.Sprint(cl.rep)),
+				Scheduler: kind,
+				Policy:    pol,
+				Seed: harness.DeriveSeed(opts.Seed, "cluster", pol,
+					string(kind), fmt.Sprint(rep)),
 				ArrivalsPerSecond: 0.6,
 				MeanLifetime:      horizon / 2,
 				Horizon:           horizon,
@@ -81,20 +65,14 @@ func runCluster(ctx context.Context, opts Options) (*Result, error) {
 				RebalancePeriod:  5 * sim.Second,
 			})
 			if err != nil {
-				return outcome{}, err
+				return nil, err
 			}
-			rep, err := c.Run(ctx)
+			res, err := c.Run(ctx)
 			if err != nil {
-				return outcome{}, fmt.Errorf("cluster %s/%s: %w", cl.pol, cl.kind, err)
+				return nil, fmt.Errorf("cluster %s/%s: %w", pol, kind, err)
 			}
-			opts.emitScenario(fmt.Sprintf("cluster/%s/%s", cl.pol, cl.kind),
-				sim.Time(horizon))
-			return outcome{
-				reject:     rep.RejectionRate,
-				remote:     rep.RemoteRatio,
-				util:       rep.Utilization,
-				migrations: float64(rep.Migrations),
-			}, nil
+			opts.emitScenario(fmt.Sprintf("cluster/%s/%s", pol, kind), sim.Time(horizon))
+			return []float64{res.RejectionRate, res.RemoteRatio, float64(res.Migrations), res.Utilization}, nil
 		})
 	if err != nil {
 		return nil, err
@@ -105,31 +83,13 @@ func runCluster(ctx context.Context, opts Options) (*Result, error) {
 		fmt.Sprintf("3 hosts, %v horizon, dynamic arrivals (mean of %d seeds)",
 			horizon, opts.Repeats),
 		"policy", "scheduler", "reject-rate", "remote-ratio", "migrations", "utilization")
-	for _, pol := range policies {
-		for _, kind := range kinds {
-			var avg outcome
-			for i, cl := range cells {
-				if cl.pol == pol && cl.kind == kind {
-					avg.reject += outs[i].reject
-					avg.remote += outs[i].remote
-					avg.util += outs[i].util
-					avg.migrations += outs[i].migrations
-				}
-			}
-			n := float64(opts.Repeats)
-			avg.reject /= n
-			avg.remote /= n
-			avg.util /= n
-			avg.migrations /= n
-
-			label := schedLabel(kind)
-			r.Set("reject/"+label, pol, avg.reject)
-			r.Set("remote/"+label, pol, avg.remote)
-			r.Set("migrations/"+label, pol, avg.migrations)
-			r.Set("util/"+label, pol, avg.util)
-			t.AddRow(pol, label, metrics.Pct(avg.reject), metrics.Pct(avg.remote),
-				metrics.F(avg.migrations), metrics.Pct(avg.util))
+	for v, runs := range cells {
+		pol, label := policies[v/len(kinds)], schedLabel(kinds[v%len(kinds)])
+		m := means(runs)
+		for i, series := range []string{"reject", "remote", "migrations", "util"} {
+			r.Set(series+"/"+label, pol, m[i])
 		}
+		t.AddRow(pol, label, metrics.Pct(m[0]), metrics.Pct(m[1]), metrics.F(m[2]), metrics.Pct(m[3]))
 	}
 	t.AddNote("numa filters hosts by per-node free chunks (Gudkov-style accounting) before scoring")
 	t.AddNote("migrations: rebalancer moves off hosts past the LLC-pressure/remote-ratio thresholds")

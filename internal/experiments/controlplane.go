@@ -30,15 +30,11 @@ var controlPlaneVariants = []struct {
 	}},
 }
 
-// controlPlaneOutcome is one run's admission quality.
-type controlPlaneOutcome struct {
-	reject       float64
-	weightedWait float64 // priority-weighted mean wait, seconds
-	critWait     float64 // critical-class mean wait, seconds
-	preemptions  float64
-	gangs        float64
-	backfills    float64
-	desched      float64
+// controlPlaneSeries names one run's outcome values, in order: rejection
+// rate, priority-weighted mean wait and the critical class's mean wait
+// (seconds), then the preemption, gang, backfill and deschedule counts.
+var controlPlaneSeries = []string{
+	"reject", "weighted-wait", "crit-wait", "preemptions", "gangs", "backfills", "desched",
 }
 
 // controlPlaneConfig is the shared overload scenario: a small cluster under
@@ -85,50 +81,33 @@ func runControlPlane(ctx context.Context, opts Options) (*Result, error) {
 		horizon = opts.Horizon
 	}
 
-	type cell struct {
-		variant int
-		rep     int
-	}
-	var cells []cell
-	for v := range controlPlaneVariants {
-		for rep := 0; rep < opts.Repeats; rep++ {
-			cells = append(cells, cell{v, rep})
-		}
-	}
-
-	outs, err := harness.Map(ctx, harness.Workers(opts.Workers, len(cells)), len(cells),
-		func(ctx context.Context, i int) (controlPlaneOutcome, error) {
-			cl := cells[i]
-			variant := controlPlaneVariants[cl.variant]
+	cells, err := grid(ctx, opts.Workers, len(controlPlaneVariants), opts.Repeats,
+		func(ctx context.Context, v, rep int) ([]float64, error) {
+			variant := controlPlaneVariants[v]
 			// The seed depends on the repeat only: every variant of one
 			// repeat admits the same arrival stream.
 			cfg := controlPlaneConfig(
-				harness.DeriveSeed(opts.Seed, "controlplane", fmt.Sprint(cl.rep)),
+				harness.DeriveSeed(opts.Seed, "controlplane", fmt.Sprint(rep)),
 				horizon)
 			variant.cfg(&cfg)
 			c, err := cluster.New(cfg)
 			if err != nil {
-				return controlPlaneOutcome{}, err
+				return nil, err
 			}
-			rep, err := c.Run(ctx)
+			res, err := c.Run(ctx)
 			if err != nil {
-				return controlPlaneOutcome{}, fmt.Errorf("controlplane %s: %w", variant.name, err)
+				return nil, fmt.Errorf("controlplane %s: %w", variant.name, err)
 			}
 			opts.emitScenario("controlplane/"+variant.name, sim.Time(horizon))
-			out := controlPlaneOutcome{
-				reject:       rep.RejectionRate,
-				weightedWait: weightedWait(rep),
-				preemptions:  float64(rep.Preemptions),
-				gangs:        float64(rep.GangsAdmitted),
-				backfills:    float64(rep.Backfills),
-				desched:      float64(rep.DeschedMoves),
-			}
-			for _, p := range rep.PerPriority {
+			var critWait float64
+			for _, p := range res.PerPriority {
 				if p.Class == "critical" {
-					out.critWait = p.MeanWait.Seconds()
+					critWait = p.MeanWait.Seconds()
 				}
 			}
-			return out, nil
+			return []float64{res.RejectionRate, weightedWait(res), critWait,
+				float64(res.Preemptions), float64(res.GangsAdmitted),
+				float64(res.Backfills), float64(res.DeschedMoves)}, nil
 		})
 	if err != nil {
 		return nil, err
@@ -141,38 +120,13 @@ func runControlPlane(ctx context.Context, opts Options) (*Result, error) {
 		"mechanisms", "reject-rate", "weighted-wait", "crit-wait",
 		"preempts", "gangs", "backfills", "desched")
 	for v, variant := range controlPlaneVariants {
-		var avg controlPlaneOutcome
-		for i, cl := range cells {
-			if cl.variant == v {
-				avg.reject += outs[i].reject
-				avg.weightedWait += outs[i].weightedWait
-				avg.critWait += outs[i].critWait
-				avg.preemptions += outs[i].preemptions
-				avg.gangs += outs[i].gangs
-				avg.backfills += outs[i].backfills
-				avg.desched += outs[i].desched
-			}
+		m := means(cells[v])
+		for i, series := range controlPlaneSeries {
+			r.Set(series, variant.name, m[i])
 		}
-		n := float64(opts.Repeats)
-		avg.reject /= n
-		avg.weightedWait /= n
-		avg.critWait /= n
-		avg.preemptions /= n
-		avg.gangs /= n
-		avg.backfills /= n
-		avg.desched /= n
-
-		r.Set("reject", variant.name, avg.reject)
-		r.Set("weighted-wait", variant.name, avg.weightedWait)
-		r.Set("crit-wait", variant.name, avg.critWait)
-		r.Set("preemptions", variant.name, avg.preemptions)
-		r.Set("gangs", variant.name, avg.gangs)
-		r.Set("backfills", variant.name, avg.backfills)
-		r.Set("desched", variant.name, avg.desched)
-		t.AddRow(variant.name, metrics.Pct(avg.reject),
-			fmt.Sprintf("%.2fs", avg.weightedWait), fmt.Sprintf("%.2fs", avg.critWait),
-			metrics.F(avg.preemptions), metrics.F(avg.gangs),
-			metrics.F(avg.backfills), metrics.F(avg.desched))
+		t.AddRow(variant.name, metrics.Pct(m[0]),
+			fmt.Sprintf("%.2fs", m[1]), fmt.Sprintf("%.2fs", m[2]),
+			metrics.F(m[3]), metrics.F(m[4]), metrics.F(m[5]), metrics.F(m[6]))
 	}
 	t.AddNote("weighted-wait: mean admission wait with placed VMs weighted 1/2/4 by priority class")
 	t.AddNote("every variant admits the byte-identical arrival stream; only the mechanisms differ")

@@ -130,15 +130,8 @@ type Experiment struct {
 	Title string
 	// Paper describes what the original artifact showed.
 	Paper string
-	// run executes the experiment; see Run and RunContext.
+	// run executes the experiment; see RunContext.
 	run func(context.Context, Options) (*Result, error)
-}
-
-// Run executes the experiment without cancellation support; it is a thin
-// wrapper over RunContext for callers that predate the context API.
-func (e *Experiment) Run(opts Options) (*Result, error) {
-	//vet:ctx compat wrapper for pre-context callers; a background context never cancels
-	return e.run(context.Background(), opts)
 }
 
 // RunContext executes the experiment under ctx: cancelling the context (or

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"vprobe/internal/numa"
 	"vprobe/internal/sched"
 	"vprobe/internal/sim"
 	"vprobe/internal/workload"
@@ -89,7 +90,7 @@ func TestTable1MatchesPaper(t *testing.T) {
 func TestVProbeBeatsCredit(t *testing.T) {
 	opts := testOpts()
 	opts.Schedulers = []sched.Kind{sched.KindCredit, sched.KindVProbe}
-	outs, err := runSchedulers(context.Background(), "",
+	outs, err := RunSchedulers(context.Background(), numa.XeonE5620(), "",
 		replicate(workload.Soplex(), 4), replicate(workload.Soplex(), 4), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +109,7 @@ func TestVCPUPAndLBBetweenExtremes(t *testing.T) {
 	opts.Schedulers = []sched.Kind{
 		sched.KindCredit, sched.KindVProbe, sched.KindVCPUP, sched.KindLB,
 	}
-	outs, err := runSchedulers(context.Background(), "",
+	outs, err := RunSchedulers(context.Background(), numa.XeonE5620(), "",
 		replicate(workload.Milc(), 4), replicate(workload.Milc(), 4), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -133,19 +134,19 @@ func TestVCPUPAndLBBetweenExtremes(t *testing.T) {
 func TestVProbeReducesRemoteAccesses(t *testing.T) {
 	opts := testOpts()
 	opts.Schedulers = []sched.Kind{sched.KindCredit, sched.KindVProbe}
-	outs, err := runSchedulers(context.Background(), "",
+	outs, err := RunSchedulers(context.Background(), numa.XeonE5620(), "",
 		replicate(workload.Libquantum(), 4), replicate(workload.Libquantum(), 4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var creditRemote, vprobeRemote float64
-	for _, so := range outs[sched.KindCredit].seeds {
-		for _, r := range so.runs {
+	for _, so := range outs[sched.KindCredit] {
+		for _, r := range so.Runs {
 			creditRemote += r.Remote
 		}
 	}
-	for _, so := range outs[sched.KindVProbe].seeds {
-		for _, r := range so.runs {
+	for _, so := range outs[sched.KindVProbe] {
+		for _, r := range so.Runs {
 			vprobeRemote += r.Remote
 		}
 	}
@@ -154,10 +155,10 @@ func TestVProbeReducesRemoteAccesses(t *testing.T) {
 	}
 }
 
-func meanExec(b batchOut, threaded bool) float64 {
+func meanExec(runs []ScenarioRun, threaded bool) float64 {
 	var vals []float64
-	for _, so := range b.seeds {
-		vals = append(vals, execMetric(so.runs, nil, threaded))
+	for _, so := range runs {
+		vals = append(vals, execMetric(so.Runs, nil, threaded))
 	}
 	return sim.Mean(vals)
 }
@@ -222,7 +223,7 @@ func TestFig6ImprovementGrowsWithConcurrency(t *testing.T) {
 	run := func(conc int) float64 {
 		prof := workload.Memcached(conc)
 		prof.TotalInstructions = 40000 * prof.InstrPerRequest
-		outs, err := runSchedulers(context.Background(), "", replicate(prof, 8), replicate(prof, 8), opts)
+		outs, err := RunSchedulers(context.Background(), numa.XeonE5620(), "", replicate(prof, 8), replicate(prof, 8), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,23 +29,17 @@ func runFig3(ctx context.Context, opts Options) (*Result, error) {
 	solos, err := harness.Map(ctx, harness.Workers(opts.Workers, len(apps)), len(apps),
 		func(ctx context.Context, i int) (solo, error) {
 			app := apps[i]
-			pol, err := policyFor(sched.KindVProbe)
-			if err != nil {
-				return solo{}, err
-			}
 			cfg := xen.DefaultConfig()
 			cfg.Seed = opts.Seed
-			h := xen.New(numa.XeonE5620(), pol, cfg)
+			h := xen.New(numa.XeonE5620(), sched.NewVProbe(), cfg)
 			d, err := h.CreateDomain("VM1", 4*1024, 1, mem.PolicyLocal)
 			if err != nil {
 				return solo{}, err
 			}
-			p := app.Clone()
-			p.TotalInstructions *= opts.Scale
-			v, err := h.AttachApp(d, 0, p)
-			if err != nil {
+			if err := attachScaled(h, d, []*workload.Profile{app}, opts.Scale); err != nil {
 				return solo{}, err
 			}
+			v := d.VCPUs[0]
 			// Pin to PCPU 0; PolicyLocal put the VM's memory on node 0,
 			// so the VCPU is local to its pages, as in the paper.
 			if err := h.Pin(v, 0); err != nil {

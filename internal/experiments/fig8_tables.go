@@ -42,21 +42,18 @@ func runFig8(ctx context.Context, opts Options) (*Result, error) {
 			period := periods[i]
 			pol := sched.NewVProbe()
 			pol.SamplePeriod = period
-			cfg := xen.DefaultConfig()
-			cfg.Seed = opts.Seed
-			h := xen.New(numa.XeonE5620(), pol, cfg)
-			sc, err := buildStandardVMs(h, mixApps(), mixApps(), opts)
+			sc, err := standardScenario(numa.XeonE5620(), pol, opts.Seed, mixApps(), mixApps(), opts.Scale)
 			if err != nil {
 				return point{}, err
 			}
-			runs, end, err := sc.runMeasured(ctx, opts)
+			run, err := sc.run(ctx, opts.Horizon)
 			if err != nil {
 				return point{}, fmt.Errorf("period %s: %w", period, err)
 			}
-			opts.emitScenario("period/"+period.String(), end)
-			p := point{exec: metrics.AvgExecSeconds(runs), overhead: h.OverheadFraction()}
-			for _, run := range runs {
-				p.moves += run.NodeMoves
+			opts.emitScenario("period/"+period.String(), run.End)
+			p := point{exec: metrics.AvgExecSeconds(run.Runs), overhead: run.Overhead}
+			for _, app := range run.Runs {
+				p.moves += app.NodeMoves
 			}
 			return p, nil
 		})
@@ -73,50 +70,6 @@ func runFig8(ctx context.Context, opts Options) (*Result, error) {
 	t.AddNote("paper: execution time minimized at a 1s period")
 	r.Tables = append(r.Tables, t)
 	return r, nil
-}
-
-// buildStandardVMs attaches the standard three-VM setup onto an existing
-// hypervisor (used when the policy needs custom construction, e.g. a
-// non-default sampling period).
-func buildStandardVMs(h *xen.Hypervisor, apps1, apps2 []*workload.Profile, opts Options) (*scenario, error) {
-	vm1, err := h.CreateDomain("VM1", 15*1024, 8, mem.PolicyStripe)
-	if err != nil {
-		return nil, err
-	}
-	vm2, err := h.CreateDomain("VM2", 5*1024, 8, mem.PolicyFill)
-	if err != nil {
-		return nil, err
-	}
-	vm3, err := h.CreateDomain("VM3", 1*1024, 8, mem.PolicyFill)
-	if err != nil {
-		return nil, err
-	}
-	attach := func(d *xen.Domain, apps []*workload.Profile) error {
-		for i, app := range apps {
-			p := app.Clone()
-			if p.TotalInstructions > 0 && p.TotalInstructions < 1e17 {
-				p.TotalInstructions *= opts.Scale
-			}
-			if _, err := h.AttachApp(d, i, p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := attach(vm1, padGuestIdle(apps1, len(vm1.VCPUs))); err != nil {
-		return nil, err
-	}
-	if err := attach(vm2, padGuestIdle(apps2, len(vm2.VCPUs))); err != nil {
-		return nil, err
-	}
-	var hungry []*workload.Profile
-	for i := 0; i < 8; i++ {
-		hungry = append(hungry, workload.Hungry())
-	}
-	if err := attach(vm3, hungry); err != nil {
-		return nil, err
-	}
-	return &scenario{H: h, VM1: vm1, VM2: vm2, VM3: vm3}, nil
 }
 
 // runTable1 renders the platform description (paper Table I) from the
@@ -161,12 +114,8 @@ func runTable3(ctx context.Context, opts Options) (*Result, error) {
 				if err != nil {
 					return 0, err
 				}
-				for j := 0; j < 2; j++ {
-					p := workload.Soplex().Clone()
-					p.TotalInstructions *= opts.Scale
-					if _, err := h.AttachApp(d, j, p); err != nil {
-						return 0, err
-					}
+				if err := attachScaled(h, d, replicate(workload.Soplex(), 2), opts.Scale); err != nil {
+					return 0, err
 				}
 				doms = append(doms, d)
 			}

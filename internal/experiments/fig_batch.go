@@ -6,66 +6,11 @@ import (
 
 	"vprobe/internal/harness"
 	"vprobe/internal/metrics"
+	"vprobe/internal/numa"
 	"vprobe/internal/sched"
 	"vprobe/internal/sim"
 	"vprobe/internal/workload"
 )
-
-// seedOut is one simulation's measured output.
-type seedOut struct {
-	runs []metrics.AppRun
-	end  sim.Time
-}
-
-// batchOut collects one (workload, scheduler) measurement across seeds.
-type batchOut struct {
-	seeds []seedOut
-}
-
-// runSchedulers executes the standard scenario once per scheduler kind and
-// seed; same-seed runs across schedulers share the initial placement, so
-// per-seed normalization compares like with like.
-//
-// The (scheduler, seed) grid is fanned out across opts.Workers simulations
-// at a time. Each run's seed derives from (opts.Seed, repeat index) only,
-// and results are assembled in grid order, so the output is identical at
-// every worker count. label prefixes progress-event scenario names.
-func runSchedulers(ctx context.Context, label string, apps1, apps2 []*workload.Profile, opts Options) (map[sched.Kind]batchOut, error) {
-	n := len(opts.Schedulers) * opts.Repeats
-	flat, err := harness.Map(ctx, harness.Workers(opts.Workers, n), n,
-		func(ctx context.Context, i int) (seedOut, error) {
-			k := opts.Schedulers[i/opts.Repeats]
-			r := i % opts.Repeats
-			ropts := opts
-			ropts.Seed = opts.Seed + uint64(r)
-			sc, err := newScenario(k, apps1, apps2, ropts)
-			if err != nil {
-				return seedOut{}, fmt.Errorf("%s: %w", k, err)
-			}
-			runs, end, err := sc.runMeasured(ctx, ropts)
-			if err != nil {
-				return seedOut{}, fmt.Errorf("%s/seed%d: %w", k, r, err)
-			}
-			opts.emitScenario(scenarioName(label, string(k), r), end)
-			return seedOut{runs: runs, end: end}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[sched.Kind]batchOut, len(opts.Schedulers))
-	for ki, k := range opts.Schedulers {
-		out[k] = batchOut{seeds: flat[ki*opts.Repeats : (ki+1)*opts.Repeats]}
-	}
-	return out, nil
-}
-
-// scenarioName builds a progress-event label like "soplex/vprobe/seed0".
-func scenarioName(label, kind string, repeat int) string {
-	if label == "" {
-		return fmt.Sprintf("%s/seed%d", kind, repeat)
-	}
-	return fmt.Sprintf("%s/%s/seed%d", label, kind, repeat)
-}
 
 // baselineKind picks the normalization baseline: Credit when present.
 func baselineKind(opts Options) sched.Kind {
@@ -127,7 +72,7 @@ func mixBaseline(runs []metrics.AppRun) map[string]float64 {
 // addNormalizedFigure builds the paper's three normalized panels (execution
 // time, total accesses, remote accesses) for a set of labelled workloads.
 func addNormalizedFigure(r *Result, title string, labels []string,
-	outs map[string]map[sched.Kind]batchOut, opts Options, threaded bool) {
+	outs map[string]map[sched.Kind][]ScenarioRun, opts Options, threaded bool) {
 
 	base := baselineKind(opts)
 	panels := []struct {
@@ -150,9 +95,9 @@ func addNormalizedFigure(r *Result, title string, labels []string,
 			for _, k := range opts.Schedulers {
 				o := byKind[k]
 				var ratios []float64
-				for sidx := range o.seeds {
-					runs := o.seeds[sidx].runs
-					baseRuns := baseOut.seeds[sidx].runs
+				for sidx := range o {
+					runs := o[sidx].Runs
+					baseRuns := baseOut[sidx].Runs
 					var v, baseVal float64
 					switch panel.series {
 					case "exec":
@@ -196,10 +141,10 @@ func schedColumns(opts Options) []string {
 func runFig4(ctx context.Context, opts Options) (*Result, error) {
 	opts = opts.normalized()
 	r := &Result{ID: "fig4", Title: "SPEC CPU2006 under five schedulers (paper Fig. 4)"}
-	outs := map[string]map[sched.Kind]batchOut{}
+	outs := map[string]map[sched.Kind][]ScenarioRun{}
 	var labels []string
 	for _, w := range specWorkloads() {
-		m, err := runSchedulers(ctx, w.Name, w.Apps1, w.Apps2, opts)
+		m, err := RunSchedulers(ctx, numa.XeonE5620(), w.Name, w.Apps1, w.Apps2, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -213,10 +158,10 @@ func runFig4(ctx context.Context, opts Options) (*Result, error) {
 func runFig5(ctx context.Context, opts Options) (*Result, error) {
 	opts = opts.normalized()
 	r := &Result{ID: "fig5", Title: "NPB (4 threads) under five schedulers (paper Fig. 5)"}
-	outs := map[string]map[sched.Kind]batchOut{}
+	outs := map[string]map[sched.Kind][]ScenarioRun{}
 	var labels []string
 	for _, w := range npbWorkloads() {
-		m, err := runSchedulers(ctx, w.Name, replicate(w.App, 4), replicate(w.App, 4), opts)
+		m, err := RunSchedulers(ctx, numa.XeonE5620(), w.Name, replicate(w.App, 4), replicate(w.App, 4), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -253,18 +198,18 @@ func runFig1(ctx context.Context, opts Options) (*Result, error) {
 	type ratios struct{ page, access float64 }
 	rows, err := harness.Map(ctx, harness.Workers(opts.Workers, len(ws)), len(ws),
 		func(ctx context.Context, i int) (ratios, error) {
-			sc, err := newScenario(sched.KindCredit, ws[i].apps1, ws[i].apps2, opts)
+			sc, err := standardScenario(numa.XeonE5620(), sched.NewCredit(), opts.Seed, ws[i].apps1, ws[i].apps2, opts.Scale)
 			if err != nil {
 				return ratios{}, err
 			}
-			runs, end, err := sc.runMeasured(ctx, opts)
+			run, err := sc.run(ctx, opts.Horizon)
 			if err != nil {
 				return ratios{}, fmt.Errorf("%s: %w", ws[i].name, err)
 			}
-			opts.emitScenario(ws[i].name+"/credit", end)
+			opts.emitScenario(ws[i].name+"/credit", run.End)
 			return ratios{
-				page:   metrics.AvgPageRemoteRatio(runs),
-				access: metrics.AvgRemoteRatio(runs),
+				page:   metrics.AvgPageRemoteRatio(run.Runs),
+				access: metrics.AvgRemoteRatio(run.Runs),
 			}, nil
 		})
 	if err != nil {

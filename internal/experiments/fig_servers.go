@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"vprobe/internal/metrics"
+	"vprobe/internal/numa"
 	"vprobe/internal/sched"
 	"vprobe/internal/sim"
 	"vprobe/internal/workload"
@@ -23,13 +24,13 @@ func runFig6(ctx context.Context, opts Options) (*Result, error) {
 	opts = opts.normalized()
 	r := &Result{ID: "fig6", Title: "Memcached under five schedulers (paper Fig. 6)"}
 	var labels []string
-	outs := map[string]map[sched.Kind]batchOut{}
+	outs := map[string]map[sched.Kind][]ScenarioRun{}
 	for conc := 16; conc <= 112; conc += 16 {
 		label := fmt.Sprintf("%d", conc)
 		labels = append(labels, label)
 		prof := workload.Memcached(conc)
 		prof.TotalInstructions = memcachedRequestTarget * prof.InstrPerRequest
-		m, err := runSchedulers(ctx, "memcached-"+label, replicate(prof, 8), replicate(prof, 8), opts)
+		m, err := RunSchedulers(ctx, numa.XeonE5620(), "memcached-"+label, replicate(prof, 8), replicate(prof, 8), opts)
 		if err != nil {
 			return nil, err
 		}
@@ -56,7 +57,7 @@ func runFig7(ctx context.Context, opts Options) (*Result, error) {
 	tput := metrics.NewTable("Fig. 7(a) Average Throughput (req/s)",
 		append([]string{"connections"}, schedColumns(opts)...)...)
 	var labels []string
-	outs := map[string]map[sched.Kind]batchOut{}
+	outs := map[string]map[sched.Kind][]ScenarioRun{}
 	for conn := 2000; conn <= 10000; conn += 2000 {
 		label := fmt.Sprintf("%d", conn)
 		labels = append(labels, label)
@@ -66,7 +67,7 @@ func runFig7(ctx context.Context, opts Options) (*Result, error) {
 		clients := replicate(redisClient(), 4)
 		wopts := opts
 		wopts.Horizon = window
-		m, err := runSchedulers(ctx, "redis-"+label, replicate(server, 4), clients, wopts)
+		m, err := RunSchedulers(ctx, numa.XeonE5620(), "redis-"+label, replicate(server, 4), clients, wopts)
 		if err != nil {
 			return nil, err
 		}
@@ -74,9 +75,9 @@ func runFig7(ctx context.Context, opts Options) (*Result, error) {
 		cells := []string{label}
 		for _, k := range opts.Schedulers {
 			var thrs []float64
-			for _, so := range m[k].seeds {
-				if secs := so.end.Seconds(); secs > 0 {
-					thrs = append(thrs, metrics.SumRequests(so.runs)/secs)
+			for _, so := range m[k] {
+				if secs := so.End.Seconds(); secs > 0 {
+					thrs = append(thrs, metrics.SumRequests(so.Runs)/secs)
 				}
 			}
 			thr := sim.Mean(thrs)
@@ -99,19 +100,19 @@ func runFig7(ctx context.Context, opts Options) (*Result, error) {
 			cells := []string{label}
 			for _, k := range opts.Schedulers {
 				var ratios []float64
-				for sidx, so := range byKind[k].seeds {
-					baseRuns := byKind[base].seeds[sidx].runs
+				for sidx, so := range byKind[k] {
+					baseRuns := byKind[base][sidx].Runs
 					// Fixed-window runs serve different request counts;
 					// compare accesses per served request.
-					req, baseReq := metrics.SumRequests(so.runs), metrics.SumRequests(baseRuns)
+					req, baseReq := metrics.SumRequests(so.Runs), metrics.SumRequests(baseRuns)
 					if req <= 0 || baseReq <= 0 {
 						continue
 					}
 					var v, baseVal float64
 					if panel.series == "total" {
-						v, baseVal = metrics.SumTotal(so.runs)/req, metrics.SumTotal(baseRuns)/baseReq
+						v, baseVal = metrics.SumTotal(so.Runs)/req, metrics.SumTotal(baseRuns)/baseReq
 					} else {
-						v, baseVal = metrics.SumRemote(so.runs)/req, metrics.SumRemote(baseRuns)/baseReq
+						v, baseVal = metrics.SumRemote(so.Runs)/req, metrics.SumRemote(baseRuns)/baseReq
 					}
 					if baseVal > 0 {
 						ratios = append(ratios, v/baseVal)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"vprobe/internal/harness"
 	"vprobe/internal/mem"
 	"vprobe/internal/metrics"
 	"vprobe/internal/numa"
@@ -19,27 +20,18 @@ import (
 //	VM2 — 5 GB, 8 VCPUs, the interfering copy of the workload
 //	VM3 — 1 GB, 8 VCPUs, eight hungry loops consuming spare CPU
 type scenario struct {
-	H             *xen.Hypervisor
-	VM1, VM2, VM3 *xen.Domain
+	H   *xen.Hypervisor
+	VM1 *xen.Domain
 }
 
-// policyFor builds a fresh policy instance for a run.
-func policyFor(kind sched.Kind) (xen.Policy, error) {
-	return sched.New(kind)
-}
-
-// newScenario builds the standard setup with apps1 in VM1 and apps2 in
-// VM2 (attached to the first VCPUs of each domain; remaining VCPUs are
-// guest-idle). Profiles are cloned and scaled by opts.Scale.
-func newScenario(kind sched.Kind, apps1, apps2 []*workload.Profile, opts Options) (*scenario, error) {
-	pol, err := policyFor(kind)
-	if err != nil {
-		return nil, err
-	}
+// standardScenario builds the standard setup on top under pol, seeded with
+// seed, with apps1 in VM1 and apps2 in VM2 (attached to the first VCPUs of
+// each domain; remaining VCPUs are guest-idle). Every app is attached
+// through attachScaled.
+func standardScenario(top *numa.Topology, pol xen.Policy, seed uint64, apps1, apps2 []*workload.Profile, scale float64) (*scenario, error) {
 	cfg := xen.DefaultConfig()
-	cfg.Seed = opts.Seed
-	h := xen.New(numa.XeonE5620(), pol, cfg)
-
+	cfg.Seed = seed
+	h := xen.New(top, pol, cfg)
 	vm1, err := h.CreateDomain("VM1", 15*1024, 8, mem.PolicyStripe)
 	if err != nil {
 		return nil, err
@@ -52,63 +44,150 @@ func newScenario(kind sched.Kind, apps1, apps2 []*workload.Profile, opts Options
 	if err != nil {
 		return nil, err
 	}
-
-	attach := func(d *xen.Domain, apps []*workload.Profile) error {
-		if len(apps) > len(d.VCPUs) {
-			return fmt.Errorf("experiments: %d apps for %d VCPUs in %s",
-				len(apps), len(d.VCPUs), d.Name)
-		}
-		for i, app := range apps {
-			p := app.Clone()
-			if !p.Server && p.TotalInstructions < 1e17 {
-				p.TotalInstructions *= opts.Scale
-			} else if p.Server && p.TotalInstructions > 0 {
-				p.TotalInstructions *= opts.Scale
-			}
-			if _, err := h.AttachApp(d, i, p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := attach(vm1, padGuestIdle(apps1, len(vm1.VCPUs))); err != nil {
+	if err := attachScaled(h, vm1, pad(apps1, len(vm1.VCPUs), workload.GuestIdle()), scale); err != nil {
 		return nil, err
 	}
-	if err := attach(vm2, padGuestIdle(apps2, len(vm2.VCPUs))); err != nil {
+	if err := attachScaled(h, vm2, pad(apps2, len(vm2.VCPUs), workload.GuestIdle()), scale); err != nil {
 		return nil, err
 	}
-	var hungry []*workload.Profile
-	for i := 0; i < 8; i++ {
-		hungry = append(hungry, workload.Hungry())
-	}
-	if err := attach(vm3, hungry); err != nil {
+	if err := attachScaled(h, vm3, pad(nil, len(vm3.VCPUs), workload.Hungry()), scale); err != nil {
 		return nil, err
 	}
-	return &scenario{H: h, VM1: vm1, VM2: vm2, VM3: vm3}, nil
+	return &scenario{H: h, VM1: vm1}, nil
 }
 
-// runMeasured runs the scenario until VM1 finishes (batch workloads) or
-// the horizon (servers), returning VM1's per-app runs and the stop time.
-// Cancelling ctx aborts the simulation promptly with the context's error.
-func (s *scenario) runMeasured(ctx context.Context, opts Options) ([]metrics.AppRun, sim.Time, error) {
-	s.H.WatchDomains(s.VM1)
-	end, err := s.H.RunContext(ctx, opts.Horizon)
-	if err != nil {
-		return nil, end, err
+// attachScaled attaches a clone of each app to d's VCPUs in order. A
+// finite profile's TotalInstructions is multiplied by scale; endless ones
+// (hungry and guest-idle loops, servers without a request target) keep
+// theirs.
+func attachScaled(h *xen.Hypervisor, d *xen.Domain, apps []*workload.Profile, scale float64) error {
+	for i, app := range apps {
+		p := app.Clone()
+		if !p.Endless() {
+			p.TotalInstructions *= scale
+		}
+		if _, err := h.AttachApp(d, i, p); err != nil {
+			return err
+		}
 	}
-	return metrics.CollectDomain(s.VM1, end), end, nil
+	return nil
 }
 
-// padGuestIdle appends guest-housekeeping profiles so the VM's remaining
-// VCPUs behave like real guest-idle VCPUs (periodic timer/daemon bursts)
-// instead of never existing. These bursts create the idle windows that
-// drive work stealing on real systems.
-func padGuestIdle(apps []*workload.Profile, vcpus int) []*workload.Profile {
+// pad appends fill until apps has n entries. Padding a VM's spare VCPUs
+// with guest-idle housekeeping makes them behave like real guest-idle
+// VCPUs (periodic timer/daemon bursts) instead of never existing; those
+// bursts create the idle windows that drive work stealing on real systems.
+func pad(apps []*workload.Profile, n int, fill *workload.Profile) []*workload.Profile {
 	out := append([]*workload.Profile(nil), apps...)
-	for len(out) < vcpus {
-		out = append(out, workload.GuestIdle())
+	for len(out) < n {
+		out = append(out, fill)
 	}
 	return out
+}
+
+// ScenarioRun is one standard-scenario simulation's measured output.
+type ScenarioRun struct {
+	// Runs are VM1's per-app runs.
+	Runs []metrics.AppRun
+	// End is the virtual time the simulation stopped at.
+	End sim.Time
+	// Overhead is the paper's Table III overhead-time fraction.
+	Overhead float64
+}
+
+// run runs the scenario until VM1 finishes (batch workloads) or the
+// horizon (servers). Cancelling ctx aborts the simulation promptly with
+// the context's error.
+func (s *scenario) run(ctx context.Context, horizon sim.Duration) (ScenarioRun, error) {
+	s.H.WatchDomains(s.VM1)
+	end, err := s.H.RunContext(ctx, horizon)
+	if err != nil {
+		return ScenarioRun{}, err
+	}
+	return ScenarioRun{
+		Runs:     metrics.CollectDomain(s.VM1, end),
+		End:      end,
+		Overhead: s.H.OverheadFraction(),
+	}, nil
+}
+
+// RunSchedulers runs apps1 in VM1 against apps2 in VM2 of the standard
+// scenario on top, once per scheduler in opts.Schedulers and repeat in
+// [0, opts.Repeats), and returns the runs by scheduler in repeat order.
+// Repeat rep runs at seed opts.Seed+rep for every scheduler, so same-seed
+// runs share the initial placement and per-seed normalization compares
+// like with like. opts is used as given: callers normalize it first.
+// label prefixes progress-event scenario names.
+func RunSchedulers(ctx context.Context, top *numa.Topology, label string, apps1, apps2 []*workload.Profile, opts Options) (map[sched.Kind][]ScenarioRun, error) {
+	cells, err := grid(ctx, opts.Workers, len(opts.Schedulers), opts.Repeats,
+		func(ctx context.Context, v, rep int) (ScenarioRun, error) {
+			k := opts.Schedulers[v]
+			pol, err := sched.New(k)
+			if err != nil {
+				return ScenarioRun{}, fmt.Errorf("%s: %w", k, err)
+			}
+			sc, err := standardScenario(top, pol, opts.Seed+uint64(rep), apps1, apps2, opts.Scale)
+			if err != nil {
+				return ScenarioRun{}, fmt.Errorf("%s: %w", k, err)
+			}
+			run, err := sc.run(ctx, opts.Horizon)
+			if err != nil {
+				return ScenarioRun{}, fmt.Errorf("%s/seed%d: %w", k, rep, err)
+			}
+			opts.emitScenario(scenarioName(label, string(k), rep), run.End)
+			return run, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[sched.Kind][]ScenarioRun, len(opts.Schedulers))
+	for v, k := range opts.Schedulers {
+		out[k] = cells[v]
+	}
+	return out, nil
+}
+
+// grid runs fn for every cell of a variants × repeats grid through one
+// harness.Map bounded by workers, and returns the cells grouped by
+// variant, each group in repeat order. Cells are assembled by index, so
+// the result never depends on completion order or worker count.
+func grid[T any](ctx context.Context, workers, variants, repeats int, fn func(ctx context.Context, v, rep int) (T, error)) ([][]T, error) {
+	n := variants * repeats
+	flat, err := harness.Map(ctx, harness.Workers(workers, n), n,
+		func(ctx context.Context, i int) (T, error) { return fn(ctx, i/repeats, i%repeats) })
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]T, variants)
+	for v := range out {
+		out[v] = flat[v*repeats : (v+1)*repeats]
+	}
+	return out, nil
+}
+
+// means returns the column means of rows, each column summed in row order
+// by sim.Mean.
+func means(rows [][]float64) []float64 {
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([]float64, len(rows[0]))
+	col := make([]float64, len(rows))
+	for j := range out {
+		for i, row := range rows {
+			col[i] = row[j]
+		}
+		out[j] = sim.Mean(col)
+	}
+	return out
+}
+
+// scenarioName builds a progress-event label like "soplex/vprobe/seed0".
+func scenarioName(label, kind string, repeat int) string {
+	if label == "" {
+		return fmt.Sprintf("%s/seed%d", kind, repeat)
+	}
+	return fmt.Sprintf("%s/%s/seed%d", label, kind, repeat)
 }
 
 // replicate returns n clones of a profile.

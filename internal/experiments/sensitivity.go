@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"vprobe/internal/harness"
 	"vprobe/internal/metrics"
 	"vprobe/internal/numa"
 	"vprobe/internal/sched"
-	"vprobe/internal/sim"
-	"vprobe/internal/xen"
 )
 
 // runBoundsSensitivity sweeps the classification bounds of Eq. 3 around
@@ -31,47 +28,34 @@ func runBoundsSensitivity(ctx context.Context, opts Options) (*Result, error) {
 		{1, 100}, // one class: everything LLC-FI
 		{20, 25}, // only extreme thrashers partitioned
 	}
-	type cell struct{ exec, remote float64 }
-	n := len(points) * opts.Repeats
-	cells, err := harness.Map(ctx, harness.Workers(opts.Workers, n), n,
-		func(ctx context.Context, i int) (cell, error) {
-			pt := points[i/opts.Repeats]
-			rep := i % opts.Repeats
+	cells, err := grid(ctx, opts.Workers, len(points), opts.Repeats,
+		func(ctx context.Context, v, rep int) ([]float64, error) {
+			pt := points[v]
 			pol := sched.NewVProbe()
 			pol.Analyzer.Bounds.Low = pt.low
 			pol.Analyzer.Bounds.High = pt.high
-			cfg := xen.DefaultConfig()
-			cfg.Seed = opts.Seed + uint64(rep)
-			h := xen.New(numa.XeonE5620(), pol, cfg)
-			sc, err := buildStandardVMs(h, mixApps(), mixApps(), opts)
+			sc, err := standardScenario(numa.XeonE5620(), pol, opts.Seed+uint64(rep), mixApps(), mixApps(), opts.Scale)
 			if err != nil {
-				return cell{}, err
+				return nil, err
 			}
-			runs, end, err := sc.runMeasured(ctx, opts)
+			run, err := sc.run(ctx, opts.Horizon)
 			if err != nil {
-				return cell{}, fmt.Errorf("bounds %g/%g seed%d: %w", pt.low, pt.high, rep, err)
+				return nil, fmt.Errorf("bounds %g/%g seed%d: %w", pt.low, pt.high, rep, err)
 			}
-			opts.emitScenario(fmt.Sprintf("bounds-%g-%g/seed%d", pt.low, pt.high, rep), end)
-			return cell{
-				exec:   metrics.AvgExecSeconds(runs),
-				remote: metrics.AvgRemoteRatio(runs),
-			}, nil
+			opts.emitScenario(fmt.Sprintf("bounds-%g-%g/seed%d", pt.low, pt.high, rep), run.End)
+			return []float64{metrics.AvgExecSeconds(run.Runs), metrics.AvgRemoteRatio(run.Runs)}, nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	for pi, pt := range points {
-		var execs, remotes []float64
-		for _, c := range cells[pi*opts.Repeats : (pi+1)*opts.Repeats] {
-			execs = append(execs, c.exec)
-			remotes = append(remotes, c.remote)
-		}
-		exec := sim.Mean(execs)
+	for v, pt := range points {
+		m := means(cells[v])
+		exec, remote := m[0], m[1]
 		label := fmt.Sprintf("%g/%g", pt.low, pt.high)
 		r.Set("exec/vprobe", label, exec)
-		r.Set("remote/vprobe", label, sim.Mean(remotes))
+		r.Set("remote/vprobe", label, remote)
 		t.AddRow(fmt.Sprintf("%g", pt.low), fmt.Sprintf("%g", pt.high),
-			fmt.Sprintf("%.2f", exec), metrics.Pct(sim.Mean(remotes)))
+			fmt.Sprintf("%.2f", exec), metrics.Pct(remote))
 	}
 	t.AddNote("paper operating point is (3, 20); §IV-A discusses the trade-off")
 	r.Tables = append(r.Tables, t)

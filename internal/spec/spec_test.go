@@ -211,21 +211,6 @@ func TestDurationJSON(t *testing.T) {
 	}
 }
 
-// TestServerAppCompat pins the deprecated string dispatch to its typed
-// equivalent.
-func TestServerAppCompat(t *testing.T) {
-	app, err := spec.ServerApp("memcached", 64)
-	if err != nil || app.Server != "memcached" || app.Load != 64 {
-		t.Fatalf("ServerApp = %+v, %v", app, err)
-	}
-	if _, err := spec.ServerApp("etcd", 1); !errors.Is(err, spec.ErrInvalid) {
-		t.Fatalf("unknown kind error = %v, want ErrInvalid", err)
-	}
-	if _, err := spec.ServerApp("redis", 0); !errors.Is(err, spec.ErrInvalid) {
-		t.Fatalf("zero load error = %v, want ErrInvalid", err)
-	}
-}
-
 // TestCatalogLists sanity-checks the advertised name lists against the
 // registries they mirror.
 func TestCatalogLists(t *testing.T) {

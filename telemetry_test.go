@@ -159,8 +159,8 @@ func TestTelemetryReportIdentical(t *testing.T) {
 }
 
 // TestEventFanoutNilFastPath pins the zero-cost-when-off contract: with no
-// sinks configured the hypervisor-level hook must be nil (not an empty
-// fanout), so event formatting is skipped entirely.
+// sink configured the hypervisor-level hook must be nil (not a hook that
+// drops events), so event formatting is skipped entirely.
 func TestEventFanoutNilFastPath(t *testing.T) {
 	s, err := vprobe.NewSimulator(vprobe.Config{})
 	if err != nil {
@@ -181,53 +181,14 @@ func TestEventFanoutNilFastPath(t *testing.T) {
 	}
 }
 
-// TestEventFuncAndTraceAdapter covers the sink adapters: EventFunc
-// forwards the event unchanged, TraceAdapter renders the deprecated
-// (at, line) form, and both receive the same stream when configured
-// together.
-func TestEventFuncAndTraceAdapter(t *testing.T) {
+// TestEventFunc asserts the EventFunc adapter forwards each event
+// unchanged.
+func TestEventFunc(t *testing.T) {
 	var fromFunc []vprobe.Event
 	sink := vprobe.EventFunc(func(ev vprobe.Event) { fromFunc = append(fromFunc, ev) })
 	want := vprobe.Event{At: 3 * time.Second, Kind: vprobe.EventDispatch, VCPU: 2, Node: 1, Detail: "x"}
 	sink.HandleEvent(want)
 	if len(fromFunc) != 1 || fromFunc[0] != want {
 		t.Fatalf("EventFunc delivered %+v, want %+v", fromFunc, want)
-	}
-
-	var ats []time.Duration
-	var lines []string
-	ad := vprobe.TraceAdapter(func(at time.Duration, line string) {
-		ats = append(ats, at)
-		lines = append(lines, line)
-	})
-	ad.HandleEvent(want)
-	if len(lines) != 1 || ats[0] != want.At || lines[0] != want.Detail {
-		t.Fatalf("TraceAdapter delivered (%v, %q), want (%v, %q)",
-			ats, lines, want.At, want.Detail)
-	}
-
-	// Events and the deprecated Trace hook fan out from one hypervisor
-	// hook and see the same stream.
-	var events, traced int
-	s, err := vprobe.NewSimulator(vprobe.Config{
-		Events: vprobe.EventFunc(func(vprobe.Event) { events++ }),
-		Trace:  func(time.Duration, string) { traced++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := s.AddVM(vprobe.VMConfig{Name: "vm", MemoryMB: 1024, VCPUs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.RunApp("hungry"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if events == 0 || events != traced {
-		t.Fatalf("fanout delivered %d events, %d trace lines; want equal and > 0",
-			events, traced)
 	}
 }

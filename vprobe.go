@@ -55,13 +55,9 @@ import (
 	"vprobe/internal/numa"
 	"vprobe/internal/sched"
 	"vprobe/internal/sim"
-	"vprobe/internal/spec"
 	"vprobe/internal/workload"
 	"vprobe/internal/xen"
 )
-
-// newDynamicBounds builds the adaptive-bounds extension.
-func newDynamicBounds() *core.DynamicBounds { return core.NewDynamicBounds() }
 
 // Scheduler selects a VCPU scheduling policy (§V-A2 of the paper).
 type Scheduler string
@@ -124,12 +120,6 @@ type Config struct {
 	// lifecycle spans in virtual time (see NewTracing). A recorder serves
 	// exactly one run; reusing one fails with ErrTracingAttached.
 	Spans *Tracing
-	// Trace receives formatted scheduling trace lines when non-nil.
-	//
-	// Deprecated: Trace is the old string-based hook; it is served by a
-	// formatting adapter over Events (see TraceAdapter). New code should
-	// set Events instead.
-	Trace func(at time.Duration, line string)
 }
 
 // MemPolicy selects how a VM's memory is placed across nodes.
@@ -188,7 +178,7 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 			vp.SamplePeriod = sim.Duration(cfg.SamplePeriod.Microseconds())
 		}
 		if cfg.DynamicBounds {
-			vp.Dynamic = newDynamicBounds()
+			vp.Dynamic = core.NewDynamicBounds()
 		}
 	}
 	xcfg := xen.DefaultConfig()
@@ -199,14 +189,7 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	if cfg.PageMigration {
 		h.Migrator = mem.DefaultMigrator()
 	}
-	// Compatibility path for the deprecated string Trace hook (see
-	// internal/spec/compat.go and DESIGN.md §11): the old callback is
-	// served by a formatting adapter over the typed event stream.
-	var trace EventSink
-	if cfg.Trace != nil { //vet:deprecated compat wiring for the old hook
-		trace = TraceAdapter(cfg.Trace) //vet:deprecated compat wiring for the old hook
-	}
-	h.EventFn = eventFanout(cfg.Events, trace)
+	h.EventFn = eventHook(cfg.Events)
 	if cfg.Telemetry != nil {
 		if err := cfg.Telemetry.attach(); err != nil {
 			return nil, err
@@ -294,21 +277,6 @@ func (vm *VM) RunMemcached(concurrency int) error {
 // connection count (the swept parameter of the paper's Fig. 7).
 func (vm *VM) RunRedis(connections int) error {
 	return vm.RunProfile(workload.Redis(connections))
-}
-
-// RunServer starts a request-driven server profile ("memcached" with a
-// concurrency, "redis" with a connection count). The string dispatch lives
-// in the spec layer's compatibility path (spec.ServerApp), so this shim is
-// a two-line adapter with no logic of its own.
-//
-// Deprecated: the string dispatch survives for old callers only. Use the
-// typed RunMemcached or RunRedis instead.
-func (vm *VM) RunServer(kind string, load int) error {
-	app, err := spec.ServerApp(kind, load)
-	if err != nil {
-		return fmt.Errorf("vprobe: %w", err)
-	}
-	return vm.runSpecApp(app)
 }
 
 // fillGuestIdle attaches housekeeping apps to remaining VCPUs.

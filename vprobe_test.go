@@ -108,9 +108,6 @@ func TestAPIErrors(t *testing.T) {
 	if err := vm.RunApp("povray"); err == nil {
 		t.Fatal("attach beyond VCPU count accepted")
 	}
-	if err := vm.RunServer("etcd", 1); err == nil {
-		t.Fatal("unknown server kind accepted")
-	}
 	if _, err := sim.Run(-time.Second); err == nil {
 		t.Fatal("negative horizon accepted")
 	}
@@ -143,10 +140,12 @@ func TestAPIDeterminism(t *testing.T) {
 	}
 }
 
+// TestAPITraceHook asserts the Events sink, the API's trace hook, fires on
+// a short run.
 func TestAPITraceHook(t *testing.T) {
 	lines := 0
 	sim, err := vprobe.NewSimulator(vprobe.Config{
-		Trace: func(at time.Duration, line string) { lines++ },
+		Events: vprobe.EventFunc(func(vprobe.Event) { lines++ }),
 	})
 	if err != nil {
 		t.Fatal(err)
