@@ -94,6 +94,7 @@ func TestSpansEnabledGolden(t *testing.T) {
 	if n := checkJSONL(t, stdout.Bytes()); n == 0 {
 		t.Fatal("traced run emitted no events")
 	}
+	golden(t, "soplex_events.jsonl", stdout.Bytes())
 	golden(t, "soplex_spans.jsonl", spans.Bytes())
 	if _, err := telemetry.ValidateChromeTrace(chrome.Bytes()); err != nil {
 		t.Fatal(err)
