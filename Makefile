@@ -60,7 +60,7 @@ smoke-serve:
 # scheduling window doesn't pollute the committed baseline.
 LABEL ?= local
 bench:
-	$(GO) test -run '^$$' -bench 'QuantumHotPath|SimulationSecond|EngineChurn|PerfExecute|PickSteal|^BenchmarkPartition$$|SpecCompile|ClusterArrival' -benchtime 2s -count 3 . ./internal/sim ./internal/cluster \
+	$(GO) test -run '^$$' -bench 'QuantumHotPath|SimulationSecond|EngineChurn|PerfExecute|PickSteal|^BenchmarkPartition$$|SpecCompile|ServedScenario|ClusterArrival' -benchtime 2s -count 3 . ./internal/sim ./internal/cluster \
 		| $(GO) run ./cmd/vprobe-bench -label '$(LABEL)'
 
 # bench-check runs the same benchmark set briefly and compares it against
@@ -73,5 +73,5 @@ bench:
 # gating the deliberately-slow path would only add noise-driven failures.
 # A baseline measured on another CPU model gates allocs/op only.
 bench-check:
-	$(GO) test -run '^$$' -bench 'QuantumHotPath|SimulationSecond|EngineChurn|PerfExecute|PickSteal|^BenchmarkPartition$$|SpecCompile|ClusterArrival$$' -benchtime 1s -count 3 . ./internal/sim ./internal/cluster \
+	$(GO) test -run '^$$' -bench 'QuantumHotPath|SimulationSecond|EngineChurn|PerfExecute|PickSteal|^BenchmarkPartition$$|SpecCompile|ServedScenario|ClusterArrival$$' -benchtime 1s -count 3 . ./internal/sim ./internal/cluster \
 		| $(GO) run ./cmd/vprobe-bench -check

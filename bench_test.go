@@ -13,7 +13,9 @@ package vprobe_test
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"testing"
+	"time"
 
 	"vprobe"
 
@@ -349,3 +351,52 @@ func BenchmarkSpecCompile(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkServedScenario measures what a vprobe-serve cache miss does
+// past the HTTP layer, on the repo benchmark's serve-mix spec shape (a
+// 0.5 s two-VM scenario): compile with an event sink and telemetry
+// attached, run, and render the report and the event, telemetry and
+// Prometheus bytes the server stores.
+func BenchmarkServedScenario(b *testing.B) {
+	doc := []byte(`{
+	  "scheduler": "vprobe", "seed": 7, "horizon": "500ms",
+	  "vms": [
+	    {"name": "vm1", "memory_mb": 4096, "vcpus": 4, "memory": "stripe",
+	     "fill_guest_idle": true, "apps": [{"name": "soplex"}, {"name": "mcf"}]},
+	    {"name": "vm2", "memory_mb": 2048, "vcpus": 4,
+	     "apps": [{"name": "milc"}, {"name": "lu"}]}
+	  ]
+	}`)
+	var sp spec.ScenarioV1
+	if err := json.Unmarshal(doc, &sp); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var events []byte
+		tele := vprobe.NewTelemetry(vprobe.TelemetryOptions{Every: 100 * time.Millisecond})
+		sim, horizon, err := vprobe.CompileScenario(sp, vprobe.CompileOptions{
+			Events: vprobe.EventFunc(func(ev vprobe.Event) {
+				events = append(ev.AppendJSON(events), '\n')
+			}),
+			Telemetry: tele,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := sim.RunContext(context.Background(), horizon)
+		if err != nil {
+			b.Fatal(err)
+		}
+		servedBytes = len(rep.String()) + len(events)
+		if err := tele.WriteJSONL(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		if err := tele.WritePrometheus(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// servedBytes keeps BenchmarkServedScenario's rendering live.
+var servedBytes int

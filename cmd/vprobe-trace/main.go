@@ -20,7 +20,6 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -31,33 +30,14 @@ import (
 	"vprobe"
 )
 
-// jsonEvent is the -json wire form of one vprobe.Event: virtual time in
-// seconds plus the typed identity fields. Empty identities are omitted.
-type jsonEvent struct {
-	T      float64 `json:"t"`
-	Kind   string  `json:"kind"`
-	VCPU   int     `json:"vcpu"`
-	Node   int     `json:"node"`
-	App    string  `json:"app,omitempty"`
-	Host   string  `json:"host,omitempty"`
-	VM     string  `json:"vm,omitempty"`
-	Detail string  `json:"detail"`
-}
-
-// jsonSink streams events as JSON Lines.
+// jsonSink streams events as JSON Lines, one vprobe.Event.AppendJSON
+// record per line. w is the run's bufio.Writer, which keeps the first
+// write error for the caller's Flush.
 func jsonSink(w io.Writer) vprobe.EventSink {
-	enc := json.NewEncoder(w)
+	var line []byte
 	return vprobe.EventFunc(func(ev vprobe.Event) {
-		enc.Encode(jsonEvent{
-			T:      ev.At.Seconds(),
-			Kind:   string(ev.Kind),
-			VCPU:   ev.VCPU,
-			Node:   ev.Node,
-			App:    ev.App,
-			Host:   ev.Host,
-			VM:     ev.VM,
-			Detail: ev.Detail,
-		})
+		line = append(ev.AppendJSON(line[:0]), '\n')
+		w.Write(line)
 	})
 }
 

@@ -1,7 +1,10 @@
 package vprobe
 
 import (
+	"math"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"vprobe/internal/cluster"
 	"vprobe/internal/xen"
@@ -84,6 +87,107 @@ type Event struct {
 
 // String renders the event as a trace line.
 func (ev Event) String() string { return ev.Detail }
+
+// AppendJSON appends the event's JSON Lines record, without the newline,
+// to b and returns the extended slice. The record is the one vprobe-trace
+// -json and vprobe-serve's event stream emit: virtual time in seconds as
+// "t", then "kind", "vcpu", "node", whichever of "app", "host" and "vm"
+// are non-empty, and "detail". The bytes equal what encoding/json would
+// marshal for those fields, HTML escaping and number format included.
+func (ev Event) AppendJSON(b []byte) []byte {
+	b = append(b, `{"t":`...)
+	b = appendJSONFloat(b, ev.At.Seconds())
+	b = append(b, `,"kind":`...)
+	b = appendJSONString(b, string(ev.Kind))
+	b = append(b, `,"vcpu":`...)
+	b = strconv.AppendInt(b, int64(ev.VCPU), 10)
+	b = append(b, `,"node":`...)
+	b = strconv.AppendInt(b, int64(ev.Node), 10)
+	for _, f := range [...]struct{ key, val string }{
+		{`,"app":`, ev.App}, {`,"host":`, ev.Host}, {`,"vm":`, ev.VM},
+	} {
+		if f.val != "" {
+			b = append(b, f.key...)
+			b = appendJSONString(b, f.val)
+		}
+	}
+	b = append(b, `,"detail":`...)
+	b = appendJSONString(b, ev.Detail)
+	return append(b, '}')
+}
+
+// appendJSONFloat formats f as encoding/json does: the shortest
+// representation, in exponent form only below 1e-6 or from 1e21 up, with
+// a single-digit negative exponent unpadded.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 -> e-9
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendJSONString quotes s as encoding/json does: control bytes, quotes,
+// backslashes and the HTML-sensitive <, > and & are escaped, invalid UTF-8
+// becomes U+FFFD, and U+2028/U+2029 are escaped for JavaScript.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
+}
 
 // EventSink consumes scheduling events during a run.
 type EventSink interface {

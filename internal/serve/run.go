@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -104,15 +103,6 @@ func (rn *Run) finish(state State, err error) {
 	rn.mu.Unlock()
 }
 
-// appendEvent adds one JSONL line to the event stream.
-func (rn *Run) appendEvent(line []byte) {
-	rn.mu.Lock()
-	rn.events = append(rn.events, line...)
-	rn.events = append(rn.events, '\n')
-	rn.cond.Broadcast()
-	rn.mu.Unlock()
-}
-
 // requestCancel aborts a live run; it reports whether there was anything
 // to cancel.
 func (rn *Run) requestCancel() bool {
@@ -185,37 +175,15 @@ func (g *registry) complete(rn *Run) {
 // enough that even sub-second test horizons produce samples.
 const samplePeriod = 100 * time.Millisecond
 
-// jsonEvent is the JSONL wire form of one vprobe.Event, matching the
-// vprobe-trace -json stream: virtual time in seconds plus the typed
-// identity fields; empty identities are omitted.
-type jsonEvent struct {
-	T      float64 `json:"t"`
-	Kind   string  `json:"kind"`
-	VCPU   int     `json:"vcpu"`
-	Node   int     `json:"node"`
-	App    string  `json:"app,omitempty"`
-	Host   string  `json:"host,omitempty"`
-	VM     string  `json:"vm,omitempty"`
-	Detail string  `json:"detail"`
-}
-
-// eventSink streams typed events into the run's JSONL buffer.
+// eventSink appends each typed event to the run's JSONL stream (the
+// vprobe-trace -json record, see vprobe.Event.AppendJSON) and wakes the
+// stream's followers.
 func (rn *Run) eventSink() vprobe.EventSink {
 	return vprobe.EventFunc(func(ev vprobe.Event) {
-		line, err := json.Marshal(jsonEvent{
-			T:      ev.At.Seconds(),
-			Kind:   string(ev.Kind),
-			VCPU:   ev.VCPU,
-			Node:   ev.Node,
-			App:    ev.App,
-			Host:   ev.Host,
-			VM:     ev.VM,
-			Detail: ev.Detail,
-		})
-		if err != nil {
-			return // plain data cannot fail to marshal
-		}
-		rn.appendEvent(line)
+		rn.mu.Lock()
+		rn.events = append(ev.AppendJSON(rn.events), '\n')
+		rn.cond.Broadcast()
+		rn.mu.Unlock()
 	})
 }
 

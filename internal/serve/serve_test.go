@@ -227,12 +227,16 @@ func TestStatusTableAudit(t *testing.T) {
 	}
 }
 
-// hungryScenario never finishes on its own: a hungry loop with a long
-// horizon, so only cancellation or the server timeout can end it.
+// hungryScenario never finishes on its own, so only cancellation or the
+// server timeout can end it. The hungry loop alone simulates its hour in
+// about 0.1 s; the 16 guest-idle VCPUs wake every few milliseconds and make
+// the hour about 20 s of work with events on (2-vCPU Xeon), far past every
+// timeout and cancellation delay below on any plausible host.
 const hungryScenario = `{
   "horizon": "3600s",
   "vms": [{"name": "vm0", "memory_mb": 1024, "vcpus": 1,
-           "apps": [{"name": "hungry"}]}]
+           "apps": [{"name": "hungry"}]},
+          {"name": "idle", "memory_mb": 1024, "vcpus": 16, "fill_guest_idle": true}]
 }`
 
 // TestCancelFreesSlot is the ISSUE's leak check: with a single worker
@@ -413,9 +417,11 @@ func TestEventsFollowLiveRun(t *testing.T) {
 		t.Fatal("event stream empty")
 	}
 	for i, ln := range lines {
-		var ev jsonEvent
+		var ev struct {
+			Kind string `json:"kind"`
+		}
 		if err := json.Unmarshal([]byte(ln), &ev); err != nil {
-			t.Fatalf("line %d is not a jsonEvent: %v", i, err)
+			t.Fatalf("line %d is not a JSON event: %v", i, err)
 		}
 		if ev.Kind == "" {
 			t.Fatalf("line %d has no kind: %s", i, ln)

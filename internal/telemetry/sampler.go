@@ -8,12 +8,12 @@ import (
 	"vprobe/internal/sim"
 )
 
-// preallocRows is the default sample-row capacity of the ring. 2048 rows
-// covers over half an hour of simulated time at the default one-second
-// period. The ring is a true circular buffer: capacity is fixed at Start
-// (raise it with Reserve before Start when the horizon is known) and
-// snapshots past it overwrite the oldest rows, so the snapshot path never
-// allocates no matter how long the run.
+// preallocRows is the ring's sample-row capacity when Reserve was never
+// called. 2048 rows covers over half an hour of simulated time at the
+// default one-second period. The ring is a true circular buffer: capacity
+// is fixed at Start (set it with Reserve before Start when the horizon is
+// known) and snapshots past it overwrite the oldest rows, so the snapshot
+// path never allocates no matter how long the run.
 const preallocRows = 2048
 
 // cellKind selects how one ring cell reads its source series.
@@ -83,10 +83,10 @@ func (s *Sampler) Registry() *Registry { return s.reg }
 // Period returns the sampling period.
 func (s *Sampler) Period() sim.Duration { return s.period }
 
-// Reserve raises the ring's row capacity to at least rows before Start.
-// Run entry points that know the horizon call Reserve(horizon/period+2)
-// so the ring never wraps and the export covers the whole run; the
-// default capacity only matters for open-ended callers.
+// Reserve sizes the ring to rows (the largest of several calls) before
+// Start. Run entry points that know the horizon call
+// Reserve(horizon/period+2), so the ring never wraps, the export covers
+// the whole run, and a short run allocates only the rows it can fill.
 func (s *Sampler) Reserve(rows int) {
 	if s.started {
 		panic("telemetry: Reserve after Start")
@@ -130,7 +130,7 @@ func (s *Sampler) Start(e *sim.Engine) {
 				cell{id: renderID(sr.name+"_count", sr.labels), kind: cellHistCount, h: sr.h})
 		}
 	}
-	if s.capRows < preallocRows {
+	if s.capRows == 0 {
 		s.capRows = preallocRows
 	}
 	s.times = make([]sim.Time, s.capRows)

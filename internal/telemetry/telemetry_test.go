@@ -180,6 +180,53 @@ func TestSamplerRing(t *testing.T) {
 	}
 }
 
+// TestSamplerReserveExact pins the ring size a run entry point asks for:
+// Reserve(horizon/period+2) allocates exactly that many rows, not the
+// 2048-row default, and the JSONL and Prometheus exports are byte-identical
+// to a default-capacity ring's.
+func TestSamplerReserveExact(t *testing.T) {
+	const horizon, period = 500 * sim.Millisecond, 100 * sim.Millisecond
+	run := func(reserve int) (s *Sampler, series, prom []byte) {
+		r := NewRegistry()
+		c := r.Counter("events_total", "events")
+		h := r.Histogram("lat_us", "latency", []float64{10})
+		e := sim.NewEngine()
+		s = NewSampler(r, period)
+		if reserve > 0 {
+			s.Reserve(reserve)
+		}
+		s.Start(e)
+		e.Every(30*sim.Millisecond, 30*sim.Millisecond, "work", func(*sim.Engine) {
+			c.Inc()
+			h.Observe(7)
+		})
+		e.RunUntil(sim.Time(horizon))
+		var jb, pb bytes.Buffer
+		if err := s.WriteJSONL(&jb); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.WritePrometheus(&pb); err != nil {
+			t.Fatal(err)
+		}
+		return s, jb.Bytes(), pb.Bytes()
+	}
+	want := int(horizon/period) + 2
+	exact, series, prom := run(want)
+	def, defSeries, defProm := run(0)
+	if exact.capRows != want || len(exact.times) != want {
+		t.Fatalf("reserved ring holds %d rows (times %d), want %d", exact.capRows, len(exact.times), want)
+	}
+	if def.capRows != preallocRows {
+		t.Fatalf("unreserved ring holds %d rows, want the %d default", def.capRows, preallocRows)
+	}
+	if exact.Rows() != int(horizon/period) {
+		t.Fatalf("reserved ring retained %d samples, want %d", exact.Rows(), int(horizon/period))
+	}
+	if !bytes.Equal(series, defSeries) || !bytes.Equal(prom, defProm) {
+		t.Fatal("exports from the exactly reserved ring differ from the default ring's")
+	}
+}
+
 // TestSamplerZeroAlloc pins the per-sample cost at zero allocations once
 // the ring is preallocated (the sampler's share of the PR's zero-alloc
 // contract; the full quantum-loop guardrail lives in internal/xen).

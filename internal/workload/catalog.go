@@ -266,27 +266,32 @@ func minF(a, b float64) float64 {
 	return b
 }
 
-// Catalog returns all fixed (non-parameterised) profiles keyed by name.
+// builders maps each fixed (non-parameterised) profile's name to its
+// constructor. Catalog, ByName and ByName's list of valid names all read
+// it, so a lookup builds only the profile it returns.
+var builders = map[string]func() *Profile{
+	"povray": Povray, "ep": EP, "lu": LU, "mg": MG, "bt": BT, "cg": CG, "sp": SP,
+	"soplex": Soplex, "mcf": MCF, "milc": Milc, "libquantum": Libquantum,
+	"hungry": Hungry, "guest-idle": GuestIdle,
+}
+
+// Catalog returns all fixed profiles keyed by name.
 func Catalog() map[string]*Profile {
-	ps := []*Profile{
-		Povray(), EP(), LU(), MG(), BT(), CG(), SP(),
-		Soplex(), MCF(), Milc(), Libquantum(), Hungry(), GuestIdle(),
-	}
-	m := make(map[string]*Profile, len(ps))
-	for _, p := range ps {
-		m[p.Name] = p
+	m := make(map[string]*Profile, len(builders))
+	for name, build := range builders {
+		m[name] = build()
 	}
 	return m
 }
 
-// ByName returns the named fixed profile or an error listing valid names.
+// ByName returns a fresh copy of the named fixed profile or an error
+// listing valid names.
 func ByName(name string) (*Profile, error) {
-	m := Catalog()
-	p, ok := m[name]
+	build, ok := builders[name]
 	if !ok {
-		return nil, fmt.Errorf("workload: unknown profile %q (have %v)", name, Names(m))
+		return nil, fmt.Errorf("workload: unknown profile %q (have %v)", name, Names(Catalog()))
 	}
-	return p, nil
+	return build(), nil
 }
 
 // Fig3Apps returns the six applications of the paper's Fig. 3 calibration

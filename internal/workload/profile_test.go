@@ -190,11 +190,22 @@ func TestRedisAlwaysCacheHeavy(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	if _, err := ByName("soplex"); err != nil {
-		t.Fatal(err)
+	for name := range builders {
+		p, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Name != name {
+			t.Errorf("ByName(%q) built profile %q", name, p.Name)
+		}
+		if q, _ := ByName(name); q == p || &q.Phases[0] == &p.Phases[0] {
+			t.Errorf("ByName(%q) returned shared state, want a fresh profile per call", name)
+		}
 	}
-	if _, err := ByName("doom"); err == nil {
-		t.Fatal("unknown name accepted")
+	_, err := ByName("doom")
+	const want = `workload: unknown profile "doom" (have [bt cg ep guest-idle hungry libquantum lu mcf mg milc povray soplex sp])`
+	if err == nil || err.Error() != want {
+		t.Fatalf("ByName(doom) error = %v, want %s", err, want)
 	}
 }
 

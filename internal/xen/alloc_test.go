@@ -91,3 +91,28 @@ func testQuantumSteadyStateZeroAlloc(t *testing.T, withTele, withSpans bool) {
 		t.Fatal("simulation did no work; zero-alloc result is vacuous")
 	}
 }
+
+// TestTracedQuantumAllocsPerEvent bounds the traced quantum loop: with a
+// listener that discards every event, the only steady-state allocation is
+// each event's Detail string.
+func TestTracedQuantumAllocsPerEvent(t *testing.T) {
+	h := newSteadyStateHV(t, sched.KindCredit)
+	events := 0
+	h.EventFn = func(xen.Event) { events++ }
+	h.Run(2 * sim.Second)
+	next := sim.Time(2 * sim.Second)
+	const runs = 20
+	events = 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		next = next.Add(100 * sim.Millisecond)
+		h.Engine.RunUntil(next)
+	})
+	// AllocsPerRun makes one unmeasured warm-up call before the runs.
+	perRun := float64(events) / (runs + 1)
+	if perRun < 10 {
+		t.Fatalf("only %.1f events per 100 ms; the bound would be vacuous", perRun)
+	}
+	if perEvent := allocs / perRun; perEvent > 1.05 {
+		t.Fatalf("traced quantum loop allocates %.2f times per event, want at most 1 (the Detail string)", perEvent)
+	}
+}

@@ -105,6 +105,10 @@ type Hypervisor struct {
 	stealBufs   core.StealScratch
 	nodeOrders  [][]numa.NodeID
 	statScratch []core.Stat
+
+	// detail is the scratch buffer traced dispatch and block events render
+	// their Detail into (see detail.go).
+	detail []byte
 }
 
 // New builds a hypervisor on the given topology with a scheduling policy.
@@ -133,23 +137,16 @@ func New(top *numa.Topology, policy Policy, cfg Config) *Hypervisor {
 	return h
 }
 
-// emit delivers a structured scheduling event. The Detail line is only
-// formatted when a listener is attached.
+// emit delivers a structured scheduling event of a cold kind (app finish,
+// guest move, domain lifecycle). The Detail line is only formatted when a
+// listener is attached; the per-quantum kinds render theirs in detail.go.
 func (h *Hypervisor) emit(kind EventKind, vcpu VCPUID, cpu numa.CPUID,
 	node numa.NodeID, app, format string, args ...any) {
 	if h.EventFn == nil {
 		return
 	}
-	h.EventFn(Event{
-		At:   h.Engine.Now(),
-		Kind: kind,
-		VCPU: vcpu,
-		CPU:  cpu,
-		Node: node,
-		App:  app,
-		//vet:alloc formatting happens only past the EventFn nil check: tracing is opt-in and off on the benchmarked path
-		Detail: fmt.Sprintf(format, args...),
-	})
+	//vet:alloc formatting happens only past the EventFn nil check: tracing is opt-in and off on the benchmarked path
+	h.send(kind, vcpu, cpu, node, app, fmt.Sprintf(format, args...))
 }
 
 // CreateDomain builds a VM with the given memory size (allocated with the
@@ -559,12 +556,7 @@ func (h *Hypervisor) dispatch(p *PCPU, v *VCPU) {
 		h.Tele.Dispatches.Inc()
 	}
 	if h.EventFn != nil {
-		// Guarded at the call site, not just inside emit: boxing the
-		// variadic args allocates before emit's own nil check runs, and
-		// dispatch is the hot path that must stay allocation-free.
-		//vet:alloc args box only on the traced path; the call-site guard keeps the untraced quantum allocation-free
-		h.emit(EventDispatch, v.ID, p.ID, p.Node, v.App.Name,
-			"pcpu%d run vcpu%d (%s) %.1fms", p.ID, v.ID, v.App.Name, out.Used.Millis())
+		h.emitDispatch(p, v, out.Used)
 	}
 	p.flight = flight{v: v, origCold: v.ColdLines, start: h.Engine.Now()}
 	p.quantum.Arm(out.Used)
@@ -687,8 +679,8 @@ func (h *Hypervisor) endQuantum(p *PCPU) {
 		v.State = StateBlocked
 		v.OnPCPU = -1
 		if h.EventFn != nil {
-			// Call-site guard like dispatch's: arg boxing must not
-			// allocate when no listener is attached.
+			// Guarded at the call site, not just inside emit: boxing the
+			// variadic args allocates before emit's own nil check runs.
 			//vet:alloc args box only on the traced path, once per app lifetime
 			h.emit(EventAppFinish, v.ID, p.ID, p.Node, v.App.Name,
 				"vcpu%d (%s) finished", v.ID, v.App.Name)
@@ -705,11 +697,7 @@ func (h *Hypervisor) endQuantum(p *PCPU) {
 			wait = sim.Microsecond
 		}
 		if h.EventFn != nil {
-			// Call-site guard like dispatch's: arg boxing must not
-			// allocate on the untraced hot path.
-			//vet:alloc args box only on the traced path; the call-site guard keeps the untraced quantum allocation-free
-			h.emit(EventBlock, v.ID, p.ID, p.Node, v.App.Name,
-				"vcpu%d (%s) blocks %v", v.ID, v.App.Name, wait)
+			h.emitBlock(p, v, wait)
 		}
 		v.wakeLast = p
 		v.wakeTimer.Arm(wait)

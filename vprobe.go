@@ -252,7 +252,7 @@ func (vm *VM) RunApp(name string) error {
 	if err != nil {
 		return err
 	}
-	return vm.RunProfile(p.Clone())
+	return vm.RunProfile(p)
 }
 
 // RunProfile starts an instance of an explicit profile on the next free
