@@ -53,14 +53,17 @@ smoke:
 smoke-serve:
 	sh scripts/serve-smoke.sh
 
-# bench runs the hot-path micro-benchmarks and appends a snapshot (ns/op,
-# B/op, allocs/op per benchmark) to BENCH_hotpath.json. Override LABEL to
-# name the snapshot after the change being measured. -count=3 repetitions
-# collapse to min ns/op / max allocs/op in vprobe-bench, so one noisy
-# scheduling window doesn't pollute the committed baseline.
+# bench runs the hot-path micro-benchmarks plus SuiteParallel (the
+# paper-batch experiment set through the cell queue) and appends a snapshot
+# (ns/op, B/op, allocs/op per benchmark) to BENCH_hotpath.json. Override
+# LABEL to name the snapshot after the change being measured. -count=3
+# repetitions collapse to min ns/op / max allocs/op in vprobe-bench, so one
+# noisy scheduling window doesn't pollute the committed baseline.
+# bench-check leaves SuiteParallel out: its time depends on how many CPUs
+# the run gets.
 LABEL ?= local
 bench:
-	$(GO) test -run '^$$' -bench 'QuantumHotPath|SimulationSecond|EngineChurn|PerfExecute|PickSteal|^BenchmarkPartition$$|SpecCompile|ServedScenario|ClusterArrival' -benchtime 2s -count 3 . ./internal/sim ./internal/cluster \
+	$(GO) test -run '^$$' -bench 'QuantumHotPath|SimulationSecond|EngineChurn|PerfExecute|PickSteal|^BenchmarkPartition$$|SpecCompile|ServedScenario|ClusterArrival|SuiteParallel' -benchtime 2s -count 3 . ./internal/sim ./internal/cluster \
 		| $(GO) run ./cmd/vprobe-bench -label '$(LABEL)'
 
 # bench-check runs the same benchmark set briefly and compares it against

@@ -141,9 +141,12 @@ func BenchmarkFourNode(b *testing.B) {
 
 // --- Parallel harness benchmarks ---------------------------------------
 
-// suiteBenchIDs is a pair of multi-simulation experiments whose inner
-// scenario grids the harness fans out.
-var suiteBenchIDs = []string{"fig4", "fig5"}
+// suiteBenchIDs is the repo benchmark's paper-batch experiment set, whose
+// experiments share cells: 26 of its simulations at three repeats (fig1's,
+// fig8's 1 s point, the ablations' Credit and vProbe rows, the bound
+// sweep's (3, 20) point) repeat fig4/fig5 runs and run once.
+var suiteBenchIDs = []string{"table1", "fig1", "fig3", "fig4", "fig5", "fig8", "table3",
+	"ablate-affinity", "ablate-dynamic", "ablate-pagemig", "fournode", "sensitivity-bounds"}
 
 func suiteBenchOpts(workers int) experiments.Options {
 	opts := benchOpts()
@@ -212,8 +215,8 @@ func BenchmarkPartition(b *testing.B) {
 func BenchmarkPickSteal(b *testing.B) {
 	b.ReportAllocs()
 	rng := sim.NewRNG(2)
-	queues := make(map[numa.NodeID][]core.QueueView)
-	for n := 0; n < 4; n++ {
+	queues := make([][]core.QueueView, 4)
+	for n := range queues {
 		var views []core.QueueView
 		for c := 0; c < 4; c++ {
 			var run []core.RunnableVCPU
@@ -226,7 +229,7 @@ func BenchmarkPickSteal(b *testing.B) {
 				CPU: numa.CPUID(n*4 + c), Workload: rng.Intn(5), Runnable: run,
 			})
 		}
-		queues[numa.NodeID(n)] = views
+		queues[n] = views
 	}
 	order := []numa.NodeID{1, 2, 3}
 	b.ResetTimer()
@@ -240,8 +243,10 @@ func BenchmarkPickSteal(b *testing.B) {
 func BenchmarkPerfExecute(b *testing.B) {
 	b.ReportAllocs()
 	s := perf.NewSystem(numa.XeonE5620())
+	app := workload.Soplex()
 	req := perf.Request{
-		Profile:      workload.Soplex(),
+		Profile:      app,
+		Phase:        app.PhaseAt(0),
 		Quantum:      30 * sim.Millisecond,
 		RunNode:      0,
 		PageDist:     mem.Dist{0.7, 0.3},

@@ -9,9 +9,10 @@
 // match the paper's artifacts: table1, fig1, fig3, fig4, fig5, fig6, fig7,
 // fig8, table3, plus the ablation experiments.
 //
-// Experiments (and the simulations inside each) run in parallel across
-// -workers OS threads; results are identical at every worker count. SIGINT
-// or SIGTERM cancels the run promptly. Progress events stream to stderr,
+// Every simulation of every selected experiment goes through one queue on
+// -workers OS threads, and a simulation two experiments share runs once;
+// results are identical at every worker count. -timeout is one deadline
+// for the whole run. SIGINT or SIGTERM cancels the run promptly. Progress events stream to stderr,
 // and with -out they are also exported as events.jsonl next to the CSV/JSON
 // result files.
 //
@@ -44,7 +45,7 @@ func main() {
 		"workload scale factor (1.0 = paper-sized runs)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	timeout := flag.Duration("timeout", 0, "per-experiment wall-clock limit (0 = none)")
+	timeout := flag.Duration("timeout", 0, "wall-clock limit for the whole run (0 = none)")
 	quiet := flag.Bool("q", false, "suppress progress output on stderr")
 	list := flag.Bool("list", false, "list experiments and exit")
 	out := flag.String("out", "", "directory for CSV/JSON result and JSONL event exports")

@@ -33,11 +33,12 @@ type StealDecision struct {
 // first queue that has stealable VCPUs it takes the one with the smallest
 // LLC access pressure (smallest impact on the destination's LLC balance).
 //
-// queues maps node id to the run-queue views of that node's PCPUs; the
-// function sorts each node's views by descending workload itself (stable:
-// equal workloads keep caller order, matching the prototype's fixed PCPU
-// iteration). It returns ok=false when no queue anywhere has work.
-func PickSteal(local numa.NodeID, nodeOrder []numa.NodeID, queues map[numa.NodeID][]QueueView) (StealDecision, bool) {
+// queues is indexed by node id and holds the run-queue views of that
+// node's PCPUs (a node past the end has none); the function sorts each
+// node's views by descending workload itself (stable: equal workloads keep
+// caller order, matching the prototype's fixed PCPU iteration). It returns
+// ok=false when no queue anywhere has work.
+func PickSteal(local numa.NodeID, nodeOrder []numa.NodeID, queues [][]QueueView) (StealDecision, bool) {
 	var s StealScratch
 	return s.PickSteal(local, nodeOrder, queues)
 }
@@ -55,7 +56,7 @@ type StealScratch struct {
 // reusing the scratch's buffers once they have grown to topology size.
 //
 //vprobe:hotpath
-func (s *StealScratch) PickSteal(local numa.NodeID, nodeOrder []numa.NodeID, queues map[numa.NodeID][]QueueView) (StealDecision, bool) {
+func (s *StealScratch) PickSteal(local numa.NodeID, nodeOrder []numa.NodeID, queues [][]QueueView) (StealDecision, bool) {
 	if cap(s.visit) < len(nodeOrder)+1 {
 		s.visit = make([]numa.NodeID, 0, len(nodeOrder)+1) //vet:alloc warmup growth to topology size, then reused
 	}
@@ -67,6 +68,9 @@ func (s *StealScratch) PickSteal(local numa.NodeID, nodeOrder []numa.NodeID, que
 	}
 	s.visit = visit
 	for _, node := range visit {
+		if node < 0 || int(node) >= len(queues) {
+			continue
+		}
 		views := queues[node]
 		// Stable selection sort by descending workload (tiny N; keeps
 		// the package dependency-free and the order deterministic).

@@ -11,7 +11,7 @@ import (
 func rv(id int, p float64) RunnableVCPU { return RunnableVCPU{VCPU: id, Pressure: p} }
 
 func TestPickStealPrefersLocalNode(t *testing.T) {
-	queues := map[numa.NodeID][]QueueView{
+	queues := [][]QueueView{
 		0: {{CPU: 1, Workload: 1, Runnable: []RunnableVCPU{rv(10, 5)}}},
 		1: {{CPU: 4, Workload: 9, Runnable: []RunnableVCPU{rv(20, 1)}}},
 	}
@@ -27,7 +27,7 @@ func TestPickStealPrefersLocalNode(t *testing.T) {
 }
 
 func TestPickStealHeaviestPCPUFirst(t *testing.T) {
-	queues := map[numa.NodeID][]QueueView{
+	queues := [][]QueueView{
 		0: {
 			{CPU: 0, Workload: 2, Runnable: []RunnableVCPU{rv(1, 1)}},
 			{CPU: 1, Workload: 5, Runnable: []RunnableVCPU{rv(2, 50)}},
@@ -42,7 +42,7 @@ func TestPickStealHeaviestPCPUFirst(t *testing.T) {
 }
 
 func TestPickStealMinPressureWithinQueue(t *testing.T) {
-	queues := map[numa.NodeID][]QueueView{
+	queues := [][]QueueView{
 		0: {{CPU: 3, Workload: 3, Runnable: []RunnableVCPU{rv(1, 22), rv(2, 3), rv(3, 15)}}},
 	}
 	d, ok := PickSteal(0, nil, queues)
@@ -52,7 +52,7 @@ func TestPickStealMinPressureWithinQueue(t *testing.T) {
 }
 
 func TestPickStealFallsBackToRemote(t *testing.T) {
-	queues := map[numa.NodeID][]QueueView{
+	queues := [][]QueueView{
 		0: {{CPU: 0, Workload: 0, Runnable: nil}},
 		1: {{CPU: 5, Workload: 2, Runnable: []RunnableVCPU{rv(9, 8)}}},
 	}
@@ -65,7 +65,7 @@ func TestPickStealFallsBackToRemote(t *testing.T) {
 func TestPickStealSkipsEmptyHeavyQueue(t *testing.T) {
 	// A queue can report workload > 0 (its running VCPU) but have no
 	// stealable VCPUs; Algorithm 2 moves on to the next PCPU.
-	queues := map[numa.NodeID][]QueueView{
+	queues := [][]QueueView{
 		0: {
 			{CPU: 0, Workload: 7, Runnable: nil},
 			{CPU: 1, Workload: 3, Runnable: []RunnableVCPU{rv(4, 2)}},
@@ -78,7 +78,7 @@ func TestPickStealSkipsEmptyHeavyQueue(t *testing.T) {
 }
 
 func TestPickStealNothingRunnable(t *testing.T) {
-	queues := map[numa.NodeID][]QueueView{
+	queues := [][]QueueView{
 		0: {{CPU: 0, Workload: 0}},
 		1: {{CPU: 4, Workload: 0}},
 	}
@@ -91,7 +91,7 @@ func TestPickStealNothingRunnable(t *testing.T) {
 }
 
 func TestPickStealStableOnWorkloadTies(t *testing.T) {
-	queues := map[numa.NodeID][]QueueView{
+	queues := [][]QueueView{
 		0: {
 			{CPU: 0, Workload: 4, Runnable: []RunnableVCPU{rv(1, 10)}},
 			{CPU: 1, Workload: 4, Runnable: []RunnableVCPU{rv(2, 1)}},
@@ -110,7 +110,7 @@ func TestPickStealProperties(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		numNodes := rng.Intn(3) + 1
-		queues := make(map[numa.NodeID][]QueueView)
+		queues := make([][]QueueView, numNodes)
 		exists := map[int]numa.NodeID{}
 		id := 1
 		localHasWork := false
@@ -130,7 +130,7 @@ func TestPickStealProperties(t *testing.T) {
 					CPU: numa.CPUID(n*4 + c), Workload: rng.Intn(5), Runnable: run,
 				})
 			}
-			queues[numa.NodeID(n)] = views
+			queues[n] = views
 		}
 		var order []numa.NodeID
 		for n := 1; n < numNodes; n++ {

@@ -7,6 +7,7 @@ import (
 	"vprobe/internal/cluster"
 	"vprobe/internal/harness"
 	"vprobe/internal/metrics"
+	"vprobe/internal/numa"
 	"vprobe/internal/sched"
 	"vprobe/internal/sim"
 )
@@ -15,12 +16,70 @@ import (
 // experiment runs: the baseline against the paper's scheduler.
 var clusterScheds = []sched.Kind{sched.KindCredit, sched.KindVProbe}
 
-// runCluster compares the placement policies (pack, spread, numa) on a
+// clusterHosts is the host count of both cluster experiments.
+const clusterHosts = 3
+
+// clusterSpec is one cell of the cluster experiment: Hosts hosts under
+// Scheduler placing a dynamic arrival stream with Policy. Its output is
+// the rejection rate, remote ratio, migration count and utilization.
+type clusterSpec struct {
+	Policy    string
+	Scheduler sched.Kind
+	Seed      uint64
+	Horizon   sim.Duration
+}
+
+func (s clusterSpec) run(ctx context.Context) (any, sim.Time, error) {
+	c, err := cluster.New(cluster.Config{
+		Hosts:     clusterHosts,
+		Scheduler: s.Scheduler,
+		Policy:    s.Policy,
+		Seed:      s.Seed,
+		// VMs live half the horizon so the cluster reaches a churning
+		// steady state.
+		ArrivalsPerSecond: 0.6,
+		MeanLifetime:      s.Horizon / 2,
+		Horizon:           s.Horizon,
+		// The queue already spreads cells across workers; hosts inside
+		// each cluster advance serially.
+		Workers:          1,
+		LLCPressureLimit: 25,
+		RebalancePeriod:  5 * sim.Second,
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := c.Run(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	return []float64{res.RejectionRate, res.RemoteRatio, float64(res.Migrations), res.Utilization}, sim.Time(s.Horizon), nil
+}
+
+// cost is the horizon on every host PCPU.
+func (s clusterSpec) cost() float64 { return clusterCost(s.Horizon) }
+
+// clusterCost is a cluster cell's horizon on every PCPU of its hosts.
+func clusterCost(horizon sim.Duration) float64 {
+	return clusterHosts * float64(numa.XeonE5620().NumCPUs()) * horizon.Seconds()
+}
+
+// clusterHorizon is both cluster experiments' run length: ~400 virtual
+// seconds at full scale, capped at the option horizon.
+func clusterHorizon(opts Options) sim.Duration {
+	horizon := sim.Duration(float64(400*sim.Second) * opts.Scale)
+	if opts.Horizon > 0 && horizon > opts.Horizon {
+		horizon = opts.Horizon
+	}
+	return horizon
+}
+
+// planCluster compares the placement policies (pack, spread, numa) on a
 // multi-host cluster under a dynamic VM arrival/departure stream, once per
 // per-host scheduler. It reports admission quality (rejection rate),
 // placement quality (cluster-wide remote-access ratio), and rebalancer
 // activity (inter-host migrations).
-func runCluster(ctx context.Context, opts Options) (*Result, error) {
+func planCluster(opts Options) plan {
 	opts = opts.normalized()
 
 	// Honor an explicit scheduler restriction, but never leave the
@@ -37,64 +96,38 @@ func runCluster(ctx context.Context, opts Options) (*Result, error) {
 		kinds = clusterScheds
 	}
 	policies := cluster.Policies()
-
-	// ~400 virtual seconds at full scale; VMs live half the horizon so the
-	// cluster reaches a churning steady state.
-	horizon := sim.Duration(float64(400*sim.Second) * opts.Scale)
-	if opts.Horizon > 0 && horizon > opts.Horizon {
-		horizon = opts.Horizon
-	}
+	horizon := clusterHorizon(opts)
 
 	// One variant per (policy, scheduler) pair, policy-major.
-	cells, err := grid(ctx, opts.Workers, len(policies)*len(kinds), opts.Repeats,
-		func(ctx context.Context, v, rep int) ([]float64, error) {
-			pol, kind := policies[v/len(kinds)], kinds[v%len(kinds)]
-			c, err := cluster.New(cluster.Config{
-				Hosts:     3,
-				Scheduler: kind,
-				Policy:    pol,
-				Seed: harness.DeriveSeed(opts.Seed, "cluster", pol,
-					string(kind), fmt.Sprint(rep)),
-				ArrivalsPerSecond: 0.6,
-				MeanLifetime:      horizon / 2,
-				Horizon:           horizon,
-				// The experiment already fans cells across workers; hosts
-				// inside each cluster advance serially.
-				Workers:          1,
-				LLCPressureLimit: 25,
-				RebalancePeriod:  5 * sim.Second,
-			})
-			if err != nil {
-				return nil, err
+	var cells []cell
+	for _, pol := range policies {
+		for _, kind := range kinds {
+			for rep := 0; rep < opts.Repeats; rep++ {
+				cells = append(cells, cell{name: fmt.Sprintf("cluster/%s/%s", pol, kind), spec: clusterSpec{
+					Policy: pol, Scheduler: kind, Horizon: horizon,
+					Seed: harness.DeriveSeed(opts.Seed, "cluster", pol, string(kind), fmt.Sprint(rep)),
+				}})
 			}
-			res, err := c.Run(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("cluster %s/%s: %w", pol, kind, err)
-			}
-			opts.emitScenario(fmt.Sprintf("cluster/%s/%s", pol, kind), sim.Time(horizon))
-			return []float64{res.RejectionRate, res.RemoteRatio, float64(res.Migrations), res.Utilization}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-
-	r := &Result{ID: "cluster", Title: "Placement policies on a multi-host cluster"}
-	t := metrics.NewTable(
-		fmt.Sprintf("3 hosts, %v horizon, dynamic arrivals (mean of %d seeds)",
-			horizon, opts.Repeats),
-		"policy", "scheduler", "reject-rate", "remote-ratio", "migrations", "utilization")
-	for v, runs := range cells {
-		pol, label := policies[v/len(kinds)], schedLabel(kinds[v%len(kinds)])
-		m := means(runs)
-		for i, series := range []string{"reject", "remote", "migrations", "util"} {
-			r.Set(series+"/"+label, pol, m[i])
 		}
-		t.AddRow(pol, label, metrics.Pct(m[0]), metrics.Pct(m[1]), metrics.F(m[2]), metrics.Pct(m[3]))
 	}
-	t.AddNote("numa filters hosts by per-node free chunks (Gudkov-style accounting) before scoring")
-	t.AddNote("migrations: rebalancer moves off hosts past the LLC-pressure/remote-ratio thresholds")
-	r.Tables = append(r.Tables, t)
-	return r, nil
+	return plan{cells: cells, assemble: func(outs []any) *Result {
+		r := &Result{ID: "cluster", Title: "Placement policies on a multi-host cluster"}
+		t := metrics.NewTable(
+			fmt.Sprintf("%d hosts, %v horizon, dynamic arrivals (mean of %d seeds)",
+				clusterHosts, horizon, opts.Repeats),
+			"policy", "scheduler", "reject-rate", "remote-ratio", "migrations", "utilization")
+		for v, m := range variantMeans(as[[]float64](outs), opts.Repeats) {
+			pol, label := policies[v/len(kinds)], schedLabel(kinds[v%len(kinds)])
+			for i, series := range []string{"reject", "remote", "migrations", "util"} {
+				r.Set(series+"/"+label, pol, m[i])
+			}
+			t.AddRow(pol, label, metrics.Pct(m[0]), metrics.Pct(m[1]), metrics.F(m[2]), metrics.Pct(m[3]))
+		}
+		t.AddNote("numa filters hosts by per-node free chunks (Gudkov-style accounting) before scoring")
+		t.AddNote("migrations: rebalancer moves off hosts past the LLC-pressure/remote-ratio thresholds")
+		r.Tables = append(r.Tables, t)
+		return r
+	}}
 }
 
 func init() {
@@ -102,6 +135,6 @@ func init() {
 		ID:    "cluster",
 		Title: "Multi-host placement policy comparison",
 		Paper: "beyond the paper: pack vs spread vs numa admission on a cluster of vProbe hosts",
-		run:   runCluster,
+		plan:  planCluster,
 	})
 }

@@ -42,7 +42,7 @@ var controlPlaneSeries = []string{
 // admission queue backs up and mechanism differences become visible.
 func controlPlaneConfig(seed uint64, horizon sim.Duration) cluster.Config {
 	return cluster.Config{
-		Hosts:             3,
+		Hosts:             clusterHosts,
 		Seed:              seed,
 		ArrivalsPerSecond: 1.0,
 		MeanLifetime:      horizon,
@@ -68,70 +68,83 @@ func weightedWait(rep *cluster.Report) float64 {
 	return num / den
 }
 
-// runControlPlane compares cluster admission with the control plane off,
+// controlPlaneSpec is one cell of the control-plane experiment: the
+// overload scenario at Seed and Horizon with the named mechanism Variant
+// (see controlPlaneVariants). Its output is the controlPlaneSeries values.
+type controlPlaneSpec struct {
+	Variant string
+	Seed    uint64
+	Horizon sim.Duration
+}
+
+func (s controlPlaneSpec) run(ctx context.Context) (any, sim.Time, error) {
+	cfg := controlPlaneConfig(s.Seed, s.Horizon)
+	for _, v := range controlPlaneVariants {
+		if v.name == s.Variant {
+			v.cfg(&cfg)
+		}
+	}
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := c.Run(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	var critWait float64
+	for _, p := range res.PerPriority {
+		if p.Class == "critical" {
+			critWait = p.MeanWait.Seconds()
+		}
+	}
+	return []float64{res.RejectionRate, weightedWait(res), critWait,
+		float64(res.Preemptions), float64(res.GangsAdmitted),
+		float64(res.Backfills), float64(res.DeschedMoves)}, sim.Time(s.Horizon), nil
+}
+
+func (s controlPlaneSpec) cost() float64 { return clusterCost(s.Horizon) }
+
+// planControlPlane compares cluster admission with the control plane off,
 // with preemption alone, and with the full mechanism bundle (preemption,
 // gang admission, backfill, descheduling) at equal offered load. It
 // reports rejection rate, priority-weighted admission latency, the
 // critical class's mean wait, and the mechanism activity counters.
-func runControlPlane(ctx context.Context, opts Options) (*Result, error) {
+func planControlPlane(opts Options) plan {
 	opts = opts.normalized()
-
-	horizon := sim.Duration(float64(400*sim.Second) * opts.Scale)
-	if opts.Horizon > 0 && horizon > opts.Horizon {
-		horizon = opts.Horizon
-	}
-
-	cells, err := grid(ctx, opts.Workers, len(controlPlaneVariants), opts.Repeats,
-		func(ctx context.Context, v, rep int) ([]float64, error) {
-			variant := controlPlaneVariants[v]
+	horizon := clusterHorizon(opts)
+	var cells []cell
+	for _, variant := range controlPlaneVariants {
+		for rep := 0; rep < opts.Repeats; rep++ {
 			// The seed depends on the repeat only: every variant of one
 			// repeat admits the same arrival stream.
-			cfg := controlPlaneConfig(
-				harness.DeriveSeed(opts.Seed, "controlplane", fmt.Sprint(rep)),
-				horizon)
-			variant.cfg(&cfg)
-			c, err := cluster.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			res, err := c.Run(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("controlplane %s: %w", variant.name, err)
-			}
-			opts.emitScenario("controlplane/"+variant.name, sim.Time(horizon))
-			var critWait float64
-			for _, p := range res.PerPriority {
-				if p.Class == "critical" {
-					critWait = p.MeanWait.Seconds()
-				}
-			}
-			return []float64{res.RejectionRate, weightedWait(res), critWait,
-				float64(res.Preemptions), float64(res.GangsAdmitted),
-				float64(res.Backfills), float64(res.DeschedMoves)}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-
-	r := &Result{ID: "cluster-controlplane", Title: "Cluster control-plane mechanisms at equal load"}
-	t := metrics.NewTable(
-		fmt.Sprintf("3 hosts, %v horizon, 1.0 arrivals/s, 20%% gangs (mean of %d seeds)",
-			horizon, opts.Repeats),
-		"mechanisms", "reject-rate", "weighted-wait", "crit-wait",
-		"preempts", "gangs", "backfills", "desched")
-	for v, variant := range controlPlaneVariants {
-		m := means(cells[v])
-		for i, series := range controlPlaneSeries {
-			r.Set(series, variant.name, m[i])
+			cells = append(cells, cell{name: "controlplane/" + variant.name, spec: controlPlaneSpec{
+				Variant: variant.name, Horizon: horizon,
+				Seed: harness.DeriveSeed(opts.Seed, "controlplane", fmt.Sprint(rep)),
+			}})
 		}
-		t.AddRow(variant.name, metrics.Pct(m[0]),
-			fmt.Sprintf("%.2fs", m[1]), fmt.Sprintf("%.2fs", m[2]),
-			metrics.F(m[3]), metrics.F(m[4]), metrics.F(m[5]), metrics.F(m[6]))
 	}
-	t.AddNote("weighted-wait: mean admission wait with placed VMs weighted 1/2/4 by priority class")
-	t.AddNote("every variant admits the byte-identical arrival stream; only the mechanisms differ")
-	r.Tables = append(r.Tables, t)
-	return r, nil
+	return plan{cells: cells, assemble: func(outs []any) *Result {
+		r := &Result{ID: "cluster-controlplane", Title: "Cluster control-plane mechanisms at equal load"}
+		t := metrics.NewTable(
+			fmt.Sprintf("%d hosts, %v horizon, 1.0 arrivals/s, 20%% gangs (mean of %d seeds)",
+				clusterHosts, horizon, opts.Repeats),
+			"mechanisms", "reject-rate", "weighted-wait", "crit-wait",
+			"preempts", "gangs", "backfills", "desched")
+		for v, m := range variantMeans(as[[]float64](outs), opts.Repeats) {
+			name := controlPlaneVariants[v].name
+			for i, series := range controlPlaneSeries {
+				r.Set(series, name, m[i])
+			}
+			t.AddRow(name, metrics.Pct(m[0]),
+				fmt.Sprintf("%.2fs", m[1]), fmt.Sprintf("%.2fs", m[2]),
+				metrics.F(m[3]), metrics.F(m[4]), metrics.F(m[5]), metrics.F(m[6]))
+		}
+		t.AddNote("weighted-wait: mean admission wait with placed VMs weighted 1/2/4 by priority class")
+		t.AddNote("every variant admits the byte-identical arrival stream; only the mechanisms differ")
+		r.Tables = append(r.Tables, t)
+		return r
+	}}
 }
 
 func init() {
@@ -139,6 +152,6 @@ func init() {
 		ID:    "cluster-controlplane",
 		Title: "Control-plane mechanisms: preemption, gangs, backfill, descheduling",
 		Paper: "beyond the paper: priority-aware admission on a cluster of vProbe hosts",
-		run:   runControlPlane,
+		plan:  planControlPlane,
 	})
 }

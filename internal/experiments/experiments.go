@@ -3,11 +3,14 @@
 // Table I's platform description) as runnable experiments, and adds
 // ablation experiments for the design choices DESIGN.md calls out.
 //
-// Each experiment builds fresh simulations, runs them, and produces text
-// tables mirroring the paper's rows/series plus a machine-readable Series
-// map for tests and benchmarks. Absolute values are model outputs; the
-// reproduction targets are the shapes (orderings, rough factors,
-// crossovers), recorded per experiment in EXPERIMENTS.md.
+// Each experiment declares the simulations it needs as cells (one
+// simulation described by data), and assembles text tables mirroring the
+// paper's rows/series plus a machine-readable Series map from their
+// measured outputs. RunSuite runs the cells of every selected experiment
+// through one queue, so a simulation two experiments share runs once.
+// Absolute values are model outputs; the reproduction targets are the
+// shapes (orderings, rough factors, crossovers), recorded per experiment
+// in EXPERIMENTS.md.
 package experiments
 
 import (
@@ -41,12 +44,13 @@ type Options struct {
 	// Repeats averages each measurement over this many seeds (initial
 	// placement is randomized, so single runs carry placement luck).
 	Repeats int
-	// Workers bounds the harness fan-out: the parallel scenario runs
-	// inside an experiment and the parallel experiments inside RunSuite.
-	// Values <= 0 mean GOMAXPROCS. Worker count never changes results.
+	// Workers bounds the one cell queue a run goes through: at most this
+	// many simulations, across every experiment of a RunSuite call, are
+	// alive at once. Values <= 0 mean GOMAXPROCS. Worker count never
+	// changes results.
 	Workers int
-	// Timeout caps each experiment's wall-clock time in RunSuite
-	// (0 = no limit).
+	// Timeout caps a RunSuite call's wall-clock time: one deadline at
+	// suite start + Timeout for every experiment (0 = no limit).
 	Timeout time.Duration
 	// Events, when non-nil, receives harness progress events (scenario
 	// and experiment completions). The sink must be safe for concurrent
@@ -130,15 +134,28 @@ type Experiment struct {
 	Title string
 	// Paper describes what the original artifact showed.
 	Paper string
-	// run executes the experiment; see RunContext.
-	run func(context.Context, Options) (*Result, error)
+	// plan declares the experiment's work for opts; see plan.
+	plan func(opts Options) plan
+}
+
+// plan is an experiment's work for one Options value: the cells it needs
+// and the step that builds its Result from their outputs, which arrive in
+// declaration order whichever cells ran first or were shared.
+type plan struct {
+	cells    []cell
+	assemble func(outs []any) *Result
 }
 
 // RunContext executes the experiment under ctx: cancelling the context (or
 // exceeding its deadline) aborts the in-flight simulations promptly and
 // returns an error wrapping the context's.
 func (e *Experiment) RunContext(ctx context.Context, opts Options) (*Result, error) {
-	return e.run(ctx, opts)
+	p := e.plan(opts)
+	outs, err := runCells(ctx, opts, p.cells)
+	if err != nil {
+		return nil, err
+	}
+	return p.assemble(outs), nil
 }
 
 var registry = map[string]*Experiment{}

@@ -9,12 +9,27 @@ import (
 	"vprobe/internal/sched"
 	"vprobe/internal/sim"
 	"vprobe/internal/workload"
+	"vprobe/internal/xen"
 )
 
 // testOpts keeps shape tests fast while preserving enough virtual time for
 // the mechanisms (sampling periods, first touch) to act.
 func testOpts() Options {
 	return Options{Scale: 0.35, Repeats: 2, Seed: 1}.normalized()
+}
+
+// runID runs the registered experiment id standalone.
+func runID(t *testing.T, id string, opts Options) *Result {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.RunContext(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -37,7 +52,7 @@ func TestRegistryComplete(t *testing.T) {
 		t.Fatal("All() and IDs() disagree")
 	}
 	for _, e := range All() {
-		if e.Title == "" || e.Paper == "" || e.run == nil {
+		if e.Title == "" || e.Paper == "" || e.plan == nil {
 			t.Errorf("experiment %q incomplete", e.ID)
 		}
 	}
@@ -74,10 +89,7 @@ func TestOptionsNormalization(t *testing.T) {
 }
 
 func TestTable1MatchesPaper(t *testing.T) {
-	res, err := runTable1(context.Background(), testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runID(t, "table1", testOpts())
 	if res.Get("nodes/config", "nodes") != 2 || res.Get("cpus/config", "cpus") != 8 {
 		t.Fatalf("platform mismatch: %+v", res.Series)
 	}
@@ -167,10 +179,7 @@ func meanExec(runs []ScenarioRun, threaded bool) float64 {
 // page-level remote ratio is high for every memory-intensive app.
 func TestFig1RemoteRatiosHigh(t *testing.T) {
 	opts := testOpts()
-	res, err := runFig1(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runID(t, "fig1", opts)
 	for app, v := range res.Series["page-remote/credit"] {
 		if v < 0.5 {
 			t.Errorf("%s: page-remote %.1f%% below 50%% — motivation not reproduced", app, 100*v)
@@ -191,10 +200,7 @@ func TestFig1RemoteRatiosHigh(t *testing.T) {
 // TestFig3Calibration asserts Fig. 3's published RPTI values come out of a
 // full simulation, not just the catalog.
 func TestFig3Calibration(t *testing.T) {
-	res, err := runFig3(context.Background(), testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runID(t, "fig3", testOpts())
 	want := map[string]float64{
 		"povray": 0.48, "ep": 2.01, "lu": 15.38,
 		"mg": 16.33, "milc": 21.68, "libquantum": 22.41,
@@ -243,10 +249,7 @@ func TestFig6ImprovementGrowsWithConcurrency(t *testing.T) {
 // worse than 1 s, and very long periods do not beat the 1-2 s region.
 func TestFig8UShape(t *testing.T) {
 	opts := testOpts()
-	res, err := runFig8(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runID(t, "fig8", opts)
 	e := func(label string) float64 { return res.Get("exec/vprobe", label) }
 	if e("100.000ms") <= e("1.000s") {
 		t.Errorf("0.1s period (%.2fs) not worse than 1s (%.2fs)", e("100.000ms"), e("1.000s"))
@@ -267,10 +270,7 @@ func TestFig8UShape(t *testing.T) {
 // TestTable3OverheadNegligible asserts the paper's headline: vProbe's
 // overhead time is far below 0.1% for 1-4 VMs.
 func TestTable3OverheadNegligible(t *testing.T) {
-	res, err := runTable3(context.Background(), testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runID(t, "table3", testOpts())
 	for _, vms := range []string{"1", "2", "3", "4"} {
 		pct := res.Get("overhead/vprobe", vms)
 		if pct <= 0 {
@@ -285,10 +285,7 @@ func TestTable3OverheadNegligible(t *testing.T) {
 // TestAffinityAblation asserts Eq. 1 is load-bearing: erasing affinity
 // information makes vProbe dramatically worse.
 func TestAffinityAblation(t *testing.T) {
-	res, err := runAblateAffinity(context.Background(), testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runID(t, "ablate-affinity", testOpts())
 	with := res.Get("exec/vprobe", "mix")
 	without := res.Get("exec/vprobe-no-affinity", "mix")
 	if without <= with*1.10 {
@@ -298,10 +295,7 @@ func TestAffinityAblation(t *testing.T) {
 
 // TestFourNodeGeneralizes asserts vProbe's advantage holds with N = 4.
 func TestFourNodeGeneralizes(t *testing.T) {
-	res, err := runFourNode(context.Background(), testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runID(t, "fournode", testOpts())
 	credit := res.Get("exec/credit", "fournode")
 	vprobe := res.Get("exec/vprobe", "fournode")
 	if vprobe >= credit*0.9 {
@@ -317,14 +311,8 @@ func TestFourNodeGeneralizes(t *testing.T) {
 func TestDeterministicExperiments(t *testing.T) {
 	opts := testOpts()
 	opts.Repeats = 1
-	a, err := runFig3(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runFig3(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runID(t, "fig3", opts)
+	b := runID(t, "fig3", opts)
 	for series, m := range a.Series {
 		for label, v := range m {
 			if b.Get(series, label) != v {
@@ -338,10 +326,7 @@ func TestDeterministicExperiments(t *testing.T) {
 // bar: at equal offered load, enabling preemption strictly reduces the
 // critical class's mean admission wait, and the mechanism actually fires.
 func TestControlPlanePreemptionHelpsCritical(t *testing.T) {
-	res, err := runControlPlane(context.Background(), testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runID(t, "cluster-controlplane", testOpts())
 	if res.Get("preemptions", "preempt") == 0 {
 		t.Fatal("preempt variant never preempted under overload")
 	}
@@ -355,6 +340,52 @@ func TestControlPlanePreemptionHelpsCritical(t *testing.T) {
 	for _, series := range []string{"gangs", "backfills"} {
 		if res.Get(series, "full") == 0 {
 			t.Errorf("full variant reports zero %s", series)
+		}
+	}
+}
+
+// TestVCPUPhaseCacheMatchesReference checks the phase each VCPU caches
+// against the reference Profile.PhaseAt(InstrDone) over full
+// standard-scenario runs of multi-phase apps, with guest-thread migration
+// on (the default configuration): after every traced event (each dispatch
+// follows the previous quantum's end on its PCPU) and when the run ends.
+func TestVCPUPhaseCacheMatchesReference(t *testing.T) {
+	for _, w := range specWorkloads() {
+		if w.Name != "soplex" && w.Name != "mcf" && w.Name != "mix" {
+			continue
+		}
+		sc, err := standardScenario(numa.XeonE5620(), sched.NewVProbe(), 1, w.Apps1, w.Apps2, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := map[*xen.VCPU]*workload.Phase{}
+		var changes, moves int
+		check := func() {
+			for _, v := range sc.H.AllVCPUs() {
+				if v.App == nil {
+					continue
+				}
+				if want := v.App.PhaseAt(v.InstrDone); v.Phase() != want {
+					t.Fatalf("%s: vcpu%d caches phase %+v, reference %+v", w.Name, v.ID, *v.Phase(), *want)
+				}
+				if last[v] != nil && last[v] != v.Phase() {
+					changes++
+				}
+				last[v] = v.Phase()
+			}
+		}
+		sc.H.EventFn = func(ev xen.Event) {
+			if ev.Kind == xen.EventGuestMove {
+				moves++
+			}
+			check()
+		}
+		if _, err := sc.run(context.Background(), 600*sim.Second); err != nil {
+			t.Fatal(err)
+		}
+		check()
+		if changes == 0 || moves == 0 {
+			t.Fatalf("%s: %d phase changes and %d guest moves; the run exercised neither writer", w.Name, changes, moves)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"fmt"
-
-	"vprobe/internal/harness"
 	"vprobe/internal/metrics"
 	"vprobe/internal/numa"
 	"vprobe/internal/sched"
@@ -138,55 +134,69 @@ func schedColumns(opts Options) []string {
 	return cols
 }
 
-func runFig4(ctx context.Context, opts Options) (*Result, error) {
-	opts = opts.normalized()
-	r := &Result{ID: "fig4", Title: "SPEC CPU2006 under five schedulers (paper Fig. 4)"}
-	outs := map[string]map[sched.Kind][]ScenarioRun{}
-	var labels []string
-	for _, w := range specWorkloads() {
-		m, err := RunSchedulers(ctx, numa.XeonE5620(), w.Name, w.Apps1, w.Apps2, opts)
-		if err != nil {
-			return nil, err
-		}
-		outs[w.Name] = m
-		labels = append(labels, w.Name)
+// comparisonCells declares the schedulerCells of every workload on the
+// paper's testbed, workload-major. prefix+Name labels each workload's
+// progress events.
+func comparisonCells(prefix string, ws []workloadApps, opts Options) []cell {
+	top := numa.XeonE5620()
+	var cells []cell
+	for _, w := range ws {
+		cells = append(cells, schedulerCells(top, prefix+w.Name, w.Apps1, w.Apps2, opts)...)
 	}
-	addNormalizedFigure(r, "Fig. 4", labels, outs, opts, false)
-	return r, nil
+	return cells
 }
 
-func runFig5(ctx context.Context, opts Options) (*Result, error) {
-	opts = opts.normalized()
-	r := &Result{ID: "fig5", Title: "NPB (4 threads) under five schedulers (paper Fig. 5)"}
-	outs := map[string]map[sched.Kind][]ScenarioRun{}
-	var labels []string
-	for _, w := range npbWorkloads() {
-		m, err := RunSchedulers(ctx, numa.XeonE5620(), w.Name, replicate(w.App, 4), replicate(w.App, 4), opts)
-		if err != nil {
-			return nil, err
-		}
-		outs[w.Name] = m
-		labels = append(labels, w.Name)
+// byWorkload groups the outputs of comparisonCells by workload name and
+// scheduler.
+func byWorkload(ws []workloadApps, outs []any, opts Options) map[string]map[sched.Kind][]ScenarioRun {
+	runs := as[ScenarioRun](outs)
+	per := len(opts.Schedulers) * opts.Repeats
+	out := make(map[string]map[sched.Kind][]ScenarioRun, len(ws))
+	for i, w := range ws {
+		out[w.Name] = byScheduler(runs[i*per:(i+1)*per], opts)
 	}
-	addNormalizedFigure(r, "Fig. 5", labels, outs, opts, true)
-	return r, nil
+	return out
 }
 
-// runFig1 reproduces §II-B: the remote memory access ratio of
+// names lists the workloads' names in order.
+func names(ws []workloadApps) []string {
+	out := make([]string, len(ws))
+	for i, w := range ws {
+		out[i] = w.Name
+	}
+	return out
+}
+
+func planFig4(opts Options) plan {
+	opts = opts.normalized()
+	ws := specWorkloads()
+	return plan{cells: comparisonCells("", ws, opts), assemble: func(outs []any) *Result {
+		r := &Result{ID: "fig4", Title: "SPEC CPU2006 under five schedulers (paper Fig. 4)"}
+		addNormalizedFigure(r, "Fig. 4", names(ws), byWorkload(ws, outs, opts), opts, false)
+		return r
+	}}
+}
+
+func planFig5(opts Options) plan {
+	opts = opts.normalized()
+	ws := npbWorkloads()
+	return plan{cells: comparisonCells("", ws, opts), assemble: func(outs []any) *Result {
+		r := &Result{ID: "fig5", Title: "NPB (4 threads) under five schedulers (paper Fig. 5)"}
+		addNormalizedFigure(r, "Fig. 5", names(ws), byWorkload(ws, outs, opts), opts, true)
+		return r
+	}}
+}
+
+// planFig1 reproduces §II-B: the remote memory access ratio of
 // memory-intensive applications under the unmodified Credit scheduler.
 // The reported number is the page-level metric (fraction of pages touched
 // from a remote node at least once per analysis window); the access-level
 // ratio is included as a note column. See DESIGN.md for why the paper's
-// >80% figures imply the page-level reading.
-func runFig1(ctx context.Context, opts Options) (*Result, error) {
+// >80% figures imply the page-level reading. Every cell is also the
+// repeat-0 Credit cell of a fig4 or fig5 workload.
+func planFig1(opts Options) plan {
 	opts = opts.normalized()
-	r := &Result{ID: "fig1", Title: "Remote memory access ratio under Credit (paper Fig. 1)"}
-	t := metrics.NewTable("Fig. 1", "workload", "page-remote", "access-remote")
-	type w struct {
-		name         string
-		apps1, apps2 []*workload.Profile
-	}
-	ws := []w{
+	ws := []workloadApps{
 		{"bt", replicate(workload.BT(), 4), replicate(workload.BT(), 4)},
 		{"lu", replicate(workload.LU(), 4), replicate(workload.LU(), 4)},
 		{"sp", replicate(workload.SP(), 4), replicate(workload.SP(), 4)},
@@ -195,34 +205,24 @@ func runFig1(ctx context.Context, opts Options) (*Result, error) {
 		{"milc", replicate(workload.Milc(), 4), replicate(workload.Milc(), 4)},
 		{"libquantum", replicate(workload.Libquantum(), 4), replicate(workload.Libquantum(), 4)},
 	}
-	type ratios struct{ page, access float64 }
-	rows, err := harness.Map(ctx, harness.Workers(opts.Workers, len(ws)), len(ws),
-		func(ctx context.Context, i int) (ratios, error) {
-			sc, err := standardScenario(numa.XeonE5620(), sched.NewCredit(), opts.Seed, ws[i].apps1, ws[i].apps2, opts.Scale)
-			if err != nil {
-				return ratios{}, err
-			}
-			run, err := sc.run(ctx, opts.Horizon)
-			if err != nil {
-				return ratios{}, fmt.Errorf("%s: %w", ws[i].name, err)
-			}
-			opts.emitScenario(ws[i].name+"/credit", run.End)
-			return ratios{
-				page:   metrics.AvgPageRemoteRatio(run.Runs),
-				access: metrics.AvgRemoteRatio(run.Runs),
-			}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
+	top := numa.XeonE5620()
+	cells := make([]cell, len(ws))
 	for i, w := range ws {
-		r.Set("page-remote/credit", w.name, rows[i].page)
-		r.Set("access-remote/credit", w.name, rows[i].access)
-		t.AddRow(w.name, metrics.Pct(rows[i].page), metrics.Pct(rows[i].access))
+		cells[i] = standardCell(w.Name+"/credit", top, stockPolicy(sched.KindCredit), opts.Seed, w.Apps1, w.Apps2, opts)
 	}
-	t.AddNote("paper: all > 80%% except soplex (77.41%%)")
-	r.Tables = append(r.Tables, t)
-	return r, nil
+	return plan{cells: cells, assemble: func(outs []any) *Result {
+		r := &Result{ID: "fig1", Title: "Remote memory access ratio under Credit (paper Fig. 1)"}
+		t := metrics.NewTable("Fig. 1", "workload", "page-remote", "access-remote")
+		for i, run := range as[ScenarioRun](outs) {
+			page, access := metrics.AvgPageRemoteRatio(run.Runs), metrics.AvgRemoteRatio(run.Runs)
+			r.Set("page-remote/credit", ws[i].Name, page)
+			r.Set("access-remote/credit", ws[i].Name, access)
+			t.AddRow(ws[i].Name, metrics.Pct(page), metrics.Pct(access))
+		}
+		t.AddNote("paper: all > 80%% except soplex (77.41%%)")
+		r.Tables = append(r.Tables, t)
+		return r
+	}}
 }
 
 func init() {
@@ -230,18 +230,18 @@ func init() {
 		ID:    "fig1",
 		Title: "Remote memory access ratio under Credit",
 		Paper: "Fig. 1: >80% remote ratio for memory-intensive apps (soplex 77.41%)",
-		run:   runFig1,
+		plan:  planFig1,
 	})
 	register(&Experiment{
 		ID:    "fig4",
 		Title: "SPEC CPU2006 comparison",
 		Paper: "Fig. 4: vProbe best everywhere; soplex +32.5% vs Credit; BRM <= Credit",
-		run:   runFig4,
+		plan:  planFig4,
 	})
 	register(&Experiment{
 		ID:    "fig5",
 		Title: "NPB comparison",
 		Paper: "Fig. 5: vProbe best; sp +45.2% vs Credit; LB total accesses rise on bt/lu/sp",
-		run:   runFig5,
+		plan:  planFig5,
 	})
 }

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"math"
 
-	"vprobe/internal/harness"
+	"vprobe/internal/core"
 	"vprobe/internal/mem"
 	"vprobe/internal/metrics"
 	"vprobe/internal/numa"
@@ -111,73 +113,151 @@ func (s *scenario) run(ctx context.Context, horizon sim.Duration) (ScenarioRun, 
 	}, nil
 }
 
+// policySpec is the data a cell builds its scheduler from: the kind plus
+// the settings the experiments vary, always at their effective values, so
+// two spellings of one policy (stock vProbe, and vProbe with an explicit
+// 1 s period) are equal values. The settings apply to the vProbe family
+// (vprobe, vcpu-p, lb); other kinds are built stock.
+type policySpec struct {
+	Kind         sched.Kind
+	SamplePeriod sim.Duration
+	Bounds       core.Bounds
+	NoAffinity   bool
+	Dynamic      bool
+}
+
+// stockPolicy reads kind's settings off the policy sched.New builds. An
+// unknown kind yields a spec whose build reports the error.
+func stockPolicy(kind sched.Kind) policySpec {
+	ps := policySpec{Kind: kind}
+	if pol, err := sched.New(kind); err == nil {
+		if v, ok := pol.(*sched.VProbe); ok {
+			ps.SamplePeriod = v.SamplePeriod
+			ps.Bounds = v.Analyzer.Bounds
+			ps.NoAffinity = v.DisableAffinity
+			ps.Dynamic = v.Dynamic != nil
+		}
+	}
+	return ps
+}
+
+// build constructs the policy the spec describes.
+func (ps policySpec) build() (xen.Policy, error) {
+	pol, err := sched.New(ps.Kind)
+	if err != nil {
+		return nil, err
+	}
+	if v, ok := pol.(*sched.VProbe); ok {
+		v.SamplePeriod = ps.SamplePeriod
+		v.Analyzer.Bounds = ps.Bounds
+		v.DisableAffinity = ps.NoAffinity
+		if ps.Dynamic {
+			v.Dynamic = core.NewDynamicBounds()
+		}
+	}
+	return pol, nil
+}
+
+// topology carries a machine model in a spec. It encodes as its full
+// numa.Export description, so a cell's key sees every parameter the
+// simulation reads.
+type topology struct{ *numa.Topology }
+
+// MarshalJSON implements json.Marshaler.
+func (t topology) MarshalJSON() ([]byte, error) { return json.Marshal(numa.Export(t.Topology)) }
+
+// standardSpec is a standard-scenario cell: VM1's and VM2's apps in the
+// paper's three-VM setup on Topology under Policy, run until VM1 finishes
+// or Horizon passes. Its output is a ScenarioRun.
+type standardSpec struct {
+	Topology topology
+	Policy   policySpec
+	// Migrate enables the §VI page-migration extension.
+	Migrate  bool
+	Seed     uint64
+	Scale    float64
+	Horizon  sim.Duration
+	VM1, VM2 []*workload.Profile
+}
+
+// standardCell declares a standard-scenario cell at opts' scale and
+// horizon.
+func standardCell(name string, top *numa.Topology, pol policySpec, seed uint64, vm1, vm2 []*workload.Profile, opts Options) cell {
+	return cell{name: name, spec: standardSpec{
+		Topology: topology{top}, Policy: pol, Seed: seed,
+		Scale: opts.Scale, Horizon: opts.Horizon, VM1: vm1, VM2: vm2,
+	}}
+}
+
+func (s standardSpec) run(ctx context.Context) (any, sim.Time, error) {
+	pol, err := s.Policy.build()
+	if err != nil {
+		return nil, 0, err
+	}
+	sc, err := standardScenario(s.Topology.Topology, pol, s.Seed, s.VM1, s.VM2, s.Scale)
+	if err != nil {
+		return nil, 0, err
+	}
+	if s.Migrate {
+		sc.H.Migrator = mem.DefaultMigrator()
+	}
+	run, err := sc.run(ctx, s.Horizon)
+	return run, run.End, err
+}
+
+// cost is VM1's expected run time on every PCPU of the machine.
+func (s standardSpec) cost() float64 {
+	return float64(s.Topology.NumCPUs()) * runSeconds(s.Topology.Topology, s.VM1, s.Scale, s.Horizon)
+}
+
+// runSeconds estimates how long apps keep a simulation on top going: the
+// longest finite app's run at its base CPI, capped at the horizon, or the
+// horizon itself when an app never ends.
+func runSeconds(top *numa.Topology, apps []*workload.Profile, scale float64, horizon sim.Duration) float64 {
+	var longest float64
+	for _, p := range apps {
+		if p.Endless() {
+			return horizon.Seconds()
+		}
+		longest = math.Max(longest, p.TotalInstructions*scale*p.BaseCPI/(top.ClockGHz()*1e9))
+	}
+	return math.Min(longest, horizon.Seconds())
+}
+
 // RunSchedulers runs apps1 in VM1 against apps2 in VM2 of the standard
 // scenario on top, once per scheduler in opts.Schedulers and repeat in
 // [0, opts.Repeats), and returns the runs by scheduler in repeat order.
 // Repeat rep runs at seed opts.Seed+rep for every scheduler, so same-seed
 // runs share the initial placement and per-seed normalization compares
 // like with like. opts is used as given: callers normalize it first.
-// label prefixes progress-event scenario names.
+// label prefixes progress-event scenario names. The runs go through the
+// cell queue RunSuite uses.
 func RunSchedulers(ctx context.Context, top *numa.Topology, label string, apps1, apps2 []*workload.Profile, opts Options) (map[sched.Kind][]ScenarioRun, error) {
-	cells, err := grid(ctx, opts.Workers, len(opts.Schedulers), opts.Repeats,
-		func(ctx context.Context, v, rep int) (ScenarioRun, error) {
-			k := opts.Schedulers[v]
-			pol, err := sched.New(k)
-			if err != nil {
-				return ScenarioRun{}, fmt.Errorf("%s: %w", k, err)
-			}
-			sc, err := standardScenario(top, pol, opts.Seed+uint64(rep), apps1, apps2, opts.Scale)
-			if err != nil {
-				return ScenarioRun{}, fmt.Errorf("%s: %w", k, err)
-			}
-			run, err := sc.run(ctx, opts.Horizon)
-			if err != nil {
-				return ScenarioRun{}, fmt.Errorf("%s/seed%d: %w", k, rep, err)
-			}
-			opts.emitScenario(scenarioName(label, string(k), rep), run.End)
-			return run, nil
-		})
+	outs, err := runCells(ctx, opts, schedulerCells(top, label, apps1, apps2, opts))
 	if err != nil {
 		return nil, err
 	}
+	return byScheduler(as[ScenarioRun](outs), opts), nil
+}
+
+// schedulerCells declares RunSchedulers' cells, scheduler-major.
+func schedulerCells(top *numa.Topology, label string, apps1, apps2 []*workload.Profile, opts Options) []cell {
+	cells := make([]cell, 0, len(opts.Schedulers)*opts.Repeats)
+	for _, k := range opts.Schedulers {
+		for rep := 0; rep < opts.Repeats; rep++ {
+			cells = append(cells, standardCell(scenarioName(label, string(k), rep),
+				top, stockPolicy(k), opts.Seed+uint64(rep), apps1, apps2, opts))
+		}
+	}
+	return cells
+}
+
+// byScheduler groups the outputs of schedulerCells by scheduler, each in
+// repeat order.
+func byScheduler(runs []ScenarioRun, opts Options) map[sched.Kind][]ScenarioRun {
 	out := make(map[sched.Kind][]ScenarioRun, len(opts.Schedulers))
 	for v, k := range opts.Schedulers {
-		out[k] = cells[v]
-	}
-	return out, nil
-}
-
-// grid runs fn for every cell of a variants × repeats grid through one
-// harness.Map bounded by workers, and returns the cells grouped by
-// variant, each group in repeat order. Cells are assembled by index, so
-// the result never depends on completion order or worker count.
-func grid[T any](ctx context.Context, workers, variants, repeats int, fn func(ctx context.Context, v, rep int) (T, error)) ([][]T, error) {
-	n := variants * repeats
-	flat, err := harness.Map(ctx, harness.Workers(workers, n), n,
-		func(ctx context.Context, i int) (T, error) { return fn(ctx, i/repeats, i%repeats) })
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]T, variants)
-	for v := range out {
-		out[v] = flat[v*repeats : (v+1)*repeats]
-	}
-	return out, nil
-}
-
-// means returns the column means of rows, each column summed in row order
-// by sim.Mean.
-func means(rows [][]float64) []float64 {
-	if len(rows) == 0 {
-		return nil
-	}
-	out := make([]float64, len(rows[0]))
-	col := make([]float64, len(rows))
-	for j := range out {
-		for i, row := range rows {
-			col[i] = row[j]
-		}
-		out[j] = sim.Mean(col)
+		out[k] = runs[v*opts.Repeats : (v+1)*opts.Repeats]
 	}
 	return out
 }
@@ -199,17 +279,17 @@ func replicate(p *workload.Profile, n int) []*workload.Profile {
 	return out
 }
 
-// specWorkloads returns the Fig. 4 workload table: for each named
-// workload, the instance lists for VM1 and VM2. mcf's footprint forces the
-// paper's 6/2 split (§V-B1); mix runs one instance of each app.
-func specWorkloads() []struct {
+// workloadApps is one labelled workload of a figure: the instance lists
+// for VM1 and VM2.
+type workloadApps struct {
 	Name         string
 	Apps1, Apps2 []*workload.Profile
-} {
-	return []struct {
-		Name         string
-		Apps1, Apps2 []*workload.Profile
-	}{
+}
+
+// specWorkloads returns the Fig. 4 workload table. mcf's footprint forces
+// the paper's 6/2 split (§V-B1); mix runs one instance of each app.
+func specWorkloads() []workloadApps {
+	return []workloadApps{
 		{"soplex", replicate(workload.Soplex(), 4), replicate(workload.Soplex(), 4)},
 		{"libquantum", replicate(workload.Libquantum(), 4), replicate(workload.Libquantum(), 4)},
 		{"mcf", replicate(workload.MCF(), 6), replicate(workload.MCF(), 2)},
@@ -227,18 +307,10 @@ func mixApps() []*workload.Profile {
 
 // npbWorkloads returns the Fig. 5 table: each NPB app with four threads in
 // both VM1 and VM2.
-func npbWorkloads() []struct {
-	Name string
-	App  *workload.Profile
-} {
-	return []struct {
-		Name string
-		App  *workload.Profile
-	}{
-		{"bt", workload.BT()},
-		{"cg", workload.CG()},
-		{"lu", workload.LU()},
-		{"mg", workload.MG()},
-		{"sp", workload.SP()},
+func npbWorkloads() []workloadApps {
+	var ws []workloadApps
+	for _, app := range []*workload.Profile{workload.BT(), workload.CG(), workload.LU(), workload.MG(), workload.SP()} {
+		ws = append(ws, workloadApps{app.Name, replicate(app, 4), replicate(app, 4)})
 	}
+	return ws
 }

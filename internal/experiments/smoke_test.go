@@ -22,26 +22,45 @@ var update = flag.Bool("update", false, "rewrite testdata/smoke_digests.json")
 // output-preserving by digest.
 var smokeDigestsPath = filepath.Join("testdata", "smoke_digests.json")
 
-// TestAllExperimentsSmoke runs every registered experiment end-to-end at a
-// small scale, asserting each produces populated tables and series, and
-// that its rendered output matches the pinned digest. This is the cheap
-// guarantee that `vprobe-sim` can always regenerate every paper artifact.
-func TestAllExperimentsSmoke(t *testing.T) {
-	opts := Options{
+// smokeOpts are the options the pinned digests were taken at.
+func smokeOpts() Options {
+	return Options{
 		Scale:   0.15,
 		Repeats: 1,
 		Seed:    1,
 		Horizon: 60 * sim.Second,
 	}
+}
+
+// pinnedSmokeDigests reads testdata/smoke_digests.json.
+func pinnedSmokeDigests(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(smokeDigestsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// digestOf is the SHA-256 of a result's rendered output.
+func digestOf(res *Result) string {
+	sum := sha256.Sum256([]byte(res.String()))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestAllExperimentsSmoke runs every registered experiment end-to-end at a
+// small scale, asserting each produces populated tables and series, and
+// that its rendered output matches the pinned digest. This is the cheap
+// guarantee that `vprobe-sim` can always regenerate every paper artifact.
+func TestAllExperimentsSmoke(t *testing.T) {
+	opts := smokeOpts()
 	want := map[string]string{}
 	if !*update {
-		data, err := os.ReadFile(smokeDigestsPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(data, &want); err != nil {
-			t.Fatal(err)
-		}
+		want = pinnedSmokeDigests(t)
 	}
 	got := map[string]string{}
 	t.Cleanup(func() {
@@ -81,8 +100,7 @@ func TestAllExperimentsSmoke(t *testing.T) {
 			if !strings.Contains(out, e.ID) {
 				t.Fatal("String() missing experiment id")
 			}
-			sum := sha256.Sum256([]byte(out))
-			digest := hex.EncodeToString(sum[:])
+			digest := digestOf(res)
 			got[e.ID] = digest
 			// Float results are pinned on amd64 only: other architectures
 			// may fuse multiply-adds and legitimately differ in the last bit.

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -11,6 +13,7 @@ import (
 
 	"vprobe/internal/harness"
 	"vprobe/internal/sched"
+	"vprobe/internal/sim"
 )
 
 // suiteOpts is a cheap but non-trivial configuration: small scale, one
@@ -206,5 +209,123 @@ func TestExperimentRunContextCancelled(t *testing.T) {
 	cancel()
 	if _, err := e.RunContext(ctx, suiteOpts()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestSuiteReproducesSmokeDigests runs every experiment through one
+// RunSuite queue, where they share cells, and asserts each result renders
+// to the digest pinned for the experiment run standalone: a shared cell
+// gives the bytes its own run would.
+func TestSuiteReproducesSmokeDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests are pinned on amd64")
+	}
+	want := pinnedSmokeDigests(t)
+	for _, workers := range []int{1, 4} {
+		opts := smokeOpts()
+		opts.Workers = workers
+		items, err := RunSuite(context.Background(), nil, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for _, item := range items {
+			id := item.Experiment.ID
+			if item.Err != nil {
+				t.Fatalf("workers=%d: %s: %v", workers, id, item.Err)
+			}
+			if got := digestOf(item.Result); got != want[id] {
+				t.Errorf("workers=%d: %s digest %s, pinned %s", workers, id, got, want[id])
+			}
+		}
+	}
+}
+
+// paperBatchIDs are the experiments of the repo benchmark's paper-batch
+// workload.
+var paperBatchIDs = []string{"table1", "fig1", "fig3", "fig4", "fig5", "fig8", "table3",
+	"ablate-affinity", "ablate-dynamic", "ablate-pagemig", "fournode", "sensitivity-bounds"}
+
+// TestSuiteRunsSharedCellsOnce pins the queue's merge on the paper-batch
+// set at three repeats: 231 declared cells, 205 simulations. fig1 repeats
+// fig4/fig5's seed-0 Credit runs; fig4's mix Credit and vProbe runs are
+// also every ablation's rows, fig8's 1 s point and the bound sweep's
+// (3, 20) point. A key that merges too much changes a digest (see
+// TestSuiteReproducesSmokeDigests); one that merges too little changes
+// this count.
+func TestSuiteRunsSharedCellsOnce(t *testing.T) {
+	opts := Options{Scale: 0.01, Repeats: 3, Seed: 1, Horizon: 5 * sim.Second, Workers: 2}
+	declared := 0
+	for _, id := range paperBatchIDs {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		declared += len(e.plan(opts).cells)
+	}
+	var sims atomic.Int64
+	opts.Events = harness.SinkFunc(func(ev harness.Event) {
+		if ev.Kind == harness.EventScenarioFinished {
+			sims.Add(1)
+		}
+	})
+	items, err := RunSuite(context.Background(), paperBatchIDs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, item := range items {
+		if item.Err != nil {
+			t.Fatalf("%s: %v", item.Experiment.ID, item.Err)
+		}
+	}
+	if declared != 231 || sims.Load() != 205 {
+		t.Fatalf("declared %d cells and ran %d simulations, want 231 and 205", declared, sims.Load())
+	}
+}
+
+// TestCellSpecsEncodeEveryField guards the key contract: a cell's key is
+// its spec's JSON encoding, so every field a spec's run may read has to
+// reach that encoding. It walks each spec type any experiment declares
+// and rejects unexported or JSON-skipped fields below it; a type with its
+// own MarshalJSON vouches for itself.
+func TestCellSpecsEncodeEveryField(t *testing.T) {
+	marshaler := reflect.TypeOf((*json.Marshaler)(nil)).Elem()
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		if seen[typ] || typ.Implements(marshaler) {
+			return
+		}
+		seen[typ] = true
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(path, typ.Elem())
+		case reflect.Map:
+			walk(path, typ.Key())
+			walk(path, typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				if !f.IsExported() || f.Tag.Get("json") == "-" {
+					t.Errorf("%s.%s is left out of the cell key", path, f.Name)
+					continue
+				}
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Func, reflect.Chan, reflect.Interface, reflect.UnsafePointer:
+			t.Errorf("%s (%s) cannot be encoded into the cell key", path, typ)
+		}
+	}
+	specs := 0
+	for _, e := range All() {
+		for _, c := range e.plan(smokeOpts()).cells {
+			typ := reflect.TypeOf(c.spec)
+			if !seen[typ] {
+				specs++
+				walk(typ.Name(), typ)
+			}
+		}
+	}
+	if specs < 6 {
+		t.Fatalf("walked %d spec types, want every one the experiments declare", specs)
 	}
 }

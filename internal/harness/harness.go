@@ -9,10 +9,12 @@
 // per-scenario seeds are derived from the root seed, never from execution
 // order or wall-clock time.
 //
-// Memory stays bounded because each worker runs its scenarios strictly
-// sequentially: at most `workers` simulators are alive per fan-out level,
-// and a finished scenario's simulator is released before the worker picks
-// up the next index.
+// Memory stays bounded because each worker runs its jobs strictly
+// sequentially: at most `workers` jobs of one Map call are alive, and a
+// job that returns measured values rather than its simulator releases the
+// simulator before the worker picks up the next index. The experiment
+// suite puts every simulation of every experiment through a single Map,
+// so its worker count bounds the simulators alive in the whole suite.
 package harness
 
 import (

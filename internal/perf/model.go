@@ -72,8 +72,9 @@ func Defaults() Params {
 type Request struct {
 	// Profile is the workload running on the VCPU.
 	Profile *workload.Profile
-	// InstrDone is the work already retired (selects the phase).
-	InstrDone float64
+	// Phase is the profile's phase in effect for this quantum
+	// (Profile.PhaseAt of the work already retired); required.
+	Phase *workload.Phase
 	// Quantum is the wall-clock slice granted.
 	Quantum sim.Duration
 	// RunNode is the node of the PCPU executing the quantum.
@@ -231,7 +232,7 @@ func (s *System) ExecuteInto(out *Outcome, r Request) {
 	if r.Quantum <= 0 {
 		return
 	}
-	ph := r.Profile.PhaseAt(r.InstrDone)
+	ph := r.Phase
 	rpi := ph.RPTI / 1000 // LLC references per instruction
 
 	cyclesAvail := float64(r.Quantum.Micros()) * s.top.CyclesPerMicrosecond()

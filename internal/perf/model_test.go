@@ -18,6 +18,7 @@ func testSystem() *System {
 func baseRequest(p *workload.Profile) Request {
 	return Request{
 		Profile:  p,
+		Phase:    p.PhaseAt(0),
 		Quantum:  30 * sim.Millisecond,
 		RunNode:  0,
 		PageDist: mem.Concentrated(2, 0),
@@ -208,10 +209,11 @@ func TestContentionFeedbackLoop(t *testing.T) {
 	before := s.Execute(r)
 
 	// Saturate node 0's IMC for an epoch: 4 thrashers for a full second.
+	lq := workload.Libquantum()
 	for i := 0; i < 40; i++ {
 		for j := 0; j < 4; j++ {
 			o := s.Execute(Request{
-				Profile: workload.Libquantum(), Quantum: 25 * sim.Millisecond,
+				Profile: lq, Phase: &lq.Phases[0], Quantum: 25 * sim.Millisecond,
 				RunNode: 0, PageDist: mem.Concentrated(2, 0), CoRunnerRPTI: 67,
 			})
 			s.Record(o, 0)
@@ -241,9 +243,10 @@ func TestContentionFeedbackLoop(t *testing.T) {
 func TestLinkContention(t *testing.T) {
 	s := testSystem()
 	// Heavy cross-node traffic.
+	lq := workload.Libquantum()
 	for i := 0; i < 40; i++ {
 		o := s.Execute(Request{
-			Profile: workload.Libquantum(), Quantum: 25 * sim.Millisecond,
+			Profile: lq, Phase: &lq.Phases[0], Quantum: 25 * sim.Millisecond,
 			RunNode: 0, PageDist: mem.Concentrated(2, 1),
 		})
 		s.Record(o, 0)
@@ -289,7 +292,7 @@ func TestPhaseSelectionAffectsOutcome(t *testing.T) {
 	p := workload.Soplex() // phase 2 has higher RPTI
 	early := baseRequest(p)
 	late := baseRequest(p)
-	late.InstrDone = 0.9 * p.TotalInstructions
+	late.Phase = p.PhaseAt(0.9 * p.TotalInstructions)
 	oe := s.Execute(early)
 	ol := s.Execute(late)
 	if ol.LLCRef/ol.Instructions <= oe.LLCRef/oe.Instructions {
@@ -321,6 +324,7 @@ func TestOutcomeInvariants(t *testing.T) {
 		f -= math.Floor(f)
 		r := Request{
 			Profile:      p,
+			Phase:        p.PhaseAt(0),
 			Quantum:      10 * sim.Millisecond,
 			RunNode:      numa.NodeID(int(node8) % 2),
 			PageDist:     mem.Dist{f, 1 - f},

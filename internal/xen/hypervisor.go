@@ -98,10 +98,10 @@ type Hypervisor struct {
 	placeCursor int
 
 	// Reusable steal-path buffers (single-threaded per hypervisor, so one
-	// set suffices): QueueViews' per-node view map, Algorithm 2's scratch,
+	// set suffices): QueueViews' node-indexed views, Algorithm 2's scratch,
 	// the cached per-node steal visit orders (topology is immutable), and
 	// SampleAll's stat buffer.
-	views       map[numa.NodeID][]core.QueueView
+	views       [][]core.QueueView
 	stealBufs   core.StealScratch
 	nodeOrders  [][]numa.NodeID
 	statScratch []core.Stat
@@ -217,6 +217,7 @@ func (h *Hypervisor) AttachApp(d *Domain, idx int, app *workload.Profile) (*VCPU
 		return nil, fmt.Errorf("xen: VCPU %d already has app %q", v.ID, v.App.Name)
 	}
 	v.App = app
+	v.phase = app.PhaseAt(v.InstrDone)
 	return v, nil
 }
 
@@ -518,7 +519,7 @@ func (h *Hypervisor) dispatch(p *PCPU, v *VCPU) {
 
 	req := perf.Request{
 		Profile:         v.App,
-		InstrDone:       v.InstrDone,
+		Phase:           v.phase,
 		Quantum:         h.Config.Timeslice,
 		RunNode:         p.Node,
 		PageDist:        v.PageDist,
@@ -656,6 +657,7 @@ func (h *Hypervisor) endQuantum(p *PCPU) {
 	})
 	h.Perf.Record(*out, p.Node)
 	v.InstrDone += out.Instructions
+	v.phase = v.App.PhaseAt(v.InstrDone)
 	v.ColdLines = out.ColdLines
 	v.RunTime += out.Used
 	if !v.firstTouched && v.nodeTime != nil {
@@ -777,6 +779,7 @@ func (h *Hypervisor) swapGuestThreads(d *Domain) {
 	b := parks[h.RNG.Intn(len(parks))]
 	a.App, b.App = b.App, a.App
 	a.InstrDone, b.InstrDone = b.InstrDone, a.InstrDone
+	a.phase, b.phase = b.phase, a.phase
 	a.Counters, b.Counters = b.Counters, a.Counters
 	a.Sampler, b.Sampler = b.Sampler, a.Sampler
 	a.PageDist, b.PageDist = b.PageDist, a.PageDist

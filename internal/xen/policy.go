@@ -106,16 +106,15 @@ func (h *Hypervisor) CreditSteal(p *PCPU, anyPriority bool) *VCPU {
 // than the stealer's are not offered for cross-node theft: the assignment
 // holds until the next sampling period.
 //
-// The returned map and its Runnable slices are owned by the hypervisor and
-// reused on the next call; callers must consume them before then.
-func (h *Hypervisor) QueueViews(except *PCPU, underOnly bool) map[numa.NodeID][]core.QueueView {
+// The returned views are indexed by node id. They and their Runnable
+// slices are owned by the hypervisor and reused on the next call; callers
+// must consume them before then.
+func (h *Hypervisor) QueueViews(except *PCPU, underOnly bool) [][]core.QueueView {
 	if h.views == nil {
-		h.views = make(map[numa.NodeID][]core.QueueView, h.Top.NumNodes()) //vet:alloc built once on first use, then reused every call
+		h.views = make([][]core.QueueView, h.Top.NumNodes()) //vet:alloc built once on first use, then reused every call
 	}
-	// Reset by node id, not by ranging the map: map iteration order is
-	// nondeterministic and this path feeds the scheduler.
-	for n := 0; n < h.Top.NumNodes(); n++ {
-		h.views[numa.NodeID(n)] = h.views[numa.NodeID(n)][:0]
+	for n := range h.views {
+		h.views[n] = h.views[n][:0]
 	}
 	for _, q := range h.PCPUs {
 		if q == except {

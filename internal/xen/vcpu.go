@@ -93,6 +93,11 @@ type VCPU struct {
 	// InstrDone is retired work; selects the app phase and decides
 	// completion.
 	InstrDone float64
+	// phase caches App.PhaseAt(InstrDone). The writers of App and
+	// InstrDone (AttachApp, endQuantum, swapGuestThreads) keep it current,
+	// so the per-dispatch co-runner scan reads a pointer instead of
+	// re-walking the phase table.
+	phase *workload.Phase
 	// PageDist is the VCPU's (its app's) current page placement.
 	PageDist mem.Dist
 
@@ -183,13 +188,8 @@ func (v *VCPU) RemainingInstructions() float64 {
 	return rem
 }
 
-// Phase returns the app phase currently executing.
-func (v *VCPU) Phase() *workload.Phase {
-	if v.App == nil {
-		return nil
-	}
-	return v.App.PhaseAt(v.InstrDone)
-}
+// Phase returns the app phase currently executing (nil without an app).
+func (v *VCPU) Phase() *workload.Phase { return v.phase }
 
 // RequestsServed converts retired work to served requests for servers.
 func (v *VCPU) RequestsServed() float64 {
