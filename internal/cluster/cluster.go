@@ -233,11 +233,14 @@ type Cluster struct {
 	// viewSlice[i] points at hosts[i].view and never changes after New;
 	// refreshList holds the hosts that may need a view refresh; scores is
 	// the per-class score cache; oneView is the reusable single-host
-	// slice for restricted Place calls.
+	// slice for restricted Place calls; reserved holds the hosts a gang
+	// reserve has deducted from, with their inputs before it
+	// (controlplane.go), and is empty outside tryAdmitGang.
 	viewSlice   []*HostView
 	refreshList []*Host
 	scores      *scoreCache
 	oneView     [1]*HostView
+	reserved    []reservedHost
 
 	// Per-tick scratch, reused per the caller-owned-scratch convention:
 	// rebalance's hot flags and cool-view list, evictVictim's alternative

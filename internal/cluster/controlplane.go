@@ -24,6 +24,7 @@ import (
 
 	"vprobe/internal/controlplane"
 	"vprobe/internal/mem"
+	"vprobe/internal/numa"
 	"vprobe/internal/sim"
 	"vprobe/internal/xen"
 )
@@ -318,42 +319,27 @@ func (c *Cluster) requeueVictim(vm *VM) {
 	c.enqueue(u)
 }
 
-// tryAdmitGang places a whole gang all-or-nothing in two phases. Reserve:
-// every member is routed by the pipeline against what-if views that
-// accumulate the earlier members' deductions. Commit: all domains are
-// built first, and only then does any member's placement finalize — an
-// AddDomain failure mid-commit (the reserve arithmetic is an estimate of
-// the allocator's) tears the built domains down again and the gang
-// retries as a whole.
+// tryAdmitGang places a whole gang all-or-nothing in two phases.
+// Reserve: every member is routed through the class score cache against
+// the live views, with the earlier members' deductions applied to them
+// (reserveGang); the views are then restored exactly (restoreGang).
+// Commit: all domains are built first, and only then does any member's
+// placement finalize — an AddDomain failure mid-commit (the reserve
+// arithmetic is an estimate of the allocator's) tears the built domains
+// down again and the gang retries as a whole.
 func (c *Cluster) tryAdmitGang(u *admitUnit) bool {
-	views := c.liveViews()
-	what := make([]*HostView, len(views))
-	for i, hv := range views {
-		cp := *hv
-		cp.FreePerNodeMB = append([]int64(nil), hv.FreePerNodeMB...)
-		// The copy diverges from the live host as members reserve into
-		// it; the live FreeIndex must not shadow the hypothetical vector.
-		cp.FreeIdx = nil
-		what[i] = &cp
-	}
-	type slot struct {
-		host *Host
-		plan MemPlan
-	}
-	slots := make([]slot, len(u.vms))
-	for i, vm := range u.vms {
-		hv, plan, err := c.pipeline.Place(&vm.Spec, what)
-		if err != nil {
+	c.refreshViews()
+	slots := make([]gangSlot, len(u.vms))
+	placed := c.reserveGang(u.vms, slots)
+	c.restoreGang()
+	if c.cfg.PlaceCheck {
+		c.checkGangReserve(u.vms, slots, placed)
+		if c.err != nil {
 			return false
 		}
-		takes := planTakes(plan, hv.FreePerNodeMB, vm.Spec.MemoryMB)
-		for n, take := range takes {
-			hv.FreePerNodeMB[n] -= take
-			hv.FreeMB -= take
-		}
-		hv.GuestVCPUs += vm.Spec.VCPUs
-		hv.VMs++
-		slots[i] = slot{c.hosts[hv.Index], plan}
+	}
+	if placed < len(u.vms) {
+		return false
 	}
 	doms := make([]*xen.Domain, len(u.vms))
 	for i, vm := range u.vms {
@@ -361,10 +347,10 @@ func (c *Cluster) tryAdmitGang(u *admitUnit) bool {
 		if err != nil {
 			if c.err == nil {
 				// Roll back the domains already built. Each teardown
-				// dirties its host, so the generations of every touched
-				// host bump and their cached scores recompute — the host
-				// where AddDomain itself failed mutated nothing and stays
-				// clean.
+				// dirties its host, whose next refresh bumps its
+				// generation only if the rollback left an input moved;
+				// the host where AddDomain itself failed mutated
+				// nothing and stays clean.
 				for j := 0; j < i; j++ {
 					if derr := slots[j].host.H.DestroyDomain(doms[j]); derr != nil {
 						c.err = fmt.Errorf("cluster: gang rollback on %s: %w",
@@ -387,6 +373,93 @@ func (c *Cluster) tryAdmitGang(u *admitUnit) bool {
 	c.emit(EventGangAdmitted, nil, u.vms[0], "gang %s admitted: %d VMs placed all-or-nothing",
 		u.vms[0].Spec.Group, len(u.vms))
 	return true
+}
+
+// gangSlot is one gang member's reserved host and memory plan.
+type gangSlot struct {
+	host *Host
+	plan MemPlan
+}
+
+// reservedHost is a host's placement inputs as they stood before the
+// gang reserve first deducted from its view.
+type reservedHost struct {
+	ho         *Host
+	free       []int64
+	freeMB     int64
+	guest, vms int
+	gen        uint64
+}
+
+// reserveGang routes each member through the class score cache and
+// applies its deduction to the winner's live view and FreeIndex before
+// the next member places, bumping that host's generation so the cache
+// rescores it. It fills slots for the members that found a host and
+// returns how many did: len(vms) when the whole gang fits, else the index
+// of the first member that fit nowhere. The views are left reserved; the
+// caller must restoreGang before anything else reads them.
+func (c *Cluster) reserveGang(vms []*VM, slots []gangSlot) int {
+	for i, vm := range vms {
+		hv, plan, err := c.scores.place(&vm.Spec)
+		if err != nil {
+			return i
+		}
+		ho := c.hosts[hv.Index]
+		c.saveReserved(ho)
+		takes := planTakes(plan, hv.FreePerNodeMB, vm.Spec.MemoryMB)
+		for n, take := range takes {
+			hv.FreePerNodeMB[n] -= take
+			hv.FreeMB -= take
+			ho.freeIdx.Set(numa.NodeID(n), hv.FreePerNodeMB[n])
+		}
+		hv.GuestVCPUs += vm.Spec.VCPUs
+		hv.VMs++
+		ho.gen++
+		c.scores.invalidate(ho.Index)
+		slots[i] = gangSlot{ho, plan}
+	}
+	return len(vms)
+}
+
+// saveReserved records a host's view inputs the first time the current
+// gang reserve touches it.
+func (c *Cluster) saveReserved(ho *Host) {
+	for i := range c.reserved {
+		if c.reserved[i].ho == ho {
+			return
+		}
+	}
+	n := len(c.reserved)
+	if n < cap(c.reserved) {
+		c.reserved = c.reserved[:n+1]
+	} else {
+		c.reserved = append(c.reserved, reservedHost{})
+	}
+	r := &c.reserved[n]
+	v := &ho.view
+	r.ho = ho
+	r.free = append(r.free[:0], v.FreePerNodeMB...)
+	r.freeMB, r.guest, r.vms, r.gen = v.FreeMB, v.GuestVCPUs, v.VMs, ho.gen
+}
+
+// restoreGang puts every view, FreeIndex entry and generation the
+// reserve touched back exactly as saved, then rescores the restored
+// hosts in every class: an entry scored against a reserved view carries a
+// generation the host will reach again with different inputs, so it must
+// not outlive the reserve.
+func (c *Cluster) restoreGang() {
+	for i := range c.reserved {
+		r := &c.reserved[i]
+		v := &r.ho.view
+		for n, free := range r.free {
+			v.FreePerNodeMB[n] = free
+			r.ho.freeIdx.Set(numa.NodeID(n), free)
+		}
+		v.FreeMB, v.GuestVCPUs, v.VMs = r.freeMB, r.guest, r.vms
+		r.ho.gen = r.gen
+		c.scores.settle(r.ho.Index)
+	}
+	c.reserved = c.reserved[:0]
 }
 
 // tryBackfill places a small low-priority VM ahead of the blocked head if

@@ -33,22 +33,20 @@ type Host struct {
 	// the host is dirty. freeIdx mirrors view.FreePerNodeMB incrementally.
 	view    HostView
 	freeIdx *numa.FreeIndex
-	// gen counts view refreshes. The score cache stores the generation a
-	// cached (pipeline, host) score was computed at; a bumped generation
-	// is the only thing that invalidates it.
+	// gen counts changes to the view's placement inputs: it moves if and
+	// only if a view field moved, on a refresh or during a gang reserve.
+	// The score cache stores the generation a cached (pipeline, host)
+	// score was computed at; a bumped generation is the only thing that
+	// invalidates it.
 	gen uint64
 	// dirty flags an explicit placement delta (domain added, destroyed,
 	// or activated) since the last refresh. A host also needs a refresh
 	// when it carries VMs and its engine advanced past viewTime: running
-	// guests move the view's LLC-pressure and remote-ratio fields.
+	// guests block, wake and change phase, which moves LLC pressure.
 	dirty  bool
 	queued bool // on the cluster's refresh list
 	// viewTime is the host-engine time the view reflects.
 	viewTime sim.Time
-	// ctrTotal/ctrRemote cache counterTotals at the last refresh, so the
-	// rebalancer's interval ratio reads cached state instead of rescanning
-	// every VCPU of every host per tick.
-	ctrTotal, ctrRemote float64
 }
 
 // newHost builds and starts one host. Starting with zero domains is valid:
@@ -76,13 +74,17 @@ func newHost(index int, topoName string, kind sched.Kind, seed uint64) (*Host, e
 	}, nil
 }
 
-// initView seeds the host's persistent view: the static fields plus
-// storage for the dynamic ones. The first refresh fills the rest.
+// initView seeds the host's persistent view: the static fields and the
+// free-memory vector. refreshHost only applies deltas to the free vector,
+// so it must start equal to the allocator's; the first refresh fills the
+// rest.
 func (ho *Host) initView(overcommit float64) {
 	nodes := ho.Top.NumNodes()
 	free := make([]int64, nodes)
+	var total int64
 	for n := 0; n < nodes; n++ {
 		free[n] = ho.H.Alloc.FreeMB(numa.NodeID(n))
+		total += free[n]
 	}
 	ho.freeIdx = numa.NewFreeIndex(free)
 	ho.view = HostView{
@@ -91,6 +93,7 @@ func (ho *Host) initView(overcommit float64) {
 		Nodes:         nodes,
 		CPUs:          ho.Top.NumCPUs(),
 		FreePerNodeMB: free,
+		FreeMB:        total,
 		TotalMB:       ho.Top.TotalMemoryMB(),
 		VCPUCap:       int(overcommit * float64(ho.Top.NumCPUs())),
 		FreeIdx:       ho.freeIdx,
@@ -194,12 +197,13 @@ func (ho *Host) remoteRatio() float64 {
 // intervalRemoteRatio returns the remote-access ratio since the previous
 // call and advances the snapshot. The rebalancer uses this (not the
 // lifetime ratio) so an old imbalance that was already fixed does not keep
-// triggering migrations. It reads the counter totals cached at the last
-// view refresh: refreshViews runs before every rebalance scan, and a host
-// skipped by it is exactly a host whose counters have not moved.
+// triggering migrations. Counters are not a placement input, so no view
+// refresh sums them; the rebalance scan sums them here, once per host per
+// tick.
 func (ho *Host) intervalRemoteRatio() float64 {
-	dt, dr := ho.ctrTotal-ho.lastTotal, ho.ctrRemote-ho.lastRemote
-	ho.lastTotal, ho.lastRemote = ho.ctrTotal, ho.ctrRemote
+	total, remote := ho.counterTotals()
+	dt, dr := total-ho.lastTotal, remote-ho.lastRemote
+	ho.lastTotal, ho.lastRemote = total, remote
 	if dt <= 0 {
 		return 0
 	}
@@ -224,7 +228,6 @@ func (ho *Host) freshView(overcommit float64) *HostView {
 		VCPUCap:     int(overcommit * float64(ho.Top.NumCPUs())),
 		VMs:         len(ho.VMs),
 		LLCPressure: ho.llcPressure(),
-		RemoteRatio: ho.remoteRatio(),
 	}
 	for n := 0; n < ho.Top.NumNodes(); n++ {
 		free := ho.H.Alloc.FreeMB(numa.NodeID(n))

@@ -9,25 +9,29 @@ package cluster
 //     dirty. A host is dirty after an explicit placement delta (domain
 //     added, destroyed, or activated), or when it can still execute guest
 //     work and its engine advanced past the view's timestamp (running
-//     guests move the LLC-pressure and remote-ratio fields). Hosts that
-//     are settled — no VMs, no runnable VCPU, every PCPU idle; the
-//     overwhelming majority of a large fleet — are never revisited: with
-//     nothing current or runnable no quantum can retire, so counters and
-//     pressure are frozen, and wakeups of paused VCPUs are no-ops. (The
-//     settled test checks PCPUs, not just VCPU states: a domain teardown
-//     can race the scheduler's redispatch and leave a VCPU current with
-//     an armed quantum while its state reads blocked, so "no VMs and
-//     nothing runnable" alone does not mean "quiescent"; see
-//     Host.settled.)
+//     guests block, wake, and change phase, which moves LLC pressure).
+//     Hosts that are settled — no VMs, no runnable VCPU, every PCPU idle;
+//     the overwhelming majority of a large fleet — are never revisited:
+//     with nothing current or runnable no quantum can retire, so pressure
+//     is frozen, and wakeups of paused VCPUs are no-ops. (The settled
+//     test checks PCPUs, not just VCPU states: a domain teardown can race
+//     the scheduler's redispatch and leave a VCPU current with an armed
+//     quantum while its state reads blocked, so "no VMs and nothing
+//     runnable" alone does not mean "quiescent"; see Host.settled.)
 //
 //   - refreshViews walks only the refresh list (hosts that ever received
 //     a delta and still hold VMs), so bringing the fleet current costs
 //     O(dirty hosts), not O(hosts).
 //
-//   - Each refresh bumps the host's generation, which is what invalidates
-//     the score cache (scorecache.go). An arrival then costs
-//     O(dirty hosts + log H): rescore the dirtied hosts, repair the heap,
-//     read the max.
+//   - A refresh bumps the host's generation, which is what invalidates
+//     the score cache (scorecache.go), if and only if a placement input
+//     moved: GuestVCPUs, VMs, LLCPressure, or a node's free memory. Most
+//     refreshes of a busy host find every input unchanged (guests ran, so
+//     counters moved, but nothing a filter or score reads), and an
+//     unchanged view scores bit-identically, so skipping the rescore
+//     cannot move a decision. An arrival then costs
+//     O(changed hosts + log H): rescore them, repair the heap, read the
+//     max.
 //
 // Every value the cached path serves is defined to equal what the
 // from-scratch path (Host.freshView + Pipeline.Place) would produce at the
@@ -76,36 +80,35 @@ func (c *Cluster) refreshViews() {
 	c.refreshList = kept
 }
 
-// refreshHost recomputes the host's persistent view in place, mirrors the
-// per-node free vector into the FreeIndex, bumps the view generation, and
-// invalidates the host's cached scores. The field-by-field computation is
-// freshView's, so a refreshed cached view always equals a from-scratch
-// snapshot taken at the same instant.
+// refreshHost recomputes the host's placement inputs and writes the ones
+// that moved into the persistent view, mirroring changed nodes into the
+// FreeIndex. Only a moved input bumps the view generation and invalidates
+// the host's cached scores. The field-by-field computation is freshView's,
+// so a refreshed cached view always equals a from-scratch snapshot taken
+// at the same instant.
 //
 //vprobe:hotpath
 func (c *Cluster) refreshHost(ho *Host) {
 	v := &ho.view
-	v.GuestVCPUs = ho.guestVCPUs()
-	v.VMs = len(ho.VMs)
-	v.LLCPressure = ho.llcPressure()
-	total, remote := ho.counterTotals()
-	ho.ctrTotal, ho.ctrRemote = total, remote
-	if total > 0 {
-		v.RemoteRatio = remote / total
-	} else {
-		v.RemoteRatio = 0
-	}
-	v.FreeMB = 0
+	guest, vms, llc := ho.guestVCPUs(), len(ho.VMs), ho.llcPressure()
+	changed := guest != v.GuestVCPUs || vms != v.VMs || llc != v.LLCPressure
+	v.GuestVCPUs, v.VMs, v.LLCPressure = guest, vms, llc
 	for n := 0; n < v.Nodes; n++ {
 		free := ho.H.Alloc.FreeMB(numa.NodeID(n))
+		if free == v.FreePerNodeMB[n] {
+			continue
+		}
+		v.FreeMB += free - v.FreePerNodeMB[n]
 		v.FreePerNodeMB[n] = free
-		v.FreeMB += free
 		ho.freeIdx.Set(numa.NodeID(n), free)
+		changed = true
 	}
 	ho.dirty = false
 	ho.viewTime = ho.H.Engine.Now()
-	ho.gen++
-	c.scores.invalidate(ho.Index)
+	if changed {
+		ho.gen++
+		c.scores.invalidate(ho.Index)
+	}
 }
 
 // liveViews returns the stable all-hosts view slice after refreshing

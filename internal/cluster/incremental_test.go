@@ -1,16 +1,21 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"testing"
 
+	"vprobe/internal/controlplane"
+	"vprobe/internal/mem"
 	"vprobe/internal/sim"
+	"vprobe/internal/workload"
 )
 
 // The incremental-engine invariants (DESIGN.md §14), pinned op by op:
 // every cluster-level mutation must dirty exactly the hosts it touched,
-// a refresh must bump exactly the dirtied generations, and untouched
-// hosts must never be revisited. The end-to-end agreement between the
+// a refresh must bump a generation if and only if a placement input of
+// that host moved, and untouched hosts must never be revisited. The end-to-end agreement between the
 // cached path and a full rescan is covered separately by the PlaceCheck
 // run at the bottom of this file.
 
@@ -164,6 +169,247 @@ func TestSettledHostsLeaveRefreshList(t *testing.T) {
 	checkGens(t, c, base, nil)
 	if len(c.refreshList) != 0 {
 		t.Fatalf("refresh list holds %d settled hosts", len(c.refreshList))
+	}
+}
+
+// inputs is a copy of the view fields placement reads.
+type inputs struct {
+	guest, vms int
+	llc        float64
+	free       []int64
+}
+
+func viewInputs(hv *HostView) inputs {
+	return inputs{hv.GuestVCPUs, hv.VMs, hv.LLCPressure,
+		append([]int64(nil), hv.FreePerNodeMB...)}
+}
+
+func (a inputs) equal(b inputs) bool {
+	if a.guest != b.guest || a.vms != b.vms ||
+		math.Float64bits(a.llc) != math.Float64bits(b.llc) {
+		return false
+	}
+	for n := range a.free {
+		if a.free[n] != b.free[n] {
+			return false
+		}
+	}
+	return true
+}
+
+// stepHost advances one host's engine by d, refreshes the views, checks
+// the refreshed view against a from-scratch snapshot, and checks the
+// invalidation contract: the generation moved if and only if an input
+// did. It reports whether the inputs moved.
+func stepHost(t *testing.T, c *Cluster, ho *Host, d sim.Duration) bool {
+	t.Helper()
+	before, gen := viewInputs(&ho.view), ho.gen
+	if err := ho.advanceTo(context.Background(), ho.H.Engine.Now().Add(d)); err != nil {
+		t.Fatal(err)
+	}
+	c.refreshViews()
+	if ho.viewTime != ho.H.Engine.Now() {
+		t.Fatalf("%s advanced to %v but its view is at %v", ho.Name, ho.H.Engine.Now(), ho.viewTime)
+	}
+	if diff := diffViews(&ho.view, ho.freshView(c.cfg.Overcommit)); diff != "" {
+		t.Fatalf("%s cached view diverged: %s", ho.Name, diff)
+	}
+	moved := !before.equal(viewInputs(&ho.view))
+	if bumped := ho.gen != gen; bumped != moved {
+		t.Fatalf("%s at %v: inputs moved=%v but generation %d -> %d",
+			ho.Name, ho.H.Engine.Now(), moved, gen, ho.gen)
+	}
+	return moved
+}
+
+// steadyApp is a one-phase app that never blocks and never finishes
+// within the test: while it runs, its host's counters move and its LLC
+// pressure stays put.
+func steadyApp() *workload.Profile {
+	p := workload.Povray()
+	p.BlockProb = 0
+	p.TotalInstructions = 1e13
+	return p
+}
+
+// TestRefreshWithoutInputChangeKeepsGen pins the tentpole's saving: a
+// host that ran guest work since its last refresh is refreshed, but when
+// only its memory-access counters (and so its lifetime remote ratio)
+// moved, no placement input changed and its cached scores stay valid.
+func TestRefreshWithoutInputChangeKeepsGen(t *testing.T) {
+	c := mkCluster(t, 2)
+	// Striped memory, so the VCPU's accesses are part remote and the
+	// lifetime remote ratio moves as it runs.
+	spec := VMSpec{Name: "vm000", MemoryMB: 1024, VCPUs: 1,
+		Profiles: []*workload.Profile{steadyApp()}}
+	hv, _, err := c.place(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ho := c.hosts[hv.Index]
+	c.placeOn(&VM{Spec: spec, life: 30 * sim.Second}, ho, MemPlan{Policy: mem.PolicyStripe}, 1)
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	stepHost(t, c, ho, 10*sim.Millisecond)
+	gen := ho.gen
+	total0, _ := ho.counterTotals()
+	ratio0 := ho.remoteRatio()
+	for i := 0; i < 10; i++ {
+		if stepHost(t, c, ho, 20*sim.Millisecond) {
+			t.Fatalf("step %d: a never-blocking one-phase app moved a placement input", i)
+		}
+	}
+	if ho.gen != gen {
+		t.Fatalf("generation %d -> %d with no input change", gen, ho.gen)
+	}
+	if total, _ := ho.counterTotals(); total <= total0 {
+		t.Fatalf("counters did not move (%v -> %v): the host never ran", total0, total)
+	}
+	if ratio := ho.remoteRatio(); ratio == ratio0 {
+		t.Fatalf("lifetime remote ratio stayed %v: the test no longer moves it", ratio)
+	}
+}
+
+// TestRefreshBumpsGenOnInputChange pins the other direction: a phase
+// change, a block or wake, and a departure each move an input, and each
+// bumps the generation (stepHost checks the "if and only if" on every
+// step).
+func TestRefreshBumpsGenOnInputChange(t *testing.T) {
+	t.Run("phase", func(t *testing.T) {
+		c := mkCluster(t, 2)
+		app := workload.LU()
+		app.BlockProb = 0
+		app.TotalInstructions = 4e8
+		vm := placeVM(t, c, VMSpec{Name: "vm000", MemoryMB: 1024, VCPUs: 1,
+			Profiles: []*workload.Profile{app}})
+		v := vm.dom.VCPUs[0]
+		stepHost(t, c, vm.Host, sim.Millisecond)
+		phases := 0
+		for i := 0; i < 400 && !v.Done; i++ {
+			ph := v.Phase()
+			moved := stepHost(t, c, vm.Host, sim.Millisecond)
+			if v.Runnable() && v.Phase() != ph {
+				phases++
+				if !moved {
+					t.Fatalf("step %d: phase change left every input unchanged", i)
+				}
+			}
+		}
+		if phases == 0 {
+			t.Fatal("the app never changed phase")
+		}
+	})
+	t.Run("block", func(t *testing.T) {
+		c := mkCluster(t, 2)
+		vm := placeVM(t, c, VMSpec{Name: "vm000", MemoryMB: 1024, VCPUs: 2,
+			Profiles: []*workload.Profile{workload.Memcached(8), workload.Memcached(8)}})
+		stepHost(t, c, vm.Host, sim.Millisecond)
+		var moved, still int
+		for i := 0; i < 200; i++ {
+			if stepHost(t, c, vm.Host, 500*sim.Microsecond) {
+				moved++
+			} else {
+				still++
+			}
+		}
+		if moved == 0 || still == 0 {
+			t.Fatalf("blocking server VCPUs: %d refreshes moved an input, %d did not; want both",
+				moved, still)
+		}
+	})
+	t.Run("departure", func(t *testing.T) {
+		c := mkCluster(t, 2)
+		vm := placeVM(t, c, VMSpec{Name: "vm000", MemoryMB: 1024, VCPUs: 1,
+			Profiles: []*workload.Profile{steadyApp()}})
+		ho := vm.Host
+		stepHost(t, c, ho, 10*sim.Millisecond)
+		gen := ho.gen
+		c.onDepart(vm)
+		if c.err != nil {
+			t.Fatal(c.err)
+		}
+		if !stepHost(t, c, ho, sim.Millisecond) || ho.gen == gen {
+			t.Fatal("departure did not bump the host's generation")
+		}
+	})
+}
+
+// TestGangFailedReserveRestoresState pins the gang reserve's restore
+// rule: a gang whose last member fits nowhere, after the earlier members
+// reserved into the live views, must leave every view, FreeIndex entry,
+// generation and class-heap entry exactly as a from-scratch rescan sees
+// the (unchanged) hosts — including a score class first built mid-reserve.
+func TestGangFailedReserveRestoresState(t *testing.T) {
+	c := mkCluster(t, 4)
+	placeVM(t, c, VMSpec{Name: "vm000", MemoryMB: 4096, VCPUs: 2})
+	placeVM(t, c, VMSpec{Name: "vm001", MemoryMB: 2048, VCPUs: 1})
+	small := VMSpec{MemoryMB: 3072, VCPUs: 2}
+	huge := VMSpec{MemoryMB: 1 << 30, VCPUs: 1}
+	c.refreshViews()
+	if _, _, err := c.scores.place(&small); err != nil {
+		t.Fatal(err)
+	}
+	// Drain every class, so each entry is exact before the gang: the
+	// checks below then see only what the reserve left behind.
+	for _, cs := range c.scores.classes {
+		c.scores.place(&cs.spec)
+	}
+	classes := len(c.scores.classes)
+	base := gens(c)
+	var vms []*VM
+	for i, spec := range []VMSpec{small, small, huge} {
+		spec.Name = fmt.Sprintf("gang%d", i)
+		spec.Group = "g"
+		vms = append(vms, &VM{ID: 100 + i, Spec: spec})
+	}
+	u := &admitUnit{vms: vms, gang: true, priority: controlplane.BestEffort}
+	if c.tryAdmitGang(u) {
+		t.Fatal("a gang with an unplaceable member was admitted")
+	}
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	if len(c.reserved) != 0 {
+		t.Fatalf("%d hosts still reserved after the gang attempt", len(c.reserved))
+	}
+	checkGens(t, c, base, nil)
+	fresh := refreshed(c)
+	for i, ho := range c.hosts {
+		if diff := diffViews(&ho.view, fresh[i]); diff != "" {
+			t.Errorf("%s view not restored: %s", ho.Name, diff)
+		}
+	}
+	if len(c.scores.classes) != classes+1 || c.scores.class(&huge) != c.scores.classes[classes] {
+		t.Fatalf("the unplaceable member's class was not built by the reserve")
+	}
+	for _, cs := range c.scores.classes {
+		for h, hv := range fresh {
+			want := scoreEntry{gen: c.hosts[h].gen, feasible: true}
+			for _, f := range c.pipeline.Filters {
+				if f.Filter(&cs.spec, hv) != nil {
+					want.feasible = false
+					break
+				}
+			}
+			if want.feasible {
+				for _, ws := range c.pipeline.Scorers {
+					want.score += ws.Weight * ws.Plugin.Score(&cs.spec, hv)
+				}
+			}
+			got := cs.entries[h]
+			if got.gen != want.gen || got.feasible != want.feasible ||
+				math.Float64bits(got.score) != math.Float64bits(want.score) {
+				t.Errorf("class %d MB/%d vcpus host%d: entry %+v, rescan %+v",
+					cs.memMB, cs.vcpus, h, got, want)
+			}
+		}
+		hv, _, err := c.scores.place(&cs.spec)
+		want, _, wantErr := c.pipeline.Place(&cs.spec, fresh)
+		if (err == nil) != (wantErr == nil) || (err == nil && hv.Index != want.Index) {
+			t.Errorf("class %d MB/%d vcpus: cached winner %v (err %v), rescan %v (err %v)",
+				cs.memMB, cs.vcpus, hv, err, want, wantErr)
+		}
 	}
 }
 

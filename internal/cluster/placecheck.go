@@ -2,7 +2,7 @@ package cluster
 
 // The -place-check shadow mode: with Config.PlaceCheck set, every
 // incremental placement decision is cross-validated against the
-// pre-refactor full rescan. Two comparisons run per decision:
+// pre-refactor full rescan. Two comparisons run per single-VM decision:
 //
 //  1. State: every host's cached view must equal a from-scratch
 //     freshView snapshot, field by field — this catches a missed
@@ -10,6 +10,9 @@ package cluster
 //  2. Decision: the generic Pipeline.Place over the fresh views must
 //     pick the same host, the same memory plan, and agree on
 //     feasibility — this catches heap-order or cache-invalidation bugs.
+//
+// A gang's reserve is checked the same way against the what-if
+// reservation over copied views that it replaced (checkGangReserve).
 //
 // A divergence is a simulation-integrity failure: the run stops with a
 // diagnostic naming the first differing field. The mode costs O(hosts)
@@ -67,6 +70,56 @@ func (c *Cluster) checkPlacement(spec *VMSpec, hv *HostView, plan MemPlan, err e
 	}
 }
 
+// checkGangReserve validates one gang reserve against the what-if
+// reservation it replaced: the generic Pipeline.Place per member over
+// from-scratch view copies (FreeIdx nil) that accumulate the earlier
+// members' deductions. Every member must land on the same host with the
+// same plan, and the reserve must stop at the same member. It runs after
+// restoreGang, so its view comparison also proves the restore exact.
+func (c *Cluster) checkGangReserve(vms []*VM, slots []gangSlot, placed int) {
+	if c.err != nil {
+		return
+	}
+	//vet:alloc the place-check shadow path deliberately pays full-rescan cost; it is diagnostic-only and off by default
+	what := make([]*HostView, len(c.hosts))
+	for i, ho := range c.hosts {
+		what[i] = ho.freshView(c.cfg.Overcommit)
+		if diff := diffViews(&ho.view, what[i]); diff != "" {
+			//vet:alloc divergence reporting runs once, immediately before the run stops
+			c.failCheck("host %s view not restored after a gang reserve: %s", ho.Name, diff)
+			return
+		}
+	}
+	for i, vm := range vms {
+		hv, plan, err := c.pipeline.Place(&vm.Spec, what)
+		switch {
+		case err != nil && i == placed:
+			return
+		case err != nil:
+			//vet:alloc divergence reporting runs once, immediately before the run stops
+			c.failCheck("gang member %s: incremental reserved it on %s, what-if found no host",
+				vm.Spec.Name, slots[i].host.Name)
+			return
+		case i == placed:
+			//vet:alloc divergence reporting runs once, immediately before the run stops
+			c.failCheck("gang member %s: incremental found no host, what-if reserved it on %s",
+				vm.Spec.Name, hv.Name)
+			return
+		case hv.Index != slots[i].host.Index || plan != slots[i].plan:
+			//vet:alloc divergence reporting runs once, immediately before the run stops
+			c.failCheck("gang member %s: incremental reserved %s %+v, what-if %s %+v",
+				vm.Spec.Name, slots[i].host.Name, slots[i].plan, hv.Name, plan)
+			return
+		}
+		for n, take := range planTakes(plan, hv.FreePerNodeMB, vm.Spec.MemoryMB) {
+			hv.FreePerNodeMB[n] -= take
+			hv.FreeMB -= take
+		}
+		hv.GuestVCPUs += vm.Spec.VCPUs
+		hv.VMs++
+	}
+}
+
 // failCheck records a shadow-check divergence and stops the run.
 func (c *Cluster) failCheck(format string, args ...any) {
 	//vet:alloc divergence reporting runs once, immediately before the run stops
@@ -110,9 +163,6 @@ func diffViews(cached, fresh *HostView) string {
 	case !floatEq(cached.LLCPressure, fresh.LLCPressure):
 		//vet:alloc first-difference rendering happens at most once per run, on the failure path
 		return fmt.Sprintf("LLCPressure %v != %v", cached.LLCPressure, fresh.LLCPressure)
-	case !floatEq(cached.RemoteRatio, fresh.RemoteRatio):
-		//vet:alloc first-difference rendering happens at most once per run, on the failure path
-		return fmt.Sprintf("RemoteRatio %v != %v", cached.RemoteRatio, fresh.RemoteRatio)
 	}
 	for n := range fresh.FreePerNodeMB {
 		if cached.FreePerNodeMB[n] != fresh.FreePerNodeMB[n] {

@@ -35,19 +35,17 @@ type HostView struct {
 	VMs int
 
 	// LLCPressure is the per-socket average of the active VCPUs' LLC
-	// reference intensity (RPTI); RemoteRatio is the host's lifetime
-	// remote-access ratio.
+	// reference intensity (RPTI).
 	LLCPressure float64
-	RemoteRatio float64
 
 	// FreeIdx, when non-nil, is the host's incremental free-chunk index,
-	// maintained to mirror FreePerNodeMB exactly (refreshHost writes
-	// both from the same allocator reads). Plugins use it to answer
+	// maintained to mirror FreePerNodeMB exactly (refreshHost and the
+	// gang reserve write both together). Plugins use it to answer
 	// available-space and best-node queries without copying or sorting;
-	// they fall back to the from-scratch scan when it is nil. What-if
-	// view copies that mutate FreePerNodeMB (gang reserve) must leave
-	// FreeIdx nil, or the fast path would read the live host instead of
-	// the hypothetical.
+	// they fall back to the from-scratch scan when it is nil. View copies
+	// that mutate FreePerNodeMB on their own (the -place-check gang
+	// oracle, the control-plane fit adapter) must leave FreeIdx nil, or
+	// the fast path would read the live host instead of the copy.
 	FreeIdx *numa.FreeIndex
 }
 

@@ -7,10 +7,15 @@ package cluster
 // one (memMB, vcpus) shape. The generated mix draws from three classes,
 // so the cache holds three heaps regardless of fleet size.
 //
-// Invalidation is generation-based: a host refresh bumps Host.gen and
-// appends the host to every class's dirty list. The next place() for a
-// class drains its list — re-filters, re-scores, repairs the heap — and
-// then reads the max. Draining the whole list before reading is load-
+// Invalidation is generation-based: a host refresh that moves a placement
+// input, or a gang member's reserve, bumps Host.gen and appends the host
+// to every class's dirty list. A refresh that moves no input bumps
+// nothing, because the view would score bit-identically. The next place()
+// for a class drains its list — re-filters, re-scores, repairs the heap —
+// and then reads the max. When a gang reserve ends, the touched hosts'
+// generations go back to their saved values and settle rescores them at
+// once, so no entry keeps a reserved view's score under a generation the
+// host will reach again. Draining the whole list before reading is load-
 // bearing: a stale entry *below* the top can rise above it (a departure
 // frees memory, a busy host cools down), so checking only the top entry's
 // generation would return stale winners.
@@ -65,6 +70,17 @@ func (sc *scoreCache) invalidate(host int) {
 			//vet:alloc the dirty list's backing array grows to at most len(hosts) once, then is reused forever
 			cs.dirty = append(cs.dirty, int32(host))
 		}
+	}
+}
+
+// settle rescores one host in every class whose entry was computed at a
+// generation other than the host's current one, repairing each heap
+// now rather than at the class's next drain.
+//
+//vprobe:hotpath
+func (sc *scoreCache) settle(host int) {
+	for _, cs := range sc.classes {
+		cs.rescore(sc.c, host)
 	}
 }
 

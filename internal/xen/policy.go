@@ -108,8 +108,9 @@ func (h *Hypervisor) CreditSteal(p *PCPU, anyPriority bool) *VCPU {
 //
 // The returned views are indexed by node id. They and their Runnable
 // slices are owned by the hypervisor and reused on the next call; callers
-// must consume them before then.
-func (h *Hypervisor) QueueViews(except *PCPU, underOnly bool) [][]core.QueueView {
+// must consume them before then. visible counts the VCPUs the views
+// offer across all nodes; when it is zero, PickSteal finds nothing.
+func (h *Hypervisor) QueueViews(except *PCPU, underOnly bool) (views [][]core.QueueView, visible int) {
 	if h.views == nil {
 		h.views = make([][]core.QueueView, h.Top.NumNodes()) //vet:alloc built once on first use, then reused every call
 	}
@@ -144,9 +145,10 @@ func (h *Hypervisor) QueueViews(except *PCPU, underOnly bool) [][]core.QueueView
 		}
 		q.stealScratch = run
 		view.Runnable = run
+		visible += len(run)
 		h.views[q.Node] = append(h.views[q.Node], view) //vet:alloc per-node slices grow to PCPU count during warmup, then reused
 	}
-	return h.views
+	return h.views, visible
 }
 
 // NUMAAwareSteal applies the paper's Algorithm 2: steal the
@@ -154,8 +156,19 @@ func (h *Hypervisor) QueueViews(except *PCPU, underOnly bool) [][]core.QueueView
 // node, falling back to remote nodes in distance order. underOnly
 // restricts candidates to UNDER priority (head-is-OVER trigger);
 // localOnly suppresses the remote fallback entirely.
+//
+// It returns nil without running PickSteal when PickSteal could find
+// nothing: before building any view when no queue it may look at holds a
+// VCPU (an idle kick then costs one pass over the PCPUs), and after
+// building them when they offer no VCPU.
 func (h *Hypervisor) NUMAAwareSteal(p *PCPU, underOnly, localOnly bool) *VCPU {
-	views := h.QueueViews(p, underOnly)
+	if !h.othersQueued(p, localOnly) {
+		return nil
+	}
+	views, visible := h.QueueViews(p, underOnly)
+	if visible == 0 {
+		return nil
+	}
 	var order []numa.NodeID
 	if !localOnly {
 		// The visit order depends only on the (immutable) topology; compute
@@ -184,6 +197,19 @@ func (h *Hypervisor) NUMAAwareSteal(p *PCPU, underOnly, localOnly bool) *VCPU {
 		h.Tele.NoteSteal(h.PCPUs[d.From].Node == p.Node)
 	}
 	return v
+}
+
+// othersQueued reports whether any PCPU other than p has a queued VCPU;
+// with localOnly, only PCPUs on p's node count.
+//
+//vprobe:hotpath
+func (h *Hypervisor) othersQueued(p *PCPU, localOnly bool) bool {
+	for _, q := range h.PCPUs {
+		if q != p && len(q.queue) > 0 && (!localOnly || q.Node == p.Node) {
+			return true
+		}
+	}
+	return false
 }
 
 // SampleAll samples every app-carrying VCPU's PMU window and returns the
