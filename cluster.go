@@ -208,9 +208,10 @@ type ClusterReport struct {
 	Horizon   time.Duration
 
 	// Arrivals counts VMs that entered admission; Placed counts
-	// placements (admissions plus migration re-placements); Rejected
-	// counts VMs that exhausted their retries; Departed counts completed
-	// lifetimes; Migrations counts inter-host live migrations.
+	// admissions onto a host (a killed preemption victim admitted again
+	// counts again; migrations do not); Rejected counts VMs that exhausted
+	// their retries; Departed counts completed lifetimes; Migrations
+	// counts inter-host live migrations.
 	Arrivals   int
 	Placed     int
 	Retries    int

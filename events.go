@@ -36,7 +36,9 @@ const (
 const (
 	// EventVMArrive: a VM entered the admission queue.
 	EventVMArrive EventKind = EventKind(cluster.EventVMArrive)
-	// EventVMPlace: a VM was placed on a host (admission or migration).
+	// EventVMPlace: a VM was admitted onto a host (including a killed
+	// preemption victim admitted again; migrations emit
+	// EventMigrateStart/EventMigrateDone instead).
 	EventVMPlace EventKind = EventKind(cluster.EventVMPlace)
 	// EventVMRetry: placement failed; the VM re-queued with backoff.
 	EventVMRetry EventKind = EventKind(cluster.EventVMRetry)

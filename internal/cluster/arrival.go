@@ -312,57 +312,28 @@ func (c *Cluster) scheduleNextTraceBatch() {
 	})
 }
 
-// onTraceArrival admits the replayed records [lo, hi) of the trace,
-// mirroring onArrival's bookkeeping exactly: same stats, same events,
-// same queueing — only the spec comes from the trace instead of the RNG.
+// onTraceArrival admits the replayed records [lo, hi) of the trace
+// through the same admission step as a generated arrival; only the specs
+// come from the trace instead of the RNG.
 func (c *Cluster) onTraceArrival(lo, hi int) {
 	if !c.sync() {
 		return
 	}
-	now := c.engine.Now()
-	recs := c.cfg.Arrival.Trace[lo:hi]
-	group := recs[0].Group
-	vms := make([]*VM, 0, len(recs))
-	for k, rec := range recs {
-		life := sim.Duration(rec.LifeUS)
-		if life < sim.Second {
-			life = sim.Second
-		}
-		prio := controlplane.Priority(rec.Priority)
-		spec := VMSpec{
-			Name:     fmt.Sprintf("vm%03d", len(c.vms)),
-			MemoryMB: rec.MemoryMB,
-			VCPUs:    rec.VCPUs,
-			Profiles: c.traceProfiles[lo+k],
-			Priority: prio,
-			Group:    rec.Group,
-		}
-		vm := &VM{
-			ID:       len(c.vms),
-			Spec:     spec,
-			arriveAt: now,
-			life:     life,
-		}
-		c.vms = append(c.vms, vm)
-		vms = append(vms, vm)
-		c.stats.Arrivals++
-		c.pstats[prio].Arrivals++
-		c.recordArrival(vm, rec.Profiles)
-		c.emit(EventVMArrive, nil, vm, "vm %s arrives: %d MB, %d vcpus, %s%s",
-			spec.Name, spec.MemoryMB, spec.VCPUs, prio, gangTag(rec.Group))
+	arrs := make([]arrival, 0, hi-lo)
+	for k, rec := range c.cfg.Arrival.Trace[lo:hi] {
+		arrs = append(arrs, arrival{
+			spec: VMSpec{
+				MemoryMB: rec.MemoryMB,
+				VCPUs:    rec.VCPUs,
+				Profiles: c.traceProfiles[lo+k],
+				Priority: controlplane.Priority(rec.Priority),
+				Group:    rec.Group,
+			},
+			life: max(sim.Duration(rec.LifeUS), sim.Second),
+			refs: rec.Profiles,
+		})
 	}
-	if group != "" && c.cfg.Gang {
-		c.enqueue(&admitUnit{id: c.unitSeq, vms: vms, gang: true,
-			priority: vms[0].Spec.Priority, arriveAt: now, nextTry: now})
-		c.unitSeq++
-	} else {
-		for _, vm := range vms {
-			c.enqueue(&admitUnit{id: c.unitSeq, vms: []*VM{vm},
-				priority: vm.Spec.Priority, arriveAt: now, nextTry: now})
-			c.unitSeq++
-		}
-	}
-	c.drainQueue()
+	c.admitArrivals(arrs)
 }
 
 // ---- workload references ----

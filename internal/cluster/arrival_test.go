@@ -47,19 +47,19 @@ func TestGeneratedArrivalsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// captureRun runs a cluster with an arrival sink attached and returns
-// the recorded stream plus the report and event log.
-func captureRun(t *testing.T, cfg Config) ([]TraceArrival, *Report, string) {
+// captureRun runs a cluster with an arrival sink and a flight recorder
+// attached and returns the recorded stream plus the rendered report, the
+// event log, and the span JSONL export.
+func captureRun(t *testing.T, cfg Config) (recs []TraceArrival, report, log string, spans []byte) {
 	t.Helper()
-	var recs []TraceArrival
 	cfg.ArrivalSink = func(rec TraceArrival) { recs = append(recs, rec) }
-	rep, log := runWith(t, cfg)
-	return recs, rep, log
+	report, log, spans = runSpans(t, cfg)
+	return recs, report, log, spans
 }
 
 // TestTraceRoundTrip is the replay acceptance test: record a generated
 // run's offered load through the sink, replay it as a trace, and demand
-// the identical report, event log, and re-recorded stream.
+// the identical report, event log, span file, and re-recorded stream.
 func TestTraceRoundTrip(t *testing.T) {
 	base := Config{
 		Hosts:             3,
@@ -71,23 +71,27 @@ func TestTraceRoundTrip(t *testing.T) {
 		Gang:              true,
 		Workers:           2,
 	}
-	recs, rep, log := captureRun(t, base)
+	recs, rep, log, spans := captureRun(t, base)
 	if len(recs) == 0 {
 		t.Fatal("sink recorded nothing")
 	}
-	if int(rep.Arrivals) != len(recs) {
-		t.Fatalf("sink recorded %d arrivals, report counted %d", len(recs), rep.Arrivals)
+	if n := strings.Count(log, " "+string(EventVMArrive)+" "); n != len(recs) {
+		t.Fatalf("sink recorded %d arrivals, event log shows %d", len(recs), n)
 	}
 
 	replay := base
 	replay.Arrival = ArrivalConfig{Process: ArrivalTrace, Trace: recs}
-	recs2, rep2, log2 := captureRun(t, replay)
-	if rep2.String() != rep.String() {
-		t.Fatalf("replayed report diverges:\n--- generated\n%s\n--- replayed\n%s",
-			rep.String(), rep2.String())
+	recs2, rep2, log2, spans2 := captureRun(t, replay)
+	if rep2 != rep {
+		t.Fatalf("replayed report diverges:\n--- generated\n%s\n--- replayed\n%s", rep, rep2)
 	}
 	if log2 != log {
 		t.Fatal("replayed event log diverges from the generated run")
+	}
+	if !bytes.Equal(spans2, spans) {
+		vm := []byte(`"kind":"vm"`)
+		t.Fatalf("replayed span file diverges from the generated run (%d vs %d lifecycle spans)",
+			bytes.Count(spans, vm), bytes.Count(spans2, vm))
 	}
 	if !reflect.DeepEqual(recs2, recs) {
 		t.Fatal("replaying a trace re-recorded a different trace")
@@ -108,7 +112,7 @@ func TestArrivalStreamInvariantUnderToggles(t *testing.T) {
 		GangFraction:      0.25,
 		Workers:           1,
 	}
-	want, _, _ := captureRun(t, base)
+	want, _, _, _ := captureRun(t, base)
 	if len(want) == 0 {
 		t.Fatal("baseline recorded nothing")
 	}
@@ -121,7 +125,7 @@ func TestArrivalStreamInvariantUnderToggles(t *testing.T) {
 	for name, mutate := range variants {
 		cfg := base
 		mutate(&cfg)
-		got, _, _ := captureRun(t, cfg)
+		got, _, _, _ := captureRun(t, cfg)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: recorded arrival stream moved", name)
 		}

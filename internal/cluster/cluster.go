@@ -430,70 +430,71 @@ func (c *Cluster) scheduleNextArrival() {
 	})
 }
 
-// onArrival admits one new request: a single VM, or — when GangFraction
-// rolls it — a whole gang sharing one priority class. Lifetimes are drawn
-// here, at arrival, so the offered load is byte-identical whatever the
-// admission mechanisms later do with each request.
+// onArrival draws one new request — a single VM, or, when GangFraction
+// rolls it, a whole gang sharing one priority class — and admits it.
+// Lifetimes are drawn here, at arrival, so the offered load is
+// byte-identical whatever the admission mechanisms later do with each
+// request.
 func (c *Cluster) onArrival() {
 	if !c.sync() {
 		return
 	}
-	now := c.engine.Now()
-	members := 1
-	gang := false
+	members, group := 1, ""
 	if c.cfg.GangFraction > 0 && c.mixRNG.Float64() < c.cfg.GangFraction {
-		gang = true
 		members = c.cfg.GangSize
-	}
-	prio := c.drawPriority()
-	group := ""
-	if gang {
 		group = fmt.Sprintf("g%03d", c.gangSeq)
 		c.gangSeq++
 	}
-	vms := make([]*VM, 0, members)
-	for i := 0; i < members; i++ {
+	prio := c.drawPriority()
+	arrs := make([]arrival, members)
+	for i := range arrs {
 		spec, refs := c.nextSpec()
 		spec.Priority = prio
 		spec.Group = group
-		vm := &VM{
-			ID:       len(c.vms),
-			Spec:     spec,
-			arriveAt: now,
-			life:     c.drawLife(),
-		}
-		c.vms = append(c.vms, vm)
-		vms = append(vms, vm)
-		c.stats.Arrivals++
-		c.pstats[prio].Arrivals++
-		c.recordArrival(vm, refs)
-		c.spans.vmArrive(vm)
-		c.emit(EventVMArrive, nil, vm, "vm %s arrives: %d MB, %d vcpus, %s%s",
-			spec.Name, spec.MemoryMB, spec.VCPUs, prio, gangTag(group))
+		arrs[i] = arrival{spec: spec, life: c.drawLife(), refs: refs}
 	}
-	if gang && c.cfg.Gang {
-		// One all-or-nothing unit.
+	c.admitArrivals(arrs)
+}
+
+// arrival is one arriving VM as its source describes it: the spec
+// (named at admission), the lifetime it is owed, and its workloads in
+// the trace schema (nil when no ArrivalSink wants them).
+type arrival struct {
+	spec VMSpec
+	life sim.Duration
+	refs []string
+}
+
+// admitArrivals admits one arriving request, generated or replayed: each
+// VM gets its ID and name, is counted, exported to the arrival sink and
+// recorded; then the request joins the admission queue — as one
+// all-or-nothing unit when it is a gang and gang admission is on, else as
+// independent singles (same offered load) — and the queue drains.
+func (c *Cluster) admitArrivals(arrs []arrival) {
+	now := c.engine.Now()
+	vms := make([]*VM, len(arrs))
+	for i, a := range arrs {
+		vm := &VM{ID: len(c.vms), Spec: a.spec, arriveAt: now, life: a.life}
+		vm.Spec.Name = fmt.Sprintf("vm%03d", vm.ID)
+		c.vms = append(c.vms, vm)
+		vms[i] = vm
+		c.stats.Arrivals++
+		c.pstats[vm.Spec.Priority].Arrivals++
+		c.recordArrival(vm, a.refs)
+		c.record(decision{kind: EventVMArrive, vm: vm})
+	}
+	if vms[0].Spec.Group != "" && c.cfg.Gang {
 		c.enqueue(&admitUnit{id: c.unitSeq, vms: vms, gang: true,
-			priority: prio, arriveAt: now, nextTry: now})
+			priority: vms[0].Spec.Priority, arriveAt: now, nextTry: now})
 		c.unitSeq++
 	} else {
-		// Independent units (gang semantics off: members fend for
-		// themselves, same offered load).
 		for _, vm := range vms {
 			c.enqueue(&admitUnit{id: c.unitSeq, vms: []*VM{vm},
-				priority: prio, arriveAt: now, nextTry: now})
+				priority: vm.Spec.Priority, arriveAt: now, nextTry: now})
 			c.unitSeq++
 		}
 	}
 	c.drainQueue()
-}
-
-// gangTag renders the gang suffix of an arrival event.
-func gangTag(group string) string {
-	if group == "" {
-		return ""
-	}
-	return ", gang " + group
 }
 
 // priorityWeights is the class mix of generated arrivals: mostly standard,
@@ -528,20 +529,16 @@ var sizeClasses = []struct {
 // batchNames is the pool of batch workloads for the mixed and batch mixes.
 var batchNames = []string{"soplex", "mcf", "milc", "libquantum", "lu", "mg", "bt", "cg", "sp"}
 
-// nextSpec draws one VM request from the configured mix. refs names the
-// drawn workloads in the trace schema; it is built only when an
-// ArrivalSink wants the stream exported.
+// nextSpec draws one VM request from the configured mix, unnamed until
+// admission. refs names the drawn workloads in the trace schema; it is
+// built only when an ArrivalSink wants the stream exported.
 func (c *Cluster) nextSpec() (VMSpec, []string) {
 	weights := make([]float64, len(sizeClasses))
 	for i, sc := range sizeClasses {
 		weights[i] = sc.weight
 	}
 	sc := sizeClasses[c.mixRNG.Pick(weights)]
-	spec := VMSpec{
-		Name:     fmt.Sprintf("vm%03d", len(c.vms)),
-		MemoryMB: sc.memMB,
-		VCPUs:    sc.vcpus,
-	}
+	spec := VMSpec{MemoryMB: sc.memMB, VCPUs: sc.vcpus}
 	var refs []string
 	if c.cfg.ArrivalSink != nil {
 		refs = make([]string, 0, sc.vcpus)
@@ -650,9 +647,7 @@ func (c *Cluster) finalizePlacement(vm *VM, ho *Host, dom *xen.Domain, plan MemP
 			c.tel.waitHist[vm.Spec.Priority].Observe(wait.Seconds())
 		}
 	}
-	c.emit(EventVMPlace, ho, vm,
-		"vm %s placed on %s (%s memory, %s, attempt %d)",
-		vm.Spec.Name, ho.Name, plan.Policy, vm.Spec.Priority, attempt)
+	c.record(decision{kind: EventVMPlace, vm: vm, host: ho, plan: plan, attempt: attempt})
 	if vm.departAt == 0 {
 		life := vm.life
 		if life < sim.Second {
@@ -689,9 +684,7 @@ func (c *Cluster) onDepart(vm *VM) {
 	c.markDirty(vm.Host)
 	vm.state = stateDeparted
 	c.stats.Departed++
-	c.spans.depart(vm)
-	c.emit(EventVMDepart, vm.Host, vm, "vm %s departs %s after %v",
-		vm.Spec.Name, vm.Host.Name, c.engine.Now().Sub(vm.arriveAt))
+	c.record(decision{kind: EventVMDepart, vm: vm, host: vm.Host})
 	// The teardown freed capacity; give the queue a shot at it.
 	c.drainQueue()
 }
@@ -808,13 +801,15 @@ func (c *Cluster) startMigration(vm *VM, target *Host, plan MemPlan) {
 	target.VMs = append(target.VMs, vm)
 	c.stats.Migrations++
 
-	cycles := c.migrator.FullCopyCycles(vm.Spec.MemoryMB)
-	blackout := sim.Duration(cycles / target.Top.CyclesPerMicrosecond())
-	c.spans.migrateStart(vm, src, target, blackout)
-	c.emit(EventMigrateStart, src, vm,
-		"vm %s migrating %s -> %s (%d MB, blackout %v)",
-		vm.Spec.Name, src.Name, target.Name, vm.Spec.MemoryMB, blackout)
+	blackout := c.migrationBlackout(vm, target)
+	c.record(decision{kind: EventMigrateStart, vm: vm, host: src, target: target, dur: blackout})
 	c.engine.Schedule(blackout, "migrate-done", func(*sim.Engine) { c.finishMigration(vm) })
+}
+
+// migrationBlackout prices moving vm to target with the page-copy cost
+// model: the time its memory footprint takes to copy at target's clock.
+func (c *Cluster) migrationBlackout(vm *VM, target *Host) sim.Duration {
+	return sim.Duration(c.migrator.FullCopyCycles(vm.Spec.MemoryMB) / target.Top.CyclesPerMicrosecond())
 }
 
 // finishMigration activates the VM on its target host once the copy
@@ -837,7 +832,5 @@ func (c *Cluster) finishMigration(vm *VM) {
 	// Activation flips the domain's VCPUs runnable, which moves the
 	// view's LLC pressure — a placement delta like any other.
 	c.markDirty(vm.Host)
-	c.spans.migrateDone(vm)
-	c.emit(EventMigrateDone, vm.Host, vm,
-		"vm %s resumed on %s", vm.Spec.Name, vm.Host.Name)
+	c.record(decision{kind: EventMigrateDone, vm: vm, host: vm.Host})
 }

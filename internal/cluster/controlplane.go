@@ -157,22 +157,18 @@ func (c *Cluster) attemptUnit(u *admitUnit) admitResult {
 			vm.state = stateRejected
 			c.stats.Rejected++
 			c.pstats[vm.Spec.Priority].Rejected++
-			c.spans.reject(vm, u.retries)
-			c.emit(EventVMReject, nil, vm, "vm %s rejected after %d attempts",
-				vm.Spec.Name, u.retries)
+			c.record(decision{kind: EventVMReject, vm: vm, attempt: u.retries})
 		}
 		return admitRejected
 	}
 	c.stats.Retries++
 	backoff := c.cfg.RetryBackoff * sim.Duration(u.retries)
 	u.nextTry = c.engine.Now().Add(backoff)
-	what := "vm " + u.vms[0].Spec.Name
+	d := decision{kind: EventVMRetry, vm: u.vms[0], attempt: u.retries, dur: backoff}
 	if u.gang {
-		what = fmt.Sprintf("gang %s (%d VMs)", u.vms[0].Spec.Group, len(u.vms))
+		d.gang = u.vms
 	}
-	c.spans.retry(u, backoff)
-	c.emit(EventVMRetry, nil, u.vms[0], "%s queued (attempt %d, retry in %v)",
-		what, u.retries, backoff)
+	c.record(d)
 	c.engine.Schedule(backoff, "retry", func(*sim.Engine) {
 		if !c.sync() {
 			return
@@ -265,24 +261,13 @@ func (c *Cluster) evictVictim(victim, beneficiary *VM) {
 	c.stats.Preemptions++
 	if hv, plan, err := c.pipeline.Place(&victim.Spec, alt); err == nil {
 		target := c.hosts[hv.Index]
-		if c.spans != nil {
-			// Price the eviction with the same page-copy blackout the
-			// migration itself will pay.
-			cycles := c.migrator.FullCopyCycles(victim.Spec.MemoryMB)
-			c.spans.preempt(victim, beneficiary, "live-migrating to "+hv.Name,
-				sim.Duration(cycles/target.Top.CyclesPerMicrosecond()))
-		}
-		c.emit(EventVMPreempted, src, victim,
-			"vm %s preempted off %s for %s, migrating to %s",
-			victim.Spec.Name, src.Name, beneficiary.Spec.Name, hv.Name)
+		c.record(decision{kind: EventVMPreempted, vm: victim, host: src, target: target,
+			peer: beneficiary, dur: c.migrationBlackout(victim, target)})
 		c.startMigration(victim, target, plan)
 		return
 	}
 	c.stats.PreemptKills++
-	c.spans.preempt(victim, beneficiary, "killed and requeued", 0)
-	c.emit(EventVMPreempted, src, victim,
-		"vm %s preempted off %s for %s, killed and requeued",
-		victim.Spec.Name, src.Name, beneficiary.Spec.Name)
+	c.record(decision{kind: EventVMPreempted, vm: victim, host: src, peer: beneficiary})
 	if err := src.H.DestroyDomain(victim.dom); err != nil {
 		c.err = fmt.Errorf("cluster: preempt %s: %w", victim.Spec.Name, err)
 		c.engine.Stop()
@@ -369,9 +354,7 @@ func (c *Cluster) tryAdmitGang(u *admitUnit) bool {
 		c.finalizePlacement(vm, slots[i].host, doms[i], slots[i].plan, u.retries+1)
 	}
 	c.stats.GangsAdmitted++
-	c.spans.gangAdmitted(u)
-	c.emit(EventGangAdmitted, nil, u.vms[0], "gang %s admitted: %d VMs placed all-or-nothing",
-		u.vms[0].Spec.Group, len(u.vms))
+	c.record(decision{kind: EventGangAdmitted, vm: u.vms[0], gang: u.vms})
 	return true
 }
 
@@ -491,16 +474,14 @@ func (c *Cluster) tryBackfill(u, head *admitUnit) bool {
 		// The decision's views are unchanged since c.place: the shadow
 		// reservation works on copied caps, never the hosts.
 		c.spans.placeDecision(vm, c.liveViews(), hv, nil, u.retries+1)
-		c.spans.backfill(vm, c.hosts[hv.Index], headVM)
 	}
-	c.placeOn(vm, c.hosts[hv.Index], plan, u.retries+1)
+	target := c.hosts[hv.Index]
+	c.placeOn(vm, target, plan, u.retries+1)
 	if c.err != nil {
 		return false
 	}
 	c.stats.Backfills++
-	c.emit(EventBackfill, c.hosts[hv.Index], vm,
-		"vm %s backfilled onto %s ahead of blocked %s",
-		vm.Spec.Name, hv.Name, headVM.Spec.Name)
+	c.record(decision{kind: EventBackfill, vm: vm, host: target, peer: headVM})
 	return true
 }
 
@@ -542,11 +523,10 @@ func (c *Cluster) deschedule() {
 		if err != nil {
 			continue // capacity moved since the plan; skip this move
 		}
+		target := c.hosts[hv.Index]
 		c.stats.DeschedMoves++
-		c.spans.deschedMove(vm, src, c.hosts[hv.Index])
-		c.emit(EventDeschedule, src, vm, "vm %s drained off %s to %s (defrag)",
-			vm.Spec.Name, src.Name, c.hosts[hv.Index].Name)
-		c.startMigration(vm, c.hosts[hv.Index], mplan)
+		c.record(decision{kind: EventDeschedule, vm: vm, host: src, target: target})
+		c.startMigration(vm, target, mplan)
 		if c.err != nil {
 			return
 		}

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-
-	"vprobe/internal/sim"
-)
+import "vprobe/internal/sim"
 
 // EventKind labels a cluster-scoped event. Cluster events describe VM
 // lifecycle and placement decisions across hosts; host-internal scheduling
@@ -57,26 +53,3 @@ type Event struct {
 
 // String renders the event as a trace line.
 func (ev Event) String() string { return ev.Detail }
-
-// emit delivers a cluster event; formatting is skipped when no listener is
-// attached, so tracing is free when off. Identities are derived here from
-// the model objects rather than threaded as loose strings, so an event can
-// never carry a name its call site forgot to fill in: vm is required, ho
-// is nil only for kinds that genuinely have no host (arrival, retry,
-// rejection).
-func (c *Cluster) emit(kind EventKind, ho *Host, vm *VM, format string, args ...any) {
-	if c.cfg.Events == nil {
-		return
-	}
-	host := ""
-	if ho != nil {
-		host = ho.Name
-	}
-	c.cfg.Events(Event{
-		At:     c.engine.Now(),
-		Kind:   kind,
-		Host:   host,
-		VM:     vm.Spec.Name,
-		Detail: fmt.Sprintf(format, args...),
-	})
-}

@@ -1,9 +1,10 @@
 // Span recording for cluster runs: the placement flight recorder. Every
 // control-plane decision — admission, retry, rejection, preemption, gang
 // reserve/commit, backfill, descheduling, migration — records spans under
-// the arriving VM's lifecycle span, and each placement decision re-derives
-// its full per-plugin filter/score breakdown via Pipeline.Explain (which
-// -place-check proves equivalent to the incremental score cache's answer).
+// the arriving VM's lifecycle span (rendered by record, record.go), and
+// each placement decision re-derives its full per-plugin filter/score
+// breakdown via Pipeline.Explain (which -place-check proves equivalent to
+// the incremental score cache's answer).
 //
 // All recording happens on the cluster engine goroutine, where decisions
 // are already serialized at every worker count, so span files are
@@ -31,8 +32,7 @@ const spanTopCandidates = 4
 const spanVetoCap = 16
 
 // clusterSpans binds a Cluster to a span tracer. A nil *clusterSpans is
-// the tracing-off state: every method nil-checks the receiver, so call
-// sites stay unconditional.
+// the tracing-off state.
 type clusterSpans struct {
 	c   *Cluster
 	t   *telemetry.Tracer
@@ -56,19 +56,6 @@ func (sp *clusterSpans) vmRef(vm *VM) telemetry.SpanRef {
 		sp.vm = append(sp.vm, telemetry.NoSpan)
 	}
 	return sp.vm[vm.ID]
-}
-
-// vmArrive opens vm's lifecycle span.
-func (sp *clusterSpans) vmArrive(vm *VM) {
-	if sp == nil {
-		return
-	}
-	ref := sp.t.Begin(sp.c.engine.Now(), sp.run, telemetry.SpanVM, "", vm.Spec.Name,
-		fmt.Sprintf("vm %s", vm.Spec.Name))
-	sp.t.SetDetail(ref, fmt.Sprintf("%d MB, %d vcpus, %s%s",
-		vm.Spec.MemoryMB, vm.Spec.VCPUs, vm.Spec.Priority, gangTag(vm.Spec.Group)))
-	sp.vmRef(vm) // grow
-	sp.vm[vm.ID] = ref
 }
 
 // filterDetail renders one filter plugin's verdict for a span detail.
@@ -105,9 +92,6 @@ func scoreDetail(scores []ScoreReport) string {
 // spans. views must be the exact views the decision ran over, before any
 // mutation from acting on the decision.
 func (sp *clusterSpans) placeDecision(vm *VM, views []*HostView, chosen *HostView, err error, attempt int) {
-	if sp == nil {
-		return
-	}
 	now := sp.c.engine.Now()
 	ex := sp.c.pipeline.Explain(&vm.Spec, views, spanTopCandidates)
 	host := ""
@@ -145,119 +129,6 @@ func (sp *clusterSpans) placeDecision(vm *VM, views []*HostView, chosen *HostVie
 		}
 	}
 	sp.t.End(ps, now)
-}
-
-// retry records one backoff retry decision on the unit's first VM.
-func (sp *clusterSpans) retry(u *admitUnit, backoff sim.Duration) {
-	if sp == nil {
-		return
-	}
-	vm := u.vms[0]
-	sp.t.Point(sp.c.engine.Now(), sp.vmRef(vm), telemetry.SpanRetry, "", vm.Spec.Name,
-		fmt.Sprintf("retry %s", vm.Spec.Name),
-		fmt.Sprintf("attempt %d failed, backoff %v", u.retries, backoff))
-}
-
-// reject records the terminal rejection and closes vm's lifecycle span.
-func (sp *clusterSpans) reject(vm *VM, attempts int) {
-	if sp == nil {
-		return
-	}
-	now := sp.c.engine.Now()
-	sp.t.Point(now, sp.vmRef(vm), telemetry.SpanReject, "", vm.Spec.Name,
-		fmt.Sprintf("reject %s", vm.Spec.Name),
-		fmt.Sprintf("rejected after %d attempts", attempts))
-	sp.t.End(sp.vmRef(vm), now)
-}
-
-// depart closes vm's lifecycle span at departure.
-func (sp *clusterSpans) depart(vm *VM) {
-	if sp == nil {
-		return
-	}
-	ref := sp.vmRef(vm)
-	sp.t.Note(ref, fmt.Sprintf("departed %s after %v",
-		vm.Host.Name, sp.c.engine.Now().Sub(vm.arriveAt)))
-	sp.t.End(ref, sp.c.engine.Now())
-}
-
-// migrateStart opens a migration span priced by the page-copy cost model.
-func (sp *clusterSpans) migrateStart(vm *VM, src, target *Host, blackout sim.Duration) {
-	if sp == nil {
-		return
-	}
-	ref := sp.t.Begin(sp.c.engine.Now(), sp.vmRef(vm), telemetry.SpanMigrate,
-		target.Name, vm.Spec.Name,
-		fmt.Sprintf("migrate %s %s→%s", vm.Spec.Name, src.Name, target.Name))
-	sp.t.SetCost(ref, blackout)
-	sp.t.SetDetail(ref, fmt.Sprintf("%d MB, blackout %v", vm.Spec.MemoryMB, blackout))
-	sp.mig[vm.ID] = ref
-}
-
-// migrateDone closes vm's in-flight migration span.
-func (sp *clusterSpans) migrateDone(vm *VM) {
-	if sp == nil {
-		return
-	}
-	if ref, ok := sp.mig[vm.ID]; ok {
-		sp.t.End(ref, sp.c.engine.Now())
-		delete(sp.mig, vm.ID)
-	}
-}
-
-// preempt records a victim eviction on behalf of a beneficiary. cost is
-// the migration blackout when the victim live-migrates, 0 when killed.
-func (sp *clusterSpans) preempt(victim, beneficiary *VM, outcome string, cost sim.Duration) {
-	if sp == nil {
-		return
-	}
-	ref := sp.t.Point(sp.c.engine.Now(), sp.vmRef(victim), telemetry.SpanPreempt,
-		victim.Host.Name, victim.Spec.Name,
-		fmt.Sprintf("preempt %s", victim.Spec.Name),
-		fmt.Sprintf("for %s (%s > %s), %s", beneficiary.Spec.Name,
-			beneficiary.Spec.Priority, victim.Spec.Priority, outcome))
-	if cost > 0 {
-		sp.t.SetCost(ref, cost)
-	}
-}
-
-// gangAdmitted records an all-or-nothing gang commit with its member→host
-// mapping.
-func (sp *clusterSpans) gangAdmitted(u *admitUnit) {
-	if sp == nil {
-		return
-	}
-	parts := make([]string, len(u.vms))
-	for i, vm := range u.vms {
-		parts[i] = vm.Spec.Name + "→" + vm.Host.Name
-	}
-	vm := u.vms[0]
-	sp.t.Point(sp.c.engine.Now(), sp.vmRef(vm), telemetry.SpanGang, "", vm.Spec.Name,
-		fmt.Sprintf("gang %s admitted", vm.Spec.Group),
-		fmt.Sprintf("%d VMs all-or-nothing: %s", len(u.vms), strings.Join(parts, " ")))
-}
-
-// backfill records a small VM jumping a blocked head.
-func (sp *clusterSpans) backfill(vm *VM, target *Host, head *VM) {
-	if sp == nil {
-		return
-	}
-	sp.t.Point(sp.c.engine.Now(), sp.vmRef(vm), telemetry.SpanBackfill,
-		target.Name, vm.Spec.Name,
-		fmt.Sprintf("backfill %s", vm.Spec.Name),
-		fmt.Sprintf("onto %s ahead of blocked %s (shadow check passed)",
-			target.Name, head.Spec.Name))
-}
-
-// deschedMove records one defragmentation drain move.
-func (sp *clusterSpans) deschedMove(vm *VM, src, target *Host) {
-	if sp == nil {
-		return
-	}
-	sp.t.Point(sp.c.engine.Now(), sp.vmRef(vm), telemetry.SpanDeschedule,
-		src.Name, vm.Spec.Name,
-		fmt.Sprintf("deschedule %s", vm.Spec.Name),
-		fmt.Sprintf("drained off %s to %s (defrag)", src.Name, target.Name))
 }
 
 // closeRun ends every still-open span at the horizon.

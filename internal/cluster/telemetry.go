@@ -63,7 +63,7 @@ func (c *Cluster) attachTelemetry(s *telemetry.Sampler) {
 		arrivals: reg.Gauge("cluster_vm_arrivals",
 			"VM requests that have entered the cluster."),
 		placed: reg.Gauge("cluster_vm_placed",
-			"Successful placements, including re-placements after migration."),
+			"Admissions onto a host, including killed preemption victims admitted again; migrations are not counted."),
 		retries: reg.Gauge("cluster_vm_retries",
 			"Placement attempts re-queued with backoff."),
 		rejected: reg.Gauge("cluster_vm_rejected",
