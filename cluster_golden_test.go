@@ -93,14 +93,15 @@ func replaySpec() spec.ClusterV1 {
 	}
 }
 
-// clusterArtifacts is one public cluster run's output: the report text,
-// the event stream as Event.AppendJSON lines, and the span JSONL.
+// clusterArtifacts is one public cluster run's output: the report, its
+// text, the event stream as Event.AppendJSON lines, and the span JSONL.
 type clusterArtifacts struct {
+	rep                   *vprobe.ClusterReport
 	report, events, spans []byte
 }
 
 // runClusterSpec pushes a spec through the full wire path — JSON encode,
-// decode, compile, run — with events and spans attached.
+// decode, RunCluster — with events and spans attached.
 func runClusterSpec(t *testing.T, s spec.ClusterV1) clusterArtifacts {
 	t.Helper()
 	data, err := json.Marshal(s)
@@ -113,7 +114,7 @@ func runClusterSpec(t *testing.T, s spec.ClusterV1) clusterArtifacts {
 	}
 	var events []byte
 	tracing := vprobe.NewTracing(vprobe.TracingOptions{})
-	cfg, err := vprobe.CompileCluster(decoded, vprobe.CompileOptions{
+	rep, err := vprobe.RunCluster(context.Background(), decoded, vprobe.CompileOptions{
 		Events: vprobe.EventFunc(func(ev vprobe.Event) {
 			events = append(ev.AppendJSON(events), '\n')
 		}),
@@ -122,20 +123,16 @@ func runClusterSpec(t *testing.T, s spec.ClusterV1) clusterArtifacts {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := vprobe.RunCluster(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var spans bytes.Buffer
 	if err := tracing.WriteSpans(&spans); err != nil {
 		t.Fatal(err)
 	}
-	return clusterArtifacts{report: []byte(rep.String()), events: events, spans: spans.Bytes()}
+	return clusterArtifacts{rep: rep, report: []byte(rep.String()), events: events, spans: spans.Bytes()}
 }
 
 // checkClusterGolden runs s and compares its three artifacts with
 // testdata/cluster/<name>.*, rewriting them under -update.
-func checkClusterGolden(t *testing.T, name string, s spec.ClusterV1) {
+func checkClusterGolden(t *testing.T, name string, s spec.ClusterV1) clusterArtifacts {
 	t.Helper()
 	got := runClusterSpec(t, s)
 	for _, art := range []struct {
@@ -164,6 +161,7 @@ func checkClusterGolden(t *testing.T, name string, s spec.ClusterV1) {
 			t.Errorf("%s: output diverges from the golden (%d vs %d bytes)", path, len(art.got), len(want))
 		}
 	}
+	return got
 }
 
 // TestClusterSpecGolden pins the bytes of the public cluster path — report,

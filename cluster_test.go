@@ -13,12 +13,13 @@ import (
 // multi-host run produces a populated report and cluster-scoped events.
 func TestRunCluster(t *testing.T) {
 	var events []vprobe.Event
-	rep, err := vprobe.RunCluster(context.Background(), vprobe.ClusterConfig{
+	rep, err := vprobe.RunCluster(context.Background(), vprobe.ClusterSpec{
 		Hosts:   2,
-		Policy:  vprobe.PolicyNUMA,
+		Policy:  string(vprobe.PolicyNUMA),
 		Seed:    9,
-		Horizon: 60 * time.Second,
+		Horizon: vprobe.SpecDuration(60 * time.Second),
 		Workers: 2,
+	}, vprobe.CompileOptions{
 		Events: vprobe.EventFunc(func(ev vprobe.Event) {
 			events = append(events, ev)
 		}),
@@ -34,6 +35,9 @@ func TestRunCluster(t *testing.T) {
 	}
 	if rep.String() == "" {
 		t.Fatal("report renders empty")
+	}
+	if rep.Tracing() != nil {
+		t.Fatal("untraced run returned a span recorder")
 	}
 	if len(events) == 0 {
 		t.Fatal("no cluster events delivered")
@@ -55,18 +59,22 @@ func TestRunCluster(t *testing.T) {
 	}
 }
 
-// TestRunClusterSentinels asserts configuration failures wrap the
-// package's sentinel errors.
+// TestRunClusterSentinels asserts a bad spec fails validation with the
+// spec sentinels before anything runs.
 func TestRunClusterSentinels(t *testing.T) {
 	ctx := context.Background()
-	if _, err := vprobe.RunCluster(ctx, vprobe.ClusterConfig{Policy: "roulette"}); !errors.Is(err, vprobe.ErrUnknownPolicy) {
-		t.Fatalf("err = %v, want ErrUnknownPolicy", err)
+	for name, s := range map[string]vprobe.ClusterSpec{
+		"policy":    {Policy: "roulette"},
+		"topology":  {Topology: "toaster"},
+		"scheduler": {Scheduler: "fifo"},
+		"arrival":   {ArrivalProcess: "bursty"},
+	} {
+		if _, err := vprobe.RunCluster(ctx, s, vprobe.CompileOptions{}); !errors.Is(err, vprobe.ErrInvalidSpec) {
+			t.Errorf("%s: err = %v, want ErrInvalidSpec", name, err)
+		}
 	}
-	if _, err := vprobe.RunCluster(ctx, vprobe.ClusterConfig{Topology: "toaster"}); !errors.Is(err, vprobe.ErrUnknownTopology) {
-		t.Fatalf("err = %v, want ErrUnknownTopology", err)
-	}
-	if _, err := vprobe.RunCluster(ctx, vprobe.ClusterConfig{Scheduler: "fifo"}); !errors.Is(err, vprobe.ErrUnknownScheduler) {
-		t.Fatalf("err = %v, want ErrUnknownScheduler", err)
+	if _, err := vprobe.RunCluster(ctx, vprobe.ClusterSpec{Version: "v2"}, vprobe.CompileOptions{}); !errors.Is(err, vprobe.ErrSpecVersion) {
+		t.Errorf("version: err = %v, want ErrSpecVersion", err)
 	}
 }
 

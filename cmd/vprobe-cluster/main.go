@@ -147,6 +147,7 @@ func main() {
 		cfg.Arrival.Process = cluster.ArrivalTrace
 		cfg.Arrival.Trace = recs
 	}
+	closeArrivals := func() error { return nil }
 	if *arrivalsOut != "" {
 		f, err := os.Create(*arrivalsOut)
 		if err != nil {
@@ -154,10 +155,13 @@ func main() {
 			os.Exit(1)
 		}
 		enc := bufio.NewWriter(f)
-		defer func() {
-			enc.Flush()
-			f.Close()
-		}()
+		closeArrivals = func() error {
+			if err := enc.Flush(); err != nil {
+				f.Close()
+				return err
+			}
+			return f.Close()
+		}
 		cfg.ArrivalSink = func(rec cluster.TraceArrival) {
 			if err := cluster.WriteTrace(enc, []cluster.TraceArrival{rec}); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -210,6 +214,10 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Print(rep.String())
+	if err := closeArrivals(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	if tracer != nil {
 		if err := writeSpans(tracer, *spansOut, *chromeOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)

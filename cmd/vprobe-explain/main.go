@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"vprobe/internal/telemetry"
 )
@@ -112,32 +114,21 @@ func query(r io.Reader, args []string) (string, error) {
 			return "", err
 		}
 		return ix.Summary(), nil
-	case "why":
-		if err := need(2, "why <vm>"); err != nil {
-			return "", err
-		}
-		return ix.ExplainWhy(args[1])
-	case "why-not":
-		if err := need(3, "why-not <vm> <host>"); err != nil {
-			return "", err
-		}
-		return ix.ExplainWhyNot(args[1], args[2])
-	case "rejected":
-		if err := need(2, "rejected <vm>"); err != nil {
-			return "", err
-		}
-		return ix.ExplainRejected(args[1])
-	case "preempted":
-		if err := need(2, "preempted <vm>"); err != nil {
-			return "", err
-		}
-		return ix.ExplainPreempted(args[1])
-	case "timeline":
-		if err := need(2, "timeline <vm>"); err != nil {
-			return "", err
-		}
-		return ix.ExplainVM(args[1])
-	default:
-		return "", fmt.Errorf("vprobe-explain: unknown subcommand %q (have list, summary, why, why-not, rejected, preempted, timeline)", cmd)
 	}
+	if !slices.Contains(strings.Split(telemetry.ExplainQueries, ", "), cmd) {
+		return "", fmt.Errorf("vprobe-explain: unknown subcommand %q (have list, summary, %s)",
+			cmd, telemetry.ExplainQueries)
+	}
+	n, form := 2, cmd+" <vm>"
+	if cmd == "why-not" {
+		n, form = 3, form+" <host>"
+	}
+	if err := need(n, form); err != nil {
+		return "", err
+	}
+	host := ""
+	if n == 3 {
+		host = args[2]
+	}
+	return ix.Explain(cmd, args[1], host)
 }

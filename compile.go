@@ -9,15 +9,21 @@ import (
 )
 
 // This file is the compile layer between the serializable spec types
-// (internal/spec: plain data, JSON-round-trippable, versioned) and the
-// runtime Config/ClusterConfig (which carry live callbacks — Events,
-// Telemetry, Trace — that cannot cross a process boundary). Everything
-// that turns a wire-format request into a running simulation goes through
-// here: vprobe-serve, the CLIs, and programmatic callers alike, so there
-// is exactly one audited front door. The compilation is exact by
-// construction — a compiled spec runs byte-identical to hand-building the
-// same Config — and the round-trip tests in compile_test.go pin that for
-// every preset topology, scheduler, workload, and cluster policy.
+// (internal/spec: plain data, JSON-round-trippable, versioned) and a
+// running simulation. CompileScenario lowers a ScenarioSpec onto Config
+// and a ready Simulator; RunCluster (cluster.go) validates a ClusterSpec,
+// lowers it with ClusterSpec.Config and runs it. Both attach the live
+// hooks a spec cannot carry (Events, Telemetry, Spans) from
+// CompileOptions.
+//
+// vprobe-serve and programmatic callers go through here. The CLIs do
+// not: vprobe-sim and vprobe-trace build Config by hand, and
+// vprobe-cluster, internal/experiments and the benchmark module build
+// cluster.Config directly, because they need knobs the wire spec
+// deliberately lacks (LLC and remote-ratio migration limits, topology
+// JSON files, an arrival sink). The compile tests pin scenario lowering
+// against hand-built Configs and cluster lowering against the goldens
+// under testdata/cluster.
 
 // Public aliases of the spec types, so modules outside this one can
 // build and compile specs without reaching into internal/spec (Go's
@@ -41,19 +47,20 @@ type (
 )
 
 // CompileOptions carries the live, non-serializable attachments a caller
-// may hang on a compiled run. All fields are optional.
+// may hang on a compiled scenario or a RunCluster run. All fields are
+// optional.
 type CompileOptions struct {
-	// Events receives structured events exactly as Config.Events /
-	// ClusterConfig.Events would.
+	// Events receives structured events exactly as Config.Events would;
+	// cluster runs deliver the cluster-scoped kinds (EventVMArrive ...
+	// EventMigrateDone) with VCPU and Node set to -1.
 	Events EventSink
-	// Telemetry collects metric time series exactly as Config.Telemetry /
-	// ClusterConfig.Telemetry would.
+	// Telemetry collects metric time series exactly as Config.Telemetry
+	// would.
 	Telemetry *Telemetry
-	// Spans records the span flight recorder exactly as Config.Spans /
-	// ClusterConfig.Spans would. When nil and the spec sets trace, the
-	// compile layer creates a recorder itself (retrievable through
-	// Simulator.Tracing or ClusterConfig.Spans), honoring the spec's
-	// trace_limit.
+	// Spans records the span flight recorder exactly as Config.Spans
+	// would. When nil and the spec sets trace, the compile layer creates
+	// a recorder itself (retrievable through Simulator.Tracing or
+	// ClusterReport.Tracing), honoring the spec's trace_limit.
 	Spans *Tracing
 }
 
@@ -130,56 +137,4 @@ func (vm *VM) runSpecApp(app spec.AppV1) error {
 	default:
 		return fmt.Errorf("%w: app sets neither name nor server", spec.ErrInvalid)
 	}
-}
-
-// CompileCluster lowers a ClusterV1 onto the ClusterConfig RunCluster
-// accepts. Validation failures wrap spec.ErrVersion or spec.ErrInvalid;
-// the compiled config runs byte-identical to hand-building the same
-// ClusterConfig.
-func CompileCluster(c spec.ClusterV1, opts CompileOptions) (ClusterConfig, error) {
-	if err := c.Validate(); err != nil {
-		return ClusterConfig{}, err
-	}
-	n := c.Normalize()
-	cfg := ClusterConfig{
-		Hosts:             n.Hosts,
-		Topology:          Topology(n.Topology),
-		Scheduler:         Scheduler(n.Scheduler),
-		Policy:            Policy(n.Policy),
-		Seed:              n.Seed,
-		ArrivalsPerSecond: n.ArrivalsPerSecond,
-		MeanLifetime:      n.MeanLifetime.Std(),
-		Horizon:           n.Horizon.Std(),
-		Workers:           n.Workers,
-		Mix:               n.Mix,
-		RebalancePeriod:   n.RebalancePeriod.Std(),
-		Preempt:           n.Preempt,
-		Gang:              n.Gang,
-		GangFraction:      n.GangFraction,
-		GangSize:          n.GangSize,
-		Backfill:          n.Backfill,
-		DeschedulePeriod:  n.DeschedulePeriod.Std(),
-		Arrival:           ArrivalProcess(n.ArrivalProcess),
-		DiurnalPeriod:     n.DiurnalPeriod.Std(),
-		DiurnalAmplitude:  n.DiurnalAmplitude,
-		FlashAt:           n.FlashAt.Std(),
-		FlashDuration:     n.FlashDuration.Std(),
-		FlashFactor:       n.FlashFactor,
-		PlaceCheck:        n.PlaceCheck,
-		Events:            opts.Events,
-		Telemetry:         opts.Telemetry,
-		Spans:             compileSpans(opts, n.Trace, n.TraceLimit),
-	}
-	for _, rec := range n.ArrivalTrace {
-		cfg.ArrivalTrace = append(cfg.ArrivalTrace, ClusterArrival{
-			At:       rec.At.Std(),
-			MemoryMB: rec.MemoryMB,
-			VCPUs:    rec.VCPUs,
-			Priority: rec.Priority,
-			Group:    rec.Group,
-			Lifetime: rec.Lifetime.Std(),
-			Profiles: rec.Profiles,
-		})
-	}
-	return cfg, nil
 }

@@ -161,149 +161,51 @@ func TestScenarioRoundTripWorkloads(t *testing.T) {
 	}
 }
 
-// TestClusterRoundTripPolicies pins byte-identical spec-vs-direct cluster
-// runs for every placement policy, with the spec path exercised at worker
-// counts 1, 4, and 8 against one direct baseline.
+// TestClusterRoundTripPolicies runs each placement policy's spec through
+// the JSON round trip at worker counts 1, 4 and 8; every run must match
+// the golden report, event stream and spans.
 func TestClusterRoundTripPolicies(t *testing.T) {
 	for _, policy := range spec.Policies() {
-		policy := policy
 		t.Run(policy, func(t *testing.T) {
-			base := spec.ClusterV1{
-				Hosts:   2,
-				Policy:  policy,
-				Seed:    9,
-				Horizon: spec.Duration(45 * time.Second),
-			}
-			n := base.Normalize()
-			direct, err := vprobe.RunCluster(context.Background(), vprobe.ClusterConfig{
-				Hosts:             n.Hosts,
-				Topology:          vprobe.Topology(n.Topology),
-				Scheduler:         vprobe.Scheduler(n.Scheduler),
-				Policy:            vprobe.Policy(n.Policy),
-				Seed:              n.Seed,
-				ArrivalsPerSecond: n.ArrivalsPerSecond,
-				MeanLifetime:      n.MeanLifetime.Std(),
-				Horizon:           n.Horizon.Std(),
-				Mix:               n.Mix,
-				RebalancePeriod:   n.RebalancePeriod.Std(),
-				Workers:           1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			for _, workers := range []int{1, 4, 8} {
-				s := base
+				s := policySpec(policy)
 				s.Workers = workers
-				data, err := json.Marshal(s)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var decoded spec.ClusterV1
-				if err := json.Unmarshal(data, &decoded); err != nil {
-					t.Fatal(err)
-				}
-				cfg, err := vprobe.CompileCluster(decoded, vprobe.CompileOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep, err := vprobe.RunCluster(context.Background(), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rep.String() != direct.String() {
-					t.Errorf("workers=%d diverges from direct baseline:\n--- spec ---\n%s--- direct ---\n%s",
-						workers, rep.String(), direct.String())
-				}
+				checkClusterGolden(t, "policy-"+policy, s)
 			}
 		})
 	}
 }
 
 // TestClusterRoundTripMixes covers the remaining cluster axis: each
-// workload mix compiles and matches its direct equivalent.
+// workload mix, round-tripped at worker counts 1, 4 and 8, matches its
+// golden.
 func TestClusterRoundTripMixes(t *testing.T) {
 	for _, mix := range spec.Mixes() {
-		mix := mix
 		t.Run(mix, func(t *testing.T) {
-			s := spec.ClusterV1{Hosts: 2, Mix: mix, Seed: 3,
-				Horizon: spec.Duration(30 * time.Second)}
-			cfg, err := vprobe.CompileCluster(s, vprobe.CompileOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			specRep, err := vprobe.RunCluster(context.Background(), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := s.Normalize()
-			directRep, err := vprobe.RunCluster(context.Background(), vprobe.ClusterConfig{
-				Hosts: n.Hosts, Topology: vprobe.Topology(n.Topology),
-				Scheduler: vprobe.Scheduler(n.Scheduler), Policy: vprobe.Policy(n.Policy),
-				Seed: n.Seed, ArrivalsPerSecond: n.ArrivalsPerSecond,
-				MeanLifetime: n.MeanLifetime.Std(), Horizon: n.Horizon.Std(),
-				Mix: n.Mix, RebalancePeriod: n.RebalancePeriod.Std(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if specRep.String() != directRep.String() {
-				t.Errorf("mix %q diverges:\n--- spec ---\n%s--- direct ---\n%s",
-					mix, specRep.String(), directRep.String())
+			for _, workers := range []int{1, 4, 8} {
+				s := mixSpec(mix)
+				s.Workers = workers
+				checkClusterGolden(t, "mix-"+mix, s)
 			}
 		})
 	}
 }
 
 // TestClusterRoundTripControlPlane pins the control-plane fields through
-// the spec path: a spec with every mechanism on runs byte-identical to the
-// hand-built ClusterConfig, and the new report fields come through.
+// the spec path: a spec with every mechanism on matches its golden at
+// worker counts 1, 4 and 8, and the report's control-plane fields come
+// through.
 func TestClusterRoundTripControlPlane(t *testing.T) {
-	s := spec.ClusterV1{
-		Hosts:             2,
-		Seed:              5,
-		ArrivalsPerSecond: 0.8,
-		MeanLifetime:      spec.Duration(150 * time.Second),
-		Horizon:           spec.Duration(90 * time.Second),
-		Preempt:           true,
-		Gang:              true,
-		GangFraction:      0.2,
-		Backfill:          true,
-		DeschedulePeriod:  spec.Duration(15 * time.Second),
-	}
-	cfg, err := vprobe.CompileCluster(s, vprobe.CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	specRep, err := vprobe.RunCluster(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := s.Normalize()
-	directRep, err := vprobe.RunCluster(context.Background(), vprobe.ClusterConfig{
-		Hosts: n.Hosts, Topology: vprobe.Topology(n.Topology),
-		Scheduler: vprobe.Scheduler(n.Scheduler), Policy: vprobe.Policy(n.Policy),
-		Seed: n.Seed, ArrivalsPerSecond: n.ArrivalsPerSecond,
-		MeanLifetime: n.MeanLifetime.Std(), Horizon: n.Horizon.Std(),
-		Mix: n.Mix, RebalancePeriod: n.RebalancePeriod.Std(),
-		Preempt: n.Preempt, Gang: n.Gang, GangFraction: n.GangFraction,
-		GangSize: n.GangSize, Backfill: n.Backfill,
-		DeschedulePeriod: n.DeschedulePeriod.Std(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if specRep.String() != directRep.String() {
-		t.Errorf("control-plane spec diverges:\n--- spec ---\n%s--- direct ---\n%s",
-			specRep.String(), directRep.String())
-	}
-	if len(specRep.PerPriority) != 3 {
-		t.Fatalf("PerPriority has %d classes, want 3", len(specRep.PerPriority))
-	}
-	if specRep.Preemptions != directRep.Preemptions ||
-		specRep.GangsAdmitted != directRep.GangsAdmitted ||
-		specRep.Backfills != directRep.Backfills ||
-		specRep.DeschedMoves != directRep.DeschedMoves {
-		t.Error("control-plane counters diverge between spec and direct runs")
+	for _, workers := range []int{1, 4, 8} {
+		s := controlPlaneSpec()
+		s.Workers = workers
+		rep := checkClusterGolden(t, "controlplane", s).rep
+		if len(rep.PerPriority) != 3 {
+			t.Fatalf("PerPriority has %d classes, want 3", len(rep.PerPriority))
+		}
+		if rep.Preemptions == 0 || rep.GangsAdmitted == 0 || rep.Backfills == 0 {
+			t.Errorf("control-plane counters missing from the report: %+v", rep)
+		}
 	}
 }
 
@@ -319,7 +221,7 @@ func TestCompileValidationSentinels(t *testing.T) {
 		VMs: []spec.VMV1{vm}}, vprobe.CompileOptions{}); !errors.Is(err, vprobe.ErrInvalidSpec) {
 		t.Errorf("topology error = %v, want ErrInvalidSpec", err)
 	}
-	if _, err := vprobe.CompileCluster(spec.ClusterV1{Policy: "chaos"},
+	if _, err := vprobe.RunCluster(context.Background(), spec.ClusterV1{Policy: "chaos"},
 		vprobe.CompileOptions{}); !errors.Is(err, vprobe.ErrInvalidSpec) {
 		t.Errorf("policy error = %v, want ErrInvalidSpec", err)
 	}

@@ -17,12 +17,6 @@ var (
 	ErrNoFreeVCPU = errors.New("vprobe: no free VCPU")
 	// ErrAlreadyStarted: the operation is only valid before Run.
 	ErrAlreadyStarted = errors.New("vprobe: simulation already started")
-	// ErrUnknownPolicy: ClusterConfig.Policy names no registered placement
-	// policy.
-	ErrUnknownPolicy = errors.New("vprobe: unknown placement policy")
-	// ErrUnknownArrivalProcess: ClusterConfig.Arrival names no registered
-	// arrival generator.
-	ErrUnknownArrivalProcess = errors.New("vprobe: unknown arrival process")
 	// ErrTelemetryAttached: the Telemetry collector was already handed to
 	// another run; each collector records exactly one.
 	ErrTelemetryAttached = errors.New("vprobe: telemetry already attached to a run")
@@ -39,7 +33,7 @@ var (
 
 	// ErrSpecVersion and ErrInvalidSpec re-export the spec layer's
 	// sentinels (internal/spec), so API callers can match validation
-	// failures from CompileScenario / CompileCluster without reaching
+	// failures from CompileScenario / RunCluster without reaching
 	// into internal packages.
 	ErrSpecVersion = spec.ErrVersion
 	ErrInvalidSpec = spec.ErrInvalid

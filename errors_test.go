@@ -18,7 +18,6 @@ var publicSentinels = map[string]error{
 	"ErrUnknownScheduler":  vprobe.ErrUnknownScheduler,
 	"ErrNoFreeVCPU":        vprobe.ErrNoFreeVCPU,
 	"ErrAlreadyStarted":    vprobe.ErrAlreadyStarted,
-	"ErrUnknownPolicy":     vprobe.ErrUnknownPolicy,
 	"ErrTelemetryAttached": vprobe.ErrTelemetryAttached,
 	"ErrAlreadyRun":        vprobe.ErrAlreadyRun,
 	"ErrSpecVersion":       vprobe.ErrSpecVersion,

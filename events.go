@@ -29,7 +29,8 @@ const (
 	EventDomDestroy EventKind = EventKind(xen.EventDomDestroy)
 )
 
-// Cluster-scoped event kinds delivered to ClusterConfig.Events. These
+// Cluster-scoped event kinds delivered to a RunCluster run's
+// CompileOptions.Events. These
 // describe VM admission, placement, and inter-host migration rather than
 // single-host scheduling; their events carry Host and VM instead of
 // VCPU/Node.

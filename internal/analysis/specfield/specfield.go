@@ -6,9 +6,11 @@
 //
 //  1. carry a json tag — the wire name is chosen deliberately, never
 //     defaulted to the Go identifier;
-//  2. be consumed outside the spec package — the compile layer (or
-//     another consumer) must read it, otherwise the field is dead wire
-//     surface that deserializes into nothing;
+//  2. be consumed — read outside the spec package (the compile layer or
+//     another consumer), or inside a spec lowering: a spec function whose
+//     result is a type declared in another loaded package, such as
+//     ClusterV1.Config returning cluster.Config. Otherwise the field is
+//     dead wire surface that deserializes into nothing;
 //  3. participate in validation or defaulting — its json name appears in
 //     a spec-package string literal (the validation field-path messages),
 //     or the field is read in its declaring package's Validate or
@@ -50,10 +52,13 @@ func run(pass *framework.ModulePass) (any, error) {
 	literals := collectStrings(spec)
 
 	// Objects read inside spec's own Validate/Normalize declarations.
-	validated := usesInside(spec, map[string]bool{"Validate": true, "Normalize": true})
+	validated := usesInside(spec, func(fd *ast.FuncDecl) bool {
+		return fd.Name.Name == "Validate" || fd.Name.Name == "Normalize"
+	})
 
-	// Objects read by any other loaded package (the compile layer).
-	consumed := map[types.Object]bool{}
+	// Objects read by spec's lowerings or by any other loaded package (the
+	// compile layer).
+	consumed := usesInside(spec, lowering(pass, spec))
 	for _, pkg := range pass.Pkgs {
 		if pkg == spec {
 			continue
@@ -190,13 +195,13 @@ func isWordByte(b byte) bool {
 }
 
 // usesInside returns the objects referenced within the package's
-// top-level declarations whose names are in fns.
-func usesInside(pkg *framework.Package, fns map[string]bool) map[types.Object]bool {
+// top-level function declarations that match.
+func usesInside(pkg *framework.Package, match func(*ast.FuncDecl) bool) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !fns[fd.Name.Name] {
+			if !ok || fd.Body == nil || !match(fd) {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -210,6 +215,32 @@ func usesInside(pkg *framework.Package, fns map[string]bool) map[types.Object]bo
 		}
 	}
 	return out
+}
+
+// lowering matches the spec functions that lower wire values onto
+// runtime types: some result is a named type declared in another loaded
+// package.
+func lowering(pass *framework.ModulePass, spec *framework.Package) func(*ast.FuncDecl) bool {
+	others := map[string]bool{}
+	for _, pkg := range pass.Pkgs {
+		if pkg != spec {
+			others[pkg.Types.Path()] = true
+		}
+	}
+	return func(fd *ast.FuncDecl) bool {
+		fn, ok := spec.Info.Defs[fd.Name].(*types.Func)
+		if !ok {
+			return false
+		}
+		res := fn.Type().(*types.Signature).Results()
+		for i := 0; i < res.Len(); i++ {
+			if named, ok := res.At(i).Type().(*types.Named); ok &&
+				named.Obj().Pkg() != nil && others[named.Obj().Pkg().Path()] {
+				return true
+			}
+		}
+		return false
+	}
 }
 
 func isBool(obj types.Object) bool {

@@ -2,7 +2,11 @@
 // structs whose fields must be tagged, consumed, and validated.
 package spec
 
-import "errors"
+import (
+	"errors"
+
+	"runtimefix"
+)
 
 // ScenarioV1 is a versioned wire struct.
 type ScenarioV1 struct {
@@ -35,3 +39,27 @@ var _ = "orphan is reserved for the v2 schema"
 type scratch struct {
 	NoTagEither int
 }
+
+// ClusterV1 is consumed only inside the spec package, through its
+// lowering onto a runtime type.
+type ClusterV1 struct {
+	Hosts  int `json:"hosts"`
+	Shadow int `json:"shadow"` // want `spec field ClusterV1.Shadow \(json "shadow"\) is never read outside internal/spec`
+}
+
+// Validate checks the invariants.
+func (c ClusterV1) Validate() error {
+	if c.Hosts < 1 || c.Shadow < 0 {
+		return errors.New("hosts must be positive, shadow must not be negative")
+	}
+	return nil
+}
+
+// Config lowers the spec onto the runtime type: every field it reads is
+// consumed.
+func (c ClusterV1) Config() runtimefix.Config {
+	return runtimefix.Config{Hosts: c.Hosts}
+}
+
+// shadow reads Shadow but returns a plain int, so it lowers nothing.
+func (c ClusterV1) shadow() int { return c.Shadow }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -262,27 +263,12 @@ func (s *Server) handleRunExplain(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	var answer string
-	switch query {
-	case "", "why":
+	if query == "" {
 		query = "why"
-		answer, err = ix.ExplainWhy(vm)
-	case "why-not":
-		host := q.Get("host")
-		if host == "" {
-			writeError(w, fmt.Errorf("%w: q=why-not needs a host parameter", spec.ErrInvalid))
-			return
-		}
-		answer, err = ix.ExplainWhyNot(vm, host)
-	case "rejected":
-		answer, err = ix.ExplainRejected(vm)
-	case "preempted":
-		answer, err = ix.ExplainPreempted(vm)
-	case "timeline":
-		answer, err = ix.ExplainVM(vm)
-	default:
-		writeError(w, fmt.Errorf("%w: q %q (have why, why-not, rejected, preempted, timeline)",
-			spec.ErrInvalid, query))
+	}
+	answer, err := ix.Explain(query, vm, q.Get("host"))
+	if errors.Is(err, telemetry.ErrExplainQuery) {
+		writeError(w, fmt.Errorf("%w: q %q: %w", spec.ErrInvalid, query, err))
 		return
 	}
 	if err != nil {

@@ -268,18 +268,14 @@ func (s *Server) scenarioBody(sp spec.ScenarioV1) func(ctx context.Context, rn *
 func (s *Server) clusterBody(sp spec.ClusterV1) func(ctx context.Context, rn *Run) error {
 	return func(ctx context.Context, rn *Run) error {
 		tele := vprobe.NewTelemetry(vprobe.TelemetryOptions{Every: samplePeriod})
-		cfg, err := vprobe.CompileCluster(sp, vprobe.CompileOptions{
+		rep, err := vprobe.RunCluster(ctx, sp, vprobe.CompileOptions{
 			Events:    rn.eventSink(),
 			Telemetry: tele,
 		})
 		if err != nil {
 			return err
 		}
-		rep, err := vprobe.RunCluster(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		return rn.storeResult(rep.String(), clusterSummary(rep), tele, cfg.Spans)
+		return rn.storeResult(rep.String(), clusterSummary(rep), tele, rep.Tracing())
 	}
 }
 

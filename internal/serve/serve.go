@@ -1,6 +1,6 @@
 // Package serve is the simulation-as-a-service layer: a stdlib-only
 // net/http JSON daemon over the spec front door (internal/spec +
-// vprobe.CompileScenario / CompileCluster). It accepts serializable
+// vprobe.CompileScenario / RunCluster). It accepts serializable
 // scenario and cluster specs, runs them on a bounded worker pool with
 // per-request context cancellation and a server-enforced timeout, streams
 // progress events as JSONL while a run is in flight, exports each run's

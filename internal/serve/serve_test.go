@@ -199,7 +199,6 @@ func TestStatusTableAudit(t *testing.T) {
 		"ErrUnknownScheduler":  vprobe.ErrUnknownScheduler,
 		"ErrNoFreeVCPU":        vprobe.ErrNoFreeVCPU,
 		"ErrAlreadyStarted":    vprobe.ErrAlreadyStarted,
-		"ErrUnknownPolicy":     vprobe.ErrUnknownPolicy,
 		"ErrTelemetryAttached": vprobe.ErrTelemetryAttached,
 		"ErrAlreadyRun":        vprobe.ErrAlreadyRun,
 		"ErrSpecVersion":       vprobe.ErrSpecVersion,

@@ -25,7 +25,6 @@ var statusTable = []struct {
 	{vprobe.ErrInvalidSpec, http.StatusBadRequest},
 	{vprobe.ErrUnknownTopology, http.StatusBadRequest},
 	{vprobe.ErrUnknownScheduler, http.StatusBadRequest},
-	{vprobe.ErrUnknownPolicy, http.StatusBadRequest},
 	{vprobe.ErrNoFreeVCPU, http.StatusBadRequest},
 
 	// State conflicts: the request raced or repeated a one-shot operation.

@@ -3,11 +3,13 @@
 // (ScenarioV1) and a multi-host cluster run (ClusterV1) that survive a JSON
 // round trip byte-for-byte and carry no live state — no callbacks, no
 // channels, no attached collectors. They are the wire format of
-// vprobe-serve and the one audited front door through which the HTTP
-// layer, the CLIs, and programmatic callers construct simulations: the
-// root package's CompileScenario / CompileCluster lower a validated spec
-// onto the runtime vprobe.Config / vprobe.ClusterConfig, which keep the
-// live fields (Events, Telemetry, Trace).
+// vprobe-serve and of the root package's public API: CompileScenario
+// lowers a validated ScenarioV1 onto the runtime vprobe.Config, and
+// RunCluster lowers a validated ClusterV1 with ClusterV1.Config, the one
+// copy of spec fields into cluster.Config. Both add the live hooks
+// (Events, Telemetry, Spans) a spec cannot carry. The CLIs that need
+// knobs the wire format deliberately lacks (vprobe-cluster,
+// internal/experiments) build cluster.Config directly.
 //
 // Every spec type obeys three contracts:
 //
@@ -42,6 +44,7 @@ import (
 	"vprobe/internal/cluster"
 	"vprobe/internal/numa"
 	"vprobe/internal/sched"
+	"vprobe/internal/sim"
 	"vprobe/internal/workload"
 )
 
@@ -90,6 +93,9 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 
 // Std returns the standard-library value.
 func (d Duration) Std() time.Duration { return time.Duration(d) }
+
+// sim returns the value in simulated microseconds.
+func (d Duration) sim() sim.Duration { return sim.Duration(d.Std().Microseconds()) }
 
 // AppV1 describes one application instance on a VM's next free VCPU.
 // Exactly one of Name (a catalog workload: "soplex", "lu", "hungry", ...)
@@ -148,7 +154,7 @@ type ScenarioV1 struct {
 }
 
 // ClusterV1 is the serializable form of a multi-host cluster run: the
-// plain-data subset of vprobe.ClusterConfig.
+// plain-data subset of cluster.Config that Config lowers it onto.
 type ClusterV1 struct {
 	// Version is the schema version; empty means VersionV1.
 	//vet:spec version dispatch happens inside spec (Normalize/Validate); the compile layer only ever sees validated v1 values
@@ -262,6 +268,50 @@ func (a ArrivalV1) internal() cluster.TraceArrival {
 		LifeUS:   a.Lifetime.Std().Microseconds(),
 		Profiles: a.Profiles,
 	}
+}
+
+// Config lowers the spec onto the runtime cluster configuration. It is
+// the one place a ClusterV1 field becomes a cluster.Config field. The
+// spec is normalized first, so the seed and every other default are
+// concrete; callers run Validate before running the result, and attach
+// the live hooks (Events, Telemetry, Spans) themselves.
+func (c ClusterV1) Config() cluster.Config {
+	n := c.Normalize()
+	cfg := cluster.Config{
+		Hosts:             n.Hosts,
+		Topology:          n.Topology,
+		Scheduler:         sched.Kind(n.Scheduler),
+		Policy:            n.Policy,
+		Seed:              n.Seed,
+		ArrivalsPerSecond: n.ArrivalsPerSecond,
+		MeanLifetime:      n.MeanLifetime.sim(),
+		Horizon:           n.Horizon.sim(),
+		Workers:           n.Workers,
+		Mix:               n.Mix,
+		RebalancePeriod:   n.RebalancePeriod.sim(),
+		Preempt:           n.Preempt,
+		Gang:              n.Gang,
+		GangFraction:      n.GangFraction,
+		GangSize:          n.GangSize,
+		Backfill:          n.Backfill,
+		DeschedulePeriod:  n.DeschedulePeriod.sim(),
+		PlaceCheck:        n.PlaceCheck,
+		Arrival: cluster.ArrivalConfig{
+			Process:          n.ArrivalProcess,
+			DiurnalPeriod:    n.DiurnalPeriod.sim(),
+			DiurnalAmplitude: n.DiurnalAmplitude,
+			FlashAt:          n.FlashAt.sim(),
+			FlashDuration:    n.FlashDuration.sim(),
+			FlashFactor:      n.FlashFactor,
+		},
+	}
+	if n.RebalancePeriod < 0 {
+		cfg.RebalancePeriod = -1 // the cluster's disabled value
+	}
+	for _, rec := range n.ArrivalTrace {
+		cfg.Arrival.Trace = append(cfg.Arrival.Trace, rec.internal())
+	}
+	return cfg
 }
 
 // ArrivalProcesses lists the arrival generators a ClusterV1 accepts,

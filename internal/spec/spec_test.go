@@ -3,10 +3,13 @@ package spec_test
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"vprobe/internal/cluster"
+	"vprobe/internal/sim"
 	"vprobe/internal/spec"
 )
 
@@ -369,5 +372,55 @@ func TestClusterKeyArrivalFields(t *testing.T) {
 			}
 		}
 		seen[name] = k
+	}
+}
+
+// TestClusterConfigLowering pins ClusterV1.Config field by field: the
+// defaults come from Normalize (the seed included, since span IDs derive
+// from it), durations become simulated microseconds, a negative
+// rebalance_period becomes the cluster's disabled value, and the arrival
+// trace is lowered record by record.
+func TestClusterConfigLowering(t *testing.T) {
+	d := spec.ClusterV1{}.Config()
+	if d.Hosts != 4 || d.Topology != "xeon-e5620" || d.Scheduler != "credit" ||
+		d.Policy != "numa" || d.Seed != 1 || d.Mix != "mixed" ||
+		d.Arrival.Process != "poisson" || d.RebalancePeriod != 10*sim.Second ||
+		d.Horizon != 300*sim.Second || d.MeanLifetime != 60*sim.Second {
+		t.Errorf("default spec lowers to %+v", d)
+	}
+
+	s := spec.ClusterV1{
+		Hosts: 3, Topology: "four-node", Scheduler: "vprobe", Policy: "pack", Seed: 9,
+		ArrivalsPerSecond: 0.5, MeanLifetime: spec.Duration(90 * time.Second),
+		Horizon: spec.Duration(45 * time.Second), Workers: 2, Mix: "batch",
+		RebalancePeriod: spec.Duration(-3 * time.Second),
+		Preempt:         true, Gang: true, GangFraction: 0.25, Backfill: true,
+		DeschedulePeriod: spec.Duration(7 * time.Second), PlaceCheck: true,
+		ArrivalProcess: "trace",
+		ArrivalTrace: []spec.ArrivalV1{{At: spec.Duration(1500 * time.Millisecond),
+			MemoryMB: 2048, VCPUs: 2, Priority: 2, Group: "g", Lifetime: spec.Duration(time.Minute),
+			Profiles: []string{"mcf"}}},
+	}
+	c := s.Config()
+	if c.Hosts != 3 || c.Topology != "four-node" || c.Scheduler != "vprobe" || c.Policy != "pack" ||
+		c.Seed != 9 || c.ArrivalsPerSecond != 0.5 || c.MeanLifetime != 90*sim.Second ||
+		c.Horizon != 45*sim.Second || c.Workers != 2 || c.Mix != "batch" ||
+		!c.Preempt || !c.Gang || c.GangFraction != 0.25 || c.GangSize != 3 || !c.Backfill ||
+		c.DeschedulePeriod != 7*sim.Second || !c.PlaceCheck || c.Arrival.Process != "trace" {
+		t.Errorf("spec lowers to %+v", c)
+	}
+	if c.RebalancePeriod != -1 {
+		t.Errorf("negative rebalance_period lowers to %v, want -1", c.RebalancePeriod)
+	}
+	want := cluster.TraceArrival{AtUS: 1_500_000, MemoryMB: 2048, VCPUs: 2, Priority: 2,
+		Group: "g", LifeUS: 60_000_000, Profiles: []string{"mcf"}}
+	if len(c.Arrival.Trace) != 1 || fmt.Sprint(c.Arrival.Trace[0]) != fmt.Sprint(want) {
+		t.Errorf("arrival trace lowers to %+v, want [%+v]", c.Arrival.Trace, want)
+	}
+
+	f := spec.ClusterV1{ArrivalProcess: "flash", Horizon: spec.Duration(30 * time.Second)}.Config()
+	if f.Arrival.FlashAt != 10*sim.Second || f.Arrival.FlashDuration != 3*sim.Second ||
+		f.Arrival.FlashFactor != 8 {
+		t.Errorf("flash defaults lower to %+v", f.Arrival)
 	}
 }

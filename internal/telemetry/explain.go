@@ -8,9 +8,22 @@
 package telemetry
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
+)
+
+// ExplainQueries names the per-VM queries Explain answers, in usage order.
+const ExplainQueries = "why, why-not, rejected, preempted, timeline"
+
+var (
+	// ErrExplainQuery: Explain was asked a query it does not answer, or a
+	// why-not query without a host.
+	ErrExplainQuery = errors.New("explain: bad query")
+
+	errUnknownQuery = fmt.Errorf("%w: have "+ExplainQueries, ErrExplainQuery)
+	errNoHost       = fmt.Errorf("%w: why-not needs a host", ErrExplainQuery)
 )
 
 // SpanIndex is a queryable view over a recorded span slice.
@@ -260,6 +273,30 @@ func (ix *SpanIndex) ExplainPreempted(vm string) (string, error) {
 		b.WriteByte('\n')
 	}
 	return b.String(), nil
+}
+
+// Explain answers one per-VM provenance query: "why" (ExplainWhy),
+// "why-not" (ExplainWhyNot; needs host), "rejected", "preempted" or
+// "timeline" (ExplainVM). A bad query wraps ErrExplainQuery; a VM the
+// spans hold no answer for is a plain error.
+func (ix *SpanIndex) Explain(query, vm, host string) (string, error) {
+	switch query {
+	case "why":
+		return ix.ExplainWhy(vm)
+	case "why-not":
+		if host == "" {
+			return "", errNoHost
+		}
+		return ix.ExplainWhyNot(vm, host)
+	case "rejected":
+		return ix.ExplainRejected(vm)
+	case "preempted":
+		return ix.ExplainPreempted(vm)
+	case "timeline":
+		return ix.ExplainVM(vm)
+	default:
+		return "", errUnknownQuery
+	}
 }
 
 // Summary renders a one-screen overview of the span file: span counts by

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -289,6 +290,42 @@ func TestSpanIndexExplain(t *testing.T) {
 	}
 	if _, err := ix.ExplainPreempted("ghost"); err == nil {
 		t.Fatal("ExplainPreempted of unknown VM should error")
+	}
+}
+
+// TestSpanIndexExplainDispatch pins Explain against the per-query
+// methods it dispatches to, and its error classes.
+func TestSpanIndexExplainDispatch(t *testing.T) {
+	tr := NewTracer(7, 0)
+	recordDecision(tr)
+	ix := NewSpanIndex(tr.Spans())
+	direct := map[string]func() (string, error){
+		"why":       func() (string, error) { return ix.ExplainWhy("vm1") },
+		"why-not":   func() (string, error) { return ix.ExplainWhyNot("vm1", "host2") },
+		"rejected":  func() (string, error) { return ix.ExplainRejected("vm1") },
+		"preempted": func() (string, error) { return ix.ExplainPreempted("vm1") },
+		"timeline":  func() (string, error) { return ix.ExplainVM("vm1") },
+	}
+	queries := strings.Split(ExplainQueries, ", ")
+	for _, q := range queries {
+		want, err := direct[q]()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ix.Explain(q, "vm1", "host2"); err != nil || got != want {
+			t.Errorf("Explain(%s) = %q, %v; want %q", q, got, err, want)
+		}
+	}
+	if len(queries) != len(direct) {
+		t.Errorf("ExplainQueries = %q, want the %d queries above", ExplainQueries, len(direct))
+	}
+	for _, bad := range [][2]string{{"frob", "host2"}, {"why-not", ""}} {
+		if _, err := ix.Explain(bad[0], "vm1", bad[1]); !errors.Is(err, ErrExplainQuery) {
+			t.Errorf("Explain(%q, host %q) err = %v, want ErrExplainQuery", bad[0], bad[1], err)
+		}
+	}
+	if _, err := ix.Explain("why", "ghost", ""); err == nil || errors.Is(err, ErrExplainQuery) {
+		t.Errorf("Explain(why, ghost) err = %v, want a not-found error", err)
 	}
 }
 

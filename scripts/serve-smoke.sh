@@ -7,7 +7,11 @@
 #      full response — report included — is byte-identical;
 #   3. the run's event stream and telemetry re-download byte-identically;
 #   4. the run's /metrics and the server's own /metrics parse as
-#      Prometheus text exposition (via vprobe-metrics check).
+#      Prometheus text exposition (via vprobe-metrics check);
+#   5. the two cluster front doors agree: a traced cluster spec POSTed to
+#      /v1/clusters reports and records spans byte-identically to
+#      vprobe-cluster with the same settings, and its explain endpoint
+#      answers for the first recorded VM.
 #
 # Used by `make smoke-serve` and the CI "Serve API smoke" step.
 set -eu
@@ -58,4 +62,20 @@ go run ./cmd/vprobe-metrics check "$TMP/run.prom"
 curl -sf "http://$ADDR/metrics" >"$TMP/serve.prom"
 go run ./cmd/vprobe-metrics check "$TMP/serve.prom"
 
-echo "serve-smoke: OK (run $ID cached and byte-identical)"
+go build -o "$TMP/vprobe-cluster" ./cmd/vprobe-cluster
+"$TMP/vprobe-cluster" -hosts 2 -horizon 30s -seed 1 -spans "$TMP/cli-spans.jsonl" \
+    >"$TMP/cli-report.txt" 2>/dev/null
+curl -sf -d '{"hosts":2,"horizon":"30s","trace":true}' "http://$ADDR/v1/clusters" >"$TMP/cluster.json"
+CID=$(jq -r .id "$TMP/cluster.json")
+# -j: the report text exactly, without the newline -r appends.
+jq -j .report "$TMP/cluster.json" >"$TMP/served-report.txt"
+cmp "$TMP/cli-report.txt" "$TMP/served-report.txt" || {
+    echo "serve-smoke: served cluster report differs from vprobe-cluster's" >&2; exit 1; }
+curl -sf "http://$ADDR/v1/runs/$CID/spans" >"$TMP/served-spans.jsonl"
+cmp "$TMP/cli-spans.jsonl" "$TMP/served-spans.jsonl" || {
+    echo "serve-smoke: served cluster spans differ from vprobe-cluster -spans" >&2; exit 1; }
+VM=$(curl -sf "http://$ADDR/v1/runs/$CID/explain" | jq -r '.vms[0]')
+CODE=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/v1/runs/$CID/explain?vm=$VM")
+[ "$CODE" = "200" ] || { echo "serve-smoke: explain?vm=$VM answered $CODE" >&2; exit 1; }
+
+echo "serve-smoke: OK (run $ID cached and byte-identical; cluster $CID matches vprobe-cluster)"

@@ -16,7 +16,7 @@ type TelemetryOptions struct {
 }
 
 // Telemetry collects metric time series from one run. Create it with
-// NewTelemetry, hand it to exactly one Config or ClusterConfig, and after
+// NewTelemetry, hand it to exactly one Config or CompileOptions, and after
 // the run export the final state with WritePrometheus and the per-sample
 // series with WriteJSONL.
 //

@@ -110,9 +110,9 @@ func TestTelemetryAttachOnce(t *testing.T) {
 	if _, err := vprobe.NewSimulator(vprobe.Config{Telemetry: tele}); !errors.Is(err, vprobe.ErrTelemetryAttached) {
 		t.Fatalf("reusing a collector: err = %v, want ErrTelemetryAttached", err)
 	}
-	if _, err := vprobe.RunCluster(context.Background(), vprobe.ClusterConfig{
-		Horizon: time.Second, Telemetry: tele,
-	}); !errors.Is(err, vprobe.ErrTelemetryAttached) {
+	if _, err := vprobe.RunCluster(context.Background(), vprobe.ClusterSpec{
+		Horizon: vprobe.SpecDuration(time.Second),
+	}, vprobe.CompileOptions{Telemetry: tele}); !errors.Is(err, vprobe.ErrTelemetryAttached) {
 		t.Fatalf("reusing a collector for a cluster: err = %v, want ErrTelemetryAttached", err)
 	}
 }

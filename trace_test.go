@@ -78,9 +78,9 @@ func TestTracingAttachOnce(t *testing.T) {
 	if _, err := vprobe.NewSimulator(vprobe.Config{Spans: tracing}); !errors.Is(err, vprobe.ErrTracingAttached) {
 		t.Fatalf("reusing a recorder: err = %v, want ErrTracingAttached", err)
 	}
-	if _, err := vprobe.RunCluster(context.Background(), vprobe.ClusterConfig{
-		Horizon: time.Second, Spans: tracing,
-	}); !errors.Is(err, vprobe.ErrTracingAttached) {
+	if _, err := vprobe.RunCluster(context.Background(), vprobe.ClusterSpec{
+		Horizon: vprobe.SpecDuration(time.Second),
+	}, vprobe.CompileOptions{Spans: tracing}); !errors.Is(err, vprobe.ErrTracingAttached) {
 		t.Fatalf("reusing a recorder for a cluster: err = %v, want ErrTracingAttached", err)
 	}
 }
@@ -125,22 +125,26 @@ func TestTracingReportIdentical(t *testing.T) {
 	}
 }
 
-// TestClusterTracing runs a traced public cluster and checks the span
-// file answers a provenance query end to end.
+// TestClusterTracing runs a public cluster whose spec sets trace and
+// checks the recorder RunCluster created answers a provenance query end
+// to end.
 func TestClusterTracing(t *testing.T) {
-	tracing := vprobe.NewTracing(vprobe.TracingOptions{})
-	rep, err := vprobe.RunCluster(context.Background(), vprobe.ClusterConfig{
+	rep, err := vprobe.RunCluster(context.Background(), vprobe.ClusterSpec{
 		Hosts:   2,
 		Seed:    9,
-		Horizon: 60 * time.Second,
+		Horizon: vprobe.SpecDuration(60 * time.Second),
 		Workers: 4,
-		Spans:   tracing,
-	})
+		Trace:   true,
+	}, vprobe.CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Placed == 0 {
 		t.Fatal("nothing placed")
+	}
+	tracing := rep.Tracing()
+	if tracing == nil {
+		t.Fatal("traced spec returned no recorder")
 	}
 	if tracing.Spans() == 0 {
 		t.Fatal("traced cluster recorded no spans")
