@@ -22,7 +22,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // non-Poisson arrival process (flash also disables the rebalancer).
 func clusterGoldenSpecs() map[string]spec.ClusterV1 {
 	specs := map[string]spec.ClusterV1{
-		"controlplane": controlPlaneSpec(),
+		"controlplane": controlPlaneCluster(),
 		"diurnal": {Hosts: 2, Seed: 5, ArrivalsPerSecond: 0.6,
 			Horizon: spec.Duration(60 * time.Second), ArrivalProcess: "diurnal"},
 		"flash": {Hosts: 2, Seed: 5, Horizon: spec.Duration(60 * time.Second),
@@ -31,7 +31,7 @@ func clusterGoldenSpecs() map[string]spec.ClusterV1 {
 		"replay": replaySpec(),
 	}
 	for _, p := range spec.Policies() {
-		specs["policy-"+p] = policySpec(p)
+		specs["policy-"+p] = policyCluster(p)
 	}
 	for _, m := range spec.Mixes() {
 		specs["mix-"+m] = mixSpec(m)
@@ -39,8 +39,8 @@ func clusterGoldenSpecs() map[string]spec.ClusterV1 {
 	return specs
 }
 
-// policySpec is TestClusterRoundTripPolicies' spec for one policy.
-func policySpec(policy string) spec.ClusterV1 {
+// policyCluster is TestClusterRoundTripPolicies' spec for one policy.
+func policyCluster(policy string) spec.ClusterV1 {
 	return spec.ClusterV1{Hosts: 2, Policy: policy, Seed: 9,
 		Horizon: spec.Duration(45 * time.Second)}
 }
@@ -51,9 +51,9 @@ func mixSpec(mix string) spec.ClusterV1 {
 		Horizon: spec.Duration(30 * time.Second)}
 }
 
-// controlPlaneSpec arms every control-plane mechanism on an overloaded
+// controlPlaneCluster arms every control-plane mechanism on an overloaded
 // two-host cluster.
-func controlPlaneSpec() spec.ClusterV1 {
+func controlPlaneCluster() spec.ClusterV1 {
 	return spec.ClusterV1{
 		Hosts:             2,
 		Seed:              5,

@@ -9,7 +9,8 @@
 //
 // -w is the measured VM's workload spec, -i the interfering VM's (see
 // internal/workload.ParseSpec for the syntax). A third VM always runs
-// eight hungry loops, as in the paper's standard setup.
+// eight hungry loops, as in the paper's standard setup. -topo names the
+// machine preset (xeon-e5620, four-node, uma).
 //
 // The (scheduler, seed) grid runs in parallel across -workers OS threads;
 // the table is identical at every worker count. SIGINT/SIGTERM cancels.
@@ -23,14 +24,15 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 
 	"vprobe/internal/experiments"
 	"vprobe/internal/metrics"
-	"vprobe/internal/numa"
 	"vprobe/internal/sched"
 	"vprobe/internal/sim"
+	"vprobe/internal/spec"
 	"vprobe/internal/workload"
 )
 
@@ -54,7 +56,7 @@ func run(args []string, stdout io.Writer) error {
 	seeds := fs.Int("seeds", 3, "seeds to average over")
 	scale := fs.Float64("scale", 0.5, "workload scale factor")
 	horizon := fs.Float64("horizon", 1200, "virtual-time cap in seconds")
-	topoName := fs.String("topo", "xeon-e5620", "topology preset name or JSON file path")
+	topoName := fs.String("topo", "xeon-e5620", "topology preset name ("+strings.Join(spec.Topologies(), ", ")+")")
 	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -63,15 +65,14 @@ func run(args []string, stdout io.Writer) error {
 	if *seeds < 1 {
 		return fmt.Errorf("-seeds %d: need at least 1", *seeds)
 	}
-	top, err := numa.Resolve(*topoName)
+	if !slices.Contains(spec.Topologies(), *topoName) {
+		return fmt.Errorf("-topo %q: not a topology preset (have %s)", *topoName, strings.Join(spec.Topologies(), ", "))
+	}
+	apps1, err := parseApps(*wSpec)
 	if err != nil {
 		return err
 	}
-	apps1, err := workload.ParseSpec(*wSpec)
-	if err != nil {
-		return err
-	}
-	apps2, err := workload.ParseSpec(*iSpec)
+	apps2, err := parseApps(*iSpec)
 	if err != nil {
 		return err
 	}
@@ -92,7 +93,7 @@ func run(args []string, stdout io.Writer) error {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	byKind, err := experiments.RunSchedulers(ctx, top, "", apps1, apps2, experiments.Options{
+	byKind, err := experiments.RunSchedulers(ctx, *topoName, "", apps1, apps2, experiments.Options{
 		Seed:       1,
 		Scale:      *scale,
 		Horizon:    sim.DurationFromSeconds(*horizon),
@@ -126,6 +127,22 @@ func run(args []string, stdout io.Writer) error {
 	}
 	_, err = io.WriteString(stdout, t.String())
 	return err
+}
+
+// parseApps parses a workload spec into the apps of one VM.
+func parseApps(s string) ([]spec.AppV1, error) {
+	refs, err := workload.ParseSpec(s)
+	if err != nil {
+		return nil, err
+	}
+	apps := make([]spec.AppV1, len(refs))
+	for i, r := range refs {
+		apps[i] = spec.AppV1{Name: r.Name}
+		if r.Load > 0 {
+			apps[i] = spec.AppV1{Server: r.Name, Load: r.Load}
+		}
+	}
+	return apps, nil
 }
 
 // movesPerApp is the mean node-move count over one run's apps.

@@ -63,6 +63,7 @@ func TestRejectsBadInput(t *testing.T) {
 		{"empty scheduler", []string{"-sched", "credit,,vprobe"}, "empty scheduler name"},
 		{"unknown scheduler", []string{"-sched", "credit,fifo"}, "brm credit lb vcpu-p vprobe"},
 		{"too many apps", []string{"-w", "soplex:9"}, "at most 8 apps"},
+		{"topology file", []string{"-topo", "testdata/machine.json"}, "four-node, uma, xeon-e5620"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var out bytes.Buffer

@@ -4,6 +4,7 @@
 // Usage:
 //
 //	vprobe-sim [-scale f] [-seed n] [-workers n] [-timeout d] [-list] [experiment ...]
+//	vprobe-sim [-scale f] [-seed n] -spec experiment/cell [-metrics f] [-spans f] [-chrome f]
 //
 // Without arguments it runs every registered experiment. Experiment ids
 // match the paper's artifacts: table1, fig1, fig3, fig4, fig5, fig6, fig7,
@@ -16,16 +17,22 @@
 // and with -out they are also exported as events.jsonl next to the CSV/JSON
 // result files.
 //
-// With -metrics FILE the command instead runs one instrumented standard
-// scenario (a measured VM under the vprobe scheduler beside a cache-hungry
-// burner VM) and exports telemetry: the final state of every series as
-// Prometheus text exposition to FILE, and the per-period time series as
-// JSON Lines next to it (FILE with a .jsonl suffix). -metrics-every sets
-// the virtual-time sampling period.
+// -spec names one simulation of one experiment, as "<experiment>/<cell>"
+// (e.g. fig5/lu/lb/seed0; an unknown cell lists the experiment's cells),
+// and prints its normalized spec at -scale and -seed: a ScenarioV1 or
+// ClusterV1 document that vprobe-serve accepts as is. With -metrics,
+// -spans or -chrome the command runs that cell instead, through
+// vprobe.CompileScenario or vprobe.RunCluster, prints its report and
+// exports the run: -metrics FILE writes the final state of every series as
+// Prometheus text exposition to FILE and the per-period time series as
+// JSON Lines next to it (FILE with a .jsonl suffix; -metrics-every sets
+// the virtual-time sampling period), -spans FILE the span flight recorder
+// as JSONL and -chrome FILE as Chrome trace-event JSON.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -38,6 +45,7 @@ import (
 	"vprobe"
 	"vprobe/internal/experiments"
 	"vprobe/internal/harness"
+	"vprobe/internal/spec"
 )
 
 func main() {
@@ -51,10 +59,11 @@ func main() {
 	out := flag.String("out", "", "directory for CSV/JSON result and JSONL event exports")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
-	metrics := flag.String("metrics", "", "run the instrumented standard scenario and write Prometheus metrics to this file (plus a .jsonl time series next to it)")
+	cellPath := flag.String("spec", "", "print the normalized spec of one cell, `experiment/cell` (e.g. fig5/lu/lb/seed0)")
+	metrics := flag.String("metrics", "", "run the -spec cell and write Prometheus metrics to this file (plus a .jsonl time series next to it)")
 	metricsEvery := flag.Duration("metrics-every", time.Second, "virtual-time sampling period for -metrics")
-	spansOut := flag.String("spans", "", "run the standard scenario and write its span flight recorder as JSONL to this file")
-	chromeOut := flag.String("chrome", "", "run the standard scenario and write its spans as Chrome trace-event JSON to this file")
+	spansOut := flag.String("spans", "", "run the -spec cell and write its span flight recorder as JSONL to this file")
+	chromeOut := flag.String("chrome", "", "run the -spec cell and write its spans as Chrome trace-event JSON to this file")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [flags] [experiment ...]\n\nexperiments:\n", os.Args[0])
 		for _, e := range experiments.All() {
@@ -75,12 +84,21 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *metrics != "" || *spansOut != "" || *chromeOut != "" {
-		if flag.NArg() > 0 {
-			fmt.Fprintf(os.Stderr, "-metrics/-spans/-chrome run the standard scenario; unexpected experiments: %v\n", flag.Args())
+	run := *metrics != "" || *spansOut != "" || *chromeOut != ""
+	if *cellPath != "" || run {
+		if *cellPath == "" || flag.NArg() > 0 {
+			fmt.Fprintln(os.Stderr, "-metrics/-spans/-chrome run one cell: name it with -spec experiment/cell, without experiment arguments")
 			os.Exit(2)
 		}
-		if err := runStandard(ctx, *metrics, *metricsEvery, *seed, *spansOut, *chromeOut); err != nil {
+		c, err := experiments.FindCell(*cellPath, experiments.Options{Seed: *seed, Scale: *scale})
+		if err == nil {
+			if run {
+				err = runCell(ctx, c.Spec, *metrics, *metricsEvery, *spansOut, *chromeOut)
+			} else {
+				err = printSpec(c.Spec)
+			}
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -166,65 +184,60 @@ func main() {
 	}
 }
 
-// runStandard runs the instrumented standard scenario for 30 virtual
-// seconds: a measured VM (striped memory, four soplex instances, guest
-// housekeeping on the rest) under the vprobe scheduler, beside a burner VM
-// of endless cache-hungry apps that keeps every PCPU contended to the
-// horizon. With promPath the final series go there and the per-period time
+// printSpec prints a cell's spec in normalized form.
+func printSpec(cell any) error {
+	switch s := cell.(type) {
+	case spec.ScenarioV1:
+		cell = s.Normalize()
+	case spec.ClusterV1:
+		cell = s.Normalize()
+	}
+	out, err := json.MarshalIndent(cell, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Printf("%s\n", out)
+	return err
+}
+
+// runCell runs a cell's spec through the public API and prints its
+// report. With promPath the final series go there and the per-period time
 // series next to it as JSON Lines; with spansPath/chromePath the span
 // flight recorder is exported as JSONL / Chrome trace-event JSON.
-func runStandard(ctx context.Context, promPath string, every time.Duration, seed uint64, spansPath, chromePath string) error {
-	var tele *vprobe.Telemetry
+func runCell(ctx context.Context, cell any, promPath string, every time.Duration, spansPath, chromePath string) error {
+	var opts vprobe.CompileOptions
 	if promPath != "" {
-		tele = vprobe.NewTelemetry(vprobe.TelemetryOptions{Every: every})
+		opts.Telemetry = vprobe.NewTelemetry(vprobe.TelemetryOptions{Every: every})
 	}
-	var tracing *vprobe.Tracing
 	if spansPath != "" || chromePath != "" {
-		tracing = vprobe.NewTracing(vprobe.TracingOptions{})
+		opts.Spans = vprobe.NewTracing(vprobe.TracingOptions{})
 	}
-	s, err := vprobe.NewSimulator(vprobe.Config{
-		Scheduler: vprobe.SchedulerVProbe,
-		Seed:      seed,
-		Telemetry: tele,
-		Spans:     tracing,
-	})
-	if err != nil {
-		return err
-	}
-	vm, err := s.AddVM(vprobe.VMConfig{
-		Name: "measured", MemoryMB: 8 * 1024, VCPUs: 8,
-		Memory: vprobe.MemStripe, FillGuestIdle: true,
-	})
-	if err != nil {
-		return err
-	}
-	for i := 0; i < 4; i++ {
-		if err := vm.RunApp("soplex"); err != nil {
+	var report fmt.Stringer
+	switch s := cell.(type) {
+	case spec.ScenarioV1:
+		sim, horizon, err := vprobe.CompileScenario(s, opts)
+		if err != nil {
 			return err
 		}
-	}
-	burner, err := s.AddVM(vprobe.VMConfig{Name: "burner", MemoryMB: 1024, VCPUs: 8})
-	if err != nil {
-		return err
-	}
-	for i := 0; i < 8; i++ {
-		if err := burner.RunApp("hungry"); err != nil {
+		if report, err = sim.RunContext(ctx, horizon); err != nil {
 			return err
 		}
-	}
-	report, err := s.RunContext(ctx, 30*time.Second)
-	if err != nil {
-		return err
+	case spec.ClusterV1:
+		rep, err := vprobe.RunCluster(ctx, s, opts)
+		if err != nil {
+			return err
+		}
+		report = rep
 	}
 	fmt.Print(report)
-	if tele != nil {
+	if tele := opts.Telemetry; tele != nil {
 		if err := writeMetrics(tele, promPath); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "(%d samples -> %s, %s)\n",
 			tele.Samples(), promPath, jsonlPath(promPath))
 	}
-	if tracing != nil {
+	if tracing := opts.Spans; tracing != nil {
 		if err := writeSpanExports(tracing, spansPath, chromePath); err != nil {
 			return err
 		}

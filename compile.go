@@ -1,29 +1,27 @@
 package vprobe
 
 import (
-	"fmt"
 	"time"
 
 	"vprobe/internal/spec"
-	"vprobe/internal/workload"
 )
 
 // This file is the compile layer between the serializable spec types
 // (internal/spec: plain data, JSON-round-trippable, versioned) and a
-// running simulation. CompileScenario lowers a ScenarioSpec onto Config
-// and a ready Simulator; RunCluster (cluster.go) validates a ClusterSpec,
-// lowers it with ClusterSpec.Config and runs it. Both attach the live
-// hooks a spec cannot carry (Events, Telemetry, Spans) from
-// CompileOptions.
+// running simulation. CompileScenario validates a ScenarioSpec, lowers it
+// with ScenarioSpec.Hypervisor and wraps the result in an unstarted
+// Simulator; RunCluster (cluster.go) validates a ClusterSpec, lowers it
+// with ClusterSpec.Config and runs it. Both attach the live hooks a spec
+// cannot carry (Events, Telemetry, Spans) from CompileOptions.
 //
-// vprobe-serve and programmatic callers go through here. The CLIs do
-// not: vprobe-sim and vprobe-trace build Config by hand, and
-// vprobe-cluster, internal/experiments and the benchmark module build
-// cluster.Config directly, because they need knobs the wire spec
-// deliberately lacks (LLC and remote-ratio migration limits, topology
-// JSON files, an arrival sink). The compile tests pin scenario lowering
-// against hand-built Configs and cluster lowering against the goldens
-// under testdata/cluster.
+// vprobe-serve, vprobe-sim -spec and programmatic callers go through
+// here; internal/experiments lowers its paper cells with the same two
+// spec methods. vprobe-trace builds Config by hand, and vprobe-cluster and
+// the benchmark module build cluster.Config directly, because they need
+// knobs the wire spec deliberately lacks (the remote-ratio migration
+// limit, topology JSON files, an arrival sink). The compile tests pin
+// scenario lowering against hand-built Configs and cluster lowering
+// against the goldens under testdata/cluster.
 
 // Public aliases of the spec types, so modules outside this one can
 // build and compile specs without reaching into internal/spec (Go's
@@ -76,65 +74,27 @@ func compileSpans(opts CompileOptions, trace bool, limit int) *Tracing {
 	return nil
 }
 
-// CompileScenario lowers a ScenarioV1 onto a ready-to-run Simulator: it
-// validates the spec (failures wrap spec.ErrVersion or spec.ErrInvalid),
-// builds the Config, creates every VM, and attaches every app. The
-// returned horizon is the spec's, for handing to RunContext. The compiled
-// run is byte-identical to constructing the same Config by hand.
+// CompileScenario compiles a ScenarioV1 into a ready-to-run Simulator:
+// spec.ScenarioV1.Hypervisor validates and lowers it (failures wrap
+// spec.ErrVersion or spec.ErrInvalid), and the live hooks from opts are
+// attached. The returned Simulator is unstarted, so its
+// Hypervisor().Policy may still be replaced, and the returned horizon is
+// the spec's, for handing to RunContext. The run stops at the horizon or
+// once the spec's watched VMs complete.
 func CompileScenario(s spec.ScenarioV1, opts CompileOptions) (*Simulator, time.Duration, error) {
-	if err := s.Validate(); err != nil {
+	h, err := s.Hypervisor()
+	if err != nil {
 		return nil, 0, err
 	}
 	n := s.Normalize()
-	sim, err := NewSimulator(Config{
-		Scheduler:     Scheduler(n.Scheduler),
-		Topology:      Topology(n.Topology),
-		Seed:          n.Seed,
-		SamplePeriod:  n.SamplePeriod.Std(),
-		DynamicBounds: n.DynamicBounds,
-		PageMigration: n.PageMigration,
-		Events:        opts.Events,
-		Telemetry:     opts.Telemetry,
-		Spans:         compileSpans(opts, n.Trace, n.TraceLimit),
+	sim, err := newSimulator(h, Config{
+		Scheduler: Scheduler(n.Scheduler),
+		Events:    opts.Events,
+		Telemetry: opts.Telemetry,
+		Spans:     compileSpans(opts, n.Trace, n.TraceLimit),
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	for i, vmSpec := range n.VMs {
-		mp := MemFill
-		if vmSpec.Memory == "stripe" {
-			mp = MemStripe
-		}
-		vm, err := sim.AddVM(VMConfig{
-			Name:          vmSpec.Name,
-			MemoryMB:      vmSpec.MemoryMB,
-			VCPUs:         vmSpec.VCPUs,
-			Memory:        mp,
-			FillGuestIdle: vmSpec.FillGuestIdle,
-		})
-		if err != nil {
-			return nil, 0, fmt.Errorf("vprobe: compile vms[%d] %q: %w", i, vmSpec.Name, err)
-		}
-		for j, app := range vmSpec.Apps {
-			if err := vm.runSpecApp(app); err != nil {
-				return nil, 0, fmt.Errorf("vprobe: compile vms[%d].apps[%d]: %w", i, j, err)
-			}
-		}
-	}
 	return sim, n.Horizon.Std(), nil
-}
-
-// runSpecApp starts one AppV1 on the VM — the single lowering every app
-// reference shares.
-func (vm *VM) runSpecApp(app spec.AppV1) error {
-	switch {
-	case app.Name != "":
-		return vm.RunApp(app.Name)
-	case app.Server == "memcached":
-		return vm.RunProfile(workload.Memcached(app.Load))
-	case app.Server == "redis":
-		return vm.RunProfile(workload.Redis(app.Load))
-	default:
-		return fmt.Errorf("%w: app sets neither name nor server", spec.ErrInvalid)
-	}
 }

@@ -168,7 +168,7 @@ func TestClusterRoundTripPolicies(t *testing.T) {
 	for _, policy := range spec.Policies() {
 		t.Run(policy, func(t *testing.T) {
 			for _, workers := range []int{1, 4, 8} {
-				s := policySpec(policy)
+				s := policyCluster(policy)
 				s.Workers = workers
 				checkClusterGolden(t, "policy-"+policy, s)
 			}
@@ -197,7 +197,7 @@ func TestClusterRoundTripMixes(t *testing.T) {
 // through.
 func TestClusterRoundTripControlPlane(t *testing.T) {
 	for _, workers := range []int{1, 4, 8} {
-		s := controlPlaneSpec()
+		s := controlPlaneCluster()
 		s.Workers = workers
 		rep := checkClusterGolden(t, "controlplane", s).rep
 		if len(rep.PerPriority) != 3 {

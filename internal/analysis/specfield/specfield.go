@@ -8,9 +8,9 @@
 //     defaulted to the Go identifier;
 //  2. be consumed — read outside the spec package (the compile layer or
 //     another consumer), or inside a spec lowering: a spec function whose
-//     result is a type declared in another loaded package, such as
-//     ClusterV1.Config returning cluster.Config. Otherwise the field is
-//     dead wire surface that deserializes into nothing;
+//     result is a type declared in another loaded package or a pointer to
+//     one, such as ClusterV1.Config returning cluster.Config. Otherwise
+//     the field is dead wire surface that deserializes into nothing;
 //  3. participate in validation or defaulting — its json name appears in
 //     a spec-package string literal (the validation field-path messages),
 //     or the field is read in its declaring package's Validate or
@@ -219,7 +219,8 @@ func usesInside(pkg *framework.Package, match func(*ast.FuncDecl) bool) map[type
 
 // lowering matches the spec functions that lower wire values onto
 // runtime types: some result is a named type declared in another loaded
-// package.
+// package, or a pointer to one (ScenarioV1.Hypervisor returns
+// *xen.Hypervisor).
 func lowering(pass *framework.ModulePass, spec *framework.Package) func(*ast.FuncDecl) bool {
 	others := map[string]bool{}
 	for _, pkg := range pass.Pkgs {
@@ -234,7 +235,11 @@ func lowering(pass *framework.ModulePass, spec *framework.Package) func(*ast.Fun
 		}
 		res := fn.Type().(*types.Signature).Results()
 		for i := 0; i < res.Len(); i++ {
-			if named, ok := res.At(i).Type().(*types.Named); ok &&
+			typ := res.At(i).Type()
+			if ptr, ok := typ.(*types.Pointer); ok {
+				typ = ptr.Elem()
+			}
+			if named, ok := typ.(*types.Named); ok &&
 				named.Obj().Pkg() != nil && others[named.Obj().Pkg().Path()] {
 				return true
 			}

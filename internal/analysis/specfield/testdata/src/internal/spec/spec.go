@@ -63,3 +63,20 @@ func (c ClusterV1) Config() runtimefix.Config {
 
 // shadow reads Shadow but returns a plain int, so it lowers nothing.
 func (c ClusterV1) shadow() int { return c.Shadow }
+
+// HostV1 is consumed only through a lowering that returns a pointer to
+// the runtime type.
+type HostV1 struct {
+	Cores int `json:"cores"`
+}
+
+// Validate checks the invariants.
+func (h HostV1) Validate() error {
+	if h.Cores < 1 {
+		return errors.New("cores must be positive")
+	}
+	return nil
+}
+
+// Machine lowers the spec onto a pointer to the runtime type.
+func (h HostV1) Machine() *runtimefix.Config { return &runtimefix.Config{Hosts: h.Cores} }

@@ -71,8 +71,8 @@ type Config struct {
 	// disables).
 	RebalancePeriod sim.Duration
 	// LLCPressureLimit triggers migration off a host whose per-socket
-	// LLC pressure sum exceeds it (default 50, ~2.5 thrashing apps per
-	// socket).
+	// LLC pressure sum exceeds it (default DefaultLLCPressureLimit, ~2.5
+	// thrashing apps per socket).
 	LLCPressureLimit float64
 	// RemoteRatioLimit triggers migration off a host whose remote-access
 	// ratio over the last rebalance interval exceeds it (default 0.45).
@@ -140,6 +140,9 @@ type Config struct {
 	Spans *telemetry.Tracer
 }
 
+// DefaultLLCPressureLimit is Config.LLCPressureLimit's default.
+const DefaultLLCPressureLimit = 50
+
 // normalized fills defaults.
 func (c Config) normalized() Config {
 	if c.Hosts <= 0 {
@@ -179,7 +182,7 @@ func (c Config) normalized() Config {
 		c.RebalancePeriod = 10 * sim.Second
 	}
 	if c.LLCPressureLimit <= 0 {
-		c.LLCPressureLimit = 50
+		c.LLCPressureLimit = DefaultLLCPressureLimit
 	}
 	if c.RemoteRatioLimit <= 0 {
 		c.RemoteRatioLimit = 0.45

@@ -1,24 +1,19 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"vprobe/internal/mem"
 	"vprobe/internal/metrics"
-	"vprobe/internal/numa"
 	"vprobe/internal/sched"
-	"vprobe/internal/sim"
-	"vprobe/internal/workload"
-	"vprobe/internal/xen"
+	"vprobe/internal/spec"
 )
 
-// ablationVariant is one configuration of the vProbe family under test.
+// ablationVariant is one configuration under test: the standard mix
+// scenario under Kind, with tune (when set) adjusting its spec.
 type ablationVariant struct {
-	Label  string
-	Policy policySpec
-	// Migrate enables the §VI page-migration extension.
-	Migrate bool
+	Label string
+	Kind  sched.Kind
+	tune  func(*spec.ScenarioV1)
 }
 
 // planVariants declares the standard mix scenario for each variant over
@@ -26,15 +21,14 @@ type ablationVariant struct {
 // table of mean VM1 execution time, remote ratio and node moves, rows in
 // the variants' declared order, annotated with note.
 func planVariants(id, title, note string, variants []ablationVariant, opts Options) plan {
-	top := numa.XeonE5620()
-	var cells []cell
+	var cells []Cell
 	for _, variant := range variants {
 		for rep := 0; rep < opts.Repeats; rep++ {
-			cells = append(cells, cell{name: scenarioName("", variant.Label, rep), spec: standardSpec{
-				Topology: topology{top}, Policy: variant.Policy, Migrate: variant.Migrate,
-				Seed: opts.Seed + uint64(rep), Scale: opts.Scale, Horizon: opts.Horizon,
-				VM1: mixApps(), VM2: mixApps(),
-			}})
+			s := standard("xeon-e5620", variant.Kind, opts.Seed+uint64(rep), mixApps(), mixApps(), opts)
+			if variant.tune != nil {
+				variant.tune(&s)
+			}
+			cells = append(cells, Cell{Name: scenarioName("", variant.Label, rep), Spec: s})
 		}
 	}
 	return plan{cells: cells, assemble: func(outs []any) *Result {
@@ -67,27 +61,25 @@ func planVariants(id, title, note string, variants []ablationVariant, opts Optio
 // VCPUs blindly) against full vProbe and Credit.
 func planAblateAffinity(opts Options) plan {
 	opts = opts.normalized()
-	noAffinity := stockPolicy(sched.KindVProbe)
-	noAffinity.NoAffinity = true
 	return planVariants("ablate-affinity", "Ablation: memory node affinity (Eq. 1)",
 		"without Eq. 1, partitioning balances LLC pressure but scatters memory",
 		[]ablationVariant{
-			{Label: "credit", Policy: stockPolicy(sched.KindCredit)},
-			{Label: "vprobe", Policy: stockPolicy(sched.KindVProbe)},
-			{Label: "vprobe-no-affinity", Policy: noAffinity},
+			{Label: "credit", Kind: sched.KindCredit},
+			{Label: "vprobe", Kind: sched.KindVProbe},
+			{Label: "vprobe-no-affinity", Kind: sched.KindVProbe,
+				tune: func(s *spec.ScenarioV1) { s.NoAffinity = true }},
 		}, opts)
 }
 
 // planAblateDynamic evaluates the §VI dynamic-bounds extension.
 func planAblateDynamic(opts Options) plan {
 	opts = opts.normalized()
-	dynamic := stockPolicy(sched.KindVProbe)
-	dynamic.Dynamic = true
 	return planVariants("ablate-dynamic", "Extension: dynamic classification bounds (§VI)",
 		"bounds adapt to the running pressure distribution instead of (3, 20)",
 		[]ablationVariant{
-			{Label: "vprobe-static", Policy: stockPolicy(sched.KindVProbe)},
-			{Label: "vprobe-dynamic", Policy: dynamic},
+			{Label: "vprobe-static", Kind: sched.KindVProbe},
+			{Label: "vprobe-dynamic", Kind: sched.KindVProbe,
+				tune: func(s *spec.ScenarioV1) { s.DynamicBounds = true }},
 		}, opts)
 }
 
@@ -95,87 +87,60 @@ func planAblateDynamic(opts Options) plan {
 // combined with each scheduler.
 func planAblatePageMigration(opts Options) plan {
 	opts = opts.normalized()
-	credit, vprobe := stockPolicy(sched.KindCredit), stockPolicy(sched.KindVProbe)
+	migrate := func(s *spec.ScenarioV1) { s.PageMigration = true }
 	return planVariants("ablate-pagemig", "Extension: page migration (§VI)",
 		"pages lazily follow the VCPU; the paper expects this to help Credit most",
 		[]ablationVariant{
-			{Label: "credit", Policy: credit},
-			{Label: "credit+pagemig", Policy: credit, Migrate: true},
-			{Label: "vprobe", Policy: vprobe},
-			{Label: "vprobe+pagemig", Policy: vprobe, Migrate: true},
+			{Label: "credit", Kind: sched.KindCredit},
+			{Label: "credit+pagemig", Kind: sched.KindCredit, tune: migrate},
+			{Label: "vprobe", Kind: sched.KindVProbe},
+			{Label: "vprobe+pagemig", Kind: sched.KindVProbe, tune: migrate},
 		}, opts)
 }
 
-// fourNodeSpec is one cell of the 4-node experiment: VM1 runs Apps beside
-// a VM2 of the same apps padded with hungry loops, on the synthetic
-// 4-node machine under Kind. Its output is VM1's mean execution time and
-// remote ratio.
-type fourNodeSpec struct {
-	Kind    sched.Kind
-	Seed    uint64
-	Scale   float64
-	Horizon sim.Duration
-	Apps    []*workload.Profile
-}
-
-func (s fourNodeSpec) run(ctx context.Context) (any, sim.Time, error) {
-	cfg := xen.DefaultConfig()
-	cfg.Seed = s.Seed
-	pol, err := sched.New(s.Kind)
-	if err != nil {
-		return nil, 0, err
+// fourNode is one cell of the 4-node experiment: VM1 runs apps beside a
+// VM2 of the same apps padded with hungry loops, on the synthetic 4-node
+// machine under kind, until VM1 finishes.
+func fourNode(kind sched.Kind, seed uint64, apps []spec.AppV1, opts Options) spec.ScenarioV1 {
+	return spec.ScenarioV1{
+		Scheduler: string(kind),
+		Topology:  "four-node",
+		Seed:      seed,
+		Scale:     opts.Scale,
+		Horizon:   duration(opts.Horizon),
+		VMs: []spec.VMV1{
+			{Name: "VM1", MemoryMB: 32 * 1024, VCPUs: 16, Memory: "stripe", FillGuestIdle: true, Apps: apps},
+			{Name: "VM2", MemoryMB: 16 * 1024, VCPUs: 16, Memory: "fill",
+				Apps: append(append([]spec.AppV1(nil), apps...), named("hungry", 16-len(apps))...)},
+		},
+		Watch: []string{"VM1"},
 	}
-	h := xen.New(numa.FourNode(), pol, cfg)
-	vm1, err := h.CreateDomain("VM1", 32*1024, 16, mem.PolicyStripe)
-	if err != nil {
-		return nil, 0, err
-	}
-	vm2, err := h.CreateDomain("VM2", 16*1024, 16, mem.PolicyFill)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := attachScaled(h, vm1, pad(s.Apps, len(vm1.VCPUs), workload.GuestIdle()), s.Scale); err != nil {
-		return nil, 0, err
-	}
-	if err := attachScaled(h, vm2, pad(s.Apps, len(vm2.VCPUs), workload.Hungry()), s.Scale); err != nil {
-		return nil, 0, err
-	}
-	h.WatchDomains(vm1)
-	end, err := h.RunContext(ctx, s.Horizon)
-	if err != nil {
-		return nil, 0, err
-	}
-	runs := metrics.CollectDomain(vm1, end)
-	return []float64{metrics.AvgExecSeconds(runs), metrics.AvgRemoteRatio(runs)}, end, nil
-}
-
-// cost is VM1's expected run time on all 16 PCPUs.
-func (s fourNodeSpec) cost() float64 {
-	top := numa.FourNode()
-	return float64(top.NumCPUs()) * runSeconds(top, s.Apps, s.Scale, s.Horizon)
 }
 
 // planFourNode exercises the N > 2 paths of Algorithms 1 and 2 on a
 // synthetic 4-node machine.
 func planFourNode(opts Options) plan {
 	opts = opts.normalized()
-	apps := []*workload.Profile{
-		workload.Soplex(), workload.Libquantum(), workload.MCF(), workload.Milc(),
-		workload.LU(), workload.MG(), workload.SP(), workload.CG(),
+	apps := []spec.AppV1{
+		{Name: "soplex"}, {Name: "libquantum"}, {Name: "mcf"}, {Name: "milc"},
+		{Name: "lu"}, {Name: "mg"}, {Name: "sp"}, {Name: "cg"},
 	}
 	kinds := []sched.Kind{sched.KindCredit, sched.KindVProbe, sched.KindLB}
-	var cells []cell
+	var cells []Cell
 	for _, kind := range kinds {
 		for rep := 0; rep < opts.Repeats; rep++ {
-			cells = append(cells, cell{name: scenarioName("fournode", string(kind), rep), spec: fourNodeSpec{
-				Kind: kind, Seed: opts.Seed + uint64(rep), Scale: opts.Scale, Horizon: opts.Horizon, Apps: apps,
-			}})
+			cells = append(cells, Cell{Name: scenarioName("fournode", string(kind), rep),
+				Spec: fourNode(kind, opts.Seed+uint64(rep), apps, opts)})
 		}
 	}
 	return plan{cells: cells, assemble: func(outs []any) *Result {
 		r := &Result{ID: "fournode", Title: "4-node topology (N > 2 algorithm paths)"}
 		t := metrics.NewTable(r.Title, "scheduler", "exec(s)", "remote")
-		for v, m := range variantMeans(as[[]float64](outs), opts.Repeats) {
+		rows := make([][]float64, len(outs))
+		for i, run := range as[ScenarioRun](outs) {
+			rows[i] = []float64{metrics.AvgExecSeconds(run.Runs), metrics.AvgRemoteRatio(run.Runs)}
+		}
+		for v, m := range variantMeans(rows, opts.Repeats) {
 			exec, remote := m[0], m[1]
 			kind := string(kinds[v])
 			r.Set("exec/"+kind, "fournode", exec)

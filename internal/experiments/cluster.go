@@ -1,15 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"vprobe/internal/cluster"
 	"vprobe/internal/harness"
 	"vprobe/internal/metrics"
-	"vprobe/internal/numa"
 	"vprobe/internal/sched"
 	"vprobe/internal/sim"
+	"vprobe/internal/spec"
 )
 
 // clusterScheds is the per-host scheduler comparison the cluster
@@ -18,51 +17,6 @@ var clusterScheds = []sched.Kind{sched.KindCredit, sched.KindVProbe}
 
 // clusterHosts is the host count of both cluster experiments.
 const clusterHosts = 3
-
-// clusterSpec is one cell of the cluster experiment: Hosts hosts under
-// Scheduler placing a dynamic arrival stream with Policy. Its output is
-// the rejection rate, remote ratio, migration count and utilization.
-type clusterSpec struct {
-	Policy    string
-	Scheduler sched.Kind
-	Seed      uint64
-	Horizon   sim.Duration
-}
-
-func (s clusterSpec) run(ctx context.Context) (any, sim.Time, error) {
-	c, err := cluster.New(cluster.Config{
-		Hosts:     clusterHosts,
-		Scheduler: s.Scheduler,
-		Policy:    s.Policy,
-		Seed:      s.Seed,
-		// VMs live half the horizon so the cluster reaches a churning
-		// steady state.
-		ArrivalsPerSecond: 0.6,
-		MeanLifetime:      s.Horizon / 2,
-		Horizon:           s.Horizon,
-		// The queue already spreads cells across workers; hosts inside
-		// each cluster advance serially.
-		Workers:          1,
-		LLCPressureLimit: 25,
-		RebalancePeriod:  5 * sim.Second,
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	res, err := c.Run(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	return []float64{res.RejectionRate, res.RemoteRatio, float64(res.Migrations), res.Utilization}, sim.Time(s.Horizon), nil
-}
-
-// cost is the horizon on every host PCPU.
-func (s clusterSpec) cost() float64 { return clusterCost(s.Horizon) }
-
-// clusterCost is a cluster cell's horizon on every PCPU of its hosts.
-func clusterCost(horizon sim.Duration) float64 {
-	return clusterHosts * float64(numa.XeonE5620().NumCPUs()) * horizon.Seconds()
-}
 
 // clusterHorizon is both cluster experiments' run length: ~400 virtual
 // seconds at full scale, capped at the option horizon.
@@ -99,13 +53,25 @@ func planCluster(opts Options) plan {
 	horizon := clusterHorizon(opts)
 
 	// One variant per (policy, scheduler) pair, policy-major.
-	var cells []cell
+	var cells []Cell
 	for _, pol := range policies {
 		for _, kind := range kinds {
 			for rep := 0; rep < opts.Repeats; rep++ {
-				cells = append(cells, cell{name: fmt.Sprintf("cluster/%s/%s", pol, kind), spec: clusterSpec{
-					Policy: pol, Scheduler: kind, Horizon: horizon,
-					Seed: harness.DeriveSeed(opts.Seed, "cluster", pol, string(kind), fmt.Sprint(rep)),
+				cells = append(cells, Cell{Name: fmt.Sprintf("cluster/%s/%s/seed%d", pol, kind, rep), Spec: spec.ClusterV1{
+					Hosts:     clusterHosts,
+					Scheduler: string(kind),
+					Policy:    pol,
+					Seed:      harness.DeriveSeed(opts.Seed, "cluster", pol, string(kind), fmt.Sprint(rep)),
+					// VMs live half the horizon so the cluster reaches a
+					// churning steady state.
+					ArrivalsPerSecond: 0.6,
+					MeanLifetime:      duration(horizon / 2),
+					Horizon:           duration(horizon),
+					// The queue already spreads cells across workers; hosts
+					// inside each cluster advance serially.
+					Workers:          1,
+					LLCPressureLimit: 25,
+					RebalancePeriod:  duration(5 * sim.Second),
 				}})
 			}
 		}
@@ -116,7 +82,11 @@ func planCluster(opts Options) plan {
 			fmt.Sprintf("%d hosts, %v horizon, dynamic arrivals (mean of %d seeds)",
 				clusterHosts, horizon, opts.Repeats),
 			"policy", "scheduler", "reject-rate", "remote-ratio", "migrations", "utilization")
-		for v, m := range variantMeans(as[[]float64](outs), opts.Repeats) {
+		rows := make([][]float64, len(outs))
+		for i, rep := range as[*cluster.Report](outs) {
+			rows[i] = []float64{rep.RejectionRate, rep.RemoteRatio, float64(rep.Migrations), rep.Utilization}
+		}
+		for v, m := range variantMeans(rows, opts.Repeats) {
 			pol, label := policies[v/len(kinds)], schedLabel(kinds[v%len(kinds)])
 			for i, series := range []string{"reject", "remote", "migrations", "util"} {
 				r.Set(series+"/"+label, pol, m[i])

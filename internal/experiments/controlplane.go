@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"vprobe/internal/cluster"
@@ -9,6 +8,7 @@ import (
 	"vprobe/internal/harness"
 	"vprobe/internal/metrics"
 	"vprobe/internal/sim"
+	"vprobe/internal/spec"
 )
 
 // controlPlaneVariants are the admission-mechanism bundles the experiment
@@ -18,15 +18,15 @@ import (
 // comparison isolates what admission does with equal offered load.
 var controlPlaneVariants = []struct {
 	name string
-	cfg  func(*cluster.Config)
+	tune func(*spec.ClusterV1)
 }{
-	{"none", func(*cluster.Config) {}},
-	{"preempt", func(c *cluster.Config) { c.Preempt = true }},
-	{"full", func(c *cluster.Config) {
+	{"none", func(*spec.ClusterV1) {}},
+	{"preempt", func(c *spec.ClusterV1) { c.Preempt = true }},
+	{"full", func(c *spec.ClusterV1) {
 		c.Preempt = true
 		c.Gang = true
 		c.Backfill = true
-		c.DeschedulePeriod = 10 * sim.Second
+		c.DeschedulePeriod = duration(10 * sim.Second)
 	}},
 }
 
@@ -37,16 +37,16 @@ var controlPlaneSeries = []string{
 	"reject", "weighted-wait", "crit-wait", "preemptions", "gangs", "backfills", "desched",
 }
 
-// controlPlaneConfig is the shared overload scenario: a small cluster under
+// overloadCluster is the shared overload scenario: a small cluster under
 // sustained pressure (long-lived VMs at a high arrival rate), where the
 // admission queue backs up and mechanism differences become visible.
-func controlPlaneConfig(seed uint64, horizon sim.Duration) cluster.Config {
-	return cluster.Config{
+func overloadCluster(seed uint64, horizon sim.Duration) spec.ClusterV1 {
+	return spec.ClusterV1{
 		Hosts:             clusterHosts,
 		Seed:              seed,
 		ArrivalsPerSecond: 1.0,
-		MeanLifetime:      horizon,
-		Horizon:           horizon,
+		MeanLifetime:      duration(horizon),
+		Horizon:           duration(horizon),
 		GangFraction:      0.2,
 		Workers:           1,
 	}
@@ -68,42 +68,18 @@ func weightedWait(rep *cluster.Report) float64 {
 	return num / den
 }
 
-// controlPlaneSpec is one cell of the control-plane experiment: the
-// overload scenario at Seed and Horizon with the named mechanism Variant
-// (see controlPlaneVariants). Its output is the controlPlaneSeries values.
-type controlPlaneSpec struct {
-	Variant string
-	Seed    uint64
-	Horizon sim.Duration
-}
-
-func (s controlPlaneSpec) run(ctx context.Context) (any, sim.Time, error) {
-	cfg := controlPlaneConfig(s.Seed, s.Horizon)
-	for _, v := range controlPlaneVariants {
-		if v.name == s.Variant {
-			v.cfg(&cfg)
-		}
-	}
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	res, err := c.Run(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
+// controlPlaneRow is one run's controlPlaneSeries values.
+func controlPlaneRow(rep *cluster.Report) []float64 {
 	var critWait float64
-	for _, p := range res.PerPriority {
+	for _, p := range rep.PerPriority {
 		if p.Class == "critical" {
 			critWait = p.MeanWait.Seconds()
 		}
 	}
-	return []float64{res.RejectionRate, weightedWait(res), critWait,
-		float64(res.Preemptions), float64(res.GangsAdmitted),
-		float64(res.Backfills), float64(res.DeschedMoves)}, sim.Time(s.Horizon), nil
+	return []float64{rep.RejectionRate, weightedWait(rep), critWait,
+		float64(rep.Preemptions), float64(rep.GangsAdmitted),
+		float64(rep.Backfills), float64(rep.DeschedMoves)}
 }
-
-func (s controlPlaneSpec) cost() float64 { return clusterCost(s.Horizon) }
 
 // planControlPlane compares cluster admission with the control plane off,
 // with preemption alone, and with the full mechanism bundle (preemption,
@@ -113,15 +89,14 @@ func (s controlPlaneSpec) cost() float64 { return clusterCost(s.Horizon) }
 func planControlPlane(opts Options) plan {
 	opts = opts.normalized()
 	horizon := clusterHorizon(opts)
-	var cells []cell
+	var cells []Cell
 	for _, variant := range controlPlaneVariants {
 		for rep := 0; rep < opts.Repeats; rep++ {
 			// The seed depends on the repeat only: every variant of one
 			// repeat admits the same arrival stream.
-			cells = append(cells, cell{name: "controlplane/" + variant.name, spec: controlPlaneSpec{
-				Variant: variant.name, Horizon: horizon,
-				Seed: harness.DeriveSeed(opts.Seed, "controlplane", fmt.Sprint(rep)),
-			}})
+			s := overloadCluster(harness.DeriveSeed(opts.Seed, "controlplane", fmt.Sprint(rep)), horizon)
+			variant.tune(&s)
+			cells = append(cells, Cell{Name: fmt.Sprintf("controlplane/%s/seed%d", variant.name, rep), Spec: s})
 		}
 	}
 	return plan{cells: cells, assemble: func(outs []any) *Result {
@@ -131,7 +106,11 @@ func planControlPlane(opts Options) plan {
 				clusterHosts, horizon, opts.Repeats),
 			"mechanisms", "reject-rate", "weighted-wait", "crit-wait",
 			"preempts", "gangs", "backfills", "desched")
-		for v, m := range variantMeans(as[[]float64](outs), opts.Repeats) {
+		rows := make([][]float64, len(outs))
+		for i, rep := range as[*cluster.Report](outs) {
+			rows[i] = controlPlaneRow(rep)
+		}
+		for v, m := range variantMeans(rows, opts.Repeats) {
 			name := controlPlaneVariants[v].name
 			for i, series := range controlPlaneSeries {
 				r.Set(series, name, m[i])

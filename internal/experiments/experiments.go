@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"vprobe/internal/harness"
@@ -142,7 +143,7 @@ type Experiment struct {
 // and the step that builds its Result from their outputs, which arrive in
 // declaration order whichever cells ran first or were shared.
 type plan struct {
-	cells    []cell
+	cells    []Cell
 	assemble func(outs []any) *Result
 }
 
@@ -156,6 +157,29 @@ func (e *Experiment) RunContext(ctx context.Context, opts Options) (*Result, err
 		return nil, err
 	}
 	return p.assemble(outs), nil
+}
+
+// Cells returns the cells the experiment declares at opts, in declaration
+// order.
+func (e *Experiment) Cells(opts Options) []Cell { return e.plan(opts).cells }
+
+// FindCell returns the cell path names, "<experiment>/<cell>" such as
+// "fig5/lu/lb/seed0", as its experiment declares it at opts.
+func FindCell(path string, opts Options) (Cell, error) {
+	id, name, _ := strings.Cut(path, "/")
+	e, err := ByID(id)
+	if err != nil {
+		return Cell{}, err
+	}
+	cells := e.Cells(opts)
+	names := make([]string, len(cells))
+	for i, c := range cells {
+		if c.Name == name {
+			return c, nil
+		}
+		names[i] = c.Name
+	}
+	return Cell{}, fmt.Errorf("experiments: %s declares no cell %q (have %s)", id, name, strings.Join(names, ", "))
 }
 
 var registry = map[string]*Experiment{}

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"vprobe/internal/numa"
 	"vprobe/internal/sched"
 	"vprobe/internal/sim"
+	"vprobe/internal/spec"
 	"vprobe/internal/workload"
 	"vprobe/internal/xen"
 )
@@ -102,8 +102,8 @@ func TestTable1MatchesPaper(t *testing.T) {
 func TestVProbeBeatsCredit(t *testing.T) {
 	opts := testOpts()
 	opts.Schedulers = []sched.Kind{sched.KindCredit, sched.KindVProbe}
-	outs, err := RunSchedulers(context.Background(), numa.XeonE5620(), "",
-		replicate(workload.Soplex(), 4), replicate(workload.Soplex(), 4), opts)
+	outs, err := RunSchedulers(context.Background(), "xeon-e5620", "",
+		named("soplex", 4), named("soplex", 4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,8 @@ func TestVCPUPAndLBBetweenExtremes(t *testing.T) {
 	opts.Schedulers = []sched.Kind{
 		sched.KindCredit, sched.KindVProbe, sched.KindVCPUP, sched.KindLB,
 	}
-	outs, err := RunSchedulers(context.Background(), numa.XeonE5620(), "",
-		replicate(workload.Milc(), 4), replicate(workload.Milc(), 4), opts)
+	outs, err := RunSchedulers(context.Background(), "xeon-e5620", "",
+		named("milc", 4), named("milc", 4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,8 @@ func TestVCPUPAndLBBetweenExtremes(t *testing.T) {
 func TestVProbeReducesRemoteAccesses(t *testing.T) {
 	opts := testOpts()
 	opts.Schedulers = []sched.Kind{sched.KindCredit, sched.KindVProbe}
-	outs, err := RunSchedulers(context.Background(), numa.XeonE5620(), "",
-		replicate(workload.Libquantum(), 4), replicate(workload.Libquantum(), 4), opts)
+	outs, err := RunSchedulers(context.Background(), "xeon-e5620", "",
+		named("libquantum", 4), named("libquantum", 4), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +227,8 @@ func TestFig6ImprovementGrowsWithConcurrency(t *testing.T) {
 	opts := testOpts()
 	opts.Schedulers = []sched.Kind{sched.KindCredit, sched.KindVProbe}
 	run := func(conc int) float64 {
-		prof := workload.Memcached(conc)
-		prof.TotalInstructions = 40000 * prof.InstrPerRequest
-		outs, err := RunSchedulers(context.Background(), numa.XeonE5620(), "", replicate(prof, 8), replicate(prof, 8), opts)
+		app := spec.AppV1{Server: "memcached", Load: conc, Requests: 40000}
+		outs, err := RunSchedulers(context.Background(), "xeon-e5620", "", replicate(app, 8), replicate(app, 8), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,14 +353,15 @@ func TestVCPUPhaseCacheMatchesReference(t *testing.T) {
 		if w.Name != "soplex" && w.Name != "mcf" && w.Name != "mix" {
 			continue
 		}
-		sc, err := standardScenario(numa.XeonE5620(), sched.NewVProbe(), 1, w.Apps1, w.Apps2, 0.3)
+		opts := Options{Scale: 0.3, Horizon: 600 * sim.Second}
+		h, err := standard("xeon-e5620", sched.KindVProbe, 1, w.Apps1, w.Apps2, opts).Hypervisor()
 		if err != nil {
 			t.Fatal(err)
 		}
 		last := map[*xen.VCPU]*workload.Phase{}
 		var changes, moves int
 		check := func() {
-			for _, v := range sc.H.AllVCPUs() {
+			for _, v := range h.AllVCPUs() {
 				if v.App == nil {
 					continue
 				}
@@ -374,13 +374,13 @@ func TestVCPUPhaseCacheMatchesReference(t *testing.T) {
 				last[v] = v.Phase()
 			}
 		}
-		sc.H.EventFn = func(ev xen.Event) {
+		h.EventFn = func(ev xen.Event) {
 			if ev.Kind == xen.EventGuestMove {
 				moves++
 			}
 			check()
 		}
-		if _, err := sc.run(context.Background(), 600*sim.Second); err != nil {
+		if _, err := h.RunContext(context.Background(), opts.Horizon); err != nil {
 			t.Fatal(err)
 		}
 		check()

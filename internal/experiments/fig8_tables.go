@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math"
 
-	"vprobe/internal/mem"
 	"vprobe/internal/metrics"
 	"vprobe/internal/numa"
 	"vprobe/internal/sched"
 	"vprobe/internal/sim"
-	"vprobe/internal/workload"
-	"vprobe/internal/xen"
+	"vprobe/internal/spec"
 )
 
 // planFig8 reproduces §V-C2: the mix workload under vProbe with the
@@ -30,12 +26,11 @@ func planFig8(opts Options) plan {
 		5 * sim.Second,
 		10 * sim.Second,
 	}
-	top := numa.XeonE5620()
-	cells := make([]cell, len(periods))
+	cells := make([]Cell, len(periods))
 	for i, period := range periods {
-		pol := stockPolicy(sched.KindVProbe)
-		pol.SamplePeriod = period
-		cells[i] = standardCell("period/"+period.String(), top, pol, opts.Seed, mixApps(), mixApps(), opts)
+		s := standard("xeon-e5620", sched.KindVProbe, opts.Seed, mixApps(), mixApps(), opts)
+		s.SamplePeriod = duration(period)
+		cells[i] = Cell{Name: "period/" + period.String(), Spec: s}
 	}
 	return plan{cells: cells, assemble: func(outs []any) *Result {
 		r := &Result{ID: "fig8", Title: "Mix workload vs sampling period (paper Fig. 8)"}
@@ -82,44 +77,21 @@ func planTable1(Options) plan {
 	}}
 }
 
-// table3Spec is one Table III cell: VMs domains of 4 GB and two VCPUs,
-// each running two soplex instances, under vProbe. Its output is the
-// overhead-time fraction.
-type table3Spec struct {
-	VMs     int
-	Seed    uint64
-	Scale   float64
-	Horizon sim.Duration
-}
-
-func (s table3Spec) run(ctx context.Context) (any, sim.Time, error) {
-	cfg := xen.DefaultConfig()
-	cfg.Seed = s.Seed
-	h := xen.New(numa.XeonE5620(), sched.NewVProbe(), cfg)
-	var doms []*xen.Domain
-	for i := 0; i < s.VMs; i++ {
-		d, err := h.CreateDomain(fmt.Sprintf("VM%d", i+1), 4*1024, 2, mem.PolicyStripe)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := attachScaled(h, d, replicate(workload.Soplex(), 2), s.Scale); err != nil {
-			return nil, 0, err
-		}
-		doms = append(doms, d)
+// table3Cell is one Table III cell: vms domains of 4 GB and two VCPUs,
+// each running two soplex instances, under vProbe until all finish.
+func table3Cell(vms int, opts Options) spec.ScenarioV1 {
+	s := spec.ScenarioV1{
+		Scheduler: string(sched.KindVProbe),
+		Topology:  "xeon-e5620",
+		Seed:      opts.Seed,
+		Scale:     opts.Scale,
+		Horizon:   duration(opts.Horizon),
 	}
-	h.WatchDomains(doms...)
-	end, err := h.RunContext(ctx, s.Horizon)
-	if err != nil {
-		return nil, 0, err
+	for i := 1; i <= vms; i++ {
+		s.VMs = append(s.VMs, spec.VMV1{Name: fmt.Sprintf("VM%d", i), MemoryMB: 4 * 1024, VCPUs: 2,
+			Memory: "stripe", Apps: named("soplex", 2)})
 	}
-	return h.OverheadFraction(), end, nil
-}
-
-// cost is one soplex run on each of the cell's busy PCPUs.
-func (s table3Spec) cost() float64 {
-	top := numa.XeonE5620()
-	busy := math.Min(float64(2*s.VMs), float64(top.NumCPUs()))
-	return busy * runSeconds(top, []*workload.Profile{workload.Soplex()}, s.Scale, s.Horizon)
+	return s
 }
 
 // planTable3 reproduces §V-C1: the percentage of "overhead time" (PMU
@@ -128,17 +100,15 @@ func (s table3Spec) cost() float64 {
 func planTable3(opts Options) plan {
 	opts = opts.normalized()
 	const counts = 4
-	cells := make([]cell, counts)
+	cells := make([]Cell, counts)
 	for i := range cells {
-		n := i + 1
-		cells[i] = cell{name: fmt.Sprintf("vms/%d", n), spec: table3Spec{
-			VMs: n, Seed: opts.Seed, Scale: opts.Scale, Horizon: opts.Horizon,
-		}}
+		cells[i] = Cell{Name: fmt.Sprintf("vms/%d", i+1), Spec: table3Cell(i+1, opts)}
 	}
 	return plan{cells: cells, assemble: func(outs []any) *Result {
 		r := &Result{ID: "table3", Title: "vProbe overhead time (paper Table III)"}
 		t := metrics.NewTable("Table III", "VMs", "overhead-time %")
-		for idx, frac := range as[float64](outs) {
+		for idx, run := range as[ScenarioRun](outs) {
+			frac := run.Overhead
 			label := fmt.Sprintf("%d", idx+1)
 			r.Set("overhead/vprobe", label, 100*frac)
 			t.AddRow(label, fmt.Sprintf("%.5f", 100*frac))

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"vprobe/internal/metrics"
-	"vprobe/internal/numa"
 	"vprobe/internal/sched"
 	"vprobe/internal/sim"
-	"vprobe/internal/workload"
 )
 
 // baselineKind picks the normalization baseline: Credit when present.
@@ -137,11 +135,10 @@ func schedColumns(opts Options) []string {
 // comparisonCells declares the schedulerCells of every workload on the
 // paper's testbed, workload-major. prefix+Name labels each workload's
 // progress events.
-func comparisonCells(prefix string, ws []workloadApps, opts Options) []cell {
-	top := numa.XeonE5620()
-	var cells []cell
+func comparisonCells(prefix string, ws []workloadApps, opts Options) []Cell {
+	var cells []Cell
 	for _, w := range ws {
-		cells = append(cells, schedulerCells(top, prefix+w.Name, w.Apps1, w.Apps2, opts)...)
+		cells = append(cells, schedulerCells("xeon-e5620", prefix+w.Name, w.Apps1, w.Apps2, opts)...)
 	}
 	return cells
 }
@@ -197,18 +194,18 @@ func planFig5(opts Options) plan {
 func planFig1(opts Options) plan {
 	opts = opts.normalized()
 	ws := []workloadApps{
-		{"bt", replicate(workload.BT(), 4), replicate(workload.BT(), 4)},
-		{"lu", replicate(workload.LU(), 4), replicate(workload.LU(), 4)},
-		{"sp", replicate(workload.SP(), 4), replicate(workload.SP(), 4)},
-		{"soplex", replicate(workload.Soplex(), 4), replicate(workload.Soplex(), 4)},
-		{"mcf", replicate(workload.MCF(), 6), replicate(workload.MCF(), 2)},
-		{"milc", replicate(workload.Milc(), 4), replicate(workload.Milc(), 4)},
-		{"libquantum", replicate(workload.Libquantum(), 4), replicate(workload.Libquantum(), 4)},
+		{"bt", named("bt", 4), named("bt", 4)},
+		{"lu", named("lu", 4), named("lu", 4)},
+		{"sp", named("sp", 4), named("sp", 4)},
+		{"soplex", named("soplex", 4), named("soplex", 4)},
+		{"mcf", named("mcf", 6), named("mcf", 2)},
+		{"milc", named("milc", 4), named("milc", 4)},
+		{"libquantum", named("libquantum", 4), named("libquantum", 4)},
 	}
-	top := numa.XeonE5620()
-	cells := make([]cell, len(ws))
+	cells := make([]Cell, len(ws))
 	for i, w := range ws {
-		cells[i] = standardCell(w.Name+"/credit", top, stockPolicy(sched.KindCredit), opts.Seed, w.Apps1, w.Apps2, opts)
+		cells[i] = Cell{Name: w.Name + "/credit",
+			Spec: standard("xeon-e5620", sched.KindCredit, opts.Seed, w.Apps1, w.Apps2, opts)}
 	}
 	return plan{cells: cells, assemble: func(outs []any) *Result {
 		r := &Result{ID: "fig1", Title: "Remote memory access ratio under Credit (paper Fig. 1)"}

@@ -5,7 +5,7 @@ import (
 
 	"vprobe/internal/metrics"
 	"vprobe/internal/sim"
-	"vprobe/internal/workload"
+	"vprobe/internal/spec"
 )
 
 // memcachedRequestTarget is the per-thread request count of one Fig. 6
@@ -21,9 +21,8 @@ func planFig6(opts Options) plan {
 	opts = opts.normalized()
 	var ws []workloadApps
 	for conc := 16; conc <= 112; conc += 16 {
-		prof := workload.Memcached(conc)
-		prof.TotalInstructions = memcachedRequestTarget * prof.InstrPerRequest
-		ws = append(ws, workloadApps{fmt.Sprintf("%d", conc), replicate(prof, 8), replicate(prof, 8)})
+		app := spec.AppV1{Server: "memcached", Load: conc, Requests: memcachedRequestTarget}
+		ws = append(ws, workloadApps{fmt.Sprintf("%d", conc), replicate(app, 8), replicate(app, 8)})
 	}
 	return plan{cells: comparisonCells("memcached-", ws, opts), assemble: func(outs []any) *Result {
 		r := &Result{ID: "fig6", Title: "Memcached under five schedulers (paper Fig. 6)"}
@@ -48,7 +47,7 @@ func planFig7(opts Options) plan {
 	for conn := 2000; conn <= 10000; conn += 2000 {
 		// Client tools are CPU-bound load generators.
 		ws = append(ws, workloadApps{fmt.Sprintf("%d", conn),
-			replicate(workload.Redis(conn), 4), replicate(redisClient(), 4)})
+			replicate(spec.AppV1{Server: "redis", Load: conn}, 4), named("redis-benchmark", 4)})
 	}
 	return plan{cells: comparisonCells("redis-", ws, wopts), assemble: func(outs []any) *Result {
 		r := &Result{ID: "fig7", Title: "Redis under five schedulers (paper Fig. 7)"}
@@ -116,19 +115,6 @@ func planFig7(opts Options) plan {
 		}
 		return r
 	}}
-}
-
-// redisClient models one redis-benchmark driver: a CPU-bound request
-// generator with a small cache footprint.
-func redisClient() *workload.Profile {
-	return &workload.Profile{
-		Name: "redis-benchmark", Suite: "server", TrueClass: workload.ClassFriendly,
-		BaseCPI: 0.8,
-		Phases: []workload.Phase{
-			{Fraction: 1, RPTI: 1.2, WorkingSetKB: 512, SoloMissRate: 0.02, MaxMissRate: 0.2},
-		},
-		FootprintMB: 64, TotalInstructions: 1e18, TouchesPerPage: 1.5,
-	}
 }
 
 func init() {

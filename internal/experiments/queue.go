@@ -2,69 +2,103 @@ package experiments
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
+	"vprobe/internal/cluster"
 	"vprobe/internal/harness"
+	"vprobe/internal/numa"
 	"vprobe/internal/sim"
+	"vprobe/internal/spec"
 )
 
-// cell is one simulation described by data: the unit of work every
+// Cell is one simulation described by data: the unit of work every
 // experiment declares and the queue runs.
-type cell struct {
-	// name labels the cell's scenario-finished progress event, e.g.
-	// "soplex/vprobe/seed0"; it is not part of the cell's identity.
-	name string
-	spec cellSpec
+type Cell struct {
+	// Name labels the cell's scenario-finished progress event and is
+	// unique within its experiment, e.g. "soplex/vprobe/seed0"; it is not
+	// part of the cell's identity.
+	Name string
+	// Spec is the simulation: a spec.ScenarioV1, whose cell yields a
+	// ScenarioRun, or a spec.ClusterV1, whose cell yields its
+	// *cluster.Report. Its Key is the cell's identity: specs and their
+	// outputs are shared between experiments, so both are read-only.
+	Spec interface{ Key() string }
 }
 
-// cellSpec is the data one simulation is built from. run builds the
-// simulation from the spec's exported fields alone, so the spec's JSON
-// encoding is a complete identity for it: two specs that encode equally
-// simulate equally (TestCellSpecsEncodeEveryField checks every field
-// reaches the encoding). run returns measured values, never the
-// simulator, and treats the spec as read-only: specs and their outputs
-// are shared between experiments.
-type cellSpec interface {
-	run(ctx context.Context) (out any, end sim.Time, err error)
-	// cost estimates the cell's host time in arbitrary units, for
-	// longest-expected-first ordering.
-	cost() float64
-}
-
-// key is the cell's identity: the SHA-256 of its spec's type and JSON
-// encoding. It is derived from the value run builds from, never written
-// by hand; streaming the encoding into the hash keeps the suite's
-// megabyte of spec text from ever being held at once.
-func (c cell) key() ([sha256.Size]byte, error) {
-	h := sha256.New()
-	fmt.Fprintf(h, "%T", c.spec)
-	if err := json.NewEncoder(h).Encode(c.spec); err != nil {
-		return [sha256.Size]byte{}, fmt.Errorf("experiments: cell %s: %w", c.name, err)
+// run simulates the cell.
+func (c Cell) run(ctx context.Context) (any, sim.Time, error) {
+	switch s := c.Spec.(type) {
+	case spec.ScenarioV1:
+		run, err := runScenario(ctx, s)
+		return run, run.End, err
+	case spec.ClusterV1:
+		if err := s.Validate(); err != nil {
+			return nil, 0, err
+		}
+		cl, err := cluster.New(s.Config())
+		if err != nil {
+			return nil, 0, err
+		}
+		rep, err := cl.Run(ctx)
+		if err != nil {
+			return nil, 0, err
+		}
+		return rep, sim.Time(rep.Horizon), nil
 	}
-	var k [sha256.Size]byte
-	h.Sum(k[:0])
-	return k, nil
+	return nil, 0, fmt.Errorf("experiments: cell %s holds a %T, not a spec", c.Name, c.Spec)
+}
+
+// cost estimates the cell's host time in arbitrary units, for
+// longest-expected-first ordering: the PCPUs it keeps busy times the
+// virtual seconds it runs. A scenario keeps min(app-carrying VCPUs, PCPUs)
+// busy until its longest finite watched app ends at base CPI, capped at
+// the horizon (the horizon itself when a watched app never ends). A
+// cluster keeps every host PCPU busy for its horizon.
+func (c Cell) cost() float64 {
+	switch s := c.Spec.(type) {
+	case spec.ScenarioV1:
+		n := s.Normalize()
+		top := numa.Presets[n.Topology]()
+		horizon := n.Horizon.Sim().Seconds()
+		busy, longest := 0, 0.0
+		for _, vm := range n.VMs {
+			busy += len(vm.Apps)
+			if vm.FillGuestIdle {
+				busy += vm.VCPUs - len(vm.Apps)
+			}
+			for _, app := range vm.Apps {
+				if p, err := app.Profile(n.Scale); err == nil && slices.Contains(n.Watch, vm.Name) {
+					if p.Endless() {
+						longest = horizon
+					}
+					longest = math.Max(longest, p.TotalInstructions*p.BaseCPI/(top.ClockGHz()*1e9))
+				}
+			}
+		}
+		return float64(min(busy, top.NumCPUs())) * math.Min(longest, horizon)
+	case spec.ClusterV1:
+		n := s.Normalize()
+		return float64(n.Hosts*numa.Presets[n.Topology]().NumCPUs()) * n.Horizon.Sim().Seconds()
+	}
+	return 0
 }
 
 // queue is a list of declared cells with equal keys merged: distinct holds
 // the first declaration of every key in declaration order, and at maps
 // each declared cell to its distinct index.
 type queue struct {
-	distinct []cell
+	distinct []Cell
 	at       []int
 }
 
-func newQueue(cells []cell) (*queue, error) {
+func newQueue(cells []Cell) *queue {
 	q := &queue{at: make([]int, len(cells))}
-	index := make(map[[sha256.Size]byte]int, len(cells))
+	index := make(map[string]int, len(cells))
 	for i, c := range cells {
-		k, err := c.key()
-		if err != nil {
-			return nil, err
-		}
+		k := c.Spec.Key()
 		d, ok := index[k]
 		if !ok {
 			d = len(q.distinct)
@@ -73,7 +107,7 @@ func newQueue(cells []cell) (*queue, error) {
 		}
 		q.at[i] = d
 	}
-	return q, nil
+	return q
 }
 
 // run calls fn once for every distinct cell through one harness.Map
@@ -86,7 +120,7 @@ func (q *queue) run(ctx context.Context, workers int, fn func(ctx context.Contex
 	cost := make([]float64, len(q.distinct))
 	for d, c := range q.distinct {
 		order[d] = d
-		cost[d] = c.spec.cost()
+		cost[d] = c.cost()
 	}
 	sort.SliceStable(order, func(i, j int) bool { return cost[order[i]] > cost[order[j]] })
 	_, err := harness.Map(ctx, harness.Workers(workers, len(order)), len(order),
@@ -97,19 +131,16 @@ func (q *queue) run(ctx context.Context, workers int, fn func(ctx context.Contex
 // runCells runs cells through the queue and returns their outputs in
 // declaration order. The first failure cancels the rest and is returned.
 // Scenario completions go to opts.Events untagged.
-func runCells(ctx context.Context, opts Options, cells []cell) ([]any, error) {
-	q, err := newQueue(cells)
-	if err != nil {
-		return nil, err
-	}
+func runCells(ctx context.Context, opts Options, cells []Cell) ([]any, error) {
+	q := newQueue(cells)
 	outs := make([]any, len(q.distinct))
-	err = q.run(ctx, opts.Workers, func(ctx context.Context, d int) error {
+	err := q.run(ctx, opts.Workers, func(ctx context.Context, d int) error {
 		c := q.distinct[d]
-		out, end, err := c.spec.run(ctx)
+		out, end, err := c.run(ctx)
 		if err != nil {
-			return fmt.Errorf("%s: %w", c.name, err)
+			return fmt.Errorf("%s: %w", c.Name, err)
 		}
-		opts.emitScenario(c.name, end)
+		opts.emitScenario(c.Name, end)
 		outs[d] = out
 		return nil
 	})

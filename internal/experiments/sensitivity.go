@@ -5,8 +5,8 @@ import (
 
 	"vprobe/internal/core"
 	"vprobe/internal/metrics"
-	"vprobe/internal/numa"
 	"vprobe/internal/sched"
+	"vprobe/internal/spec"
 )
 
 // planBoundsSensitivity sweeps the classification bounds of Eq. 3 around
@@ -25,14 +25,12 @@ func planBoundsSensitivity(opts Options) plan {
 		{Low: 1, High: 100}, // one class: everything LLC-FI
 		{Low: 20, High: 25}, // only extreme thrashers partitioned
 	}
-	top := numa.XeonE5620()
-	var cells []cell
+	var cells []Cell
 	for _, pt := range points {
-		pol := stockPolicy(sched.KindVProbe)
-		pol.Bounds = pt
 		for rep := 0; rep < opts.Repeats; rep++ {
-			cells = append(cells, standardCell(fmt.Sprintf("bounds-%g-%g/seed%d", pt.Low, pt.High, rep),
-				top, pol, opts.Seed+uint64(rep), mixApps(), mixApps(), opts))
+			s := standard("xeon-e5620", sched.KindVProbe, opts.Seed+uint64(rep), mixApps(), mixApps(), opts)
+			s.Bounds = &spec.BoundsV1{Low: pt.Low, High: pt.High}
+			cells = append(cells, Cell{Name: fmt.Sprintf("bounds-%g-%g/seed%d", pt.Low, pt.High, rep), Spec: s})
 		}
 	}
 	return plan{cells: cells, assemble: func(outs []any) *Result {

@@ -54,7 +54,7 @@ func RunSuite(ctx context.Context, ids []string, opts Options) ([]SuiteItem, err
 	s := &suite{opts: opts}
 	// Cells are declared in request order, so a shared cell's first
 	// declaration belongs to the first experiment that asked for it.
-	var cells []cell
+	var cells []Cell
 	for _, id := range ids {
 		e, err := ByID(id)
 		if err != nil {
@@ -68,11 +68,7 @@ func RunSuite(ctx context.Context, ids []string, opts Options) ([]SuiteItem, err
 		s.exps = append(s.exps, x)
 		cells = append(cells, p.cells...)
 	}
-	q, err := newQueue(cells)
-	if err != nil {
-		return nil, err
-	}
-	s.q = q
+	s.q = newQueue(cells)
 	s.outs = make([]any, len(s.q.distinct))
 	s.errs = make([]error, len(s.q.distinct))
 	s.users = make([][]int, len(s.q.distinct))
@@ -100,13 +96,13 @@ func RunSuite(ctx context.Context, ids []string, opts Options) ([]SuiteItem, err
 	}
 	// Failures are recorded per cell and never returned, so one broken
 	// cell cannot cancel the others through Map's first-error propagation.
-	err = s.q.run(ctx, opts.Workers, func(_ context.Context, d int) error {
+	err := s.q.run(ctx, opts.Workers, func(_ context.Context, d int) error {
 		s.startCell(d)
 		var out any
 		var end sim.Time
 		err := runCtx.Err()
 		if err == nil {
-			out, end, err = s.q.distinct[d].spec.run(runCtx)
+			out, end, err = s.q.distinct[d].run(runCtx)
 		}
 		s.finishCell(d, out, end, err)
 		return nil
@@ -189,12 +185,12 @@ func (s *suite) finishCell(d int, out any, end sim.Time, err error) {
 	var ready []*suiteExp
 	s.mu.Lock()
 	if err != nil {
-		err = fmt.Errorf("%s: %w", c.name, err)
+		err = fmt.Errorf("%s: %w", c.Name, err)
 	} else {
 		s.emit(harness.Event{
 			Kind:       harness.EventScenarioFinished,
 			Experiment: s.owner[s.users[d][0]].item.Experiment.ID,
-			Scenario:   c.name,
+			Scenario:   c.Name,
 			SimMicros:  int64(end),
 		})
 	}

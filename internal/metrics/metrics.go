@@ -30,6 +30,9 @@ type AppRun struct {
 	PageRemoteRatio float64
 	// Requests is the served request count for servers.
 	Requests float64
+	// LLCRef and Instructions are the VCPU's LLC reference and retired
+	// instruction counts (Total is its LLC misses).
+	LLCRef, Instructions float64
 	// Migrations and NodeMoves count placements.
 	Migrations, NodeMoves int
 }
@@ -46,14 +49,16 @@ func CollectDomain(d *xen.Domain, horizon sim.Time) []AppRun {
 			continue // hungry loops / guest housekeeping are not measured
 		}
 		r := AppRun{
-			App:        v.App.Name,
-			VCPU:       v.ID,
-			Finished:   v.Done,
-			Total:      v.Counters.Total(),
-			Remote:     v.Counters.Remote,
-			Requests:   v.RequestsServed(),
-			Migrations: v.Migrations,
-			NodeMoves:  v.NodeMoves,
+			App:          v.App.Name,
+			VCPU:         v.ID,
+			Finished:     v.Done,
+			Total:        v.Counters.Total(),
+			Remote:       v.Counters.Remote,
+			Requests:     v.RequestsServed(),
+			Migrations:   v.Migrations,
+			NodeMoves:    v.NodeMoves,
+			LLCRef:       v.Counters.LLCRef,
+			Instructions: v.Counters.Instructions,
 		}
 		if v.Done {
 			r.ExecTime = sim.Duration(v.FinishTime)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 
+	"vprobe/internal/core"
+	"vprobe/internal/sim"
 	"vprobe/internal/xen"
 )
 
@@ -48,6 +50,41 @@ func New(kind Kind) (xen.Policy, error) {
 	default:
 		return nil, fmt.Errorf("sched: unknown policy kind %q (have %v)", kind, Kinds())
 	}
+}
+
+// Settings are the vProbe-family knobs a run may vary. Zero values keep
+// the stock setting; kinds outside the family ignore them.
+type Settings struct {
+	// SamplePeriod is the partitioning cadence.
+	SamplePeriod sim.Duration
+	// Bounds are Eq. 3's classification bounds.
+	Bounds core.Bounds
+	// NoAffinity erases Eq. 1's node affinity from Algorithm 1.
+	NoAffinity bool
+	// Dynamic enables the §VI adaptive-bounds extension.
+	Dynamic bool
+}
+
+// Build constructs a fresh policy of the given kind with s applied. It is
+// the one place a vProbe-family policy is built from its settings.
+func Build(kind Kind, s Settings) (xen.Policy, error) {
+	pol, err := New(kind)
+	if err != nil {
+		return nil, err
+	}
+	if v, ok := pol.(*VProbe); ok {
+		if s.SamplePeriod > 0 {
+			v.SamplePeriod = s.SamplePeriod
+		}
+		if s.Bounds != (core.Bounds{}) {
+			v.Analyzer.Bounds = s.Bounds
+		}
+		v.DisableAffinity = s.NoAffinity
+		if s.Dynamic {
+			v.Dynamic = core.NewDynamicBounds()
+		}
+	}
+	return pol, nil
 }
 
 // MustNew is New for known-good kinds.

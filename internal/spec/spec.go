@@ -2,14 +2,16 @@
 // public simulation API: plain-data descriptions of a single-host scenario
 // (ScenarioV1) and a multi-host cluster run (ClusterV1) that survive a JSON
 // round trip byte-for-byte and carry no live state — no callbacks, no
-// channels, no attached collectors. They are the wire format of
-// vprobe-serve and of the root package's public API: CompileScenario
-// lowers a validated ScenarioV1 onto the runtime vprobe.Config, and
-// RunCluster lowers a validated ClusterV1 with ClusterV1.Config, the one
-// copy of spec fields into cluster.Config. Both add the live hooks
-// (Events, Telemetry, Spans) a spec cannot carry. The CLIs that need
-// knobs the wire format deliberately lacks (vprobe-cluster,
-// internal/experiments) build cluster.Config directly.
+// channels, no attached collectors. Each has one lowering here:
+// ScenarioV1.Hypervisor builds the unstarted hypervisor, and
+// ClusterV1.Config is the one copy of spec fields into cluster.Config.
+// Two callers lower them: the root package's CompileScenario and
+// RunCluster (behind vprobe-serve, vprobe-sim -spec and the public API),
+// which add the live hooks (Events, Telemetry, Spans) a spec cannot carry,
+// and internal/experiments, whose every paper cell is one of these specs.
+// vprobe-cluster and the benchmark module still build cluster.Config
+// directly for the knobs the wire format deliberately lacks (topology JSON
+// files, an arrival sink, the remote-ratio limit).
 //
 // Every spec type obeys three contracts:
 //
@@ -37,15 +39,19 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
 
 	"vprobe/internal/cluster"
+	"vprobe/internal/core"
+	"vprobe/internal/mem"
 	"vprobe/internal/numa"
 	"vprobe/internal/sched"
 	"vprobe/internal/sim"
 	"vprobe/internal/workload"
+	"vprobe/internal/xen"
 )
 
 // VersionV1 is the schema version of ScenarioV1 and ClusterV1.
@@ -87,25 +93,34 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &secs); err != nil {
 		return fmt.Errorf("%w: duration must be a string like \"90s\" or a number of seconds", ErrInvalid)
 	}
-	*d = Duration(time.Duration(secs * float64(time.Second)))
+	// Converting an out-of-range float to an integer is
+	// platform-defined in Go, so reject it rather than let it wrap.
+	ns := secs * float64(time.Second)
+	if ns >= math.MaxInt64 || ns < math.MinInt64 {
+		return fmt.Errorf("%w: duration %v seconds is outside the representable range (about ±292 years)", ErrInvalid, secs)
+	}
+	*d = Duration(time.Duration(ns))
 	return nil
 }
 
 // Std returns the standard-library value.
 func (d Duration) Std() time.Duration { return time.Duration(d) }
 
-// sim returns the value in simulated microseconds.
-func (d Duration) sim() sim.Duration { return sim.Duration(d.Std().Microseconds()) }
+// Sim returns the value in simulated microseconds.
+func (d Duration) Sim() sim.Duration { return sim.Duration(d.Std().Microseconds()) }
 
 // AppV1 describes one application instance on a VM's next free VCPU.
 // Exactly one of Name (a catalog workload: "soplex", "lu", "hungry", ...)
 // or Server (a request-driven server: "memcached", "redis") is set; Load
 // is the server's client concurrency (memcached) or connection count
-// (redis) and must be positive for servers.
+// (redis) and must be positive for servers. Requests gives a memcached
+// server a finite request target, so it completes like a batch app;
+// without it a server runs to the horizon.
 type AppV1 struct {
-	Name   string `json:"name,omitempty"`
-	Server string `json:"server,omitempty"`
-	Load   int    `json:"load,omitempty"`
+	Name     string `json:"name,omitempty"`
+	Server   string `json:"server,omitempty"`
+	Load     int    `json:"load,omitempty"`
+	Requests int    `json:"requests,omitempty"`
 }
 
 // VMV1 describes one virtual machine of a scenario.
@@ -113,16 +128,29 @@ type VMV1 struct {
 	Name     string `json:"name"`
 	MemoryMB int64  `json:"memory_mb"`
 	VCPUs    int    `json:"vcpus"`
-	// Memory is the placement policy: "fill" (default) or "stripe".
+	// Memory is the placement policy: "fill" (default), "stripe", or
+	// "local" (all on node 0).
 	Memory string `json:"memory,omitempty"`
 	// FillGuestIdle attaches housekeeping bursts to VCPUs without apps.
 	FillGuestIdle bool `json:"fill_guest_idle,omitempty"`
 	// Apps run on the VM's first VCPUs in order.
 	Apps []AppV1 `json:"apps,omitempty"`
+	// Pin hard-pins VCPU i to PCPU Pin[i]; VCPUs past the list float.
+	Pin []int `json:"pin,omitempty"`
+}
+
+// BoundsV1 are Eq. 3's classification bounds on LLC references per
+// thousand instructions: below Low is LLC-FR, from High on LLC-T.
+type BoundsV1 struct {
+	Low  float64 `json:"low"`
+	High float64 `json:"high"`
 }
 
 // ScenarioV1 is the serializable form of a single-host simulation: the
-// plain-data subset of vprobe.Config plus the VM population and horizon.
+// machine, the policy and its settings, the VM population, and when the
+// run stops. Hypervisor lowers it. The run ends at the horizon or as soon
+// as every finite app of the watched VMs has completed, whichever comes
+// first.
 type ScenarioV1 struct {
 	// Version is the schema version; empty means VersionV1.
 	//vet:spec version dispatch happens inside spec (Normalize/Validate); the compile layer only ever sees validated v1 values
@@ -135,15 +163,26 @@ type ScenarioV1 struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// SamplePeriod overrides vProbe-family sampling (default 1s).
 	SamplePeriod Duration `json:"sample_period,omitempty"`
+	// Bounds overrides vProbe-family classification (default: the
+	// stock vProbe bounds).
+	Bounds *BoundsV1 `json:"bounds,omitempty"`
+	// NoAffinity erases Eq. 1's memory node affinity from Algorithm 1
+	// (the affinity ablation).
+	NoAffinity bool `json:"no_affinity,omitempty"`
 	// DynamicBounds enables the §VI adaptive-bounds extension.
 	DynamicBounds bool `json:"dynamic_bounds,omitempty"`
 	// PageMigration enables the §VI page-migration extension.
 	PageMigration bool `json:"page_migration,omitempty"`
-	// Horizon caps the simulated duration (default 30s); the run stops
-	// earlier when every finite app completes.
+	// Scale multiplies every finite app's instruction count (default 1);
+	// endless apps (hungry loops, servers without requests) keep theirs.
+	Scale float64 `json:"scale,omitempty"`
+	// Horizon caps the simulated duration (default 30s).
 	Horizon Duration `json:"horizon,omitempty"`
 	// VMs is the virtual machine population (at least one).
 	VMs []VMV1 `json:"vms"`
+	// Watch names the VMs whose finite apps end the run once all have
+	// completed (default: every VM).
+	Watch []string `json:"watch,omitempty"`
 	// Trace records the run's span flight recorder (domain lifecycle
 	// spans). Diagnostic only: results are byte-identical with tracing on
 	// or off, so — like place_check on clusters — it is zeroed out of the
@@ -184,6 +223,9 @@ type ClusterV1 struct {
 	// RebalancePeriod is the inter-host rebalancer tick (default 10s; a
 	// negative duration disables rebalancing).
 	RebalancePeriod Duration `json:"rebalance_period,omitempty"`
+	// LLCPressureLimit is the per-socket LLC pressure sum above which the
+	// rebalancer migrates VMs off a host (default 50).
+	LLCPressureLimit float64 `json:"llc_pressure_limit,omitempty"`
 	// Preempt lets arrivals above best-effort evict strictly-lower-priority
 	// VMs when no host fits (default off).
 	Preempt bool `json:"preempt,omitempty"`
@@ -284,24 +326,25 @@ func (c ClusterV1) Config() cluster.Config {
 		Policy:            n.Policy,
 		Seed:              n.Seed,
 		ArrivalsPerSecond: n.ArrivalsPerSecond,
-		MeanLifetime:      n.MeanLifetime.sim(),
-		Horizon:           n.Horizon.sim(),
+		MeanLifetime:      n.MeanLifetime.Sim(),
+		Horizon:           n.Horizon.Sim(),
 		Workers:           n.Workers,
 		Mix:               n.Mix,
-		RebalancePeriod:   n.RebalancePeriod.sim(),
+		RebalancePeriod:   n.RebalancePeriod.Sim(),
+		LLCPressureLimit:  n.LLCPressureLimit,
 		Preempt:           n.Preempt,
 		Gang:              n.Gang,
 		GangFraction:      n.GangFraction,
 		GangSize:          n.GangSize,
 		Backfill:          n.Backfill,
-		DeschedulePeriod:  n.DeschedulePeriod.sim(),
+		DeschedulePeriod:  n.DeschedulePeriod.Sim(),
 		PlaceCheck:        n.PlaceCheck,
 		Arrival: cluster.ArrivalConfig{
 			Process:          n.ArrivalProcess,
-			DiurnalPeriod:    n.DiurnalPeriod.sim(),
+			DiurnalPeriod:    n.DiurnalPeriod.Sim(),
 			DiurnalAmplitude: n.DiurnalAmplitude,
-			FlashAt:          n.FlashAt.sim(),
-			FlashDuration:    n.FlashDuration.sim(),
+			FlashAt:          n.FlashAt.Sim(),
+			FlashDuration:    n.FlashDuration.Sim(),
 			FlashFactor:      n.FlashFactor,
 		},
 	}
@@ -314,6 +357,92 @@ func (c ClusterV1) Config() cluster.Config {
 	return cfg
 }
 
+// Hypervisor lowers the scenario onto an unstarted hypervisor. It is the
+// one place a ScenarioV1 field becomes simulation state. It validates the
+// spec (failures wrap ErrVersion or ErrInvalid), builds the policy from
+// the scheduler settings, and then, in spec order, creates every VM,
+// attaches each VM's apps (finite ones scaled) and guest-idle fill and
+// applies its pins, and sets the watch list. Callers attach the live hooks
+// (events, telemetry, spans) themselves before starting it.
+func (s ScenarioV1) Hypervisor() (*xen.Hypervisor, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	n := s.Normalize()
+	pol, err := sched.Build(sched.Kind(n.Scheduler), sched.Settings{
+		SamplePeriod: n.SamplePeriod.Sim(),
+		Bounds:       core.Bounds{Low: n.Bounds.Low, High: n.Bounds.High},
+		NoAffinity:   n.NoAffinity,
+		Dynamic:      n.DynamicBounds,
+	})
+	if err != nil {
+		return nil, err
+	}
+	cfg := xen.DefaultConfig()
+	cfg.Seed = n.Seed
+	h := xen.New(numa.Presets[n.Topology](), pol, cfg)
+	if n.PageMigration {
+		h.Migrator = mem.DefaultMigrator()
+	}
+	byName := make(map[string]*xen.Domain, len(n.VMs))
+	for i, vm := range n.VMs {
+		d, err := h.CreateDomain(vm.Name, vm.MemoryMB, vm.VCPUs, memoryPolicies[vm.Memory])
+		if err != nil {
+			return nil, fmt.Errorf("spec: vms[%d] %q: %w", i, vm.Name, err)
+		}
+		byName[vm.Name] = d
+	}
+	for i, vm := range n.VMs {
+		d := h.Domains[i]
+		for j, app := range vm.Apps {
+			p, err := app.Profile(n.Scale)
+			if err == nil {
+				_, err = h.AttachApp(d, j, p)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("spec: vms[%d].apps[%d]: %w", i, j, err)
+			}
+		}
+		for j := len(vm.Apps); vm.FillGuestIdle && j < vm.VCPUs; j++ {
+			if _, err := h.AttachApp(d, j, workload.GuestIdle()); err != nil {
+				return nil, fmt.Errorf("spec: vms[%d] guest-idle fill: %w", i, err)
+			}
+		}
+		for j, cpu := range vm.Pin {
+			if err := h.Pin(d.VCPUs[j], numa.CPUID(cpu)); err != nil {
+				return nil, fmt.Errorf("spec: vms[%d].pin[%d]: %w", i, j, err)
+			}
+		}
+	}
+	watch := make([]*xen.Domain, len(n.Watch))
+	for i, name := range n.Watch {
+		watch[i] = byName[name]
+	}
+	h.WatchDomains(watch...)
+	return h, nil
+}
+
+// Profile builds the workload profile of one app of a scenario run at
+// scale: its request target applied, then its instruction count scaled
+// unless it is endless.
+func (a AppV1) Profile(scale float64) (*workload.Profile, error) {
+	ref := workload.Ref{Name: a.Name, Load: a.Load}
+	if a.Server != "" {
+		ref.Name = a.Server
+	}
+	p, err := ref.Profile()
+	if err != nil {
+		return nil, err
+	}
+	if a.Requests > 0 {
+		p.TotalInstructions = float64(a.Requests) * p.InstrPerRequest
+	}
+	if !p.Endless() {
+		p.TotalInstructions *= scale
+	}
+	return p, nil
+}
+
 // ArrivalProcesses lists the arrival generators a ClusterV1 accepts,
 // sorted.
 func ArrivalProcesses() []string { return cluster.ArrivalProcesses() }
@@ -321,8 +450,10 @@ func ArrivalProcesses() []string { return cluster.ArrivalProcesses() }
 // Mixes lists the workload mixes a ClusterV1 accepts, sorted.
 func Mixes() []string { return []string{"batch", "mixed", "server"} }
 
-// memoryPolicies lists the VMV1.Memory values, sorted.
-func memoryPolicies() []string { return []string{"fill", "stripe"} }
+// memoryPolicies maps the VMV1.Memory values to their placement policies.
+var memoryPolicies = map[string]mem.Policy{
+	"fill": mem.PolicyFill, "local": mem.PolicyLocal, "stripe": mem.PolicyStripe,
+}
 
 // Topologies lists the machine presets, sorted.
 func Topologies() []string {
@@ -370,6 +501,14 @@ func (s ScenarioV1) Normalize() ScenarioV1 {
 	if s.SamplePeriod == 0 {
 		s.SamplePeriod = Duration(time.Second)
 	}
+	b := BoundsV1{Low: stockBounds.Low, High: stockBounds.High}
+	if s.Bounds != nil {
+		b = *s.Bounds
+	}
+	s.Bounds = &b
+	if s.Scale == 0 {
+		s.Scale = 1
+	}
 	if s.Horizon == 0 {
 		s.Horizon = Duration(30 * time.Second)
 	}
@@ -379,11 +518,25 @@ func (s ScenarioV1) Normalize() ScenarioV1 {
 			vm.Memory = "fill"
 		}
 		vm.Apps = append([]AppV1(nil), vm.Apps...)
+		vm.Pin = append([]int(nil), vm.Pin...)
 		vms[i] = vm
 	}
 	s.VMs = vms
+	watch := append(make([]string, 0, max(len(s.Watch), len(vms))), s.Watch...)
+	for i := 0; len(s.Watch) == 0 && i < len(vms); i++ {
+		watch = append(watch, vms[i].Name)
+	}
+	s.Watch = watch
 	return s
 }
+
+// stockBounds are the classification bounds of a stock vProbe policy,
+// ScenarioV1.Bounds' default.
+var stockBounds = sched.NewVProbe().Analyzer.Bounds
+
+// maxVCPUs caps a scenario's total VCPU count, so a spec cannot make
+// lowering allocate without bound.
+const maxVCPUs = 4096
 
 // Validate checks a scenario; failures wrap ErrVersion or ErrInvalid.
 // Validation is defined on the normalized form: Validate normalizes
@@ -404,6 +557,12 @@ func (s ScenarioV1) Validate() error {
 	if n.SamplePeriod < 0 {
 		return fmt.Errorf("%w: sample_period %v must not be negative", ErrInvalid, n.SamplePeriod.Std())
 	}
+	if b := n.Bounds; !(b.Low > 0 && b.Low < b.High) {
+		return fmt.Errorf("%w: bounds (low %v, high %v) need 0 < low < high", ErrInvalid, b.Low, b.High)
+	}
+	if !(n.Scale > 0) {
+		return fmt.Errorf("%w: scale %v must be positive", ErrInvalid, n.Scale)
+	}
 	if n.Horizon <= 0 {
 		return fmt.Errorf("%w: horizon %v must be positive", ErrInvalid, n.Horizon.Std())
 	}
@@ -414,6 +573,7 @@ func (s ScenarioV1) Validate() error {
 		return err
 	}
 	seen := make(map[string]bool, len(n.VMs))
+	vcpus, cpus := 0, 0
 	for i, vm := range n.VMs {
 		path := fmt.Sprintf("vms[%d]", i)
 		if vm.Name == "" {
@@ -429,9 +589,11 @@ func (s ScenarioV1) Validate() error {
 		if vm.VCPUs <= 0 {
 			return fmt.Errorf("%w: %s.vcpus %d must be positive", ErrInvalid, path, vm.VCPUs)
 		}
-		if vm.Memory != "fill" && vm.Memory != "stripe" {
-			return fmt.Errorf("%w: %s.memory %q (have %s)",
-				ErrInvalid, path, vm.Memory, strings.Join(memoryPolicies(), ", "))
+		if vcpus += vm.VCPUs; vcpus > maxVCPUs {
+			return fmt.Errorf("%w: vms declare more than %d vcpus in total", ErrInvalid, maxVCPUs)
+		}
+		if _, ok := memoryPolicies[vm.Memory]; !ok {
+			return fmt.Errorf("%w: %s.memory %q (have fill, local, stripe)", ErrInvalid, path, vm.Memory)
 		}
 		if len(vm.Apps) > vm.VCPUs {
 			return fmt.Errorf("%w: %s lists %d apps for %d vcpus",
@@ -442,12 +604,35 @@ func (s ScenarioV1) Validate() error {
 				return err
 			}
 		}
+		if len(vm.Pin) > vm.VCPUs {
+			return fmt.Errorf("%w: %s.pin lists %d pcpus for %d vcpus",
+				ErrInvalid, path, len(vm.Pin), vm.VCPUs)
+		}
+		if len(vm.Pin) > 0 && cpus == 0 {
+			cpus = numa.Presets[n.Topology]().NumCPUs()
+		}
+		for j, cpu := range vm.Pin {
+			if cpu < 0 || cpu >= cpus {
+				return fmt.Errorf("%w: %s.pin[%d] %d is outside %s's pcpus [0, %d)",
+					ErrInvalid, path, j, cpu, n.Topology, cpus)
+			}
+		}
+	}
+	for i, name := range n.Watch {
+		if !seen[name] {
+			return fmt.Errorf("%w: watch[%d] %q names no VM, or one listed before", ErrInvalid, i, name)
+		}
+		delete(seen, name)
 	}
 	return nil
 }
 
 // validate checks one app reference.
 func (a AppV1) validate(path string) error {
+	if a.Requests < 0 || (a.Requests > 0 && a.Server != "memcached") {
+		return fmt.Errorf("%w: %s.requests %d: a request target must be positive and applies to memcached servers only",
+			ErrInvalid, path, a.Requests)
+	}
 	switch {
 	case a.Name != "" && a.Server != "":
 		return fmt.Errorf("%w: %s sets both name and server", ErrInvalid, path)
@@ -511,6 +696,9 @@ func (c ClusterV1) Normalize() ClusterV1 {
 	} else if c.RebalancePeriod < 0 {
 		// All disabled values share one canonical form.
 		c.RebalancePeriod = Duration(-time.Second)
+	}
+	if c.LLCPressureLimit == 0 {
+		c.LLCPressureLimit = cluster.DefaultLLCPressureLimit
 	}
 	if c.GangFraction > 0 && c.GangSize == 0 {
 		c.GangSize = 3
@@ -582,6 +770,9 @@ func (c ClusterV1) Validate() error {
 	}
 	if n.Mix != "mixed" && n.Mix != "batch" && n.Mix != "server" {
 		return fmt.Errorf("%w: mix %q (have %s)", ErrInvalid, n.Mix, strings.Join(Mixes(), ", "))
+	}
+	if !(n.LLCPressureLimit > 0) {
+		return fmt.Errorf("%w: llc_pressure_limit %v must be positive", ErrInvalid, n.LLCPressureLimit)
 	}
 	if n.GangFraction < 0 || n.GangFraction > 1 {
 		return fmt.Errorf("%w: gang_fraction %v must be in [0, 1]", ErrInvalid, n.GangFraction)

@@ -259,6 +259,20 @@ func Redis(connections int) *Profile {
 	}
 }
 
+// RedisBenchmark models one redis-benchmark driver (paper Fig. 7's client
+// VM): a CPU-bound request generator with a small cache footprint that
+// runs to the horizon.
+func RedisBenchmark() *Profile {
+	return &Profile{
+		Name: "redis-benchmark", Suite: "server", TrueClass: ClassFriendly,
+		BaseCPI: 0.8,
+		Phases: []Phase{
+			{Fraction: 1, RPTI: 1.2, WorkingSetKB: 512, SoloMissRate: 0.02, MaxMissRate: 0.2},
+		},
+		FootprintMB: 64, TotalInstructions: 1e18, TouchesPerPage: 1.5,
+	}
+}
+
 func minF(a, b float64) float64 {
 	if a < b {
 		return a
@@ -272,7 +286,7 @@ func minF(a, b float64) float64 {
 var builders = map[string]func() *Profile{
 	"povray": Povray, "ep": EP, "lu": LU, "mg": MG, "bt": BT, "cg": CG, "sp": SP,
 	"soplex": Soplex, "mcf": MCF, "milc": Milc, "libquantum": Libquantum,
-	"hungry": Hungry, "guest-idle": GuestIdle,
+	"hungry": Hungry, "guest-idle": GuestIdle, "redis-benchmark": RedisBenchmark,
 }
 
 // Catalog returns all fixed profiles keyed by name.

@@ -203,7 +203,7 @@ func TestByName(t *testing.T) {
 		}
 	}
 	_, err := ByName("doom")
-	const want = `workload: unknown profile "doom" (have [bt cg ep guest-idle hungry libquantum lu mcf mg milc povray soplex sp])`
+	const want = `workload: unknown profile "doom" (have [bt cg ep guest-idle hungry libquantum lu mcf mg milc povray redis-benchmark soplex sp])`
 	if err == nil || err.Error() != want {
 		t.Fatalf("ByName(doom) error = %v, want %s", err, want)
 	}

@@ -13,10 +13,10 @@ import (
 //	"redis@2000:4, lu:2"          — servers take a load parameter after '@'
 //	"mcf"                         — a bare name means one instance
 //
-// into a profile list. Parameterised servers (memcached, redis) accept an
-// '@load' suffix; fixed catalog profiles do not.
-func ParseSpec(spec string) ([]*Profile, error) {
-	var out []*Profile
+// into one Ref per instance, in order. Parameterised servers (memcached,
+// redis) accept an '@load' suffix; fixed catalog profiles do not.
+func ParseSpec(spec string) ([]Ref, error) {
+	var out []Ref
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -41,34 +41,44 @@ func ParseSpec(spec string) ([]*Profile, error) {
 			load = n
 			name = strings.TrimSpace(name[:i])
 		}
-		var base *Profile
-		switch name {
-		case "memcached":
-			if load == 0 {
-				return nil, fmt.Errorf("workload: %q needs a load, e.g. memcached@64", part)
-			}
-			base = Memcached(load)
-		case "redis":
-			if load == 0 {
-				return nil, fmt.Errorf("workload: %q needs a load, e.g. redis@2000", part)
-			}
-			base = Redis(load)
-		default:
+		switch {
+		case name == "memcached" && load == 0:
+			return nil, fmt.Errorf("workload: %q needs a load, e.g. memcached@64", part)
+		case name == "redis" && load == 0:
+			return nil, fmt.Errorf("workload: %q needs a load, e.g. redis@2000", part)
+		case name != "memcached" && name != "redis":
 			if load != 0 {
 				return nil, fmt.Errorf("workload: %q does not take a load parameter", name)
 			}
-			p, err := ByName(name)
-			if err != nil {
+			if _, err := ByName(name); err != nil {
 				return nil, err
 			}
-			base = p
 		}
 		for i := 0; i < count; i++ {
-			out = append(out, base.Clone())
+			out = append(out, Ref{Name: name, Load: load})
 		}
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("workload: empty spec %q", spec)
 	}
 	return out, nil
+}
+
+// Ref names one app instance of a compact specification: a fixed catalog
+// profile, or a parameterised server ("memcached", "redis") with its Load.
+type Ref struct {
+	Name string
+	Load int
+}
+
+// Profile builds the profile r names.
+func (r Ref) Profile() (*Profile, error) {
+	switch r.Name {
+	case "memcached":
+		return Memcached(r.Load), nil
+	case "redis":
+		return Redis(r.Load), nil
+	default:
+		return ByName(r.Name)
+	}
 }

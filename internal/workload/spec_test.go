@@ -13,9 +13,10 @@ func TestParseSpecBasics(t *testing.T) {
 	if ps[0].Name != "soplex" || ps[4].Name != "hungry" {
 		t.Fatalf("wrong order: %s, %s", ps[0].Name, ps[4].Name)
 	}
-	// Instances must be independent clones.
-	ps[0].TotalInstructions = 1
-	if ps[1].TotalInstructions == 1 {
+	// Each instance builds its own profile.
+	a, _ := ps[0].Profile()
+	b, _ := ps[1].Profile()
+	if a.TotalInstructions = 1; b.TotalInstructions == 1 {
 		t.Fatal("instances share storage")
 	}
 }
@@ -38,11 +39,11 @@ func TestParseSpecServers(t *testing.T) {
 	if len(ps) != 12 {
 		t.Fatalf("parsed %d profiles", len(ps))
 	}
-	if !ps[0].Server || ps[0].Name != "memcached-c64" {
-		t.Fatalf("first profile = %+v", ps[0])
+	if p, _ := ps[0].Profile(); !p.Server || p.Name != "memcached-c64" {
+		t.Fatalf("first profile = %+v", p)
 	}
-	if ps[8].Name != "redis-p2000" {
-		t.Fatalf("ninth profile = %s", ps[8].Name)
+	if p, _ := ps[8].Profile(); p.Name != "redis-p2000" {
+		t.Fatalf("ninth profile = %s", p.Name)
 	}
 }
 

@@ -234,6 +234,9 @@ func (h *Hypervisor) Pin(v *VCPU, cpu numa.CPUID) error {
 // finished all attached apps.
 func (h *Hypervisor) WatchDomains(ds ...*Domain) { h.watch = ds }
 
+// Watched returns the domains WatchDomains set, in its order.
+func (h *Hypervisor) Watched() []*Domain { return h.watch }
+
 // AllVCPUs returns every VCPU in creation order.
 func (h *Hypervisor) AllVCPUs() []*VCPU { return h.vcpus }
 

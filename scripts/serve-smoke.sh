@@ -11,7 +11,10 @@
 #   5. the two cluster front doors agree: a traced cluster spec POSTed to
 #      /v1/clusters reports and records spans byte-identically to
 #      vprobe-cluster with the same settings, and its explain endpoint
-#      answers for the first recorded VM.
+#      answers for the first recorded VM;
+#   6. a paper cell served from its spec document (vprobe-sim -spec, with
+#      "trace": true) reports and records spans byte-identically to
+#      vprobe-sim running the same cell with -spans.
 #
 # Used by `make smoke-serve` and the CI "Serve API smoke" step.
 set -eu
@@ -78,4 +81,18 @@ VM=$(curl -sf "http://$ADDR/v1/runs/$CID/explain" | jq -r '.vms[0]')
 CODE=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/v1/runs/$CID/explain?vm=$VM")
 [ "$CODE" = "200" ] || { echo "serve-smoke: explain?vm=$VM answered $CODE" >&2; exit 1; }
 
-echo "serve-smoke: OK (run $ID cached and byte-identical; cluster $CID matches vprobe-cluster)"
+CELL_PATH=fig4/mix/vprobe/seed0
+go build -o "$TMP/vprobe-sim" ./cmd/vprobe-sim
+"$TMP/vprobe-sim" -spec "$CELL_PATH" | jq '.trace = true' >"$TMP/cell.json"
+"$TMP/vprobe-sim" -spec "$CELL_PATH" -spans "$TMP/cell-spans.jsonl" \
+    >"$TMP/cell-report.txt" 2>/dev/null
+curl -sf -d @"$TMP/cell.json" "http://$ADDR/v1/simulations" >"$TMP/cell-run.json"
+CELL=$(jq -r .id "$TMP/cell-run.json")
+jq -j .report "$TMP/cell-run.json" >"$TMP/served-cell-report.txt"
+cmp "$TMP/cell-report.txt" "$TMP/served-cell-report.txt" || {
+    echo "serve-smoke: served $CELL_PATH report differs from vprobe-sim's" >&2; exit 1; }
+curl -sf "http://$ADDR/v1/runs/$CELL/spans" >"$TMP/served-cell-spans.jsonl"
+cmp "$TMP/cell-spans.jsonl" "$TMP/served-cell-spans.jsonl" || {
+    echo "serve-smoke: served $CELL_PATH spans differ from vprobe-sim -spans" >&2; exit 1; }
+
+echo "serve-smoke: OK (run $ID cached and byte-identical; cluster $CID matches vprobe-cluster; cell $CELL_PATH matches vprobe-sim)"

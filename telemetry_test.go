@@ -117,9 +117,9 @@ func TestTelemetryAttachOnce(t *testing.T) {
 	}
 }
 
-// runStandard runs the standard scenario and returns the report text plus
-// the full event stream.
-func runStandard(t *testing.T, withTele bool) string {
+// runTelemetryScenario runs the standard scenario and returns the report
+// text plus the full event stream.
+func runTelemetryScenario(t *testing.T, withTele bool) string {
 	t.Helper()
 	var sb strings.Builder
 	cfg := vprobe.Config{
@@ -151,8 +151,8 @@ func runStandard(t *testing.T, withTele bool) string {
 // API: report and event stream are byte-identical with telemetry on or
 // off.
 func TestTelemetryReportIdentical(t *testing.T) {
-	off := runStandard(t, false)
-	on := runStandard(t, true)
+	off := runTelemetryScenario(t, false)
+	on := runTelemetryScenario(t, true)
 	if off != on {
 		t.Fatal("simulation output diverges with telemetry attached")
 	}

@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"time"
 
-	"vprobe/internal/core"
 	"vprobe/internal/mem"
 	"vprobe/internal/numa"
 	"vprobe/internal/sched"
@@ -150,11 +149,13 @@ type VMConfig struct {
 // Simulator is single-use: running consumes it, and a second Run fails
 // with ErrAlreadyRun.
 type Simulator struct {
-	h         *xen.Hypervisor
-	cfg       Config
-	started   bool
-	ran       bool
-	idleFlags map[*xen.Domain]bool
+	h       *xen.Hypervisor
+	cfg     Config
+	started bool
+	ran     bool
+	// idle lists the VMs whose free VCPUs get guest-idle housekeeping
+	// when the run starts.
+	idle []*xen.Domain
 }
 
 // NewSimulator builds a simulator.
@@ -169,17 +170,12 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTopology, cfg.Topology)
 	}
-	pol, err := sched.New(sched.Kind(cfg.Scheduler))
+	pol, err := sched.Build(sched.Kind(cfg.Scheduler), sched.Settings{
+		SamplePeriod: sim.Duration(cfg.SamplePeriod.Microseconds()),
+		Dynamic:      cfg.DynamicBounds,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownScheduler, cfg.Scheduler)
-	}
-	if vp, ok := pol.(*sched.VProbe); ok {
-		if cfg.SamplePeriod > 0 {
-			vp.SamplePeriod = sim.Duration(cfg.SamplePeriod.Microseconds())
-		}
-		if cfg.DynamicBounds {
-			vp.Dynamic = core.NewDynamicBounds()
-		}
 	}
 	xcfg := xen.DefaultConfig()
 	if cfg.Seed != 0 {
@@ -189,6 +185,13 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	if cfg.PageMigration {
 		h.Migrator = mem.DefaultMigrator()
 	}
+	return newSimulator(h, cfg)
+}
+
+// newSimulator wraps h, which already carries the policy and every
+// simulation setting, attaching cfg's live hooks: events, telemetry and
+// spans.
+func newSimulator(h *xen.Hypervisor, cfg Config) (*Simulator, error) {
 	h.EventFn = eventHook(cfg.Events)
 	if cfg.Telemetry != nil {
 		if err := cfg.Telemetry.attach(); err != nil {
@@ -199,13 +202,13 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	if cfg.Spans != nil {
 		// Span IDs derive from the effective seed (after the default), so
 		// the same Config always records the same IDs.
-		tracer, err := cfg.Spans.attach(xcfg.Seed)
+		tracer, err := cfg.Spans.attach(h.Config.Seed)
 		if err != nil {
 			return nil, err
 		}
 		xen.AttachSpans(h, tracer)
 	}
-	return &Simulator{h: h, cfg: cfg, idleFlags: make(map[*xen.Domain]bool)}, nil
+	return &Simulator{h: h, cfg: cfg}, nil
 }
 
 // Hypervisor exposes the underlying model for advanced use (inspection,
@@ -238,7 +241,9 @@ func (s *Simulator) AddVM(cfg VMConfig) (*VM, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.idleFlags[d] = cfg.FillGuestIdle
+	if cfg.FillGuestIdle {
+		s.idle = append(s.idle, d)
+	}
 	return &VM{sim: s, d: d, cfg: cfg}, nil
 }
 
@@ -279,21 +284,9 @@ func (vm *VM) RunRedis(connections int) error {
 	return vm.RunProfile(workload.Redis(connections))
 }
 
-// fillGuestIdle attaches housekeeping apps to remaining VCPUs.
-func (vm *VM) fillGuestIdle() error {
-	for i, v := range vm.d.VCPUs {
-		if v.App == nil {
-			if _, err := vm.sim.h.AttachApp(vm.d, i, workload.GuestIdle()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // Run advances the simulation for at most horizon of virtual time,
-// stopping earlier if every finite app in every VM completes, and returns
-// the report.
+// stopping earlier if every finite app in every VM completes (in every
+// watched VM, for a compiled scenario), and returns the report.
 func (s *Simulator) Run(horizon time.Duration) (*Report, error) {
 	return s.run(context.Background(), horizon, true)
 }
@@ -334,15 +327,17 @@ func (s *Simulator) run(ctx context.Context, horizon time.Duration, watchAll boo
 	// cancelled run leaves state a re-run would silently corrupt.
 	s.ran = true
 	if !s.started {
-		for _, d := range s.h.Domains {
-			if vmCfgWantsIdle(s, d) {
-				vm := &VM{sim: s, d: d}
-				if err := vm.fillGuestIdle(); err != nil {
+		for _, d := range s.idle {
+			for i, v := range d.VCPUs {
+				if v.App != nil {
+					continue
+				}
+				if _, err := s.h.AttachApp(d, i, workload.GuestIdle()); err != nil {
 					return nil, err
 				}
 			}
 		}
-		if watchAll && len(s.h.Domains) > 0 {
+		if watchAll && len(s.h.Watched()) == 0 && len(s.h.Domains) > 0 {
 			s.h.WatchDomains(s.h.Domains...)
 		}
 		if err := s.h.Start(); err != nil {
@@ -369,11 +364,4 @@ func (s *Simulator) run(ctx context.Context, horizon time.Duration, watchAll boo
 	// so exports never contain open intervals.
 	s.h.Spans.Close()
 	return buildReport(s, end), nil
-}
-
-// vmCfgWantsIdle finds the original VMConfig flag; domains created through
-// AddVM with FillGuestIdle get housekeeping on their free VCPUs.
-func vmCfgWantsIdle(s *Simulator, d *xen.Domain) bool {
-	f, ok := s.idleFlags[d]
-	return ok && f
 }
