@@ -357,50 +357,75 @@ func BenchmarkSpecCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkServedScenario measures what a vprobe-serve cache miss does
-// past the HTTP layer, on the repo benchmark's serve-mix spec shape (a
-// 0.5 s two-VM scenario): compile with an event sink and telemetry
-// attached, run, and render the report and the event, telemetry and
-// Prometheus bytes the server stores.
+// servedScenarioSpec is the repo benchmark's serve-mix spec shape: a
+// 0.5 s two-VM scenario.
+const servedScenarioSpec = `{
+  "scheduler": "vprobe", "seed": 7, "horizon": "500ms",
+  "vms": [
+    {"name": "vm1", "memory_mb": 4096, "vcpus": 4, "memory": "stripe",
+     "fill_guest_idle": true, "apps": [{"name": "soplex"}, {"name": "mcf"}]},
+    {"name": "vm2", "memory_mb": 2048, "vcpus": 4,
+     "apps": [{"name": "milc"}, {"name": "lu"}]}
+  ]
+}`
+
+// runServedScenario does what a vprobe-serve cache miss does past the
+// HTTP layer: compile with an event log and telemetry attached, run, and
+// render the report, telemetry and Prometheus bytes the server stores.
+// The events stay in the log, as a served run keeps them.
+func runServedScenario(b *testing.B, sp spec.ScenarioV1) *vprobe.EventLog {
+	log := new(vprobe.EventLog)
+	tele := vprobe.NewTelemetry(vprobe.TelemetryOptions{Every: 100 * time.Millisecond})
+	sim, horizon, err := vprobe.CompileScenario(sp, vprobe.CompileOptions{
+		Events:    log,
+		Telemetry: tele,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := sim.RunContext(context.Background(), horizon)
+	if err != nil {
+		b.Fatal(err)
+	}
+	servedBytes = len(rep.String())
+	if err := tele.WriteJSONL(io.Discard); err != nil {
+		b.Fatal(err)
+	}
+	if err := tele.WritePrometheus(io.Discard); err != nil {
+		b.Fatal(err)
+	}
+	return log
+}
+
+// BenchmarkServedScenario measures a vprobe-serve cache miss past the
+// HTTP layer on the serve-mix spec shape (see runServedScenario).
 func BenchmarkServedScenario(b *testing.B) {
-	doc := []byte(`{
-	  "scheduler": "vprobe", "seed": 7, "horizon": "500ms",
-	  "vms": [
-	    {"name": "vm1", "memory_mb": 4096, "vcpus": 4, "memory": "stripe",
-	     "fill_guest_idle": true, "apps": [{"name": "soplex"}, {"name": "mcf"}]},
-	    {"name": "vm2", "memory_mb": 2048, "vcpus": 4,
-	     "apps": [{"name": "milc"}, {"name": "lu"}]}
-	  ]
-	}`)
 	var sp spec.ScenarioV1
-	if err := json.Unmarshal(doc, &sp); err != nil {
+	if err := json.Unmarshal([]byte(servedScenarioSpec), &sp); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var events []byte
-		tele := vprobe.NewTelemetry(vprobe.TelemetryOptions{Every: 100 * time.Millisecond})
-		sim, horizon, err := vprobe.CompileScenario(sp, vprobe.CompileOptions{
-			Events: vprobe.EventFunc(func(ev vprobe.Event) {
-				events = append(ev.AppendJSON(events), '\n')
-			}),
-			Telemetry: tele,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep, err := sim.RunContext(context.Background(), horizon)
-		if err != nil {
-			b.Fatal(err)
-		}
-		servedBytes = len(rep.String()) + len(events)
-		if err := tele.WriteJSONL(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-		if err := tele.WritePrometheus(io.Discard); err != nil {
-			b.Fatal(err)
-		}
+		runServedScenario(b, sp)
 	}
+}
+
+// BenchmarkServedEventsRead measures GET /v1/runs/{id}/events on a done
+// run past the HTTP layer: rendering a stored serve-mix run's whole event
+// log as JSONL.
+func BenchmarkServedEventsRead(b *testing.B) {
+	var sp spec.ScenarioV1
+	if err := json.Unmarshal([]byte(servedScenarioSpec), &sp); err != nil {
+		b.Fatal(err)
+	}
+	log := runServedScenario(b, sp)
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = log.AppendJSONL(buf[:0], 0, log.Len())
+	}
+	servedBytes = len(buf)
 }
 
 // servedBytes keeps BenchmarkServedScenario's rendering live.

@@ -3,10 +3,13 @@ package vprobe
 import (
 	"math"
 	"strconv"
+	"sync"
 	"time"
 	"unicode/utf8"
 
 	"vprobe/internal/cluster"
+	"vprobe/internal/numa"
+	"vprobe/internal/sim"
 	"vprobe/internal/xen"
 )
 
@@ -98,16 +101,22 @@ func (ev Event) String() string { return ev.Detail }
 // are non-empty, and "detail". The bytes equal what encoding/json would
 // marshal for those fields, HTML escaping and number format included.
 func (ev Event) AppendJSON(b []byte) []byte {
+	return appendEventJSON(b, ev.At, string(ev.Kind), ev.VCPU, ev.Node, ev.App, ev.Host, ev.VM, ev.Detail)
+}
+
+// appendEventJSON is the one JSON Lines record renderer, behind both
+// Event.AppendJSON and EventLog.AppendJSONL.
+func appendEventJSON[D string | []byte](b []byte, at time.Duration, kind string, vcpu, node int, app, host, vm string, detail D) []byte {
 	b = append(b, `{"t":`...)
-	b = appendJSONFloat(b, ev.At.Seconds())
+	b = appendJSONFloat(b, at.Seconds())
 	b = append(b, `,"kind":`...)
-	b = appendJSONString(b, string(ev.Kind))
+	b = appendJSONString(b, kind)
 	b = append(b, `,"vcpu":`...)
-	b = strconv.AppendInt(b, int64(ev.VCPU), 10)
+	b = strconv.AppendInt(b, int64(vcpu), 10)
 	b = append(b, `,"node":`...)
-	b = strconv.AppendInt(b, int64(ev.Node), 10)
+	b = strconv.AppendInt(b, int64(node), 10)
 	for _, f := range [...]struct{ key, val string }{
-		{`,"app":`, ev.App}, {`,"host":`, ev.Host}, {`,"vm":`, ev.VM},
+		{`,"app":`, app}, {`,"host":`, host}, {`,"vm":`, vm},
 	} {
 		if f.val != "" {
 			b = append(b, f.key...)
@@ -115,7 +124,7 @@ func (ev Event) AppendJSON(b []byte) []byte {
 		}
 	}
 	b = append(b, `,"detail":`...)
-	b = appendJSONString(b, ev.Detail)
+	b = appendJSONString(b, detail)
 	return append(b, '}')
 }
 
@@ -141,7 +150,7 @@ func appendJSONFloat(b []byte, f float64) []byte {
 // appendJSONString quotes s as encoding/json does: control bytes, quotes,
 // backslashes and the HTML-sensitive <, > and & are escaped, invalid UTF-8
 // becomes U+FFFD, and U+2028/U+2029 are escaped for JavaScript.
-func appendJSONString(b []byte, s string) []byte {
+func appendJSONString[S string | []byte](b []byte, s S) []byte {
 	const hex = "0123456789abcdef"
 	b = append(b, '"')
 	start := 0
@@ -173,7 +182,9 @@ func appendJSONString(b []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		// At most UTFMax bytes: converting a []byte that short does not
+		// allocate.
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 		switch {
 		case r == utf8.RuneError && size == 1:
 			b = append(b, s[start:i]...)
@@ -203,20 +214,213 @@ type EventFunc func(Event)
 // HandleEvent calls f.
 func (f EventFunc) HandleEvent(ev Event) { f(ev) }
 
+// EventLog records a run's events in a compact form and renders them as
+// JSON Lines only when they are read. Its records are fixed-size and hold
+// no pointers, so a log the garbage collector keeps alive costs it no
+// scanning: names, kinds and the text Details of the cold kinds are
+// indexes into one per-log string table. A dispatch or block line is not
+// stored at all; AppendJSONL builds it from the record's typed fields.
+//
+// EventLog is an EventSink. As a Simulator's (or CompileScenario's)
+// Events it takes the hypervisor's typed events directly, so a run
+// builds no Event per event; as RunCluster's it records the cluster
+// events. The zero value is an empty log ready for use. One goroutine
+// appends while any number read: Len, AppendJSONL and Grown are safe to
+// call during the run.
+type EventLog struct {
+	mu    sync.Mutex
+	recs  []logRecord
+	strs  []string         // the string table; ref i > 0 is strs[i-1]
+	names map[string]int32 // interned kinds and names, by ref
+	grown chan struct{}    // closed by the next append; nil while nobody waits
+}
+
+// logRecord is one event of an EventLog. The string fields are refs into
+// the log's string table (0 is the empty string).
+type logRecord struct {
+	at   time.Duration
+	arg  sim.Duration // xen.Event.Arg of a typed dispatch or block
+	vcpu int
+	node int
+	cpu  int32
+	kind int32
+	app  int32
+	host int32
+	vm   int32
+	// detail is the ref of the Detail text, or typedDetail when the line
+	// is built from the typed fields by xen.Event.AppendDetail.
+	detail int32
+}
+
+// typedDetail marks a record whose Detail xen.Event.AppendDetail renders.
+const typedDetail = -1
+
+// closedChan is what Grown returns when the log has already grown.
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// HandleEvent records ev.
+func (l *EventLog) HandleEvent(ev Event) {
+	l.mu.Lock()
+	l.push(logRecord{
+		at:     ev.At,
+		vcpu:   ev.VCPU,
+		node:   ev.Node,
+		kind:   l.intern(string(ev.Kind)),
+		app:    l.intern(ev.App),
+		host:   l.intern(ev.Host),
+		vm:     l.intern(ev.VM),
+		detail: l.add(ev.Detail),
+	})
+	l.mu.Unlock()
+}
+
+// handleXen records one hypervisor event as it comes: a dispatch or
+// block keeps its typed fields instead of a line.
+func (l *EventLog) handleXen(ev xen.Event) {
+	l.mu.Lock()
+	r := logRecord{
+		at:     time.Duration(ev.At) * time.Microsecond,
+		arg:    ev.Arg,
+		vcpu:   int(ev.VCPU),
+		node:   int(ev.Node),
+		cpu:    int32(ev.CPU),
+		kind:   l.intern(string(ev.Kind)),
+		app:    l.intern(ev.App),
+		detail: typedDetail,
+	}
+	if ev.Detail != "" {
+		r.detail = l.add(ev.Detail)
+	}
+	l.push(r)
+	l.mu.Unlock()
+}
+
+// push appends r and wakes a waiting reader. l.mu is held.
+func (l *EventLog) push(r logRecord) {
+	l.recs = append(l.recs, r)
+	if l.grown != nil {
+		close(l.grown)
+		l.grown = nil
+	}
+}
+
+// intern returns the ref of s, adding it to the string table once.
+// l.mu is held.
+func (l *EventLog) intern(s string) int32 {
+	if s == "" {
+		return 0
+	}
+	if ref, ok := l.names[s]; ok {
+		return ref
+	}
+	if l.names == nil {
+		l.names = make(map[string]int32)
+	}
+	ref := l.add(s)
+	l.names[s] = ref
+	return ref
+}
+
+// add appends s to the string table and returns its ref. l.mu is held.
+func (l *EventLog) add(s string) int32 {
+	if s == "" {
+		return 0
+	}
+	l.strs = append(l.strs, s)
+	return int32(len(l.strs))
+}
+
+// Len returns the number of recorded events.
+func (l *EventLog) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.recs)
+}
+
+// Grown returns a channel that is closed once the log holds more than n
+// events, so a reader can wait for the next append alongside other
+// signals.
+func (l *EventLog) Grown(n int) <-chan struct{} {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.recs) > n {
+		return closedChan
+	}
+	if l.grown == nil {
+		l.grown = make(chan struct{})
+	}
+	return l.grown
+}
+
+// AppendJSONL appends the JSON Lines records of events [from, to), each
+// followed by a newline, to b and returns the extended slice. Each record
+// is byte-identical to Event.AppendJSON of the event the log was given
+// (or the Event a Simulator would have delivered to any other sink). It
+// requires 0 <= from <= to <= Len().
+func (l *EventLog) AppendJSONL(b []byte, from, to int) []byte {
+	// Records and table entries never change once appended, so a reader
+	// renders outside the lock from a snapshot of both slices.
+	l.mu.Lock()
+	recs, strs := l.recs, l.strs
+	l.mu.Unlock()
+	recs = recs[from:to]
+	str := func(ref int32) string {
+		if ref == 0 {
+			return ""
+		}
+		return strs[ref-1]
+	}
+	var scratch [128]byte // a typed line fits; a longer one moves to the heap
+	line := scratch[:0]
+	for i := range recs {
+		r := &recs[i]
+		kind, app, host, vm := str(r.kind), str(r.app), str(r.host), str(r.vm)
+		if r.detail == typedDetail {
+			line = xen.Event{
+				Kind: xen.EventKind(kind),
+				VCPU: xen.VCPUID(r.vcpu),
+				CPU:  numa.CPUID(r.cpu),
+				App:  app,
+				Arg:  r.arg,
+			}.AppendDetail(line[:0])
+			b = appendEventJSON(b, r.at, kind, r.vcpu, r.node, app, host, vm, line)
+		} else {
+			b = appendEventJSON(b, r.at, kind, r.vcpu, r.node, app, host, vm, str(r.detail))
+		}
+		b = append(b, '\n')
+	}
+	return b
+}
+
 // eventHook builds the xen-level event hook delivering to sink (nil when
-// tracing is off, so the hypervisor skips formatting entirely).
+// tracing is off, so the hypervisor skips emission entirely). An
+// *EventLog takes the typed events as they are; any other sink receives
+// Events whose Detail is rendered here.
 func eventHook(sink EventSink) func(xen.Event) {
 	if sink == nil {
 		return nil
 	}
+	if l, ok := sink.(*EventLog); ok {
+		return l.handleXen
+	}
+	var line []byte
 	return func(xe xen.Event) {
+		detail := xe.Detail
+		if detail == "" {
+			line = xe.AppendDetail(line[:0])
+			detail = string(line)
+		}
 		sink.HandleEvent(Event{
 			At:     time.Duration(xe.At) * time.Microsecond,
 			Kind:   EventKind(xe.Kind),
 			VCPU:   int(xe.VCPU),
 			Node:   int(xe.Node),
 			App:    xe.App,
-			Detail: xe.Detail,
+			Detail: detail,
 		})
 	}
 }

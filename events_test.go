@@ -3,11 +3,17 @@ package vprobe_test
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"os"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"vprobe"
+	"vprobe/internal/numa"
+	"vprobe/internal/sim"
+	"vprobe/internal/xen"
 )
 
 // wireEvent is the reference for Event.AppendJSON: the struct whose
@@ -64,5 +70,203 @@ func FuzzEventJSON(f *testing.F) {
 		if got := ev.AppendJSON([]byte("prefix")); string(got) != "prefix"+string(want) {
 			t.Fatalf("AppendJSON(%#v)\n got: %s\nwant: prefix%s", ev, got, want)
 		}
+		// An EventLog renders the same record; the second copy reads its
+		// strings back through the log's interned entries.
+		var log vprobe.EventLog
+		log.HandleEvent(ev)
+		log.HandleEvent(ev)
+		line := string(want) + "\n"
+		if got := log.AppendJSONL([]byte("prefix"), 0, 2); string(got) != "prefix"+line+line {
+			t.Fatalf("EventLog.AppendJSONL(%#v)\n got: %s\nwant: prefix%s%s", ev, got, line, line)
+		}
 	})
+}
+
+// TestEventLogTypedPath feeds every xen event kind to a Simulator's event
+// hook, once with an EventLog attached (dispatch and block stored as
+// typed fields) and once with an EventFunc (the Detail rendered for the
+// public Event), and pins both against Event.AppendJSON with the Detail
+// its fmt format gives. Cluster kinds go through EventLog.HandleEvent.
+func TestEventLogTypedPath(t *testing.T) {
+	const app = `soplex <"&">`
+	type typed struct {
+		ev     xen.Event
+		detail string // the fmt rendering of the line
+	}
+	dispatch := func(used sim.Duration) typed {
+		return typed{
+			xen.Event{At: 1500, Kind: xen.EventDispatch, VCPU: 3, CPU: 5, Node: 1, App: app, Arg: used},
+			fmt.Sprintf("pcpu%d run vcpu%d (%s) %.1fms", 5, 3, app, used.Millis()),
+		}
+	}
+	block := func(wait sim.Duration) typed {
+		return typed{
+			xen.Event{At: 2_000_001, Kind: xen.EventBlock, VCPU: 7, CPU: 0, Node: 0, App: app, Arg: wait},
+			fmt.Sprintf("vcpu%d (%s) blocks %v", 7, app, wait),
+		}
+	}
+	cold := func(kind xen.EventKind, vcpu xen.VCPUID, node numa.NodeID, app, detail string) typed {
+		return typed{xen.Event{At: 9_999_999, Kind: kind, VCPU: vcpu, CPU: -1, Node: node, App: app, Detail: detail}, detail}
+	}
+	var cases []typed
+	// Dispatch: integer tenths, ties (used%100 == 50) and their
+	// neighbours, a second-long quantum, and the exact-float bound.
+	for _, used := range []sim.Duration{1, 49, 50, 51, 150, 250, 1049, 1050, 1051, 29950, 30000, 1_000_050, 1 << 53} {
+		cases = append(cases, dispatch(used))
+	}
+	// Block: µs, ms and s branches, ties (d%1000 == 500 past a second),
+	// and negatives in every branch.
+	for _, wait := range []sim.Duration{1, 999, 1000, 1001, 999_999, 1_000_000, 1_000_500, 1_001_500, 2_999_500, 59_999_500,
+		-1, -999, -1000, -1500, -1_000_000, -1_000_500} {
+		cases = append(cases, block(wait))
+	}
+	cases = append(cases,
+		cold(xen.EventAppFinish, 3, 1, app, "vcpu3 (soplex) finished"),
+		cold(xen.EventGuestMove, 4, numa.NoNode, "mcf", "guest vm1: thread mcf moved vcpu2 -> vcpu4"),
+		cold(xen.EventDomPause, -1, numa.NoNode, "", "domain vm1 paused"),
+		cold(xen.EventDomResume, -1, numa.NoNode, "", "domain vm1 resumed"),
+		cold(xen.EventDomDestroy, -1, numa.NoNode, "", "domain vm1 destroyed"),
+	)
+
+	log := new(vprobe.EventLog)
+	logged, err := vprobe.NewSimulator(vprobe.Config{Events: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var public []vprobe.Event
+	funced, err := vprobe.NewSimulator(vprobe.Config{Events: vprobe.EventFunc(func(ev vprobe.Event) {
+		public = append(public, ev)
+	})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, c := range cases {
+		logged.Hypervisor().EventFn(c.ev)
+		funced.Hypervisor().EventFn(c.ev)
+		want = append(vprobe.Event{
+			At: time.Duration(c.ev.At) * time.Microsecond, Kind: vprobe.EventKind(c.ev.Kind),
+			VCPU: int(c.ev.VCPU), Node: int(c.ev.Node), App: c.ev.App, Detail: c.detail,
+		}.AppendJSON(want), '\n')
+		if got := c.ev.String(); got != c.detail {
+			t.Errorf("xen.Event.String() = %q, fmt gives %q", got, c.detail)
+		}
+	}
+	for _, kind := range []vprobe.EventKind{
+		vprobe.EventVMArrive, vprobe.EventVMPlace, vprobe.EventVMRetry, vprobe.EventVMReject,
+		vprobe.EventVMDepart, vprobe.EventMigrateStart, vprobe.EventMigrateDone,
+		vprobe.EventVMPreempted, vprobe.EventGangAdmitted, vprobe.EventBackfill, vprobe.EventDeschedule,
+	} {
+		ev := vprobe.Event{At: 3 * time.Second, Kind: kind, VCPU: -1, Node: -1,
+			Host: "host-01", VM: "vm-<7>", Detail: string(kind) + " vm-<7> on host-01"}
+		log.HandleEvent(ev)
+		public = append(public, ev)
+		want = append(ev.AppendJSON(want), '\n')
+	}
+
+	if got := log.AppendJSONL(nil, 0, log.Len()); string(got) != string(want) {
+		t.Errorf("EventLog rendering differs\n got: %s\nwant: %s", got, want)
+	}
+	var viaFunc []byte
+	for _, ev := range public {
+		viaFunc = append(ev.AppendJSON(viaFunc), '\n')
+	}
+	if string(viaFunc) != string(want) {
+		t.Errorf("EventFunc events differ\n got: %s\nwant: %s", viaFunc, want)
+	}
+	// Any range renders its own lines.
+	lines := strings.SplitAfter(string(want), "\n")
+	for from := 0; from < log.Len(); from += 7 {
+		to := min(from+3, log.Len())
+		if got := log.AppendJSONL(nil, from, to); string(got) != strings.Join(lines[from:to], "") {
+			t.Errorf("AppendJSONL(%d, %d) = %s", from, to, got)
+		}
+	}
+}
+
+// TestEventLogFollowersDuringRun reads a log from several goroutines
+// while a simulation appends to it, as vprobe-serve's followers do: each
+// waits on Grown, renders what arrived, and must end with exactly the
+// bytes of the finished log.
+func TestEventLogFollowersDuringRun(t *testing.T) {
+	log := new(vprobe.EventLog)
+	s, err := vprobe.NewSimulator(vprobe.Config{Scheduler: vprobe.SchedulerVProbe, Events: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, err := s.AddVM(vprobe.VMConfig{Name: "vm1", MemoryMB: 2048, VCPUs: 2, FillGuestIdle: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vm.RunApp("soplex"); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	const followers = 3
+	got := make([][]byte, followers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for off := 0; ; {
+				finished := false
+				select {
+				case <-log.Grown(off):
+				case <-done:
+					finished = true
+				}
+				n := log.Len()
+				got[i] = log.AppendJSONL(got[i], off, n)
+				off = n
+				if finished {
+					return
+				}
+			}
+		}(i)
+	}
+	_, err = s.Run(300 * time.Millisecond)
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := log.AppendJSONL(nil, 0, log.Len())
+	if len(want) == 0 {
+		t.Fatal("the run recorded no events")
+	}
+	for i, b := range got {
+		if string(b) != string(want) {
+			t.Errorf("follower %d read %d bytes, the log renders %d", i, len(b), len(want))
+		}
+	}
+}
+
+// TestEventLogGrown pins the wake-up a follower waits on: Grown(n) is
+// closed once the log holds more than n events, at once if it already
+// does, and by the append that gets it there otherwise.
+func TestEventLogGrown(t *testing.T) {
+	closed := func(c <-chan struct{}) bool {
+		select {
+		case <-c:
+			return true
+		default:
+			return false
+		}
+	}
+	var log vprobe.EventLog
+	waiting := log.Grown(0)
+	if closed(waiting) {
+		t.Fatal("Grown(0) of an empty log is closed")
+	}
+	log.HandleEvent(vprobe.Event{Kind: vprobe.EventVMArrive, Detail: "arrive"})
+	if !closed(waiting) {
+		t.Fatal("the first append did not close Grown(0)")
+	}
+	if !closed(log.Grown(0)) {
+		t.Fatal("Grown(0) of a one-event log is open")
+	}
+	if closed(log.Grown(1)) {
+		t.Fatal("Grown(1) of a one-event log is closed")
+	}
 }

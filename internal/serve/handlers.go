@@ -66,16 +66,14 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind, key string, body func(ctx context.Context, rn *Run) error) {
 	if rn, ok := s.runs.lookup(key); ok {
 		s.metrics.inc(s.metrics.cacheHit)
-		resp := rn.snapshot()
-		resp["cached"] = true
-		writeJSON(w, http.StatusOK, resp)
+		rn.writeSnapshot(w, http.StatusOK, true)
 		return
 	}
 	s.metrics.inc(s.metrics.cacheMiss)
 	rn := s.runs.create(kind, key)
 	if r.URL.Query().Get("async") == "1" {
 		go s.execute(s.opts.BaseContext, rn, body)
-		writeJSON(w, http.StatusAccepted, rn.snapshot())
+		rn.writeSnapshot(w, http.StatusAccepted, false)
 		return
 	}
 	s.execute(r.Context(), rn, body)
@@ -88,7 +86,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind, key stri
 		}
 	}
 	rn.mu.Unlock()
-	writeJSON(w, status, rn.snapshot())
+	rn.writeSnapshot(w, status, false)
 }
 
 // runFromPath resolves the {id} wildcard; a nil return means the 404 has
@@ -112,7 +110,7 @@ func (s *Server) handleRunGet(w http.ResponseWriter, r *http.Request) {
 	if rn == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, rn.snapshot())
+	rn.writeSnapshot(w, http.StatusOK, false)
 }
 
 // handleRunCancel aborts a live run; cancelling a finished run is a 409.
@@ -131,8 +129,9 @@ func (s *Server) handleRunCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"id": rn.ID, "cancelling": true})
 }
 
-// handleRunEvents streams the run's JSONL event log. For a live run it
-// follows: bytes are flushed as the simulation emits them, and the stream
+// handleRunEvents streams the run's JSONL event log, rendered from the
+// run's EventLog as it is read. For a live run it follows: each wake-up
+// renders and flushes the events appended since the last, and the stream
 // ends when the run reaches a terminal state or the client disconnects.
 func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	rn := s.runFromPath(w, r)
@@ -143,26 +142,20 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	// Wake the follower loop when the client goes away; without this a
-	// disconnected follower would sleep on the cond until the next event.
-	stop := context.AfterFunc(r.Context(), func() { rn.cond.Broadcast() })
-	defer stop()
-
-	offset := 0
-	for {
-		rn.mu.Lock()
-		for len(rn.events) == offset && !rn.state.Terminal() && r.Context().Err() == nil {
-			rn.cond.Wait()
-		}
-		chunk := rn.events[offset:]
-		offset = len(rn.events)
-		terminal := rn.state.Terminal()
-		rn.mu.Unlock()
-
-		if r.Context().Err() != nil {
+	var chunk []byte
+	for offset := 0; ; {
+		select {
+		case <-rn.log.Grown(offset):
+		case <-rn.done:
+		case <-r.Context().Done():
 			return
 		}
-		if len(chunk) > 0 {
+		// A terminal run appends nothing more, so reading the state
+		// before the length cannot miss a last event.
+		terminal := isClosed(rn.done)
+		if n := rn.log.Len(); n > offset {
+			chunk = rn.log.AppendJSONL(chunk[:0], offset, n)
+			offset = n
 			if _, err := w.Write(chunk); err != nil {
 				return
 			}
@@ -170,9 +163,19 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 				flusher.Flush()
 			}
 		}
-		if terminal && len(chunk) == 0 {
+		if terminal {
 			return
 		}
+	}
+}
+
+// isClosed reports whether c is closed, without blocking.
+func isClosed(c <-chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -357,17 +360,22 @@ func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
 			s.execute(r.Context(), rn, s.clusterBody(sp.Normalize()))
 		}
 		rn.mu.Lock()
-		defer rn.mu.Unlock()
+		state, runErr, body := rn.state, rn.err, rn.body
+		rn.mu.Unlock()
 		l.RunID = rn.ID
-		if rn.state != StateDone {
-			return l, fmt.Errorf("serve: capacity leg %s: %s", rn.ID, rn.err)
+		if state != StateDone {
+			return l, fmt.Errorf("serve: capacity leg %s: %s", rn.ID, runErr)
 		}
-		sum, ok := rn.summary.(map[string]any)
-		if !ok {
+		var done struct {
+			Summary *struct {
+				RejectionRate float64 `json:"rejection_rate"`
+				Utilization   float64 `json:"utilization"`
+			} `json:"summary"`
+		}
+		if err := json.Unmarshal(body, &done); err != nil || done.Summary == nil {
 			return l, fmt.Errorf("serve: capacity leg %s has no cluster summary", rn.ID)
 		}
-		l.RejectionRate, _ = sum["rejection_rate"].(float64)
-		l.Utilization, _ = sum["utilization"].(float64)
+		l.RejectionRate, l.Utilization = done.Summary.RejectionRate, done.Summary.Utilization
 		return l, nil
 	}
 

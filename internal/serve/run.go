@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
 	"sync"
 	"time"
 
@@ -38,16 +40,20 @@ type Run struct {
 	Kind string `json:"kind"` // "scenario" or "cluster"
 	Key  string `json:"key"`
 
+	// log records the run's events as the simulation emits them; the
+	// events endpoint renders them as JSONL when they are read.
+	log *vprobe.EventLog
+	// done is closed when the run reaches a terminal state, after its
+	// last event.
+	done chan struct{}
+
 	mu     sync.Mutex
-	cond   *sync.Cond // broadcast on event growth and state changes
 	state  State
 	err    string
 	status int // HTTP status of the failure, when state == StateFailed
 	cancel context.CancelFunc
 
-	events    []byte // JSONL, grows while running
-	report    string // rendered report text
-	summary   any    // JSON summary of the report
+	body      []byte // JSON view of the done run, rendered at completion
 	telemetry []byte // JSONL time series, set at completion
 	prom      []byte // Prometheus text exposition, set at completion
 	traced    bool   // the spec asked for span tracing
@@ -56,15 +62,12 @@ type Run struct {
 }
 
 func newRun(id, kind, key string) *Run {
-	rn := &Run{ID: id, Kind: kind, Key: key, state: StateQueued}
-	rn.cond = sync.NewCond(&rn.mu)
-	return rn
+	return &Run{ID: id, Kind: kind, Key: key, state: StateQueued,
+		log: new(vprobe.EventLog), done: make(chan struct{})}
 }
 
-// snapshot returns the JSON view of the run's current state.
-func (rn *Run) snapshot() map[string]any {
-	rn.mu.Lock()
-	defer rn.mu.Unlock()
+// view returns the JSON view of a run that is not done. rn.mu is held.
+func (rn *Run) view() map[string]any {
 	v := map[string]any{
 		"id":    rn.ID,
 		"kind":  rn.Kind,
@@ -74,11 +77,38 @@ func (rn *Run) snapshot() map[string]any {
 	if rn.err != "" {
 		v["error"] = rn.err
 	}
-	if rn.state == StateDone {
-		v["report"] = rn.report
-		v["summary"] = rn.summary
-	}
 	return v
+}
+
+// writeSnapshot writes the run's current JSON view with the given status.
+// A done run writes the bytes rendered at completion. cached marks a
+// cache hit: "cached": true leads the object, where encoding/json's
+// sorted map keys would put it.
+func (rn *Run) writeSnapshot(w http.ResponseWriter, status int, cached bool) {
+	rn.mu.Lock()
+	var body []byte
+	var v map[string]any
+	if rn.state == StateDone {
+		body = rn.body
+	} else {
+		v = rn.view()
+	}
+	rn.mu.Unlock()
+	if body == nil {
+		if cached {
+			v["cached"] = true
+		}
+		writeJSON(w, status, v)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if cached {
+		// body is "{\n  \"id\": ...": splice the key in after the brace.
+		_, _ = io.WriteString(w, "{\n  \"cached\": true,")
+		body = body[1:]
+	}
+	_, _ = w.Write(body) // a failed write means the client left; nothing to do
 }
 
 // setRunning publishes the transition out of the queue.
@@ -86,21 +116,29 @@ func (rn *Run) setRunning(cancel context.CancelFunc) {
 	rn.mu.Lock()
 	rn.state = StateRunning
 	rn.cancel = cancel
-	rn.cond.Broadcast()
 	rn.mu.Unlock()
 }
 
 // finish records a terminal state and wakes every follower.
 func (rn *Run) finish(state State, err error) {
 	rn.mu.Lock()
-	rn.state = state
 	if err != nil {
 		rn.err = err.Error()
 		rn.status = statusFor(err)
 	}
 	rn.cancel = nil
-	rn.cond.Broadcast()
+	rn.end(state)
 	rn.mu.Unlock()
+}
+
+// end enters the terminal state. rn.mu is held. A run cancelled while
+// queued can fail to get its slot afterwards; the second end only
+// relabels it.
+func (rn *Run) end(state State) {
+	if !rn.state.Terminal() {
+		close(rn.done)
+	}
+	rn.state = state
 }
 
 // requestCancel aborts a live run; it reports whether there was anything
@@ -115,8 +153,7 @@ func (rn *Run) requestCancel() bool {
 		rn.cancel()
 	} else {
 		// Still queued: mark so execute() drops it before starting.
-		rn.state = StateCancelled
-		rn.cond.Broadcast()
+		rn.end(StateCancelled)
 	}
 	return true
 }
@@ -175,18 +212,6 @@ func (g *registry) complete(rn *Run) {
 // enough that even sub-second test horizons produce samples.
 const samplePeriod = 100 * time.Millisecond
 
-// eventSink appends each typed event to the run's JSONL stream (the
-// vprobe-trace -json record, see vprobe.Event.AppendJSON) and wakes the
-// stream's followers.
-func (rn *Run) eventSink() vprobe.EventSink {
-	return vprobe.EventFunc(func(ev vprobe.Event) {
-		rn.mu.Lock()
-		rn.events = append(ev.AppendJSON(rn.events), '\n')
-		rn.cond.Broadcast()
-		rn.mu.Unlock()
-	})
-}
-
 // acquireSlot blocks until a worker slot frees up or ctx is cancelled,
 // mirroring how the harness pool bounds experiment fan-out. The release
 // func is nil when acquisition failed.
@@ -244,13 +269,13 @@ func (s *Server) execute(ctx context.Context, rn *Run, body func(ctx context.Con
 }
 
 // scenarioBody builds the run body for a ScenarioV1: compile through the
-// spec front door, attach the event stream and a telemetry collector, run
-// to the horizon, and store the rendered artifacts.
+// spec front door, attach the run's event log and a telemetry collector,
+// run to the horizon, and store the rendered artifacts.
 func (s *Server) scenarioBody(sp spec.ScenarioV1) func(ctx context.Context, rn *Run) error {
 	return func(ctx context.Context, rn *Run) error {
 		tele := vprobe.NewTelemetry(vprobe.TelemetryOptions{Every: samplePeriod})
 		sim, horizon, err := vprobe.CompileScenario(sp, vprobe.CompileOptions{
-			Events:    rn.eventSink(),
+			Events:    rn.log,
 			Telemetry: tele,
 		})
 		if err != nil {
@@ -269,7 +294,7 @@ func (s *Server) clusterBody(sp spec.ClusterV1) func(ctx context.Context, rn *Ru
 	return func(ctx context.Context, rn *Run) error {
 		tele := vprobe.NewTelemetry(vprobe.TelemetryOptions{Every: samplePeriod})
 		rep, err := vprobe.RunCluster(ctx, sp, vprobe.CompileOptions{
-			Events:    rn.eventSink(),
+			Events:    rn.log,
 			Telemetry: tele,
 		})
 		if err != nil {
@@ -279,7 +304,9 @@ func (s *Server) clusterBody(sp spec.ClusterV1) func(ctx context.Context, rn *Ru
 	}
 }
 
-// storeResult renders the run's immutable artifacts. spans is nil for
+// storeResult renders the run's immutable artifacts: the JSON view of
+// the done run (report and summary included), telemetry and, when traced,
+// spans. The events stay in the log until they are read. spans is nil for
 // untraced runs — the spans and explain endpoints then answer 404.
 func (rn *Run) storeResult(report string, summary any, tele *vprobe.Telemetry, spans *vprobe.Tracing) error {
 	var series, prom bytes.Buffer
@@ -298,9 +325,19 @@ func (rn *Run) storeResult(report string, summary any, tele *vprobe.Telemetry, s
 			return fmt.Errorf("serve: span export: %w", err)
 		}
 	}
+	body, err := encodeJSON(map[string]any{
+		"id":      rn.ID,
+		"kind":    rn.Kind,
+		"key":     rn.Key,
+		"state":   StateDone,
+		"report":  report,
+		"summary": summary,
+	})
+	if err != nil {
+		return fmt.Errorf("serve: encoding the result: %w", err)
+	}
 	rn.mu.Lock()
-	rn.report = report
-	rn.summary = summary
+	rn.body = body
 	rn.telemetry = series.Bytes()
 	rn.prom = prom.Bytes()
 	if spans != nil {

@@ -8,6 +8,12 @@
 // completed runs keyed by the spec's canonical hash — determinism makes a
 // cached result byte-identical to re-running it.
 //
+// A run records its events in a vprobe.EventLog, whose records hold no
+// pointers, and renders them as JSONL only when /events is read; a done
+// run's JSON reply is rendered once at completion and written as is to
+// every later GET and cache hit. So a cached run keeps compact records
+// and a few rendered artifacts, not its whole event stream as text.
+//
 // Endpoints (see cmd/vprobe-serve for the daemon):
 //
 //	POST /v1/simulations          run a ScenarioV1 (sync; ?async=1 queues)
@@ -29,6 +35,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -132,9 +139,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	// An unencodable value writes an empty body, as json.Encoder does; a
+	// failed write means the client left. Neither leaves anything to do.
+	b, _ := encodeJSON(v)
+	_, _ = w.Write(b)
+}
+
+// encodeJSON renders v as every JSON response carries it: two-space
+// indent, map keys sorted, a trailing newline.
+func encodeJSON(v any) ([]byte, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
 	enc.SetIndent("", "  ")
-	enc.Encode(v) // a failed write means the client left; nothing to do
+	err := enc.Encode(v)
+	return b.Bytes(), err
 }
 
 // writeError renders err with the status the table in status.go assigns.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,12 +9,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"vprobe"
+	"vprobe/internal/spec"
 	"vprobe/internal/telemetry"
 )
 
@@ -125,6 +129,63 @@ func TestScenarioCacheByteIdentity(t *testing.T) {
 	}
 	if string(prom1) != string(prom2) {
 		t.Error("cached Prometheus export not byte-identical")
+	}
+}
+
+// TestDoneReplyBytes pins the replies a done run writes from the bytes
+// rendered at completion: the sync POST's reply, GET /v1/runs/{id} and a
+// cache hit are the bytes encoding/json gives for the run's view, the hit
+// with "cached": true as its first key.
+func TestDoneReplyBytes(t *testing.T) {
+	_, ts := testServer(t, Options{})
+	post := func() []byte {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/simulations", "application/json", strings.NewReader(servedScenarioJSON))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST = %d, %v", resp.StatusCode, err)
+		}
+		return b
+	}
+	// reencode decodes a reply and encodes it again the way writeJSON
+	// does: sorted keys, two-space indent.
+	reencode := func(b []byte, drop string) []byte {
+		t.Helper()
+		var v map[string]any
+		if err := json.Unmarshal(b, &v); err != nil {
+			t.Fatal(err)
+		}
+		delete(v, drop)
+		out, err := encodeJSON(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	first := post()
+	if got := reencode(first, ""); !bytes.Equal(got, first) {
+		t.Errorf("done reply is not encoding/json's rendering\n got: %s\nwant: %s", first, got)
+	}
+	var run struct{ ID string }
+	if err := json.Unmarshal(first, &run); err != nil {
+		t.Fatal(err)
+	}
+	if _, got := getBody(t, ts.URL+"/v1/runs/"+run.ID); !bytes.Equal(got, first) {
+		t.Errorf("GET /v1/runs/%s differs from the POST reply", run.ID)
+	}
+	hit := post()
+	if !bytes.HasPrefix(hit, []byte("{\n  \"cached\": true,\n")) {
+		t.Errorf("cache hit does not lead with cached: %.40q", hit)
+	}
+	if got := reencode(hit, ""); !bytes.Equal(got, hit) {
+		t.Errorf("cache hit is not encoding/json's rendering\n got: %s\nwant: %s", hit, got)
+	}
+	if got := reencode(hit, "cached"); !bytes.Equal(got, first) {
+		t.Error("cache hit without cached differs from the first reply")
 	}
 }
 
@@ -399,32 +460,60 @@ func TestCancelEndpoint(t *testing.T) {
 }
 
 // TestEventsFollowLiveRun asserts the JSONL stream follows an in-flight
-// run and terminates when the run does.
+// run and terminates when the run does, and that the followed bytes are
+// the run's event stream: the same as a read after completion and as the
+// bytes pinned for the spec (a scenario) or rendered by RunCluster with an
+// Event.AppendJSON sink (a cluster run).
 func TestEventsFollowLiveRun(t *testing.T) {
-	_, ts := testServer(t, Options{})
-	status, body := postJSON(t, ts.URL+"/v1/simulations?async=1", scenarioJSON)
-	if status != http.StatusAccepted {
-		t.Fatalf("async POST status = %d", status)
+	var sp spec.ClusterV1
+	if err := json.Unmarshal([]byte(clusterJSON), &sp); err != nil {
+		t.Fatal(err)
 	}
-	id, _ := body["id"].(string)
-	st, stream := getBody(t, fmt.Sprintf("%s/v1/runs/%s/events", ts.URL, id))
-	if st != http.StatusOK {
-		t.Fatalf("events status = %d", st)
+	var clusterEvents []byte
+	if _, err := vprobe.RunCluster(context.Background(), sp.Normalize(), vprobe.CompileOptions{
+		Events: vprobe.EventFunc(func(ev vprobe.Event) {
+			clusterEvents = append(ev.AppendJSON(clusterEvents), '\n')
+		}),
+	}); err != nil {
+		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(stream)), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		t.Fatal("event stream empty")
+	scenarioEvents, err := os.ReadFile(filepath.Join("testdata", "served_events.jsonl"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, ln := range lines {
-		var ev struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal([]byte(ln), &ev); err != nil {
-			t.Fatalf("line %d is not a JSON event: %v", i, err)
-		}
-		if ev.Kind == "" {
-			t.Fatalf("line %d has no kind: %s", i, ln)
-		}
+	for _, c := range []struct {
+		name, path, spec string
+		want             []byte
+	}{
+		{"scenario", "/v1/simulations", servedScenarioJSON, scenarioEvents},
+		{"cluster", "/v1/clusters", clusterJSON, clusterEvents},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, ts := testServer(t, Options{})
+			status, body := postJSON(t, ts.URL+c.path+"?async=1", c.spec)
+			if status != http.StatusAccepted {
+				t.Fatalf("async POST status = %d", status)
+			}
+			id, _ := body["id"].(string)
+			st, followed := getBody(t, fmt.Sprintf("%s/v1/runs/%s/events", ts.URL, id))
+			if st != http.StatusOK {
+				t.Fatalf("events status = %d", st)
+			}
+			if len(followed) == 0 {
+				t.Fatal("event stream empty")
+			}
+			_, run := getBody(t, fmt.Sprintf("%s/v1/runs/%s", ts.URL, id))
+			if !strings.Contains(string(run), `"state": "done"`) {
+				t.Fatalf("run not done after its stream ended: %s", run)
+			}
+			_, after := getBody(t, fmt.Sprintf("%s/v1/runs/%s/events", ts.URL, id))
+			if !bytes.Equal(followed, after) {
+				t.Error("followed stream differs from a read after completion")
+			}
+			if !bytes.Equal(followed, c.want) {
+				t.Errorf("followed stream differs from the expected events (%d vs %d bytes)", len(followed), len(c.want))
+			}
+		})
 	}
 }
 
@@ -515,5 +604,20 @@ func TestHealthz(t *testing.T) {
 	st, b := getBody(t, ts.URL+"/healthz")
 	if st != http.StatusOK || !strings.Contains(string(b), "true") {
 		t.Fatalf("healthz = %d %s", st, b)
+	}
+}
+
+// TestCancelledQueuedRunFinishesOnce covers a run cancelled while queued
+// whose request context then ends before it gets a slot: execute finishes
+// it a second time, which must relabel it, not close its done channel
+// again.
+func TestCancelledQueuedRunFinishesOnce(t *testing.T) {
+	rn := newRun("run-1", "scenario", "k")
+	if !rn.requestCancel() {
+		t.Fatal("queued run refused cancellation")
+	}
+	rn.finish(StateCancelled, context.Canceled)
+	if !isClosed(rn.done) || rn.state != StateCancelled {
+		t.Fatalf("state %s, done closed %v", rn.state, isClosed(rn.done))
 	}
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -13,54 +12,62 @@ import (
 // in Prometheus text exposition format, in registration order. HELP and
 // TYPE lines are emitted once per metric name, before its first series.
 // Histograms expand into cumulative `_bucket{le=...}` series plus `_sum`
-// and `_count`.
+// and `_count`. Every id is rendered at registration; the export only
+// appends values.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	described := make(map[string]bool, len(r.byName))
+	const flushAt = 32 << 10
+	b := make([]byte, 0, 4<<10)
 	for _, sr := range r.series {
-		if !described[sr.name] {
-			described[sr.name] = true
-			fmt.Fprintf(bw, "# HELP %s %s\n", sr.name, sr.help)
-			fmt.Fprintf(bw, "# TYPE %s %s\n", sr.name, sr.kind)
+		if sr.describe {
+			b = appendComment(b, "# HELP ", sr.name, sr.help)
+			b = appendComment(b, "# TYPE ", sr.name, sr.kind.String())
 		}
 		switch sr.kind {
 		case KindCounter:
-			writeSample(bw, sr.id, sr.c.v)
+			b = appendSample(b, sr.id, sr.c.v)
 		case KindGauge:
-			writeSample(bw, sr.id, sr.g.v)
+			b = appendSample(b, sr.id, sr.g.v)
 		case KindHistogram:
 			h := sr.h
 			var cum uint64
-			for i, b := range h.bounds {
+			for i := range h.bounds {
 				cum += h.counts[i]
-				id := renderID(sr.name+"_bucket", withLabel(sr.labels,
-					Label{Key: "le", Value: formatFloat(b)}))
-				writeSample(bw, id, float64(cum))
+				b = appendSample(b, sr.bucketIDs[i], float64(cum))
 			}
-			id := renderID(sr.name+"_bucket", withLabel(sr.labels,
-				Label{Key: "le", Value: "+Inf"}))
-			writeSample(bw, id, float64(h.count))
-			writeSample(bw, renderID(sr.name+"_sum", sr.labels), h.sum)
-			writeSample(bw, renderID(sr.name+"_count", sr.labels), float64(h.count))
+			b = appendSample(b, sr.bucketIDs[len(h.bounds)], float64(h.count))
+			b = appendSample(b, sr.sumID, h.sum)
+			b = appendSample(b, sr.countID, float64(h.count))
+		}
+		if len(b) >= flushAt {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(b)
+	return err
 }
 
-// withLabel returns labels plus l in a fresh slice (never aliasing the
-// series' own label storage).
-func withLabel(labels []Label, l Label) []Label {
-	out := make([]Label, 0, len(labels)+1)
-	out = append(out, labels...)
-	return append(out, l)
+// appendComment appends one `# HELP name text` or `# TYPE name kind` line.
+func appendComment(b []byte, prefix, name, text string) []byte {
+	b = append(b, prefix...)
+	b = append(b, name...)
+	b = append(b, ' ')
+	b = append(b, text...)
+	return append(b, '\n')
 }
 
-// writeSample emits one `id value` line.
-func writeSample(w io.Writer, id string, v float64) {
-	fmt.Fprintf(w, "%s %s\n", id, formatFloat(v))
+// appendSample appends one `id value` line.
+func appendSample(b []byte, id string, v float64) []byte {
+	b = append(b, id...)
+	b = append(b, ' ')
+	b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	return append(b, '\n')
 }
 
-// formatFloat renders a value the shortest way that round-trips.
+// formatFloat renders a value the shortest way that round-trips, as
+// appendSample does.
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -119,11 +119,17 @@ func (h *Histogram) Count() uint64 { return h.count }
 
 // series is one registered metric with its rendered identity.
 type series struct {
-	name   string // metric name without labels
-	id     string // name plus rendered label block (Prometheus form)
-	help   string
-	kind   Kind
-	labels []Label
+	name string // metric name without labels
+	id   string // name plus rendered label block (Prometheus form)
+	help string
+	kind Kind
+	// describe marks the first series of its name, which the exposition
+	// precedes with the name's HELP and TYPE lines.
+	describe bool
+	// A histogram's exposition ids: one _bucket per bound and +Inf, then
+	// _sum and _count.
+	bucketIDs      []string
+	sumID, countID string
 
 	c *Counter
 	g *Gauge
@@ -182,9 +188,8 @@ func (r *Registry) register(name, help string, kind Kind, labels []Label) *serie
 	if _, ok := r.byID[id]; ok {
 		panic(fmt.Sprintf("telemetry: duplicate series %q", id))
 	}
-	ls := make([]Label, len(labels))
-	copy(ls, labels)
-	s := &series{name: name, id: id, help: help, kind: kind, labels: ls}
+	_, named := r.byName[name]
+	s := &series{name: name, id: id, help: help, kind: kind, describe: !named}
 	r.series = append(r.series, s)
 	r.byID[id] = s
 	r.byName[name] = kind
@@ -225,6 +230,16 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]uint64, len(bounds)),
 	}
+	le := make([]Label, len(labels)+1)
+	copy(le, labels)
+	for _, b := range bounds {
+		le[len(labels)] = Label{Key: "le", Value: formatFloat(b)}
+		s.bucketIDs = append(s.bucketIDs, renderID(name+"_bucket", le))
+	}
+	le[len(labels)] = Label{Key: "le", Value: "+Inf"}
+	s.bucketIDs = append(s.bucketIDs, renderID(name+"_bucket", le))
+	s.sumID = renderID(name+"_sum", labels)
+	s.countID = renderID(name+"_count", labels)
 	return s.h
 }
 

@@ -126,8 +126,8 @@ func (s *Sampler) Start(e *sim.Engine) {
 			s.cells = append(s.cells, cell{id: sr.id, kind: cellGauge, g: sr.g})
 		case KindHistogram:
 			s.cells = append(s.cells,
-				cell{id: renderID(sr.name+"_sum", sr.labels), kind: cellHistSum, h: sr.h},
-				cell{id: renderID(sr.name+"_count", sr.labels), kind: cellHistCount, h: sr.h})
+				cell{id: sr.sumID, kind: cellHistSum, h: sr.h},
+				cell{id: sr.countID, kind: cellHistCount, h: sr.h})
 		}
 	}
 	if s.capRows == 0 {

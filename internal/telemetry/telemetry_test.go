@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -101,6 +102,55 @@ func TestWritePrometheusValidates(t *testing.T) {
 	}
 	if series != 7 || samples != 7 {
 		t.Fatalf("series=%d samples=%d, want 7/7", series, samples)
+	}
+}
+
+// TestWritePrometheusBytes pins the whole exposition of a registry that
+// repeats a name under several label sets (one HELP/TYPE pair each),
+// escapes a label value, sorts a histogram's labels around "le", and
+// formats tiny, huge and infinite values.
+func TestWritePrometheusBytes(t *testing.T) {
+	r := NewRegistry()
+	a := r.Counter("cluster_placed_total", "VMs placed", Label{Key: "policy", Value: "numa"}, Label{Key: "host", Value: `h"0\`})
+	b := r.Counter("cluster_placed_total", "VMs placed", Label{Key: "policy", Value: "pack"}, Label{Key: "host", Value: "h1"})
+	g := r.Gauge("xen_load", "load\twith tab")
+	bounds := []float64{0.5, 100, 1e21}
+	h0 := r.Histogram("xen_wait_us", "wait", bounds, Label{Key: "node", Value: "0"}, Label{Key: "host", Value: "h0"})
+	h1 := r.Histogram("xen_wait_us", "wait", bounds, Label{Key: "node", Value: "1"}, Label{Key: "host", Value: "h0"})
+	a.Add(3)
+	b.Add(1e-7)
+	g.Set(math.Inf(-1))
+	h0.Observe(0.25)
+	h0.Observe(99.5)
+	h1.Observe(1e22)
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# HELP cluster_placed_total VMs placed
+# TYPE cluster_placed_total counter
+cluster_placed_total{host="h\"0\\",policy="numa"} 3
+cluster_placed_total{host="h1",policy="pack"} 1e-07
+# HELP xen_load load	with tab
+# TYPE xen_load gauge
+xen_load -Inf
+# HELP xen_wait_us wait
+# TYPE xen_wait_us histogram
+xen_wait_us_bucket{host="h0",le="0.5",node="0"} 1
+xen_wait_us_bucket{host="h0",le="100",node="0"} 2
+xen_wait_us_bucket{host="h0",le="1e+21",node="0"} 2
+xen_wait_us_bucket{host="h0",le="+Inf",node="0"} 2
+xen_wait_us_sum{host="h0",node="0"} 99.75
+xen_wait_us_count{host="h0",node="0"} 2
+xen_wait_us_bucket{host="h0",le="0.5",node="1"} 0
+xen_wait_us_bucket{host="h0",le="100",node="1"} 0
+xen_wait_us_bucket{host="h0",le="1e+21",node="1"} 0
+xen_wait_us_bucket{host="h0",le="+Inf",node="1"} 1
+xen_wait_us_sum{host="h0",node="1"} 1e+22
+xen_wait_us_count{host="h0",node="1"} 1
+`
+	if got := buf.String(); got != want {
+		t.Errorf("exposition differs\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

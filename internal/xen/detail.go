@@ -7,41 +7,58 @@ import (
 	"vprobe/internal/sim"
 )
 
-// The two per-quantum event kinds, dispatch and block, build their Detail
-// with strconv appends into the hypervisor's scratch buffer instead of
-// fmt: one allocation per event (the Detail string), no argument boxing.
-// The text is byte-identical to the fmt formats named on each helper. The
-// helpers stay out of line, behind the callers' EventFn guards, so the
+// The two per-quantum event kinds, dispatch and block, travel as typed
+// fields (CPU, VCPU, App, Arg) with an empty Detail: a traced quantum
+// builds no string. AppendDetail renders their line with strconv appends,
+// byte-identical to the fmt formats named on each emitter, when a sink or
+// a reader asks for it. The emitters are small enough to inline, so they
+// are kept out of line by hand, behind the callers' EventFn guards: the
 // untraced quantum path does not grow.
 
-// emitDispatch sends "pcpu%d run vcpu%d (%s) %.1fms" for v's quantum of
-// length used on p.
+// emitDispatch sends v's quantum of length used on p, whose line is
+// "pcpu%d run vcpu%d (%s) %.1fms".
+//
+//go:noinline
 func (h *Hypervisor) emitDispatch(p *PCPU, v *VCPU, used sim.Duration) {
-	b := append(h.detail[:0], "pcpu"...) //vet:alloc traced path: the scratch buffer grows to the longest line once
-	b = strconv.AppendInt(b, int64(p.ID), 10)
-	b = append(b, " run vcpu"...) //vet:alloc traced path: scratch buffer growth, amortised
-	b = strconv.AppendInt(b, int64(v.ID), 10)
-	b = append(b, " ("...)       //vet:alloc traced path: scratch buffer growth, amortised
-	b = append(b, v.App.Name...) //vet:alloc traced path: scratch buffer growth, amortised
-	b = append(b, ") "...)       //vet:alloc traced path: scratch buffer growth, amortised
-	b = appendMillis1(b, used)
-	b = append(b, "ms"...) //vet:alloc traced path: scratch buffer growth, amortised
-	h.detail = b
-	//vet:alloc traced path: the Detail string is the event's one allocation
-	h.send(EventDispatch, v.ID, p.ID, p.Node, v.App.Name, string(b))
+	h.send(EventDispatch, v.ID, p.ID, p.Node, v.App.Name, used, "")
 }
 
-// emitBlock sends "vcpu%d (%s) blocks %v" for v blocking on p for wait.
+// emitBlock sends v blocking on p for wait, whose line is
+// "vcpu%d (%s) blocks %v".
+//
+//go:noinline
 func (h *Hypervisor) emitBlock(p *PCPU, v *VCPU, wait sim.Duration) {
-	b := append(h.detail[:0], "vcpu"...) //vet:alloc traced path: the scratch buffer grows to the longest line once
-	b = strconv.AppendInt(b, int64(v.ID), 10)
-	b = append(b, " ("...)        //vet:alloc traced path: scratch buffer growth, amortised
-	b = append(b, v.App.Name...)  //vet:alloc traced path: scratch buffer growth, amortised
-	b = append(b, ") blocks "...) //vet:alloc traced path: scratch buffer growth, amortised
-	b = appendDuration(b, wait)
-	h.detail = b
-	//vet:alloc traced path: the Detail string is the event's one allocation
-	h.send(EventBlock, v.ID, p.ID, p.Node, v.App.Name, string(b))
+	h.send(EventBlock, v.ID, p.ID, p.Node, v.App.Name, wait, "")
+}
+
+// AppendDetail appends the event's trace line to b and returns the
+// extended slice: Detail when it is set, otherwise the dispatch or block
+// line built from the typed fields.
+func (ev Event) AppendDetail(b []byte) []byte {
+	if ev.Detail != "" {
+		return append(b, ev.Detail...)
+	}
+	//vet:partial every other kind carries its line in Detail, appended above
+	switch ev.Kind {
+	case EventDispatch:
+		b = append(b, "pcpu"...)
+		b = strconv.AppendInt(b, int64(ev.CPU), 10)
+		b = append(b, " run vcpu"...)
+		b = strconv.AppendInt(b, int64(ev.VCPU), 10)
+		b = append(b, " ("...)
+		b = append(b, ev.App...)
+		b = append(b, ") "...)
+		b = appendMillis1(b, ev.Arg)
+		return append(b, "ms"...)
+	case EventBlock:
+		b = append(b, "vcpu"...)
+		b = strconv.AppendInt(b, int64(ev.VCPU), 10)
+		b = append(b, " ("...)
+		b = append(b, ev.App...)
+		b = append(b, ") blocks "...)
+		return appendDuration(b, ev.Arg)
+	}
+	return b
 }
 
 // exactMicros bounds the integer renderers. Below 2^53 µs a Duration
@@ -57,7 +74,7 @@ func appendMillis1(b []byte, d sim.Duration) []byte {
 	}
 	tenths := (int64(d) + 50) / 100
 	b = strconv.AppendInt(b, tenths/10, 10)
-	return append(b, '.', byte('0'+tenths%10)) //vet:alloc traced path: scratch buffer growth, amortised
+	return append(b, '.', byte('0'+tenths%10))
 }
 
 // appendDuration appends d.String(). Milliseconds are exact; seconds round
@@ -73,7 +90,7 @@ func appendDuration(b []byte, d sim.Duration) []byte {
 			b = strconv.AppendInt(b, ms/1000, 10)
 			b = appendFrac3(b, ms%1000)
 		}
-		return append(b, 's') //vet:alloc traced path: scratch buffer growth, amortised
+		return append(b, 's')
 	case d >= sim.Millisecond || d <= -sim.Millisecond:
 		if d < 0 {
 			b = strconv.AppendFloat(b, d.Millis(), 'f', 3, 64)
@@ -81,21 +98,21 @@ func appendDuration(b []byte, d sim.Duration) []byte {
 			b = strconv.AppendInt(b, int64(d)/1000, 10)
 			b = appendFrac3(b, int64(d)%1000)
 		}
-		return append(b, "ms"...) //vet:alloc traced path: scratch buffer growth, amortised
+		return append(b, "ms"...)
 	default:
 		b = strconv.AppendInt(b, int64(d), 10)
-		return append(b, "µs"...) //vet:alloc traced path: scratch buffer growth, amortised
+		return append(b, "µs"...)
 	}
 }
 
 // appendFrac3 appends "." and n (0 <= n < 1000) as three digits.
 func appendFrac3(b []byte, n int64) []byte {
-	//vet:alloc traced path: scratch buffer growth, amortised
 	return append(b, '.', byte('0'+n/100), byte('0'+n/10%10), byte('0'+n%10))
 }
 
-// send delivers one event whose Detail is already rendered.
-func (h *Hypervisor) send(kind EventKind, vcpu VCPUID, cpu numa.CPUID, node numa.NodeID, app, detail string) {
+// send delivers one event: typed fields plus, for a cold kind, its
+// rendered Detail.
+func (h *Hypervisor) send(kind EventKind, vcpu VCPUID, cpu numa.CPUID, node numa.NodeID, app string, arg sim.Duration, detail string) {
 	h.EventFn(Event{
 		At:     h.Engine.Now(),
 		Kind:   kind,
@@ -103,6 +120,7 @@ func (h *Hypervisor) send(kind EventKind, vcpu VCPUID, cpu numa.CPUID, node numa
 		CPU:    cpu,
 		Node:   node,
 		App:    app,
+		Arg:    arg,
 		Detail: detail,
 	})
 }

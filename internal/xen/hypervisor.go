@@ -33,8 +33,11 @@ const (
 )
 
 // Event is one structured scheduling trace record. The typed fields carry
-// machine-readable identities; Detail is the human-readable rendering (the
-// exact line the old string trace hook used to receive).
+// machine-readable identities; AppendDetail renders the human-readable
+// line (the exact line the old string trace hook used to receive). The
+// per-quantum kinds, dispatch and block, carry their line as typed fields
+// only, so a traced quantum builds no string: the line is rendered when a
+// sink or a reader asks for it.
 type Event struct {
 	At   sim.Time
 	Kind EventKind
@@ -46,12 +49,17 @@ type Event struct {
 	// part of the event.
 	Node numa.NodeID
 	// App names the workload on the subject VCPU, when it has one.
-	App    string
+	App string
+	// Arg is the duration a dispatch or block line reports: the quantum
+	// used for a dispatch, the wait for a block. Zero for other kinds.
+	Arg sim.Duration
+	// Detail is the rendered line of the cold kinds (app finish, guest
+	// move, domain lifecycle). Dispatch and block leave it empty.
 	Detail string
 }
 
 // String renders the event as a trace line.
-func (ev Event) String() string { return ev.Detail }
+func (ev Event) String() string { return string(ev.AppendDetail(nil)) }
 
 // Hypervisor ties the machine model, the performance model, the domains,
 // and a scheduling policy into one simulation.
@@ -83,8 +91,7 @@ type Hypervisor struct {
 	started bool
 
 	// EventFn, when set, receives structured scheduling events. Emission
-	// (including Detail formatting) is skipped entirely when nil, so
-	// tracing is free when off.
+	// is skipped entirely when nil, so tracing is free when off.
 	EventFn func(Event)
 
 	// Tele, when set (AttachTelemetry), is the pre-bound metric handle
@@ -105,10 +112,6 @@ type Hypervisor struct {
 	stealBufs   core.StealScratch
 	nodeOrders  [][]numa.NodeID
 	statScratch []core.Stat
-
-	// detail is the scratch buffer traced dispatch and block events render
-	// their Detail into (see detail.go).
-	detail []byte
 }
 
 // New builds a hypervisor on the given topology with a scheduling policy.
@@ -139,14 +142,15 @@ func New(top *numa.Topology, policy Policy, cfg Config) *Hypervisor {
 
 // emit delivers a structured scheduling event of a cold kind (app finish,
 // guest move, domain lifecycle). The Detail line is only formatted when a
-// listener is attached; the per-quantum kinds render theirs in detail.go.
+// listener is attached; the per-quantum kinds send typed fields instead
+// (see detail.go).
 func (h *Hypervisor) emit(kind EventKind, vcpu VCPUID, cpu numa.CPUID,
 	node numa.NodeID, app, format string, args ...any) {
 	if h.EventFn == nil {
 		return
 	}
 	//vet:alloc formatting happens only past the EventFn nil check: tracing is opt-in and off on the benchmarked path
-	h.send(kind, vcpu, cpu, node, app, fmt.Sprintf(format, args...))
+	h.send(kind, vcpu, cpu, node, app, 0, fmt.Sprintf(format, args...))
 }
 
 // CreateDomain builds a VM with the given memory size (allocated with the

@@ -134,7 +134,7 @@ func runFingerprint(t *testing.T, kind sched.Kind, withTele bool) string {
 		sb.WriteByte(' ')
 		sb.WriteString(string(ev.Kind))
 		sb.WriteByte(' ')
-		sb.WriteString(ev.Detail)
+		sb.Write(ev.AppendDetail(nil))
 		sb.WriteByte('\n')
 	}
 	if withTele {
