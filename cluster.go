@@ -106,6 +106,7 @@ func (r *ClusterReport) Tracing() *Tracing { return r.spans }
 // wrap ErrSpecVersion or ErrInvalidSpec. opts attaches events, telemetry
 // and spans exactly as it does for CompileScenario.
 func RunCluster(ctx context.Context, s ClusterSpec, opts CompileOptions) (*ClusterReport, error) {
+	defer sealEvents(opts.Events)
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}

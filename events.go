@@ -2,6 +2,7 @@ package vprobe
 
 import (
 	"math"
+	"math/bits"
 	"strconv"
 	"sync"
 	"time"
@@ -215,45 +216,84 @@ type EventFunc func(Event)
 func (f EventFunc) HandleEvent(ev Event) { f(ev) }
 
 // EventLog records a run's events in a compact form and renders them as
-// JSON Lines only when they are read. Its records are fixed-size and hold
-// no pointers, so a log the garbage collector keeps alive costs it no
-// scanning: names, kinds and the text Details of the cold kinds are
-// indexes into one per-log string table. A dispatch or block line is not
-// stored at all; AppendJSONL builds it from the record's typed fields.
+// JSON Lines only when they are read. Its records are 32 bytes each,
+// held in blocks that never move, and hold no pointers, so a log the
+// garbage collector keeps alive costs it no scanning: kinds index a
+// per-log kind table, and names and the text Details of the cold kinds
+// are refs into one per-log string table. A dispatch or block line is
+// not stored at all; AppendJSONL builds it from the record's typed
+// fields. An event whose fields do not fit the compact record (a VCPU
+// beyond int32, a CPU beyond int16, a node beyond int8, a 256th distinct
+// kind, or an Arg beside a text Detail) keeps them in a full-width side
+// record, so every event renders exactly.
 //
 // EventLog is an EventSink. As a Simulator's (or CompileScenario's)
 // Events it takes the hypervisor's typed events directly, so a run
 // builds no Event per event; as RunCluster's it records the cluster
-// events. The zero value is an empty log ready for use. One goroutine
-// appends while any number read: Len, AppendJSONL and Grown are safe to
-// call during the run.
+// events. When that run returns, done or not, the log is sealed: its last
+// block and tables shrink to exact-length copies and its intern map
+// goes, so a stored log costs only its records. A later append still
+// works. The
+// zero value is an empty log ready for use. One goroutine appends while
+// any number read: Len, AppendJSONL and Grown are safe to call during
+// the run.
 type EventLog struct {
-	mu    sync.Mutex
-	recs  []logRecord
-	strs  []string         // the string table; ref i > 0 is strs[i-1]
-	names map[string]int32 // interned kinds and names, by ref
-	grown chan struct{}    // closed by the next append; nil while nobody waits
+	mu sync.Mutex
+	// blocks holds the records, block k logBlock<<k of them; n counts
+	// them. Only the last block has unused slots (none once sealed).
+	blocks [][]logRecord
+	n      int
+	wide   []wideRecord // the fields of the events that overflow a logRecord
+	kinds  []int32      // the kind table: string refs, by kind index
+	strs   []string     // the string table; ref i > 0 is strs[i-1]
+	// names interns kinds and names by ref, and kindOf[ref] is 1 + the
+	// kind index of ref (0 when ref is not a kind yet). The seal drops
+	// both; a later append rebuilds them as it goes.
+	names  map[string]int32
+	kindOf []uint8
+	grown  chan struct{} // closed by the next append; nil while nobody waits
 }
 
-// logRecord is one event of an EventLog. The string fields are refs into
-// the log's string table (0 is the empty string).
+// logRecord is one event of an EventLog. The string refs index the log's
+// string table (0 is the empty string).
 type logRecord struct {
-	at   time.Duration
-	arg  sim.Duration // xen.Event.Arg of a typed dispatch or block
-	vcpu int
-	node int
-	cpu  int32
-	kind int32
+	at int64 // time.Duration
+	// arg is the xen.Event.Arg of a typed record. A text record, which
+	// has none, packs its host and VM refs here (host<<32 | vm). An
+	// overflowed record holds its index into the log's wide table.
+	arg  int64
+	vcpu int32
 	app  int32
-	host int32
-	vm   int32
 	// detail is the ref of the Detail text, or typedDetail when the line
 	// is built from the typed fields by xen.Event.AppendDetail.
 	detail int32
+	cpu    int16
+	node   int8
+	kind   uint8 // an index into the kind table, or wideKind
 }
 
-// typedDetail marks a record whose Detail xen.Event.AppendDetail renders.
-const typedDetail = -1
+// wideRecord holds the full-width fields of an event that overflowed its
+// logRecord, which keeps only its time, app and detail.
+type wideRecord struct {
+	arg             sim.Duration
+	vcpu, cpu, node int
+	kind, host, vm  int32
+}
+
+const (
+	// logBlock is how many records an EventLog's first block holds;
+	// each next block holds twice as many. A block never moves, so a
+	// growing log allocates O(log n) times, as a doubling slice would,
+	// but copies no records and leaves no garbage behind; blockOf finds
+	// any record in O(1).
+	logBlock = 64
+	// typedDetail marks a record whose Detail xen.Event.AppendDetail
+	// renders.
+	typedDetail = -1
+	// wideKind marks a record whose fields live in the wide table; the
+	// kind table holds at most wideKind kinds.
+	wideKind = math.MaxUint8
+)
 
 // closedChan is what Grown returns when the log has already grown.
 var closedChan = func() chan struct{} {
@@ -265,16 +305,8 @@ var closedChan = func() chan struct{} {
 // HandleEvent records ev.
 func (l *EventLog) HandleEvent(ev Event) {
 	l.mu.Lock()
-	l.push(logRecord{
-		at:     ev.At,
-		vcpu:   ev.VCPU,
-		node:   ev.Node,
-		kind:   l.intern(string(ev.Kind)),
-		app:    l.intern(ev.App),
-		host:   l.intern(ev.Host),
-		vm:     l.intern(ev.VM),
-		detail: l.add(ev.Detail),
-	})
+	l.push(ev.At, string(ev.Kind), ev.VCPU, 0, ev.Node, 0,
+		l.intern(ev.App), l.intern(ev.Host), l.intern(ev.VM), l.add(ev.Detail))
 	l.mu.Unlock()
 }
 
@@ -282,30 +314,82 @@ func (l *EventLog) HandleEvent(ev Event) {
 // block keeps its typed fields instead of a line.
 func (l *EventLog) handleXen(ev xen.Event) {
 	l.mu.Lock()
-	r := logRecord{
-		at:     time.Duration(ev.At) * time.Microsecond,
-		arg:    ev.Arg,
-		vcpu:   int(ev.VCPU),
-		node:   int(ev.Node),
-		cpu:    int32(ev.CPU),
-		kind:   l.intern(string(ev.Kind)),
-		app:    l.intern(ev.App),
-		detail: typedDetail,
-	}
+	detail := int32(typedDetail)
 	if ev.Detail != "" {
-		r.detail = l.add(ev.Detail)
+		detail = l.add(ev.Detail)
 	}
-	l.push(r)
+	l.push(time.Duration(ev.At)*time.Microsecond, string(ev.Kind), int(ev.VCPU), int(ev.CPU), int(ev.Node), ev.Arg,
+		l.intern(ev.App), 0, 0, detail)
 	l.mu.Unlock()
 }
 
-// push appends r and wakes a waiting reader. l.mu is held.
-func (l *EventLog) push(r logRecord) {
-	l.recs = append(l.recs, r)
+// push appends one event and wakes a waiting reader. l.mu is held.
+func (l *EventLog) push(at time.Duration, kind string, vcpu, cpu, node int, arg sim.Duration, app, host, vm, detail int32) {
+	r := logRecord{at: int64(at), vcpu: int32(vcpu), app: app, detail: detail,
+		cpu: int16(cpu), node: int8(node), arg: int64(arg)}
+	fits := int(r.vcpu) == vcpu && int(r.cpu) == cpu && int(r.node) == node
+	if detail != typedDetail {
+		// Only hypervisor events are typed, and they name no host or VM;
+		// a text record's arg holds those refs instead of an Arg.
+		fits = fits && arg == 0
+		r.arg = int64(host)<<32 | int64(uint32(vm))
+	}
+	ref := l.intern(kind)
+	k, ok := l.kindIndex(ref)
+	if fits && ok {
+		r.kind = k
+	} else {
+		r.kind = wideKind
+		r.vcpu, r.cpu, r.node = 0, 0, 0
+		r.arg = int64(len(l.wide))
+		l.wide = append(l.wide, wideRecord{arg: arg, vcpu: vcpu, cpu: cpu, node: node, kind: ref, host: host, vm: vm})
+	}
+	*l.slot() = r
 	if l.grown != nil {
 		close(l.grown)
 		l.grown = nil
 	}
+}
+
+// blockOf returns the block holding record i and i's offset in it.
+func blockOf(i int) (k, off int) {
+	k = bits.Len(uint(i/logBlock+1)) - 1
+	return k, i - logBlock*(1<<k-1)
+}
+
+// slot returns the next record's place, adding a block when the last is
+// full. l.mu is held.
+func (l *EventLog) slot() *logRecord {
+	k, off := blockOf(l.n)
+	switch size := logBlock << k; {
+	case k == len(l.blocks):
+		l.blocks = append(l.blocks, make([]logRecord, size))
+	case len(l.blocks[k]) < size:
+		// The seal cut the last block to its records. Restore its room
+		// in a new outer slice: readers may hold the old one.
+		full := make([]logRecord, size)
+		copy(full, l.blocks[k])
+		l.blocks = append(l.blocks[:k:k], full)
+	}
+	l.n++
+	return &l.blocks[k][off]
+}
+
+// kindIndex returns the kind-table index of the kind string ref, adding
+// it while the table has room. l.mu is held.
+func (l *EventLog) kindIndex(ref int32) (uint8, bool) {
+	if int(ref) < len(l.kindOf) && l.kindOf[ref] != 0 {
+		return l.kindOf[ref] - 1, true
+	}
+	if len(l.kinds) == wideKind {
+		return 0, false
+	}
+	if int(ref) >= len(l.kindOf) {
+		l.kindOf = append(l.kindOf, make([]uint8, int(ref)+1-len(l.kindOf))...)
+	}
+	l.kinds = append(l.kinds, ref)
+	l.kindOf[ref] = uint8(len(l.kinds))
+	return uint8(len(l.kinds) - 1), true
 }
 
 // intern returns the ref of s, adding it to the string table once.
@@ -334,11 +418,48 @@ func (l *EventLog) add(s string) int32 {
 	return int32(len(l.strs))
 }
 
+// seal trims the log of a run that has returned: the last block of
+// records and every table become exact-length copies, and the intern
+// state goes. The block list is copied too, so no reader's snapshot
+// changes.
+func (l *EventLog) seal() {
+	l.mu.Lock()
+	blocks := make([][]logRecord, len(l.blocks))
+	copy(blocks, l.blocks)
+	if k, off := blockOf(l.n); off != 0 {
+		blocks[k] = exactCopy(blocks[k][:off])
+	}
+	l.blocks = blocks
+	l.wide = exactCopy(l.wide)
+	l.kinds = exactCopy(l.kinds)
+	l.strs = exactCopy(l.strs)
+	l.names, l.kindOf = nil, nil
+	l.mu.Unlock()
+}
+
+// exactCopy returns s with no spare capacity, copying it when it has
+// some. A reader's earlier snapshot of s stays valid.
+func exactCopy[S ~[]E, E any](s S) S {
+	if len(s) == cap(s) {
+		return s
+	}
+	out := make(S, len(s))
+	copy(out, s)
+	return out
+}
+
+// sealEvents seals sink when it is an EventLog: its run has returned.
+func sealEvents(sink EventSink) {
+	if l, ok := sink.(*EventLog); ok {
+		l.seal()
+	}
+}
+
 // Len returns the number of recorded events.
 func (l *EventLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.recs)
+	return l.n
 }
 
 // Grown returns a channel that is closed once the log holds more than n
@@ -347,7 +468,7 @@ func (l *EventLog) Len() int {
 func (l *EventLog) Grown(n int) <-chan struct{} {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.recs) > n {
+	if l.n > n {
 		return closedChan
 	}
 	if l.grown == nil {
@@ -363,11 +484,10 @@ func (l *EventLog) Grown(n int) <-chan struct{} {
 // requires 0 <= from <= to <= Len().
 func (l *EventLog) AppendJSONL(b []byte, from, to int) []byte {
 	// Records and table entries never change once appended, so a reader
-	// renders outside the lock from a snapshot of both slices.
+	// renders outside the lock from a snapshot of the slices.
 	l.mu.Lock()
-	recs, strs := l.recs, l.strs
+	blocks, wide, kinds, strs := l.blocks, l.wide, l.kinds, l.strs
 	l.mu.Unlock()
-	recs = recs[from:to]
 	str := func(ref int32) string {
 		if ref == 0 {
 			return ""
@@ -376,20 +496,33 @@ func (l *EventLog) AppendJSONL(b []byte, from, to int) []byte {
 	}
 	var scratch [128]byte // a typed line fits; a longer one moves to the heap
 	line := scratch[:0]
-	for i := range recs {
-		r := &recs[i]
-		kind, app, host, vm := str(r.kind), str(r.app), str(r.host), str(r.vm)
+	for i := from; i < to; i++ {
+		k, off := blockOf(i)
+		r := &blocks[k][off]
+		vcpu, cpu, node, arg := int(r.vcpu), int(r.cpu), int(r.node), sim.Duration(r.arg)
+		var kind, host, vm int32
+		switch {
+		case r.kind == wideKind:
+			w := &wide[r.arg]
+			vcpu, cpu, node, arg = w.vcpu, w.cpu, w.node, w.arg
+			kind, host, vm = w.kind, w.host, w.vm
+		case r.detail == typedDetail:
+			kind = kinds[r.kind]
+		default:
+			kind, host, vm = kinds[r.kind], int32(r.arg>>32), int32(r.arg)
+		}
+		at, app := time.Duration(r.at), str(r.app)
 		if r.detail == typedDetail {
 			line = xen.Event{
-				Kind: xen.EventKind(kind),
-				VCPU: xen.VCPUID(r.vcpu),
-				CPU:  numa.CPUID(r.cpu),
+				Kind: xen.EventKind(str(kind)),
+				VCPU: xen.VCPUID(vcpu),
+				CPU:  numa.CPUID(cpu),
 				App:  app,
-				Arg:  r.arg,
+				Arg:  arg,
 			}.AppendDetail(line[:0])
-			b = appendEventJSON(b, r.at, kind, r.vcpu, r.node, app, host, vm, line)
+			b = appendEventJSON(b, at, str(kind), vcpu, node, app, str(host), str(vm), line)
 		} else {
-			b = appendEventJSON(b, r.at, kind, r.vcpu, r.node, app, host, vm, str(r.detail))
+			b = appendEventJSON(b, at, str(kind), vcpu, node, app, str(host), str(vm), str(r.detail))
 		}
 		b = append(b, '\n')
 	}

@@ -30,9 +30,12 @@ type wireEvent struct {
 }
 
 // FuzzEventJSON compares Event.AppendJSON with encoding/json over
-// arbitrary field values. The corpus is seeded from the vprobe-trace
-// event golden plus strings that exercise every escape: HTML-sensitive
-// bytes, quotes, control bytes, invalid UTF-8, U+2028/U+2029 and µs.
+// arbitrary field values, and an EventLog's rendering with both. The
+// corpus is seeded from the vprobe-trace event golden plus strings that
+// exercise every escape: HTML-sensitive bytes, quotes, control bytes,
+// invalid UTF-8, U+2028/U+2029 and µs; and with fields that overflow the
+// log's compact record (a node beyond int8, a VCPU beyond int32, a CPU
+// beyond int16, an Arg beside a text Detail).
 func FuzzEventJSON(f *testing.F) {
 	file, err := os.Open("cmd/vprobe-trace/testdata/soplex_events.jsonl")
 	if err != nil {
@@ -46,15 +49,18 @@ func FuzzEventJSON(f *testing.F) {
 			f.Fatal(err)
 		}
 		at := int64(w.T*1e6+0.5) * int64(time.Microsecond)
-		f.Add(at, w.Kind, w.VCPU, w.Node, w.App, w.Host, w.VM, w.Detail)
+		f.Add(at, w.Kind, w.VCPU, w.Node, 0, int64(0), w.App, w.Host, w.VM, w.Detail)
 	}
 	if err := sc.Err(); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(int64(1), "dispatch", -1, -1, "", "", "", "guest vm: thread a moved vcpu0 -> vcpu1 <&>")
-	f.Add(int64(-3*time.Second), `k"\`, 0, 0, "a\x00\x01\b\f\n\r\t\x1f\x7f", "h\u2028\u2029", "v\xff\xfe", "blocks 323µs")
-	f.Add(int64(1<<62), "\xe2\x80", 7, 1, "\U0001F600", "<script>", "&amp;", "\xed\xa0\x80 surrogate")
-	f.Fuzz(func(t *testing.T, at int64, kind string, vcpu, node int, app, host, vm, detail string) {
+	f.Add(int64(1), "dispatch", -1, -1, 3, int64(30000), "", "", "", "guest vm: thread a moved vcpu0 -> vcpu1 <&>")
+	f.Add(int64(-3*time.Second), `k"\`, 0, 0, -1, int64(-1500), "a\x00\x01\b\f\n\r\t\x1f\x7f", "h\u2028\u2029", "v\xff\xfe", "blocks 323µs")
+	f.Add(int64(1<<62), "\xe2\x80", 7, 1, 1<<40, int64(1<<53), "\U0001F600", "<script>", "&amp;", "\xed\xa0\x80 surrogate")
+	f.Add(int64(5000), "block", 2, 214, 1, int64(700), "mcf", "", "", "")
+	f.Add(int64(5000), "dispatch", 1<<40, 0, 1, int64(30000), "lu", "host-01", "vm-1", "")
+	f.Add(int64(5000), "dispatch", 4, 1, 1<<16, int64(30000), "lu", "", "", "")
+	f.Fuzz(func(t *testing.T, at int64, kind string, vcpu, node, cpu int, arg int64, app, host, vm, detail string) {
 		ev := vprobe.Event{
 			At: time.Duration(at), Kind: vprobe.EventKind(kind), VCPU: vcpu, Node: node,
 			App: app, Host: host, VM: vm, Detail: detail,
@@ -78,6 +84,19 @@ func FuzzEventJSON(f *testing.F) {
 		line := string(want) + "\n"
 		if got := log.AppendJSONL([]byte("prefix"), 0, 2); string(got) != "prefix"+line+line {
 			t.Fatalf("EventLog.AppendJSONL(%#v)\n got: %s\nwant: prefix%s%s", ev, got, line, line)
+		}
+		// A hypervisor event, with its text Detail and typed, renders in a
+		// log as the Event any other sink receives.
+		xe := xen.Event{At: sim.Time(at), Kind: xen.EventKind(kind), VCPU: xen.VCPUID(vcpu), CPU: numa.CPUID(cpu),
+			Node: numa.NodeID(node), App: app, Arg: sim.Duration(arg), Detail: detail}
+		for _, xe := range []xen.Event{xe, {At: xe.At, Kind: xe.Kind, VCPU: xe.VCPU, CPU: xe.CPU, Node: xe.Node, App: xe.App, Arg: xe.Arg}} {
+			var typed vprobe.EventLog
+			vprobe.XenEventHook(&typed)(xe)
+			var public vprobe.Event
+			vprobe.XenEventHook(vprobe.EventFunc(func(ev vprobe.Event) { public = ev }))(xe)
+			if got, want := typed.AppendJSONL(nil, 0, 1), append(public.AppendJSON(nil), '\n'); string(got) != string(want) {
+				t.Fatalf("EventLog of %#v\n got: %s\nwant: %s", xe, got, want)
+			}
 		}
 	})
 }
@@ -268,5 +287,63 @@ func TestEventLogGrown(t *testing.T) {
 	}
 	if closed(log.Grown(1)) {
 		t.Fatal("Grown(1) of a one-event log is closed")
+	}
+}
+
+// TestEventLogManyKinds puts 300 distinct kinds into one log, past the
+// 255 its kind table holds, in every record shape: a cluster event, a
+// text-Detail hypervisor event and a typed dispatch. Each renders as the
+// Event another sink receives, and every range renders its own lines.
+func TestEventLogManyKinds(t *testing.T) {
+	shapes := []struct {
+		name string
+		emit func(hook func(xen.Event), sink vprobe.EventSink, kind string, i int) vprobe.Event
+	}{
+		{"cluster", func(_ func(xen.Event), sink vprobe.EventSink, kind string, i int) vprobe.Event {
+			ev := vprobe.Event{At: time.Duration(i) * time.Millisecond, Kind: vprobe.EventKind(kind), VCPU: -1, Node: -1,
+				Host: fmt.Sprintf("host-%02d", i%7), VM: fmt.Sprintf("vm-%d", i), Detail: "placed " + kind}
+			sink.HandleEvent(ev)
+			return ev
+		}},
+		{"text", func(hook func(xen.Event), _ vprobe.EventSink, kind string, i int) vprobe.Event {
+			xe := xen.Event{At: sim.Time(i), Kind: xen.EventKind(kind), VCPU: xen.VCPUID(i % 5), CPU: -1,
+				Node: numa.NoNode, App: "mcf", Detail: "domain vm1 " + kind}
+			hook(xe)
+			return vprobe.Event{At: time.Duration(i) * time.Microsecond, Kind: vprobe.EventKind(kind), VCPU: i % 5, Node: -1,
+				App: "mcf", Detail: xe.Detail}
+		}},
+		{"typed", func(hook func(xen.Event), _ vprobe.EventSink, kind string, i int) vprobe.Event {
+			xe := xen.Event{At: sim.Time(i), Kind: xen.EventKind(kind), VCPU: 3, CPU: 5, Node: 1, App: "lu", Arg: 1050}
+			hook(xe)
+			// A kind that is neither dispatch nor block renders no line.
+			return vprobe.Event{At: time.Duration(i) * time.Microsecond, Kind: vprobe.EventKind(kind), VCPU: 3, Node: 1,
+				App: "lu", Detail: xe.String()}
+		}},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			log := new(vprobe.EventLog)
+			hook := vprobe.XenEventHook(log)
+			var want []byte
+			var lines []string
+			for i := range 600 {
+				kind := fmt.Sprintf("kind-%03d", i%300)
+				if i%100 == 0 {
+					kind = string(vprobe.EventDispatch)
+				}
+				line := string(sh.emit(hook, log, kind, i).AppendJSON(nil)) + "\n"
+				want = append(want, line...)
+				lines = append(lines, line)
+			}
+			if got := log.AppendJSONL(nil, 0, log.Len()); string(got) != string(want) {
+				t.Fatalf("rendering differs\n got: %s\nwant: %s", got, want)
+			}
+			for from := 0; from < len(lines); from += 37 {
+				to := min(from+50, len(lines))
+				if got := log.AppendJSONL(nil, from, to); string(got) != strings.Join(lines[from:to], "") {
+					t.Errorf("AppendJSONL(%d, %d) = %s", from, to, got)
+				}
+			}
+		})
 	}
 }

@@ -17,7 +17,7 @@ package cluster
 // randomness and schedules nothing. Counters stay at the decision sites.
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"vprobe/internal/sim"
@@ -74,47 +74,49 @@ func (c *Cluster) record(d decision) {
 // eventDetail renders the human-readable Detail of d's event.
 func (d *decision) eventDetail(now sim.Time) string {
 	vm := d.vm
+	name := vm.Spec.Name
 	switch d.kind {
 	case EventVMArrive:
-		return fmt.Sprintf("vm %s arrives: %d MB, %d vcpus, %s%s", vm.Spec.Name,
-			vm.Spec.MemoryMB, vm.Spec.VCPUs, vm.Spec.Priority, gangTag(vm.Spec.Group))
+		return "vm " + name + " arrives: " + vmShape(vm)
 	case EventVMPlace:
-		return fmt.Sprintf("vm %s placed on %s (%s memory, %s, attempt %d)",
-			vm.Spec.Name, d.host.Name, d.plan.Policy, vm.Spec.Priority, d.attempt)
+		return "vm " + name + " placed on " + d.host.Name + " (" + d.plan.Policy.String() + " memory, " +
+			vm.Spec.Priority.String() + ", attempt " + strconv.Itoa(d.attempt) + ")"
 	case EventVMRetry:
-		what := "vm " + vm.Spec.Name
+		what := "vm " + name
 		if d.gang != nil {
-			what = fmt.Sprintf("gang %s (%d VMs)", vm.Spec.Group, len(d.gang))
+			what = "gang " + vm.Spec.Group + " (" + strconv.Itoa(len(d.gang)) + " VMs)"
 		}
-		return fmt.Sprintf("%s queued (attempt %d, retry in %v)", what, d.attempt, d.dur)
+		return what + " queued (attempt " + strconv.Itoa(d.attempt) + ", retry in " + d.dur.String() + ")"
 	case EventVMReject:
-		return fmt.Sprintf("vm %s rejected after %d attempts", vm.Spec.Name, d.attempt)
+		return "vm " + name + " rejected after " + strconv.Itoa(d.attempt) + " attempts"
 	case EventVMDepart:
-		return fmt.Sprintf("vm %s departs %s after %v", vm.Spec.Name, d.host.Name,
-			now.Sub(vm.arriveAt))
+		return "vm " + name + " departs " + d.host.Name + " after " + now.Sub(vm.arriveAt).String()
 	case EventMigrateStart:
-		return fmt.Sprintf("vm %s migrating %s -> %s (%d MB, blackout %v)",
-			vm.Spec.Name, d.host.Name, d.target.Name, vm.Spec.MemoryMB, d.dur)
+		return "vm " + name + " migrating " + d.host.Name + " -> " + d.target.Name + " (" +
+			strconv.FormatInt(vm.Spec.MemoryMB, 10) + " MB, blackout " + d.dur.String() + ")"
 	case EventMigrateDone:
-		return fmt.Sprintf("vm %s resumed on %s", vm.Spec.Name, d.host.Name)
+		return "vm " + name + " resumed on " + d.host.Name
 	case EventVMPreempted:
 		outcome := "killed and requeued"
 		if d.target != nil {
 			outcome = "migrating to " + d.target.Name
 		}
-		return fmt.Sprintf("vm %s preempted off %s for %s, %s",
-			vm.Spec.Name, d.host.Name, d.peer.Spec.Name, outcome)
+		return "vm " + name + " preempted off " + d.host.Name + " for " + d.peer.Spec.Name + ", " + outcome
 	case EventGangAdmitted:
-		return fmt.Sprintf("gang %s admitted: %d VMs placed all-or-nothing",
-			vm.Spec.Group, len(d.gang))
+		return "gang " + vm.Spec.Group + " admitted: " + strconv.Itoa(len(d.gang)) + " VMs placed all-or-nothing"
 	case EventBackfill:
-		return fmt.Sprintf("vm %s backfilled onto %s ahead of blocked %s",
-			vm.Spec.Name, d.host.Name, d.peer.Spec.Name)
+		return "vm " + name + " backfilled onto " + d.host.Name + " ahead of blocked " + d.peer.Spec.Name
 	case EventDeschedule:
-		return fmt.Sprintf("vm %s drained off %s to %s (defrag)",
-			vm.Spec.Name, d.host.Name, d.target.Name)
+		return "vm " + name + " drained off " + d.host.Name + " to " + d.target.Name + " (defrag)"
 	}
 	return ""
+}
+
+// vmShape renders what an arrival asks for: memory, VCPUs, priority and
+// gang.
+func vmShape(vm *VM) string {
+	return strconv.FormatInt(vm.Spec.MemoryMB, 10) + " MB, " + strconv.Itoa(vm.Spec.VCPUs) + " vcpus, " +
+		vm.Spec.Priority.String() + gangTag(vm.Spec.Group)
 }
 
 // gangTag renders the gang suffix of an arrival.
@@ -132,8 +134,7 @@ func (sp *clusterSpans) record(d *decision, now sim.Time) {
 	switch d.kind {
 	case EventVMArrive:
 		ref := sp.t.Begin(now, sp.run, telemetry.SpanVM, "", name, "vm "+name)
-		sp.t.SetDetail(ref, fmt.Sprintf("%d MB, %d vcpus, %s%s",
-			vm.Spec.MemoryMB, vm.Spec.VCPUs, vm.Spec.Priority, gangTag(vm.Spec.Group)))
+		sp.t.SetDetail(ref, vmShape(vm))
 		sp.vmRef(vm) // grow
 		sp.vm[vm.ID] = ref
 	case EventVMPlace:
@@ -141,20 +142,20 @@ func (sp *clusterSpans) record(d *decision, now sim.Time) {
 		// before the decision, which are gone by now.
 	case EventVMRetry:
 		sp.t.Point(now, sp.vmRef(vm), telemetry.SpanRetry, "", name, "retry "+name,
-			fmt.Sprintf("attempt %d failed, backoff %v", d.attempt, d.dur))
+			"attempt "+strconv.Itoa(d.attempt)+" failed, backoff "+d.dur.String())
 	case EventVMReject:
 		sp.t.Point(now, sp.vmRef(vm), telemetry.SpanReject, "", name, "reject "+name,
-			fmt.Sprintf("rejected after %d attempts", d.attempt))
+			"rejected after "+strconv.Itoa(d.attempt)+" attempts")
 		sp.t.End(sp.vmRef(vm), now)
 	case EventVMDepart:
 		ref := sp.vmRef(vm)
-		sp.t.Note(ref, fmt.Sprintf("departed %s after %v", d.host.Name, now.Sub(vm.arriveAt)))
+		sp.t.Note(ref, "departed "+d.host.Name+" after "+now.Sub(vm.arriveAt).String())
 		sp.t.End(ref, now)
 	case EventMigrateStart:
 		ref := sp.t.Begin(now, sp.vmRef(vm), telemetry.SpanMigrate, d.target.Name, name,
-			fmt.Sprintf("migrate %s %s→%s", name, d.host.Name, d.target.Name))
+			"migrate "+name+" "+d.host.Name+"→"+d.target.Name)
 		sp.t.SetCost(ref, d.dur)
-		sp.t.SetDetail(ref, fmt.Sprintf("%d MB, blackout %v", vm.Spec.MemoryMB, d.dur))
+		sp.t.SetDetail(ref, strconv.FormatInt(vm.Spec.MemoryMB, 10)+" MB, blackout "+d.dur.String())
 		sp.mig[vm.ID] = ref
 	case EventMigrateDone:
 		if ref, ok := sp.mig[vm.ID]; ok {
@@ -167,8 +168,8 @@ func (sp *clusterSpans) record(d *decision, now sim.Time) {
 			outcome = "live-migrating to " + d.target.Name
 		}
 		ref := sp.t.Point(now, sp.vmRef(vm), telemetry.SpanPreempt, d.host.Name, name,
-			"preempt "+name, fmt.Sprintf("for %s (%s > %s), %s", d.peer.Spec.Name,
-				d.peer.Spec.Priority, vm.Spec.Priority, outcome))
+			"preempt "+name, "for "+d.peer.Spec.Name+" ("+d.peer.Spec.Priority.String()+" > "+
+				vm.Spec.Priority.String()+"), "+outcome)
 		if d.dur > 0 {
 			sp.t.SetCost(ref, d.dur)
 		}
@@ -178,15 +179,13 @@ func (sp *clusterSpans) record(d *decision, now sim.Time) {
 			parts[i] = m.Spec.Name + "→" + m.Host.Name
 		}
 		sp.t.Point(now, sp.vmRef(vm), telemetry.SpanGang, "", name,
-			fmt.Sprintf("gang %s admitted", vm.Spec.Group),
-			fmt.Sprintf("%d VMs all-or-nothing: %s", len(d.gang), strings.Join(parts, " ")))
+			"gang "+vm.Spec.Group+" admitted",
+			strconv.Itoa(len(d.gang))+" VMs all-or-nothing: "+strings.Join(parts, " "))
 	case EventBackfill:
 		sp.t.Point(now, sp.vmRef(vm), telemetry.SpanBackfill, d.host.Name, name,
-			"backfill "+name, fmt.Sprintf("onto %s ahead of blocked %s (shadow check passed)",
-				d.host.Name, d.peer.Spec.Name))
+			"backfill "+name, "onto "+d.host.Name+" ahead of blocked "+d.peer.Spec.Name+" (shadow check passed)")
 	case EventDeschedule:
 		sp.t.Point(now, sp.vmRef(vm), telemetry.SpanDeschedule, d.host.Name, name,
-			"deschedule "+name, fmt.Sprintf("drained off %s to %s (defrag)",
-				d.host.Name, d.target.Name))
+			"deschedule "+name, "drained off "+d.host.Name+" to "+d.target.Name+" (defrag)")
 	}
 }

@@ -306,48 +306,66 @@ func (s *Server) clusterBody(sp spec.ClusterV1) func(ctx context.Context, rn *Ru
 
 // storeResult renders the run's immutable artifacts: the JSON view of
 // the done run (report and summary included), telemetry and, when traced,
-// spans. The events stay in the log until they are read. spans is nil for
-// untraced runs — the spans and explain endpoints then answer 404.
+// spans, each kept at its exact length. The events stay in the (sealed)
+// log until they are read. spans is nil for untraced runs — the spans and
+// explain endpoints then answer 404.
 func (rn *Run) storeResult(report string, summary any, tele *vprobe.Telemetry, spans *vprobe.Tracing) error {
-	var series, prom bytes.Buffer
-	if err := tele.WriteJSONL(&series); err != nil {
+	buf := renderBufs.Get().(*bytes.Buffer)
+	defer renderBufs.Put(buf)
+	render := func(write func(io.Writer) error) ([]byte, error) {
+		buf.Reset()
+		if err := write(buf); err != nil {
+			return nil, err
+		}
+		return append(make([]byte, 0, buf.Len()), buf.Bytes()...), nil
+	}
+	series, err := render(tele.WriteJSONL)
+	if err != nil {
 		return fmt.Errorf("serve: telemetry export: %w", err)
 	}
-	if err := tele.WritePrometheus(&prom); err != nil {
+	prom, err := render(tele.WritePrometheus)
+	if err != nil {
 		return fmt.Errorf("serve: telemetry export: %w", err)
 	}
-	var spanJSONL, chrome bytes.Buffer
+	var spanJSONL, chrome []byte
 	if spans != nil {
-		if err := spans.WriteSpans(&spanJSONL); err != nil {
+		if spanJSONL, err = render(spans.WriteSpans); err != nil {
 			return fmt.Errorf("serve: span export: %w", err)
 		}
-		if err := spans.WriteChromeTrace(&chrome); err != nil {
+		if chrome, err = render(spans.WriteChromeTrace); err != nil {
 			return fmt.Errorf("serve: span export: %w", err)
 		}
 	}
-	body, err := encodeJSON(map[string]any{
-		"id":      rn.ID,
-		"kind":    rn.Kind,
-		"key":     rn.Key,
-		"state":   StateDone,
-		"report":  report,
-		"summary": summary,
+	body, err := render(func(w io.Writer) error {
+		return encodeJSON(w, map[string]any{
+			"id":      rn.ID,
+			"kind":    rn.Kind,
+			"key":     rn.Key,
+			"state":   StateDone,
+			"report":  report,
+			"summary": summary,
+		})
 	})
 	if err != nil {
 		return fmt.Errorf("serve: encoding the result: %w", err)
 	}
 	rn.mu.Lock()
 	rn.body = body
-	rn.telemetry = series.Bytes()
-	rn.prom = prom.Bytes()
+	rn.telemetry = series
+	rn.prom = prom
 	if spans != nil {
 		rn.traced = true
-		rn.spans = spanJSONL.Bytes()
-		rn.chrome = chrome.Bytes()
+		rn.spans = spanJSONL
+		rn.chrome = chrome
 	}
 	rn.mu.Unlock()
 	return nil
 }
+
+// renderBufs holds the buffers storeResult renders into. A run keeps
+// exact-size copies of what they hold, so a buffer's grown capacity
+// serves the next run instead of being left to the collector.
+var renderBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // scenarioSummary is the JSON-friendly digest of a scenario report.
 func scenarioSummary(rep *vprobe.Report) any {

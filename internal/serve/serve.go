@@ -11,8 +11,10 @@
 // A run records its events in a vprobe.EventLog, whose records hold no
 // pointers, and renders them as JSONL only when /events is read; a done
 // run's JSON reply is rendered once at completion and written as is to
-// every later GET and cache hit. So a cached run keeps compact records
-// and a few rendered artifacts, not its whole event stream as text.
+// every later GET and cache hit. When the run ends, the log is sealed to
+// exact length and every rendered artifact is kept at its exact size. So
+// a cached run keeps 32-byte records and a few rendered artifacts, not
+// its whole event stream as text (TestServedRunRetainedBytes bounds it).
 //
 // Endpoints (see cmd/vprobe-serve for the daemon):
 //
@@ -35,10 +37,10 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -141,18 +143,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.WriteHeader(status)
 	// An unencodable value writes an empty body, as json.Encoder does; a
 	// failed write means the client left. Neither leaves anything to do.
-	b, _ := encodeJSON(v)
-	_, _ = w.Write(b)
+	_ = encodeJSON(w, v)
 }
 
-// encodeJSON renders v as every JSON response carries it: two-space
-// indent, map keys sorted, a trailing newline.
-func encodeJSON(v any) ([]byte, error) {
-	var b bytes.Buffer
-	enc := json.NewEncoder(&b)
+// encodeJSON writes v to w as every JSON response carries it: two-space
+// indent, map keys sorted, a trailing newline. It writes nothing when v
+// cannot be encoded.
+func encodeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	err := enc.Encode(v)
-	return b.Bytes(), err
+	return enc.Encode(v)
 }
 
 // writeError renders err with the status the table in status.go assigns.

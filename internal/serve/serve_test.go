@@ -160,11 +160,11 @@ func TestDoneReplyBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		delete(v, drop)
-		out, err := encodeJSON(v)
-		if err != nil {
+		var out bytes.Buffer
+		if err := encodeJSON(&out, v); err != nil {
 			t.Fatal(err)
 		}
-		return out
+		return out.Bytes()
 	}
 	first := post()
 	if got := reencode(first, ""); !bytes.Equal(got, first) {

@@ -317,6 +317,7 @@ func (s *Simulator) RunWatchingContext(ctx context.Context, horizon time.Duratio
 }
 
 func (s *Simulator) run(ctx context.Context, horizon time.Duration, watchAll bool) (*Report, error) {
+	defer sealEvents(s.cfg.Events)
 	if horizon <= 0 {
 		return nil, fmt.Errorf("vprobe: non-positive horizon %v", horizon)
 	}
