@@ -9,83 +9,37 @@ import (
 	"vprobe"
 )
 
-// TestSentinelErrors asserts each sentinel survives the wrapping the public
-// API applies, so errors.Is-based handling works.
+// TestSentinelErrors asserts each rejected scenario surfaces the public
+// sentinel through CompileScenario's wrapping, so errors.Is-based handling
+// works.
 func TestSentinelErrors(t *testing.T) {
-	t.Run("unknown topology", func(t *testing.T) {
-		_, err := vprobe.NewSimulator(vprobe.Config{Topology: "toaster"})
-		if !errors.Is(err, vprobe.ErrUnknownTopology) {
-			t.Fatalf("err = %v, want ErrUnknownTopology", err)
-		}
-	})
-	t.Run("unknown scheduler", func(t *testing.T) {
-		_, err := vprobe.NewSimulator(vprobe.Config{Scheduler: "fifo"})
-		if !errors.Is(err, vprobe.ErrUnknownScheduler) {
-			t.Fatalf("err = %v, want ErrUnknownScheduler", err)
-		}
-	})
-	t.Run("no free vcpu", func(t *testing.T) {
-		sim, err := vprobe.NewSimulator(vprobe.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		vm, err := sim.AddVM(vprobe.VMConfig{Name: "tiny", MemoryMB: 1024, VCPUs: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := vm.RunApp("hungry"); err != nil {
-			t.Fatal(err)
-		}
-		if err := vm.RunApp("hungry"); !errors.Is(err, vprobe.ErrNoFreeVCPU) {
-			t.Fatalf("err = %v, want ErrNoFreeVCPU", err)
-		}
-	})
-	t.Run("already started", func(t *testing.T) {
-		sim, err := vprobe.NewSimulator(vprobe.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		vm, err := sim.AddVM(vprobe.VMConfig{Name: "vm", MemoryMB: 1024, VCPUs: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := vm.RunApp("hungry"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sim.Run(10 * time.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		_, err = sim.AddVM(vprobe.VMConfig{Name: "late", MemoryMB: 1024, VCPUs: 1})
-		if !errors.Is(err, vprobe.ErrAlreadyStarted) {
-			t.Fatalf("err = %v, want ErrAlreadyStarted", err)
-		}
-	})
+	for _, c := range []struct {
+		name string
+		spec vprobe.ScenarioSpec
+	}{
+		{"unknown topology", vprobe.ScenarioSpec{Topology: "toaster", VMs: oneVM().VMs}},
+		{"unknown scheduler", vprobe.ScenarioSpec{Scheduler: "fifo", VMs: oneVM().VMs}},
+		{"no free vcpu", oneVM(apps("hungry", 2)...)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, _, err := vprobe.CompileScenario(c.spec, vprobe.CompileOptions{})
+			if !errors.Is(err, vprobe.ErrInvalidSpec) {
+				t.Fatalf("err = %v, want ErrInvalidSpec", err)
+			}
+		})
+	}
 }
 
-// TestTypedEvents asserts Config.Events receives structured events whose
-// typed fields agree with the rendered detail line.
+// TestTypedEvents asserts CompileOptions.Events receives structured events
+// whose typed fields agree with the rendered detail line.
 func TestTypedEvents(t *testing.T) {
 	var events []vprobe.Event
-	sim, err := vprobe.NewSimulator(vprobe.Config{
-		Scheduler: vprobe.SchedulerVProbe,
-		Seed:      1,
-		Events:    vprobe.EventFunc(func(ev vprobe.Event) { events = append(events, ev) }),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := sim.AddVM(vprobe.VMConfig{
-		Name: "vm", MemoryMB: 4 * 1024, VCPUs: 2, FillGuestIdle: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.RunApp("soplex"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	run(t, vprobe.ScenarioSpec{
+		Scheduler: string(vprobe.SchedulerVProbe),
+		Horizon:   vprobe.SpecDuration(2 * time.Second),
+		VMs: []vprobe.VMSpec{{Name: "vm", MemoryMB: 4 * 1024, VCPUs: 2, FillGuestIdle: true,
+			Apps: apps("soplex", 1)}},
+	}, vprobe.CompileOptions{Events: vprobe.EventFunc(func(ev vprobe.Event) { events = append(events, ev) })})
 	if len(events) == 0 {
 		t.Fatal("no events delivered")
 	}
@@ -115,59 +69,29 @@ func TestTypedEvents(t *testing.T) {
 // TestRunContextCancelled asserts a cancelled context interrupts the
 // simulation with a wrapped context error.
 func TestRunContextCancelled(t *testing.T) {
-	sim, err := vprobe.NewSimulator(vprobe.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := sim.AddVM(vprobe.VMConfig{Name: "vm", MemoryMB: 1024, VCPUs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := vm.RunApp("hungry"); err != nil {
-			t.Fatal(err)
-		}
-	}
+	sim, _ := compile(t, vprobe.ScenarioSpec{
+		VMs: []vprobe.VMSpec{{Name: "vm", MemoryMB: 1024, VCPUs: 2, Apps: apps("hungry", 2)}},
+	}, vprobe.CompileOptions{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = sim.RunContext(ctx, time.Hour)
+	_, err := sim.RunContext(ctx, time.Hour)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-// TestTypedServerHelpers asserts RunMemcached/RunRedis attach servers that
-// serve requests.
+// TestTypedServerHelpers asserts the typed server apps (an AppSpec with
+// Server and Load) attach servers that serve requests.
 func TestTypedServerHelpers(t *testing.T) {
-	build := func(attach func(vm *vprobe.VM) error) *vprobe.Report {
-		t.Helper()
-		sim, err := vprobe.NewSimulator(vprobe.Config{Seed: 2})
-		if err != nil {
-			t.Fatal(err)
+	for _, server := range []vprobe.AppSpec{{Server: "redis", Load: 4000}, {Server: "memcached", Load: 64}} {
+		rep := run(t, vprobe.ScenarioSpec{
+			Seed:    2,
+			Horizon: vprobe.SpecDuration(2 * time.Second),
+			VMs: []vprobe.VMSpec{{Name: "srv", MemoryMB: 8 * 1024, VCPUs: 4, FillGuestIdle: true,
+				Apps: []vprobe.AppSpec{server}}},
+		}, vprobe.CompileOptions{})
+		if rep.TotalRequests() <= 0 {
+			t.Fatalf("%s served no requests", server.Server)
 		}
-		vm, err := sim.AddVM(vprobe.VMConfig{
-			Name: "srv", MemoryMB: 8 * 1024, VCPUs: 4, FillGuestIdle: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := attach(vm); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := sim.Run(2 * time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-
-	typed := build(func(vm *vprobe.VM) error { return vm.RunRedis(4000) })
-	if typed.TotalRequests() <= 0 {
-		t.Fatal("RunRedis served no requests")
-	}
-
-	mc := build(func(vm *vprobe.VM) error { return vm.RunMemcached(64) })
-	if mc.TotalRequests() <= 0 {
-		t.Fatal("RunMemcached served no requests")
 	}
 }

@@ -104,11 +104,11 @@ func query(r io.Reader, args []string) (string, error) {
 		if err := need(1, "list"); err != nil {
 			return "", err
 		}
-		out := ""
-		for _, vm := range ix.VMs() {
-			out += vm + "\n"
+		vms := ix.VMs()
+		if len(vms) == 0 {
+			return "", nil
 		}
-		return out, nil
+		return strings.Join(vms, "\n") + "\n", nil
 	case "summary":
 		if err := need(1, "summary"); err != nil {
 			return "", err

@@ -20,6 +20,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -66,54 +67,45 @@ func run(opts options, stdout, stderr io.Writer) error {
 			fmt.Fprintf(out, "%12.6f  %-14s %s\n", ev.At.Seconds(), ev.Kind, ev.Detail)
 		})
 	}
+	horizon := time.Duration(opts.seconds * float64(time.Second))
+	if horizon <= 0 {
+		// A spec's zero horizon means its 30 s default; a trace asks for
+		// exactly what -seconds says, so reject it here.
+		return fmt.Errorf("vprobe: non-positive horizon %v", horizon)
+	}
 	var tracing *vprobe.Tracing
 	if opts.spans != nil || opts.chrome != nil {
 		tracing = vprobe.NewTracing(vprobe.TracingOptions{})
-	}
-	sim, err := vprobe.NewSimulator(vprobe.Config{
-		Scheduler: vprobe.Scheduler(opts.sched),
-		Seed:      opts.seed,
-		Events:    sink,
-		Spans:     tracing,
-	})
-	if err != nil {
-		return err
 	}
 
 	// Blanks and stray commas are skipped, so -apps "" means "no apps": an
 	// empty run — nothing runnable, no burner — whose event stream is a
 	// valid, empty JSONL document rather than an error.
-	var appList []string
+	traced := vprobe.VMSpec{Name: "traced", MemoryMB: 8 * 1024, VCPUs: 8, Memory: "stripe"}
 	for _, app := range strings.Split(opts.apps, ",") {
 		if app = strings.TrimSpace(app); app != "" {
-			appList = append(appList, app)
+			traced.Apps = append(traced.Apps, vprobe.AppSpec{Name: app})
 		}
 	}
-	vm, err := sim.AddVM(vprobe.VMConfig{
-		Name: "traced", MemoryMB: 8 * 1024, VCPUs: 8,
-		Memory: vprobe.MemStripe, FillGuestIdle: len(appList) > 0,
-	})
+	scenario := vprobe.ScenarioSpec{
+		Scheduler: opts.sched,
+		Seed:      opts.seed,
+		Horizon:   vprobe.SpecDuration(horizon),
+		VMs:       []vprobe.VMSpec{traced},
+	}
+	if len(traced.Apps) > 0 {
+		scenario.VMs[0].FillGuestIdle = true
+		burner := vprobe.VMSpec{Name: "burner", MemoryMB: 1024, VCPUs: 8}
+		for i := 0; i < 8; i++ {
+			burner.Apps = append(burner.Apps, vprobe.AppSpec{Name: "hungry"})
+		}
+		scenario.VMs = append(scenario.VMs, burner)
+	}
+	sim, _, err := vprobe.CompileScenario(scenario, vprobe.CompileOptions{Events: sink, Spans: tracing})
 	if err != nil {
 		return err
 	}
-	for _, app := range appList {
-		if err := vm.RunApp(app); err != nil {
-			return err
-		}
-	}
-	if len(appList) > 0 {
-		burner, err := sim.AddVM(vprobe.VMConfig{Name: "burner", MemoryMB: 1024, VCPUs: 8})
-		if err != nil {
-			return err
-		}
-		for i := 0; i < 8; i++ {
-			if err := burner.RunApp("hungry"); err != nil {
-				return err
-			}
-		}
-	}
-
-	report, err := sim.Run(time.Duration(opts.seconds * float64(time.Second)))
+	report, err := sim.RunContext(context.Background(), horizon)
 	if err != nil {
 		return err
 	}

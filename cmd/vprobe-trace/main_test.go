@@ -127,3 +127,20 @@ func TestBlankAppsSkipped(t *testing.T) {
 		}
 	}
 }
+
+// TestNonPositiveSecondsRejected pins the horizon check: a spec's zero
+// horizon would mean its 30 s default, so -seconds 0 or below must fail
+// instead of silently tracing 30 s.
+func TestNonPositiveSecondsRejected(t *testing.T) {
+	for _, seconds := range []float64{0, -1, 1e-12} {
+		var stdout, stderr bytes.Buffer
+		opts := options{sched: "vprobe", seconds: seconds, apps: "soplex", seed: 1}
+		err := run(opts, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "non-positive horizon") {
+			t.Errorf("-seconds %v: err = %v, want a non-positive horizon error", seconds, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-seconds %v wrote %d bytes before failing", seconds, stdout.Len())
+		}
+	}
+}

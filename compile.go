@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"vprobe/internal/spec"
+	"vprobe/internal/xen"
 )
 
 // This file is the compile layer between the serializable spec types
@@ -14,14 +15,15 @@ import (
 // with ClusterSpec.Config and runs it. Both attach the live hooks a spec
 // cannot carry (Events, Telemetry, Spans) from CompileOptions.
 //
-// vprobe-serve, vprobe-sim -spec and programmatic callers go through
-// here; internal/experiments lowers its paper cells with the same two
-// spec methods. vprobe-trace builds Config by hand, and vprobe-cluster and
-// the benchmark module build cluster.Config directly, because they need
-// knobs the wire spec deliberately lacks (the remote-ratio migration
+// CompileScenario is the only way to build a Simulator: vprobe-serve,
+// vprobe-sim -spec, vprobe-trace, the examples and programmatic callers
+// all describe their run as a ScenarioSpec, and internal/experiments
+// lowers its paper cells with the same two spec methods. vprobe-cluster
+// and the benchmark module build cluster.Config directly, because they
+// need knobs the wire spec deliberately lacks (the remote-ratio migration
 // limit, topology JSON files, an arrival sink). The compile tests pin
-// scenario lowering against hand-built Configs and cluster lowering
-// against the goldens under testdata/cluster.
+// scenario lowering against per-case digests under testdata/scenario and
+// cluster lowering against the goldens under testdata/cluster.
 
 // Public aliases of the spec types, so modules outside this one can
 // build and compile specs without reaching into internal/spec (Go's
@@ -48,17 +50,20 @@ type (
 // may hang on a compiled scenario or a RunCluster run. All fields are
 // optional.
 type CompileOptions struct {
-	// Events receives structured events exactly as Config.Events would;
-	// cluster runs deliver the cluster-scoped kinds (EventVMArrive ...
+	// Events, when non-nil, receives structured scheduling events; cluster
+	// runs deliver the cluster-scoped kinds (EventVMArrive ...
 	// EventMigrateDone) with VCPU and Node set to -1.
 	Events EventSink
-	// Telemetry collects metric time series exactly as Config.Telemetry
-	// would.
+	// Telemetry, when non-nil, collects metric time series from the run
+	// (see NewTelemetry). A collector serves exactly one run; reusing one
+	// fails with ErrTelemetryAttached.
 	Telemetry *Telemetry
-	// Spans records the span flight recorder exactly as Config.Spans
-	// would. When nil and the spec sets trace, the compile layer creates
-	// a recorder itself (retrievable through Simulator.Tracing or
-	// ClusterReport.Tracing), honoring the spec's trace_limit.
+	// Spans, when non-nil, records the run's span flight recorder (see
+	// NewTracing). A recorder serves exactly one run; reusing one fails
+	// with ErrTracingAttached. When nil and the spec sets trace, the
+	// compile layer creates a recorder itself (retrievable through
+	// Simulator.Tracing or ClusterReport.Tracing), honoring the spec's
+	// trace_limit.
 	Spans *Tracing
 }
 
@@ -87,14 +92,23 @@ func CompileScenario(s spec.ScenarioV1, opts CompileOptions) (*Simulator, time.D
 		return nil, 0, err
 	}
 	n := s.Normalize()
-	sim, err := newSimulator(h, Config{
-		Scheduler: Scheduler(n.Scheduler),
-		Events:    opts.Events,
-		Telemetry: opts.Telemetry,
-		Spans:     compileSpans(opts, n.Trace, n.TraceLimit),
-	})
-	if err != nil {
-		return nil, 0, err
+	opts.Spans = compileSpans(opts, n.Trace, n.TraceLimit)
+	h.EventFn = eventHook(opts.Events)
+	if opts.Telemetry != nil {
+		if err := opts.Telemetry.attach(); err != nil {
+			return nil, 0, err
+		}
+		xen.AttachTelemetry(h, opts.Telemetry.sampler)
 	}
+	if opts.Spans != nil {
+		// Span IDs derive from the normalized seed, so the same spec
+		// always records the same IDs.
+		tracer, err := opts.Spans.attach(n.Seed)
+		if err != nil {
+			return nil, 0, err
+		}
+		xen.AttachSpans(h, tracer)
+	}
+	sim := &Simulator{h: h, scheduler: Scheduler(n.Scheduler), opts: opts}
 	return sim, n.Horizon.Std(), nil
 }

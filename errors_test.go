@@ -2,6 +2,9 @@ package vprobe_test
 
 import (
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 
@@ -9,25 +12,58 @@ import (
 	"vprobe/internal/spec"
 )
 
-// publicSentinels is the audit list of every sentinel the public API
-// exposes. Adding a sentinel without extending this list fails the audit
-// below; internal/serve has a matching audit that every entry here maps
-// to a deliberate HTTP status.
+// publicSentinels holds the value of every sentinel errors.go declares,
+// so the audit below can check them; declaredSentinels keeps it complete.
+// internal/serve has a matching audit that every sentinel in errors.go
+// maps to a deliberate HTTP status.
 var publicSentinels = map[string]error{
-	"ErrUnknownTopology":   vprobe.ErrUnknownTopology,
-	"ErrUnknownScheduler":  vprobe.ErrUnknownScheduler,
-	"ErrNoFreeVCPU":        vprobe.ErrNoFreeVCPU,
-	"ErrAlreadyStarted":    vprobe.ErrAlreadyStarted,
 	"ErrTelemetryAttached": vprobe.ErrTelemetryAttached,
+	"ErrTracingAttached":   vprobe.ErrTracingAttached,
 	"ErrAlreadyRun":        vprobe.ErrAlreadyRun,
 	"ErrSpecVersion":       vprobe.ErrSpecVersion,
 	"ErrInvalidSpec":       vprobe.ErrInvalidSpec,
 }
 
-// TestSentinelAudit asserts the sentinel set is well formed: non-nil,
-// pairwise distinct, and package-prefixed so wrapped messages read
-// sensibly.
+// declaredSentinels parses errors.go and returns the name of every
+// exported Err* variable it declares.
+func declaredSentinels(t *testing.T) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "errors.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, decl := range f.Decls {
+		if gen, ok := decl.(*ast.GenDecl); ok && gen.Tok == token.VAR {
+			for _, spec := range gen.Specs {
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					if name.IsExported() && strings.HasPrefix(name.Name, "Err") {
+						names = append(names, name.Name)
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// TestSentinelAudit asserts the sentinel set is complete and well formed:
+// publicSentinels holds exactly the sentinels errors.go declares, and
+// they are non-nil, pairwise distinct, and package-prefixed so wrapped
+// messages read sensibly.
 func TestSentinelAudit(t *testing.T) {
+	declared := declaredSentinels(t)
+	if len(declared) == 0 {
+		t.Fatal("errors.go declares no sentinels")
+	}
+	for _, name := range declared {
+		if _, ok := publicSentinels[name]; !ok {
+			t.Errorf("errors.go declares %s but publicSentinels lacks it", name)
+		}
+	}
+	if len(publicSentinels) != len(declared) {
+		t.Errorf("publicSentinels has %d entries for %d declared sentinels", len(publicSentinels), len(declared))
+	}
 	for name, err := range publicSentinels {
 		if err == nil {
 			t.Errorf("%s is nil", name)

@@ -17,7 +17,7 @@ import (
 // EventKind labels a scheduling event.
 type EventKind string
 
-// Scheduling event kinds delivered to Config.Events.
+// Scheduling event kinds delivered to CompileOptions.Events.
 const (
 	// EventDispatch: a VCPU starts a quantum on a PCPU.
 	EventDispatch EventKind = EventKind(xen.EventDispatch)
@@ -227,7 +227,7 @@ func (f EventFunc) HandleEvent(ev Event) { f(ev) }
 // kind, or an Arg beside a text Detail) keeps them in a full-width side
 // record, so every event renders exactly.
 //
-// EventLog is an EventSink. As a Simulator's (or CompileScenario's)
+// EventLog is an EventSink. As a compiled Simulator's
 // Events it takes the hypervisor's typed events directly, so a run
 // builds no Event per event; as RunCluster's it records the cluster
 // events. When that run returns, done or not, the log is sealed: its last

@@ -53,15 +53,12 @@ func TestEventLogRecordSize(t *testing.T) {
 // event it was given.
 func TestEventLogSealedAfterRun(t *testing.T) {
 	simulate := func(ctx context.Context, log *EventLog, horizon time.Duration) error {
-		s, err := NewSimulator(Config{Scheduler: SchedulerVProbe, Events: log})
+		s, _, err := CompileScenario(ScenarioSpec{
+			Scheduler: string(SchedulerVProbe),
+			VMs: []VMSpec{{Name: "vm1", MemoryMB: 2048, VCPUs: 2, FillGuestIdle: true,
+				Apps: []AppSpec{{Name: "soplex"}}}},
+		}, CompileOptions{Events: log})
 		if err != nil {
-			return err
-		}
-		vm, err := s.AddVM(VMConfig{Name: "vm1", MemoryMB: 2048, VCPUs: 2, FillGuestIdle: true})
-		if err != nil {
-			return err
-		}
-		if err := vm.RunApp("soplex"); err != nil {
 			return err
 		}
 		_, err = s.RunContext(ctx, horizon)

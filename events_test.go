@@ -2,6 +2,7 @@ package vprobe_test
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -148,17 +149,11 @@ func TestEventLogTypedPath(t *testing.T) {
 	)
 
 	log := new(vprobe.EventLog)
-	logged, err := vprobe.NewSimulator(vprobe.Config{Events: log})
-	if err != nil {
-		t.Fatal(err)
-	}
+	logged, _ := compile(t, oneVM(), vprobe.CompileOptions{Events: log})
 	var public []vprobe.Event
-	funced, err := vprobe.NewSimulator(vprobe.Config{Events: vprobe.EventFunc(func(ev vprobe.Event) {
+	funced, _ := compile(t, oneVM(), vprobe.CompileOptions{Events: vprobe.EventFunc(func(ev vprobe.Event) {
 		public = append(public, ev)
 	})})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want []byte
 	for _, c := range cases {
 		logged.Hypervisor().EventFn(c.ev)
@@ -209,17 +204,11 @@ func TestEventLogTypedPath(t *testing.T) {
 // bytes of the finished log.
 func TestEventLogFollowersDuringRun(t *testing.T) {
 	log := new(vprobe.EventLog)
-	s, err := vprobe.NewSimulator(vprobe.Config{Scheduler: vprobe.SchedulerVProbe, Events: log})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := s.AddVM(vprobe.VMConfig{Name: "vm1", MemoryMB: 2048, VCPUs: 2, FillGuestIdle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.RunApp("soplex"); err != nil {
-		t.Fatal(err)
-	}
+	s, _ := compile(t, vprobe.ScenarioSpec{
+		Scheduler: string(vprobe.SchedulerVProbe),
+		VMs: []vprobe.VMSpec{{Name: "vm1", MemoryMB: 2048, VCPUs: 2, FillGuestIdle: true,
+			Apps: apps("soplex", 1)}},
+	}, vprobe.CompileOptions{Events: log})
 	done := make(chan struct{})
 	const followers = 3
 	got := make([][]byte, followers)
@@ -244,7 +233,7 @@ func TestEventLogFollowersDuringRun(t *testing.T) {
 			}
 		}(i)
 	}
-	_, err = s.Run(300 * time.Millisecond)
+	_, err := s.RunContext(context.Background(), 300*time.Millisecond)
 	close(done)
 	wg.Wait()
 	if err != nil {

@@ -8,12 +8,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
 
 	"vprobe"
-	"vprobe/internal/workload"
 )
 
 const requestsPerWorker = 60000
@@ -48,47 +48,30 @@ func main() {
 }
 
 func run(scheduler vprobe.Scheduler, concurrency int) (*vprobe.Report, error) {
-	sim, err := vprobe.NewSimulator(vprobe.Config{Scheduler: scheduler, Seed: 11})
-	if err != nil {
-		return nil, err
+	// Worker threads with a finite request target; the server profile's
+	// working set scales with client concurrency.
+	workers := make([]vprobe.AppSpec, 8)
+	for i := range workers {
+		workers[i] = vprobe.AppSpec{Server: "memcached", Load: concurrency, Requests: requestsPerWorker}
 	}
-
-	server := func(name string, memMB int64) (*vprobe.VM, error) {
-		vm, err := sim.AddVM(vprobe.VMConfig{
-			Name: name, MemoryMB: memMB, VCPUs: 8,
-			Memory: vprobe.MemStripe, FillGuestIdle: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < 8; i++ {
-			// A worker thread with a finite request target; the
-			// profile's working set scales with client concurrency.
-			p := workload.Memcached(concurrency)
-			p.TotalInstructions = requestsPerWorker * p.InstrPerRequest
-			if err := vm.RunProfile(p); err != nil {
-				return nil, err
-			}
-		}
-		return vm, nil
+	server := func(name string, memMB int64) vprobe.VMSpec {
+		return vprobe.VMSpec{Name: name, MemoryMB: memMB, VCPUs: 8,
+			Memory: "stripe", FillGuestIdle: true, Apps: workers}
 	}
-
-	vmA, err := server("cache-a", 15*1024)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := server("cache-b", 5*1024); err != nil {
-		return nil, err
-	}
-
-	burner, err := sim.AddVM(vprobe.VMConfig{Name: "burner", MemoryMB: 1024, VCPUs: 8})
-	if err != nil {
-		return nil, err
-	}
+	burner := vprobe.VMSpec{Name: "burner", MemoryMB: 1024, VCPUs: 8}
 	for i := 0; i < 8; i++ {
-		if err := burner.RunApp("hungry"); err != nil {
-			return nil, err
-		}
+		burner.Apps = append(burner.Apps, vprobe.AppSpec{Name: "hungry"})
 	}
-	return sim.RunWatching(30*time.Minute, vmA)
+	scenario := vprobe.ScenarioSpec{
+		Scheduler: string(scheduler),
+		Seed:      11,
+		Horizon:   vprobe.SpecDuration(30 * time.Minute),
+		VMs:       []vprobe.VMSpec{server("cache-a", 15*1024), server("cache-b", 5*1024), burner},
+		Watch:     []string{"cache-a"},
+	}
+	sim, horizon, err := vprobe.CompileScenario(scenario, vprobe.CompileOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return sim.RunContext(context.Background(), horizon)
 }

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -36,55 +37,36 @@ func main() {
 }
 
 func run(scheduler vprobe.Scheduler) (*vprobe.Report, error) {
-	sim, err := vprobe.NewSimulator(vprobe.Config{
-		Scheduler: scheduler,
+	scenario := vprobe.ScenarioSpec{
+		Scheduler: string(scheduler),
 		Seed:      7,
-	})
+		Horizon:   vprobe.SpecDuration(20 * time.Minute),
+		VMs: []vprobe.VMSpec{
+			// The measured VM: four LP-solver instances, memory striped
+			// across both NUMA nodes (the paper's VM1 setup).
+			{Name: "workload-vm", MemoryMB: 15 * 1024, VCPUs: 8,
+				Memory: "stripe", FillGuestIdle: true, Apps: apps("soplex", 4)},
+			// An interfering VM running the same workload.
+			{Name: "interference-vm", MemoryMB: 5 * 1024, VCPUs: 8,
+				FillGuestIdle: true, Apps: apps("soplex", 4)},
+			// CPU burners soaking up the slack (the paper's VM3).
+			{Name: "burner-vm", MemoryMB: 1024, VCPUs: 8, Apps: apps("hungry", 8)},
+		},
+		// The run ends once the measured VM's apps complete.
+		Watch: []string{"workload-vm"},
+	}
+	sim, horizon, err := vprobe.CompileScenario(scenario, vprobe.CompileOptions{})
 	if err != nil {
 		return nil, err
 	}
+	return sim.RunContext(context.Background(), horizon)
+}
 
-	// The measured VM: four LP-solver instances, memory striped across
-	// both NUMA nodes (the paper's VM1 setup).
-	vm1, err := sim.AddVM(vprobe.VMConfig{
-		Name: "workload-vm", MemoryMB: 15 * 1024, VCPUs: 8,
-		Memory: vprobe.MemStripe, FillGuestIdle: true,
-	})
-	if err != nil {
-		return nil, err
+// apps returns n instances of the named catalog application.
+func apps(name string, n int) []vprobe.AppSpec {
+	out := make([]vprobe.AppSpec, n)
+	for i := range out {
+		out[i] = vprobe.AppSpec{Name: name}
 	}
-	for i := 0; i < 4; i++ {
-		if err := vm1.RunApp("soplex"); err != nil {
-			return nil, err
-		}
-	}
-
-	// An interfering VM running the same workload.
-	vm2, err := sim.AddVM(vprobe.VMConfig{
-		Name: "interference-vm", MemoryMB: 5 * 1024, VCPUs: 8,
-		FillGuestIdle: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < 4; i++ {
-		if err := vm2.RunApp("soplex"); err != nil {
-			return nil, err
-		}
-	}
-
-	// CPU burners soaking up the slack (the paper's VM3).
-	vm3, err := sim.AddVM(vprobe.VMConfig{
-		Name: "burner-vm", MemoryMB: 1024, VCPUs: 8,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < 8; i++ {
-		if err := vm3.RunApp("hungry"); err != nil {
-			return nil, err
-		}
-	}
-
-	return sim.RunWatching(20*time.Minute, vm1)
+	return out
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -36,46 +37,35 @@ func main() {
 }
 
 func run(scheduler vprobe.Scheduler, connections int) (*vprobe.Report, error) {
-	sim, err := vprobe.NewSimulator(vprobe.Config{Scheduler: scheduler, Seed: 3})
+	servers := make([]vprobe.AppSpec, 4)
+	for i := range servers {
+		servers[i] = vprobe.AppSpec{Server: "redis", Load: connections}
+	}
+	scenario := vprobe.ScenarioSpec{
+		Scheduler: string(scheduler),
+		Seed:      3,
+		Horizon:   vprobe.SpecDuration(30 * time.Second),
+		VMs: []vprobe.VMSpec{
+			{Name: "redis-vm", MemoryMB: 15 * 1024, VCPUs: 8,
+				Memory: "stripe", FillGuestIdle: true, Apps: servers},
+			// The load generators are CPU-bound driver processes.
+			{Name: "bench-vm", MemoryMB: 5 * 1024, VCPUs: 8,
+				FillGuestIdle: true, Apps: apps("hungry", 4)},
+			{Name: "burner", MemoryMB: 1024, VCPUs: 8, Apps: apps("hungry", 8)},
+		},
+	}
+	sim, horizon, err := vprobe.CompileScenario(scenario, vprobe.CompileOptions{})
 	if err != nil {
 		return nil, err
 	}
+	return sim.RunContext(context.Background(), horizon)
+}
 
-	servers, err := sim.AddVM(vprobe.VMConfig{
-		Name: "redis-vm", MemoryMB: 15 * 1024, VCPUs: 8,
-		Memory: vprobe.MemStripe, FillGuestIdle: true,
-	})
-	if err != nil {
-		return nil, err
+// apps returns n instances of the named catalog application.
+func apps(name string, n int) []vprobe.AppSpec {
+	out := make([]vprobe.AppSpec, n)
+	for i := range out {
+		out[i] = vprobe.AppSpec{Name: name}
 	}
-	for i := 0; i < 4; i++ {
-		if err := servers.RunRedis(connections); err != nil {
-			return nil, err
-		}
-	}
-
-	// The load generators are CPU-bound driver processes.
-	clients, err := sim.AddVM(vprobe.VMConfig{
-		Name: "bench-vm", MemoryMB: 5 * 1024, VCPUs: 8, FillGuestIdle: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < 4; i++ {
-		if err := clients.RunApp("hungry"); err != nil {
-			return nil, err
-		}
-	}
-
-	burner, err := sim.AddVM(vprobe.VMConfig{Name: "burner", MemoryMB: 1024, VCPUs: 8})
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < 8; i++ {
-		if err := burner.RunApp("hungry"); err != nil {
-			return nil, err
-		}
-	}
-
-	return sim.Run(30 * time.Second)
+	return out
 }

@@ -1,7 +1,7 @@
 // Package errsentinel keeps errors.Is working across the public API: a
 // fmt.Errorf call that formats an error value with %v, %s, or %q flattens
 // it to text and severs the chain — callers matching the package sentinels
-// (vprobe.ErrUnknownTopology, ErrAlreadyStarted, ...) stop seeing them.
+// (vprobe.ErrInvalidSpec, ErrAlreadyRun, ...) stop seeing them.
 // Error arguments must be wrapped with %w. The rare call that deliberately
 // flattens (e.g. to redact an internal error at an API boundary) is
 // annotated `//vet:nowrap <justification>`.

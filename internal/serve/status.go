@@ -14,7 +14,8 @@ const StatusClientClosedRequest = 499
 
 // statusTable is THE error-to-HTTP-status mapping: every public sentinel
 // of the vprobe package appears here with a deliberate status, and the
-// audit test fails when a new sentinel is added without a row. Order
+// audit test, which reads the sentinels from the vprobe package's
+// errors.go, fails when a new sentinel is added without a row. Order
 // matters only for readability — sentinels are pairwise distinct.
 var statusTable = []struct {
 	Sentinel error
@@ -23,14 +24,11 @@ var statusTable = []struct {
 	// Malformed or unsatisfiable requests: the client must change the spec.
 	{vprobe.ErrSpecVersion, http.StatusBadRequest},
 	{vprobe.ErrInvalidSpec, http.StatusBadRequest},
-	{vprobe.ErrUnknownTopology, http.StatusBadRequest},
-	{vprobe.ErrUnknownScheduler, http.StatusBadRequest},
-	{vprobe.ErrNoFreeVCPU, http.StatusBadRequest},
 
 	// State conflicts: the request raced or repeated a one-shot operation.
-	{vprobe.ErrAlreadyStarted, http.StatusConflict},
 	{vprobe.ErrAlreadyRun, http.StatusConflict},
 	{vprobe.ErrTelemetryAttached, http.StatusConflict},
+	{vprobe.ErrTracingAttached, http.StatusConflict},
 
 	// Lifecycle: server-enforced timeout and client disconnect.
 	{context.DeadlineExceeded, http.StatusGatewayTimeout},

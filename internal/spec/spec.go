@@ -6,9 +6,12 @@
 // ScenarioV1.Hypervisor builds the unstarted hypervisor, and
 // ClusterV1.Config is the one copy of spec fields into cluster.Config.
 // Two callers lower them: the root package's CompileScenario and
-// RunCluster (behind vprobe-serve, vprobe-sim -spec and the public API),
-// which add the live hooks (Events, Telemetry, Spans) a spec cannot carry,
-// and internal/experiments, whose every paper cell is one of these specs.
+// RunCluster (behind vprobe-serve, vprobe-sim -spec, vprobe-trace, the
+// examples and the public API), which add the live hooks (Events,
+// Telemetry, Spans) a spec cannot carry, and internal/experiments, whose
+// every paper cell is one of these specs. CompileScenario is the public
+// API's only single-host builder, so every single-host run is a
+// ScenarioV1.
 // vprobe-cluster and the benchmark module still build cluster.Config
 // directly for the knobs the wire format deliberately lacks (topology JSON
 // files, an arrival sink, the remote-ratio limit).

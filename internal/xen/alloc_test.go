@@ -86,7 +86,9 @@ func TestQuantumSteadyStateZeroAllocSpans(t *testing.T) {
 func TestQuantumSteadyStateZeroAllocEventLog(t *testing.T) {
 	testQuantumSteadyStateZeroAlloc(t, func(h *xen.Hypervisor) func() int {
 		log := new(vprobe.EventLog)
-		s, err := vprobe.NewSimulator(vprobe.Config{Events: log})
+		s, _, err := vprobe.CompileScenario(vprobe.ScenarioSpec{
+			VMs: []vprobe.VMSpec{{Name: "vm", MemoryMB: 1024, VCPUs: 1}},
+		}, vprobe.CompileOptions{Events: log})
 		if err != nil {
 			t.Fatal(err)
 		}

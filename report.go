@@ -50,7 +50,7 @@ type Report struct {
 
 func buildReport(s *Simulator, end sim.Time) *Report {
 	r := &Report{
-		Scheduler:        s.cfg.Scheduler,
+		Scheduler:        s.scheduler,
 		End:              time.Duration(end) * time.Microsecond,
 		OverheadFraction: s.h.OverheadFraction(),
 	}

@@ -13,31 +13,28 @@ import (
 	"vprobe"
 )
 
-// addStandardVMs populates the instrumented standard scenario: a measured
-// VM beside an endless cache-hungry burner.
-func addStandardVMs(t *testing.T, s *vprobe.Simulator) {
-	t.Helper()
-	vm, err := s.AddVM(vprobe.VMConfig{
-		Name: "measured", MemoryMB: 8 * 1024, VCPUs: 8,
-		Memory: vprobe.MemStripe, FillGuestIdle: true,
+// instrumented is the instrumented standard scenario: a measured VM
+// beside an endless cache-hungry burner, under vProbe for horizon.
+func instrumented(horizon time.Duration) vprobe.ScenarioSpec {
+	return vprobe.ScenarioSpec{
+		Scheduler: string(vprobe.SchedulerVProbe),
+		Horizon:   vprobe.SpecDuration(horizon),
+		VMs: []vprobe.VMSpec{
+			{Name: "measured", MemoryMB: 8 * 1024, VCPUs: 8, Memory: "stripe",
+				FillGuestIdle: true, Apps: apps("soplex", 4)},
+			{Name: "burner", MemoryMB: 1024, VCPUs: 8, Apps: apps("hungry", 8)},
+		},
+	}
+}
+
+// eventLines appends each event to sb as its time and detail line.
+func eventLines(sb *strings.Builder) vprobe.EventSink {
+	return vprobe.EventFunc(func(ev vprobe.Event) {
+		sb.WriteString(ev.At.String())
+		sb.WriteByte(' ')
+		sb.WriteString(ev.Detail)
+		sb.WriteByte('\n')
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := vm.RunApp("soplex"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	burner, err := s.AddVM(vprobe.VMConfig{Name: "burner", MemoryMB: 1024, VCPUs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if err := burner.RunApp("hungry"); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // TestTelemetryExports covers the public collector end to end: >= 10
@@ -45,17 +42,7 @@ func addStandardVMs(t *testing.T, s *vprobe.Simulator) {
 // simulated second.
 func TestTelemetryExports(t *testing.T) {
 	tele := vprobe.NewTelemetry(vprobe.TelemetryOptions{})
-	s, err := vprobe.NewSimulator(vprobe.Config{
-		Scheduler: vprobe.SchedulerVProbe,
-		Telemetry: tele,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addStandardVMs(t, s)
-	if _, err := s.Run(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	run(t, instrumented(10*time.Second), vprobe.CompileOptions{Telemetry: tele})
 	if tele.Samples() != 10 {
 		t.Fatalf("%d samples over 10 s at the default 1 s period, want 10", tele.Samples())
 	}
@@ -104,10 +91,8 @@ func TestTelemetryExports(t *testing.T) {
 // TestTelemetryAttachOnce pins the collector reuse error.
 func TestTelemetryAttachOnce(t *testing.T) {
 	tele := vprobe.NewTelemetry(vprobe.TelemetryOptions{})
-	if _, err := vprobe.NewSimulator(vprobe.Config{Telemetry: tele}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vprobe.NewSimulator(vprobe.Config{Telemetry: tele}); !errors.Is(err, vprobe.ErrTelemetryAttached) {
+	compile(t, oneVM(), vprobe.CompileOptions{Telemetry: tele})
+	if _, _, err := vprobe.CompileScenario(oneVM(), vprobe.CompileOptions{Telemetry: tele}); !errors.Is(err, vprobe.ErrTelemetryAttached) {
 		t.Fatalf("reusing a collector: err = %v, want ErrTelemetryAttached", err)
 	}
 	if _, err := vprobe.RunCluster(context.Background(), vprobe.ClusterSpec{
@@ -122,28 +107,11 @@ func TestTelemetryAttachOnce(t *testing.T) {
 func runTelemetryScenario(t *testing.T, withTele bool) string {
 	t.Helper()
 	var sb strings.Builder
-	cfg := vprobe.Config{
-		Scheduler: vprobe.SchedulerVProbe,
-		Events: vprobe.EventFunc(func(ev vprobe.Event) {
-			sb.WriteString(ev.At.String())
-			sb.WriteByte(' ')
-			sb.WriteString(ev.Detail)
-			sb.WriteByte('\n')
-		}),
-	}
+	opts := vprobe.CompileOptions{Events: eventLines(&sb)}
 	if withTele {
-		cfg.Telemetry = vprobe.NewTelemetry(vprobe.TelemetryOptions{})
+		opts.Telemetry = vprobe.NewTelemetry(vprobe.TelemetryOptions{})
 	}
-	s, err := vprobe.NewSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addStandardVMs(t, s)
-	rep, err := s.Run(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.WriteString(rep.String())
+	sb.WriteString(run(t, instrumented(5*time.Second), opts).String())
 	return sb.String()
 }
 
@@ -162,20 +130,12 @@ func TestTelemetryReportIdentical(t *testing.T) {
 // sink configured the hypervisor-level hook must be nil (not a hook that
 // drops events), so event formatting is skipped entirely.
 func TestEventFanoutNilFastPath(t *testing.T) {
-	s, err := vprobe.NewSimulator(vprobe.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ := compile(t, oneVM(), vprobe.CompileOptions{})
 	if s.Hypervisor().EventFn != nil {
 		t.Fatal("no sinks configured but hypervisor EventFn is non-nil")
 	}
 
-	s, err = vprobe.NewSimulator(vprobe.Config{
-		Events: vprobe.EventFunc(func(vprobe.Event) {}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, _ = compile(t, oneVM(), vprobe.CompileOptions{Events: vprobe.EventFunc(func(vprobe.Event) {})})
 	if s.Hypervisor().EventFn == nil {
 		t.Fatal("sink configured but hypervisor EventFn is nil")
 	}

@@ -17,7 +17,7 @@ type TracingOptions struct {
 // for VM lifecycles, placement decisions with their full per-plugin
 // filter/score provenance, migrations, preemptions, gang admissions,
 // backfills, and descheduler moves. Create it with NewTracing, hand it to
-// exactly one Config or CompileOptions, and after the run export the spans
+// exactly one CompileOptions, and after the run export the spans
 // with WriteSpans (JSONL, the vprobe-explain input format) or
 // WriteChromeTrace (loadable in Perfetto or chrome://tracing).
 //

@@ -17,18 +17,11 @@ import (
 // a valid Chrome trace, and drops nothing at the default limit.
 func TestTracingExports(t *testing.T) {
 	tracing := vprobe.NewTracing(vprobe.TracingOptions{})
-	s, err := vprobe.NewSimulator(vprobe.Config{
-		Scheduler: vprobe.SchedulerVProbe,
-		Spans:     tracing,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, horizon := compile(t, instrumented(5*time.Second), vprobe.CompileOptions{Spans: tracing})
 	if s.Tracing() != tracing {
 		t.Fatal("Simulator.Tracing() does not return the attached recorder")
 	}
-	addStandardVMs(t, s)
-	if _, err := s.Run(5 * time.Second); err != nil {
+	if _, err := s.RunContext(context.Background(), horizon); err != nil {
 		t.Fatal(err)
 	}
 	if tracing.Spans() == 0 {
@@ -72,10 +65,8 @@ func TestTracingExports(t *testing.T) {
 // TestTracingAttachOnce pins the recorder reuse error on both run kinds.
 func TestTracingAttachOnce(t *testing.T) {
 	tracing := vprobe.NewTracing(vprobe.TracingOptions{})
-	if _, err := vprobe.NewSimulator(vprobe.Config{Spans: tracing}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vprobe.NewSimulator(vprobe.Config{Spans: tracing}); !errors.Is(err, vprobe.ErrTracingAttached) {
+	compile(t, oneVM(), vprobe.CompileOptions{Spans: tracing})
+	if _, _, err := vprobe.CompileScenario(oneVM(), vprobe.CompileOptions{Spans: tracing}); !errors.Is(err, vprobe.ErrTracingAttached) {
 		t.Fatalf("reusing a recorder: err = %v, want ErrTracingAttached", err)
 	}
 	if _, err := vprobe.RunCluster(context.Background(), vprobe.ClusterSpec{
@@ -90,28 +81,11 @@ func TestTracingAttachOnce(t *testing.T) {
 func runStandardSpans(t *testing.T, withSpans bool) string {
 	t.Helper()
 	var sb strings.Builder
-	cfg := vprobe.Config{
-		Scheduler: vprobe.SchedulerVProbe,
-		Events: vprobe.EventFunc(func(ev vprobe.Event) {
-			sb.WriteString(ev.At.String())
-			sb.WriteByte(' ')
-			sb.WriteString(ev.Detail)
-			sb.WriteByte('\n')
-		}),
-	}
+	opts := vprobe.CompileOptions{Events: eventLines(&sb)}
 	if withSpans {
-		cfg.Spans = vprobe.NewTracing(vprobe.TracingOptions{})
+		opts.Spans = vprobe.NewTracing(vprobe.TracingOptions{})
 	}
-	s, err := vprobe.NewSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addStandardVMs(t, s)
-	rep, err := s.Run(5 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb.WriteString(rep.String())
+	sb.WriteString(run(t, instrumented(5*time.Second), opts).String())
 	return sb.String()
 }
 

@@ -1,50 +1,70 @@
 package vprobe_test
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"vprobe"
-	"vprobe/internal/workload"
 )
 
-func buildStandard(t *testing.T, cfg vprobe.Config) (*vprobe.Simulator, *vprobe.VM) {
+// apps returns n instances of the named catalog application.
+func apps(name string, n int) []vprobe.AppSpec {
+	out := make([]vprobe.AppSpec, n)
+	for i := range out {
+		out[i] = vprobe.AppSpec{Name: name}
+	}
+	return out
+}
+
+// compile compiles s with opts, failing the test on error.
+func compile(t testing.TB, s vprobe.ScenarioSpec, opts vprobe.CompileOptions) (*vprobe.Simulator, time.Duration) {
 	t.Helper()
-	sim, err := vprobe.NewSimulator(cfg)
+	sim, horizon, err := vprobe.CompileScenario(s, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm1, err := sim.AddVM(vprobe.VMConfig{
-		Name: "vm1", MemoryMB: 15 * 1024, VCPUs: 8,
-		Memory: vprobe.MemStripe, FillGuestIdle: true,
-	})
+	return sim, horizon
+}
+
+// run compiles s with opts and runs it to its horizon.
+func run(t testing.TB, s vprobe.ScenarioSpec, opts vprobe.CompileOptions) *vprobe.Report {
+	t.Helper()
+	sim, horizon := compile(t, s, opts)
+	report, err := sim.RunContext(context.Background(), horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		if err := vm1.RunProfile(workload.Soplex().Scale(0.15)); err != nil {
-			t.Fatal(err)
-		}
+	return report
+}
+
+// oneVM is the smallest valid scenario: one single-VCPU VM running apps.
+func oneVM(apps ...vprobe.AppSpec) vprobe.ScenarioSpec {
+	return vprobe.ScenarioSpec{VMs: []vprobe.VMSpec{{Name: "vm", MemoryMB: 1024, VCPUs: 1, Apps: apps}}}
+}
+
+// standard is the paper's measured setup at 15% scale: four soplex
+// instances in a striped VM1 beside the VM3 burner, run until VM1's apps
+// finish.
+func standard(scheduler vprobe.Scheduler, seed uint64) vprobe.ScenarioSpec {
+	return vprobe.ScenarioSpec{
+		Scheduler: string(scheduler),
+		Seed:      seed,
+		Scale:     0.15,
+		Horizon:   vprobe.SpecDuration(10 * time.Minute),
+		VMs: []vprobe.VMSpec{
+			{Name: "vm1", MemoryMB: 15 * 1024, VCPUs: 8, Memory: "stripe",
+				FillGuestIdle: true, Apps: apps("soplex", 4)},
+			{Name: "vm3", MemoryMB: 1024, VCPUs: 8, Apps: apps("hungry", 8)},
+		},
+		Watch: []string{"vm1"},
 	}
-	vm3, err := sim.AddVM(vprobe.VMConfig{Name: "vm3", MemoryMB: 1024, VCPUs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if err := vm3.RunApp("hungry"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return sim, vm1
 }
 
 func TestAPIEndToEnd(t *testing.T) {
-	sim, vm1 := buildStandard(t, vprobe.Config{Scheduler: vprobe.SchedulerVProbe, Seed: 2})
-	report, err := sim.RunWatching(10*time.Minute, vm1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := run(t, standard(vprobe.SchedulerVProbe, 2), vprobe.CompileOptions{})
 	apps := report.VMApps("vm1")
 	if len(apps) != 4 {
 		t.Fatalf("vm1 apps = %d, want 4 (background load must be filtered)", len(apps))
@@ -78,44 +98,33 @@ func TestAPIEndToEnd(t *testing.T) {
 }
 
 func TestAPIDefaults(t *testing.T) {
-	sim, err := vprobe.NewSimulator(vprobe.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sim, horizon := compile(t, oneVM(), vprobe.CompileOptions{})
 	if sim.Hypervisor().Top.NumNodes() != 2 {
 		t.Fatal("default topology is not the Table I machine")
+	}
+	if horizon != 30*time.Second {
+		t.Fatalf("default horizon = %v, want 30s", horizon)
 	}
 }
 
 func TestAPIErrors(t *testing.T) {
-	if _, err := vprobe.NewSimulator(vprobe.Config{Topology: "laptop"}); err == nil {
-		t.Fatal("unknown topology accepted")
+	for name, s := range map[string]vprobe.ScenarioSpec{
+		"unknown topology":  {Topology: "laptop", VMs: oneVM().VMs},
+		"unknown scheduler": {Scheduler: "fifo", VMs: oneVM().VMs},
+		"unknown app":       oneVM(vprobe.AppSpec{Name: "doom"}),
+		"apps beyond vcpus": oneVM(apps("povray", 2)...),
+		"negative horizon":  {Horizon: vprobe.SpecDuration(-time.Second), VMs: oneVM().VMs},
+	} {
+		if _, _, err := vprobe.CompileScenario(s, vprobe.CompileOptions{}); !errors.Is(err, vprobe.ErrInvalidSpec) {
+			t.Errorf("%s: err = %v, want ErrInvalidSpec", name, err)
+		}
 	}
-	if _, err := vprobe.NewSimulator(vprobe.Config{Scheduler: "fifo"}); err == nil {
-		t.Fatal("unknown scheduler accepted")
-	}
-	sim, _ := vprobe.NewSimulator(vprobe.Config{})
-	vm, err := sim.AddVM(vprobe.VMConfig{Name: "v", MemoryMB: 1024, VCPUs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.RunApp("doom"); err == nil {
-		t.Fatal("unknown app accepted")
-	}
-	if err := vm.RunApp("povray"); err != nil {
-		t.Fatal(err)
-	}
-	if err := vm.RunApp("povray"); err == nil {
-		t.Fatal("attach beyond VCPU count accepted")
-	}
-	if _, err := sim.Run(-time.Second); err == nil {
+	sim, _ := compile(t, oneVM(vprobe.AppSpec{Name: "povray"}), vprobe.CompileOptions{})
+	if _, err := sim.RunContext(context.Background(), -time.Second); err == nil {
 		t.Fatal("negative horizon accepted")
 	}
-	if _, err := sim.Run(time.Second); err != nil {
+	if _, err := sim.RunContext(context.Background(), time.Second); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := sim.AddVM(vprobe.VMConfig{Name: "late", MemoryMB: 64, VCPUs: 1}); err == nil {
-		t.Fatal("AddVM after Run accepted")
 	}
 }
 
@@ -127,15 +136,10 @@ func TestAPISchedulersList(t *testing.T) {
 }
 
 func TestAPIDeterminism(t *testing.T) {
-	run := func() time.Duration {
-		sim, vm1 := buildStandard(t, vprobe.Config{Scheduler: vprobe.SchedulerVProbe, Seed: 9})
-		report, err := sim.RunWatching(10*time.Minute, vm1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return report.End
+	end := func() time.Duration {
+		return run(t, standard(vprobe.SchedulerVProbe, 9), vprobe.CompileOptions{}).End
 	}
-	if a, b := run(), run(); a != b {
+	if a, b := end(), end(); a != b {
 		t.Fatalf("same-seed runs differ: %v vs %v", a, b)
 	}
 }
@@ -144,39 +148,21 @@ func TestAPIDeterminism(t *testing.T) {
 // a short run.
 func TestAPITraceHook(t *testing.T) {
 	lines := 0
-	sim, err := vprobe.NewSimulator(vprobe.Config{
-		Events: vprobe.EventFunc(func(vprobe.Event) { lines++ }),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, _ := sim.AddVM(vprobe.VMConfig{Name: "v", MemoryMB: 1024, VCPUs: 1})
-	vm.RunApp("hungry")
-	if _, err := sim.Run(100 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
+	s := oneVM(vprobe.AppSpec{Name: "hungry"})
+	s.Horizon = vprobe.SpecDuration(100 * time.Millisecond)
+	run(t, s, vprobe.CompileOptions{Events: vprobe.EventFunc(func(vprobe.Event) { lines++ })})
 	if lines == 0 {
 		t.Fatal("trace hook never fired")
 	}
 }
 
 func TestAPISamplePeriodOverride(t *testing.T) {
-	sim, vm1 := buildStandard(t, vprobe.Config{
-		Scheduler:    vprobe.SchedulerVProbe,
-		SamplePeriod: 100 * time.Millisecond,
-		Seed:         2,
-	})
-	report, err := sim.RunWatching(10*time.Minute, vm1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fast := standard(vprobe.SchedulerVProbe, 2)
+	fast.SamplePeriod = vprobe.SpecDuration(100 * time.Millisecond)
+	report := run(t, fast, vprobe.CompileOptions{})
 	// 10x the sampling rate: overhead fraction must exceed the default
 	// period's.
-	simDefault, vmD := buildStandard(t, vprobe.Config{Scheduler: vprobe.SchedulerVProbe, Seed: 2})
-	reportDefault, err := simDefault.RunWatching(10*time.Minute, vmD)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reportDefault := run(t, standard(vprobe.SchedulerVProbe, 2), vprobe.CompileOptions{})
 	if report.OverheadFraction <= reportDefault.OverheadFraction {
 		t.Fatalf("100ms period overhead %v not above 1s period %v",
 			report.OverheadFraction, reportDefault.OverheadFraction)
@@ -185,26 +171,14 @@ func TestAPISamplePeriodOverride(t *testing.T) {
 
 func TestAPIUMATopologySafe(t *testing.T) {
 	// NUMA-aware policies must run without incident on a single node.
-	sim, err := vprobe.NewSimulator(vprobe.Config{
-		Scheduler: vprobe.SchedulerVProbe,
-		Topology:  vprobe.TopologyUMA,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := sim.AddVM(vprobe.VMConfig{Name: "v", MemoryMB: 4096, VCPUs: 4, FillGuestIdle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := vm.RunProfile(workload.Libquantum().Scale(0.05)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	report, err := sim.Run(5 * time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
+	report := run(t, vprobe.ScenarioSpec{
+		Scheduler: string(vprobe.SchedulerVProbe),
+		Topology:  "uma",
+		Scale:     0.05,
+		Horizon:   vprobe.SpecDuration(5 * time.Minute),
+		VMs: []vprobe.VMSpec{{Name: "v", MemoryMB: 4096, VCPUs: 4, FillGuestIdle: true,
+			Apps: apps("libquantum", 2)}},
+	}, vprobe.CompileOptions{})
 	for _, a := range report.VMApps("v") {
 		if a.RemoteRatio != 0 {
 			t.Fatalf("UMA produced remote accesses: %+v", a)
@@ -213,25 +187,18 @@ func TestAPIUMATopologySafe(t *testing.T) {
 }
 
 func TestAPIPageMigrationReducesRemote(t *testing.T) {
-	run := func(migrate bool) float64 {
-		sim, vm1 := buildStandard(t, vprobe.Config{
-			Scheduler:     vprobe.SchedulerCredit,
-			Seed:          4,
-			PageMigration: migrate,
-		})
-		report, err := sim.RunWatching(10*time.Minute, vm1)
-		if err != nil {
-			t.Fatal(err)
-		}
+	remoteRatio := func(migrate bool) float64 {
+		s := standard(vprobe.SchedulerCredit, 4)
+		s.PageMigration = migrate
 		var remote, total float64
-		for _, a := range report.VMApps("vm1") {
+		for _, a := range run(t, s, vprobe.CompileOptions{}).VMApps("vm1") {
 			remote += a.RemoteAccesses
 			total += a.TotalAccesses
 		}
 		return remote / total
 	}
-	plain := run(false)
-	migrated := run(true)
+	plain := remoteRatio(false)
+	migrated := remoteRatio(true)
 	if migrated >= plain {
 		t.Fatalf("page migration did not reduce remote ratio: %.3f vs %.3f", migrated, plain)
 	}
