@@ -41,8 +41,10 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -57,47 +59,64 @@ import (
 )
 
 func main() {
-	hosts := flag.Int("hosts", 4, "number of hosts")
-	topology := flag.String("topology", "xeon-e5620", "NUMA preset name or topology JSON file")
-	schedName := flag.String("sched", "credit", fmt.Sprintf("per-host scheduler (%s)", strings.Join(kindNames(), ", ")))
-	policy := flag.String("policy", "numa", fmt.Sprintf("placement policy (%s)", strings.Join(cluster.Policies(), ", ")))
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	rate := flag.Float64("rate", 0.35, "VM arrivals per simulated second")
-	lifetime := flag.Duration("lifetime", 60*time.Second, "mean VM lifetime (simulated)")
-	horizon := flag.Duration("horizon", 300*time.Second, "simulated duration")
-	workers := flag.Int("workers", 0, "parallel host-advance workers (0 = GOMAXPROCS)")
-	mix := flag.String("mix", "mixed", "workload mix: mixed, batch, server")
-	rebalance := flag.Duration("rebalance", 10*time.Second, "rebalancer period (negative disables)")
-	preempt := flag.Bool("preempt", false, "let high-priority arrivals evict lower-priority VMs")
-	gang := flag.Bool("gang", false, "admit gang arrivals all-or-nothing")
-	gangFraction := flag.Float64("gang-fraction", 0, "fraction of arrivals that form gangs [0,1]")
-	gangSize := flag.Int("gang-size", 3, "VMs per gang")
-	backfill := flag.Bool("backfill", false, "backfill small VMs past a blocked queue head")
-	deschedule := flag.Duration("deschedule", 0, "descheduler (defrag) period (0 disables)")
-	arrivalProcess := flag.String("arrival-process", "poisson",
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, runs the cluster, writes the
+// report to stdout and diagnostics to stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vprobe-cluster", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	hosts := fs.Int("hosts", 4, "number of hosts")
+	topology := fs.String("topology", "xeon-e5620", "NUMA preset name or topology JSON file")
+	schedName := fs.String("sched", "credit", fmt.Sprintf("per-host scheduler (%s)", strings.Join(kindNames(), ", ")))
+	policy := fs.String("policy", "numa", fmt.Sprintf("placement policy (%s)", strings.Join(cluster.Policies(), ", ")))
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	rate := fs.Float64("rate", 0.35, "VM arrivals per simulated second")
+	lifetime := fs.Duration("lifetime", 60*time.Second, "mean VM lifetime (simulated)")
+	horizon := fs.Duration("horizon", 300*time.Second, "simulated duration")
+	workers := fs.Int("workers", 0, "parallel host-advance workers (0 = GOMAXPROCS)")
+	mix := fs.String("mix", "mixed", "workload mix: mixed, batch, server")
+	rebalance := fs.Duration("rebalance", 10*time.Second, "rebalancer period (negative disables)")
+	preempt := fs.Bool("preempt", false, "let high-priority arrivals evict lower-priority VMs")
+	gang := fs.Bool("gang", false, "admit gang arrivals all-or-nothing")
+	gangFraction := fs.Float64("gang-fraction", 0, "fraction of arrivals that form gangs [0,1]")
+	gangSize := fs.Int("gang-size", 3, "VMs per gang")
+	backfill := fs.Bool("backfill", false, "backfill small VMs past a blocked queue head")
+	deschedule := fs.Duration("deschedule", 0, "descheduler (defrag) period (0 disables)")
+	arrivalProcess := fs.String("arrival-process", "poisson",
 		fmt.Sprintf("arrival generator (%s)", strings.Join(cluster.ArrivalProcesses(), ", ")))
-	diurnalPeriod := flag.Duration("diurnal-period", 0, "diurnal sinusoid period (0 = horizon)")
-	diurnalAmplitude := flag.Float64("diurnal-amplitude", 0, "diurnal rate swing [0,1] (0 = default 0.6)")
-	flashAt := flag.Duration("flash-at", 0, "flash-crowd start (0 = horizon/3)")
-	flashDuration := flag.Duration("flash-duration", 0, "flash-crowd length (0 = horizon/10)")
-	flashFactor := flag.Float64("flash-factor", 0, "flash-crowd rate multiplier (0 = default 8)")
-	arrivalsIn := flag.String("arrivals-in", "", "replay arrivals from this JSONL trace (sets -arrival-process trace)")
-	arrivalsOut := flag.String("arrivals-out", "", "export the run's arrivals to this JSONL trace")
-	placeCheck := flag.Bool("place-check", false, "cross-validate every placement against a full rescan")
-	llcLimit := flag.Float64("llc-limit", 50, "per-socket LLC pressure migration threshold")
-	remoteLimit := flag.Float64("remote-limit", 0.45, "remote-access ratio migration threshold")
-	trace := flag.Bool("trace", false, "stream cluster events to stderr")
-	spansOut := flag.String("spans", "", "write the placement span flight recorder as JSONL to this file (vprobe-explain input)")
-	chromeOut := flag.String("chrome", "", "write the spans as Chrome trace-event JSON to this file")
-	metrics := flag.String("metrics", "", "write Prometheus metrics to this file (plus a .jsonl time series next to it)")
-	metricsEvery := flag.Duration("metrics-every", time.Second, "virtual-time sampling period for -metrics")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
-		flag.Usage()
-		os.Exit(2)
+	diurnalPeriod := fs.Duration("diurnal-period", 0, "diurnal sinusoid period (0 = horizon)")
+	diurnalAmplitude := fs.Float64("diurnal-amplitude", 0, "diurnal rate swing [0,1] (0 = default 0.6)")
+	flashAt := fs.Duration("flash-at", 0, "flash-crowd start (0 = horizon/3)")
+	flashDuration := fs.Duration("flash-duration", 0, "flash-crowd length (0 = horizon/10)")
+	flashFactor := fs.Float64("flash-factor", 0, "flash-crowd rate multiplier (0 = default 8)")
+	arrivalsIn := fs.String("arrivals-in", "", "replay arrivals from this JSONL trace (sets -arrival-process trace)")
+	arrivalsOut := fs.String("arrivals-out", "", "export the run's arrivals to this JSONL trace")
+	placeCheck := fs.Bool("place-check", false, "cross-validate every placement against a full rescan")
+	llcLimit := fs.Float64("llc-limit", 50, "per-socket LLC pressure migration threshold")
+	remoteLimit := fs.Float64("remote-limit", 0.45, "remote-access ratio migration threshold")
+	trace := fs.Bool("trace", false, "stream cluster events to stderr")
+	spansOut := fs.String("spans", "", "write the placement span flight recorder as JSONL to this file (vprobe-explain input)")
+	chromeOut := fs.String("chrome", "", "write the spans as Chrome trace-event JSON to this file")
+	metrics := fs.String("metrics", "", "write Prometheus metrics to this file (plus a .jsonl time series next to it)")
+	metricsEvery := fs.Duration("metrics-every", time.Second, "virtual-time sampling period for -metrics")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile (taken after the run) to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected arguments: %v\n", fs.Args())
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -135,24 +154,22 @@ func main() {
 	if *arrivalsIn != "" {
 		f, err := os.Open(*arrivalsIn)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		recs, err := cluster.ReadTrace(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		cfg.Arrival.Process = cluster.ArrivalTrace
 		cfg.Arrival.Trace = recs
 	}
 	closeArrivals := func() error { return nil }
+	var sinkErr error // the first failed -arrivals-out write
 	if *arrivalsOut != "" {
 		f, err := os.Create(*arrivalsOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		enc := bufio.NewWriter(f)
 		closeArrivals = func() error {
@@ -163,9 +180,8 @@ func main() {
 			return f.Close()
 		}
 		cfg.ArrivalSink = func(rec cluster.TraceArrival) {
-			if err := cluster.WriteTrace(enc, []cluster.TraceArrival{rec}); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			if sinkErr == nil {
+				sinkErr = cluster.WriteTrace(enc, []cluster.TraceArrival{rec})
 			}
 		}
 	}
@@ -187,55 +203,52 @@ func main() {
 	}
 	if *trace {
 		cfg.Events = func(ev cluster.Event) {
-			fmt.Fprintf(os.Stderr, "%12v %-14s %-7s %-8s %s\n",
+			fmt.Fprintf(stderr, "%12v %-14s %-7s %-8s %s\n",
 				time.Duration(ev.At)*time.Microsecond, ev.Kind, ev.Host, ev.VM, ev.Detail)
 		}
 	}
 
 	c, err := cluster.New(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	stopProfiles, err := harness.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	start := time.Now()
 	rep, err := c.Run(ctx)
 	// Profiles cover the simulation itself, not report formatting.
 	if perr := stopProfiles(); perr != nil {
-		fmt.Fprintln(os.Stderr, perr)
-		os.Exit(1)
+		return fail(perr)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
-	fmt.Print(rep.String())
+	if sinkErr != nil {
+		return fail(sinkErr)
+	}
+	fmt.Fprint(stdout, rep.String())
 	if err := closeArrivals(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if tracer != nil {
 		if err := writeSpans(tracer, *spansOut, *chromeOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "(%d spans recorded, %d dropped)\n",
+		fmt.Fprintf(stderr, "(%d spans recorded, %d dropped)\n",
 			tracer.Len(), tracer.Dropped())
 	}
 	if sampler != nil {
 		if err := writeMetrics(sampler, *metrics); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "(%d samples -> %s, %s)\n",
+		fmt.Fprintf(stderr, "(%d samples -> %s, %s)\n",
 			sampler.Rows(), *metrics, jsonlPath(*metrics))
 	}
 	// Timing goes to stderr: stdout stays byte-identical across runs.
-	fmt.Fprintf(os.Stderr, "(simulated %v in %.1fs wall)\n", *horizon, time.Since(start).Seconds())
+	fmt.Fprintf(stderr, "(simulated %v in %.1fs wall)\n", *horizon, time.Since(start).Seconds())
+	return 0
 }
 
 // jsonlPath places the time-series export next to the Prometheus file.
