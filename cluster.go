@@ -104,7 +104,8 @@ func (r *ClusterReport) Tracing() *Tracing { return r.spans }
 // cluster under the spec's placement policy and per-host scheduler,
 // driving VM arrivals and departures to the horizon. Validation failures
 // wrap ErrSpecVersion or ErrInvalidSpec. opts attaches events, telemetry
-// and spans exactly as it does for CompileScenario.
+// and spans exactly as it does for CompileScenario, and opts.Arrivals
+// receives the run's arrival stream.
 func RunCluster(ctx context.Context, s ClusterSpec, opts CompileOptions) (*ClusterReport, error) {
 	defer sealEvents(opts.Events)
 	if err := s.Validate(); err != nil {
@@ -138,6 +139,7 @@ func RunCluster(ctx context.Context, s ClusterSpec, opts CompileOptions) (*Clust
 			})
 		}
 	}
+	cfg.Arrivals = opts.Arrivals
 	c, err := cluster.New(cfg)
 	if err != nil {
 		return nil, err

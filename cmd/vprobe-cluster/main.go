@@ -5,41 +5,31 @@
 //
 // Usage:
 //
-//	vprobe-cluster [-hosts n] [-topology name|file.json] [-sched policy]
-//	               [-policy name] [-seed n] [-rate f] [-lifetime d]
-//	               [-horizon d] [-workers n] [-mix name] [-rebalance d]
-//	               [-llc-limit f] [-remote-limit f] [-trace]
-//	               [-preempt] [-gang] [-gang-fraction f] [-gang-size n]
-//	               [-backfill] [-deschedule d]
-//	               [-arrival-process name] [-diurnal-period d]
-//	               [-diurnal-amplitude f] [-flash-at d] [-flash-duration d]
-//	               [-flash-factor f] [-arrivals-in file.jsonl]
-//	               [-arrivals-out file.jsonl] [-place-check]
-//	               [-spans file.jsonl] [-chrome file.json]
-//	               [-metrics file.prom] [-metrics-every d]
+//	vprobe-cluster [flags]    (-h lists them)
+//
+// Each flag sets one field of a ClusterSpec — the document vprobe-serve
+// accepts at /v1/clusters and vprobe-sim -spec runs — and the command runs
+// it through vprobe.RunCluster, so the same settings give the same bytes
+// from every front door. Values the spec rejects (a negative -rate, -gang
+// without -gang-fraction, ...) fail with the spec's message. -topology
+// names a preset or reads a machine file, as vprobe-topo -json prints
+// one, into the spec's machine field; -arrivals-in replays a JSONL trace
+// written by -arrivals-out as the spec's arrival_trace.
 //
 // Durations are wall-style ("90s", "5m") and measured in simulated time.
-// Results are byte-identical for a fixed seed at every -workers value —
-// with or without -metrics, which samples cluster-level and per-host
-// series in virtual time and exports Prometheus text exposition plus a
-// .jsonl time series next to it. SIGINT or SIGTERM cancels the run.
-//
-// The arrival process defaults to Poisson at -rate; -arrival-process
-// selects the diurnal sinusoid or flash-crowd generator, and
-// -arrivals-in replays a JSONL trace (as written by -arrivals-out).
-// -place-check cross-validates every placement decision of the
-// incremental engine against a full rescan and fails the run on the
-// first divergence.
-//
-// -spans records the placement flight recorder — VM lifecycle spans with
-// per-plugin filter/score provenance, migration, preemption, gang, and
-// backfill chains — as JSONL for vprobe-explain; -chrome exports the same
-// spans as Chrome trace-event JSON for Perfetto. Recording never changes
-// results: stdout stays byte-identical with spans on or off.
+// Results are byte-identical for a fixed seed at every -workers value,
+// and with -metrics, -spans or -chrome on or off: -metrics samples
+// cluster-level and per-host series in virtual time and exports
+// Prometheus text exposition plus a .jsonl time series next to it; -spans
+// records the placement flight recorder (VM lifecycle spans with
+// per-plugin filter/score provenance and migration, preemption, gang and
+// backfill chains) as JSONL for vprobe-explain, and -chrome as Chrome
+// trace-event JSON for Perfetto. -place-check cross-validates every
+// placement of the incremental engine against a full rescan and fails the
+// run on the first divergence. SIGINT or SIGTERM cancels the run.
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -47,15 +37,15 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
-	"vprobe/internal/cluster"
-	"vprobe/internal/harness"
-	"vprobe/internal/sched"
-	"vprobe/internal/sim"
-	"vprobe/internal/telemetry"
+	"vprobe"
+	"vprobe/cmd/internal/specrun"
+	"vprobe/internal/numa"
+	"vprobe/internal/spec"
 )
 
 func main() {
@@ -67,42 +57,50 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("vprobe-cluster", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	hosts := fs.Int("hosts", 4, "number of hosts")
-	topology := fs.String("topology", "xeon-e5620", "NUMA preset name or topology JSON file")
-	schedName := fs.String("sched", "credit", fmt.Sprintf("per-host scheduler (%s)", strings.Join(kindNames(), ", ")))
-	policy := fs.String("policy", "numa", fmt.Sprintf("placement policy (%s)", strings.Join(cluster.Policies(), ", ")))
-	seed := fs.Uint64("seed", 1, "simulation seed")
-	rate := fs.Float64("rate", 0.35, "VM arrivals per simulated second")
-	lifetime := fs.Duration("lifetime", 60*time.Second, "mean VM lifetime (simulated)")
-	horizon := fs.Duration("horizon", 300*time.Second, "simulated duration")
-	workers := fs.Int("workers", 0, "parallel host-advance workers (0 = GOMAXPROCS)")
-	mix := fs.String("mix", "mixed", "workload mix: mixed, batch, server")
-	rebalance := fs.Duration("rebalance", 10*time.Second, "rebalancer period (negative disables)")
-	preempt := fs.Bool("preempt", false, "let high-priority arrivals evict lower-priority VMs")
-	gang := fs.Bool("gang", false, "admit gang arrivals all-or-nothing")
-	gangFraction := fs.Float64("gang-fraction", 0, "fraction of arrivals that form gangs [0,1]")
-	gangSize := fs.Int("gang-size", 3, "VMs per gang")
-	backfill := fs.Bool("backfill", false, "backfill small VMs past a blocked queue head")
-	deschedule := fs.Duration("deschedule", 0, "descheduler (defrag) period (0 disables)")
-	arrivalProcess := fs.String("arrival-process", "poisson",
-		fmt.Sprintf("arrival generator (%s)", strings.Join(cluster.ArrivalProcesses(), ", ")))
-	diurnalPeriod := fs.Duration("diurnal-period", 0, "diurnal sinusoid period (0 = horizon)")
-	diurnalAmplitude := fs.Float64("diurnal-amplitude", 0, "diurnal rate swing [0,1] (0 = default 0.6)")
-	flashAt := fs.Duration("flash-at", 0, "flash-crowd start (0 = horizon/3)")
-	flashDuration := fs.Duration("flash-duration", 0, "flash-crowd length (0 = horizon/10)")
-	flashFactor := fs.Float64("flash-factor", 0, "flash-crowd rate multiplier (0 = default 8)")
+	// Every spec flag writes its field directly; the duration flags
+	// default to the values already set here.
+	s := vprobe.ClusterSpec{
+		MeanLifetime:    vprobe.SpecDuration(60 * time.Second),
+		Horizon:         vprobe.SpecDuration(300 * time.Second),
+		RebalancePeriod: vprobe.SpecDuration(10 * time.Second),
+	}
+	fs.IntVar(&s.Hosts, "hosts", 4, "number of hosts")
+	topology := fs.String("topology", "xeon-e5620", "NUMA preset name or machine JSON file (vprobe-topo -json)")
+	fs.StringVar(&s.Scheduler, "sched", "credit", fmt.Sprintf("per-host scheduler (%s)", strings.Join(spec.Schedulers(), ", ")))
+	fs.StringVar(&s.Policy, "policy", "numa", fmt.Sprintf("placement policy (%s)", strings.Join(spec.Policies(), ", ")))
+	fs.Uint64Var(&s.Seed, "seed", 1, "simulation seed")
+	fs.Float64Var(&s.ArrivalsPerSecond, "rate", 0.35, "VM arrivals per simulated second")
+	fs.Var(&s.MeanLifetime, "lifetime", "mean VM lifetime (simulated `duration`)")
+	fs.Var(&s.Horizon, "horizon", "simulated `duration` of the run")
+	fs.IntVar(&s.Workers, "workers", 0, "parallel host-advance workers (0 = GOMAXPROCS)")
+	fs.StringVar(&s.Mix, "mix", "mixed", fmt.Sprintf("workload mix (%s)", strings.Join(spec.Mixes(), ", ")))
+	fs.Var(&s.RebalancePeriod, "rebalance", "rebalancer period as a `duration` (negative disables)")
+	fs.BoolVar(&s.Preempt, "preempt", false, "let high-priority arrivals evict lower-priority VMs")
+	fs.BoolVar(&s.Gang, "gang", false, "admit gang arrivals all-or-nothing (needs -gang-fraction)")
+	fs.Float64Var(&s.GangFraction, "gang-fraction", 0, "fraction of arrivals that form gangs [0,1]")
+	fs.IntVar(&s.GangSize, "gang-size", 3, "VMs per gang")
+	fs.BoolVar(&s.Backfill, "backfill", false, "backfill small VMs past a blocked queue head")
+	fs.Var(&s.DeschedulePeriod, "deschedule", "descheduler (defrag) period as a `duration` (0 disables)")
+	fs.StringVar(&s.ArrivalProcess, "arrival-process", "poisson",
+		fmt.Sprintf("arrival generator (%s)", strings.Join(spec.ArrivalProcesses(), ", ")))
+	fs.Var(&s.DiurnalPeriod, "diurnal-period", "diurnal sinusoid period as a `duration` (0 = horizon)")
+	fs.Float64Var(&s.DiurnalAmplitude, "diurnal-amplitude", 0, "diurnal rate swing [0,1] (0 = default 0.6)")
+	fs.Var(&s.FlashAt, "flash-at", "flash-crowd start as a `duration` (0 = horizon/3)")
+	fs.Var(&s.FlashDuration, "flash-duration", "flash-crowd length as a `duration` (0 = horizon/10)")
+	fs.Float64Var(&s.FlashFactor, "flash-factor", 0, "flash-crowd rate multiplier (0 = default 8)")
 	arrivalsIn := fs.String("arrivals-in", "", "replay arrivals from this JSONL trace (sets -arrival-process trace)")
-	arrivalsOut := fs.String("arrivals-out", "", "export the run's arrivals to this JSONL trace")
-	placeCheck := fs.Bool("place-check", false, "cross-validate every placement against a full rescan")
-	llcLimit := fs.Float64("llc-limit", 50, "per-socket LLC pressure migration threshold")
-	remoteLimit := fs.Float64("remote-limit", 0.45, "remote-access ratio migration threshold")
+	fs.BoolVar(&s.PlaceCheck, "place-check", false, "cross-validate every placement against a full rescan")
+	fs.Float64Var(&s.LLCPressureLimit, "llc-limit", 50, "per-socket LLC pressure migration threshold")
+
+	ex := specrun.Exports{}
 	trace := fs.Bool("trace", false, "stream cluster events to stderr")
-	spansOut := fs.String("spans", "", "write the placement span flight recorder as JSONL to this file (vprobe-explain input)")
-	chromeOut := fs.String("chrome", "", "write the spans as Chrome trace-event JSON to this file")
-	metrics := fs.String("metrics", "", "write Prometheus metrics to this file (plus a .jsonl time series next to it)")
-	metricsEvery := fs.Duration("metrics-every", time.Second, "virtual-time sampling period for -metrics")
-	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := fs.String("memprofile", "", "write a heap profile (taken after the run) to this file")
+	fs.StringVar(&ex.Arrivals, "arrivals-out", "", "export the run's arrivals to this JSONL trace")
+	fs.StringVar(&ex.Spans, "spans", "", "write the placement span flight recorder as JSONL to this file (vprobe-explain input)")
+	fs.StringVar(&ex.Chrome, "chrome", "", "write the spans as Chrome trace-event JSON to this file")
+	fs.StringVar(&ex.Metrics, "metrics", "", "write Prometheus metrics to this file (plus a .jsonl time series next to it)")
+	fs.DurationVar(&ex.MetricsEvery, "metrics-every", time.Second, "virtual-time sampling period for -metrics")
+	fs.StringVar(&ex.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&ex.MemProfile, "memprofile", "", "write a heap profile (taken after the run) to this file")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -114,200 +112,54 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	fail := func(err error) int {
+	if *trace {
+		ex.Events = stderr
+	}
+
+	err := setMachine(&s, *topology)
+	if err == nil && *arrivalsIn != "" {
+		err = setArrivals(&s, *arrivalsIn)
+	}
+	if err == nil {
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		err = specrun.Run(ctx, s, ex, stdout, stderr)
+	}
+	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	cfg := cluster.Config{
-		Hosts:             *hosts,
-		Topology:          *topology,
-		Scheduler:         sched.Kind(*schedName),
-		Policy:            *policy,
-		Seed:              *seed,
-		ArrivalsPerSecond: *rate,
-		MeanLifetime:      sim.Duration(lifetime.Microseconds()),
-		Horizon:           sim.Duration(horizon.Microseconds()),
-		Workers:           *workers,
-		Mix:               *mix,
-		LLCPressureLimit:  *llcLimit,
-		RemoteRatioLimit:  *remoteLimit,
-		Preempt:           *preempt,
-		Gang:              *gang,
-		GangFraction:      *gangFraction,
-		GangSize:          *gangSize,
-		Backfill:          *backfill,
-		DeschedulePeriod:  sim.Duration(deschedule.Microseconds()),
-		PlaceCheck:        *placeCheck,
-		Arrival: cluster.ArrivalConfig{
-			Process:          *arrivalProcess,
-			DiurnalPeriod:    sim.Duration(diurnalPeriod.Microseconds()),
-			DiurnalAmplitude: *diurnalAmplitude,
-			FlashAt:          sim.Duration(flashAt.Microseconds()),
-			FlashDuration:    sim.Duration(flashDuration.Microseconds()),
-			FlashFactor:      *flashFactor,
-		},
-	}
-	if *arrivalsIn != "" {
-		f, err := os.Open(*arrivalsIn)
-		if err != nil {
-			return fail(err)
-		}
-		recs, err := cluster.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			return fail(err)
-		}
-		cfg.Arrival.Process = cluster.ArrivalTrace
-		cfg.Arrival.Trace = recs
-	}
-	closeArrivals := func() error { return nil }
-	var sinkErr error // the first failed -arrivals-out write
-	if *arrivalsOut != "" {
-		f, err := os.Create(*arrivalsOut)
-		if err != nil {
-			return fail(err)
-		}
-		enc := bufio.NewWriter(f)
-		closeArrivals = func() error {
-			if err := enc.Flush(); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}
-		cfg.ArrivalSink = func(rec cluster.TraceArrival) {
-			if sinkErr == nil {
-				sinkErr = cluster.WriteTrace(enc, []cluster.TraceArrival{rec})
-			}
-		}
-	}
-	if *rebalance < 0 {
-		cfg.RebalancePeriod = -1
-	} else {
-		cfg.RebalancePeriod = sim.Duration(rebalance.Microseconds())
-	}
-	var sampler *telemetry.Sampler
-	if *metrics != "" {
-		sampler = telemetry.NewSampler(telemetry.NewRegistry(),
-			sim.Duration(metricsEvery.Microseconds()))
-		cfg.Telemetry = sampler
-	}
-	var tracer *telemetry.Tracer
-	if *spansOut != "" || *chromeOut != "" {
-		tracer = telemetry.NewTracer(*seed, 0)
-		cfg.Spans = tracer
-	}
-	if *trace {
-		cfg.Events = func(ev cluster.Event) {
-			fmt.Fprintf(stderr, "%12v %-14s %-7s %-8s %s\n",
-				time.Duration(ev.At)*time.Microsecond, ev.Kind, ev.Host, ev.VM, ev.Detail)
-		}
-	}
-
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return fail(err)
-	}
-	stopProfiles, err := harness.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		return fail(err)
-	}
-	start := time.Now()
-	rep, err := c.Run(ctx)
-	// Profiles cover the simulation itself, not report formatting.
-	if perr := stopProfiles(); perr != nil {
-		return fail(perr)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	if sinkErr != nil {
-		return fail(sinkErr)
-	}
-	fmt.Fprint(stdout, rep.String())
-	if err := closeArrivals(); err != nil {
-		return fail(err)
-	}
-	if tracer != nil {
-		if err := writeSpans(tracer, *spansOut, *chromeOut); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "(%d spans recorded, %d dropped)\n",
-			tracer.Len(), tracer.Dropped())
-	}
-	if sampler != nil {
-		if err := writeMetrics(sampler, *metrics); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "(%d samples -> %s, %s)\n",
-			sampler.Rows(), *metrics, jsonlPath(*metrics))
-	}
-	// Timing goes to stderr: stdout stays byte-identical across runs.
-	fmt.Fprintf(stderr, "(simulated %v in %.1fs wall)\n", *horizon, time.Since(start).Seconds())
 	return 0
 }
 
-// jsonlPath places the time-series export next to the Prometheus file.
-func jsonlPath(promPath string) string {
-	return strings.TrimSuffix(promPath, ".prom") + ".jsonl"
-}
-
-// writeSpans exports the flight recorder to the requested files.
-func writeSpans(t *telemetry.Tracer, spansPath, chromePath string) error {
-	write := func(path string, export func(*os.File) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := export(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(spansPath, func(f *os.File) error { return t.WriteSpansJSONL(f) }); err != nil {
-		return err
-	}
-	return write(chromePath, func(f *os.File) error { return t.WriteChromeTrace(f) })
-}
-
-// writeMetrics exports the sampler: final state as Prometheus text to
-// promPath, time series as JSON Lines next to it.
-func writeMetrics(s *telemetry.Sampler, promPath string) error {
-	pf, err := os.Create(promPath)
+// setMachine sets the spec's topology preset, or copies a machine file
+// into its machine field.
+func setMachine(s *vprobe.ClusterSpec, nameOrPath string) error {
+	top, err := numa.Resolve(nameOrPath)
 	if err != nil {
 		return err
 	}
-	if err := s.Registry().WritePrometheus(pf); err != nil {
-		pf.Close()
-		return err
+	if slices.Contains(spec.Topologies(), nameOrPath) {
+		s.Topology = nameOrPath
+	} else {
+		m := numa.Export(top)
+		s.Machine = &m
 	}
-	if err := pf.Close(); err != nil {
-		return err
-	}
-	jf, err := os.Create(jsonlPath(promPath))
+	return nil
+}
+
+// setArrivals makes the spec replay the JSONL arrival trace at path.
+func setArrivals(s *vprobe.ClusterSpec, path string) error {
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	if err := s.WriteJSONL(jf); err != nil {
-		jf.Close()
-		return err
+	defer f.Close()
+	recs, err := spec.ReadArrivalTrace(f)
+	if err != nil {
+		return fmt.Errorf("-arrivals-in %s: %w", path, err)
 	}
-	return jf.Close()
-}
-
-func kindNames() []string {
-	kinds := sched.PaperOrder()
-	out := make([]string, len(kinds))
-	for i, k := range kinds {
-		out[i] = string(k)
-	}
-	return out
+	s.ArrivalProcess = "trace"
+	s.ArrivalTrace = recs
+	return nil
 }

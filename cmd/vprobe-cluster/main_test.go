@@ -34,7 +34,7 @@ var cliCases = []struct {
 		"-metrics", "@spread.prom", "-metrics-every", "2s"}},
 	{"numa-rates", []string{"-hosts", "2", "-horizon", "40s", "-seed", "4",
 		"-policy", "numa", "-sched", "lb", "-rate", "1", "-lifetime", "20s",
-		"-remote-limit", "0.45", "-workers", "1"}},
+		"-workers", "1"}},
 	{"diurnal", []string{"-hosts", "2", "-horizon", "40s", "-seed", "2",
 		"-arrival-process", "diurnal", "-diurnal-period", "20s",
 		"-diurnal-amplitude", "0.5", "-rate", "1", "-arrivals-out", "@diurnal.arrivals.jsonl"}},
@@ -170,12 +170,22 @@ func listDir(t *testing.T, dir string) []string {
 // TestCLIErrors pins the exit codes of bad input: 2 for a usage error, 1
 // for a run that cannot start or whose exports fail.
 func TestCLIErrors(t *testing.T) {
+	empty := filepath.Join(t.TempDir(), "empty.jsonl")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		args []string
 		code int
 		msg  string
 	}{
+		// Values the spec rejects fail with its message.
+		{"negative rate", []string{"-rate", "-1"}, 1, "spec: invalid field: arrivals_per_second"},
+		{"gang fraction above 1", []string{"-gang-fraction", "1.5"}, 1, "spec: invalid field: gang_fraction"},
+		{"gang without fraction", []string{"-gang"}, 1, "spec: invalid field: gang requires"},
+		{"empty arrival trace", []string{"-arrivals-in", empty}, 1, "spec: invalid field: arrival_process"},
+		{"too many hosts", []string{"-hosts", "100000000"}, 1, "spec: invalid field: hosts"},
 		{"stray argument", []string{"extra"}, 2, "unexpected arguments"},
 		{"unknown flag", []string{"-bogus"}, 2, "flag provided but not defined"},
 		{"unknown policy", []string{"-policy", "bogus"}, 1, "pack"},
@@ -200,5 +210,23 @@ func TestCLIErrors(t *testing.T) {
 				t.Errorf("stderr %q does not mention %q", stderr.String(), tc.msg)
 			}
 		})
+	}
+}
+
+// TestSeedZeroSpans: seed 0 means seed 1, span IDs included, so the two
+// span files are identical.
+func TestSeedZeroSpans(t *testing.T) {
+	dir := t.TempDir()
+	spans := func(seed string) []byte {
+		path := filepath.Join(dir, "seed"+seed+".jsonl")
+		runCLI(t, []string{"-hosts", "2", "-horizon", "30s", "-seed", seed, "-spans", path})
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if !bytes.Equal(spans("0"), spans("1")) {
+		t.Fatal("-seed 0 -spans differs from -seed 1 -spans")
 	}
 }

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	vprobe-sim [-scale f] [-seed n] [-workers n] [-timeout d] [-list] [experiment ...]
-//	vprobe-sim [-scale f] [-seed n] -spec experiment/cell [-metrics f] [-spans f] [-chrome f]
+//	vprobe-sim [-scale f] [-seed n] -spec experiment/cell|FILE|- [-metrics f] [-spans f] [-chrome f]
 //
 // Without arguments it runs every registered experiment. Experiment ids
 // match the paper's artifacts: table1, fig1, fig3, fig4, fig5, fig6, fig7,
@@ -17,17 +17,17 @@
 // and with -out they are also exported as events.jsonl next to the CSV/JSON
 // result files.
 //
-// -spec names one simulation of one experiment, as "<experiment>/<cell>"
-// (e.g. fig5/lu/lb/seed0; an unknown cell lists the experiment's cells),
-// and prints its normalized spec at -scale and -seed: a ScenarioV1 or
-// ClusterV1 document that vprobe-serve accepts as is. With -metrics,
-// -spans or -chrome the command runs that cell instead, through
-// vprobe.CompileScenario or vprobe.RunCluster, prints its report and
-// exports the run: -metrics FILE writes the final state of every series as
-// Prometheus text exposition to FILE and the per-period time series as
-// JSON Lines next to it (FILE with a .jsonl suffix; -metrics-every sets
-// the virtual-time sampling period), -spans FILE the span flight recorder
-// as JSONL and -chrome FILE as Chrome trace-event JSON.
+// -spec names one simulation: a cell, as "<experiment>/<cell>" (e.g.
+// fig5/lu/lb/seed0, built at -scale and -seed; an unknown cell lists the
+// experiment's cells), or a spec document, as a file or "-" for stdin. A
+// document is the one kind, ScenarioV1 or ClusterV1, it strictly decodes
+// (unknown fields rejected, as vprobe-serve does) and validates as. Alone,
+// -spec prints the normalized spec, which vprobe-serve accepts as is; with
+// -metrics, -spans or -chrome it runs it through the run-and-export path
+// vprobe-cluster uses, prints the report and writes -metrics FILE
+// (Prometheus text, plus the per-period series as JSON Lines in FILE with
+// a .jsonl suffix, sampled every -metrics-every), -spans FILE (span JSONL)
+// and -chrome FILE (Chrome trace-event JSON).
 package main
 
 import (
@@ -38,11 +38,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
-	"vprobe"
+	"vprobe/cmd/internal/specrun"
 	"vprobe/internal/experiments"
 	"vprobe/internal/harness"
 	"vprobe/internal/spec"
@@ -57,13 +56,14 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress progress output on stderr")
 	list := flag.Bool("list", false, "list experiments and exit")
 	out := flag.String("out", "", "directory for CSV/JSON result and JSONL event exports")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
-	cellPath := flag.String("spec", "", "print the normalized spec of one cell, `experiment/cell` (e.g. fig5/lu/lb/seed0)")
-	metrics := flag.String("metrics", "", "run the -spec cell and write Prometheus metrics to this file (plus a .jsonl time series next to it)")
-	metricsEvery := flag.Duration("metrics-every", time.Second, "virtual-time sampling period for -metrics")
-	spansOut := flag.String("spans", "", "run the -spec cell and write its span flight recorder as JSONL to this file")
-	chromeOut := flag.String("chrome", "", "run the -spec cell and write its spans as Chrome trace-event JSON to this file")
+	var ex specrun.Exports
+	flag.StringVar(&ex.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	flag.StringVar(&ex.MemProfile, "memprofile", "", "write a heap profile (taken after the run) to this file")
+	specArg := flag.String("spec", "", "print the normalized spec of one cell, `experiment/cell` (e.g. fig5/lu/lb/seed0), or of a spec document (a file, or - for stdin)")
+	flag.StringVar(&ex.Metrics, "metrics", "", "run the -spec simulation and write Prometheus metrics to this file (plus a .jsonl time series next to it)")
+	flag.DurationVar(&ex.MetricsEvery, "metrics-every", time.Second, "virtual-time sampling period for -metrics")
+	flag.StringVar(&ex.Spans, "spans", "", "run the -spec simulation and write its span flight recorder as JSONL to this file")
+	flag.StringVar(&ex.Chrome, "chrome", "", "run the -spec simulation and write its spans as Chrome trace-event JSON to this file")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [flags] [experiment ...]\n\nexperiments:\n", os.Args[0])
 		for _, e := range experiments.All() {
@@ -84,18 +84,18 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	run := *metrics != "" || *spansOut != "" || *chromeOut != ""
-	if *cellPath != "" || run {
-		if *cellPath == "" || flag.NArg() > 0 {
-			fmt.Fprintln(os.Stderr, "-metrics/-spans/-chrome run one cell: name it with -spec experiment/cell, without experiment arguments")
+	run := ex.Metrics != "" || ex.Spans != "" || ex.Chrome != ""
+	if *specArg != "" || run {
+		if *specArg == "" || flag.NArg() > 0 {
+			fmt.Fprintln(os.Stderr, "-metrics/-spans/-chrome run one simulation: name it with -spec experiment/cell|FILE|-, without experiment arguments")
 			os.Exit(2)
 		}
-		c, err := experiments.FindCell(*cellPath, experiments.Options{Seed: *seed, Scale: *scale})
+		s, err := loadSpec(*specArg, experiments.Options{Seed: *seed, Scale: *scale})
 		if err == nil {
 			if run {
-				err = runCell(ctx, c.Spec, *metrics, *metricsEvery, *spansOut, *chromeOut)
+				err = specrun.Run(ctx, s, ex, os.Stdout, os.Stderr)
 			} else {
-				err = printSpec(c.Spec)
+				err = printSpec(s)
 			}
 		}
 		if err != nil {
@@ -132,7 +132,7 @@ func main() {
 		opts.Events = harness.Multi(sinks...)
 	}
 
-	stopProfiles, perr := harness.StartProfiles(*cpuprofile, *memprofile)
+	stopProfiles, perr := harness.StartProfiles(ex.CPUProfile, ex.MemProfile)
 	if perr != nil {
 		fmt.Fprintln(os.Stderr, perr)
 		os.Exit(1)
@@ -184,117 +184,28 @@ func main() {
 	}
 }
 
-// printSpec prints a cell's spec in normalized form.
-func printSpec(cell any) error {
-	switch s := cell.(type) {
-	case spec.ScenarioV1:
-		cell = s.Normalize()
-	case spec.ClusterV1:
-		cell = s.Normalize()
+// loadSpec resolves -spec: "-" or an existing file is a spec document,
+// anything else names a paper cell.
+func loadSpec(arg string, opts experiments.Options) (any, error) {
+	if _, err := os.Stat(arg); arg == "-" || err == nil {
+		return specrun.Load(arg, os.Stdin)
 	}
-	out, err := json.MarshalIndent(cell, "", "  ")
+	c, err := experiments.FindCell(arg, opts)
+	return c.Spec, err
+}
+
+// printSpec prints a spec in normalized form.
+func printSpec(s any) error {
+	switch v := s.(type) {
+	case spec.ScenarioV1:
+		s = v.Normalize()
+	case spec.ClusterV1:
+		s = v.Normalize()
+	}
+	out, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return err
 	}
 	_, err = fmt.Printf("%s\n", out)
 	return err
-}
-
-// runCell runs a cell's spec through the public API and prints its
-// report. With promPath the final series go there and the per-period time
-// series next to it as JSON Lines; with spansPath/chromePath the span
-// flight recorder is exported as JSONL / Chrome trace-event JSON.
-func runCell(ctx context.Context, cell any, promPath string, every time.Duration, spansPath, chromePath string) error {
-	var opts vprobe.CompileOptions
-	if promPath != "" {
-		opts.Telemetry = vprobe.NewTelemetry(vprobe.TelemetryOptions{Every: every})
-	}
-	if spansPath != "" || chromePath != "" {
-		opts.Spans = vprobe.NewTracing(vprobe.TracingOptions{})
-	}
-	var report fmt.Stringer
-	switch s := cell.(type) {
-	case spec.ScenarioV1:
-		sim, horizon, err := vprobe.CompileScenario(s, opts)
-		if err != nil {
-			return err
-		}
-		if report, err = sim.RunContext(ctx, horizon); err != nil {
-			return err
-		}
-	case spec.ClusterV1:
-		rep, err := vprobe.RunCluster(ctx, s, opts)
-		if err != nil {
-			return err
-		}
-		report = rep
-	}
-	fmt.Print(report)
-	if tele := opts.Telemetry; tele != nil {
-		if err := writeMetrics(tele, promPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "(%d samples -> %s, %s)\n",
-			tele.Samples(), promPath, jsonlPath(promPath))
-	}
-	if tracing := opts.Spans; tracing != nil {
-		if err := writeSpanExports(tracing, spansPath, chromePath); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "(%d spans recorded, %d dropped)\n",
-			tracing.Spans(), tracing.Dropped())
-	}
-	return nil
-}
-
-// writeSpanExports writes the flight recorder to the requested files.
-func writeSpanExports(tracing *vprobe.Tracing, spansPath, chromePath string) error {
-	write := func(path string, export func(*os.File) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := export(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(spansPath, func(f *os.File) error { return tracing.WriteSpans(f) }); err != nil {
-		return err
-	}
-	return write(chromePath, func(f *os.File) error { return tracing.WriteChromeTrace(f) })
-}
-
-// jsonlPath places the time-series export next to the Prometheus file.
-func jsonlPath(promPath string) string {
-	return strings.TrimSuffix(promPath, ".prom") + ".jsonl"
-}
-
-// writeMetrics exports a collector: final state as Prometheus text to
-// promPath, time series as JSON Lines next to it.
-func writeMetrics(tele *vprobe.Telemetry, promPath string) error {
-	pf, err := os.Create(promPath)
-	if err != nil {
-		return err
-	}
-	if err := tele.WritePrometheus(pf); err != nil {
-		pf.Close()
-		return err
-	}
-	if err := pf.Close(); err != nil {
-		return err
-	}
-	jf, err := os.Create(jsonlPath(promPath))
-	if err != nil {
-		return err
-	}
-	if err := tele.WriteJSONL(jf); err != nil {
-		jf.Close()
-		return err
-	}
-	return jf.Close()
 }

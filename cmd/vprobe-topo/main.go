@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"vprobe/internal/numa"
 )
@@ -24,7 +23,7 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit topologies as loadable JSON instead of text")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: %s [-json] [preset ...]\npresets:\n", os.Args[0])
-		for _, name := range presetNames() {
+		for _, name := range numa.PresetNames() {
 			fmt.Fprintf(os.Stderr, "  %s\n", name)
 		}
 	}
@@ -32,7 +31,7 @@ func main() {
 
 	names := flag.Args()
 	if len(names) == 0 {
-		names = presetNames()
+		names = numa.PresetNames()
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -60,13 +59,4 @@ func main() {
 		}
 		fmt.Println()
 	}
-}
-
-func presetNames() []string {
-	names := make([]string, 0, len(numa.Presets))
-	for n := range numa.Presets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -1,6 +1,7 @@
 package vprobe
 
 import (
+	"io"
 	"time"
 
 	"vprobe/internal/spec"
@@ -15,15 +16,13 @@ import (
 // with ClusterSpec.Config and runs it. Both attach the live hooks a spec
 // cannot carry (Events, Telemetry, Spans) from CompileOptions.
 //
-// CompileScenario is the only way to build a Simulator: vprobe-serve,
-// vprobe-sim -spec, vprobe-trace, the examples and programmatic callers
-// all describe their run as a ScenarioSpec, and internal/experiments
-// lowers its paper cells with the same two spec methods. vprobe-cluster
-// and the benchmark module build cluster.Config directly, because they
-// need knobs the wire spec deliberately lacks (the remote-ratio migration
-// limit, topology JSON files, an arrival sink). The compile tests pin
-// scenario lowering against per-case digests under testdata/scenario and
-// cluster lowering against the goldens under testdata/cluster.
+// CompileScenario is the only way to build a Simulator and RunCluster the
+// only public way to run a cluster: vprobe-serve, vprobe-sim -spec,
+// vprobe-cluster, vprobe-trace, the examples and programmatic callers all
+// describe their run as a spec, and internal/experiments lowers its paper
+// cells with the same two spec methods. The compile tests pin scenario
+// lowering against per-case digests under testdata/scenario and cluster
+// lowering against the goldens under testdata/cluster.
 
 // Public aliases of the spec types, so modules outside this one can
 // build and compile specs without reaching into internal/spec (Go's
@@ -65,6 +64,12 @@ type CompileOptions struct {
 	// Simulator.Tracing or ClusterReport.Tracing), honoring the spec's
 	// trace_limit.
 	Spans *Tracing
+	// Arrivals, when non-nil, receives a cluster run's offered load: one
+	// JSON line per arriving VM, in arrival order, in the trace schema
+	// spec.ReadArrivalTrace reads back (integer-microsecond at_us and
+	// life_us). The first failed write fails the run. CompileScenario
+	// ignores it.
+	Arrivals io.Writer
 }
 
 // compileSpans resolves the recorder for a compiled run: the caller's, or

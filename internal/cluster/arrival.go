@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -261,13 +260,13 @@ func WriteTrace(w io.Writer, recs []TraceArrival) error {
 	return nil
 }
 
-// recordArrival hands one arriving VM to the configured sink in the
-// trace schema, so a run's offered load can be exported and replayed.
+// recordArrival exports one arriving VM in the trace schema, so a run's
+// offered load can be replayed. A failed write stops the run.
 func (c *Cluster) recordArrival(vm *VM, refs []string) {
-	if c.cfg.ArrivalSink == nil {
+	if c.cfg.Arrivals == nil || c.err != nil {
 		return
 	}
-	c.cfg.ArrivalSink(TraceArrival{
+	rec := TraceArrival{
 		AtUS:     int64(vm.arriveAt),
 		MemoryMB: vm.Spec.MemoryMB,
 		VCPUs:    vm.Spec.VCPUs,
@@ -275,7 +274,11 @@ func (c *Cluster) recordArrival(vm *VM, refs []string) {
 		Group:    vm.Spec.Group,
 		LifeUS:   int64(vm.life),
 		Profiles: refs,
-	})
+	}
+	if err := WriteTrace(c.cfg.Arrivals, []TraceArrival{rec}); err != nil {
+		c.err = fmt.Errorf("cluster: arrival export: %w", err)
+		c.engine.Stop()
+	}
 }
 
 // scheduleTraceArrivals arms trace replay: batches are chained, each
@@ -418,11 +421,4 @@ func resolveProfiles(refs []string) ([]*workload.Profile, error) {
 		profs = append(profs, ref.resolve())
 	}
 	return profs, nil
-}
-
-// sortTrace orders records by (AtUS, then original order) — the order
-// validate demands. Exported traces are already sorted; this is for
-// hand-assembled ones.
-func sortTrace(recs []TraceArrival) {
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].AtUS < recs[j].AtUS })
 }

@@ -47,18 +47,23 @@ func TestGeneratedArrivalsDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// captureRun runs a cluster with an arrival sink and a flight recorder
-// attached and returns the recorded stream plus the rendered report, the
-// event log, and the span JSONL export.
+// captureRun runs a cluster with its arrivals exported and a flight
+// recorder attached and returns the recorded stream plus the rendered
+// report, the event log, and the span JSONL export.
 func captureRun(t *testing.T, cfg Config) (recs []TraceArrival, report, log string, spans []byte) {
 	t.Helper()
-	cfg.ArrivalSink = func(rec TraceArrival) { recs = append(recs, rec) }
+	var exported bytes.Buffer
+	cfg.Arrivals = &exported
 	report, log, spans = runSpans(t, cfg)
+	recs, err := ReadTrace(&exported)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return recs, report, log, spans
 }
 
 // TestTraceRoundTrip is the replay acceptance test: record a generated
-// run's offered load through the sink, replay it as a trace, and demand
+// run's offered load through its export, replay it as a trace, and demand
 // the identical report, event log, span file, and re-recorded stream.
 func TestTraceRoundTrip(t *testing.T) {
 	base := Config{
@@ -73,10 +78,10 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 	recs, rep, log, spans := captureRun(t, base)
 	if len(recs) == 0 {
-		t.Fatal("sink recorded nothing")
+		t.Fatal("export recorded nothing")
 	}
 	if n := strings.Count(log, " "+string(EventVMArrive)+" "); n != len(recs) {
-		t.Fatalf("sink recorded %d arrivals, event log shows %d", len(recs), n)
+		t.Fatalf("export recorded %d arrivals, event log shows %d", len(recs), n)
 	}
 
 	replay := base

@@ -131,7 +131,7 @@ func BenchmarkClusterArrivalFullRescan(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				spec := benchSpecs[i%len(benchSpecs)]
 				for j, ho := range c.hosts {
-					views[j] = ho.freshView(c.cfg.Overcommit)
+					views[j] = ho.freshView()
 				}
 				if _, _, err := c.pipeline.Place(&spec, views); err != nil {
 					b.Fatal(err)

@@ -22,10 +22,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 
 	"vprobe/internal/controlplane"
 	"vprobe/internal/harness"
 	"vprobe/internal/mem"
+	"vprobe/internal/numa"
 	"vprobe/internal/sched"
 	"vprobe/internal/sim"
 	"vprobe/internal/telemetry"
@@ -38,9 +40,10 @@ import (
 type Config struct {
 	// Hosts is the host count (default 4).
 	Hosts int
-	// Topology is the NUMA preset name or topology JSON path every host
-	// uses (default "xeon-e5620").
-	Topology string
+	// Topology describes the machine every host simulates (default: the
+	// zero value, which selects numa.XeonE5620, the paper's Table I box).
+	// New builds it once and rejects a description numa.New rejects.
+	Topology numa.Config
 	// Scheduler is the per-host scheduling policy (default credit).
 	Scheduler sched.Kind
 	// Policy is the placement policy name (default "numa"; see Policies).
@@ -61,12 +64,6 @@ type Config struct {
 	// Mix selects the workload mix: "mixed" (default), "batch", or
 	// "server".
 	Mix string
-	// MaxRetries is how many placement retries a VM gets before it is
-	// rejected for good (default 3).
-	MaxRetries int
-	// RetryBackoff is the base retry delay; attempt k waits k*backoff
-	// (default 5 s).
-	RetryBackoff sim.Duration
 	// RebalancePeriod is the rebalancer tick (default 10 s; < 0
 	// disables).
 	RebalancePeriod sim.Duration
@@ -74,14 +71,6 @@ type Config struct {
 	// LLC pressure sum exceeds it (default DefaultLLCPressureLimit, ~2.5
 	// thrashing apps per socket).
 	LLCPressureLimit float64
-	// RemoteRatioLimit triggers migration off a host whose remote-access
-	// ratio over the last rebalance interval exceeds it (default 0.45).
-	RemoteRatioLimit float64
-	// MigrationCooldown is the minimum time after a VM's (re)placement
-	// before the rebalancer may move it (default 2*RebalancePeriod).
-	MigrationCooldown sim.Duration
-	// Overcommit is the VCPU overcommit factor per host (default 3.0).
-	Overcommit float64
 	// Preempt lets above-best-effort arrivals evict a minimal set of
 	// strictly-lower-priority VMs when no host fits them outright
 	// (default off). Victims are live-migrated when any other host fits
@@ -106,17 +95,14 @@ type Config struct {
 	// tick may drain one near-empty host during low load, consolidating
 	// fragmented free memory.
 	DeschedulePeriod sim.Duration
-	// DescheduleUtilLimit gates the descheduler: it runs only while the
-	// cluster-wide VCPU commitment fraction is at or below this limit
-	// (default 0.4).
-	DescheduleUtilLimit float64
 	// Arrival selects and parameterises the arrival generator (default:
 	// Poisson at ArrivalsPerSecond). See ArrivalConfig.
 	Arrival ArrivalConfig
-	// ArrivalSink, when set, receives one trace record per arriving VM,
-	// in arrival order — a run's offered load exported in the replayable
-	// JSONL schema. Attaching a sink never changes simulation results.
-	ArrivalSink func(TraceArrival)
+	// Arrivals, when set, receives the run's offered load as a replayable
+	// JSONL trace: one TraceArrival line per arriving VM, in arrival order.
+	// The first failed write stops the run with its error; otherwise
+	// attaching it never changes simulation results.
+	Arrivals io.Writer
 	// PlaceCheck cross-validates every incremental placement decision
 	// against a full rescan of freshly built views and stops the run on
 	// the first divergence (default off; costs O(hosts) per decision).
@@ -143,13 +129,37 @@ type Config struct {
 // DefaultLLCPressureLimit is Config.LLCPressureLimit's default.
 const DefaultLLCPressureLimit = 50
 
+// Fixed policy constants: no run sets them to another value.
+const (
+	// maxRetries is how many placement retries a VM gets before it is
+	// rejected for good.
+	maxRetries = 3
+	// retryBackoff is the base retry delay; attempt k waits k*backoff.
+	retryBackoff = 5 * sim.Second
+	// remoteRatioLimit triggers migration off a host whose remote-access
+	// ratio over the last rebalance interval exceeds it.
+	remoteRatioLimit = 0.45
+	// overcommit is the VCPU overcommit factor per host.
+	overcommit = 3.0
+	// descheduleUtilLimit gates the descheduler: it runs only while the
+	// cluster-wide VCPU commitment fraction is at or below this limit.
+	descheduleUtilLimit = 0.4
+)
+
+// migrationCooldown is the minimum time after a VM's (re)placement before
+// the rebalancer or the descheduler may move it: two rebalance periods,
+// or none when the rebalancer is disabled.
+func (c Config) migrationCooldown() sim.Duration {
+	if c.RebalancePeriod > 0 {
+		return 2 * c.RebalancePeriod
+	}
+	return 0
+}
+
 // normalized fills defaults.
 func (c Config) normalized() Config {
 	if c.Hosts <= 0 {
 		c.Hosts = 4
-	}
-	if c.Topology == "" {
-		c.Topology = "xeon-e5620"
 	}
 	if c.Scheduler == "" {
 		c.Scheduler = sched.KindCredit
@@ -172,38 +182,14 @@ func (c Config) normalized() Config {
 	if c.Mix == "" {
 		c.Mix = "mixed"
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 5 * sim.Second
-	}
 	if c.RebalancePeriod == 0 {
 		c.RebalancePeriod = 10 * sim.Second
 	}
 	if c.LLCPressureLimit <= 0 {
 		c.LLCPressureLimit = DefaultLLCPressureLimit
 	}
-	if c.RemoteRatioLimit <= 0 {
-		c.RemoteRatioLimit = 0.45
-	}
-	if c.MigrationCooldown <= 0 && c.RebalancePeriod > 0 {
-		c.MigrationCooldown = 2 * c.RebalancePeriod
-	}
-	if c.Overcommit <= 0 {
-		c.Overcommit = 3.0
-	}
-	if c.GangFraction < 0 {
-		c.GangFraction = 0
-	}
-	if c.GangFraction > 1 {
-		c.GangFraction = 1
-	}
 	if c.GangSize <= 0 {
 		c.GangSize = 3
-	}
-	if c.DescheduleUtilLimit <= 0 {
-		c.DescheduleUtilLimit = 0.4
 	}
 	c.Arrival = c.Arrival.normalized(c.Horizon)
 	return c
@@ -300,6 +286,12 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Arrival.validate(); err != nil {
 		return nil, err
 	}
+	top := numa.XeonE5620()
+	if cfg.Topology != (numa.Config{}) {
+		if top, err = numa.New(cfg.Topology); err != nil {
+			return nil, fmt.Errorf("cluster: topology: %w", err)
+		}
+	}
 	root := sim.NewRNG(cfg.Seed)
 	c := &Cluster{
 		cfg:      cfg,
@@ -310,7 +302,7 @@ func New(cfg Config) (*Cluster, error) {
 		migrator: mem.DefaultMigrator(),
 	}
 	for i := 0; i < cfg.Hosts; i++ {
-		ho, err := newHost(i, cfg.Topology, cfg.Scheduler,
+		ho, err := newHost(i, top, cfg.Scheduler,
 			harness.DeriveSeed(cfg.Seed, "host", fmt.Sprintf("host%d", i)))
 		if err != nil {
 			return nil, err
@@ -320,7 +312,7 @@ func New(cfg Config) (*Cluster, error) {
 	c.scores = newScoreCache(c)
 	c.viewSlice = make([]*HostView, len(c.hosts))
 	for i, ho := range c.hosts {
-		ho.initView(cfg.Overcommit)
+		ho.initView()
 		c.refreshHost(ho)
 		c.viewSlice[i] = &ho.view
 	}
@@ -461,7 +453,7 @@ func (c *Cluster) onArrival() {
 
 // arrival is one arriving VM as its source describes it: the spec
 // (named at admission), the lifetime it is owed, and its workloads in
-// the trace schema (nil when no ArrivalSink wants them).
+// the trace schema (nil unless the arrivals are exported).
 type arrival struct {
 	spec VMSpec
 	life sim.Duration
@@ -534,7 +526,7 @@ var batchNames = []string{"soplex", "mcf", "milc", "libquantum", "lu", "mg", "bt
 
 // nextSpec draws one VM request from the configured mix, unnamed until
 // admission. refs names the drawn workloads in the trace schema; it is
-// built only when an ArrivalSink wants the stream exported.
+// built only when the arrivals are exported.
 func (c *Cluster) nextSpec() (VMSpec, []string) {
 	weights := make([]float64, len(sizeClasses))
 	for i, sc := range sizeClasses {
@@ -543,7 +535,7 @@ func (c *Cluster) nextSpec() (VMSpec, []string) {
 	sc := sizeClasses[c.mixRNG.Pick(weights)]
 	spec := VMSpec{MemoryMB: sc.memMB, VCPUs: sc.vcpus}
 	var refs []string
-	if c.cfg.ArrivalSink != nil {
+	if c.cfg.Arrivals != nil {
 		refs = make([]string, 0, sc.vcpus)
 	}
 	for i := 0; i < sc.vcpus; i++ {
@@ -708,7 +700,7 @@ func (c *Cluster) rebalance() {
 	hot := c.hotScratch
 	for i, ho := range c.hosts {
 		hot[i] = views[i].LLCPressure > c.cfg.LLCPressureLimit ||
-			ho.intervalRemoteRatio() > c.cfg.RemoteRatioLimit
+			ho.intervalRemoteRatio() > remoteRatioLimit
 	}
 	// Only cool hosts may receive migrations.
 	coolViews := c.coolScratch[:0]
@@ -744,7 +736,7 @@ func (c *Cluster) migrationCandidate(ho *Host) *VM {
 		if vm.state != stateRunning {
 			continue
 		}
-		if now.Sub(vm.placedAt) < c.cfg.MigrationCooldown {
+		if now.Sub(vm.placedAt) < c.cfg.migrationCooldown() {
 			continue
 		}
 		var pressure float64

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"vprobe/internal/numa"
 	"vprobe/internal/sched"
 	"vprobe/internal/sim"
 )
@@ -188,8 +189,8 @@ func TestClusterConfigValidation(t *testing.T) {
 	if _, err := New(Config{Policy: "roulette"}); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	if _, err := New(Config{Topology: "toaster"}); err == nil {
-		t.Fatal("unknown topology accepted")
+	if _, err := New(Config{Topology: numa.Config{Name: "toaster"}}); err == nil {
+		t.Fatal("topology without nodes accepted")
 	}
 	if _, err := New(Config{Scheduler: "fifo"}); err == nil {
 		t.Fatal("unknown scheduler accepted")

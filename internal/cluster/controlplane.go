@@ -152,7 +152,7 @@ func (c *Cluster) attemptUnit(u *admitUnit) admitResult {
 		return admitPlaced
 	}
 	u.retries++
-	if u.retries > c.cfg.MaxRetries {
+	if u.retries > maxRetries {
 		for _, vm := range u.vms {
 			vm.state = stateRejected
 			c.stats.Rejected++
@@ -162,7 +162,7 @@ func (c *Cluster) attemptUnit(u *admitUnit) admitResult {
 		return admitRejected
 	}
 	c.stats.Retries++
-	backoff := c.cfg.RetryBackoff * sim.Duration(u.retries)
+	backoff := retryBackoff * sim.Duration(u.retries)
 	u.nextTry = c.engine.Now().Add(backoff)
 	d := decision{kind: EventVMRetry, vm: u.vms[0], attempt: u.retries, dur: backoff}
 	if u.gang {
@@ -502,12 +502,12 @@ func (c *Cluster) deschedule() {
 		guest += hv.GuestVCPUs
 		cap += hv.VCPUCap
 	}
-	if cap == 0 || float64(guest)/float64(cap) > c.cfg.DescheduleUtilLimit {
+	if cap == 0 || float64(guest)/float64(cap) > descheduleUtilLimit {
 		return
 	}
 	now := c.engine.Now()
 	caps := c.hostCaps(func(v *VM) bool {
-		return now.Sub(v.placedAt) >= c.cfg.MigrationCooldown
+		return now.Sub(v.placedAt) >= c.cfg.migrationCooldown()
 	})
 	plan := controlplane.PlanDrain(caps, c.cpFit)
 	if plan == nil {

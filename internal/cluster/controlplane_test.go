@@ -222,7 +222,7 @@ func TestControlPlaneDeterministicAcrossWorkers(t *testing.T) {
 // ---- admission retry queue (satellite coverage) ----
 
 // TestRetryBackoffSchedule checks the linear backoff contract: attempt k
-// re-queues with delay k*RetryBackoff, visible in the retry events.
+// re-queues with delay k*retryBackoff, visible in the retry events.
 func TestRetryBackoffSchedule(t *testing.T) {
 	cfg := overloadCfg()
 	_, log := runWith(t, cfg)
@@ -231,7 +231,7 @@ func TestRetryBackoffSchedule(t *testing.T) {
 	if len(matches) == 0 {
 		t.Fatal("no retry events in an overloaded run")
 	}
-	backoff := 5 * sim.Second // the default RetryBackoff
+	backoff := retryBackoff
 	for _, m := range matches {
 		var attempt int
 		fmt.Sscanf(m[2], "%d", &attempt)
@@ -242,12 +242,11 @@ func TestRetryBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestRetryRejectionOrdering checks the MaxRetries contract: a rejected VM
-// reports MaxRetries+1 attempts, and its rejection is the last event it
+// TestRetryRejectionOrdering checks the maxRetries contract: a rejected VM
+// reports maxRetries+1 attempts, and its rejection is the last event it
 // ever emits.
 func TestRetryRejectionOrdering(t *testing.T) {
 	cfg := overloadCfg()
-	cfg.MaxRetries = 2
 	var events []Event
 	cfg.Events = func(ev Event) { events = append(events, ev) }
 	c, err := New(cfg)
@@ -267,21 +266,21 @@ func TestRetryRejectionOrdering(t *testing.T) {
 			retries[ev.VM]++
 		case EventVMReject:
 			rejected[ev.VM] = true
-			if !strings.Contains(ev.Detail, fmt.Sprintf("after %d attempts", cfg.MaxRetries+1)) {
+			if !strings.Contains(ev.Detail, fmt.Sprintf("after %d attempts", maxRetries+1)) {
 				t.Fatalf("rejection after wrong attempt count: %q", ev.Detail)
 			}
 		}
 	}
 	if len(rejected) == 0 {
-		t.Fatal("overloaded host with MaxRetries=2 rejected nothing")
+		t.Fatal("overloaded host rejected nothing")
 	}
 	for vm := range rejected {
 		if lastKind[vm] != EventVMReject {
 			t.Fatalf("vm %s emitted %s after its rejection", vm, lastKind[vm])
 		}
-		if retries[vm] != cfg.MaxRetries {
+		if retries[vm] != maxRetries {
 			t.Fatalf("vm %s rejected after %d retry events, want %d",
-				vm, retries[vm], cfg.MaxRetries)
+				vm, retries[vm], maxRetries)
 		}
 	}
 }

@@ -49,13 +49,9 @@ type Host struct {
 	viewTime sim.Time
 }
 
-// newHost builds and starts one host. Starting with zero domains is valid:
+// newHost builds and starts one host on the shared, immutable topology. Starting with zero domains is valid:
 // the tickers arm and every PCPU idles until the first VM activates.
-func newHost(index int, topoName string, kind sched.Kind, seed uint64) (*Host, error) {
-	top, err := numa.Resolve(topoName)
-	if err != nil {
-		return nil, err
-	}
+func newHost(index int, top *numa.Topology, kind sched.Kind, seed uint64) (*Host, error) {
 	pol, err := sched.New(kind)
 	if err != nil {
 		return nil, err
@@ -78,7 +74,7 @@ func newHost(index int, topoName string, kind sched.Kind, seed uint64) (*Host, e
 // free-memory vector. refreshHost only applies deltas to the free vector,
 // so it must start equal to the allocator's; the first refresh fills the
 // rest.
-func (ho *Host) initView(overcommit float64) {
+func (ho *Host) initView() {
 	nodes := ho.Top.NumNodes()
 	free := make([]int64, nodes)
 	var total int64
@@ -213,10 +209,9 @@ func (ho *Host) intervalRemoteRatio() float64 {
 // freshView snapshots the host's placement-relevant state from scratch,
 // exactly as the pre-incremental engine did on every arrival. The cached
 // path must agree with it byte for byte; the -place-check shadow mode and
-// the invalidation tests compare against it. overcommit is the cluster's
-// VCPU overcommit factor, baked into the view so plugins stay pure
-// functions of (spec, view).
-func (ho *Host) freshView(overcommit float64) *HostView {
+// the invalidation tests compare against it. The VCPU overcommit factor is
+// baked into the view so plugins stay pure functions of (spec, view).
+func (ho *Host) freshView() *HostView {
 	//vet:alloc freshView is the from-scratch reference, reached from the hot path only via the diagnostic -place-check shadow mode
 	v := &HostView{
 		Index:       ho.Index,

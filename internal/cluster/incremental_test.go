@@ -211,7 +211,7 @@ func stepHost(t *testing.T, c *Cluster, ho *Host, d sim.Duration) bool {
 	if ho.viewTime != ho.H.Engine.Now() {
 		t.Fatalf("%s advanced to %v but its view is at %v", ho.Name, ho.H.Engine.Now(), ho.viewTime)
 	}
-	if diff := diffViews(&ho.view, ho.freshView(c.cfg.Overcommit)); diff != "" {
+	if diff := diffViews(&ho.view, ho.freshView()); diff != "" {
 		t.Fatalf("%s cached view diverged: %s", ho.Name, diff)
 	}
 	moved := !before.equal(viewInputs(&ho.view))
@@ -431,7 +431,7 @@ func TestCachedViewMatchesFresh(t *testing.T) {
 	}
 	c.refreshViews()
 	for _, ho := range c.hosts {
-		fresh := ho.freshView(c.cfg.Overcommit)
+		fresh := ho.freshView()
 		if diff := diffViews(&ho.view, fresh); diff != "" {
 			t.Errorf("%s cached view diverged: %s", ho.Name, diff)
 		}
@@ -474,7 +474,7 @@ func TestScoreCacheTracksInvalidation(t *testing.T) {
 func refreshed(c *Cluster) []*HostView {
 	out := make([]*HostView, len(c.hosts))
 	for i, ho := range c.hosts {
-		out[i] = ho.freshView(c.cfg.Overcommit)
+		out[i] = ho.freshView()
 	}
 	return out
 }

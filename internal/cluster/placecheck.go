@@ -36,7 +36,7 @@ func (c *Cluster) checkPlacement(spec *VMSpec, hv *HostView, plan MemPlan, err e
 	//vet:alloc the place-check shadow path deliberately pays full-rescan cost; it is diagnostic-only and off by default
 	fresh := make([]*HostView, len(c.hosts))
 	for i, ho := range c.hosts {
-		fresh[i] = ho.freshView(c.cfg.Overcommit)
+		fresh[i] = ho.freshView()
 		if diff := diffViews(&ho.view, fresh[i]); diff != "" {
 			//vet:alloc divergence reporting runs once, immediately before the run stops
 			c.failCheck("host %s cached view diverged from full rescan: %s", ho.Name, diff)
@@ -83,7 +83,7 @@ func (c *Cluster) checkGangReserve(vms []*VM, slots []gangSlot, placed int) {
 	//vet:alloc the place-check shadow path deliberately pays full-rescan cost; it is diagnostic-only and off by default
 	what := make([]*HostView, len(c.hosts))
 	for i, ho := range c.hosts {
-		what[i] = ho.freshView(c.cfg.Overcommit)
+		what[i] = ho.freshView()
 		if diff := diffViews(&ho.view, what[i]); diff != "" {
 			//vet:alloc divergence reporting runs once, immediately before the run stops
 			c.failCheck("host %s view not restored after a gang reserve: %s", ho.Name, diff)

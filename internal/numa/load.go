@@ -40,8 +40,8 @@ type FileConfig struct {
 	LinksPerPair       int     `json:"linksPerPair"`
 }
 
-// toConfig converts the JSON form to the builder's Config.
-func (fc FileConfig) toConfig() Config {
+// Config converts the JSON form to the builder's Config.
+func (fc FileConfig) Config() Config {
 	return Config{
 		Name:               fc.Name,
 		Nodes:              fc.Nodes,
@@ -66,7 +66,7 @@ func Decode(r io.Reader) (*Topology, error) {
 	if err := dec.Decode(&fc); err != nil {
 		return nil, fmt.Errorf("numa: decode topology: %w", err)
 	}
-	top, err := New(fc.toConfig())
+	top, err := New(fc.Config())
 	if err != nil {
 		return nil, err
 	}
@@ -146,14 +146,5 @@ func Resolve(nameOrPath string) (*Topology, error) {
 		return LoadFile(nameOrPath)
 	}
 	return nil, fmt.Errorf("numa: %q is neither a preset %v nor a readable file",
-		nameOrPath, presetNameList())
-}
-
-func presetNameList() []string {
-	names := make([]string, 0, len(Presets))
-	for n := range Presets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+		nameOrPath, PresetNames())
 }

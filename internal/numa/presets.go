@@ -1,5 +1,7 @@
 package numa
 
+import "sort"
+
 // XeonE5620 reproduces Table I of the paper: a two-socket Intel Xeon E5620
 // machine (4 cores per socket at 2.40 GHz, 12 MB shared L3 per socket,
 // 12 GB DRAM per node behind a 25.6 GB/s IMC, 2 QPI links at 5.86 GT/s).
@@ -62,6 +64,16 @@ func SingleNode() *Topology {
 		LinkBandwidthGTs:   5.86,
 		LinksPerPair:       1,
 	})
+}
+
+// PresetNames lists the preset names, sorted.
+func PresetNames() []string {
+	names := make([]string, 0, len(Presets))
+	for n := range Presets {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Presets maps preset names to constructors, for CLI use.

@@ -8,7 +8,9 @@
 package numa
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -82,13 +84,34 @@ type Config struct {
 	LinksPerPair int
 }
 
+// Size caps on a Config, so building one stays bounded: New allocates
+// Nodes × CPUsPerNode CPUs, Nodes² distances and Nodes²/2 × LinksPerPair
+// links.
+const (
+	maxNodes        = 64
+	maxCPUs         = 1024
+	maxLinksPerPair = 8
+)
+
 // Validate reports the first problem with the configuration, or nil.
 func (c *Config) Validate() error {
+	for _, v := range []float64{c.IMCBandwidthGBs, c.ClockGHz, c.LocalMemLatencyNS,
+		c.RemoteMemLatencyNS, c.LLCHitLatencyNS, c.LinkBandwidthGTs} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return errors.New("numa: a bandwidth, clock or latency is NaN or infinite")
+		}
+	}
 	switch {
 	case c.Nodes <= 0:
 		return fmt.Errorf("numa: Nodes = %d, need >= 1", c.Nodes)
+	case c.Nodes > maxNodes:
+		return fmt.Errorf("numa: Nodes = %d, at most %d", c.Nodes, maxNodes)
+	case c.LinksPerPair > maxLinksPerPair:
+		return fmt.Errorf("numa: LinksPerPair = %d, at most %d", c.LinksPerPair, maxLinksPerPair)
 	case c.CPUsPerNode <= 0:
 		return fmt.Errorf("numa: CPUsPerNode = %d, need >= 1", c.CPUsPerNode)
+	case c.CPUsPerNode > maxCPUs/c.Nodes:
+		return fmt.Errorf("numa: %d nodes × CPUsPerNode %d, at most %d CPUs", c.Nodes, c.CPUsPerNode, maxCPUs)
 	case c.MemoryPerNodeMB <= 0:
 		return fmt.Errorf("numa: MemoryPerNodeMB = %d, need > 0", c.MemoryPerNodeMB)
 	case c.ClockGHz <= 0:

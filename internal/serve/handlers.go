@@ -5,9 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"fmt"
+	"math"
 	"net/http"
-	"strconv"
 
 	"vprobe/internal/spec"
 	"vprobe/internal/telemetry"
@@ -338,8 +339,14 @@ func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	// Scale the concrete rate: an omitted rate is the default, not zero.
+	base = base.Normalize()
 	scaled := base
 	scaled.ArrivalsPerSecond = base.ArrivalsPerSecond * factor
+	if err := scaled.Validate(); err != nil {
+		writeError(w, fmt.Errorf("%w (the rate scaled by factor %v)", err, factor))
+		return
+	}
 
 	type leg struct {
 		Rate          float64 `json:"arrivals_per_second"`
@@ -398,71 +405,39 @@ func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// capacityQuery builds the baseline ClusterV1 from query parameters.
+// capacityQuery builds the baseline ClusterV1 from query parameters. A
+// flag set parses them, one flag per parameter, so each value parses as
+// the vprobe-cluster flag of the same name; other parameters are ignored.
 func capacityQuery(r *http.Request) (base spec.ClusterV1, factor, maxRejection float64, err error) {
+	fs := flag.NewFlagSet("capacity", flag.ContinueOnError)
+	fs.StringVar(&base.Topology, "topology", "", "")
+	fs.StringVar(&base.Scheduler, "sched", "", "")
+	fs.StringVar(&base.Policy, "policy", "", "")
+	fs.StringVar(&base.Mix, "mix", "", "")
+	fs.Float64Var(&base.ArrivalsPerSecond, "rate", 0, "")
+	fs.IntVar(&base.Hosts, "hosts", 0, "")
+	fs.IntVar(&base.Workers, "workers", 0, "")
+	fs.Uint64Var(&base.Seed, "seed", 0, "")
+	fs.Var(&base.MeanLifetime, "lifetime", "")
+	fs.Var(&base.Horizon, "horizon", "")
+	fs.Float64Var(&factor, "factor", 1.2, "")
+	fs.Float64Var(&maxRejection, "max_rejection", 0.05, "")
 	q := r.URL.Query()
-	factor, maxRejection = 1.2, 0.05
-	base = spec.ClusterV1{
-		Topology:  q.Get("topology"),
-		Scheduler: q.Get("sched"),
-		Policy:    q.Get("policy"),
-		Mix:       q.Get("mix"),
-	}
-	var perr error
-	fail := func(key string) (spec.ClusterV1, float64, float64, error) {
-		return base, factor, maxRejection,
-			fmt.Errorf("%w: query %s: %v", spec.ErrInvalid, key, perr) //vet:nowrap strconv errors carry no sentinel worth chaining
-	}
-	floats := []struct {
-		key string
-		dst *float64
-	}{
-		{"rate", &base.ArrivalsPerSecond},
-		{"factor", &factor},
-		{"max_rejection", &maxRejection},
-	}
-	for _, p := range floats {
-		if v := q.Get(p.key); v != "" {
-			if *p.dst, perr = strconv.ParseFloat(v, 64); perr != nil {
-				return fail(p.key)
+	fs.VisitAll(func(f *flag.Flag) {
+		if v := q.Get(f.Name); v != "" && err == nil {
+			if perr := f.Value.Set(v); perr != nil {
+				err = fmt.Errorf("%w: query %s=%q: %v", spec.ErrInvalid, f.Name, v, perr) //vet:nowrap parse errors carry no sentinel worth chaining
 			}
 		}
+	})
+	if err != nil {
+		return base, factor, maxRejection, err
 	}
-	ints := []struct {
-		key string
-		dst *int
-	}{
-		{"hosts", &base.Hosts},
-		{"workers", &base.Workers},
+	if !(factor > 0) || math.IsInf(factor, 0) {
+		return base, factor, maxRejection, fmt.Errorf("%w: factor %v must be positive and finite", spec.ErrInvalid, factor)
 	}
-	for _, p := range ints {
-		if v := q.Get(p.key); v != "" {
-			if *p.dst, perr = strconv.Atoi(v); perr != nil {
-				return fail(p.key)
-			}
-		}
-	}
-	if v := q.Get("seed"); v != "" {
-		if base.Seed, perr = strconv.ParseUint(v, 10, 64); perr != nil {
-			return fail("seed")
-		}
-	}
-	durs := []struct {
-		key string
-		dst *spec.Duration
-	}{
-		{"lifetime", &base.MeanLifetime},
-		{"horizon", &base.Horizon},
-	}
-	for _, p := range durs {
-		if v := q.Get(p.key); v != "" {
-			if perr = p.dst.UnmarshalJSON([]byte(strconv.Quote(v))); perr != nil {
-				return fail(p.key)
-			}
-		}
-	}
-	if factor <= 0 {
-		return base, factor, maxRejection, fmt.Errorf("%w: factor must be positive", spec.ErrInvalid)
+	if !(maxRejection >= 0 && maxRejection <= 1) {
+		return base, factor, maxRejection, fmt.Errorf("%w: max_rejection %v must be in [0, 1]", spec.ErrInvalid, maxRejection)
 	}
 	return base, factor, maxRejection, nil
 }

@@ -605,8 +605,23 @@ func TestCapacity(t *testing.T) {
 		t.Error("repeat capacity query did not hit the cache")
 	}
 
-	// Bad knobs are 400s.
-	for _, q := range []string{"factor=0", "rate=lots", "horizon=later", "hosts=two"} {
+	// An omitted rate is the default rate, and the scaled leg scales it.
+	st, b3 := getBody(t, ts.URL+"/v1/capacity?hosts=2&horizon=30s&factor=2&workers=1")
+	if st != http.StatusOK {
+		t.Fatalf("default-rate capacity status = %d: %s", st, b3)
+	}
+	if err := json.Unmarshal(b3, &v); err != nil {
+		t.Fatal(err)
+	}
+	if v.Baseline.Rate != 0.35 || v.Scaled.Rate != 0.7 {
+		t.Fatalf("default-rate capacity legs ran at %v and %v, want 0.35 and 0.7", v.Baseline.Rate, v.Scaled.Rate)
+	}
+
+	// Bad knobs are 400s, the scaled leg's included: neither leg runs.
+	for _, q := range []string{"factor=0", "rate=lots", "horizon=later", "hosts=two",
+		"factor=-1", "factor=Inf", "factor=NaN", "rate=NaN", "rate=Inf", "rate=1e308",
+		"max_rejection=NaN", "max_rejection=2", "hosts=100000000",
+		"hosts=2&horizon=30s&rate=1000&factor=1e6"} {
 		st, _ := getBody(t, ts.URL+"/v1/capacity?"+q)
 		if st != http.StatusBadRequest {
 			t.Errorf("capacity?%s = %d, want 400", q, st)

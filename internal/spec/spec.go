@@ -6,15 +6,12 @@
 // ScenarioV1.Hypervisor builds the unstarted hypervisor, and
 // ClusterV1.Config is the one copy of spec fields into cluster.Config.
 // Two callers lower them: the root package's CompileScenario and
-// RunCluster (behind vprobe-serve, vprobe-sim -spec, vprobe-trace, the
-// examples and the public API), which add the live hooks (Events,
-// Telemetry, Spans) a spec cannot carry, and internal/experiments, whose
-// every paper cell is one of these specs. CompileScenario is the public
-// API's only single-host builder, so every single-host run is a
-// ScenarioV1.
-// vprobe-cluster and the benchmark module still build cluster.Config
-// directly for the knobs the wire format deliberately lacks (topology JSON
-// files, an arrival sink, the remote-ratio limit).
+// RunCluster (behind vprobe-serve, vprobe-sim -spec, vprobe-cluster,
+// vprobe-trace, the examples and the public API), which add the live
+// hooks (Events, Telemetry, Spans, Arrivals) a spec cannot carry, and
+// internal/experiments, whose every paper cell is one of these specs.
+// Every single-host run is a ScenarioV1, and outside the benchmark module
+// every cluster run is a ClusterV1.
 //
 // Every spec type obeys three contracts:
 //
@@ -42,8 +39,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -59,6 +56,10 @@ import (
 
 // VersionV1 is the schema version of ScenarioV1 and ClusterV1.
 const VersionV1 = "v1"
+
+// defaultTopology is the machine preset both spec types default to: the
+// paper's Table I box.
+const defaultTopology = "xeon-e5620"
 
 // Sentinel errors, wrapped by Validate and the compat helpers, for
 // errors.Is matching (and the HTTP status table in internal/serve).
@@ -104,6 +105,16 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	}
 	*d = Duration(time.Duration(ns))
 	return nil
+}
+
+// String renders the Go duration string.
+func (d Duration) String() string { return time.Duration(d).String() }
+
+// Set parses a Go duration string, so a *Duration is a flag.Value.
+func (d *Duration) Set(s string) error {
+	v, err := time.ParseDuration(s)
+	*d = Duration(v)
+	return err
 }
 
 // Std returns the standard-library value.
@@ -205,6 +216,11 @@ type ClusterV1 struct {
 	Hosts int `json:"hosts,omitempty"`
 	// Topology is the per-host NUMA preset (default "xeon-e5620").
 	Topology string `json:"topology,omitempty"`
+	// Machine describes the per-host machine in the schema vprobe-topo
+	// -json prints, for a machine no preset covers. It is mutually
+	// exclusive with a non-default Topology; a normalized spec with a
+	// machine has no topology.
+	Machine *numa.FileConfig `json:"machine,omitempty"`
 	// Scheduler is the per-host VCPU scheduler (default "credit").
 	Scheduler string `json:"scheduler,omitempty"`
 	// Policy is the placement policy (default "numa").
@@ -315,6 +331,29 @@ func (a ArrivalV1) internal() cluster.TraceArrival {
 	}
 }
 
+// ReadArrivalTrace decodes a JSONL arrival trace — the records a cluster
+// run's arrival export writes, with integer-microsecond times — into
+// ArrivalTrace records. The conversion is lossless: lowering a record
+// gives back the line it was read from.
+func ReadArrivalTrace(r io.Reader) ([]ArrivalV1, error) {
+	recs, err := cluster.ReadTrace(r)
+	if err != nil {
+		return nil, err
+	}
+	const maxUS = math.MaxInt64 / int64(time.Microsecond)
+	out := make([]ArrivalV1, len(recs))
+	for i, rec := range recs {
+		if max(rec.AtUS, rec.LifeUS) > maxUS || min(rec.AtUS, rec.LifeUS) < -maxUS {
+			return nil, fmt.Errorf("%w: arrival trace record %d: at_us %d / life_us %d outside the representable range",
+				ErrInvalid, i, rec.AtUS, rec.LifeUS)
+		}
+		out[i] = ArrivalV1{At: Duration(rec.AtUS) * Duration(time.Microsecond), MemoryMB: rec.MemoryMB,
+			VCPUs: rec.VCPUs, Priority: rec.Priority, Group: rec.Group,
+			Lifetime: Duration(rec.LifeUS) * Duration(time.Microsecond), Profiles: rec.Profiles}
+	}
+	return out, nil
+}
+
 // Config lowers the spec onto the runtime cluster configuration. It is
 // the one place a ClusterV1 field becomes a cluster.Config field. The
 // spec is normalized first, so the seed and every other default are
@@ -324,7 +363,7 @@ func (c ClusterV1) Config() cluster.Config {
 	n := c.Normalize()
 	cfg := cluster.Config{
 		Hosts:             n.Hosts,
-		Topology:          n.Topology,
+		Topology:          n.machine(),
 		Scheduler:         sched.Kind(n.Scheduler),
 		Policy:            n.Policy,
 		Seed:              n.Seed,
@@ -358,6 +397,20 @@ func (c ClusterV1) Config() cluster.Config {
 		cfg.Arrival.Trace = append(cfg.Arrival.Trace, rec.internal())
 	}
 	return cfg
+}
+
+// machine is the per-host machine description: the spec's machine
+// document, or its topology preset exported to the same schema (the
+// export round trip rebuilds a preset exactly). An unknown preset lowers
+// to a description numa.New rejects, so cluster.New fails on it.
+func (c ClusterV1) machine() numa.Config {
+	if c.Machine != nil {
+		return c.Machine.Config()
+	}
+	if mk, ok := numa.Presets[c.Topology]; ok {
+		return numa.Export(mk()).Config()
+	}
+	return numa.Config{Name: c.Topology}
 }
 
 // Hypervisor lowers the scenario onto an unstarted hypervisor. It is the
@@ -459,14 +512,7 @@ var memoryPolicies = map[string]mem.Policy{
 }
 
 // Topologies lists the machine presets, sorted.
-func Topologies() []string {
-	names := make([]string, 0, len(numa.Presets))
-	for n := range numa.Presets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Topologies() []string { return numa.PresetNames() }
 
 // Schedulers lists the scheduling policies, sorted.
 func Schedulers() []string {
@@ -496,7 +542,7 @@ func (s ScenarioV1) Normalize() ScenarioV1 {
 		s.Scheduler = string(sched.KindCredit)
 	}
 	if s.Topology == "" {
-		s.Topology = "xeon-e5620"
+		s.Topology = defaultTopology
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -670,8 +716,12 @@ func (c ClusterV1) Normalize() ClusterV1 {
 	if c.Hosts == 0 {
 		c.Hosts = 4
 	}
-	if c.Topology == "" {
-		c.Topology = "xeon-e5620"
+	if c.Machine != nil {
+		m := *c.Machine
+		c.Machine = &m
+		c.Topology = ""
+	} else if c.Topology == "" {
+		c.Topology = defaultTopology
 	}
 	if c.Scheduler == "" {
 		c.Scheduler = string(sched.KindCredit)
@@ -738,16 +788,35 @@ func (c ClusterV1) Normalize() ClusterV1 {
 	return c
 }
 
+// Cluster size caps, so a spec cannot make lowering or the run allocate
+// without bound: hosts bound what cluster.New builds (numa caps each
+// host's machine), gang size and offered VMs what the run admits.
+const (
+	maxHosts      = 4096
+	maxGangSize   = 1024
+	maxOfferedVMs = 1 << 20
+)
+
 // Validate checks a cluster spec; failures wrap ErrVersion or ErrInvalid.
 func (c ClusterV1) Validate() error {
 	if c.Version != "" && c.Version != VersionV1 {
 		return fmt.Errorf("%w: %q (have %s)", ErrVersion, c.Version, VersionV1)
 	}
-	n := c.Normalize()
-	if n.Hosts < 1 {
-		return fmt.Errorf("%w: hosts %d must be positive", ErrInvalid, n.Hosts)
+	if c.Machine != nil && c.Topology != "" && c.Topology != defaultTopology {
+		return fmt.Errorf("%w: machine and topology %q are mutually exclusive", ErrInvalid, c.Topology)
 	}
-	if _, ok := numa.Presets[n.Topology]; !ok {
+	n := c.Normalize()
+	if n.Hosts < 1 || n.Hosts > maxHosts {
+		return fmt.Errorf("%w: hosts %d must be in [1, %d]", ErrInvalid, n.Hosts, maxHosts)
+	}
+	if n.Machine != nil {
+		// numa's rules include the caps on nodes, PCPUs and links that
+		// keep building the machine bounded.
+		cfg := n.Machine.Config()
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("%w: machine: %v", ErrInvalid, err) //vet:nowrap numa's rule text only; ErrInvalid carries the chain
+		}
+	} else if _, ok := numa.Presets[n.Topology]; !ok {
 		return fmt.Errorf("%w: topology %q (have %s)",
 			ErrInvalid, n.Topology, strings.Join(Topologies(), ", "))
 	}
@@ -759,8 +828,9 @@ func (c ClusterV1) Validate() error {
 		return fmt.Errorf("%w: policy %q (have %s)",
 			ErrInvalid, n.Policy, strings.Join(Policies(), ", "))
 	}
-	if n.ArrivalsPerSecond < 0 {
-		return fmt.Errorf("%w: arrivals_per_second %v must not be negative", ErrInvalid, n.ArrivalsPerSecond)
+	// The float checks are written so NaN fails them too.
+	if !(n.ArrivalsPerSecond >= 0) || math.IsInf(n.ArrivalsPerSecond, 1) {
+		return fmt.Errorf("%w: arrivals_per_second %v must be finite and not negative", ErrInvalid, n.ArrivalsPerSecond)
 	}
 	if n.MeanLifetime <= 0 {
 		return fmt.Errorf("%w: mean_lifetime %v must be positive", ErrInvalid, n.MeanLifetime.Std())
@@ -774,14 +844,14 @@ func (c ClusterV1) Validate() error {
 	if n.Mix != "mixed" && n.Mix != "batch" && n.Mix != "server" {
 		return fmt.Errorf("%w: mix %q (have %s)", ErrInvalid, n.Mix, strings.Join(Mixes(), ", "))
 	}
-	if !(n.LLCPressureLimit > 0) {
-		return fmt.Errorf("%w: llc_pressure_limit %v must be positive", ErrInvalid, n.LLCPressureLimit)
+	if !(n.LLCPressureLimit > 0) || math.IsInf(n.LLCPressureLimit, 1) {
+		return fmt.Errorf("%w: llc_pressure_limit %v must be finite and positive", ErrInvalid, n.LLCPressureLimit)
 	}
-	if n.GangFraction < 0 || n.GangFraction > 1 {
+	if !(n.GangFraction >= 0 && n.GangFraction <= 1) {
 		return fmt.Errorf("%w: gang_fraction %v must be in [0, 1]", ErrInvalid, n.GangFraction)
 	}
-	if n.GangSize < 0 {
-		return fmt.Errorf("%w: gang_size %d must not be negative", ErrInvalid, n.GangSize)
+	if n.GangSize < 0 || n.GangSize > maxGangSize {
+		return fmt.Errorf("%w: gang_size %d must be in [0, %d]", ErrInvalid, n.GangSize, maxGangSize)
 	}
 	if n.Gang && n.GangFraction == 0 {
 		return fmt.Errorf("%w: gang requires a positive gang_fraction", ErrInvalid)
@@ -796,15 +866,23 @@ func (c ClusterV1) Validate() error {
 	if n.DiurnalPeriod < 0 {
 		return fmt.Errorf("%w: diurnal_period %v must not be negative", ErrInvalid, n.DiurnalPeriod.Std())
 	}
-	if n.DiurnalAmplitude < 0 || n.DiurnalAmplitude > 1 {
+	if !(n.DiurnalAmplitude >= 0 && n.DiurnalAmplitude <= 1) {
 		return fmt.Errorf("%w: diurnal_amplitude %v must be in [0, 1]", ErrInvalid, n.DiurnalAmplitude)
 	}
 	if n.FlashAt < 0 || n.FlashDuration < 0 {
 		return fmt.Errorf("%w: flash_at %v / flash_duration %v must not be negative",
 			ErrInvalid, n.FlashAt.Std(), n.FlashDuration.Std())
 	}
-	if n.FlashFactor < 0 || (n.ArrivalProcess == "flash" && n.FlashFactor < 1) {
-		return fmt.Errorf("%w: flash_factor %v must be at least 1", ErrInvalid, n.FlashFactor)
+	if !(n.FlashFactor >= 0) || math.IsInf(n.FlashFactor, 1) || (n.ArrivalProcess == "flash" && n.FlashFactor < 1) {
+		return fmt.Errorf("%w: flash_factor %v must be finite and at least 1", ErrInvalid, n.FlashFactor)
+	}
+	// The generator offers at most the peak rate (the diurnal or flash
+	// peak) over the whole horizon, times the VMs per gang.
+	offered := n.ArrivalsPerSecond * max(1+n.DiurnalAmplitude, n.FlashFactor) *
+		n.Horizon.Std().Seconds() * float64(max(n.GangSize, 1))
+	if !(offered <= maxOfferedVMs) {
+		return fmt.Errorf("%w: arrivals_per_second %v over horizon %v offers about %.3g VMs, more than %d",
+			ErrInvalid, n.ArrivalsPerSecond, n.Horizon.Std(), offered, maxOfferedVMs)
 	}
 	if err := validateTrace(n.Trace, n.TraceLimit); err != nil {
 		return err

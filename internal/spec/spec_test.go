@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"vprobe/internal/cluster"
+	"vprobe/internal/numa"
 	"vprobe/internal/sim"
 	"vprobe/internal/spec"
 )
@@ -138,6 +140,66 @@ func TestClusterValidateErrors(t *testing.T) {
 	}
 	if err := (spec.ClusterV1{}).Validate(); err != nil {
 		t.Fatalf("default cluster spec rejected: %v", err)
+	}
+}
+
+// TestClusterValidateBounds covers the size caps and the non-finite
+// floats: each case alone would otherwise build or run without bound.
+// The largest in-repo shapes (a thousand hosts, a custom machine) pass.
+func TestClusterValidateBounds(t *testing.T) {
+	machine := func(edit func(*numa.FileConfig)) *numa.FileConfig {
+		m := numa.Export(numa.XeonE5620())
+		edit(&m)
+		return &m
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	horizon := spec.Duration(30 * time.Second)
+	cases := []struct {
+		name string
+		c    spec.ClusterV1
+		msg  string
+	}{
+		{"hosts-huge", spec.ClusterV1{Hosts: 100_000_000}, "hosts"},
+		{"hosts-over-cap", spec.ClusterV1{Hosts: 4097}, "hosts"},
+		{"rate-huge", spec.ClusterV1{Hosts: 2, Horizon: horizon, ArrivalsPerSecond: 1e308}, "offers"},
+		{"rate-inf", spec.ClusterV1{ArrivalsPerSecond: inf}, "arrivals_per_second"},
+		{"rate-nan", spec.ClusterV1{ArrivalsPerSecond: nan}, "arrivals_per_second"},
+		{"rate-over-cap", spec.ClusterV1{ArrivalsPerSecond: 1e4, Horizon: spec.Duration(time.Hour)}, "offers"},
+		{"flash-over-cap", spec.ClusterV1{ArrivalProcess: "flash", ArrivalsPerSecond: 100,
+			Horizon: horizon, FlashFactor: 1e6}, "offers"},
+		{"gangs-over-cap", spec.ClusterV1{ArrivalsPerSecond: 10, Horizon: spec.Duration(time.Hour),
+			GangFraction: 0.5, GangSize: 1000}, "offers"},
+		{"llc-limit-inf", spec.ClusterV1{LLCPressureLimit: inf}, "llc_pressure_limit"},
+		{"gang-fraction-nan", spec.ClusterV1{GangFraction: nan}, "gang_fraction"},
+		{"gang-size-huge", spec.ClusterV1{GangFraction: 0.1, GangSize: 1 << 30}, "gang_size"},
+		{"diurnal-amplitude-nan", spec.ClusterV1{ArrivalProcess: "diurnal", DiurnalAmplitude: nan}, "diurnal_amplitude"},
+		{"flash-factor-inf", spec.ClusterV1{ArrivalProcess: "flash", FlashFactor: inf}, "flash_factor"},
+		{"machine-and-topology", spec.ClusterV1{Topology: "four-node",
+			Machine: machine(func(*numa.FileConfig) {})}, "mutually exclusive"},
+		{"machine-nodes", spec.ClusterV1{Machine: machine(func(m *numa.FileConfig) { m.Nodes = 1000 })}, "Nodes = 1000"},
+		{"machine-pcpus", spec.ClusterV1{Machine: machine(func(m *numa.FileConfig) { m.CPUsPerNode = 1 << 20 })}, "at most 1024 CPUs"},
+		{"machine-links", spec.ClusterV1{Machine: machine(func(m *numa.FileConfig) { m.LinksPerPair = 1 << 30 })}, "LinksPerPair"},
+		{"machine-clock-nan", spec.ClusterV1{Machine: machine(func(m *numa.FileConfig) { m.ClockGHz = nan })}, "NaN or infinite"},
+		{"machine-numa-rule", spec.ClusterV1{Machine: machine(func(m *numa.FileConfig) { m.RemoteMemLatencyNS = 1 })}, "RemoteMemLatencyNS"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.c.Validate()
+			if !errors.Is(err, spec.ErrInvalid) || !strings.Contains(err.Error(), tc.msg) {
+				t.Fatalf("Validate() = %v, want ErrInvalid naming %q", err, tc.msg)
+			}
+		})
+	}
+
+	for _, ok := range []spec.ClusterV1{
+		{Hosts: 1000, Horizon: spec.Duration(20 * time.Second), ArrivalsPerSecond: 20,
+			Gang: true, GangFraction: 0.2, Backfill: true, Preempt: true},
+		{Hosts: 1024, Horizon: spec.Duration(20 * time.Second), ArrivalsPerSecond: 100},
+		{Topology: "xeon-e5620", Machine: machine(func(m *numa.FileConfig) { m.Nodes = 4 })},
+	} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("in-range spec rejected: %v", err)
+		}
 	}
 }
 
@@ -379,10 +441,11 @@ func TestClusterKeyArrivalFields(t *testing.T) {
 // defaults come from Normalize (the seed included, since span IDs derive
 // from it), durations become simulated microseconds, a negative
 // rebalance_period becomes the cluster's disabled value, and the arrival
-// trace is lowered record by record.
+// trace is lowered record by record. A preset lowers to its exported
+// machine description, and a machine document to itself.
 func TestClusterConfigLowering(t *testing.T) {
 	d := spec.ClusterV1{}.Config()
-	if d.Hosts != 4 || d.Topology != "xeon-e5620" || d.Scheduler != "credit" ||
+	if d.Hosts != 4 || d.Topology != numa.Export(numa.XeonE5620()).Config() || d.Scheduler != "credit" ||
 		d.Policy != "numa" || d.Seed != 1 || d.Mix != "mixed" ||
 		d.Arrival.Process != "poisson" || d.RebalancePeriod != 10*sim.Second ||
 		d.Horizon != 300*sim.Second || d.MeanLifetime != 60*sim.Second {
@@ -402,7 +465,7 @@ func TestClusterConfigLowering(t *testing.T) {
 			Profiles: []string{"mcf"}}},
 	}
 	c := s.Config()
-	if c.Hosts != 3 || c.Topology != "four-node" || c.Scheduler != "vprobe" || c.Policy != "pack" ||
+	if c.Hosts != 3 || c.Topology != numa.Export(numa.FourNode()).Config() || c.Scheduler != "vprobe" || c.Policy != "pack" ||
 		c.Seed != 9 || c.ArrivalsPerSecond != 0.5 || c.MeanLifetime != 90*sim.Second ||
 		c.Horizon != 45*sim.Second || c.Workers != 2 || c.Mix != "batch" ||
 		!c.Preempt || !c.Gang || c.GangFraction != 0.25 || c.GangSize != 3 || !c.Backfill ||
@@ -416,6 +479,12 @@ func TestClusterConfigLowering(t *testing.T) {
 		Group: "g", LifeUS: 60_000_000, Profiles: []string{"mcf"}}
 	if len(c.Arrival.Trace) != 1 || fmt.Sprint(c.Arrival.Trace[0]) != fmt.Sprint(want) {
 		t.Errorf("arrival trace lowers to %+v, want [%+v]", c.Arrival.Trace, want)
+	}
+
+	m := numa.Export(numa.SingleNode())
+	m.Name = "edited"
+	if got := (spec.ClusterV1{Machine: &m}).Config().Topology; got != m.Config() {
+		t.Errorf("machine lowers to %+v, want %+v", got, m.Config())
 	}
 
 	f := spec.ClusterV1{ArrivalProcess: "flash", Horizon: spec.Duration(30 * time.Second)}.Config()

@@ -244,9 +244,6 @@ func (h *Hypervisor) Watched() []*Domain { return h.watch }
 // AllVCPUs returns every VCPU in creation order.
 func (h *Hypervisor) AllVCPUs() []*VCPU { return h.vcpus }
 
-// VCPUByID looks up a VCPU.
-func (h *Hypervisor) VCPUByID(id VCPUID) *VCPU { return h.vcpuByID[id] }
-
 // ActiveVCPUs counts runnable or running VCPUs.
 func (h *Hypervisor) ActiveVCPUs() int {
 	n := 0

@@ -106,12 +106,3 @@ func (h *Hypervisor) leastLoadedAnywhere() *PCPU {
 func (h *Hypervisor) ScheduleDomainEvent(after sim.Duration, label string, fn func()) {
 	h.Engine.Schedule(after, label, func(*sim.Engine) { fn() })
 }
-
-// NodeOfVCPU reports the node a VCPU currently sits on, or NoNode when it
-// is not placed.
-func (h *Hypervisor) NodeOfVCPU(v *VCPU) numa.NodeID {
-	if v.OnPCPU < 0 {
-		return numa.NoNode
-	}
-	return h.Top.NodeOf(v.OnPCPU)
-}

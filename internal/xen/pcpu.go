@@ -107,7 +107,7 @@ func (p *PCPU) Remove(v *VCPU) bool {
 
 // Stealable returns the queued VCPUs another PCPU may take: everything
 // runnable and not pinned. It allocates a fresh slice per call, so the
-// steal hot paths iterate the queue with QueueAt/CanSteal instead; this
+// steal hot paths iterate the queue with CanSteal instead; this
 // form remains for tests and external inspection.
 func (p *PCPU) Stealable() []*VCPU {
 	var out []*VCPU
@@ -118,10 +118,6 @@ func (p *PCPU) Stealable() []*VCPU {
 	}
 	return out
 }
-
-// QueueAt returns the i-th waiting VCPU (queue order, no bounds check
-// beyond the slice's own). Allocation-free companion to Queue().
-func (p *PCPU) QueueAt(i int) *VCPU { return p.queue[i] }
 
 // CanSteal reports whether another PCPU may take this queued VCPU
 // (i.e. it is not hard-pinned).

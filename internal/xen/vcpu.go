@@ -225,17 +225,6 @@ type Domain struct {
 	activated bool
 }
 
-// RunnableVCPUs returns the domain's runnable or running VCPUs.
-func (d *Domain) RunnableVCPUs() []*VCPU {
-	var out []*VCPU
-	for _, v := range d.VCPUs {
-		if v.Runnable() {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // AllDone reports whether every finite app-carrying VCPU finished its
 // work. Endless apps (hungry loops, guest housekeeping, open-ended
 // servers) do not block completion, and a destroyed domain counts as

@@ -8,10 +8,10 @@
 #   3. the run's event stream and telemetry re-download byte-identically;
 #   4. the run's /metrics and the server's own /metrics parse as
 #      Prometheus text exposition (via vprobe-metrics check);
-#   5. the two cluster front doors agree: a traced cluster spec POSTed to
-#      /v1/clusters reports and records spans byte-identically to
-#      vprobe-cluster with the same settings, and its explain endpoint
-#      answers for the first recorded VM;
+#   5. the cluster front doors agree: a traced cluster spec file POSTed to
+#      /v1/clusters reports and records spans byte-identically to the same
+#      file run by vprobe-sim -spec and to vprobe-cluster with the same
+#      settings, and its explain endpoint answers for the first recorded VM;
 #   6. a paper cell served from its spec document (vprobe-sim -spec, with
 #      "trace": true) reports and records spans byte-identically to
 #      vprobe-sim running the same cell with -spans.
@@ -66,23 +66,28 @@ curl -sf "http://$ADDR/metrics" >"$TMP/serve.prom"
 go run ./cmd/vprobe-metrics check "$TMP/serve.prom"
 
 go build -o "$TMP/vprobe-cluster" ./cmd/vprobe-cluster
+go build -o "$TMP/vprobe-sim" ./cmd/vprobe-sim
 "$TMP/vprobe-cluster" -hosts 2 -horizon 30s -seed 1 -spans "$TMP/cli-spans.jsonl" \
     >"$TMP/cli-report.txt" 2>/dev/null
-curl -sf -d '{"hosts":2,"horizon":"30s","trace":true}' "http://$ADDR/v1/clusters" >"$TMP/cluster.json"
+echo '{"hosts":2,"horizon":"30s","trace":true}' >"$TMP/cluster-spec.json"
+"$TMP/vprobe-sim" -spec "$TMP/cluster-spec.json" -spans "$TMP/doc-spans.jsonl" \
+    >"$TMP/doc-report.txt" 2>/dev/null
+curl -sf -d @"$TMP/cluster-spec.json" "http://$ADDR/v1/clusters" >"$TMP/cluster.json"
 CID=$(jq -r .id "$TMP/cluster.json")
 # -j: the report text exactly, without the newline -r appends.
 jq -j .report "$TMP/cluster.json" >"$TMP/served-report.txt"
-cmp "$TMP/cli-report.txt" "$TMP/served-report.txt" || {
-    echo "serve-smoke: served cluster report differs from vprobe-cluster's" >&2; exit 1; }
 curl -sf "http://$ADDR/v1/runs/$CID/spans" >"$TMP/served-spans.jsonl"
-cmp "$TMP/cli-spans.jsonl" "$TMP/served-spans.jsonl" || {
-    echo "serve-smoke: served cluster spans differ from vprobe-cluster -spans" >&2; exit 1; }
+for front in cli doc; do
+    cmp "$TMP/$front-report.txt" "$TMP/served-report.txt" || {
+        echo "serve-smoke: served cluster report differs from the $front run's" >&2; exit 1; }
+    cmp "$TMP/$front-spans.jsonl" "$TMP/served-spans.jsonl" || {
+        echo "serve-smoke: served cluster spans differ from the $front run's -spans" >&2; exit 1; }
+done
 VM=$(curl -sf "http://$ADDR/v1/runs/$CID/explain" | jq -r '.vms[0]')
 CODE=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/v1/runs/$CID/explain?vm=$VM")
 [ "$CODE" = "200" ] || { echo "serve-smoke: explain?vm=$VM answered $CODE" >&2; exit 1; }
 
 CELL_PATH=fig4/mix/vprobe/seed0
-go build -o "$TMP/vprobe-sim" ./cmd/vprobe-sim
 "$TMP/vprobe-sim" -spec "$CELL_PATH" | jq '.trace = true' >"$TMP/cell.json"
 "$TMP/vprobe-sim" -spec "$CELL_PATH" -spans "$TMP/cell-spans.jsonl" \
     >"$TMP/cell-report.txt" 2>/dev/null
@@ -95,4 +100,4 @@ curl -sf "http://$ADDR/v1/runs/$CELL/spans" >"$TMP/served-cell-spans.jsonl"
 cmp "$TMP/cell-spans.jsonl" "$TMP/served-cell-spans.jsonl" || {
     echo "serve-smoke: served $CELL_PATH spans differ from vprobe-sim -spans" >&2; exit 1; }
 
-echo "serve-smoke: OK (run $ID cached and byte-identical; cluster $CID matches vprobe-cluster; cell $CELL_PATH matches vprobe-sim)"
+echo "serve-smoke: OK (run $ID cached and byte-identical; cluster $CID matches vprobe-cluster and vprobe-sim -spec; cell $CELL_PATH matches vprobe-sim)"
