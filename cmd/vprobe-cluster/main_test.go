@@ -174,31 +174,28 @@ func TestCLIErrors(t *testing.T) {
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
+	type errCase struct {
 		name string
 		args []string
 		code int
 		msg  string
-	}{
+	}
+	cases := []errCase{
+		{"stray argument", []string{"extra"}, 2, "unexpected arguments"},
+		{"unknown flag", []string{"-bogus"}, 2, "flag provided but not defined"},
+		{"unknown policy", []string{"-policy", "bogus"}, 1, "pack"},
+		{"missing topology file", []string{"-topology", "testdata/missing.json"}, 1, "missing.json"},
+		{"missing arrivals", []string{"-arrivals-in", "testdata/missing.jsonl"}, 1, "missing.jsonl"},
 		// Values the spec rejects fail with its message.
 		{"negative rate", []string{"-rate", "-1"}, 1, "spec: invalid field: arrivals_per_second"},
 		{"gang fraction above 1", []string{"-gang-fraction", "1.5"}, 1, "spec: invalid field: gang_fraction"},
 		{"gang without fraction", []string{"-gang"}, 1, "spec: invalid field: gang requires"},
 		{"empty arrival trace", []string{"-arrivals-in", empty}, 1, "spec: invalid field: arrival_process"},
 		{"too many hosts", []string{"-hosts", "100000000"}, 1, "spec: invalid field: hosts"},
-		{"stray argument", []string{"extra"}, 2, "unexpected arguments"},
-		{"unknown flag", []string{"-bogus"}, 2, "flag provided but not defined"},
-		{"unknown policy", []string{"-policy", "bogus"}, 1, "pack"},
-		{"missing topology file", []string{"-topology", "testdata/missing.json"}, 1, "missing.json"},
-		{"missing arrivals", []string{"-arrivals-in", "testdata/missing.jsonl"}, 1, "missing.jsonl"},
 	}
 	if _, err := os.Stat("/dev/full"); err == nil {
-		cases = append(cases, struct {
-			name string
-			args []string
-			code int
-			msg  string
-		}{"unwritable arrivals", []string{"-hosts", "2", "-horizon", "30s", "-arrivals-out", "/dev/full"}, 1, "no space"})
+		cases = append(cases, errCase{"unwritable arrivals",
+			[]string{"-hosts", "2", "-horizon", "30s", "-arrivals-out", "/dev/full"}, 1, "no space"})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -407,7 +407,7 @@ func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
 
 // capacityQuery builds the baseline ClusterV1 from query parameters. A
 // flag set parses them, one flag per parameter, so each value parses as
-// the vprobe-cluster flag of the same name; other parameters are ignored.
+// it would on a command line; other parameters are ignored.
 func capacityQuery(r *http.Request) (base spec.ClusterV1, factor, maxRejection float64, err error) {
 	fs := flag.NewFlagSet("capacity", flag.ContinueOnError)
 	fs.StringVar(&base.Topology, "topology", "", "")
