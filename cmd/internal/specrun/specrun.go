@@ -47,7 +47,12 @@ type Exports struct {
 // stays byte-identical across runs.
 func Run(ctx context.Context, s any, ex Exports, stdout, stderr io.Writer) error {
 	var opts vprobe.CompileOptions
+	series := strings.TrimSuffix(ex.Metrics, ".prom") + ".jsonl"
 	if ex.Metrics != "" {
+		// The series file's name is derived, so a clash is easy to miss.
+		if series == ex.Spans || series == ex.Chrome || series == ex.Arrivals {
+			return fmt.Errorf("the -metrics time series %s would overwrite another export", series)
+		}
 		opts.Telemetry = vprobe.NewTelemetry(vprobe.TelemetryOptions{Every: ex.MetricsEvery})
 	}
 	if ex.Spans != "" || ex.Chrome != "" {
@@ -92,7 +97,6 @@ func Run(ctx context.Context, s any, ex Exports, stdout, stderr io.Writer) error
 		fmt.Fprintf(stderr, "(%d spans recorded, %d dropped)\n", tracing.Spans(), tracing.Dropped())
 	}
 	if tele := opts.Telemetry; tele != nil {
-		series := strings.TrimSuffix(ex.Metrics, ".prom") + ".jsonl"
 		if err := errors.Join(writeFile(ex.Metrics, tele.WritePrometheus),
 			writeFile(series, tele.WriteJSONL)); err != nil {
 			return err

@@ -1,6 +1,8 @@
 package specrun
 
 import (
+	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,4 +58,15 @@ func typeName(v any) string {
 		return "spec.ClusterV1"
 	}
 	return "?"
+}
+
+// TestRunRejectsSeriesClash: -metrics x.prom writes its series to
+// x.jsonl, so -spans x.jsonl alongside it is refused before the run.
+func TestRunRejectsSeriesClash(t *testing.T) {
+	dir := t.TempDir()
+	ex := Exports{Metrics: filepath.Join(dir, "x.prom"), Spans: filepath.Join(dir, "x.jsonl")}
+	err := Run(context.Background(), vprobe.ClusterSpec{Hosts: 1}, ex, io.Discard, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "overwrite") {
+		t.Fatalf("Run = %v, want the series clash refused", err)
+	}
 }
