@@ -80,8 +80,8 @@ func (c Cell) cost() float64 {
 		}
 		return float64(min(busy, top.NumCPUs())) * math.Min(longest, horizon)
 	case spec.ClusterV1:
-		n := s.Normalize()
-		return float64(n.Hosts*numa.Presets[n.Topology]().NumCPUs()) * n.Horizon.Sim().Seconds()
+		cfg := s.Config()
+		return float64(cfg.Hosts*cfg.Topology.Nodes*cfg.Topology.CPUsPerNode) * cfg.Horizon.Seconds()
 	}
 	return 0
 }
