@@ -4,17 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"flag"
-	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"vprobe"
+	"vprobe/internal/golden"
 	"vprobe/internal/spec"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 // clusterGoldenSpecs names every cluster spec whose public-path output is
 // pinned under testdata/cluster: one per placement policy, one per
@@ -131,7 +128,7 @@ func runClusterSpec(t *testing.T, s spec.ClusterV1) clusterArtifacts {
 }
 
 // checkClusterGolden runs s and compares its three artifacts with
-// testdata/cluster/<name>.*, rewriting them under -update.
+// testdata/cluster/<name>.*.
 func checkClusterGolden(t *testing.T, name string, s spec.ClusterV1) clusterArtifacts {
 	t.Helper()
 	got := runClusterSpec(t, s)
@@ -143,30 +140,13 @@ func checkClusterGolden(t *testing.T, name string, s spec.ClusterV1) clusterArti
 		{name + "_events.jsonl", got.events},
 		{name + "_spans.jsonl", got.spans},
 	} {
-		path := filepath.Join("testdata", "cluster", art.file)
-		if *update {
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, art.got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%v (run with -update to create)", err)
-		}
-		if !bytes.Equal(art.got, want) {
-			t.Errorf("%s: output diverges from the golden (%d vs %d bytes)", path, len(art.got), len(want))
-		}
+		golden.Check(t, filepath.Join("testdata", "cluster", art.file), art.got)
 	}
 	return got
 }
 
 // TestClusterSpecGolden pins the bytes of the public cluster path — report,
-// event stream and spans — for every spec in clusterGoldenSpecs. Re-bless
-// with -update only for an intended output change.
+// event stream and spans — for every spec in clusterGoldenSpecs.
 func TestClusterSpecGolden(t *testing.T) {
 	for name, s := range clusterGoldenSpecs() {
 		t.Run(name, func(t *testing.T) { checkClusterGolden(t, name, s) })

@@ -2,15 +2,13 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite golden files")
+	"vprobe/internal/golden"
+)
 
 // fast keeps each golden run well under a second.
 var fast = []string{"-sched", "credit,vprobe", "-seeds", "1", "-scale", "0.05", "-horizon", "30"}
@@ -34,19 +32,7 @@ func TestGoldenTables(t *testing.T) {
 			if err := run(append(append([]string(nil), fast...), tc.args...), &out); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", tc.golden)
-			if *update {
-				if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(out.Bytes(), want) {
-				t.Fatalf("table differs from %s (re-bless with -update):\n got:\n%s\nwant:\n%s", path, out.Bytes(), want)
-			}
+			golden.Check(t, filepath.Join("testdata", tc.golden), out.Bytes())
 		})
 	}
 }

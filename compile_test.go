@@ -9,13 +9,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"vprobe"
+	"vprobe/internal/golden"
 	"vprobe/internal/spec"
 )
 
@@ -52,10 +52,9 @@ func runScenarioSpec(t *testing.T, s spec.ScenarioV1) (string, []string) {
 // name: the digest of the case's report followed by its event lines.
 const roundTripGolden = "testdata/scenario/roundtrip.golden"
 
-// checkRoundTrip runs s through the wire path and compares the digest of
-// its report and event lines with the case's line in roundTripGolden,
-// rewriting that line under -update.
-func checkRoundTrip(t *testing.T, s spec.ScenarioV1) {
+// roundTripDigest runs s through the wire path and records the digest of
+// its report and event lines under the (sub)test's name.
+func roundTripDigest(t *testing.T, s spec.ScenarioV1, digests map[string]string) {
 	t.Helper()
 	report, events := runScenarioSpec(t, s)
 	h := sha256.New()
@@ -63,48 +62,48 @@ func checkRoundTrip(t *testing.T, s spec.ScenarioV1) {
 	for _, ev := range events {
 		io.WriteString(h, ev+"\n")
 	}
-	got := hex.EncodeToString(h.Sum(nil))
-	digests := map[string]string{}
-	data, err := os.ReadFile(roundTripGolden)
-	if err != nil && !(*update && errors.Is(err, os.ErrNotExist)) {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		if name, sum, ok := strings.Cut(line, " "); ok {
-			digests[name] = sum
-		}
-	}
-	if !*update {
-		if want := digests[t.Name()]; got != want {
-			t.Errorf("%s: digest %s, golden %q", roundTripGolden, got, want)
-		}
+	digests[t.Name()] = hex.EncodeToString(h.Sum(nil))
+}
+
+// checkRoundTrips checks roundTripGolden once, rebuilt from its committed
+// lines with the digests this run took in their place, so the cases of
+// TestScenarioRoundTripGrid and TestScenarioRoundTripWorkloads (run
+// separately, or filtered) share the file.
+func checkRoundTrips(t *testing.T, digests map[string]string) {
+	t.Helper()
+	if t.Failed() {
 		return
 	}
-	digests[t.Name()] = got
-	names := make([]string, 0, len(digests))
-	for name := range digests {
+	data, _ := os.ReadFile(roundTripGolden) // a missing file has no lines
+	all := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if name, sum, ok := strings.Cut(line, " "); ok {
+			all[name] = sum
+		}
+	}
+	for name, sum := range digests {
+		all[name] = sum
+	}
+	names := make([]string, 0, len(all))
+	for name := range all {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	var out strings.Builder
 	for _, name := range names {
-		fmt.Fprintf(&out, "%s %s\n", name, digests[name])
+		fmt.Fprintf(&out, "%s %s\n", name, all[name])
 	}
-	if err := os.MkdirAll(filepath.Dir(roundTripGolden), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(roundTripGolden, []byte(out.String()), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	golden.Check(t, roundTripGolden, []byte(out.String()))
 }
 
 // TestScenarioRoundTripGrid pins the output of every preset topology
 // crossed with every scheduler.
 func TestScenarioRoundTripGrid(t *testing.T) {
+	digests := map[string]string{}
 	for _, topo := range spec.Topologies() {
 		for _, sch := range spec.Schedulers() {
 			t.Run(topo+"/"+sch, func(t *testing.T) {
-				checkRoundTrip(t, spec.ScenarioV1{
+				roundTripDigest(t, spec.ScenarioV1{
 					Topology:  topo,
 					Scheduler: sch,
 					Seed:      11,
@@ -115,35 +114,38 @@ func TestScenarioRoundTripGrid(t *testing.T) {
 						{Name: "vm2", MemoryMB: 2048, VCPUs: 1, FillGuestIdle: true,
 							Apps: []spec.AppV1{{Name: "libquantum"}}},
 					},
-				})
+				}, digests)
 			})
 		}
 	}
+	checkRoundTrips(t, digests)
 }
 
 // TestScenarioRoundTripWorkloads covers every catalog workload plus both
 // typed server forms at a fixed topology and scheduler.
 func TestScenarioRoundTripWorkloads(t *testing.T) {
+	digests := map[string]string{}
 	for _, app := range spec.Apps() {
 		t.Run(app, func(t *testing.T) {
-			checkRoundTrip(t, spec.ScenarioV1{
+			roundTripDigest(t, spec.ScenarioV1{
 				Scheduler: "vprobe",
 				Seed:      5,
 				Horizon:   spec.Duration(300 * time.Millisecond),
 				VMs: []spec.VMV1{{Name: "vm", MemoryMB: 4096, VCPUs: 2,
 					Apps: []spec.AppV1{{Name: app}}}},
-			})
+			}, digests)
 		})
 	}
 	for _, srv := range []spec.AppV1{{Server: "memcached", Load: 64}, {Server: "redis", Load: 4000}} {
 		t.Run(srv.Server, func(t *testing.T) {
-			checkRoundTrip(t, spec.ScenarioV1{
+			roundTripDigest(t, spec.ScenarioV1{
 				Seed:    5,
 				Horizon: spec.Duration(300 * time.Millisecond),
 				VMs: []spec.VMV1{{Name: "srv", MemoryMB: 8192, VCPUs: 2,
-					FillGuestIdle: true, Apps: []spec.AppV1{srv}}}})
+					FillGuestIdle: true, Apps: []spec.AppV1{srv}}}}, digests)
 		})
 	}
+	checkRoundTrips(t, digests)
 }
 
 // TestClusterRoundTripPolicies runs each placement policy's spec through

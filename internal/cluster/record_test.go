@@ -1,17 +1,13 @@
 package cluster
 
 import (
-	"bytes"
-	"flag"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"vprobe/internal/golden"
 	"vprobe/internal/sim"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 // migrateCfg is the recorded-decision complement of controlPlaneCfg: a
 // low-load packed cluster whose rebalancer migrates and whose descheduler
@@ -48,8 +44,7 @@ func evictCfg() Config {
 
 // TestClusterRecordGolden pins the bytes of both recording sinks — the
 // event log (At Kind Host VM Detail per line) and the span JSONL — for
-// three runs that together record every cluster EventKind. Re-bless with
-// -update only for an intended output change.
+// three runs that together record every cluster EventKind.
 func TestClusterRecordGolden(t *testing.T) {
 	seen := map[EventKind]bool{}
 	for _, run := range []struct {
@@ -73,19 +68,7 @@ func TestClusterRecordGolden(t *testing.T) {
 			{run.name + "_events.log", []byte(log)},
 			{run.name + "_spans.jsonl", spans},
 		} {
-			path := filepath.Join("testdata", art.file)
-			if *update {
-				if err := os.WriteFile(path, art.got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(art.got, want) {
-				t.Errorf("%s run differs from %s (re-bless with -update)", run.name, path)
-			}
+			golden.Check(t, filepath.Join("testdata", art.file), art.got)
 		}
 	}
 	for _, kind := range []EventKind{

@@ -5,17 +5,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
+	"vprobe/internal/golden"
 	"vprobe/internal/sim"
 )
-
-var update = flag.Bool("update", false, "rewrite testdata/smoke_digests.json")
 
 // smokeDigestsPath pins the SHA-256 of every experiment's rendered output
 // at the smoke options, so a refactor of the experiment wiring is proved
@@ -56,25 +54,22 @@ func digestOf(res *Result) string {
 // small scale, asserting each produces populated tables and series, and
 // that its rendered output matches the pinned digest. This is the cheap
 // guarantee that `vprobe-sim` can always regenerate every paper artifact.
+// The digest file is rebuilt once, from the pinned digest of every
+// registered experiment with the digests this run took in their place.
 func TestAllExperimentsSmoke(t *testing.T) {
 	opts := smokeOpts()
-	want := map[string]string{}
-	if !*update {
-		want = pinnedSmokeDigests(t)
-	}
 	got := map[string]string{}
-	t.Cleanup(func() {
-		if !*update || t.Failed() {
-			return
-		}
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
+	pinned := map[string]string{}
+	if data, err := os.ReadFile(smokeDigestsPath); err == nil {
+		if err := json.Unmarshal(data, &pinned); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(smokeDigestsPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
+	}
+	for _, e := range All() {
+		if d, ok := pinned[e.ID]; ok {
+			got[e.ID] = d
 		}
-	})
+	}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -100,14 +95,7 @@ func TestAllExperimentsSmoke(t *testing.T) {
 			if !strings.Contains(out, e.ID) {
 				t.Fatal("String() missing experiment id")
 			}
-			digest := digestOf(res)
-			got[e.ID] = digest
-			// Float results are pinned on amd64 only: other architectures
-			// may fuse multiply-adds and legitimately differ in the last bit.
-			if !*update && runtime.GOARCH == "amd64" && want[e.ID] != digest {
-				t.Errorf("output digest %s, pinned %q (re-pin with -update only for an intended change):\n%s",
-					digest, want[e.ID], out)
-			}
+			got[e.ID] = digestOf(res)
 			// Exports must not fail on any experiment's data.
 			paths, err := res.Export(t.TempDir())
 			if err != nil {
@@ -118,4 +106,14 @@ func TestAllExperimentsSmoke(t *testing.T) {
 			}
 		})
 	}
+	// Float results are pinned on amd64 only: other architectures may
+	// fuse multiply-adds and legitimately differ in the last bit.
+	if t.Failed() || runtime.GOARCH != "amd64" {
+		return
+	}
+	data, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, smokeDigestsPath, append(data, '\n'))
 }

@@ -1,16 +1,13 @@
 package serve
 
 import (
-	"bytes"
-	"flag"
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
 	"testing"
-)
 
-var update = flag.Bool("update", false, "rewrite golden files")
+	"vprobe/internal/golden"
+)
 
 // servedScenarioJSON has the shape of the repo benchmark's serve-mix specs:
 // a 0.5 s two-VM scenario, one VM striped with guest-idle housekeeping.
@@ -29,7 +26,7 @@ const servedScenarioJSON = `{
 
 // TestServedScenarioGolden pins the bytes a served run publishes: its
 // JSONL event stream, its telemetry time series and its Prometheus
-// exposition. Re-bless with -update only for an intended output change.
+// exposition.
 func TestServedScenarioGolden(t *testing.T) {
 	_, ts := testServer(t, Options{})
 	status, body := postJSON(t, ts.URL+"/v1/simulations", servedScenarioJSON)
@@ -46,18 +43,6 @@ func TestServedScenarioGolden(t *testing.T) {
 		if st != http.StatusOK {
 			t.Fatalf("GET %s = %d", art.path, st)
 		}
-		path := filepath.Join("testdata", art.file)
-		if *update {
-			if err := os.WriteFile(path, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("/%s differs from %s (re-bless with -update)", art.path, path)
-		}
+		golden.Check(t, filepath.Join("testdata", art.file), got)
 	}
 }
