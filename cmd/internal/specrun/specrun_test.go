@@ -60,13 +60,47 @@ func typeName(v any) string {
 	return "?"
 }
 
-// TestRunRejectsSeriesClash: -metrics x.prom writes its series to
-// x.jsonl, so -spans x.jsonl alongside it is refused before the run.
-func TestRunRejectsSeriesClash(t *testing.T) {
-	dir := t.TempDir()
-	ex := Exports{Metrics: filepath.Join(dir, "x.prom"), Spans: filepath.Join(dir, "x.jsonl")}
-	err := Run(context.Background(), vprobe.ClusterSpec{Hosts: 1}, ex, io.Discard, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "overwrite") {
-		t.Fatalf("Run = %v, want the series clash refused", err)
+// TestRunRejectsExportClash: no two exports may name one file, the
+// derived -metrics series file included. A clash is refused before the
+// run, so no export file is created.
+func TestRunRejectsExportClash(t *testing.T) {
+	cases := []struct {
+		name string
+		ex   func(dir string) Exports
+		want string
+	}{
+		{"series and spans", func(d string) Exports {
+			return Exports{Metrics: filepath.Join(d, "x.prom"), Spans: filepath.Join(d, "x.jsonl")}
+		}, "-spans and the -metrics time series"},
+		{"series and events", func(d string) Exports {
+			return Exports{Metrics: filepath.Join(d, "x.prom"), Events: filepath.Join(d, "x.jsonl")}
+		}, "-events and the -metrics time series"},
+		{"spans and chrome", func(d string) Exports {
+			return Exports{Spans: filepath.Join(d, "same.out"), Chrome: d + "/./same.out"}
+		}, "-spans and -chrome"},
+		{"metrics and arrivals", func(d string) Exports {
+			return Exports{Metrics: filepath.Join(d, "m"), Arrivals: filepath.Join(d, "m")}
+		}, "-metrics and -arrivals-out"},
+		{"arrivals and events", func(d string) Exports {
+			return Exports{Arrivals: filepath.Join(d, "a"), Events: filepath.Join(d, "a")}
+		}, "-arrivals-out and -events"},
+		{"chrome and cpuprofile", func(d string) Exports {
+			return Exports{Chrome: filepath.Join(d, "c"), CPUProfile: filepath.Join(d, "c")}
+		}, "-chrome and -cpuprofile"},
+		{"cpuprofile and memprofile", func(d string) Exports {
+			return Exports{CPUProfile: filepath.Join(d, "p"), MemProfile: filepath.Join(d, "p")}
+		}, "-cpuprofile and -memprofile"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			err := Run(context.Background(), vprobe.ClusterSpec{Hosts: 1}, tc.ex(dir), io.Discard, io.Discard)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run = %v, want %q refused", err, tc.want)
+			}
+			if ents, _ := os.ReadDir(dir); len(ents) > 0 {
+				t.Errorf("a refused run created %s", ents[0].Name())
+			}
+		})
 	}
 }

@@ -32,13 +32,13 @@ type wireEvent struct {
 
 // FuzzEventJSON compares Event.AppendJSON with encoding/json over
 // arbitrary field values, and an EventLog's rendering with both. The
-// corpus is seeded from the vprobe-trace event golden plus strings that
-// exercise every escape: HTML-sensitive bytes, quotes, control bytes,
-// invalid UTF-8, U+2028/U+2029 and µs; and with fields that overflow the
-// log's compact record (a node beyond int8, a VCPU beyond int32, a CPU
-// beyond int16, an Arg beside a text Detail).
+// corpus is seeded from vprobe-sim's traced soplex event golden plus
+// strings that exercise every escape: HTML-sensitive bytes, quotes,
+// control bytes, invalid UTF-8, U+2028/U+2029 and µs; and with fields
+// that overflow the log's compact record (a node beyond int8, a VCPU
+// beyond int32, a CPU beyond int16, an Arg beside a text Detail).
 func FuzzEventJSON(f *testing.F) {
-	file, err := os.Open("cmd/vprobe-trace/testdata/soplex_events.jsonl")
+	file, err := os.Open("cmd/vprobe-sim/testdata/soplex_events.jsonl")
 	if err != nil {
 		f.Fatal(err)
 	}
