@@ -2,9 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"vprobe"
 	"vprobe/internal/sim"
 	"vprobe/internal/telemetry"
 )
@@ -105,5 +112,85 @@ func TestQueryEmptyStream(t *testing.T) {
 func TestQueryBadStream(t *testing.T) {
 	if _, err := query(strings.NewReader("not json\n"), []string{"summary"}); err == nil {
 		t.Fatal("query accepted a malformed span stream")
+	}
+}
+
+// writeExports runs a small cluster of the given size and writes its
+// metrics (Prometheus text and JSONL series) and Chrome trace into dir.
+func writeExports(t *testing.T, dir string, hosts int) (prom, series, chrome string) {
+	t.Helper()
+	tele := vprobe.NewTelemetry(vprobe.TelemetryOptions{Every: time.Second})
+	tracing := vprobe.NewTracing(vprobe.TracingOptions{})
+	if _, err := vprobe.RunCluster(context.Background(), vprobe.ClusterSpec{
+		Hosts: hosts, Seed: 1, Horizon: vprobe.SpecDuration(20 * time.Second),
+	}, vprobe.CompileOptions{Telemetry: tele, Spans: tracing}); err != nil {
+		t.Fatal(err)
+	}
+	name := filepath.Join(dir, fmt.Sprintf("hosts%d", hosts))
+	prom, series, chrome = name+".prom", name+".jsonl", name+".json"
+	for path, export := range map[string]func(io.Writer) error{
+		prom: tele.WritePrometheus, series: tele.WriteJSONL, chrome: tracing.WriteChromeTrace,
+	} {
+		var buf bytes.Buffer
+		if err := export(&buf); err != nil {
+			t.Fatal(err)
+		}
+		writeFile(t, path, buf.String())
+	}
+	return prom, series, chrome
+}
+
+func writeFile(t *testing.T, path, data string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckAndDiff drives check and diff through the CLI: each kind of
+// export validates, a malformed file of each kind and an unknown suffix
+// fail, and diff compares two runs whose series sets differ.
+func TestCheckAndDiff(t *testing.T) {
+	dir := t.TempDir()
+	prom, seriesA, chrome := writeExports(t, dir, 2)
+	_, seriesB, _ := writeExports(t, dir, 3)
+	badProm, badChrome, other, empty := filepath.Join(dir, "bad.prom"), filepath.Join(dir, "bad.json"),
+		filepath.Join(dir, "x.txt"), filepath.Join(dir, "empty.jsonl")
+	writeFile(t, badProm, "vprobe_metric{ 1\n")
+	writeFile(t, badChrome, `{"traceEvents":[{"ph":"X"}]`)
+	writeFile(t, other, "ok: 1 series\n")
+	writeFile(t, empty, "")
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+		want []string // on stdout for exit 0, on stderr otherwise
+	}{
+		{"prom", []string{"check", prom}, 0, []string{"ok: ", " series, "}},
+		{"chrome", []string{"check", chrome}, 0, []string{"valid Chrome trace: "}},
+		{"bad prom", []string{"check", badProm}, 1, []string{"bad.prom"}},
+		{"bad chrome", []string{"check", badChrome}, 1, []string{"bad.json"}},
+		{"unknown suffix", []string{"check", other}, 1, []string{"want a .prom exposition or a .json Chrome trace"}},
+		{"diff", []string{"diff", seriesA, seriesB}, 0, []string{
+			"hosts2.jsonl (20 samples)", "mean delta", "only in b", "0 series only in a, "}},
+		{"diff empty", []string{"diff", seriesA, empty}, 1, []string{"empty.jsonl: no samples"}},
+		{"check arity", []string{"check"}, 2, []string{"usage:"}},
+		{"no arguments", nil, 2, []string{"usage:"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(tc.args, &stdout, &stderr); code != tc.code {
+				t.Fatalf("exit %d, want %d\nstdout: %s\nstderr: %s", code, tc.code, stdout.String(), stderr.String())
+			}
+			out := stdout.String()
+			if tc.code != 0 {
+				out = stderr.String()
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(out, want) {
+					t.Errorf("output does not mention %q:\n%s", want, out)
+				}
+			}
+		})
 	}
 }
