@@ -27,7 +27,6 @@ package controlplane
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Priority is a VM's admission priority class. Higher values outrank
@@ -73,21 +72,6 @@ func (p Priority) Weight() float64 {
 
 // Priorities returns the classes lowest-first.
 func Priorities() []Priority { return []Priority{BestEffort, Standard, Critical} }
-
-// ParsePriority maps a class name to its Priority.
-func ParsePriority(s string) (Priority, error) {
-	for _, p := range Priorities() {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	names := make([]string, 0, 3)
-	for _, p := range Priorities() {
-		names = append(names, p.String())
-	}
-	return 0, fmt.Errorf("controlplane: unknown priority %q (have %s)",
-		s, strings.Join(names, ", "))
-}
 
 // Request is a pending placement as the control plane sees it: the
 // resource ask and the class, stripped of workload detail.

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"strings"
 	"testing"
 
 	"vprobe/internal/sim"
@@ -12,15 +13,15 @@ func capFits(req Request, h *HostCap) bool {
 	return req.MemoryMB <= h.FreeMB() && h.GuestVCPUs+req.VCPUs <= h.VCPUCap
 }
 
+// TestPriorityRoundTrip: an arrival trace's integer priority names the
+// class at that index of Priorities, and each class has its own name.
 func TestPriorityRoundTrip(t *testing.T) {
-	for _, p := range Priorities() {
-		got, err := ParsePriority(p.String())
-		if err != nil || got != p {
-			t.Fatalf("ParsePriority(%q) = %v, %v", p.String(), got, err)
+	names := map[string]bool{}
+	for i, p := range Priorities() {
+		if Priority(i) != p || names[p.String()] || strings.HasPrefix(p.String(), "Priority(") {
+			t.Fatalf("class %d is %v", i, p)
 		}
-	}
-	if _, err := ParsePriority("urgent"); err == nil {
-		t.Fatal("unknown priority accepted")
+		names[p.String()] = true
 	}
 	if !(BestEffort < Standard && Standard < Critical) {
 		t.Fatal("priority order broken")

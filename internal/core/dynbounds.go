@@ -83,6 +83,3 @@ func (d *DynamicBounds) Observe(pressures []float64) {
 
 // Current returns the bounds in effect.
 func (d *DynamicBounds) Current() Bounds { return d.bounds }
-
-// SampleCount returns how many samples are buffered (for tests).
-func (d *DynamicBounds) SampleCount() int { return len(d.samples) }

@@ -51,16 +51,16 @@ func TestDynamicBoundsWindowSlides(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		d.Observe([]float64{5, 10, 15, 20})
 	}
-	if d.SampleCount() > 16 {
-		t.Fatalf("window not trimmed: %d samples", d.SampleCount())
+	if len(d.samples) > 16 {
+		t.Fatalf("window not trimmed: %d samples", len(d.samples))
 	}
 }
 
 func TestDynamicBoundsIgnoresIdle(t *testing.T) {
 	d := NewDynamicBounds()
 	d.Observe([]float64{0, 0, 0, -1})
-	if d.SampleCount() != 0 {
-		t.Fatalf("idle pressures buffered: %d", d.SampleCount())
+	if len(d.samples) != 0 {
+		t.Fatalf("idle pressures buffered: %d", len(d.samples))
 	}
 }
 

@@ -256,11 +256,6 @@ func (t *Topology) LLCHitLatencyCycles() float64 {
 	return t.llcHitLatencyNS * t.clockGHz
 }
 
-// RemotePenaltyCycles is the extra cycles a remote access costs over local.
-func (t *Topology) RemotePenaltyCycles() float64 {
-	return (t.remoteMemLatencyNS - t.localMemLatencyNS) * t.clockGHz
-}
-
 // TotalMemoryMB returns machine-wide DRAM capacity.
 func (t *Topology) TotalMemoryMB() int64 {
 	var total int64

@@ -72,9 +72,6 @@ func TestLatencyModel(t *testing.T) {
 	if got := top.MemLatencyCycles(0, 0); got != 65*2.40 {
 		t.Fatalf("local cycles = %v", got)
 	}
-	if got := top.RemotePenaltyCycles(); got != 73*2.40 {
-		t.Fatalf("remote penalty cycles = %v", got)
-	}
 	if top.LLCHitLatencyCycles() != 15*2.40 {
 		t.Fatalf("llc hit cycles = %v", top.LLCHitLatencyCycles())
 	}
@@ -133,8 +130,8 @@ func TestSingleNodeRemoteEqualsLocal(t *testing.T) {
 	if top.NumNodes() != 1 {
 		t.Fatalf("nodes = %d", top.NumNodes())
 	}
-	if top.RemotePenaltyCycles() != 0 {
-		t.Fatalf("UMA remote penalty = %v, want 0", top.RemotePenaltyCycles())
+	if top.remoteMemLatencyNS != top.localMemLatencyNS {
+		t.Fatalf("UMA remote latency %v, local %v", top.remoteMemLatencyNS, top.localMemLatencyNS)
 	}
 }
 

@@ -170,17 +170,6 @@ func (s *System) Params() Params { return s.params }
 // Topology returns the machine model.
 func (s *System) Topology() *numa.Topology { return s.top }
 
-// IMCMultiplier returns the current latency multiplier for node id.
-func (s *System) IMCMultiplier(id numa.NodeID) float64 { return s.imcMult[id] }
-
-// LinkMultiplier returns the current latency multiplier between two nodes.
-func (s *System) LinkMultiplier(a, b numa.NodeID) float64 {
-	if a == b {
-		return 1
-	}
-	return s.linkMult[a][b]
-}
-
 // ColdLinesFor returns the refill debt to charge when a VCPU running the
 // given phase migrates across sockets.
 func (s *System) ColdLinesFor(ph *workload.Phase) float64 {

@@ -86,19 +86,6 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*z
 }
 
-// Jitter returns v multiplied by a uniform factor in [1-f, 1+f]. f is
-// clamped to [0, 1]. Used to add bounded noise to model parameters without
-// risking negative values for f <= 1.
-func (r *RNG) Jitter(v, f float64) float64 {
-	if f < 0 {
-		f = 0
-	}
-	if f > 1 {
-		f = 1
-	}
-	return v * (1 + f*(2*r.Float64()-1))
-}
-
 // Pick returns a uniformly chosen index weighted by w; the weights must be
 // non-negative and not all zero, otherwise Pick returns len(w)-1.
 func (r *RNG) Pick(w []float64) int {

@@ -168,24 +168,6 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
-func TestJitterBounds(t *testing.T) {
-	check := func(seed uint64) bool {
-		r := NewRNG(seed)
-		v := r.Jitter(100, 0.2)
-		return v >= 80 && v <= 120
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-	// f out of range is clamped, result stays non-negative for f>1.
-	r := NewRNG(1)
-	for i := 0; i < 1000; i++ {
-		if v := r.Jitter(50, 5); v < 0 || v > 100 {
-			t.Fatalf("Jitter with clamped f out of bounds: %v", v)
-		}
-	}
-}
-
 func TestPickWeighted(t *testing.T) {
 	r := NewRNG(11)
 	w := []float64{0, 1, 3}

@@ -76,46 +76,12 @@ func TestSummaryMatchesDirectComputation(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {0.75, 4},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); got != c.want {
-			t.Fatalf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	// Interpolation between samples.
-	if got := Quantile([]float64{0, 10}, 0.3); math.Abs(got-3) > 1e-12 {
-		t.Fatalf("interpolated quantile = %v, want 3", got)
-	}
-	// Input must not be mutated.
-	orig := []float64{5, 1, 3}
-	Quantile(orig, 0.5)
-	if orig[0] != 5 || orig[1] != 1 || orig[2] != 3 {
-		t.Fatal("Quantile mutated its input")
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Fatal("empty quantile should be 0")
-	}
-}
-
-func TestMeanGeoMean(t *testing.T) {
+func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("Mean(nil) != 0")
 	}
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("Mean wrong")
-	}
-	if g := GeoMean([]float64{1, 100}); math.Abs(g-10) > 1e-9 {
-		t.Fatalf("GeoMean = %v, want 10", g)
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Fatal("GeoMean with zero should be 0")
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("GeoMean(nil) != 0")
 	}
 }
 

@@ -313,13 +313,3 @@ func ByName(name string) (*Profile, error) {
 func Fig3Apps() []*Profile {
 	return []*Profile{Povray(), EP(), LU(), MG(), Milc(), Libquantum()}
 }
-
-// SPECApps returns the four memory-intensive SPEC applications of Fig. 4.
-func SPECApps() []*Profile {
-	return []*Profile{Soplex(), Libquantum(), MCF(), Milc()}
-}
-
-// NPBApps returns the five memory-intensive NPB applications of Fig. 5.
-func NPBApps() []*Profile {
-	return []*Profile{BT(), CG(), LU(), MG(), SP()}
-}

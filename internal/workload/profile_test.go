@@ -213,12 +213,6 @@ func TestSuiteSelections(t *testing.T) {
 	if got := len(Fig3Apps()); got != 6 {
 		t.Fatalf("Fig3Apps = %d, want 6", got)
 	}
-	if got := len(SPECApps()); got != 4 {
-		t.Fatalf("SPECApps = %d, want 4", got)
-	}
-	if got := len(NPBApps()); got != 5 {
-		t.Fatalf("NPBApps = %d, want 5", got)
-	}
 }
 
 func TestValidateCatchesBadProfiles(t *testing.T) {

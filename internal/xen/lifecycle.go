@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vprobe/internal/numa"
-	"vprobe/internal/sim"
 )
 
 // PauseDomain stops all of a domain's VCPUs: running ones are preempted
@@ -98,11 +97,4 @@ func (h *Hypervisor) leastLoadedAnywhere() *PCPU {
 		}
 	}
 	return best
-}
-
-// ScheduleDomainEvent runs fn at a virtual-time offset — a convenience for
-// scripting lifecycle events (failure injection, staged arrivals) before
-// Run.
-func (h *Hypervisor) ScheduleDomainEvent(after sim.Duration, label string, fn func()) {
-	h.Engine.Schedule(after, label, func(*sim.Engine) { fn() })
 }

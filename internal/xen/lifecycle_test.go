@@ -36,7 +36,7 @@ func lifecycleHV(t *testing.T) (*xen.Hypervisor, *xen.Domain, *xen.Domain) {
 
 func TestPauseStopsExecution(t *testing.T) {
 	h, victim, _ := lifecycleHV(t)
-	h.ScheduleDomainEvent(sim.Second, "pause", func() {
+	h.Engine.Schedule(sim.Second, "pause", func(*sim.Engine) {
 		if err := h.PauseDomain(victim); err != nil {
 			t.Error(err)
 		}
@@ -60,8 +60,8 @@ func TestPauseStopsExecution(t *testing.T) {
 
 func TestPauseResumeCompletes(t *testing.T) {
 	h, victim, _ := lifecycleHV(t)
-	h.ScheduleDomainEvent(sim.Second, "pause", func() { h.PauseDomain(victim) })
-	h.ScheduleDomainEvent(3*sim.Second, "resume", func() { h.ResumeDomain(victim) })
+	h.Engine.Schedule(sim.Second, "pause", func(*sim.Engine) { h.PauseDomain(victim) })
+	h.Engine.Schedule(3*sim.Second, "resume", func(*sim.Engine) { h.ResumeDomain(victim) })
 	h.WatchDomains(victim)
 	h.Run(120 * sim.Second)
 	if !victim.AllDone() {
@@ -96,7 +96,7 @@ func TestPauseDoubleFails(t *testing.T) {
 func TestDestroyReleasesMemoryAndWatch(t *testing.T) {
 	h, victim, other := lifecycleHV(t)
 	free := h.Alloc.TotalFreeMB()
-	h.ScheduleDomainEvent(sim.Second, "destroy", func() {
+	h.Engine.Schedule(sim.Second, "destroy", func(*sim.Engine) {
 		if err := h.DestroyDomain(victim); err != nil {
 			t.Error(err)
 		}
@@ -124,7 +124,7 @@ func TestDestroyDuringSamplingPeriodSafe(t *testing.T) {
 	// Killing a domain right before the analyzer's period boundary must
 	// not break partitioning for the survivors.
 	h, victim, other := lifecycleHV(t)
-	h.ScheduleDomainEvent(990*sim.Millisecond, "destroy", func() { h.DestroyDomain(victim) })
+	h.Engine.Schedule(990*sim.Millisecond, "destroy", func(*sim.Engine) { h.DestroyDomain(victim) })
 	h.Run(5 * sim.Second)
 	for _, v := range other.VCPUs {
 		if v.App != nil && v.RunTime == 0 {
@@ -161,7 +161,7 @@ func TestWorkConservationAcrossPause(t *testing.T) {
 	// While the victim is paused, the four burners each get a whole
 	// PCPU: their run time jumps from a shared slice to ~full speed.
 	h, victim, other := lifecycleHV(t)
-	h.ScheduleDomainEvent(sim.Second, "pause", func() { h.PauseDomain(victim) })
+	h.Engine.Schedule(sim.Second, "pause", func(*sim.Engine) { h.PauseDomain(victim) })
 	h.Run(4 * sim.Second)
 	for _, v := range other.VCPUs {
 		if v.App == nil {

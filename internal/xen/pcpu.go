@@ -122,6 +122,3 @@ func (p *PCPU) Stealable() []*VCPU {
 // CanSteal reports whether another PCPU may take this queued VCPU
 // (i.e. it is not hard-pinned).
 func (v *VCPU) CanSteal() bool { return v.PinnedPCPU < 0 }
-
-// Idle reports whether nothing is running here.
-func (p *PCPU) Idle() bool { return p.Current == nil }
