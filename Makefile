@@ -39,15 +39,15 @@ race:
 	$(GO) test -race ./...
 
 # smoke mirrors CI: a short cluster run, then telemetry exports from both
-# entry points validated by vprobe-metrics check. The single-host export
+# entry points validated by vprobe-explain check. The single-host export
 # runs a paper cell (fig5's lu under LB) and summarizes its spans.
 smoke:
 	$(GO) run ./cmd/vprobe-cluster -hosts 2 -horizon 30s -seed 1
 	$(GO) run ./cmd/vprobe-sim -spec fig5/lu/lb/seed0 -metrics /tmp/vprobe-sim.prom -spans /tmp/vprobe-sim-spans.jsonl
-	$(GO) run ./cmd/vprobe-metrics check /tmp/vprobe-sim.prom
+	$(GO) run ./cmd/vprobe-explain check /tmp/vprobe-sim.prom
 	$(GO) run ./cmd/vprobe-explain -spans /tmp/vprobe-sim-spans.jsonl summary
 	$(GO) run ./cmd/vprobe-cluster -hosts 2 -horizon 30s -seed 1 -metrics /tmp/vprobe-cluster.prom
-	$(GO) run ./cmd/vprobe-metrics check /tmp/vprobe-cluster.prom
+	$(GO) run ./cmd/vprobe-explain check /tmp/vprobe-cluster.prom
 
 # smoke-serve boots the vprobe-serve daemon and checks its contracts from
 # the outside: a re-POSTed spec answers from the cache byte-identically,

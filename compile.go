@@ -18,7 +18,7 @@ import (
 //
 // CompileScenario is the only way to build a Simulator and RunCluster the
 // only public way to run a cluster: vprobe-serve, vprobe-sim -spec,
-// vprobe-cluster, vprobe-trace, the examples and programmatic callers all
+// vprobe-cluster, the examples and programmatic callers all
 // describe their run as a spec, and internal/experiments lowers its paper
 // cells with the same two spec methods. The compile tests pin scenario
 // lowering against per-case digests under testdata/scenario and cluster

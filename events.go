@@ -96,10 +96,11 @@ type Event struct {
 func (ev Event) String() string { return ev.Detail }
 
 // AppendJSON appends the event's JSON Lines record, without the newline,
-// to b and returns the extended slice. The record is the one vprobe-trace
-// -json and vprobe-serve's event stream emit: virtual time in seconds as
-// "t", then "kind", "vcpu", "node", whichever of "app", "host" and "vm"
-// are non-empty, and "detail". The bytes equal what encoding/json would
+// to b and returns the extended slice. The record is the one every event
+// export writes (the -events file of vprobe-sim -spec and vprobe-cluster,
+// vprobe-serve's event stream): virtual time in seconds as "t", then
+// "kind", "vcpu", "node", whichever of "app", "host" and "vm" are
+// non-empty, and "detail". The bytes equal what encoding/json would
 // marshal for those fields, HTML escaping and number format included.
 func (ev Event) AppendJSON(b []byte) []byte {
 	return appendEventJSON(b, ev.At, string(ev.Kind), ev.VCPU, ev.Node, ev.App, ev.Host, ev.VM, ev.Detail)

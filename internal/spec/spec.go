@@ -6,8 +6,8 @@
 // ScenarioV1.Hypervisor builds the unstarted hypervisor, and
 // ClusterV1.Config is the one copy of spec fields into cluster.Config.
 // Two callers lower them: the root package's CompileScenario and
-// RunCluster (behind vprobe-serve, vprobe-sim -spec, vprobe-cluster,
-// vprobe-trace, the examples and the public API), which add the live
+// RunCluster (behind vprobe-serve, vprobe-sim -spec, vprobe-cluster, the
+// examples and the public API), which add the live
 // hooks (Events, Telemetry, Spans, Arrivals) a spec cannot carry, and
 // internal/experiments, whose every paper cell is one of these specs.
 // Every single-host run is a ScenarioV1, and outside the benchmark module

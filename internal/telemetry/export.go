@@ -73,7 +73,7 @@ func formatFloat(v float64) string {
 }
 
 // ValidateExposition is a trivial Prometheus text-format checker (the CI
-// lint gate behind `vprobe-metrics check`): every line must be blank, a
+// lint gate behind `vprobe-explain check`): every line must be blank, a
 // `# HELP`/`# TYPE` comment, or a `series value` sample whose name obeys
 // the metric grammar, whose labels parse, and whose family has a TYPE
 // declared earlier in the stream. It returns the distinct series and

@@ -5,9 +5,11 @@
 #   1. the first POST completes with state "done";
 #   2. the re-POST is answered from the determinism-keyed cache, and the
 #      full response — report included — is byte-identical;
-#   3. the run's event stream and telemetry re-download byte-identically;
+#   3. the run's event stream and telemetry re-download byte-identically,
+#      and the event stream is byte-identical to the -events export of
+#      vprobe-sim -spec on the same document;
 #   4. the run's /metrics and the server's own /metrics parse as
-#      Prometheus text exposition (via vprobe-metrics check);
+#      Prometheus text exposition (via vprobe-explain check);
 #   5. the cluster front doors agree: a traced cluster spec file POSTed to
 #      /v1/clusters reports and records spans byte-identically to the same
 #      file run by vprobe-sim -spec and to vprobe-cluster with the same
@@ -61,12 +63,18 @@ diff "$TMP/events1.jsonl" "$TMP/events2.jsonl" >/dev/null || {
 diff "$TMP/telemetry1.jsonl" "$TMP/telemetry2.jsonl" >/dev/null || {
     echo "serve-smoke: telemetry not byte-identical" >&2; exit 1; }
 
-go run ./cmd/vprobe-metrics check "$TMP/run.prom"
+go build -o "$TMP/vprobe-sim" ./cmd/vprobe-sim
+echo "$SPEC" >"$TMP/spec.json"
+"$TMP/vprobe-sim" -spec "$TMP/spec.json" -events "$TMP/cli-events.jsonl" >/dev/null 2>&1
+cmp "$TMP/cli-events.jsonl" "$TMP/events1.jsonl" || {
+    echo "serve-smoke: served events differ from vprobe-sim -spec -events" >&2; exit 1; }
+
+go build -o "$TMP/vprobe-explain" ./cmd/vprobe-explain
+"$TMP/vprobe-explain" check "$TMP/run.prom"
 curl -sf "http://$ADDR/metrics" >"$TMP/serve.prom"
-go run ./cmd/vprobe-metrics check "$TMP/serve.prom"
+"$TMP/vprobe-explain" check "$TMP/serve.prom"
 
 go build -o "$TMP/vprobe-cluster" ./cmd/vprobe-cluster
-go build -o "$TMP/vprobe-sim" ./cmd/vprobe-sim
 "$TMP/vprobe-cluster" -hosts 2 -horizon 30s -seed 1 -spans "$TMP/cli-spans.jsonl" \
     >"$TMP/cli-report.txt" 2>/dev/null
 echo '{"hosts":2,"horizon":"30s","trace":true}' >"$TMP/cluster-spec.json"
@@ -100,4 +108,4 @@ curl -sf "http://$ADDR/v1/runs/$CELL/spans" >"$TMP/served-cell-spans.jsonl"
 cmp "$TMP/cell-spans.jsonl" "$TMP/served-cell-spans.jsonl" || {
     echo "serve-smoke: served $CELL_PATH spans differ from vprobe-sim -spans" >&2; exit 1; }
 
-echo "serve-smoke: OK (run $ID cached and byte-identical; cluster $CID matches vprobe-cluster and vprobe-sim -spec; cell $CELL_PATH matches vprobe-sim)"
+echo "serve-smoke: OK (run $ID cached, byte-identical and matching vprobe-sim -spec -events; cluster $CID matches vprobe-cluster and vprobe-sim -spec; cell $CELL_PATH matches vprobe-sim)"
