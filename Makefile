@@ -65,7 +65,7 @@ smoke-serve:
 # the run gets.
 LABEL ?= local
 bench:
-	$(GO) test -run '^$$' -bench 'QuantumHotPath|SimulationSecond|EngineChurn|PerfExecute|PickSteal|^BenchmarkPartition$$|SpecCompile|ServedScenario|ServedEventsRead|ClusterArrival|GangArrival|SuiteParallel' -benchtime 2s -count 3 . ./internal/sim ./internal/cluster \
+	$(GO) test -run '^$$' -bench 'QuantumHotPath|SimulationSecond|EngineChurn|PerfExecute|PickSteal|^BenchmarkPartition$$|SpecCompile|ServedScenario|ServedEventsRead|ServedTelemetryRead|ClusterArrival|GangArrival|SuiteParallel' -benchtime 2s -count 3 . ./internal/sim ./internal/cluster \
 		| $(GO) run ./cmd/vprobe-bench -label '$(LABEL)'
 
 # bench-check runs the same benchmark set briefly and compares it against
@@ -78,5 +78,5 @@ bench:
 # gating the deliberately-slow path would only add noise-driven failures.
 # A baseline measured on another CPU model gates allocs/op only.
 bench-check:
-	$(GO) test -run '^$$' -bench 'QuantumHotPath|SimulationSecond|EngineChurn|PerfExecute|PickSteal|^BenchmarkPartition$$|SpecCompile|ServedScenario|ClusterArrival$$|GangArrival' -benchtime 1s -count 3 . ./internal/sim ./internal/cluster \
+	$(GO) test -run '^$$' -bench 'QuantumHotPath|SimulationSecond|EngineChurn|PerfExecute|PickSteal|^BenchmarkPartition$$|SpecCompile|ServedScenario|ServedTelemetryRead|ClusterArrival$$|GangArrival' -benchtime 1s -count 3 . ./internal/sim ./internal/cluster \
 		| $(GO) run ./cmd/vprobe-bench -check

@@ -11,9 +11,9 @@
 package vprobe_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"testing"
 	"time"
 
@@ -371,9 +371,10 @@ const servedScenarioSpec = `{
 
 // runServedScenario does what a vprobe-serve cache miss does past the
 // HTTP layer: compile with an event log and telemetry attached, run, and
-// render the report, telemetry and Prometheus bytes the server stores.
-// The events stay in the log, as a served run keeps them.
-func runServedScenario(b *testing.B, sp spec.ScenarioV1) *vprobe.EventLog {
+// render the report the server stores. The run seals both collectors:
+// the events stay in the log and the numbers in the telemetry until they
+// are read, as a served run keeps them.
+func runServedScenario(b *testing.B, sp spec.ScenarioV1) (*vprobe.EventLog, *vprobe.Telemetry) {
 	log := new(vprobe.EventLog)
 	tele := vprobe.NewTelemetry(vprobe.TelemetryOptions{Every: 100 * time.Millisecond})
 	sim, horizon, err := vprobe.CompileScenario(sp, vprobe.CompileOptions{
@@ -388,13 +389,7 @@ func runServedScenario(b *testing.B, sp spec.ScenarioV1) *vprobe.EventLog {
 		b.Fatal(err)
 	}
 	servedBytes = len(rep.String())
-	if err := tele.WriteJSONL(io.Discard); err != nil {
-		b.Fatal(err)
-	}
-	if err := tele.WritePrometheus(io.Discard); err != nil {
-		b.Fatal(err)
-	}
-	return log
+	return log, tele
 }
 
 // BenchmarkServedScenario measures a vprobe-serve cache miss past the
@@ -410,6 +405,30 @@ func BenchmarkServedScenario(b *testing.B) {
 	}
 }
 
+// BenchmarkServedTelemetryRead measures GET /v1/runs/{id}/telemetry and
+// /metrics on a done run past the HTTP layer: rendering a stored
+// serve-mix run's sealed telemetry as JSONL and as Prometheus text.
+func BenchmarkServedTelemetryRead(b *testing.B) {
+	var sp spec.ScenarioV1
+	if err := json.Unmarshal([]byte(servedScenarioSpec), &sp); err != nil {
+		b.Fatal(err)
+	}
+	_, tele := runServedScenario(b, sp)
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := tele.WriteJSONL(&buf); err != nil {
+			b.Fatal(err)
+		}
+		if err := tele.WritePrometheus(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	servedBytes = buf.Len()
+}
+
 // BenchmarkServedEventsRead measures GET /v1/runs/{id}/events on a done
 // run past the HTTP layer: rendering a stored serve-mix run's whole event
 // log as JSONL.
@@ -418,7 +437,7 @@ func BenchmarkServedEventsRead(b *testing.B) {
 	if err := json.Unmarshal([]byte(servedScenarioSpec), &sp); err != nil {
 		b.Fatal(err)
 	}
-	log := runServedScenario(b, sp)
+	log, _ := runServedScenario(b, sp)
 	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -428,5 +447,5 @@ func BenchmarkServedEventsRead(b *testing.B) {
 	servedBytes = len(buf)
 }
 
-// servedBytes keeps BenchmarkServedScenario's rendering live.
+// servedBytes keeps the served benchmarks' renderings live.
 var servedBytes int

@@ -116,6 +116,7 @@ func RunCluster(ctx context.Context, s ClusterSpec, opts CompileOptions) (*Clust
 		if err := opts.Telemetry.attach(); err != nil {
 			return nil, err
 		}
+		defer opts.Telemetry.seal()
 		cfg.Telemetry = opts.Telemetry.sampler
 	}
 	spans := compileSpans(opts, s.Trace, s.TraceLimit)

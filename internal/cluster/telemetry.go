@@ -95,6 +95,10 @@ func (c *Cluster) attachTelemetry(s *telemetry.Sampler) {
 	}
 	c.tel = t
 	s.OnSample(t.sample)
+	n := len(c.hosts)
+	t.hostVMs, t.hostVCPUs = make([]*telemetry.Gauge, 0, n), make([]*telemetry.Gauge, 0, n)
+	t.hostPressure, t.hostRemote = make([]*telemetry.Gauge, 0, n), make([]*telemetry.Gauge, 0, n)
+	t.hostFreeMB = make([]*telemetry.Gauge, 0, n)
 	for _, ho := range c.hosts {
 		label := telemetry.Label{Key: "host", Value: ho.Name}
 		t.hostVMs = append(t.hostVMs, reg.Gauge("cluster_host_vms",

@@ -7,9 +7,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 
+	"vprobe"
 	"vprobe/internal/spec"
 	"vprobe/internal/telemetry"
 )
@@ -292,25 +294,25 @@ func (s *Server) handleRunExplain(w http.ResponseWriter, r *http.Request) {
 
 // handleRunTelemetry serves the run's metric time series as JSONL.
 func (s *Server) handleRunTelemetry(w http.ResponseWriter, r *http.Request) {
-	s.serveArtifact(w, r, "application/jsonl", func(rn *Run) []byte { return rn.telemetry })
+	s.serveTelemetry(w, r, "application/jsonl", (*vprobe.Telemetry).WriteJSONL)
 }
 
 // handleRunMetrics serves the run's final metric values as Prometheus
 // text exposition.
 func (s *Server) handleRunMetrics(w http.ResponseWriter, r *http.Request) {
-	s.serveArtifact(w, r, "text/plain; version=0.0.4", func(rn *Run) []byte { return rn.prom })
+	s.serveTelemetry(w, r, "text/plain; version=0.0.4", (*vprobe.Telemetry).WritePrometheus)
 }
 
-// serveArtifact writes a completed run's rendered artifact; runs that are
-// not done yet answer 409 so clients learn to poll /v1/runs/{id} first.
-func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, contentType string, pick func(*Run) []byte) {
+// serveTelemetry renders a completed run's sealed telemetry as it is
+// read; runs that are not done yet answer 409 so clients learn to poll
+// /v1/runs/{id} first.
+func (s *Server) serveTelemetry(w http.ResponseWriter, r *http.Request, contentType string, render func(*vprobe.Telemetry, io.Writer) error) {
 	rn := s.runFromPath(w, r)
 	if rn == nil {
 		return
 	}
 	rn.mu.Lock()
-	state := rn.state
-	body := pick(rn)
+	state, tele := rn.state, rn.tele
 	rn.mu.Unlock()
 	if state != StateDone {
 		writeJSON(w, http.StatusConflict, map[string]any{
@@ -321,7 +323,7 @@ func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, contentTy
 	}
 	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	_ = render(tele, w) // a failed write means the client left; nothing to do
 }
 
 // handleCapacity answers the planning question "can this fleet absorb a

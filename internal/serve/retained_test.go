@@ -13,10 +13,11 @@ import (
 )
 
 // retainedBytesPerRun bounds the heap one cached serve-mix-shaped run
-// keeps alive: its sealed event log, its exact-size artifacts and its
-// registry entry. Measured at 18.4 KB on linux/amd64; the bound leaves
-// about 28% for allocator and toolchain drift.
-const retainedBytesPerRun = 23 << 10
+// keeps alive: its sealed event log, its sealed telemetry (about 1.2 KB of
+// values and sample rows), its exact-size artifacts and its registry
+// entry. Measured at 14.4 KB on linux/amd64; the bound leaves about 18%
+// for allocator and toolchain drift.
+const retainedBytesPerRun = 17000
 
 // TestServedRunRetainedBytes posts distinct scenarios shaped like the
 // serve-mix benchmark's (two VMs, four apps, a 0.5 s horizon) and checks

@@ -53,12 +53,13 @@ type Run struct {
 	status int // HTTP status of the failure, when state == StateFailed
 	cancel context.CancelFunc
 
-	body      []byte // JSON view of the done run, rendered at completion
-	telemetry []byte // JSONL time series, set at completion
-	prom      []byte // Prometheus text exposition, set at completion
-	traced    bool   // the spec asked for span tracing
-	spans     []byte // JSONL span stream, set at completion when traced
-	chrome    []byte // Chrome trace-event JSON, set at completion when traced
+	body []byte // JSON view of the done run, rendered at completion
+	// tele is the run's sealed telemetry, set at completion; the
+	// telemetry and metrics endpoints render it when they are read.
+	tele   *vprobe.Telemetry
+	traced bool   // the spec asked for span tracing
+	spans  []byte // JSONL span stream, set at completion when traced
+	chrome []byte // Chrome trace-event JSON, set at completion when traced
 }
 
 func newRun(id, kind, key string) *Run {
@@ -304,11 +305,12 @@ func (s *Server) clusterBody(sp spec.ClusterV1) func(ctx context.Context, rn *Ru
 	}
 }
 
-// storeResult renders the run's immutable artifacts: the JSON view of
-// the done run (report and summary included), telemetry and, when traced,
-// spans, each kept at its exact length. The events stay in the (sealed)
-// log until they are read. spans is nil for untraced runs — the spans and
-// explain endpoints then answer 404.
+// storeResult keeps the run's immutable artifacts: the JSON view of the
+// done run (report and summary included) and, when traced, spans, each
+// rendered and kept at its exact length. The events stay in the (sealed)
+// log and the numbers in the (sealed) telemetry until they are read.
+// spans is nil for untraced runs — the spans and explain endpoints then
+// answer 404.
 func (rn *Run) storeResult(report string, summary any, tele *vprobe.Telemetry, spans *vprobe.Tracing) error {
 	buf := renderBufs.Get().(*bytes.Buffer)
 	defer renderBufs.Put(buf)
@@ -319,15 +321,8 @@ func (rn *Run) storeResult(report string, summary any, tele *vprobe.Telemetry, s
 		}
 		return append(make([]byte, 0, buf.Len()), buf.Bytes()...), nil
 	}
-	series, err := render(tele.WriteJSONL)
-	if err != nil {
-		return fmt.Errorf("serve: telemetry export: %w", err)
-	}
-	prom, err := render(tele.WritePrometheus)
-	if err != nil {
-		return fmt.Errorf("serve: telemetry export: %w", err)
-	}
 	var spanJSONL, chrome []byte
+	var err error
 	if spans != nil {
 		if spanJSONL, err = render(spans.WriteSpans); err != nil {
 			return fmt.Errorf("serve: span export: %w", err)
@@ -351,8 +346,7 @@ func (rn *Run) storeResult(report string, summary any, tele *vprobe.Telemetry, s
 	}
 	rn.mu.Lock()
 	rn.body = body
-	rn.telemetry = series
-	rn.prom = prom
+	rn.tele = tele
 	if spans != nil {
 		rn.traced = true
 		rn.spans = spanJSONL

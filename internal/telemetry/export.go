@@ -12,31 +12,31 @@ import (
 // in Prometheus text exposition format, in registration order. HELP and
 // TYPE lines are emitted once per metric name, before its first series.
 // Histograms expand into cumulative `_bucket{le=...}` series plus `_sum`
-// and `_count`. Every id is rendered at registration; the export only
-// appends values.
+// and `_count`. Every id is rendered when its descriptor is interned; the
+// export only appends values, so a live registry and a sealed one render
+// the same way.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	const flushAt = 32 << 10
 	b := make([]byte, 0, 4<<10)
-	for _, sr := range r.series {
-		if sr.describe {
-			b = appendComment(b, "# HELP ", sr.name, sr.help)
-			b = appendComment(b, "# TYPE ", sr.name, sr.kind.String())
+	for _, n := range r.at.seq {
+		d := n.d
+		if n.describe {
+			b = appendComment(b, "# HELP ", d.name, d.help)
+			b = appendComment(b, "# TYPE ", d.name, d.kind.String())
 		}
-		switch sr.kind {
-		case KindCounter:
-			b = appendSample(b, sr.id, sr.c.v)
-		case KindGauge:
-			b = appendSample(b, sr.id, sr.g.v)
-		case KindHistogram:
-			h := sr.h
-			var cum uint64
-			for i := range h.bounds {
-				cum += h.counts[i]
-				b = appendSample(b, sr.bucketIDs[i], float64(cum))
+		v := r.values(n)
+		if d.kind == KindHistogram {
+			nb := len(d.bounds)
+			var cum float64
+			for i := 0; i < nb; i++ {
+				cum += v[i]
+				b = appendSample(b, d.bucketIDs[i], cum)
 			}
-			b = appendSample(b, sr.bucketIDs[len(h.bounds)], float64(h.count))
-			b = appendSample(b, sr.sumID, h.sum)
-			b = appendSample(b, sr.countID, float64(h.count))
+			b = appendSample(b, d.bucketIDs[nb], v[nb+2])
+			b = appendSample(b, d.sumID, v[nb+1])
+			b = appendSample(b, d.countID, v[nb+2])
+		} else {
+			b = appendSample(b, d.id, v[0])
 		}
 		if len(b) >= flushAt {
 			if _, err := w.Write(b); err != nil {

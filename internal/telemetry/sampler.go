@@ -16,56 +16,23 @@ import (
 // path never allocates no matter how long the run.
 const preallocRows = 2048
 
-// cellKind selects how one ring cell reads its source series.
-type cellKind uint8
-
-const (
-	cellCounter cellKind = iota
-	cellGauge
-	cellHistSum
-	cellHistCount
-)
-
-// cell is one column of the time-series ring: a series id plus how to
-// read one float64 from its handle. Histograms contribute two cells
-// (name_sum, name_count); their per-bucket breakdown is exported through
-// the Prometheus endpoint only, keeping rows compact.
-type cell struct {
-	id   string
-	kind cellKind
-	c    *Counter
-	g    *Gauge
-	h    *Histogram
-}
-
-// value reads the cell's current value.
-func (cl *cell) value() float64 {
-	switch cl.kind {
-	case cellCounter:
-		return cl.c.v
-	case cellGauge:
-		return cl.g.v
-	case cellHistSum:
-		return cl.h.sum
-	default:
-		return float64(cl.h.count)
-	}
-}
-
 // Sampler snapshots a Registry's series into an in-memory time-series
 // ring at a fixed virtual-time period. Hooks registered with OnSample run
 // (in registration order) immediately before each snapshot, so gauges
-// derived from model state are fresh in every row.
+// derived from model state are fresh in every row. Each row holds one
+// cell per counter and gauge and two per histogram (its _sum and _count;
+// the per-bucket breakdown is exported through the Prometheus endpoint
+// only, keeping rows compact).
 type Sampler struct {
 	reg     *Registry
 	period  sim.Duration
 	hooks   []func()
-	cells   []cell
 	capRows int
 	times   []sim.Time
-	data    []float64 // row-major: capRows rows of len(cells) columns
+	data    []float64 // row-major: capRows rows of reg's cell count columns
 	rows    int       // total snapshots taken (may exceed capRows)
 	started bool
+	sealed  bool
 }
 
 // NewSampler builds a sampler over reg. A non-positive period defaults to
@@ -118,43 +85,68 @@ func (s *Sampler) Start(e *sim.Engine) {
 	}
 	s.started = true
 	s.reg.seal()
-	for _, sr := range s.reg.series {
-		switch sr.kind {
-		case KindCounter:
-			s.cells = append(s.cells, cell{id: sr.id, kind: cellCounter, c: sr.c})
-		case KindGauge:
-			s.cells = append(s.cells, cell{id: sr.id, kind: cellGauge, g: sr.g})
-		case KindHistogram:
-			s.cells = append(s.cells,
-				cell{id: sr.sumID, kind: cellHistSum, h: sr.h},
-				cell{id: sr.countID, kind: cellHistCount, h: sr.h})
-		}
-	}
 	if s.capRows == 0 {
 		s.capRows = preallocRows
 	}
 	s.times = make([]sim.Time, s.capRows)
-	s.data = make([]float64, s.capRows*len(s.cells))
+	s.data = make([]float64, s.capRows*s.reg.at.cells)
 	e.Every(s.period, s.period, "telemetry-sample", func(e *sim.Engine) { s.snapshot(e.Now()) })
 }
 
 // snapshot runs the hooks and writes one row into the ring, overwriting
 // the oldest row once capacity is exceeded. The whole path is
 // allocation-free: the backing arrays are sized at Start and only ever
-// written in place.
+// written in place. A sealed sampler takes no more rows.
 //
 //vprobe:hotpath
 func (s *Sampler) snapshot(now sim.Time) {
+	if s.sealed {
+		return
+	}
 	for _, fn := range s.hooks {
 		fn()
 	}
 	slot := s.rows % s.capRows
 	s.rows++
 	s.times[slot] = now
-	base := slot * len(s.cells)
-	for i := range s.cells {
-		s.data[base+i] = s.cells[i].value()
+	r := s.reg
+	i := slot * r.at.cells
+	for _, n := range r.at.seq {
+		v := r.vals[n.chunk]
+		if n.d.kind == KindHistogram {
+			nb := n.off + len(n.d.bounds)
+			s.data[i], s.data[i+1] = v[nb+1], v[nb+2] // sum, count
+			i += 2
+		} else {
+			s.data[i] = v[n.off]
+			i++
+		}
 	}
+}
+
+// Seal ends collection once the run has returned: it drops the sample
+// hooks, which close over the model they read, and cuts the ring to the
+// rows it holds, oldest first. What is left is the run's numbers, which
+// both exports render as before. Sealing twice is a no-op.
+func (s *Sampler) Seal() {
+	if s.sealed {
+		return
+	}
+	s.sealed = true
+	s.hooks = nil
+	s.reg.seal()
+	n, cells := s.Rows(), s.reg.at.cells
+	if !s.started || (n == s.capRows && s.rows == n) {
+		return
+	}
+	times := make([]sim.Time, n)
+	data := make([]float64, n*cells)
+	for l := 0; l < n; l++ {
+		row := s.row(l)
+		times[l] = s.times[row]
+		copy(data[l*cells:(l+1)*cells], s.data[row*cells:(row+1)*cells])
+	}
+	s.times, s.data, s.rows, s.capRows = times, data, n, n
 }
 
 // Rows returns the number of samples retained in the ring (total taken,
@@ -183,18 +175,23 @@ func (s *Sampler) WriteJSONL(w io.Writer) error {
 	if !s.started {
 		return fmt.Errorf("telemetry: WriteJSONL before Start")
 	}
-	buf := make([]byte, 0, 64*len(s.cells))
+	cells := s.reg.at.cells
+	buf := make([]byte, 0, 64*cells)
 	for logical := 0; logical < s.Rows(); logical++ {
 		row := s.row(logical)
 		buf = buf[:0]
 		buf = append(buf, `{"t":`...)
 		buf = strconv.AppendFloat(buf, s.times[row].Seconds(), 'g', -1, 64)
-		base := row * len(s.cells)
-		for i := range s.cells {
-			buf = append(buf, ',', '"')
-			buf = appendJSONKey(buf, s.cells[i].id)
-			buf = append(buf, '"', ':')
-			buf = strconv.AppendFloat(buf, s.data[base+i], 'g', -1, 64)
+		vals := s.data[row*cells : (row+1)*cells]
+		i := 0
+		for _, n := range s.reg.at.seq {
+			for _, id := range n.d.cellIDs {
+				buf = append(buf, ',', '"')
+				buf = append(buf, id...)
+				buf = append(buf, '"', ':')
+				buf = strconv.AppendFloat(buf, vals[i], 'g', -1, 64)
+				i++
+			}
 		}
 		buf = append(buf, '}', '\n')
 		if _, err := w.Write(buf); err != nil {
@@ -202,16 +199,4 @@ func (s *Sampler) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// appendJSONKey appends the series id with its label values unquoted
-// (`name{k=v}`), which keeps the key free of characters needing JSON
-// escapes (ids are built from metric names and label literals only).
-func appendJSONKey(buf []byte, id string) []byte {
-	for i := 0; i < len(id); i++ {
-		if id[i] != '"' {
-			buf = append(buf, id[i])
-		}
-	}
-	return buf
 }

@@ -304,3 +304,124 @@ func TestSamplerZeroAlloc(t *testing.T) {
 		t.Fatal("no rows sampled; zero-alloc result is vacuous")
 	}
 }
+
+// TestLayoutsShared checks the intern table: registries that register the
+// same series in the same order share one layout and grow nothing, a
+// registry that diverges from a known sequence keeps its siblings'
+// sequences intact, and a known prefix still gets the duplicate and kind
+// checks when a registration leaves it.
+func TestLayoutsShared(t *testing.T) {
+	build := func(names ...string) *Registry {
+		r := NewRegistry()
+		for _, n := range names {
+			if n == "layout_h" {
+				r.Histogram(n, "h", []float64{1, 2})
+			} else {
+				r.Counter(n, "c", Label{Key: "k", Value: n})
+			}
+		}
+		return r
+	}
+	a := build("layout_a", "layout_b", "layout_c")
+	descs, layouts := Interned()
+	b := build("layout_a", "layout_b", "layout_c")
+	if a.at != b.at {
+		t.Fatal("registries with the same sequence do not share a layout")
+	}
+	if d, l := Interned(); d != descs || l != layouts {
+		t.Fatalf("a repeated sequence grew the intern table from %d/%d to %d/%d", descs, layouts, d, l)
+	}
+	// Siblings after a shared prefix, and a longer chain after one of them.
+	c := build("layout_a", "layout_b", "layout_h")
+	d := build("layout_a", "layout_b", "layout_c", "layout_d")
+	e := build("layout_a", "layout_b", "layout_e", "layout_h")
+	want := map[*Registry]string{
+		a: "layout_a layout_b layout_c",
+		c: "layout_a layout_b layout_h",
+		d: "layout_a layout_b layout_c layout_d",
+		e: "layout_a layout_b layout_e layout_h",
+	}
+	for r, w := range want {
+		var got []string
+		for _, n := range r.at.seq {
+			got = append(got, n.d.name)
+		}
+		if strings.Join(got, " ") != w {
+			t.Errorf("sequence %q, want %q", strings.Join(got, " "), w)
+		}
+	}
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: want panic", name)
+			}
+		}()
+		fn()
+	}
+	mustPanic("duplicate after a known prefix", func() {
+		r := build("layout_a", "layout_b")
+		r.Counter("layout_a", "c", Label{Key: "k", Value: "layout_a"})
+	})
+	mustPanic("kind clash after a known prefix", func() {
+		r := build("layout_a", "layout_b")
+		r.Gauge("layout_a", "c")
+	})
+	// Values are the registry's own, though the layout is shared.
+	ca := a.Counter("layout_z", "z")
+	cb := b.Counter("layout_z", "z")
+	ca.Add(3)
+	if cb.Value() != 0 || ca.Value() != 3 {
+		t.Fatalf("values leak between registries sharing a layout: %v, %v", ca.Value(), cb.Value())
+	}
+}
+
+// TestSealKeepsExports checks that sealing a sampler — after a ring that
+// wrapped and after one that did not — drops its hooks, cuts the ring to
+// the rows it holds, stops sampling, and leaves both exports byte for
+// byte as they were.
+func TestSealKeepsExports(t *testing.T) {
+	for _, reserve := range []int{3, 8} {
+		r := NewRegistry()
+		c := r.Counter("seal_events_total", "events")
+		g := r.Gauge("seal_depth", "depth", Label{Key: "host", Value: "h0"})
+		h := r.Histogram("seal_lat_us", "latency", []float64{10, 20})
+		e := sim.NewEngine()
+		s := NewSampler(r, sim.Second)
+		s.OnSample(func() { g.Set(c.Value()) })
+		s.Reserve(reserve)
+		s.Start(e)
+		e.Every(300*sim.Millisecond, 300*sim.Millisecond, "work", func(*sim.Engine) {
+			c.Inc()
+			h.Observe(float64(c.Value()))
+		})
+		e.RunUntil(sim.Time(5 * sim.Second))
+		export := func() string {
+			var b bytes.Buffer
+			if err := s.WriteJSONL(&b); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			return b.String()
+		}
+		before, rows := export(), s.Rows()
+		s.Seal()
+		if s.hooks != nil || r.ids != nil || r.names != nil {
+			t.Fatalf("reserve %d: the sealed sampler keeps its hooks or registration maps", reserve)
+		}
+		if len(s.times) != rows || len(s.data) != rows*r.at.cells || s.Rows() != rows {
+			t.Fatalf("reserve %d: sealed ring holds %d times, %d cells for %d rows",
+				reserve, len(s.times), len(s.data), rows)
+		}
+		if after := export(); after != before {
+			t.Fatalf("reserve %d: exports changed at seal:\n%s\nwant\n%s", reserve, after, before)
+		}
+		e.RunUntil(sim.Time(8 * sim.Second))
+		if s.Rows() != rows {
+			t.Fatalf("reserve %d: a sealed sampler took %d more rows", reserve, s.Rows()-rows)
+		}
+		s.Seal()
+	}
+}

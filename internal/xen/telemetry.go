@@ -68,28 +68,29 @@ type PolicyTelemetry interface {
 // updates are write-only stores and the sample hook only reads.
 func AttachTelemetry(h *Hypervisor, s *telemetry.Sampler, labels ...telemetry.Label) *Telemetry {
 	reg := s.Registry()
+	// with puts one label before the caller's. The registry keeps none of
+	// the labels it is handed, so one buffer serves every call.
+	var buf [4]telemetry.Label
+	with := func(key, value string) []telemetry.Label {
+		return append(append(buf[:0], telemetry.Label{Key: key, Value: value}), labels...)
+	}
 	t := &Telemetry{
 		Dispatches: reg.Counter("xen_dispatches_total",
 			"Quantum dispatches (VCPU starts running on a PCPU).", labels...),
 		StealsLocal: reg.Counter("xen_steals_total",
-			"Work-stealing migrations by victim locality.",
-			append([]telemetry.Label{{Key: "kind", Value: "local"}}, labels...)...),
+			"Work-stealing migrations by victim locality.", with("kind", "local")...),
 		StealsRemote: reg.Counter("xen_steals_total",
-			"Work-stealing migrations by victim locality.",
-			append([]telemetry.Label{{Key: "kind", Value: "remote"}}, labels...)...),
+			"Work-stealing migrations by victim locality.", with("kind", "remote")...),
 		Reassignments: reg.Counter("xen_partition_reassignments_total",
 			"Algorithm 1 VCPU-to-node assignments applied at period ends.", labels...),
 		QuantumUS: reg.Histogram("xen_quantum_us",
 			"Effective quantum length in microseconds.", quantumBucketsUS, labels...),
 		CensusFR: reg.Gauge("xen_llc_class_vcpus",
-			"VCPUs per LLC class in the last sampling period.",
-			append([]telemetry.Label{{Key: "class", Value: "fr"}}, labels...)...),
+			"VCPUs per LLC class in the last sampling period.", with("class", "fr")...),
 		CensusFI: reg.Gauge("xen_llc_class_vcpus",
-			"VCPUs per LLC class in the last sampling period.",
-			append([]telemetry.Label{{Key: "class", Value: "fi"}}, labels...)...),
+			"VCPUs per LLC class in the last sampling period.", with("class", "fi")...),
 		CensusT: reg.Gauge("xen_llc_class_vcpus",
-			"VCPUs per LLC class in the last sampling period.",
-			append([]telemetry.Label{{Key: "class", Value: "t"}}, labels...)...),
+			"VCPUs per LLC class in the last sampling period.", with("class", "t")...),
 		RunqDepth: reg.Gauge("xen_runq_depth",
 			"Queued runnable VCPUs across all PCPUs.", labels...),
 		RemoteRatio: reg.Gauge("xen_remote_access_ratio",

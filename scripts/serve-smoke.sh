@@ -6,8 +6,10 @@
 #   2. the re-POST is answered from the determinism-keyed cache, and the
 #      full response — report included — is byte-identical;
 #   3. the run's event stream and telemetry re-download byte-identically,
-#      and the event stream is byte-identical to the -events export of
-#      vprobe-sim -spec on the same document;
+#      and the event stream, the telemetry series and the run's /metrics
+#      are byte-identical to the -events and -metrics (sampled every
+#      100ms, the daemon's period) exports of vprobe-sim -spec on the same
+#      document;
 #   4. the run's /metrics and the server's own /metrics parse as
 #      Prometheus text exposition (via vprobe-explain check);
 #   5. the cluster front doors agree: a traced cluster spec file POSTed to
@@ -65,9 +67,14 @@ diff "$TMP/telemetry1.jsonl" "$TMP/telemetry2.jsonl" >/dev/null || {
 
 go build -o "$TMP/vprobe-sim" ./cmd/vprobe-sim
 echo "$SPEC" >"$TMP/spec.json"
-"$TMP/vprobe-sim" -spec "$TMP/spec.json" -events "$TMP/cli-events.jsonl" >/dev/null 2>&1
+"$TMP/vprobe-sim" -spec "$TMP/spec.json" -events "$TMP/cli-events.jsonl" \
+    -metrics "$TMP/cli.prom" -metrics-every 100ms >/dev/null 2>&1
 cmp "$TMP/cli-events.jsonl" "$TMP/events1.jsonl" || {
     echo "serve-smoke: served events differ from vprobe-sim -spec -events" >&2; exit 1; }
+cmp "$TMP/cli.jsonl" "$TMP/telemetry1.jsonl" || {
+    echo "serve-smoke: served telemetry differs from vprobe-sim -spec -metrics" >&2; exit 1; }
+cmp "$TMP/cli.prom" "$TMP/run.prom" || {
+    echo "serve-smoke: served metrics differ from vprobe-sim -spec -metrics" >&2; exit 1; }
 
 go build -o "$TMP/vprobe-explain" ./cmd/vprobe-explain
 "$TMP/vprobe-explain" check "$TMP/run.prom"
@@ -108,4 +115,4 @@ curl -sf "http://$ADDR/v1/runs/$CELL/spans" >"$TMP/served-cell-spans.jsonl"
 cmp "$TMP/cell-spans.jsonl" "$TMP/served-cell-spans.jsonl" || {
     echo "serve-smoke: served $CELL_PATH spans differ from vprobe-sim -spans" >&2; exit 1; }
 
-echo "serve-smoke: OK (run $ID cached, byte-identical and matching vprobe-sim -spec -events; cluster $CID matches vprobe-cluster and vprobe-sim -spec; cell $CELL_PATH matches vprobe-sim)"
+echo "serve-smoke: OK (run $ID cached, byte-identical and matching vprobe-sim -spec -events and -metrics; cluster $CID matches vprobe-cluster and vprobe-sim -spec; cell $CELL_PATH matches vprobe-sim)"

@@ -20,6 +20,12 @@ type TelemetryOptions struct {
 // the run export the final state with WritePrometheus and the per-sample
 // series with WriteJSONL.
 //
+// The collector is sealed when its run returns, as an EventLog is: it
+// then holds only the run's numbers — its series values and sample rows,
+// laid out by series descriptors shared across the process — and no
+// reference to the simulation, so keeping it keeps no model alive. Both
+// exports render from those numbers whenever they are called.
+//
 // All sampling happens in virtual time on the simulation's own event
 // engine, so collection is deterministic: the same seed yields the same
 // series byte for byte, and attaching telemetry never changes simulation
@@ -45,6 +51,9 @@ func (t *Telemetry) attach() error {
 	t.attached = true
 	return nil
 }
+
+// seal ends collection once the run has returned.
+func (t *Telemetry) seal() { t.sampler.Seal() }
 
 // Samples is the number of snapshots taken so far (one per period).
 func (t *Telemetry) Samples() int { return t.sampler.Rows() }

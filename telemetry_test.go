@@ -6,11 +6,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"vprobe"
+	"vprobe/internal/xen"
 )
 
 // instrumented is the instrumented standard scenario: a measured VM
@@ -150,5 +153,36 @@ func TestEventFunc(t *testing.T) {
 	sink.HandleEvent(want)
 	if len(fromFunc) != 1 || fromFunc[0] != want {
 		t.Fatalf("EventFunc delivered %+v, want %+v", fromFunc, want)
+	}
+}
+
+// TestSealedTelemetryReleasesRun checks that a collector sealed by its run
+// keeps no reference to the simulation: holding the collector (as
+// vprobe-serve holds a done run's) must not keep the hypervisor alive,
+// and the exports still render.
+func TestSealedTelemetryReleasesRun(t *testing.T) {
+	tele := vprobe.NewTelemetry(vprobe.TelemetryOptions{})
+	var hv weak.Pointer[xen.Hypervisor]
+	func() {
+		sim, horizon, err := vprobe.CompileScenario(instrumented(3*time.Second), vprobe.CompileOptions{Telemetry: tele})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hv = weak.Make(sim.Hypervisor())
+		if _, err := sim.RunContext(context.Background(), horizon); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	runtime.GC()
+	runtime.GC()
+	if hv.Value() != nil {
+		t.Fatal("the sealed collector keeps the hypervisor alive")
+	}
+	var prom bytes.Buffer
+	if err := tele.WritePrometheus(&prom); err != nil || tele.Samples() != 3 {
+		t.Fatalf("sealed exports: %d samples, err %v", tele.Samples(), err)
+	}
+	if !strings.Contains(prom.String(), "\nxen_dispatches_total ") {
+		t.Fatalf("sealed exposition lost its series:\n%s", prom.String())
 	}
 }

@@ -118,6 +118,9 @@ func (s *Simulator) RunContext(ctx context.Context, horizon time.Duration) (*Rep
 	// The value is consumed the moment the engine advances — even a
 	// cancelled run leaves state a re-run would silently corrupt.
 	s.ran = true
+	if s.opts.Telemetry != nil {
+		defer s.opts.Telemetry.seal()
+	}
 	if err := s.h.Start(); err != nil {
 		return nil, err
 	}
