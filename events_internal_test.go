@@ -47,6 +47,23 @@ func TestEventLogRecordSize(t *testing.T) {
 	}
 }
 
+// cancelAtLen is a context that reads as cancelled once log holds more
+// than n events. The engine polls it from inside the run, so the
+// cancellation lands at the same event on every run, long before the
+// watched app could finish.
+type cancelAtLen struct {
+	context.Context
+	log *EventLog
+	n   int
+}
+
+func (c cancelAtLen) Err() error {
+	if c.log.Len() > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestEventLogSealedAfterRun checks that a run leaves its log at exact
 // length with no intern state whether it finishes, is cancelled or is a
 // cluster run, and that an append after the seal still renders as the
@@ -79,11 +96,7 @@ func TestEventLogSealedAfterRun(t *testing.T) {
 			return simulate(context.Background(), log, 200*time.Millisecond)
 		}},
 		{"cancelled", func(log *EventLog) error {
-			ctx, cancel := context.WithCancel(context.Background())
-			go func() {
-				<-log.Grown(100)
-				cancel()
-			}()
+			ctx := cancelAtLen{Context: context.Background(), log: log, n: 100}
 			if err := simulate(ctx, log, time.Hour); !errors.Is(err, context.Canceled) {
 				return fmt.Errorf("a cancelled run returned %v", err)
 			}

@@ -11,9 +11,11 @@
 // Determinism: the cluster owns one discrete-event engine for
 // cluster-level events (arrivals, retries, departures, rebalance ticks,
 // migration completions). Between consecutive cluster events the hosts are
-// mutually independent, so the cluster advances all host engines to the
-// decision time in parallel (harness.Map) before any decision reads host
-// state — results are byte-identical at every worker count. Host seeds
+// mutually independent, so before any decision reads host state the
+// cluster advances, in parallel (harness.Map), every host engine with an
+// event due by the decision time; a host with none would fire nothing,
+// so it keeps its clock until it is due or mutated (syncHosts) — results
+// are byte-identical at every worker count. Host seeds
 // derive from the cluster seed by name (harness.DeriveSeed), so adding a
 // host never reshuffles the others' streams.
 package cluster
@@ -23,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"vprobe/internal/controlplane"
 	"vprobe/internal/harness"
@@ -266,6 +269,36 @@ type Cluster struct {
 	err      error // first host-advance failure; stops the run
 	ran      bool  // Run consumes the value; see ErrAlreadyRun
 	syncedTo sim.Time
+
+	// Lazy host clocks (syncHosts): due[i] is the time host i must next
+	// advance by, never later than its earliest queued event; hostCtx is
+	// the context host engines advance under; dueScratch is syncHosts'
+	// reusable list of the hosts it advances.
+	due        []sim.Time
+	hostCtx    *hostCtx
+	dueScratch []*Host
+	// marks holds each host's mutation mark at the last sync, for the
+	// -place-check clock check (placecheck.go); nil when it is off.
+	marks []hostMark
+}
+
+// hostCtx is the context host engines advance under: Run's context, with
+// an Err that costs one atomic load. A host engine polls its context at
+// every run entry and every few thousand events, and harness.Map polls
+// before every host; on a cancelCtx each poll takes a mutex. syncHosts
+// polls Run's context itself, once per sync, and a context.AfterFunc
+// copies a cancellation here, so a long host advance still stops.
+type hostCtx struct {
+	context.Context
+	done atomic.Bool
+}
+
+// Err returns the run context's error once it is cancelled.
+func (h *hostCtx) Err() error {
+	if h.done.Load() {
+		return h.Context.Err()
+	}
+	return nil
 }
 
 // ErrAlreadyRun: Run was invoked twice on the same Cluster value. The
@@ -310,6 +343,11 @@ func New(cfg Config) (*Cluster, error) {
 		c.hosts = append(c.hosts, ho)
 	}
 	c.scores = newScoreCache(c)
+	// Every host is due at t=0: its boot kicks are queued there.
+	c.due = make([]sim.Time, len(c.hosts))
+	if cfg.PlaceCheck {
+		c.markHosts()
+	}
 	c.viewSlice = make([]*HostView, len(c.hosts))
 	for i, ho := range c.hosts {
 		ho.initView()
@@ -346,6 +384,9 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 	// and corrupt — this run's state.
 	c.ran = true
 	c.ctx = ctx
+	c.hostCtx = &hostCtx{Context: ctx}
+	stop := context.AfterFunc(ctx, func() { c.hostCtx.done.Store(true) })
+	defer stop()
 	if c.cfg.Telemetry != nil {
 		// Size the sample ring to the horizon so it never wraps and the
 		// export covers the whole run.
@@ -382,24 +423,76 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 	return c.report(), nil
 }
 
-// syncHosts advances every host engine to absolute time t, in parallel
-// across the configured workers. Hosts are mutually independent between
-// cluster events, so the advance order cannot affect results.
+// syncHosts brings the fleet current to absolute time t: it advances the
+// hosts with an event due by t, in parallel across the configured
+// workers, and leaves the rest alone. Hosts are mutually independent
+// between cluster events, so the advance order cannot affect results.
+//
+// Lazy-clock invariant: a host's clock lags cluster time only while no
+// event of that host is due by then. due[i] is never later than host i's
+// earliest queued event (sim.Engine.NextAt counts cancelled events too),
+// so a host skipped here would have fired nothing: an advance would only
+// have moved its clock, and its state is already what the advance would
+// leave. Every cluster→host mutation goes through touch, which brings the
+// host's clock to cluster time first and marks the host due.
 func (c *Cluster) syncHosts(t sim.Time) error {
 	if t <= c.syncedTo {
 		return nil
 	}
-	_, err := harness.Map(c.ctx, c.cfg.Workers, len(c.hosts),
-		func(ctx context.Context, i int) (struct{}, error) {
-			return struct{}{}, c.hosts[i].advanceTo(ctx, t)
+	if err := c.ctx.Err(); err != nil {
+		return c.failSync(err)
+	}
+	if c.cfg.PlaceCheck && !c.checkClocks(c.syncedTo) {
+		return c.err
+	}
+	run := c.dueScratch[:0]
+	for i, at := range c.due {
+		if at <= t {
+			//vet:alloc the scratch list grows to at most len(hosts) once, then is reused
+			run = append(run, c.hosts[i])
+		}
+	}
+	c.dueScratch = run
+	_, err := harness.Map(c.hostCtx, c.cfg.Workers, len(run),
+		func(ctx context.Context, k int) (struct{}, error) {
+			return struct{}{}, run[k].advanceTo(ctx, t)
 		})
 	if err != nil {
-		c.err = err
-		c.engine.Stop()
-		return err
+		return c.failSync(err)
+	}
+	for _, ho := range run {
+		c.due[ho.Index] = ho.nextDue()
 	}
 	c.syncedTo = t
+	if c.cfg.PlaceCheck {
+		c.markHosts()
+	}
 	return nil
+}
+
+// failSync stops the run on a failed sync.
+func (c *Cluster) failSync(err error) error {
+	c.err = err
+	c.engine.Stop()
+	return err
+}
+
+// touch prepares ho for a cluster→host mutation (AddDomain, AttachApp,
+// ActivateDomain, DestroyDomain): it brings the host's clock to the time
+// the fleet was synced to, which is cluster time inside every handler,
+// and marks the host due so the next sync runs what the mutation queues.
+// By the lazy-clock invariant no event of the host is due by then, so the
+// catch-up fires nothing; it only moves the clock the mutation schedules
+// from. With -place-check on, it first checks that nothing mutated the
+// lagging host behind its back.
+func (c *Cluster) touch(ho *Host) {
+	if ho.H.Engine.Now() < c.syncedTo {
+		if c.cfg.PlaceCheck && !c.checkClock(ho, c.syncedTo) {
+			return
+		}
+		ho.H.Engine.RunUntil(c.syncedTo)
+	}
+	c.due[ho.Index] = c.syncedTo
 }
 
 // sync brings hosts current before a handler reads or mutates host state.
@@ -581,6 +674,7 @@ func (c *Cluster) drawProfileRef() profileRef {
 // is an estimate and may lag the allocator — while attach and activate
 // failures are accounting bugs and stop the run.
 func (c *Cluster) admitDomain(vm *VM, ho *Host, plan MemPlan) (*xen.Domain, error) {
+	c.touch(ho)
 	dom, err := ho.H.AddDomain(vm.Spec.Name, vm.Spec.MemoryMB, vm.Spec.VCPUs,
 		plan.Policy, plan.Preferred)
 	if err != nil {
@@ -669,6 +763,7 @@ func (c *Cluster) onDepart(vm *VM) {
 		return
 	}
 	if !vm.dom.Destroyed {
+		c.touch(vm.Host)
 		if err := vm.Host.H.DestroyDomain(vm.dom); err != nil {
 			c.err = fmt.Errorf("cluster: depart %s: %w", vm.Spec.Name, err)
 			c.engine.Stop()
@@ -765,6 +860,7 @@ func (c *Cluster) migrationCandidate(ho *Host) *VM {
 // model (mem.Migrator.FullCopyCycles).
 func (c *Cluster) startMigration(vm *VM, target *Host, plan MemPlan) {
 	profiles := vm.migrationProfiles()
+	c.touch(target)
 	dom, err := target.H.AddDomain(vm.Spec.Name, vm.Spec.MemoryMB, vm.Spec.VCPUs,
 		plan.Policy, plan.Preferred)
 	if err != nil {
@@ -782,6 +878,7 @@ func (c *Cluster) startMigration(vm *VM, target *Host, plan MemPlan) {
 		}
 	}
 	src := vm.Host
+	c.touch(src)
 	if err := src.H.DestroyDomain(vm.dom); err != nil {
 		c.err = fmt.Errorf("cluster: migrate teardown on %s: %w", src.Name, err)
 		c.engine.Stop()
@@ -816,6 +913,7 @@ func (c *Cluster) finishMigration(vm *VM) {
 	if !c.sync() {
 		return
 	}
+	c.touch(vm.Host)
 	if err := vm.Host.H.ActivateDomain(vm.dom); err != nil {
 		c.err = fmt.Errorf("cluster: migrate activate on %s: %w", vm.Host.Name, err)
 		c.engine.Stop()

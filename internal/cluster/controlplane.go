@@ -268,6 +268,7 @@ func (c *Cluster) evictVictim(victim, beneficiary *VM) {
 	}
 	c.stats.PreemptKills++
 	c.record(decision{kind: EventVMPreempted, vm: victim, host: src, peer: beneficiary})
+	c.touch(src)
 	if err := src.H.DestroyDomain(victim.dom); err != nil {
 		c.err = fmt.Errorf("cluster: preempt %s: %w", victim.Spec.Name, err)
 		c.engine.Stop()
@@ -337,6 +338,7 @@ func (c *Cluster) tryAdmitGang(u *admitUnit) bool {
 				// the host where AddDomain itself failed mutated
 				// nothing and stays clean.
 				for j := 0; j < i; j++ {
+					c.touch(slots[j].host)
 					if derr := slots[j].host.H.DestroyDomain(doms[j]); derr != nil {
 						c.err = fmt.Errorf("cluster: gang rollback on %s: %w",
 							slots[j].host.Name, derr)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"vprobe/internal/numa"
 	"vprobe/internal/sched"
@@ -47,6 +48,10 @@ type Host struct {
 	queued bool // on the cluster's refresh list
 	// viewTime is the host-engine time the view reflects.
 	viewTime sim.Time
+	// llc caches llcPressure's value, computed at runnable generation
+	// llcGen of the hypervisor (xen.Hypervisor.RunnableGen).
+	llc    float64
+	llcGen uint64
 }
 
 // newHost builds and starts one host on the shared, immutable topology. Starting with zero domains is valid:
@@ -97,7 +102,7 @@ func (ho *Host) initView() {
 }
 
 // advanceTo runs the host's own event engine up to absolute cluster time
-// t. Host clocks and the cluster clock share t=0, so this keeps every
+// t. Host clocks and the cluster clock share t=0, so this brings the
 // host's state current before a cluster-level decision reads it.
 func (ho *Host) advanceTo(ctx context.Context, t sim.Time) error {
 	if ho.H.Engine.Now() >= t {
@@ -105,6 +110,15 @@ func (ho *Host) advanceTo(ctx context.Context, t sim.Time) error {
 	}
 	_, err := ho.H.RunContext(ctx, sim.Duration(t))
 	return err
+}
+
+// nextDue is the time the host must next advance by: its earliest queued
+// event, or never when its queue is empty.
+func (ho *Host) nextDue() sim.Time {
+	if at, ok := ho.H.Engine.NextAt(); ok {
+		return at
+	}
+	return math.MaxInt64
 }
 
 // guestVCPUs counts VCPUs of live domains (the CPU overcommit figure).
@@ -136,7 +150,7 @@ func (ho *Host) settled() bool {
 			return false
 		}
 	}
-	for _, v := range ho.H.AllVCPUs() {
+	for _, v := range ho.H.LiveVCPUs() {
 		if v.Runnable() {
 			return false
 		}
@@ -157,10 +171,22 @@ func (ho *Host) removeVM(vm *VM) {
 // llcPressure sums the current-phase LLC reference intensity (RPTI) of the
 // host's active VCPUs, averaged per socket — the cluster-level analogue of
 // the paper's per-socket pressure sum that periodical partitioning
-// balances inside one host.
+// balances inside one host. The sum is recomputed, over the live VCPUs,
+// only when the hypervisor's runnable generation moved since the cached
+// one; freshView's uncached walk over every VCPU checks the cache.
 func (ho *Host) llcPressure() float64 {
+	if gen := ho.H.RunnableGen(); gen != ho.llcGen {
+		ho.llc, ho.llcGen = pressureOf(ho.H.LiveVCPUs(), ho.Top.NumNodes()), gen
+	}
+	return ho.llc
+}
+
+// pressureOf is the per-socket RPTI sum of the runnable VCPUs in vcpus.
+// Non-runnable VCPUs add nothing, so any list holding every runnable
+// VCPU in creation order gives the same bits.
+func pressureOf(vcpus []*xen.VCPU, nodes int) float64 {
 	var sum float64
-	for _, v := range ho.H.AllVCPUs() {
+	for _, v := range vcpus {
 		if !v.Runnable() {
 			continue
 		}
@@ -168,7 +194,7 @@ func (ho *Host) llcPressure() float64 {
 			sum += ph.RPTI
 		}
 	}
-	return sum / float64(ho.Top.NumNodes())
+	return sum / float64(nodes)
 }
 
 // counterTotals sums lifetime memory-access counters over every VCPU the
@@ -222,7 +248,7 @@ func (ho *Host) freshView() *HostView {
 		GuestVCPUs:  ho.guestVCPUs(),
 		VCPUCap:     int(overcommit * float64(ho.Top.NumCPUs())),
 		VMs:         len(ho.VMs),
-		LLCPressure: ho.llcPressure(),
+		LLCPressure: pressureOf(ho.H.AllVCPUs(), ho.Top.NumNodes()),
 	}
 	for n := 0; n < ho.Top.NumNodes(); n++ {
 		free := ho.H.Alloc.FreeMB(numa.NodeID(n))

@@ -517,3 +517,57 @@ func TestPlaceCheckAllMechanisms(t *testing.T) {
 		}
 	}
 }
+
+// TestPlaceCheckLazyClocks drives every site that catches a lagging host
+// up before mutating it — placement, departure, both ends of a migration
+// and its completion, a preemption kill — under -place-check, whose
+// clock check asserts that a host behind cluster time has no event due
+// by then, and whose fresh views recompute the LLC pressure the hosts
+// serve from their runnable-generation cache. A flash crowd fills the
+// fleet (preemption, gangs, backfill) and then leaves it idle enough for
+// the 10 s descheduler to drain a host. The 7 ms rebalancer keeps cluster
+// events denser than a host's 10 ms credit tick, so hosts do lag when the
+// cluster mutates them. Reports must also agree across worker counts.
+func TestPlaceCheckLazyClocks(t *testing.T) {
+	base := Config{
+		Hosts:             6,
+		Horizon:           120 * sim.Second,
+		Seed:              3,
+		ArrivalsPerSecond: 0.3,
+		MeanLifetime:      30 * sim.Second,
+		Arrival: ArrivalConfig{Process: ArrivalFlash,
+			FlashAt: 20 * sim.Second, FlashDuration: 15 * sim.Second, FlashFactor: 20},
+		RebalancePeriod:  7 * sim.Millisecond,
+		Preempt:          true,
+		Gang:             true,
+		GangFraction:     0.3,
+		Backfill:         true,
+		DeschedulePeriod: 10 * sim.Second,
+		PlaceCheck:       true,
+	}
+	var want string
+	for _, workers := range []int{1, 4} {
+		cfg := base
+		cfg.Workers = workers
+		rep, log := runWith(t, cfg)
+		if want == "" {
+			for _, m := range []struct {
+				name string
+				n    int
+			}{
+				{"preemption kills", rep.PreemptKills}, {"gangs", rep.GangsAdmitted},
+				{"backfills", rep.Backfills}, {"descheduler moves", rep.DeschedMoves},
+				{"migrations", rep.Migrations}, {"departures", rep.Departed},
+			} {
+				if m.n == 0 {
+					t.Errorf("the run made no %s: a catch-up site went unexercised", m.name)
+				}
+			}
+			want = rep.String() + log
+			continue
+		}
+		if rep.String()+log != want {
+			t.Fatalf("report or event log diverges at workers=%d", workers)
+		}
+	}
+}

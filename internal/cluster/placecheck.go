@@ -11,6 +11,12 @@ package cluster
 //     pick the same host, the same memory plan, and agree on
 //     feasibility — this catches heap-order or cache-invalidation bugs.
 //
+// Both run after a clock check: every host whose clock lags cluster time
+// must have no event due by then (the lazy-clock invariant, syncHosts),
+// or the views it serves could be stale in a way no refresh would see.
+// The fresh views walk every VCPU without the cached LLC pressure, so
+// they also check the runnable generation and the live-VCPU list.
+//
 // A gang's reserve is checked the same way against the what-if
 // reservation over copied views that it replaced (checkGangReserve).
 //
@@ -25,12 +31,13 @@ import (
 	"math"
 
 	"vprobe/internal/numa"
+	"vprobe/internal/sim"
 )
 
 // checkPlacement validates one incremental decision against the full
 // rescan. Called from Cluster.place when PlaceCheck is on.
 func (c *Cluster) checkPlacement(spec *VMSpec, hv *HostView, plan MemPlan, err error) {
-	if c.err != nil {
+	if c.err != nil || !c.checkClocks(c.engine.Now()) {
 		return
 	}
 	//vet:alloc the place-check shadow path deliberately pays full-rescan cost; it is diagnostic-only and off by default
@@ -77,7 +84,7 @@ func (c *Cluster) checkPlacement(spec *VMSpec, hv *HostView, plan MemPlan, err e
 // same plan, and the reserve must stop at the same member. It runs after
 // restoreGang, so its view comparison also proves the restore exact.
 func (c *Cluster) checkGangReserve(vms []*VM, slots []gangSlot, placed int) {
-	if c.err != nil {
+	if c.err != nil || !c.checkClocks(c.engine.Now()) {
 		return
 	}
 	//vet:alloc the place-check shadow path deliberately pays full-rescan cost; it is diagnostic-only and off by default
@@ -117,6 +124,67 @@ func (c *Cluster) checkGangReserve(vms []*VM, slots []gangSlot, placed int) {
 		}
 		hv.GuestVCPUs += vm.Spec.VCPUs
 		hv.VMs++
+	}
+}
+
+// checkClocks asserts the lazy-clock invariant at cluster time t for
+// every host (see checkClock). Besides every decision, syncHosts runs it
+// at the previous sync time before it advances anything.
+func (c *Cluster) checkClocks(t sim.Time) bool {
+	for _, ho := range c.hosts {
+		if !c.checkClock(ho, t) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkClock asserts the lazy-clock invariant at cluster time t for one
+// host: if its clock lags t, it has no event queued at or before t, and
+// it was not mutated since the last sync (a mutation goes through touch,
+// which catches the host up first; touch runs this check before it
+// does). It reports false, after stopping the run, when the host breaks
+// it.
+func (c *Cluster) checkClock(ho *Host, t sim.Time) bool {
+	if ho.H.Engine.Now() >= t {
+		return true
+	}
+	if at, ok := ho.H.Engine.NextAt(); ok && at <= t {
+		//vet:alloc divergence reporting runs once, immediately before the run stops
+		c.failCheck("host %s clock %v lags cluster time %v with an event due at %v",
+			ho.Name, ho.H.Engine.Now(), t, at)
+		return false
+	}
+	if markOf(ho) != c.marks[ho.Index] {
+		//vet:alloc divergence reporting runs once, immediately before the run stops
+		c.failCheck("host %s mutated at cluster time %v without catching up from %v",
+			ho.Name, t, ho.H.Engine.Now())
+		return false
+	}
+	return true
+}
+
+// hostMark is what every cluster→host mutation moves: the VCPU count
+// (AddDomain) or the runnable generation (AttachApp, ActivateDomain, and
+// DestroyDomain through the pause it starts with; the cluster never
+// pauses a domain on its own).
+type hostMark struct {
+	vcpus int
+	gen   uint64
+}
+
+func markOf(ho *Host) hostMark {
+	return hostMark{len(ho.H.AllVCPUs()), ho.H.RunnableGen()}
+}
+
+// markHosts records every host's mark after a sync, for checkClocks.
+func (c *Cluster) markHosts() {
+	if c.marks == nil {
+		//vet:alloc the place-check shadow path deliberately pays full-rescan cost; it is diagnostic-only and off by default
+		c.marks = make([]hostMark, len(c.hosts))
+	}
+	for i, ho := range c.hosts {
+		c.marks[i] = markOf(ho)
 	}
 }
 

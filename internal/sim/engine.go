@@ -74,6 +74,17 @@ func (e *Engine) Now() Time { return e.now }
 // cancelled events that have not yet been discarded.
 func (e *Engine) Pending() int { return len(e.queue) }
 
+// NextAt returns the firing time of the earliest queued event, and false
+// when the queue is empty. A cancelled event still counts until the run
+// loop discards it, so the answer may be early but is never late: no
+// event fires before it.
+func (e *Engine) NextAt() (Time, bool) {
+	if len(e.queue) == 0 {
+		return 0, false
+	}
+	return e.queue[0].at, true
+}
+
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 

@@ -176,6 +176,58 @@ func TestPending(t *testing.T) {
 	}
 }
 
+func TestNextAtEmpty(t *testing.T) {
+	e := NewEngine()
+	if at, ok := e.NextAt(); ok {
+		t.Fatalf("NextAt on an empty queue = %v, true", at)
+	}
+	e.Schedule(Millisecond, "a", func(*Engine) {})
+	e.Run()
+	if at, ok := e.NextAt(); ok {
+		t.Fatalf("NextAt after the queue drained = %v, true", at)
+	}
+}
+
+// TestNextAtCancelledHead checks that a cancelled head still counts: the
+// answer may be early, never late.
+func TestNextAtCancelledHead(t *testing.T) {
+	e := NewEngine()
+	head := e.Schedule(Millisecond, "head", func(*Engine) {})
+	e.Schedule(3*Millisecond, "tail", func(*Engine) {})
+	head.Cancel()
+	if at, ok := e.NextAt(); !ok || at != Time(Millisecond) {
+		t.Fatalf("NextAt = %v, %v; want 1ms, true", at, ok)
+	}
+	e.RunUntil(Time(2 * Millisecond))
+	if at, ok := e.NextAt(); !ok || at != Time(3*Millisecond) {
+		t.Fatalf("NextAt after the cancelled head was discarded = %v, %v; want 3ms, true", at, ok)
+	}
+}
+
+// TestNextAtPinnedTimer checks a pending timer, and that re-arming or
+// stopping it moves the answer.
+func TestNextAtPinnedTimer(t *testing.T) {
+	e := NewEngine()
+	tm := e.NewTimer("t", func(*Engine) {})
+	e.Schedule(5*Millisecond, "later", func(*Engine) {})
+	tm.Arm(2 * Millisecond)
+	if at, ok := e.NextAt(); !ok || at != Time(2*Millisecond) {
+		t.Fatalf("NextAt with an armed timer = %v, %v; want 2ms, true", at, ok)
+	}
+	tm.Arm(7 * Millisecond)
+	if at, ok := e.NextAt(); !ok || at != Time(5*Millisecond) {
+		t.Fatalf("NextAt after re-arming past the other event = %v, %v; want 5ms, true", at, ok)
+	}
+	e.RunUntil(Time(6 * Millisecond))
+	if at, ok := e.NextAt(); !ok || at != Time(7*Millisecond) {
+		t.Fatalf("NextAt with only the timer left = %v, %v; want 7ms, true", at, ok)
+	}
+	tm.Stop()
+	if at, ok := e.NextAt(); ok {
+		t.Fatalf("NextAt after stopping the timer = %v, true", at)
+	}
+}
+
 func TestZeroPeriodTickerPanics(t *testing.T) {
 	e := NewEngine()
 	defer func() {

@@ -3,6 +3,7 @@ package xen
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"vprobe/internal/core"
 	"vprobe/internal/mem"
@@ -80,6 +81,16 @@ type Hypervisor struct {
 	nextVCPU VCPUID
 	nextDom  DomID
 
+	// live is vcpus less the VCPUs retired as terminal, in creation order
+	// (see LiveVCPUs); nil until the first retirement, while every VCPU
+	// is live. retirePending flags that a destroyed domain's VCPU may
+	// have become terminal since the last compaction.
+	live          []*VCPU
+	retirePending bool
+	// runGen moves whenever the set of runnable VCPUs, or a runnable
+	// VCPU's phase, may have changed (see RunnableGen).
+	runGen uint64
+
 	// Migrator, when non-nil, enables the §VI page-migration extension.
 	Migrator *mem.Migrator
 
@@ -125,6 +136,7 @@ func New(top *numa.Topology, policy Policy, cfg Config) *Hypervisor {
 		Config:   cfg,
 		Policy:   policy,
 		vcpuByID: make(map[VCPUID]*VCPU),
+		runGen:   1, // so a cache stamped with the zero generation starts stale
 	}
 	for cpu := 0; cpu < top.NumCPUs(); cpu++ {
 		p := &PCPU{
@@ -200,6 +212,9 @@ func (h *Hypervisor) AddDomain(name string, memMB int64, vcpus int, pol mem.Poli
 		v.wakeTimer = h.Engine.NewTimer("wake", func(*sim.Engine) { h.wake(v, v.wakeLast) })
 		d.VCPUs = append(d.VCPUs, v)
 		h.vcpus = append(h.vcpus, v)
+		if h.live != nil {
+			h.live = append(h.live, v)
+		}
 		h.vcpuByID[v.ID] = v
 	}
 	h.Domains = append(h.Domains, d)
@@ -222,6 +237,7 @@ func (h *Hypervisor) AttachApp(d *Domain, idx int, app *workload.Profile) (*VCPU
 	}
 	v.App = app
 	v.phase = app.PhaseAt(v.InstrDone)
+	h.runGen++
 	return v, nil
 }
 
@@ -244,10 +260,71 @@ func (h *Hypervisor) Watched() []*Domain { return h.watch }
 // AllVCPUs returns every VCPU in creation order.
 func (h *Hypervisor) AllVCPUs() []*VCPU { return h.vcpus }
 
+// LiveVCPUs returns the VCPUs that can still run, in creation order:
+// every VCPU except those of destroyed domains that are terminal (see
+// terminal). A walk that only reads runnable or running VCPUs sees the
+// same VCPUs in the same order over this list as over AllVCPUs. The
+// list is compacted only when a retirement may be due, not on every call.
+// The slice is the hypervisor's own, valid until the next event.
+func (h *Hypervisor) LiveVCPUs() []*VCPU {
+	if h.retirePending {
+		h.retireTerminal()
+	}
+	if h.live == nil {
+		return h.vcpus
+	}
+	return h.live
+}
+
+// retireTerminal drops the terminal VCPUs from the live list, keeping the
+// rest in order.
+func (h *Hypervisor) retireTerminal() {
+	h.retirePending = false
+	if h.live == nil {
+		//vet:alloc once per hypervisor, at its first teardown; single-host runs that destroy nothing never copy
+		h.live = append([]*VCPU(nil), h.vcpus...)
+	}
+	kept := h.live[:0]
+	for _, v := range h.live {
+		if !h.terminal(v) {
+			//vet:alloc compaction into the list's own backing array; kept starts at live[:0] and can never outgrow it
+			kept = append(kept, v)
+		}
+	}
+	clear(h.live[len(kept):])
+	h.live = kept
+}
+
+// terminal reports that v can never run again: its domain is destroyed,
+// it is blocked, and no PCPU holds it, as current or on its run queue. A
+// destroyed VCPU that is still current (PauseDomain marked it blocked
+// mid-quantum) is not terminal: endQuantum may requeue it. The PCPUs are
+// scanned rather than read off OnPCPU, because after that race and a
+// ResumeDomain a VCPU can be current on one PCPU with OnPCPU naming
+// another.
+func (h *Hypervisor) terminal(v *VCPU) bool {
+	if !v.Dom.Destroyed || v.State != StateBlocked {
+		return false
+	}
+	for _, p := range h.PCPUs {
+		if p.Current == v || slices.Contains(p.queue, v) {
+			return false
+		}
+	}
+	return true
+}
+
+// RunnableGen returns the runnable generation: a counter that moves
+// whenever the set of runnable VCPUs, or a runnable VCPU's phase, may
+// have changed. A value derived from runnable VCPUs' phases (the
+// cluster's LLC pressure) stays valid while the generation is unchanged.
+// It may move when nothing changed, never the other way round.
+func (h *Hypervisor) RunnableGen() uint64 { return h.runGen }
+
 // ActiveVCPUs counts runnable or running VCPUs.
 func (h *Hypervisor) ActiveVCPUs() int {
 	n := 0
-	for _, v := range h.vcpus {
+	for _, v := range h.LiveVCPUs() {
 		if v.State == StateRunnable || v.State == StateRunning {
 			n++
 		}
@@ -324,6 +401,7 @@ func (h *Hypervisor) Start() error {
 // concentrate on the node where it actually ran (see finishFirstTouch).
 func (h *Hypervisor) placeDomain(d *Domain) {
 	d.activated = true
+	h.runGen++
 	perm := h.RNG.Perm(len(h.PCPUs))
 	slot := 0
 	for _, v := range d.VCPUs {
@@ -405,7 +483,7 @@ func (h *Hypervisor) accountCredits() {
 	ticks := int(h.Config.AccountPeriod / h.Config.TickPeriod)
 	total := ticks * h.Config.CreditsPerTick * len(h.PCPUs)
 	share := total / active
-	for _, v := range h.vcpus {
+	for _, v := range h.LiveVCPUs() {
 		if v.State != StateRunnable && v.State != StateRunning {
 			continue
 		}
@@ -661,7 +739,10 @@ func (h *Hypervisor) endQuantum(p *PCPU) {
 	})
 	h.Perf.Record(*out, p.Node)
 	v.InstrDone += out.Instructions
-	v.phase = v.App.PhaseAt(v.InstrDone)
+	if ph := v.App.PhaseAt(v.InstrDone); ph != v.phase {
+		v.phase = ph
+		h.runGen++
+	}
 	v.ColdLines = out.ColdLines
 	v.RunTime += out.Used
 	if !v.firstTouched && v.nodeTime != nil {
@@ -684,6 +765,8 @@ func (h *Hypervisor) endQuantum(p *PCPU) {
 		v.FinishTime = h.Engine.Now()
 		v.State = StateBlocked
 		v.OnPCPU = -1
+		h.runGen++
+		h.retirePending = h.retirePending || v.Dom.Destroyed
 		if h.EventFn != nil {
 			// Guarded at the call site, not just inside emit: boxing the
 			// variadic args allocates before emit's own nil check runs.
@@ -698,6 +781,8 @@ func (h *Hypervisor) endQuantum(p *PCPU) {
 		// it last ran, and idle PCPUs may steal it from there — the
 		// churn that makes load-balance policy matter.
 		v.State = StateBlocked
+		h.runGen++
+		h.retirePending = h.retirePending || v.Dom.Destroyed
 		wait := sim.Duration(h.RNG.Exp(v.App.BlockMicrosMean))
 		if wait < sim.Microsecond {
 			wait = sim.Microsecond
@@ -715,6 +800,11 @@ func (h *Hypervisor) endQuantum(p *PCPU) {
 		case v.pendingNode != numa.NoNode:
 			target = h.leastLoadedPCPU(v.pendingNode)
 			v.pendingNode = numa.NoNode
+		}
+		if v.State == StateBlocked {
+			// PauseDomain marked v blocked while it was still current;
+			// the requeue makes it runnable again.
+			h.runGen++
 		}
 		v.Priority = priorityFromCredits(v)
 		h.enqueue(target, v)
@@ -746,6 +836,7 @@ func (h *Hypervisor) wake(v *VCPU, last *PCPU) {
 	}
 	v.Priority = PrioBoost
 	h.enqueue(target, v)
+	h.runGen++
 	if target.Current != nil && target.Current.Priority > PrioBoost {
 		h.preempt(target)
 	} else {
@@ -781,6 +872,7 @@ func (h *Hypervisor) swapGuestThreads(d *Domain) {
 	}
 	a := apps[h.RNG.Intn(len(apps))]
 	b := parks[h.RNG.Intn(len(parks))]
+	h.runGen++
 	a.App, b.App = b.App, a.App
 	a.InstrDone, b.InstrDone = b.InstrDone, a.InstrDone
 	a.phase, b.phase = b.phase, a.phase

@@ -16,6 +16,7 @@ func (h *Hypervisor) PauseDomain(d *Domain) error {
 		return fmt.Errorf("xen: domain %q already paused", d.Name)
 	}
 	d.Paused = true
+	h.runGen++
 	for _, v := range d.VCPUs {
 		if v.App == nil || v.Done {
 			continue
@@ -50,6 +51,7 @@ func (h *Hypervisor) ResumeDomain(d *Domain) error {
 		return fmt.Errorf("xen: domain %q is destroyed", d.Name)
 	}
 	d.Paused = false
+	h.runGen++
 	for _, v := range d.VCPUs {
 		if v.App == nil || v.Done || !v.paused {
 			continue
@@ -81,6 +83,7 @@ func (h *Hypervisor) DestroyDomain(d *Domain) error {
 		}
 	}
 	d.Destroyed = true
+	h.retirePending = true
 	h.Alloc.Release(d.MemDist, d.MemoryMB)
 	h.Spans.domainDestroyed(d)
 	h.emit(EventDomDestroy, -1, -1, numa.NoNode, "", "domain %s destroyed", d.Name)

@@ -1,6 +1,9 @@
 package xen_test
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"vprobe/internal/mem"
@@ -171,5 +174,81 @@ func TestWorkConservationAcrossPause(t *testing.T) {
 		if v.RunTime.Seconds() < 3.5 {
 			t.Fatalf("burner VCPU %d ran only %.2fs; pause did not free CPUs", v.ID, v.RunTime.Seconds())
 		}
+	}
+}
+
+// TestLiveVCPUsAndRunnableGen steps a churning host between events —
+// servers blocking and waking, batch phases turning over, a guest-thread
+// swap, a pause, a resume and two teardowns — and checks after every
+// step that LiveVCPUs is AllVCPUs less exactly the terminal VCPUs (domain
+// destroyed, blocked, neither current nor queued), in creation order,
+// and that an
+// unchanged RunnableGen means an unchanged set of runnable VCPUs and
+// phases.
+func TestLiveVCPUsAndRunnableGen(t *testing.T) {
+	h := newHV(t, sched.KindVProbe)
+	var doms []*xen.Domain
+	for i, app := range []*workload.Profile{workload.Memcached(64), workload.MG(), workload.Redis(2000)} {
+		// Two guest-housekeeping VCPUs per domain give the guest
+		// scheduler somewhere to park a thread.
+		d, err := h.CreateDomain(fmt.Sprintf("vm%d", i), 2*1024, 5, mem.PolicyStripe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, a := range []*workload.Profile{app, app, app, workload.GuestIdle(), workload.GuestIdle()} {
+			if _, err := h.AttachApp(d, j, a.Clone()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		doms = append(doms, d)
+	}
+	h.Engine.Schedule(3*sim.Second, "pause", func(*sim.Engine) { h.PauseDomain(doms[1]) })
+	h.Engine.Schedule(5*sim.Second, "resume", func(*sim.Engine) { h.ResumeDomain(doms[1]) })
+	h.Engine.Schedule(12*sim.Second, "destroy", func(*sim.Engine) { h.DestroyDomain(doms[0]) })
+	h.Engine.Schedule(14*sim.Second, "destroy", func(*sim.Engine) { h.DestroyDomain(doms[1]) })
+
+	type runnable struct {
+		v  *xen.VCPU
+		ph *workload.Phase
+	}
+	snapshot := func() []runnable {
+		var out []runnable
+		for _, v := range h.AllVCPUs() {
+			if v.Runnable() {
+				out = append(out, runnable{v, v.Phase()})
+			}
+		}
+		return out
+	}
+	held := func(v *xen.VCPU) bool {
+		for _, p := range h.PCPUs {
+			if p.Current == v || slices.Contains(p.Queue(), v) {
+				return true
+			}
+		}
+		return false
+	}
+	gen, set := h.RunnableGen(), snapshot()
+	for at := sim.Time(50 * sim.Microsecond); at <= sim.Time(16*sim.Second); at += sim.Time(50 * sim.Microsecond) {
+		if _, err := h.RunContext(context.Background(), sim.Duration(at)); err != nil {
+			t.Fatal(err)
+		}
+		var want []*xen.VCPU
+		for _, v := range h.AllVCPUs() {
+			if !v.Dom.Destroyed || v.State != xen.StateBlocked || held(v) {
+				want = append(want, v)
+			}
+		}
+		if got := h.LiveVCPUs(); !slices.Equal(got, want) {
+			t.Fatalf("at %v: %d live VCPUs, want %d", at, len(got), len(want))
+		}
+		now := snapshot()
+		if h.RunnableGen() == gen && !slices.Equal(now, set) {
+			t.Fatalf("at %v: the runnable set or a phase moved under generation %d", at, gen)
+		}
+		gen, set = h.RunnableGen(), now
+	}
+	if n := len(h.LiveVCPUs()); n >= len(h.AllVCPUs()) {
+		t.Fatalf("no VCPU retired after two teardowns: %d live of %d", n, len(h.AllVCPUs()))
 	}
 }
