@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"vprobe/internal/controlplane"
 	"vprobe/internal/harness"
@@ -271,34 +270,13 @@ type Cluster struct {
 	syncedTo sim.Time
 
 	// Lazy host clocks (syncHosts): due[i] is the time host i must next
-	// advance by, never later than its earliest queued event; hostCtx is
-	// the context host engines advance under; dueScratch is syncHosts'
-	// reusable list of the hosts it advances.
+	// advance by, never later than its earliest queued event; dueScratch
+	// is syncHosts' reusable list of the hosts it advances.
 	due        []sim.Time
-	hostCtx    *hostCtx
 	dueScratch []*Host
 	// marks holds each host's mutation mark at the last sync, for the
 	// -place-check clock check (placecheck.go); nil when it is off.
 	marks []hostMark
-}
-
-// hostCtx is the context host engines advance under: Run's context, with
-// an Err that costs one atomic load. A host engine polls its context at
-// every run entry and every few thousand events, and harness.Map polls
-// before every host; on a cancelCtx each poll takes a mutex. syncHosts
-// polls Run's context itself, once per sync, and a context.AfterFunc
-// copies a cancellation here, so a long host advance still stops.
-type hostCtx struct {
-	context.Context
-	done atomic.Bool
-}
-
-// Err returns the run context's error once it is cancelled.
-func (h *hostCtx) Err() error {
-	if h.done.Load() {
-		return h.Context.Err()
-	}
-	return nil
 }
 
 // ErrAlreadyRun: Run was invoked twice on the same Cluster value. The
@@ -384,9 +362,6 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 	// and corrupt — this run's state.
 	c.ran = true
 	c.ctx = ctx
-	c.hostCtx = &hostCtx{Context: ctx}
-	stop := context.AfterFunc(ctx, func() { c.hostCtx.done.Store(true) })
-	defer stop()
 	if c.cfg.Telemetry != nil {
 		// Size the sample ring to the horizon so it never wraps and the
 		// export covers the whole run.
@@ -439,9 +414,6 @@ func (c *Cluster) syncHosts(t sim.Time) error {
 	if t <= c.syncedTo {
 		return nil
 	}
-	if err := c.ctx.Err(); err != nil {
-		return c.failSync(err)
-	}
 	if c.cfg.PlaceCheck && !c.checkClocks(c.syncedTo) {
 		return c.err
 	}
@@ -453,7 +425,7 @@ func (c *Cluster) syncHosts(t sim.Time) error {
 		}
 	}
 	c.dueScratch = run
-	_, err := harness.Map(c.hostCtx, c.cfg.Workers, len(run),
+	_, err := harness.Map(c.ctx, c.cfg.Workers, len(run),
 		func(ctx context.Context, k int) (struct{}, error) {
 			return struct{}{}, run[k].advanceTo(ctx, t)
 		})

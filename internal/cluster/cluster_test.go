@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"vprobe/internal/numa"
@@ -182,6 +184,45 @@ func TestClusterCancellation(t *testing.T) {
 	cancel()
 	if _, err := c.Run(ctx); err == nil {
 		t.Fatal("cancelled run reported success")
+	}
+}
+
+// lateCancelCtx cancels itself on its nth Err call, after reading the
+// error it returns: the call reports a live context whose Done is
+// already closed, as a cancellation landing just after a poll does.
+type lateCancelCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	calls  atomic.Int64
+	nth    int64
+}
+
+func (l *lateCancelCtx) Err() error {
+	err := l.Context.Err()
+	if l.calls.Add(1) == l.nth {
+		l.cancel()
+	}
+	return err
+}
+
+// TestClusterCancelledAfterPoll cancels Run's context right after one of
+// its polls has read it live, with several workers so host advances take
+// harness.Map's parallel path, which derives a context from Run's. The
+// run must stop with the cancellation.
+func TestClusterCancelledAfterPoll(t *testing.T) {
+	for _, nth := range []int64{2, 5, 10} {
+		c, err := New(Config{Hosts: 8, Horizon: 300 * sim.Second, Seed: 1,
+			ArrivalsPerSecond: 5, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent, cancel := context.WithCancel(context.Background())
+		ctx := &lateCancelCtx{Context: parent, cancel: cancel, nth: nth}
+		_, err = c.Run(ctx)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("nth=%d: run cancelled after a poll returned %v", nth, err)
+		}
 	}
 }
 

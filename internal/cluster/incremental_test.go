@@ -571,3 +571,63 @@ func TestPlaceCheckLazyClocks(t *testing.T) {
 		}
 	}
 }
+
+// TestPlaceCheckGangRollback makes a gang's commit fail on its last
+// member, after the first member's domain is built on a host that lagged
+// cluster time, so the rollback tears that domain down again. Under
+// -place-check the rollback must leave every clock current or idle, and
+// every cached view equal to a fresh one.
+func TestPlaceCheckGangRollback(t *testing.T) {
+	c, err := New(Config{Hosts: 2, Seed: 5, PlaceCheck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ctx = context.Background()
+	t1 := sim.Time(sim.Millisecond)
+	t2 := t1.Add(sim.Millisecond)
+	for _, at := range []sim.Time{t1, t2} {
+		if err := c.syncHosts(at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, ho := range c.hosts {
+		if ho.H.Engine.Now() >= t2 {
+			t.Fatalf("%s is current at %v: the gang would not commit on a lagging host",
+				ho.Name, ho.H.Engine.Now())
+		}
+	}
+	free := make([]int64, len(c.hosts))
+	for i, ho := range c.hosts {
+		free[i] = ho.freshView().FreeMB
+	}
+	// AddDomain refuses a domain without VCPUs, which the reserve
+	// places like any other member.
+	var vms []*VM
+	for i, spec := range []VMSpec{{MemoryMB: 2048, VCPUs: 2}, {MemoryMB: 1024}} {
+		spec.Name = fmt.Sprintf("gang%d", i)
+		spec.Group = "g"
+		vms = append(vms, &VM{ID: i, Spec: spec})
+	}
+	u := &admitUnit{vms: vms, gang: true, priority: controlplane.BestEffort}
+	if c.tryAdmitGang(u) {
+		t.Fatal("a gang with a member AddDomain refuses was admitted")
+	}
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	for i, ho := range c.hosts {
+		if n := ho.H.ActiveVCPUs(); n != 0 || ho.freshView().FreeMB != free[i] {
+			t.Fatalf("%s keeps %d VCPUs and %d of %d MB free after the rollback",
+				ho.Name, n, ho.freshView().FreeMB, free[i])
+		}
+	}
+	if err := c.syncHosts(t2.Add(50 * sim.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	c.refreshViews()
+	for _, ho := range c.hosts {
+		if diff := diffViews(&ho.view, ho.freshView()); diff != "" {
+			t.Errorf("%s view diverges after the rollback: %s", ho.Name, diff)
+		}
+	}
+}
