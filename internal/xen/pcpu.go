@@ -29,10 +29,6 @@ type PCPU struct {
 	// endQuantum at construction so dispatch never allocates a closure.
 	quantum *sim.Timer
 
-	// kickFn is the pre-bound "re-run the scheduler on this PCPU"
-	// callback shared by boot and kick events.
-	kickFn func(*sim.Engine)
-
 	// stealScratch is QueueViews' reusable per-PCPU candidate buffer.
 	stealScratch []core.RunnableVCPU
 
