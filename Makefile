@@ -17,12 +17,13 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint = go vet + the determinism contract (mapiter, walltime, ctxflow,
+# lint = gofmt + go vet + the determinism contract (mapiter, walltime, ctxflow,
 # eventswitch, errsentinel), the module-wide contract analyzers (hotpath,
 # specfield, telemetryhandle), and the compiler's escape-analysis
 # baseline (vprobe-escape -diff).
 # `go run ./cmd/vprobe-vet -list` shows the analyzers.
 lint: vet
+	test -z "$$(gofmt -l .)"
 	$(GO) run ./cmd/vprobe-vet ./...
 	$(GO) run ./cmd/vprobe-escape -diff
 

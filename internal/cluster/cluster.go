@@ -642,9 +642,11 @@ func (c *Cluster) drawProfileRef() profileRef {
 }
 
 // admitDomain builds, binds, and activates the VM's domain on a host. An
-// AddDomain failure is returned to the caller — reserve-phase arithmetic
-// is an estimate and may lag the allocator — while attach and activate
-// failures are accounting bugs and stop the run.
+// AddDomain failure is returned to the caller, which decides whether it
+// is a bug: a gang commit rolls back and retries, since AddDomain checks
+// more than the reserve's memory (the reserve and the allocator share
+// mem.Take). Attach and activate failures are accounting bugs and stop
+// the run.
 func (c *Cluster) admitDomain(vm *VM, ho *Host, plan MemPlan) (*xen.Domain, error) {
 	c.touch(ho)
 	dom, err := ho.H.AddDomain(vm.Spec.Name, vm.Spec.MemoryMB, vm.Spec.VCPUs,
@@ -836,7 +838,10 @@ func (c *Cluster) startMigration(vm *VM, target *Host, plan MemPlan) {
 	dom, err := target.H.AddDomain(vm.Spec.Name, vm.Spec.MemoryMB, vm.Spec.VCPUs,
 		plan.Policy, plan.Preferred)
 	if err != nil {
-		return // capacity moved under us; skip this tick
+		// The capacity filter admits only what the allocator holds, but
+		// the rebalancer places a tick's migrations against one snapshot,
+		// so an earlier move may have taken this room; skip this tick.
+		return
 	}
 	c.markDirty(target)
 	for i, p := range profiles {

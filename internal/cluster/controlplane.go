@@ -24,7 +24,6 @@ import (
 
 	"vprobe/internal/controlplane"
 	"vprobe/internal/mem"
-	"vprobe/internal/numa"
 	"vprobe/internal/sim"
 	"vprobe/internal/xen"
 )
@@ -226,9 +225,10 @@ func (c *Cluster) tryPreemptFor(u *admitUnit, vm *VM) bool {
 	}
 	// The evictions freed real capacity; re-run the pipeline restricted to
 	// the planned host so the memory plan reflects the post-eviction
-	// layout. The planner's deduction is an estimate — if it diverged the
-	// arrival simply stays queued (the victims are already safe: migrated
-	// or requeued).
+	// layout. The planner replayed each victim's release with the
+	// allocator's rounding, so this fails only when an eviction freed
+	// nothing (a migration that could not start); the arrival then stays
+	// queued (the victims are already safe: migrated or requeued).
 	hv, mplan, err := c.pipeline.Place(&vm.Spec, c.liveView(target))
 	if c.spans != nil {
 		// The post-eviction re-place is restricted to the planned host;
@@ -310,9 +310,11 @@ func (c *Cluster) requeueVictim(vm *VM) {
 // the live views, with the earlier members' deductions applied to them
 // (reserveGang); the views are then restored exactly (restoreGang).
 // Commit: all domains are built first, and only then does any member's
-// placement finalize — an AddDomain failure mid-commit (the reserve
-// arithmetic is an estimate of the allocator's) tears the built domains
-// down again and the gang retries as a whole.
+// placement finalize. The reserve deducts with mem.Take, the allocator's
+// own arithmetic, so every reserved layout fits its allocator; an
+// AddDomain failure mid-commit (a check the reserve does not make, such
+// as a member without VCPUs) tears the built domains down again and the
+// gang retries as a whole.
 func (c *Cluster) tryAdmitGang(u *admitUnit) bool {
 	c.refreshViews()
 	slots := make([]gangSlot, len(u.vms))
@@ -371,17 +373,16 @@ type gangSlot struct {
 type reservedHost struct {
 	ho         *Host
 	free       []int64
-	freeMB     int64
 	guest, vms int
 	gen        uint64
 }
 
 // reserveGang routes each member through the class score cache and
-// applies its deduction to the winner's live view and FreeIndex before
-// the next member places, bumping that host's generation so the cache
-// rescores it. It fills slots for the members that found a host and
-// returns how many did: len(vms) when the whole gang fits, else the index
-// of the first member that fit nowhere. The views are left reserved; the
+// applies its deduction to the winner's live view before the next member
+// places, bumping that host's generation so the cache rescores it. It
+// fills slots for the members that found a host and returns how many did:
+// len(vms) when the whole gang fits, else the index of the first member
+// that fit nowhere. The views are left reserved; the
 // caller must restoreGang before anything else reads them.
 func (c *Cluster) reserveGang(vms []*VM, slots []gangSlot) int {
 	for i, vm := range vms {
@@ -391,12 +392,7 @@ func (c *Cluster) reserveGang(vms []*VM, slots []gangSlot) int {
 		}
 		ho := c.hosts[hv.Index]
 		c.saveReserved(ho)
-		takes := planTakes(plan, hv.FreePerNodeMB, vm.Spec.MemoryMB)
-		for n, take := range takes {
-			hv.FreePerNodeMB[n] -= take
-			hv.FreeMB -= take
-			ho.freeIdx.Set(numa.NodeID(n), hv.FreePerNodeMB[n])
-		}
+		mem.Take(hv.FreePerNodeMB, vm.Spec.MemoryMB, plan.Policy, plan.Preferred)
 		hv.GuestVCPUs += vm.Spec.VCPUs
 		hv.VMs++
 		ho.gen++
@@ -424,23 +420,19 @@ func (c *Cluster) saveReserved(ho *Host) {
 	v := &ho.view
 	r.ho = ho
 	r.free = append(r.free[:0], v.FreePerNodeMB...)
-	r.freeMB, r.guest, r.vms, r.gen = v.FreeMB, v.GuestVCPUs, v.VMs, ho.gen
+	r.guest, r.vms, r.gen = v.GuestVCPUs, v.VMs, ho.gen
 }
 
-// restoreGang puts every view, FreeIndex entry and generation the
-// reserve touched back exactly as saved, then rescores the restored
-// hosts in every class: an entry scored against a reserved view carries a
-// generation the host will reach again with different inputs, so it must
-// not outlive the reserve.
+// restoreGang puts every view and generation the reserve touched back
+// exactly as saved, then rescores the restored hosts in every class: an
+// entry scored against a reserved view carries a generation the host will
+// reach again with different inputs, so it must not outlive the reserve.
 func (c *Cluster) restoreGang() {
 	for i := range c.reserved {
 		r := &c.reserved[i]
 		v := &r.ho.view
-		for n, free := range r.free {
-			v.FreePerNodeMB[n] = free
-			r.ho.freeIdx.Set(numa.NodeID(n), free)
-		}
-		v.FreeMB, v.GuestVCPUs, v.VMs = r.freeMB, r.guest, r.vms
+		copy(v.FreePerNodeMB, r.free)
+		v.GuestVCPUs, v.VMs = r.guest, r.vms
 		r.ho.gen = r.gen
 		c.scores.settle(r.ho.Index)
 	}
@@ -588,7 +580,6 @@ func (c *Cluster) cpFit(req controlplane.Request, hc *controlplane.HostCap) bool
 		Nodes:         ho.Top.NumNodes(),
 		CPUs:          ho.Top.NumCPUs(),
 		FreePerNodeMB: hc.FreePerNodeMB,
-		FreeMB:        hc.FreeMB(),
 		TotalMB:       ho.Top.TotalMemoryMB(),
 		GuestVCPUs:    hc.GuestVCPUs,
 		VCPUCap:       hc.VCPUCap,
@@ -621,28 +612,20 @@ func (c *Cluster) departures() []controlplane.Departure {
 	return deps
 }
 
-// domFrees is the per-node memory a domain's teardown hands back,
-// mirroring mem.Allocator.Release's rounding.
+// domFrees is the per-node memory a domain's teardown hands back, with
+// the allocator's release rounding.
 func domFrees(vm *VM) []int64 {
 	frees := make([]int64, len(vm.dom.MemDist))
-	for i, f := range vm.dom.MemDist {
-		frees[i] = int64(f*float64(vm.dom.MemoryMB) + 0.5)
+	for i := range frees {
+		frees[i] = vm.dom.MemDist.ReleasedMB(i, vm.dom.MemoryMB)
 	}
 	return frees
 }
 
-// planTakes computes the per-node deduction a memory plan implies, using
-// the control-plane mirrors of the allocator's three policies.
+// planTakes is the per-node deduction a memory plan implies on a host
+// whose free vector is freePerNode: mem.Take on a copy, the arithmetic the
+// allocator runs when the plan is admitted.
 func planTakes(plan MemPlan, freePerNode []int64, memMB int64) []int64 {
-	free := append([]int64(nil), freePerNode...)
-	var takes []int64
-	switch plan.Policy {
-	case mem.PolicyFill:
-		takes, _ = controlplane.TakeFill(free, memMB)
-	case mem.PolicyLocal:
-		takes, _ = controlplane.TakeLocal(free, memMB, int(plan.Preferred))
-	default:
-		takes, _ = controlplane.TakeStripe(free, memMB)
-	}
+	takes, _ := mem.Take(append([]int64(nil), freePerNode...), memMB, plan.Policy, plan.Preferred)
 	return takes
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"vprobe/internal/mem"
+	"vprobe/internal/numa"
 	"vprobe/internal/sim"
 )
 
@@ -304,6 +306,40 @@ func TestRetryInterleavingDeterministic(t *testing.T) {
 		}
 		if log != wantLog {
 			t.Fatalf("event log diverges at workers=%d", workers)
+		}
+	}
+}
+
+// TestPlanTakesIsWhatTheAllocatorTakes pins the what-if arithmetic the
+// gang reserve and backfill rely on: on a host whose node 1 is partly
+// full, the per-node drop admitDomain leaves in the allocator equals
+// planTakes on the view before admission, for fill, local with spill and
+// stripe (three different layouts here), and planTakes leaves the view
+// itself alone.
+func TestPlanTakesIsWhatTheAllocatorTakes(t *testing.T) {
+	for _, plan := range []MemPlan{
+		{Policy: mem.PolicyFill},
+		{Policy: mem.PolicyLocal, Preferred: 1},
+		{Policy: mem.PolicyStripe},
+	} {
+		c := mkCluster(t, 1)
+		ho := c.hosts[0]
+		if _, err := c.admitDomain(&VM{Spec: VMSpec{Name: "base", MemoryMB: 8192, VCPUs: 1}},
+			ho, MemPlan{Policy: mem.PolicyLocal, Preferred: 1}); err != nil {
+			t.Fatal(err)
+		}
+		c.refreshViews()
+		const size = 6144 // more than node 1 has left, so local spills
+		takes := planTakes(plan, ho.view.FreePerNodeMB, size)
+		before := append([]int64(nil), ho.view.FreePerNodeMB...)
+		if _, err := c.admitDomain(&VM{Spec: VMSpec{Name: "vm", MemoryMB: size, VCPUs: 1}},
+			ho, plan); err != nil {
+			t.Fatalf("%v: %v", plan.Policy, err)
+		}
+		for n := range before {
+			if drop := before[n] - ho.H.Alloc.FreeMB(numa.NodeID(n)); drop != takes[n] {
+				t.Errorf("%v: node %d dropped %d MB, planTakes %v", plan.Policy, n, drop, takes)
+			}
 		}
 	}
 }

@@ -31,9 +31,8 @@ type Host struct {
 
 	// Incremental placement state (DESIGN.md §14). view is the persistent
 	// snapshot the pipeline reads; it is refreshed — never rebuilt — when
-	// the host is dirty. freeIdx mirrors view.FreePerNodeMB incrementally.
-	view    HostView
-	freeIdx *numa.FreeIndex
+	// the host is dirty.
+	view HostView
 	// gen counts changes to the view's placement inputs: it moves if and
 	// only if a view field moved, on a refresh or during a gang reserve.
 	// The score cache stores the generation a cached (pipeline, host)
@@ -82,22 +81,17 @@ func newHost(index int, top *numa.Topology, kind sched.Kind, seed uint64) (*Host
 func (ho *Host) initView() {
 	nodes := ho.Top.NumNodes()
 	free := make([]int64, nodes)
-	var total int64
 	for n := 0; n < nodes; n++ {
 		free[n] = ho.H.Alloc.FreeMB(numa.NodeID(n))
-		total += free[n]
 	}
-	ho.freeIdx = numa.NewFreeIndex(free)
 	ho.view = HostView{
 		Index:         ho.Index,
 		Name:          ho.Name,
 		Nodes:         nodes,
 		CPUs:          ho.Top.NumCPUs(),
 		FreePerNodeMB: free,
-		FreeMB:        total,
 		TotalMB:       ho.Top.TotalMemoryMB(),
 		VCPUCap:       int(overcommit * float64(ho.Top.NumCPUs())),
-		FreeIdx:       ho.freeIdx,
 	}
 }
 
@@ -131,10 +125,11 @@ func (ho *Host) guestVCPUs() int {
 }
 
 // settled reports that nothing on the host can change its view anymore:
-// every PCPU is idle and no VCPU is runnable. The incremental engine
-// uses it as the quiescence test for empty hosts — once settled, the
-// cached view's pressure and counters are frozen until the cluster
-// mutates the host again (wakeups of paused VCPUs are no-ops).
+// every PCPU is idle (the hypervisor's running count is zero) and no VCPU
+// is runnable. The incremental engine uses it as the quiescence test for
+// empty hosts — once settled, the cached view's pressure and counters are
+// frozen until the cluster mutates the host again (wakeups of paused
+// VCPUs are no-ops).
 //
 // The PCPU check is load-bearing, not belt-and-braces: a domain teardown
 // can race the scheduler's redispatch, leaving a VCPU current on a PCPU
@@ -145,10 +140,8 @@ func (ho *Host) guestVCPUs() int {
 //
 //vprobe:hotpath
 func (ho *Host) settled() bool {
-	for _, p := range ho.H.PCPUs {
-		if p.Current != nil {
-			return false
-		}
+	if ho.H.Running() != 0 {
+		return false
 	}
 	for _, v := range ho.H.LiveVCPUs() {
 		if v.Runnable() {
@@ -251,10 +244,8 @@ func (ho *Host) freshView() *HostView {
 		LLCPressure: pressureOf(ho.H.AllVCPUs(), ho.Top.NumNodes()),
 	}
 	for n := 0; n < ho.Top.NumNodes(); n++ {
-		free := ho.H.Alloc.FreeMB(numa.NodeID(n))
 		//vet:alloc from-scratch snapshot allocation, shadow mode only
-		v.FreePerNodeMB = append(v.FreePerNodeMB, free)
-		v.FreeMB += free
+		v.FreePerNodeMB = append(v.FreePerNodeMB, ho.H.Alloc.FreeMB(numa.NodeID(n)))
 	}
 	return v
 }

@@ -81,11 +81,10 @@ func (c *Cluster) refreshViews() {
 }
 
 // refreshHost recomputes the host's placement inputs and writes the ones
-// that moved into the persistent view, mirroring changed nodes into the
-// FreeIndex. Only a moved input bumps the view generation and invalidates
-// the host's cached scores. The field-by-field computation is freshView's,
-// so a refreshed cached view always equals a from-scratch snapshot taken
-// at the same instant.
+// that moved into the persistent view. Only a moved input bumps the view
+// generation and invalidates the host's cached scores. The field-by-field
+// computation is freshView's, so a refreshed cached view always equals a
+// from-scratch snapshot taken at the same instant.
 //
 //vprobe:hotpath
 func (c *Cluster) refreshHost(ho *Host) {
@@ -98,9 +97,7 @@ func (c *Cluster) refreshHost(ho *Host) {
 		if free == v.FreePerNodeMB[n] {
 			continue
 		}
-		v.FreeMB += free - v.FreePerNodeMB[n]
 		v.FreePerNodeMB[n] = free
-		ho.freeIdx.Set(numa.NodeID(n), free)
 		changed = true
 	}
 	ho.dirty = false

@@ -337,8 +337,8 @@ func TestRefreshBumpsGenOnInputChange(t *testing.T) {
 
 // TestGangFailedReserveRestoresState pins the gang reserve's restore
 // rule: a gang whose last member fits nowhere, after the earlier members
-// reserved into the live views, must leave every view, FreeIndex entry,
-// generation and class-heap entry exactly as a from-scratch rescan sees
+// reserved into the live views, must leave every view, generation and
+// class-heap entry exactly as a from-scratch rescan sees
 // the (unchanged) hosts — including a score class first built mid-reserve.
 func TestGangFailedReserveRestoresState(t *testing.T) {
 	c := mkCluster(t, 4)
@@ -598,7 +598,7 @@ func TestPlaceCheckGangRollback(t *testing.T) {
 	}
 	free := make([]int64, len(c.hosts))
 	for i, ho := range c.hosts {
-		free[i] = ho.freshView().FreeMB
+		free[i] = ho.freshView().FreeMB()
 	}
 	// AddDomain refuses a domain without VCPUs, which the reserve
 	// places like any other member.
@@ -616,9 +616,9 @@ func TestPlaceCheckGangRollback(t *testing.T) {
 		t.Fatal(c.err)
 	}
 	for i, ho := range c.hosts {
-		if n := ho.H.ActiveVCPUs(); n != 0 || ho.freshView().FreeMB != free[i] {
+		if n := ho.H.ActiveVCPUs(); n != 0 || ho.freshView().FreeMB() != free[i] {
 			t.Fatalf("%s keeps %d VCPUs and %d of %d MB free after the rollback",
-				ho.Name, n, ho.freshView().FreeMB, free[i])
+				ho.Name, n, ho.freshView().FreeMB(), free[i])
 		}
 	}
 	if err := c.syncHosts(t2.Add(50 * sim.Millisecond)); err != nil {

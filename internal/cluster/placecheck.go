@@ -6,7 +6,7 @@ package cluster
 //
 //  1. State: every host's cached view must equal a from-scratch
 //     freshView snapshot, field by field — this catches a missed
-//     markDirty or a drifting FreeIndex at the first event it matters.
+//     markDirty or a missed refresh at the first event it matters.
 //  2. Decision: the generic Pipeline.Place over the fresh views must
 //     pick the same host, the same memory plan, and agree on
 //     feasibility — this catches heap-order or cache-invalidation bugs.
@@ -30,7 +30,7 @@ import (
 	"fmt"
 	"math"
 
-	"vprobe/internal/numa"
+	"vprobe/internal/mem"
 	"vprobe/internal/sim"
 )
 
@@ -79,8 +79,8 @@ func (c *Cluster) checkPlacement(spec *VMSpec, hv *HostView, plan MemPlan, err e
 
 // checkGangReserve validates one gang reserve against the what-if
 // reservation it replaced: the generic Pipeline.Place per member over
-// from-scratch view copies (FreeIdx nil) that accumulate the earlier
-// members' deductions. Every member must land on the same host with the
+// from-scratch view copies that accumulate the earlier members'
+// deductions. Every member must land on the same host with the
 // same plan, and the reserve must stop at the same member. It runs after
 // restoreGang, so its view comparison also proves the restore exact.
 func (c *Cluster) checkGangReserve(vms []*VM, slots []gangSlot, placed int) {
@@ -118,10 +118,7 @@ func (c *Cluster) checkGangReserve(vms []*VM, slots []gangSlot, placed int) {
 				vm.Spec.Name, slots[i].host.Name, slots[i].plan, hv.Name, plan)
 			return
 		}
-		for n, take := range planTakes(plan, hv.FreePerNodeMB, vm.Spec.MemoryMB) {
-			hv.FreePerNodeMB[n] -= take
-			hv.FreeMB -= take
-		}
+		mem.Take(hv.FreePerNodeMB, vm.Spec.MemoryMB, plan.Policy, plan.Preferred)
 		hv.GuestVCPUs += vm.Spec.VCPUs
 		hv.VMs++
 	}
@@ -213,9 +210,6 @@ func diffViews(cached, fresh *HostView) string {
 	case cached.CPUs != fresh.CPUs:
 		//vet:alloc first-difference rendering happens at most once per run, on the failure path
 		return fmt.Sprintf("CPUs %d != %d", cached.CPUs, fresh.CPUs)
-	case cached.FreeMB != fresh.FreeMB:
-		//vet:alloc first-difference rendering happens at most once per run, on the failure path
-		return fmt.Sprintf("FreeMB %d != %d", cached.FreeMB, fresh.FreeMB)
 	case cached.TotalMB != fresh.TotalMB:
 		//vet:alloc first-difference rendering happens at most once per run, on the failure path
 		return fmt.Sprintf("TotalMB %d != %d", cached.TotalMB, fresh.TotalMB)
@@ -237,10 +231,6 @@ func diffViews(cached, fresh *HostView) string {
 			//vet:alloc first-difference rendering happens at most once per run, on the failure path
 			return fmt.Sprintf("FreePerNodeMB[%d] %d != %d",
 				n, cached.FreePerNodeMB[n], fresh.FreePerNodeMB[n])
-		}
-		if got := cached.FreeIdx.FreeMB(numa.NodeID(n)); got != fresh.FreePerNodeMB[n] {
-			//vet:alloc first-difference rendering happens at most once per run, on the failure path
-			return fmt.Sprintf("FreeIdx[%d] %d != %d", n, got, fresh.FreePerNodeMB[n])
 		}
 	}
 	return ""

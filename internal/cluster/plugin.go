@@ -20,10 +20,9 @@ type HostView struct {
 	Nodes int
 	CPUs  int
 
-	// FreePerNodeMB is free machine memory per NUMA node; FreeMB and
-	// TotalMB are the host-wide free and installed capacities.
+	// FreePerNodeMB is free machine memory per NUMA node (FreeMB sums it);
+	// TotalMB is the host's installed capacity.
 	FreePerNodeMB []int64
-	FreeMB        int64
 	TotalMB       int64
 
 	// GuestVCPUs counts VCPUs of live domains; VCPUCap is the overcommit
@@ -37,27 +36,24 @@ type HostView struct {
 	// LLCPressure is the per-socket average of the active VCPUs' LLC
 	// reference intensity (RPTI).
 	LLCPressure float64
+}
 
-	// FreeIdx, when non-nil, is the host's incremental free-chunk index,
-	// maintained to mirror FreePerNodeMB exactly (refreshHost and the
-	// gang reserve write both together). Plugins use it to answer
-	// available-space and best-node queries without copying or sorting;
-	// they fall back to the from-scratch scan when it is nil. View copies
-	// that mutate FreePerNodeMB on their own (the -place-check gang
-	// oracle, the control-plane fit adapter) must leave FreeIdx nil, or
-	// the fast path would read the live host instead of the copy.
-	FreeIdx *numa.FreeIndex
+// FreeMB is the host-wide free memory: the sum of FreePerNodeMB.
+//
+//vprobe:hotpath
+func (hv *HostView) FreeMB() int64 {
+	var free int64
+	for _, f := range hv.FreePerNodeMB {
+		free += f
+	}
+	return free
 }
 
 // bestNode returns the node with the most free memory (ties toward the
-// lowest id) and that node's free MB. The FreeIndex answers in O(1) when
-// present; FreeIndex.Best is defined to match this scan's tie-break.
+// lowest id) and that node's free MB.
 //
 //vprobe:hotpath
 func (hv *HostView) bestNode() (numa.NodeID, int64) {
-	if hv.FreeIdx != nil {
-		return hv.FreeIdx.Best()
-	}
 	best, bestFree := numa.NoNode, int64(-1)
 	for n, free := range hv.FreePerNodeMB {
 		if free > bestFree {
@@ -291,9 +287,9 @@ func (CapacityFilter) Name() string { return "capacity" }
 
 // Filter implements FilterPlugin.
 func (CapacityFilter) Filter(spec *VMSpec, hv *HostView) error {
-	if spec.MemoryMB > hv.FreeMB {
+	if free := hv.FreeMB(); spec.MemoryMB > free {
 		//vet:alloc veto errors render only for infeasible hosts; the score cache stores the boolean, not the error
-		return fmt.Errorf("needs %d MB, %d MB free", spec.MemoryMB, hv.FreeMB)
+		return fmt.Errorf("needs %d MB, %d MB free", spec.MemoryMB, free)
 	}
 	if hv.GuestVCPUs+spec.VCPUs > hv.VCPUCap {
 		//vet:alloc veto errors render only for infeasible hosts; the score cache stores the boolean, not the error
@@ -327,15 +323,7 @@ func (f NUMAFitFilter) Filter(spec *VMSpec, hv *HostView) error {
 	if split < 1 {
 		split = 1
 	}
-	var avail int64
-	if hv.FreeIdx != nil {
-		// Incremental path: the index keeps the chunks sorted, so the
-		// available-space sum is O(split) with no copy. TopSum is defined
-		// to equal the from-scratch branch below on the same free vector.
-		avail = hv.FreeIdx.TopSum(split)
-	} else {
-		avail = numa.AvailableMB(hv.FreePerNodeMB, split)
-	}
+	avail := numa.AvailableMB(hv.FreePerNodeMB, split)
 	if spec.MemoryMB > avail {
 		//vet:alloc the veto error is an operator-facing diagnostic built once per rejection, not steady state
 		return fmt.Errorf("needs %d MB within %d node(s), %d MB available",
@@ -355,7 +343,7 @@ func (LeastLoadedScore) Name() string { return "least-loaded" }
 
 // Score implements ScorePlugin.
 func (LeastLoadedScore) Score(spec *VMSpec, hv *HostView) float64 {
-	memFree := float64(hv.FreeMB) / float64(hv.TotalMB)
+	memFree := float64(hv.FreeMB()) / float64(hv.TotalMB)
 	cpuFree := 1 - float64(hv.GuestVCPUs)/float64(hv.VCPUCap)
 	if cpuFree < 0 {
 		cpuFree = 0

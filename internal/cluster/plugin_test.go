@@ -9,7 +9,7 @@ import (
 )
 
 func view(index int, freePerNode []int64, totalMB int64, guestVCPUs, cap int) *HostView {
-	hv := &HostView{
+	return &HostView{
 		Index:         index,
 		Name:          "host" + string(rune('0'+index)),
 		Nodes:         len(freePerNode),
@@ -19,10 +19,6 @@ func view(index int, freePerNode []int64, totalMB int64, guestVCPUs, cap int) *H
 		GuestVCPUs:    guestVCPUs,
 		VCPUCap:       cap,
 	}
-	for _, f := range freePerNode {
-		hv.FreeMB += f
-	}
-	return hv
 }
 
 func TestCapacityFilter(t *testing.T) {

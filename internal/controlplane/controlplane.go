@@ -125,6 +125,16 @@ func (h *HostCap) clone() HostCap {
 	return c
 }
 
+// addTo adds per-node deltas to a free-memory vector in place (a
+// departure or an eviction replayed onto a snapshot).
+func addTo(free, deltas []int64) {
+	for i := range deltas {
+		if i < len(free) {
+			free[i] += deltas[i]
+		}
+	}
+}
+
 // FitFunc reports whether req fits host at the given what-if capacity. The
 // cluster wraps its placement pipeline's filter phase here, so every
 // planner admits exactly what the real pipeline would.

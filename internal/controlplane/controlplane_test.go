@@ -31,38 +31,6 @@ func TestPriorityRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTakeHelpers(t *testing.T) {
-	free := []int64{100, 100, 100}
-	takes, short := TakeFill(free, 150)
-	if short != 0 {
-		t.Fatalf("fill short %d", short)
-	}
-	if takes[0] != 100 || takes[1] != 50 || takes[2] != 0 {
-		t.Fatalf("fill takes %v", takes)
-	}
-	if free[0] != 0 || free[1] != 50 {
-		t.Fatalf("fill free %v", free)
-	}
-
-	free = []int64{100, 100, 100}
-	takes, short = TakeLocal(free, 120, 2)
-	if short != 0 || takes[2] != 100 || takes[0] != 20 {
-		t.Fatalf("local takes %v short %d", takes, short)
-	}
-
-	free = []int64{100, 100, 100}
-	takes, short = TakeStripe(free, 90)
-	if short != 0 || takes[0] != 30 || takes[1] != 30 || takes[2] != 30 {
-		t.Fatalf("stripe takes %v short %d", takes, short)
-	}
-
-	free = []int64{10, 10}
-	_, short = TakeFill(free, 50)
-	if short != 30 {
-		t.Fatalf("overfull fill short %d, want 30", short)
-	}
-}
-
 func TestPlanPreemptionMinimalAndCheapest(t *testing.T) {
 	req := Request{ID: 99, MemoryMB: 4000, VCPUs: 4, Priority: Critical}
 	// Host 0: one big cheap victim suffices. Host 1: needs two pricier

@@ -75,26 +75,58 @@ func (a *Allocator) Alloc(sizeMB int64, policy Policy, preferred numa.NodeID) (D
 	if sizeMB > a.TotalFreeMB() {
 		return nil, fmt.Errorf("mem: allocation of %d MB exceeds %d MB free", sizeMB, a.TotalFreeMB())
 	}
-	n := a.top.NumNodes()
-	got := make([]int64, n)
-	remaining := sizeMB
+	switch policy {
+	case PolicyFill, PolicyStripe:
+	case PolicyLocal:
+		if int(preferred) < 0 || int(preferred) >= len(a.free) {
+			return nil, fmt.Errorf("mem: PolicyLocal with invalid node %d", preferred)
+		}
+	default:
+		return nil, fmt.Errorf("mem: unknown policy %v", policy)
+	}
+	got, remaining := Take(a.free, sizeMB, policy, preferred)
+	if remaining > 0 {
+		// Roll back: capacity checked up front, so this is a bug guard.
+		for node := range got {
+			a.free[node] += got[node]
+		}
+		return nil, fmt.Errorf("mem: internal: %d MB unplaced", remaining)
+	}
 
+	d := make(Dist, len(got))
+	for node := range got {
+		d[node] = float64(got[node]) / float64(sizeMB)
+	}
+	return d, nil
+}
+
+// Take is the placement arithmetic of the three policies: it deducts
+// sizeMB from the per-node free vector in place and returns the per-node
+// takes and the amount that did not fit (0 when free covered the
+// request). The allocator runs it on its own vector and the cluster's
+// what-if planning on a host view's, so a layout planned on a view equal
+// to the allocator's vector is the layout the allocator takes. preferred
+// is used by PolicyLocal and skipped when it names no node; an unknown
+// policy takes nothing.
+func Take(free []int64, sizeMB int64, policy Policy, preferred numa.NodeID) (takes []int64, short int64) {
+	takes = make([]int64, len(free))
+	remaining := sizeMB
 	takeFrom := func(node int, want int64) {
-		if want <= 0 || a.free[node] <= 0 {
+		if want <= 0 || free[node] <= 0 {
 			return
 		}
 		take := want
-		if take > a.free[node] {
-			take = a.free[node]
+		if take > free[node] {
+			take = free[node]
 		}
-		a.free[node] -= take
-		got[node] += take
+		free[node] -= take
+		takes[node] += take
 		remaining -= take
 	}
 
 	switch policy {
 	case PolicyFill:
-		for node := 0; node < n && remaining > 0; node++ {
+		for node := 0; node < len(free) && remaining > 0; node++ {
 			takeFrom(node, remaining)
 		}
 	case PolicyStripe:
@@ -103,8 +135,8 @@ func (a *Allocator) Alloc(sizeMB int64, policy Policy, preferred numa.NodeID) (D
 		// loop until settled for robustness.
 		for remaining > 0 {
 			withRoom := 0
-			for node := 0; node < n; node++ {
-				if a.free[node] > 0 {
+			for _, f := range free {
+				if f > 0 {
 					withRoom++
 				}
 			}
@@ -116,49 +148,35 @@ func (a *Allocator) Alloc(sizeMB int64, policy Policy, preferred numa.NodeID) (D
 				per = 1
 			}
 			before := remaining
-			for node := 0; node < n && remaining > 0; node++ {
-				want := per
-				if want > remaining {
-					want = remaining
-				}
-				takeFrom(node, want)
+			for node := 0; node < len(free) && remaining > 0; node++ {
+				takeFrom(node, min(per, remaining))
 			}
 			if remaining == before {
 				break
 			}
 		}
 	case PolicyLocal:
-		if int(preferred) < 0 || int(preferred) >= n {
-			return nil, fmt.Errorf("mem: PolicyLocal with invalid node %d", preferred)
+		if int(preferred) >= 0 && int(preferred) < len(free) {
+			takeFrom(int(preferred), remaining)
 		}
-		takeFrom(int(preferred), remaining)
-		for node := 0; node < n && remaining > 0; node++ {
+		for node := 0; node < len(free) && remaining > 0; node++ {
 			takeFrom(node, remaining)
 		}
-	default:
-		return nil, fmt.Errorf("mem: unknown policy %v", policy)
 	}
+	return takes, remaining
+}
 
-	if remaining > 0 {
-		// Roll back: capacity checked up front, so this is a bug guard.
-		for node := range got {
-			a.free[node] += got[node]
-		}
-		return nil, fmt.Errorf("mem: internal: %d MB unplaced", remaining)
-	}
-
-	d := make(Dist, n)
-	for node := range got {
-		d[node] = float64(got[node]) / float64(sizeMB)
-	}
-	return d, nil
+// ReleasedMB is the whole MB that releasing a sizeMB allocation laid out
+// as d hands back to node: the rounding Release applies, and the one a
+// what-if departure must use to agree with it.
+func (d Dist) ReleasedMB(node int, sizeMB int64) int64 {
+	return int64(d[node]*float64(sizeMB) + 0.5)
 }
 
 // Release returns sizeMB distributed as d to the free pools.
 func (a *Allocator) Release(d Dist, sizeMB int64) {
 	for node := range d {
-		back := int64(d[node]*float64(sizeMB) + 0.5)
-		a.free[node] += back
+		a.free[node] += d.ReleasedMB(node, sizeMB)
 		if a.free[node] > a.top.Node(numa.NodeID(node)).MemoryMB {
 			a.free[node] = a.top.Node(numa.NodeID(node)).MemoryMB
 		}

@@ -248,6 +248,47 @@ func TestAllocErrors(t *testing.T) {
 	}
 }
 
+// TestTake pins the placement arithmetic Alloc and the cluster's what-if
+// planning share: fill spills upward, local spills in fill order from
+// node 0, stripe spreads evenly, and an overfull request reports its
+// shortfall after taking everything.
+func TestTake(t *testing.T) {
+	cases := []struct {
+		name      string
+		free      []int64
+		size      int64
+		policy    Policy
+		preferred numa.NodeID
+		takes     []int64
+		short     int64
+	}{
+		{"fill", []int64{100, 100, 100}, 150, PolicyFill, numa.NoNode, []int64{100, 50, 0}, 0},
+		{"local", []int64{100, 100, 100}, 120, PolicyLocal, 2, []int64{20, 0, 100}, 0},
+		{"local without a node", []int64{100, 100}, 120, PolicyLocal, numa.NoNode, []int64{100, 20}, 0},
+		{"stripe", []int64{100, 100, 100}, 90, PolicyStripe, numa.NoNode, []int64{30, 30, 30}, 0},
+		{"stripe around a full node", []int64{100, 0, 10}, 60, PolicyStripe, numa.NoNode, []int64{50, 0, 10}, 0},
+		{"overfull fill", []int64{10, 10}, 50, PolicyFill, numa.NoNode, []int64{10, 10}, 30},
+		{"unknown policy", []int64{10, 10}, 5, Policy(42), numa.NoNode, []int64{0, 0}, 5},
+	}
+	for _, tc := range cases {
+		free := append([]int64(nil), tc.free...)
+		takes, short := Take(free, tc.size, tc.policy, tc.preferred)
+		if short != tc.short {
+			t.Errorf("%s: short %d, want %d", tc.name, short, tc.short)
+		}
+		for n := range tc.takes {
+			if takes[n] != tc.takes[n] {
+				t.Errorf("%s: takes %v, want %v", tc.name, takes, tc.takes)
+				break
+			}
+			if free[n] != tc.free[n]-tc.takes[n] {
+				t.Errorf("%s: free %v after takes %v from %v", tc.name, free, takes, tc.free)
+				break
+			}
+		}
+	}
+}
+
 func TestAllocConservesCapacity(t *testing.T) {
 	check := func(sz16 uint16, pol8 uint8) bool {
 		a := NewAllocator(numa.XeonE5620())

@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"sort"
 )
 
 // FileConfig is the JSON schema for user-supplied topologies, mirroring
@@ -112,25 +112,29 @@ func Export(t *Topology) FileConfig {
 	return fc
 }
 
-// AvailableMB is the from-scratch Gudkov-style available-space
-// computation: the memory a VM allowed to span at most maxSplit NUMA
-// nodes can actually use, i.e. the sum of the maxSplit largest entries of
-// the per-node free vector. It copies and sorts, so it costs O(n log n)
-// and allocates — it is the reference semantics that FreeIndex.TopSum
-// reproduces incrementally, kept as the definition the randomized
-// cross-check in freeindex_test.go and the cluster's -place-check shadow
-// mode compare against. maxSplit below 1 is treated as 1.
+// AvailableMB is Gudkov-style available space: the memory a VM allowed to
+// span at most maxSplit NUMA nodes can actually use, i.e. the sum of the
+// maxSplit largest entries of the per-node free vector. It selects them in
+// place, one scan per chunk, leaving the vector untouched and allocating
+// nothing: a host has at most 64 nodes and most have 2–8, so a scan of a
+// few int64s beats keeping them sorted. maxSplit below 1 is treated as 1.
+//
+//vprobe:hotpath
 func AvailableMB(freePerNodeMB []int64, maxSplit int) int64 {
-	if maxSplit < 1 {
-		maxSplit = 1
-	}
-	//vet:alloc the from-scratch fallback copies so the caller's vector stays untouched; the hot path uses FreeIndex.TopSum instead
-	free := append([]int64(nil), freePerNodeMB...)
-	//vet:alloc sort.Slice's interface conversion and closure live only on the fallback path
-	sort.Slice(free, func(i, j int) bool { return free[i] > free[j] })
+	// Chunks are taken in (free desc, node asc) order; each scan picks the
+	// largest node that comes after the previous pick in that order.
 	var avail int64
-	for i := 0; i < maxSplit && i < len(free); i++ {
-		avail += free[i]
+	prevFree, prevNode := int64(math.MaxInt64), -1
+	for i := 0; i < min(max(maxSplit, 1), len(freePerNodeMB)); i++ {
+		best := -1
+		for n, f := range freePerNodeMB {
+			after := f < prevFree || (f == prevFree && n > prevNode)
+			if after && (best < 0 || f > freePerNodeMB[best]) {
+				best = n
+			}
+		}
+		prevFree, prevNode = freePerNodeMB[best], best
+		avail += prevFree
 	}
 	return avail
 }

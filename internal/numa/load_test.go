@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
+
+	"vprobe/internal/sim"
 )
 
 const sampleJSON = `{
@@ -122,5 +126,36 @@ func TestLoadFileAndResolve(t *testing.T) {
 	}
 	if _, err := LoadFile(filepath.Join(dir, "absent.json")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestAvailableMBMatchesSort checks the in-place selection against the
+// copy-and-sort definition on random vectors of up to 8 nodes, for every
+// k, with values drawn from a small range so ties are common.
+func TestAvailableMBMatchesSort(t *testing.T) {
+	ref := func(free []int64, k int) int64 {
+		sorted := append([]int64(nil), free...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
+		var sum int64
+		for i := 0; i < max(k, 1) && i < len(sorted); i++ {
+			sum += sorted[i]
+		}
+		return sum
+	}
+	rng := sim.NewRNG(7)
+	for trial := 0; trial < 2000; trial++ {
+		free := make([]int64, 1+rng.Intn(8))
+		for n := range free {
+			free[n] = int64(rng.Intn(6)) * 1024
+		}
+		orig := slices.Clone(free)
+		for k := 0; k <= len(free)+1; k++ {
+			if got, want := AvailableMB(free, k), ref(free, k); got != want {
+				t.Fatalf("AvailableMB(%v, %d) = %d, sorted reference %d", free, k, got, want)
+			}
+		}
+		if !slices.Equal(free, orig) {
+			t.Fatalf("AvailableMB modified its input: %v, was %v", free, orig)
+		}
 	}
 }

@@ -1,10 +1,14 @@
 package spec_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"reflect"
 	"testing"
 
+	"vprobe/internal/cluster"
 	"vprobe/internal/experiments"
 	"vprobe/internal/numa"
 	"vprobe/internal/spec"
@@ -144,6 +148,54 @@ func FuzzClusterSpec(f *testing.F) {
 		}
 		if _, err := numa.New(cfg.Topology); err != nil {
 			t.Fatalf("valid spec lowers to a machine numa rejects: %v", err)
+		}
+	})
+}
+
+// replayTrace is the replay golden's hand-written arrival trace (the root
+// package's replaySpec) as JSONL: every priority class, a three-VM group
+// arriving together, and catalog and server profiles.
+const replayTrace = `{"at_us":500000,"memory_mb":8192,"vcpus":4,"priority":0,"life_us":30000000,"profiles":["mcf","lu","soplex"]}
+{"at_us":2000000,"memory_mb":4096,"vcpus":2,"priority":1,"life_us":20000000,"profiles":["memcached:32"]}
+{"at_us":3000000,"memory_mb":2048,"vcpus":1,"priority":0,"group":"g1","life_us":15000000,"profiles":["libquantum"]}
+{"at_us":3000000,"memory_mb":2048,"vcpus":1,"priority":0,"group":"g1","life_us":15000000,"profiles":["libquantum"]}
+{"at_us":3000000,"memory_mb":2048,"vcpus":1,"priority":0,"group":"g1","life_us":15000000}
+{"at_us":6000000,"memory_mb":12288,"vcpus":6,"priority":2,"life_us":25000000,"profiles":["redis:2000","hungry"]}
+{"at_us":9000000,"memory_mb":16384,"vcpus":8,"priority":0,"life_us":10000000,"profiles":["milc","milc","milc","milc"]}
+{"at_us":12000000,"memory_mb":6144,"vcpus":3,"priority":2,"life_us":20000000,"profiles":["soplex"]}
+{"at_us":20000000,"memory_mb":1024,"vcpus":1,"priority":1,"life_us":5000000,"profiles":["mcf"]}
+`
+
+// FuzzArrivalTrace feeds outside input through the arrival-trace reader
+// that the trace arrival process and vprobe-cluster -arrivals-in use. It
+// must never panic, and a trace it accepts must survive the round trip
+// its doc promises is lossless: lowered onto the cluster schema and
+// written with cluster.WriteTrace, it reads back equal. The corpus holds
+// the replay golden's trace and a vprobe-cluster -arrivals-out export
+// with gangs (testdata/arrivals.jsonl).
+func FuzzArrivalTrace(f *testing.F) {
+	f.Add([]byte(replayTrace))
+	exported, err := os.ReadFile("testdata/arrivals.jsonl")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(exported)
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		recs, err := spec.ReadArrivalTrace(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		lowered := spec.ClusterV1{ArrivalTrace: recs}.Config().Arrival.Trace
+		if err := cluster.WriteTrace(&out, lowered); err != nil {
+			t.Fatal(err)
+		}
+		back, err := spec.ReadArrivalTrace(&out)
+		if err != nil {
+			t.Fatalf("the written trace does not read back: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(back, recs) {
+			t.Fatalf("round trip changed the trace:\nread    %+v\nwritten %s\nre-read %+v", recs, out.Bytes(), back)
 		}
 	})
 }

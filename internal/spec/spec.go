@@ -334,7 +334,8 @@ func (a ArrivalV1) internal() cluster.TraceArrival {
 // ReadArrivalTrace decodes a JSONL arrival trace — the records a cluster
 // run's arrival export writes, with integer-microsecond times — into
 // ArrivalTrace records. The conversion is lossless: lowering a record
-// gives back the line it was read from.
+// gives back the line it was read from. An empty profile list reads as
+// none, as WriteTrace writes it.
 func ReadArrivalTrace(r io.Reader) ([]ArrivalV1, error) {
 	recs, err := cluster.ReadTrace(r)
 	if err != nil {
@@ -346,6 +347,9 @@ func ReadArrivalTrace(r io.Reader) ([]ArrivalV1, error) {
 		if max(rec.AtUS, rec.LifeUS) > maxUS || min(rec.AtUS, rec.LifeUS) < -maxUS {
 			return nil, fmt.Errorf("%w: arrival trace record %d: at_us %d / life_us %d outside the representable range",
 				ErrInvalid, i, rec.AtUS, rec.LifeUS)
+		}
+		if len(rec.Profiles) == 0 {
+			rec.Profiles = nil
 		}
 		out[i] = ArrivalV1{At: Duration(rec.AtUS) * Duration(time.Microsecond), MemoryMB: rec.MemoryMB,
 			VCPUs: rec.VCPUs, Priority: rec.Priority, Group: rec.Group,

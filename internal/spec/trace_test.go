@@ -2,6 +2,8 @@ package spec_test
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"vprobe/internal/spec"
@@ -60,5 +62,23 @@ func TestTraceValidation(t *testing.T) {
 	clBad.TraceLimit = 5
 	if err := clBad.Validate(); !errors.Is(err, spec.ErrInvalid) {
 		t.Fatalf("cluster trace_limit without trace error = %v, want ErrInvalid", err)
+	}
+}
+
+// TestReadArrivalTraceEmptyProfiles is FuzzArrivalTrace's first find: an
+// explicit empty profile list must read as the record without one, since
+// WriteTrace omits it and the round trip would otherwise not read back
+// equal.
+func TestReadArrivalTraceEmptyProfiles(t *testing.T) {
+	empty, err := spec.ReadArrivalTrace(strings.NewReader(`{"profiles":[]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	none, err := spec.ReadArrivalTrace(strings.NewReader(`{}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(empty, none) || empty[0].Profiles != nil {
+		t.Fatalf("profiles [] read as %+v, no profiles as %+v", empty, none)
 	}
 }

@@ -334,6 +334,10 @@ func (h *Hypervisor) terminal(v *VCPU) bool {
 // It may move when nothing changed, never the other way round.
 func (h *Hypervisor) RunnableGen() uint64 { return h.runGen }
 
+// Running returns how many PCPUs have a current VCPU; zero means every
+// PCPU is idle.
+func (h *Hypervisor) Running() int { return h.running }
+
 // ActiveVCPUs counts runnable or running VCPUs.
 func (h *Hypervisor) ActiveVCPUs() int {
 	n := 0
