@@ -42,9 +42,41 @@ func evictCfg() Config {
 	return cfg
 }
 
+// plannerCfg replays a hand-written trace onto three hosts to reach the
+// planner branches the generated runs miss. At the 10 s descheduler tick
+// host0 (one 20000 MB VM) is the emptiest source but fits nowhere else,
+// so the drain falls through to host1, whose 10000 MB VM is charged to
+// host2 past that host's largest free node (8288 MB after two 4000 MB
+// VMs). At 15 s a standard-class head arrives that no host can ever
+// hold, so it has no shadow reservation, and the best-effort VM behind
+// it at 16 s backfills freely.
+func plannerCfg() Config {
+	rec := func(atS float64, memMB int64, prio int) TraceArrival {
+		return TraceArrival{AtUS: int64(atS * 1e6), MemoryMB: memMB, VCPUs: 1,
+			Priority: prio, LifeUS: 100e6}
+	}
+	return Config{
+		Hosts:            3,
+		Horizon:          30 * sim.Second,
+		Seed:             3,
+		RebalancePeriod:  -1, // no cooldown: every resident is movable
+		DeschedulePeriod: 10 * sim.Second,
+		Backfill:         true,
+		Workers:          1,
+		Arrival: ArrivalConfig{Process: ArrivalTrace, Trace: []TraceArrival{
+			rec(1, 20000, 0),
+			rec(2, 10000, 0),
+			rec(3, 4000, 0),
+			rec(4, 4000, 0),
+			rec(15, 30000, 1),
+			rec(16, 1024, 0),
+		}},
+	}
+}
+
 // TestClusterRecordGolden pins the bytes of both recording sinks — the
 // event log (At Kind Host VM Detail per line) and the span JSONL — for
-// three runs that together record every cluster EventKind.
+// four runs that together record every cluster EventKind.
 func TestClusterRecordGolden(t *testing.T) {
 	seen := map[EventKind]bool{}
 	for _, run := range []struct {
@@ -54,6 +86,7 @@ func TestClusterRecordGolden(t *testing.T) {
 		{"controlplane", controlPlaneCfg(1)},
 		{"migrate", migrateCfg()},
 		{"evict", evictCfg()},
+		{"planners", plannerCfg()},
 	} {
 		_, log, spans := runSpans(t, run.cfg)
 		for _, line := range strings.Split(strings.TrimSpace(log), "\n") {
