@@ -30,7 +30,6 @@ import (
 	"strconv"
 	"strings"
 
-	"vprobe/internal/controlplane"
 	"vprobe/internal/sim"
 	"vprobe/internal/workload"
 )
@@ -206,9 +205,9 @@ func (rec TraceArrival) Validate() error {
 	if rec.VCPUs <= 0 {
 		return fmt.Errorf("%d vcpus", rec.VCPUs)
 	}
-	if rec.Priority < int(controlplane.BestEffort) || rec.Priority > int(controlplane.Critical) {
+	if rec.Priority < int(BestEffort) || rec.Priority > int(Critical) {
 		return fmt.Errorf("priority %d outside [%d, %d]",
-			rec.Priority, controlplane.BestEffort, controlplane.Critical)
+			rec.Priority, BestEffort, Critical)
 	}
 	if rec.LifeUS <= 0 {
 		return fmt.Errorf("lifetime %dus", rec.LifeUS)
@@ -329,7 +328,7 @@ func (c *Cluster) onTraceArrival(lo, hi int) {
 				MemoryMB: rec.MemoryMB,
 				VCPUs:    rec.VCPUs,
 				Profiles: c.traceProfiles[lo+k],
-				Priority: controlplane.Priority(rec.Priority),
+				Priority: Priority(rec.Priority),
 				Group:    rec.Group,
 			},
 			life: max(sim.Duration(rec.LifeUS), sim.Second),

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 
-	"vprobe/internal/controlplane"
 	"vprobe/internal/harness"
 	"vprobe/internal/mem"
 	"vprobe/internal/numa"
@@ -261,7 +260,7 @@ type Cluster struct {
 		DeschedMoves  int
 	}
 	// pstats tracks admission outcomes per priority class, indexed by
-	// controlplane.Priority.
+	// Priority.
 	pstats [3]priorityStats
 
 	ctx      context.Context
@@ -562,8 +561,8 @@ func (c *Cluster) admitArrivals(arrs []arrival) {
 var priorityWeights = []float64{0.35, 0.45, 0.20}
 
 // drawPriority picks the admission class of one arriving unit.
-func (c *Cluster) drawPriority() controlplane.Priority {
-	return controlplane.Priority(c.mixRNG.Pick(priorityWeights))
+func (c *Cluster) drawPriority() Priority {
+	return Priority(c.mixRNG.Pick(priorityWeights))
 }
 
 // drawLife draws one VM lifetime.

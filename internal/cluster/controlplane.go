@@ -1,7 +1,12 @@
 package cluster
 
-// The cluster-side control plane: a priority admission queue whose drain
-// pass dispatches into the pure planners of internal/controlplane.
+// The cluster-side control plane: a priority admission queue, and the
+// three planners its drain pass and the descheduler consult when the
+// pipeline alone cannot place a VM (preemption, backfill's shadow
+// reservation, and the descheduler's drain). Each planner searches
+// what-if copies of the cached host views (HostView.whatIf) with the
+// active pipeline's own filters (Pipeline.fits), so a plan admits exactly
+// what the real pipeline would; none of them touches a live host.
 //
 // Admission works on units. A unit is one VM, or — when gang admission is
 // enabled — a whole VM group placed all-or-nothing. The queue orders units
@@ -22,8 +27,6 @@ import (
 	"fmt"
 	"sort"
 
-	"vprobe/internal/controlplane"
-	"vprobe/internal/mem"
 	"vprobe/internal/sim"
 	"vprobe/internal/xen"
 )
@@ -34,7 +37,7 @@ type admitUnit struct {
 	id       int // creation order; final tiebreak
 	vms      []*VM
 	gang     bool
-	priority controlplane.Priority
+	priority Priority
 	arriveAt sim.Time
 	nextTry  sim.Time // earliest next placement attempt
 	retries  int      // failed attempts so far
@@ -192,7 +195,7 @@ func (c *Cluster) tryAdmitSingle(u *admitUnit) bool {
 		c.placeOn(vm, c.hosts[hv.Index], plan, u.retries+1)
 		return c.err == nil
 	}
-	if c.cfg.Preempt && u.priority > controlplane.BestEffort {
+	if c.cfg.Preempt && u.priority > BestEffort {
 		return c.tryPreemptFor(u, vm)
 	}
 	return false
@@ -203,18 +206,11 @@ func (c *Cluster) tryAdmitSingle(u *admitUnit) bool {
 // (victims are live-migrated when any other host fits them, else killed
 // and requeued), and places the VM on the freed host.
 func (c *Cluster) tryPreemptFor(u *admitUnit, vm *VM) bool {
-	req := controlplane.Request{
-		ID: vm.ID, MemoryMB: vm.Spec.MemoryMB,
-		VCPUs: vm.Spec.VCPUs, Priority: u.priority,
-	}
-	caps := c.hostCaps(func(v *VM) bool { return v.Spec.Priority < u.priority })
-	plan := controlplane.PlanPreemption(req, caps, c.cpFit)
-	if plan == nil {
+	target, victims := c.planPreemption(&vm.Spec, u.priority)
+	if target == nil {
 		return false
 	}
-	target := c.hosts[plan.HostIndex]
-	for _, id := range plan.VictimIDs {
-		victim := c.vms[id]
+	for _, victim := range victims {
 		if victim.state != stateRunning || victim.Host != target {
 			return false // plan went stale before any eviction of it ran
 		}
@@ -392,9 +388,7 @@ func (c *Cluster) reserveGang(vms []*VM, slots []gangSlot) int {
 		}
 		ho := c.hosts[hv.Index]
 		c.saveReserved(ho)
-		mem.Take(hv.FreePerNodeMB, vm.Spec.MemoryMB, plan.Policy, plan.Preferred)
-		hv.GuestVCPUs += vm.Spec.VCPUs
-		hv.VMs++
+		hv.admit(&vm.Spec, plan)
 		ho.gen++
 		c.scores.invalidate(ho.Index)
 		slots[i] = gangSlot{ho, plan}
@@ -449,24 +443,12 @@ func (c *Cluster) tryBackfill(u, head *admitUnit) bool {
 		return false
 	}
 	headVM := head.vms[0]
-	req := controlplane.Request{
-		ID: headVM.ID, MemoryMB: headVM.Spec.MemoryMB,
-		VCPUs: headVM.Spec.VCPUs, Priority: head.priority,
-	}
-	caps := c.hostCaps(nil)
-	deps := c.departures()
-	res := controlplane.ShadowReservation(req, caps, deps, c.cpFit, nil)
-	cand := controlplane.Placement{
-		HostIndex:    hv.Index,
-		TakesPerNode: planTakes(plan, hv.FreePerNodeMB, vm.Spec.MemoryMB),
-		VCPUs:        vm.Spec.VCPUs,
-	}
-	if !controlplane.CanBackfill(req, res, caps, deps, c.cpFit, cand) {
+	if c.delaysHead(&headVM.Spec, hv, &vm.Spec, plan) {
 		return false
 	}
 	if c.spans != nil {
 		// The decision's views are unchanged since c.place: the shadow
-		// reservation works on copied caps, never the hosts.
+		// reservation works on what-if copies, never the cached views.
 		c.spans.placeDecision(vm, c.liveViews(), hv, nil, u.retries+1)
 	}
 	target := c.hosts[hv.Index]
@@ -500,20 +482,18 @@ func (c *Cluster) deschedule() {
 		return
 	}
 	now := c.engine.Now()
-	caps := c.hostCaps(func(v *VM) bool {
-		return now.Sub(v.placedAt) >= c.cfg.migrationCooldown()
+	src, moves := c.planDrain(func(vm *VM) bool {
+		return now.Sub(vm.placedAt) >= c.cfg.migrationCooldown()
 	})
-	plan := controlplane.PlanDrain(caps, c.cpFit)
-	if plan == nil {
+	if src == nil {
 		return
 	}
-	src := c.hosts[plan.HostIndex]
-	for _, mv := range plan.Moves {
-		vm := c.vms[mv.VictimID]
+	for _, mv := range moves {
+		vm := mv.vm
 		if vm.state != stateRunning || vm.Host != src {
 			continue
 		}
-		hv, mplan, err := c.pipeline.Place(&vm.Spec, c.liveView(c.hosts[mv.TargetHost]))
+		hv, mplan, err := c.pipeline.Place(&vm.Spec, c.liveView(mv.target))
 		if err != nil {
 			continue // capacity moved since the plan; skip this move
 		}
@@ -527,105 +507,249 @@ func (c *Cluster) deschedule() {
 	}
 }
 
-// ---- planner adapters ----
+// ---- planners ----
 
-// hostCaps snapshots every host as a control-plane capacity record,
-// reading the cached views (refreshed first) instead of rescanning the
-// allocators. The per-cap slices are fresh copies: the planners treat
-// caps as their own what-if state to deduct from. victimFilter, when
-// non-nil, selects which running VMs are offered to the planner as
-// evictable; migrating VMs are never offered.
-func (c *Cluster) hostCaps(victimFilter func(*VM) bool) []*controlplane.HostCap {
+// planPreemption searches every host for a minimal set of running,
+// strictly-lower-priority victims whose eviction admits spec, and returns
+// the cheapest plan's host and victims in eviction order (ties: fewer
+// victims, then the lower host index), or a nil host when no host can be
+// preempted into fitting. A victim's price is its full-copy migration
+// cost, charged whether it is live-migrated or killed and requeued.
+func (c *Cluster) planPreemption(spec *VMSpec, prio Priority) (*Host, []*VM) {
 	c.refreshViews()
-	caps := make([]*controlplane.HostCap, len(c.hosts))
-	for i, ho := range c.hosts {
-		hc := &controlplane.HostCap{
-			Index:         i,
-			GuestVCPUs:    ho.view.GuestVCPUs,
-			VCPUCap:       ho.view.VCPUCap,
-			LiveVMs:       ho.view.VMs,
-			FreePerNodeMB: append([]int64(nil), ho.view.FreePerNodeMB...),
-		}
-		if victimFilter != nil {
-			for _, vm := range ho.VMs {
-				if vm.state != stateRunning || !victimFilter(vm) {
-					continue
-				}
-				hc.Victims = append(hc.Victims, controlplane.Victim{
-					ID: vm.ID, MemoryMB: vm.Spec.MemoryMB, VCPUs: vm.Spec.VCPUs,
-					Priority:       vm.Spec.Priority,
-					FreesPerNodeMB: domFrees(vm),
-					CostCycles:     c.migrator.FullCopyCycles(vm.Spec.MemoryMB),
-				})
-			}
-		}
-		caps[i] = hc
-	}
-	return caps
-}
-
-// cpFit adapts the pipeline's filter phase to the control-plane planners:
-// a what-if host capacity passes when every filter of the active policy
-// admits a synthetic spec with the request's resources.
-func (c *Cluster) cpFit(req controlplane.Request, hc *controlplane.HostCap) bool {
-	ho := c.hosts[hc.Index]
-	spec := VMSpec{
-		Name:     fmt.Sprintf("vm%03d", req.ID),
-		MemoryMB: req.MemoryMB,
-		VCPUs:    req.VCPUs,
-	}
-	hv := &HostView{
-		Index:         hc.Index,
-		Name:          ho.Name,
-		Nodes:         ho.Top.NumNodes(),
-		CPUs:          ho.Top.NumCPUs(),
-		FreePerNodeMB: hc.FreePerNodeMB,
-		TotalMB:       ho.Top.TotalMemoryMB(),
-		GuestVCPUs:    hc.GuestVCPUs,
-		VCPUCap:       hc.VCPUCap,
-		VMs:           hc.LiveVMs,
-	}
-	for _, f := range c.pipeline.Filters {
-		if f.Filter(&spec, hv) != nil {
-			return false
-		}
-	}
-	return true
-}
-
-// departures lists every resident VM's known future departure — lifetimes
-// are drawn at arrival, so the schedule is exact, not a forecast.
-func (c *Cluster) departures() []controlplane.Departure {
-	now := c.engine.Now()
-	var deps []controlplane.Departure
+	var best *Host
+	var bestVictims []*VM
+	var bestCost float64
 	for _, ho := range c.hosts {
-		for _, vm := range ho.VMs {
-			if vm.departAt <= now || vm.dom == nil || vm.dom.Destroyed {
-				continue
-			}
-			deps = append(deps, controlplane.Departure{
-				At: vm.departAt, HostIndex: ho.Index, ID: vm.ID,
-				FreesPerNodeMB: domFrees(vm), VCPUs: vm.Spec.VCPUs,
-			})
+		victims, cost := c.preemptOn(ho, spec, prio)
+		if victims == nil {
+			continue
+		}
+		if best == nil || cost < bestCost ||
+			(cost == bestCost && len(victims) < len(bestVictims)) {
+			best, bestVictims, bestCost = ho, victims, cost
 		}
 	}
+	return best, bestVictims
+}
+
+// preemptOn finds one host's victim set, or nil. The search is
+// greedy-then-prune: victims are taken lowest class and cheapest first
+// until spec fits, then each chosen victim is dropped again (most
+// expensive first) if the fit survives without it. No chosen victim is
+// redundant; the exact minimum-cost set is a knapsack variant not worth
+// its nondeterminism risk here.
+func (c *Cluster) preemptOn(ho *Host, spec *VMSpec, prio Priority) ([]*VM, float64) {
+	var pool []*VM
+	for _, vm := range ho.VMs {
+		if vm.state == stateRunning && vm.Spec.Priority < prio {
+			pool = append(pool, vm)
+		}
+	}
+	if len(pool) == 0 {
+		return nil, 0
+	}
+	cost := func(vm *VM) float64 { return c.migrator.FullCopyCycles(vm.Spec.MemoryMB) }
+	// Lowest class, then cheapest; ID breaks remaining ties so the greedy
+	// order is total.
+	sort.Slice(pool, func(i, j int) bool {
+		a, b := pool[i], pool[j]
+		if a.Spec.Priority != b.Spec.Priority {
+			return a.Spec.Priority < b.Spec.Priority
+		}
+		if ca, cb := cost(a), cost(b); ca != cb {
+			return ca < cb
+		}
+		return a.ID < b.ID
+	})
+	what := ho.view.whatIf()
+	var chosen []*VM
+	fitted := false
+	for _, vm := range pool {
+		what.release(vm)
+		chosen = append(chosen, vm)
+		if c.pipeline.fits(spec, &what) {
+			fitted = true
+			break
+		}
+	}
+	if !fitted {
+		return nil, 0
+	}
+	for i := len(chosen) - 1; i >= 0; i-- {
+		trial := ho.view.whatIf()
+		for j, vm := range chosen {
+			if j != i {
+				trial.release(vm)
+			}
+		}
+		if c.pipeline.fits(spec, &trial) {
+			chosen = append(chosen[:i], chosen[i+1:]...)
+		}
+	}
+	var total float64
+	for _, vm := range chosen {
+		total += cost(vm)
+	}
+	return chosen, total
+}
+
+// shadowStart is a blocked spec's shadow reservation: the earliest time,
+// and the host, at which it fits once the known departures release their
+// capacity, replaying each host's departures in time order. charged, when
+// non-nil, stands in for its host's view: a backfill candidate admitted
+// there first. Ties break to the lower host index. The host is nil when
+// spec fits nowhere even after every known departure.
+func (c *Cluster) shadowStart(spec *VMSpec, charged *HostView) (sim.Time, *Host) {
+	c.refreshViews()
+	var bestAt sim.Time
+	var best *Host
+	for _, ho := range c.hosts {
+		from := &ho.view
+		if charged != nil && charged.Index == ho.Index {
+			from = charged
+		}
+		what := from.whatIf()
+		at, ok := sim.Time(0), c.pipeline.fits(spec, &what)
+		if !ok {
+			for _, vm := range c.departing(ho) {
+				what.release(vm)
+				if c.pipeline.fits(spec, &what) {
+					at, ok = vm.departAt, true
+					break
+				}
+			}
+		}
+		if ok && (best == nil || at < bestAt) {
+			bestAt, best = at, ho
+		}
+	}
+	return bestAt, best
+}
+
+// departing lists a host's residents with a known future departure, in
+// (departure time, ID) order. Lifetimes are drawn at arrival, so the
+// schedule is exact, not a forecast.
+func (c *Cluster) departing(ho *Host) []*VM {
+	now := c.engine.Now()
+	var deps []*VM
+	for _, vm := range ho.VMs {
+		if vm.departAt > now && vm.dom != nil && !vm.dom.Destroyed {
+			deps = append(deps, vm)
+		}
+	}
+	sort.Slice(deps, func(i, j int) bool {
+		if deps[i].departAt != deps[j].departAt {
+			return deps[i].departAt < deps[j].departAt
+		}
+		return deps[i].ID < deps[j].ID
+	})
 	return deps
 }
 
-// domFrees is the per-node memory a domain's teardown hands back, with
-// the allocator's release rounding.
-func domFrees(vm *VM) []int64 {
-	frees := make([]int64, len(vm.dom.MemDist))
-	for i := range frees {
-		frees[i] = vm.dom.MemDist.ReleasedMB(i, vm.dom.MemoryMB)
+// delaysHead reports whether admitting spec on hv under plan now could
+// delay the blocked head's shadow reservation. A head with no
+// reservation, or one on another host, cannot be delayed. On the reserved
+// host the reservation is recomputed with the candidate charged
+// (conservatively never departing: its lifetime is drawn only at
+// admission), and the head must still start no later.
+func (c *Cluster) delaysHead(head *VMSpec, hv *HostView, spec *VMSpec, plan MemPlan) bool {
+	at, reserved := c.shadowStart(head, nil)
+	if reserved == nil || reserved.Index != hv.Index {
+		return false
 	}
-	return frees
+	charged := hv.whatIf()
+	charged.admit(spec, plan)
+	after, still := c.shadowStart(head, &charged)
+	return still == nil || after > at
 }
 
-// planTakes is the per-node deduction a memory plan implies on a host
-// whose free vector is freePerNode: mem.Take on a copy, the arithmetic the
-// allocator runs when the plan is admitted.
-func planTakes(plan MemPlan, freePerNode []int64, memMB int64) []int64 {
-	takes, _ := mem.Take(append([]int64(nil), freePerNode...), memMB, plan.Policy, plan.Preferred)
-	return takes
+// drainMove is one planned descheduler relocation.
+type drainMove struct {
+	vm     *VM
+	target *Host
+}
+
+// planDrain is the descheduler's consolidation search: the emptiest host
+// (fewest live VMs, ties to the lower index) whose every resident is
+// running and movable and can be re-placed on the other hosts, with the
+// moves that empty it. A host with a pinned resident (in cooldown or
+// mid-migration) is never drained. The host is nil when no host can be
+// fully drained.
+func (c *Cluster) planDrain(movable func(*VM) bool) (*Host, []drainMove) {
+	c.refreshViews()
+	type source struct {
+		ho  *Host
+		vms []*VM
+	}
+	var sources []source
+	for _, ho := range c.hosts {
+		var vms []*VM
+		for _, vm := range ho.VMs {
+			if vm.state == stateRunning && movable(vm) {
+				vms = append(vms, vm)
+			}
+		}
+		if ho.view.VMs > 0 && len(vms) == ho.view.VMs {
+			sources = append(sources, source{ho, vms})
+		}
+	}
+	sort.Slice(sources, func(i, j int) bool {
+		a, b := sources[i].ho, sources[j].ho
+		if a.view.VMs != b.view.VMs {
+			return a.view.VMs < b.view.VMs
+		}
+		return a.Index < b.Index
+	})
+	for _, src := range sources {
+		if moves := c.drainOf(src.ho, src.vms); moves != nil {
+			return src.ho, moves
+		}
+	}
+	return nil, nil
+}
+
+// drainOf assigns every resident of src, in ID order, to the other host
+// with the most free memory after earlier assignments (ties to the lower
+// index) that fits it, or returns nil when one fits nowhere. The caller
+// re-validates each move against the live pipeline, so an assignment is a
+// plan, not a promise. A move is charged to its target largest free node
+// first, the shape the pipeline's local and stripe plans prefer, rather
+// than with the mem.Take of the plan Place will choose: the charge decides
+// which target each later VM of the drain gets, so changing it would move
+// the recorded descheduler runs.
+func (c *Cluster) drainOf(src *Host, vms []*VM) []drainMove {
+	targets := make([]HostView, 0, len(c.hosts)-1)
+	for _, ho := range c.hosts {
+		if ho != src {
+			targets = append(targets, ho.view.whatIf())
+		}
+	}
+	sort.Slice(vms, func(i, j int) bool { return vms[i].ID < vms[j].ID })
+	moves := make([]drainMove, 0, len(vms))
+	for _, vm := range vms {
+		var tgt *HostView
+		for i := range targets {
+			t := &targets[i]
+			if c.pipeline.fits(&vm.Spec, t) && (tgt == nil || t.FreeMB() > tgt.FreeMB()) {
+				tgt = t
+			}
+		}
+		if tgt == nil {
+			return nil
+		}
+		for remaining := vm.Spec.MemoryMB; remaining > 0; {
+			n, free := tgt.bestNode()
+			if free <= 0 {
+				break
+			}
+			take := min(remaining, free)
+			tgt.FreePerNodeMB[n] -= take
+			remaining -= take
+		}
+		tgt.GuestVCPUs += vm.Spec.VCPUs
+		tgt.VMs++
+		moves = append(moves, drainMove{vm, c.hosts[tgt.Index]})
+	}
+	return moves
 }

@@ -311,12 +311,19 @@ func TestRetryInterleavingDeterministic(t *testing.T) {
 }
 
 // TestPlanTakesIsWhatTheAllocatorTakes pins the what-if arithmetic the
-// gang reserve and backfill rely on: on a host whose node 1 is partly
-// full, the per-node drop admitDomain leaves in the allocator equals
-// planTakes on the view before admission, for fill, local with spill and
-// stripe (three different layouts here), and planTakes leaves the view
-// itself alone.
+// gang reserve and the planners rely on: on a host whose node 1 is partly
+// full, a what-if copy of the view after admit holds exactly the free
+// vector admitDomain leaves in the allocator, for fill, local with spill
+// and stripe (three different layouts here); a release then holds what
+// DestroyDomain hands back; and neither touches the cached view.
 func TestPlanTakesIsWhatTheAllocatorTakes(t *testing.T) {
+	allocFree := func(ho *Host) []int64 {
+		free := make([]int64, ho.Top.NumNodes())
+		for n := range free {
+			free[n] = ho.H.Alloc.FreeMB(numa.NodeID(n))
+		}
+		return free
+	}
 	for _, plan := range []MemPlan{
 		{Policy: mem.PolicyFill},
 		{Policy: mem.PolicyLocal, Preferred: 1},
@@ -329,17 +336,193 @@ func TestPlanTakesIsWhatTheAllocatorTakes(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.refreshViews()
-		const size = 6144 // more than node 1 has left, so local spills
-		takes := planTakes(plan, ho.view.FreePerNodeMB, size)
-		before := append([]int64(nil), ho.view.FreePerNodeMB...)
-		if _, err := c.admitDomain(&VM{Spec: VMSpec{Name: "vm", MemoryMB: size, VCPUs: 1}},
-			ho, plan); err != nil {
+		// More than node 1 has left, so local spills; odd, so the release
+		// shares are inexact floats and the rounding shows.
+		const size = 6143
+		vm := &VM{Spec: VMSpec{Name: "vm", MemoryMB: size, VCPUs: 1}}
+		before := fmt.Sprint(ho.view)
+		what := ho.view.whatIf()
+		what.admit(&vm.Spec, plan)
+		dom, err := c.admitDomain(vm, ho, plan)
+		if err != nil {
 			t.Fatalf("%v: %v", plan.Policy, err)
 		}
-		for n := range before {
-			if drop := before[n] - ho.H.Alloc.FreeMB(numa.NodeID(n)); drop != takes[n] {
-				t.Errorf("%v: node %d dropped %d MB, planTakes %v", plan.Policy, n, drop, takes)
-			}
+		if got, want := fmt.Sprint(what.FreePerNodeMB), fmt.Sprint(allocFree(ho)); got != want {
+			t.Errorf("%v: admit left %s free, the allocator %s", plan.Policy, got, want)
 		}
+		vm.dom = dom
+		what.release(vm)
+		if err := ho.H.DestroyDomain(dom); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprint(what.FreePerNodeMB), fmt.Sprint(allocFree(ho)); got != want {
+			t.Errorf("%v: release left %s free, the allocator %s", plan.Policy, got, want)
+		}
+		if got := fmt.Sprint(ho.view); got != before {
+			t.Errorf("%v: the what-if copy moved the cached view: %s, was %s", plan.Policy, got, before)
+		}
+	}
+}
+
+// ---- planners, on real views and residents ----
+
+// longLife outlives every planner test's horizon.
+const longLife = 1000 * sim.Second
+
+// residentOn places spec on host h directly, striping its memory, as a
+// running VM that departs life from now.
+func residentOn(t *testing.T, c *Cluster, h int, spec VMSpec, life sim.Duration) *VM {
+	t.Helper()
+	vm := &VM{ID: len(c.vms), Spec: spec, life: life}
+	vm.Spec.Name = fmt.Sprintf("vm%03d", vm.ID)
+	c.vms = append(c.vms, vm)
+	c.placeOn(vm, c.hosts[h], MemPlan{Policy: mem.PolicyStripe}, 1)
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	return vm
+}
+
+// nameOf names a planner's host for a failure message; nil is "no host".
+func nameOf(ho *Host) string {
+	if ho == nil {
+		return "no host"
+	}
+	return ho.Name
+}
+
+// namesOf lists VM names for a failure message.
+func namesOf(vms []*VM) []string {
+	names := make([]string, len(vms))
+	for i, vm := range vms {
+		names[i] = vm.Spec.Name
+	}
+	return names
+}
+
+// TestPriorityRoundTrip: an arrival trace's integer priority names the
+// class at that index of Priorities, and each class has its own name.
+func TestPriorityRoundTrip(t *testing.T) {
+	names := map[string]bool{}
+	for i, p := range Priorities() {
+		if Priority(i) != p || names[p.String()] || strings.HasPrefix(p.String(), "Priority(") {
+			t.Fatalf("class %d is %v", i, p)
+		}
+		names[p.String()] = true
+	}
+	if !(BestEffort < Standard && Standard < Critical) {
+		t.Fatal("priority order broken")
+	}
+	if !(BestEffort.Weight() < Standard.Weight() && Standard.Weight() < Critical.Weight()) {
+		t.Fatal("weights not increasing with class")
+	}
+}
+
+func TestPlanPreemptionMinimalAndCheapest(t *testing.T) {
+	c := mkCluster(t, 2)
+	// Host 0 has 1000 MB free behind a critical filler: its 4000 MB
+	// best-effort victim alone admits the request. Host 1 is full and
+	// needs both its standard victims, 5000 MB that cost more to move.
+	residentOn(t, c, 0, VMSpec{MemoryMB: 17576, VCPUs: 2, Priority: Critical}, longLife)
+	big := residentOn(t, c, 0, VMSpec{MemoryMB: 4000, VCPUs: 4}, longLife)
+	residentOn(t, c, 0, VMSpec{MemoryMB: 2000, VCPUs: 2}, longLife)
+	residentOn(t, c, 1, VMSpec{MemoryMB: 19576, VCPUs: 2, Priority: Critical}, longLife)
+	residentOn(t, c, 1, VMSpec{MemoryMB: 2500, VCPUs: 2, Priority: Standard}, longLife)
+	residentOn(t, c, 1, VMSpec{MemoryMB: 2500, VCPUs: 2, Priority: Standard}, longLife)
+	host, victims := c.planPreemption(&VMSpec{MemoryMB: 4000, VCPUs: 4}, Critical)
+	if host != c.hosts[0] {
+		t.Fatalf("picked %s, want host0", nameOf(host))
+	}
+	// Greedy takes the cheaper 2000 MB victim, then the 4000 MB one; the
+	// prune pass must drop the first, because the second alone frees enough.
+	if len(victims) != 1 || victims[0] != big {
+		t.Fatalf("victims %v, want [%s] (minimal set)", namesOf(victims), big.Spec.Name)
+	}
+}
+
+func TestPlanPreemptionRespectsPriority(t *testing.T) {
+	// Victims at or above the arrival's class are untouchable.
+	c := mkCluster(t, 1)
+	residentOn(t, c, 0, VMSpec{MemoryMB: 12288, VCPUs: 4, Priority: Standard}, longLife)
+	residentOn(t, c, 0, VMSpec{MemoryMB: 12288, VCPUs: 4, Priority: Critical}, longLife)
+	req := &VMSpec{MemoryMB: 2000, VCPUs: 2}
+	if host, victims := c.planPreemption(req, Standard); host != nil {
+		t.Fatalf("preempted equal/higher priority: %v on %s", namesOf(victims), host.Name)
+	}
+	// One class up, the standard resident is fair game.
+	if host, victims := c.planPreemption(req, Critical); host == nil || len(victims) != 1 ||
+		victims[0].Spec.Priority != Standard {
+		t.Fatalf("critical request: %v on %s, want the standard resident",
+			namesOf(victims), nameOf(host))
+	}
+}
+
+func TestShadowReservation(t *testing.T) {
+	c := mkCluster(t, 2)
+	// Each host has 1000 MB free and a 2000 MB resident whose departure
+	// lets the 3000 MB head in: host 0's at 10 s, host 1's at 30 s.
+	residentOn(t, c, 0, VMSpec{MemoryMB: 21576, VCPUs: 2, Priority: Critical}, longLife)
+	residentOn(t, c, 0, VMSpec{MemoryMB: 2000, VCPUs: 2}, 10*sim.Second)
+	residentOn(t, c, 1, VMSpec{MemoryMB: 21576, VCPUs: 2, Priority: Critical}, longLife)
+	residentOn(t, c, 1, VMSpec{MemoryMB: 2000, VCPUs: 2}, 30*sim.Second)
+	head := &VMSpec{MemoryMB: 3000, VCPUs: 2}
+	if at, host := c.shadowStart(head, nil); host != c.hosts[0] || at != sim.Time(10*sim.Second) {
+		t.Fatalf("reservation %v on %s, want host0 at 10s", at, nameOf(host))
+	}
+
+	// A candidate on the reserved host that eats the headroom delays the
+	// head; on the other host it cannot.
+	cand, plan := &VMSpec{MemoryMB: 1000, VCPUs: 2}, MemPlan{Policy: mem.PolicyStripe}
+	if !c.delaysHead(head, &c.hosts[0].view, cand, plan) {
+		t.Fatal("backfill allowed to consume the reserved capacity")
+	}
+	if c.delaysHead(head, &c.hosts[1].view, cand, plan) {
+		t.Fatal("backfill on a non-reserved host blocked")
+	}
+
+	// No reservation at all: nothing to delay.
+	huge := &VMSpec{MemoryMB: 1 << 40, VCPUs: 2}
+	if _, host := c.shadowStart(huge, nil); host != nil {
+		t.Fatal("impossible request found a reservation")
+	}
+	if c.delaysHead(huge, &c.hosts[0].view, cand, plan) {
+		t.Fatal("backfill blocked behind an unplaceable head")
+	}
+}
+
+func TestPlanDrain(t *testing.T) {
+	c := mkCluster(t, 3)
+	// Host 0 has three residents, hosts 1 and 2 two each; host 1 would
+	// win the tie on index but one of its residents is pinned, so host 2
+	// is the emptiest fully movable host. Its residents are the smallest,
+	// so it has the most free memory: no move may target it all the same.
+	for i := 0; i < 3; i++ {
+		residentOn(t, c, 0, VMSpec{MemoryMB: 2000, VCPUs: 2, Priority: Standard}, longLife)
+	}
+	residentOn(t, c, 1, VMSpec{MemoryMB: 2000, VCPUs: 2}, longLife)
+	pinned := residentOn(t, c, 1, VMSpec{MemoryMB: 2000, VCPUs: 2, Priority: Standard}, longLife)
+	want := []*VM{
+		residentOn(t, c, 2, VMSpec{MemoryMB: 1000, VCPUs: 2}, longLife),
+		residentOn(t, c, 2, VMSpec{MemoryMB: 1000, VCPUs: 2, Priority: Standard}, longLife),
+	}
+	src, moves := c.planDrain(func(vm *VM) bool { return vm != pinned })
+	if src != c.hosts[2] {
+		t.Fatalf("drained %s, want host2", nameOf(src))
+	}
+	if len(moves) != len(want) {
+		t.Fatalf("%d moves, want %d", len(moves), len(want))
+	}
+	for i, mv := range moves {
+		if mv.vm != want[i] {
+			t.Fatalf("move %d relocates %s, want %s", i, mv.vm.Spec.Name, want[i].Spec.Name)
+		}
+		if mv.target == src {
+			t.Fatalf("%s re-placed on the drained host", mv.vm.Spec.Name)
+		}
+	}
+
+	// With every resident pinned, no plan exists.
+	if src, _ := c.planDrain(func(*VM) bool { return false }); src != nil {
+		t.Fatalf("drained a pinned cluster: %s", src.Name)
 	}
 }

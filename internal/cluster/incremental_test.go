@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"vprobe/internal/controlplane"
 	"vprobe/internal/mem"
 	"vprobe/internal/sim"
 	"vprobe/internal/workload"
@@ -363,7 +362,7 @@ func TestGangFailedReserveRestoresState(t *testing.T) {
 		spec.Group = "g"
 		vms = append(vms, &VM{ID: 100 + i, Spec: spec})
 	}
-	u := &admitUnit{vms: vms, gang: true, priority: controlplane.BestEffort}
+	u := &admitUnit{vms: vms, gang: true, priority: BestEffort}
 	if c.tryAdmitGang(u) {
 		t.Fatal("a gang with an unplaceable member was admitted")
 	}
@@ -608,7 +607,7 @@ func TestPlaceCheckGangRollback(t *testing.T) {
 		spec.Group = "g"
 		vms = append(vms, &VM{ID: i, Spec: spec})
 	}
-	u := &admitUnit{vms: vms, gang: true, priority: controlplane.BestEffort}
+	u := &admitUnit{vms: vms, gang: true, priority: BestEffort}
 	if c.tryAdmitGang(u) {
 		t.Fatal("a gang with a member AddDomain refuses was admitted")
 	}

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math"
 
-	"vprobe/internal/mem"
 	"vprobe/internal/sim"
 )
 
@@ -118,9 +117,7 @@ func (c *Cluster) checkGangReserve(vms []*VM, slots []gangSlot, placed int) {
 				vm.Spec.Name, slots[i].host.Name, slots[i].plan, hv.Name, plan)
 			return
 		}
-		mem.Take(hv.FreePerNodeMB, vm.Spec.MemoryMB, plan.Policy, plan.Preferred)
-		hv.GuestVCPUs += vm.Spec.VCPUs
-		hv.VMs++
+		hv.admit(&vm.Spec, plan)
 	}
 }
 

@@ -63,6 +63,33 @@ func (hv *HostView) bestNode() (numa.NodeID, int64) {
 	return best, bestFree
 }
 
+// whatIf returns a copy of the view whose FreePerNodeMB the caller owns:
+// the what-if host a planner charges admissions to and releases
+// departures into, leaving the cached view alone.
+func (hv *HostView) whatIf() HostView {
+	w := *hv
+	w.FreePerNodeMB = append([]int64(nil), hv.FreePerNodeMB...)
+	return w
+}
+
+// admit charges spec to the view as admitting it under plan would: the
+// allocator's own mem.Take deduction, its VCPUs, and one more VM.
+func (hv *HostView) admit(spec *VMSpec, plan MemPlan) {
+	mem.Take(hv.FreePerNodeMB, spec.MemoryMB, plan.Policy, plan.Preferred)
+	hv.GuestVCPUs += spec.VCPUs
+	hv.VMs++
+}
+
+// release hands a resident's domain back to the view: per node the MB
+// the allocator's Release would return, its VCPUs, and one fewer VM.
+func (hv *HostView) release(vm *VM) {
+	for n := range hv.FreePerNodeMB {
+		hv.FreePerNodeMB[n] += vm.dom.MemDist.ReleasedMB(n, vm.dom.MemoryMB)
+	}
+	hv.GuestVCPUs -= vm.Spec.VCPUs
+	hv.VMs--
+}
+
 // FilterPlugin vetoes hosts that cannot take the VM. A nil error admits
 // the host to scoring; the error explains the veto (surfaced when every
 // host filters out).
@@ -118,6 +145,18 @@ type veto struct {
 
 // ErrNoHostFits is wrapped into Place's error when every host filters out.
 var ErrNoHostFits = errors.New("cluster: no host fits")
+
+// fits reports whether every filter admits spec on hv: Place's filter
+// phase as one boolean, for the score cache and the control-plane
+// planners, which need the verdict but not the veto reason.
+func (pl *Pipeline) fits(spec *VMSpec, hv *HostView) bool {
+	for _, f := range pl.Filters {
+		if f.Filter(spec, hv) != nil {
+			return false
+		}
+	}
+	return true
+}
 
 // Place runs the two phases over the views and returns the winning view
 // and the memory plan for it.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"vprobe/internal/controlplane"
 	"vprobe/internal/metrics"
 	"vprobe/internal/sim"
 )
@@ -99,7 +98,7 @@ func (c *Cluster) report() *Report {
 		Backfills:     c.stats.Backfills,
 		DeschedMoves:  c.stats.DeschedMoves,
 	}
-	for _, p := range controlplane.Priorities() {
+	for _, p := range Priorities() {
 		ps := c.pstats[p]
 		pr := PriorityReport{
 			Class:    p.String(),

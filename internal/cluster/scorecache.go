@@ -156,13 +156,7 @@ func (cs *classScores) compute(c *Cluster, h int) {
 	e := &cs.entries[h]
 	e.gen = ho.gen
 	hv := &ho.view
-	e.feasible = true
-	for _, f := range c.pipeline.Filters {
-		if f.Filter(&cs.spec, hv) != nil {
-			e.feasible = false
-			break
-		}
-	}
+	e.feasible = c.pipeline.fits(&cs.spec, hv)
 	e.score = 0
 	if e.feasible {
 		for _, ws := range c.pipeline.Scorers {

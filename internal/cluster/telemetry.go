@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"vprobe/internal/controlplane"
 	"vprobe/internal/numa"
 	"vprobe/internal/telemetry"
 	"vprobe/internal/xen"
@@ -40,7 +39,7 @@ type clusterTelemetry struct {
 
 	// waitHist records arrival-to-first-placement latency per priority
 	// class, observed at admission time (not sampled), indexed by
-	// controlplane.Priority.
+	// Priority.
 	waitHist [3]*telemetry.Histogram
 
 	// Per-host load, indexed like Cluster.hosts.
@@ -88,7 +87,7 @@ func (c *Cluster) attachTelemetry(s *telemetry.Sampler) {
 			"Defragmentation migrations made by the descheduler."),
 	}
 	waitBounds := []float64{0.5, 1, 2, 5, 10, 20, 40, 80, 160}
-	for _, p := range controlplane.Priorities() {
+	for _, p := range Priorities() {
 		t.waitHist[p] = reg.Histogram("cluster_admission_wait_seconds",
 			"Arrival-to-first-placement latency by priority class.",
 			waitBounds, telemetry.Label{Key: "priority", Value: p.String()})

@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"vprobe/internal/controlplane"
+	"fmt"
+
 	"vprobe/internal/sim"
 	"vprobe/internal/workload"
 	"vprobe/internal/xen"
@@ -19,12 +20,56 @@ type VMSpec struct {
 	// Priority is the VM's admission class: higher classes sort first in
 	// the admission queue and, when preemption is enabled, may evict
 	// strictly lower classes. The zero value is BestEffort.
-	Priority controlplane.Priority
+	Priority Priority
 	// Group names the VM's gang ("" for singletons): members of one group
 	// arrive together and, when gang admission is enabled, are placed
 	// all-or-nothing.
 	Group string
 }
+
+// Priority is a VM's admission priority class. Higher values outrank
+// lower: the admission queue drains in descending priority, and preemption
+// may evict only strictly-lower-priority victims.
+type Priority int
+
+// The priority classes, lowest first.
+const (
+	// BestEffort VMs are the preemption fodder: placed when room exists,
+	// evicted first when a higher class needs the space.
+	BestEffort Priority = iota
+	// Standard is the default class for ordinary workloads.
+	Standard
+	// Critical VMs outrank everything and may preempt both lower classes.
+	Critical
+)
+
+// String returns the class name used in specs, flags, and reports.
+func (p Priority) String() string {
+	switch p {
+	case BestEffort:
+		return "best-effort"
+	case Standard:
+		return "standard"
+	case Critical:
+		return "critical"
+	}
+	return fmt.Sprintf("Priority(%d)", int(p))
+}
+
+// Weight is the class's weight in priority-weighted latency aggregates
+// (best-effort 1, standard 2, critical 4).
+func (p Priority) Weight() float64 {
+	switch p {
+	case Standard:
+		return 2
+	case Critical:
+		return 4
+	}
+	return 1
+}
+
+// Priorities returns the classes lowest-first.
+func Priorities() []Priority { return []Priority{BestEffort, Standard, Critical} }
 
 // vmState is the cluster-side lifecycle of a VM.
 type vmState int

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"vprobe/internal/cluster"
-	"vprobe/internal/controlplane"
 	"vprobe/internal/harness"
 	"vprobe/internal/metrics"
 	"vprobe/internal/sim"
@@ -58,7 +57,7 @@ func overloadCluster(seed uint64, horizon sim.Duration) spec.ClusterV1 {
 func weightedWait(rep *cluster.Report) float64 {
 	var num, den float64
 	for i, p := range rep.PerPriority {
-		w := controlplane.Priority(i).Weight() * float64(p.Placed)
+		w := cluster.Priority(i).Weight() * float64(p.Placed)
 		num += w * p.MeanWait.Seconds()
 		den += w
 	}
