@@ -76,9 +76,6 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if len(apps1) > 8 || len(apps2) > 8 {
-		return fmt.Errorf("at most 8 apps per VM (got %d / %d)", len(apps1), len(apps2))
-	}
 	var kinds []sched.Kind
 	for _, name := range strings.Split(*schedList, ",") {
 		kind := sched.Kind(strings.TrimSpace(name))
@@ -129,9 +126,13 @@ func run(args []string, stdout io.Writer) error {
 	return err
 }
 
+// maxApps is the most apps one VM's spec may name: the standard setup's
+// VMs have eight VCPUs, one app each.
+const maxApps = 8
+
 // parseApps parses a workload spec into the apps of one VM.
 func parseApps(s string) ([]spec.AppV1, error) {
-	refs, err := workload.ParseSpec(s)
+	refs, err := workload.ParseSpec(s, maxApps)
 	if err != nil {
 		return nil, err
 	}

@@ -14,8 +14,11 @@ import (
 //	"mcf"                         — a bare name means one instance
 //
 // into one Ref per instance, in order. Parameterised servers (memcached,
-// redis) accept an '@load' suffix; fixed catalog profiles do not.
-func ParseSpec(spec string) ([]Ref, error) {
+// redis) accept an '@load' suffix; fixed catalog profiles do not. The
+// spec is one VM's apps, at most maxApps of them: a count that would take
+// the list past maxApps is rejected before any of its instances are
+// built, so an outsized count costs nothing.
+func ParseSpec(spec string, maxApps int) ([]Ref, error) {
 	var out []Ref
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
@@ -53,6 +56,10 @@ func ParseSpec(spec string) ([]Ref, error) {
 			if _, err := ByName(name); err != nil {
 				return nil, err
 			}
+		}
+		if count > maxApps-len(out) {
+			return nil, fmt.Errorf("workload: at most %d apps per VM, %q takes the spec past it",
+				maxApps, part)
 		}
 		for i := 0; i < count; i++ {
 			out = append(out, Ref{Name: name, Load: load})

@@ -1,9 +1,12 @@
 package workload
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestParseSpecBasics(t *testing.T) {
-	ps, err := ParseSpec("soplex:4,hungry:8")
+	ps, err := ParseSpec("soplex:4,hungry:8", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +25,7 @@ func TestParseSpecBasics(t *testing.T) {
 }
 
 func TestParseSpecBareName(t *testing.T) {
-	ps, err := ParseSpec("mcf")
+	ps, err := ParseSpec("mcf", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +35,7 @@ func TestParseSpecBareName(t *testing.T) {
 }
 
 func TestParseSpecServers(t *testing.T) {
-	ps, err := ParseSpec("memcached@64:8, redis@2000:4")
+	ps, err := ParseSpec("memcached@64:8, redis@2000:4", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +51,7 @@ func TestParseSpecServers(t *testing.T) {
 }
 
 func TestParseSpecWhitespaceAndEmpties(t *testing.T) {
-	ps, err := ParseSpec(" lu : 2 ,, mg ")
+	ps, err := ParseSpec(" lu : 2 ,, mg ", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +74,50 @@ func TestParseSpecErrors(t *testing.T) {
 		"redis",         // missing load
 	}
 	for _, spec := range bad {
-		if _, err := ParseSpec(spec); err == nil {
+		if _, err := ParseSpec(spec, 8); err == nil {
 			t.Errorf("spec %q accepted", spec)
 		}
 	}
+}
+
+// TestParseSpecCountCap: a count past the cap is rejected while parsing,
+// before its instances are built, so an outsized count is cheap to refuse;
+// a spec that lands exactly on the cap is accepted.
+func TestParseSpecCountCap(t *testing.T) {
+	for _, spec := range []string{"lu:1048576", "lu:4,mg:5", "mcf:9223372036854775807"} {
+		refs, err := ParseSpec(spec, 8)
+		if err == nil || !strings.Contains(err.Error(), "at most 8 apps per VM") {
+			t.Errorf("%q: %d refs, err %v; want the 8-app cap", spec, len(refs), err)
+		}
+	}
+	if refs, err := ParseSpec("lu:4,mg:4", 8); err != nil || len(refs) != 8 {
+		t.Fatalf("spec at the cap: %d refs, err %v", len(refs), err)
+	}
+}
+
+// FuzzParseSpec feeds arbitrary text through the workload-spec parser
+// vprobe-compare reads its -w and -i flags with. It must never panic,
+// never return more refs than the cap, and every ref it accepts must
+// build its profile.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"soplex:4,hungry:4", "mcf", "memcached@64:4, redis@2000:4", " lu : 2 ,, mg ",
+		"lu:1048576", "memcached@0:2", "soplex@4", "redis", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		refs, err := ParseSpec(spec, 8)
+		if err != nil {
+			return
+		}
+		if len(refs) == 0 || len(refs) > 8 {
+			t.Fatalf("%q: accepted %d refs", spec, len(refs))
+		}
+		for _, r := range refs {
+			if p, err := r.Profile(); err != nil || p == nil {
+				t.Fatalf("%q: accepted ref %+v builds no profile: %v", spec, r, err)
+			}
+		}
+	})
 }
