@@ -27,10 +27,6 @@ const (
 	EventBlock EventKind = EventKind(xen.EventBlock)
 	// EventGuestMove: the guest OS parked a thread on another VCPU.
 	EventGuestMove EventKind = EventKind(xen.EventGuestMove)
-	// EventDomPause / EventDomResume / EventDomDestroy: domain lifecycle.
-	EventDomPause   EventKind = EventKind(xen.EventDomPause)
-	EventDomResume  EventKind = EventKind(xen.EventDomResume)
-	EventDomDestroy EventKind = EventKind(xen.EventDomDestroy)
 )
 
 // Cluster-scoped event kinds delivered to a RunCluster run's
@@ -75,7 +71,7 @@ type Event struct {
 	// Kind labels what happened.
 	Kind EventKind
 	// VCPU is the machine-wide VCPU id, -1 when the event is not
-	// VCPU-scoped (e.g. domain lifecycle).
+	// VCPU-scoped (e.g. cluster events).
 	VCPU int
 	// Node is the NUMA node involved, -1 when placement is not part of
 	// the event.

@@ -143,9 +143,6 @@ func TestEventLogTypedPath(t *testing.T) {
 	cases = append(cases,
 		cold(xen.EventAppFinish, 3, 1, app, "vcpu3 (soplex) finished"),
 		cold(xen.EventGuestMove, 4, numa.NoNode, "mcf", "guest vm1: thread mcf moved vcpu2 -> vcpu4"),
-		cold(xen.EventDomPause, -1, numa.NoNode, "", "domain vm1 paused"),
-		cold(xen.EventDomResume, -1, numa.NoNode, "", "domain vm1 resumed"),
-		cold(xen.EventDomDestroy, -1, numa.NoNode, "", "domain vm1 destroyed"),
 	)
 
 	log := new(vprobe.EventLog)

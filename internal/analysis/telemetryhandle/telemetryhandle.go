@@ -75,8 +75,8 @@ func run(pass *framework.ModulePass) (any, error) {
 // findHandleTypes collects the named handle value types: Counter, Gauge,
 // Histogram, and the span Tracer declared in any loaded package named
 // "telemetry". The Tracer counts as a handle: hot-reachable code must
-// reach it through a pre-bound, nil-guarded handle set (xen.Spans,
-// cluster's span recorder), never via a map or registry lookup.
+// reach it through a pre-bound, nil-guarded handle set (cluster's span
+// recorder), never via a map or registry lookup.
 func findHandleTypes(pass *framework.ModulePass) map[*types.TypeName]bool {
 	out := map[*types.TypeName]bool{}
 	for _, pkg := range pass.Pkgs {

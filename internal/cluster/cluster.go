@@ -404,11 +404,11 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 //
 // Lazy-clock invariant: a host's clock lags cluster time only while no
 // event of that host is due by then. due[i] is never later than host i's
-// earliest queued event (sim.Engine.NextAt counts cancelled events too),
-// so a host skipped here would have fired nothing: an advance would only
-// have moved its clock, and its state is already what the advance would
-// leave. Every cluster→host mutation goes through touch, which brings the
-// host's clock to cluster time first and marks the host due.
+// earliest queued event (sim.Engine.NextAt), so a host skipped here would
+// have fired nothing: an advance would only have moved its clock, and its
+// state is already what the advance would leave. Every cluster→host
+// mutation goes through touch, which brings the host's clock to cluster
+// time first and marks the host due.
 func (c *Cluster) syncHosts(t sim.Time) error {
 	if t <= c.syncedTo {
 		return nil

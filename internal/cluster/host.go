@@ -128,7 +128,7 @@ func (ho *Host) guestVCPUs() int {
 // every PCPU is idle (the hypervisor's running count is zero) and no VCPU
 // is runnable. The incremental engine uses it as the quiescence test for
 // empty hosts — once settled, the cached view's pressure and counters are
-// frozen until the cluster mutates the host again (wakeups of paused
+// frozen until the cluster mutates the host again (wakeups of destroyed
 // VCPUs are no-ops).
 //
 // The PCPU check is load-bearing, not belt-and-braces: a domain teardown

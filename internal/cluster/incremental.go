@@ -13,7 +13,7 @@ package cluster
 //     Hosts that are settled — no VMs, no runnable VCPU, every PCPU idle;
 //     the overwhelming majority of a large fleet — are never revisited:
 //     with nothing current or runnable no quantum can retire, so pressure
-//     is frozen, and wakeups of paused VCPUs are no-ops. (The settled
+//     is frozen, and wakeups of destroyed VCPUs are no-ops. (The settled
 //     test checks PCPUs, not just VCPU states: a domain teardown can race
 //     the scheduler's redispatch and leave a VCPU current with an armed
 //     quantum while its state reads blocked, so "no VMs and nothing

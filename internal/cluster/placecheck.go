@@ -160,8 +160,7 @@ func (c *Cluster) checkClock(ho *Host, t sim.Time) bool {
 
 // hostMark is what every cluster→host mutation moves: the VCPU count
 // (AddDomain) or the runnable generation (AttachApp, ActivateDomain, and
-// DestroyDomain through the pause it starts with; the cluster never
-// pauses a domain on its own).
+// DestroyDomain through the stop step it starts with).
 type hostMark struct {
 	vcpus int
 	gen   uint64

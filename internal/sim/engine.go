@@ -6,40 +6,22 @@ import (
 	"fmt"
 )
 
-// Event is a scheduled callback. The callback runs at the event's firing
+// event is a scheduled callback. The callback runs at the event's firing
 // time with the engine passed in so it can schedule follow-up events.
 //
-// Events returned by Schedule/ScheduleAt are owned by the engine: once an
-// event has fired (or a cancelled event has been discarded), the engine
-// recycles it through an internal free list and the pointer must not be
-// used again. Cancel is therefore only meaningful while the event is
-// pending. Callers that need an event they can safely re-arm or cancel at
-// any time should use a Timer, which owns its event for its whole lifetime
-// and is never pooled. See DESIGN.md §9 "Hot-path memory discipline".
-type Event struct {
+// Events queued by Schedule/ScheduleAt are owned by the engine: once an
+// event has fired, the engine recycles it through an internal free list.
+// Callers that need a deadline they can re-arm or stop at any time use a
+// Timer, which owns its event for its whole lifetime and is never pooled.
+// See DESIGN.md §9 "Hot-path memory discipline".
+type event struct {
 	at     Time
 	seq    uint64 // tie-breaker: FIFO among simultaneous events
 	index  int    // heap index, -1 when not queued
 	fire   func(e *Engine)
-	label  string
-	cancel bool
-	pinned bool // owned by a Timer/Ticker; never returned to the pool
+	label  string // names a Timer/Ticker event in a past-time panic
+	pinned bool   // owned by a Timer/Ticker; never returned to the pool
 }
-
-// At reports the virtual time the event fires at.
-func (ev *Event) At() Time { return ev.at }
-
-// Label reports the human-readable label given at scheduling time.
-func (ev *Event) Label() string { return ev.label }
-
-// Cancel marks the event so it will be skipped when it reaches the head of
-// the queue. Cancelling an already-fired event is a no-op — but note that
-// a fired event may have been recycled for an unrelated later Schedule
-// call, so Cancel must only be called while the event is known pending.
-func (ev *Event) Cancel() { ev.cancel = true }
-
-// Cancelled reports whether Cancel was called on the event.
-func (ev *Event) Cancelled() bool { return ev.cancel }
 
 // Engine is a single-threaded discrete-event simulator.
 //
@@ -53,13 +35,13 @@ type Engine struct {
 
 	// queue is a binary min-heap of pending events ordered by before, the
 	// (at, seq) order; each queued event's index field holds its slot.
-	queue []*Event
+	queue []*event
 
-	// free is the event pool: fired and discarded-after-cancel events are
-	// recycled here, so a steady-state simulation allocates no events.
-	// LIFO reuse keeps the pool cache-hot and, because the engine is
-	// single-threaded, fully deterministic.
-	free []*Event
+	// free is the event pool: fired events are recycled here, so a
+	// steady-state simulation allocates no events. LIFO reuse keeps the
+	// pool cache-hot and, because the engine is single-threaded, fully
+	// deterministic.
+	free []*event
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
@@ -70,14 +52,11 @@ func NewEngine() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending returns the number of events waiting in the queue, including
-// cancelled events that have not yet been discarded.
+// Pending returns the number of events waiting in the queue.
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // NextAt returns the firing time of the earliest queued event, and false
-// when the queue is empty. A cancelled event still counts until the run
-// loop discards it, so the answer may be early but is never late: no
-// event fires before it.
+// when the queue is empty.
 func (e *Engine) NextAt() (Time, bool) {
 	if len(e.queue) == 0 {
 		return 0, false
@@ -93,22 +72,20 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) PoolSize() int { return len(e.free) }
 
 // alloc takes an event from the free list, or makes a new one.
-func (e *Engine) alloc() *Event {
+func (e *Engine) alloc() *event {
 	if n := len(e.free); n > 0 {
 		ev := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &Event{} //vet:alloc pool warmup: only when the free list is empty; steady state recycles released events
+	return &event{} //vet:alloc pool warmup: only when the free list is empty; steady state recycles released events
 }
 
-// release recycles a popped event. The callback reference is dropped
-// immediately so a recycled event can never re-fire its old callback;
-// the cancel flag is left as-is (so Cancelled() stays observable on a
-// just-discarded event) and reset when the event is handed out again.
+// release recycles a fired event. The callback reference is dropped
+// immediately so a recycled event can never re-fire its old callback.
 // Pinned events belong to a Timer or Ticker and are never pooled.
-func (e *Engine) release(ev *Event) {
+func (e *Engine) release(ev *event) {
 	if ev.pinned {
 		return
 	}
@@ -123,7 +100,7 @@ var ErrPastEvent = errors.New("sim: event scheduled in the past")
 // ScheduleAt queues fn to run at absolute time at. It panics if at is in
 // the past: scheduling into the past is always a programming error in a
 // discrete-event model and silently clamping would hide causality bugs.
-func (e *Engine) ScheduleAt(at Time, label string, fn func(*Engine)) *Event {
+func (e *Engine) ScheduleAt(at Time, label string, fn func(*Engine)) {
 	if at < e.now {
 		panic(fmt.Errorf("%w: now=%v at=%v label=%q", ErrPastEvent, e.now, at, label))
 	}
@@ -131,32 +108,28 @@ func (e *Engine) ScheduleAt(at Time, label string, fn func(*Engine)) *Event {
 	ev.at = at
 	ev.seq = e.seq
 	ev.fire = fn
-	ev.label = label
-	ev.cancel = false
 	e.seq++
 	e.push(ev)
-	return ev
 }
 
 // Schedule queues fn to run after delay d (d < 0 is clamped to 0).
-func (e *Engine) Schedule(d Duration, label string, fn func(*Engine)) *Event {
+func (e *Engine) Schedule(d Duration, label string, fn func(*Engine)) {
 	if d < 0 {
 		d = 0
 	}
-	return e.ScheduleAt(e.now.Add(d), label, fn)
+	e.ScheduleAt(e.now.Add(d), label, fn)
 }
 
 // armPinnedAt queues a caller-owned (pinned) event at time at, taking one
 // sequence number. Pinned events are re-armed in place rather than
 // pooled: a still-pending event is re-keyed and sifted from its current
 // slot, so it can never occupy two slots (and so never double-fire).
-func (e *Engine) armPinnedAt(ev *Event, at Time) {
+func (e *Engine) armPinnedAt(ev *event, at Time) {
 	if at < e.now {
 		panic(fmt.Errorf("%w: now=%v at=%v label=%q", ErrPastEvent, e.now, at, ev.label))
 	}
 	ev.at = at
 	ev.seq = e.seq
-	ev.cancel = false
 	e.seq++
 	if ev.index < 0 {
 		e.push(ev)
@@ -165,10 +138,9 @@ func (e *Engine) armPinnedAt(ev *Event, at Time) {
 	}
 }
 
-// unqueue removes a pending event from the queue immediately (as opposed
-// to Cancel's lazy skip-at-pop). Reports whether the event was queued.
-// It takes no sequence number.
-func (e *Engine) unqueue(ev *Event) bool {
+// unqueue removes a pending event from the queue. Reports whether the
+// event was queued. It takes no sequence number.
+func (e *Engine) unqueue(ev *event) bool {
 	i := ev.index
 	if i < 0 {
 		return false
@@ -187,19 +159,19 @@ func (e *Engine) unqueue(ev *Event) bool {
 // before is the queue order: earlier time first, FIFO (lower seq) among
 // simultaneous events. seq is unique, so this is a total order and any
 // correct priority queue pops events in exactly the same sequence.
-func before(a, b *Event) bool {
+func before(a, b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // push appends ev to the queue and sifts it up to its slot.
-func (e *Engine) push(ev *Event) {
+func (e *Engine) push(ev *event) {
 	e.queue = append(e.queue, ev) //vet:alloc queue grows to peak pending events during warmup, then flattens
 	e.siftUp(ev, len(e.queue)-1)
 }
 
 // fix places ev in the hole at slot i and restores heap order, sifting
 // up if ev precedes i's parent and down otherwise.
-func (e *Engine) fix(ev *Event, i int) {
+func (e *Engine) fix(ev *event, i int) {
 	if i > 0 && before(ev, e.queue[(i-1)/2]) {
 		e.siftUp(ev, i)
 	} else {
@@ -210,7 +182,7 @@ func (e *Engine) fix(ev *Event, i int) {
 // siftUp moves ev from the hole at slot i toward the root: each parent
 // that ev precedes drops into the hole, and ev is written once where the
 // climb stops. Every moved event's index is written exactly once.
-func (e *Engine) siftUp(ev *Event, i int) {
+func (e *Engine) siftUp(ev *event, i int) {
 	q := e.queue
 	for i > 0 {
 		p := (i - 1) / 2
@@ -228,7 +200,7 @@ func (e *Engine) siftUp(ev *Event, i int) {
 
 // siftDown moves ev from the hole at slot i toward the leaves: the
 // earlier child rises into the hole while it precedes ev.
-func (e *Engine) siftDown(ev *Event, i int) {
+func (e *Engine) siftDown(ev *event, i int) {
 	q := e.queue
 	n := len(q)
 	for {
@@ -258,7 +230,7 @@ func (e *Engine) siftDown(ev *Event, i int) {
 // wakeups) where Schedule's per-call closure would churn the GC.
 type Timer struct {
 	engine *Engine
-	ev     Event
+	ev     event
 }
 
 // NewTimer returns an unarmed timer that runs fn each time it fires.
@@ -287,7 +259,7 @@ func (t *Timer) ArmAt(at Time) {
 }
 
 // Stop removes a pending firing; it reports whether the timer was armed.
-// Unlike Event.Cancel, a stopped Timer can be re-armed immediately.
+// A stopped Timer can be re-armed immediately.
 func (t *Timer) Stop() bool {
 	return t.engine.unqueue(&t.ev)
 }
@@ -321,7 +293,7 @@ type Ticker struct {
 	engine  *Engine
 	period  Duration
 	fn      func(*Engine)
-	ev      Event
+	ev      event
 	stopped bool
 }
 
@@ -398,10 +370,6 @@ func (e *Engine) run(ctx context.Context) (uint64, error) {
 			break
 		}
 		e.unqueue(ev)
-		if ev.cancel {
-			e.release(ev)
-			continue
-		}
 		if ev.at < e.now {
 			panic(fmt.Sprintf("sim: time went backwards: now=%v event=%v", e.now, ev.at))
 		}

@@ -62,20 +62,6 @@ func TestNegativeDelayClampedToNow(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.Schedule(Millisecond, "x", func(*Engine) { fired = true })
-	ev.Cancel()
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
-	}
-}
-
 func TestEventsScheduleMoreEvents(t *testing.T) {
 	e := NewEngine()
 	count := 0
@@ -185,22 +171,6 @@ func TestNextAtEmpty(t *testing.T) {
 	e.Run()
 	if at, ok := e.NextAt(); ok {
 		t.Fatalf("NextAt after the queue drained = %v, true", at)
-	}
-}
-
-// TestNextAtCancelledHead checks that a cancelled head still counts: the
-// answer may be early, never late.
-func TestNextAtCancelledHead(t *testing.T) {
-	e := NewEngine()
-	head := e.Schedule(Millisecond, "head", func(*Engine) {})
-	e.Schedule(3*Millisecond, "tail", func(*Engine) {})
-	head.Cancel()
-	if at, ok := e.NextAt(); !ok || at != Time(Millisecond) {
-		t.Fatalf("NextAt = %v, %v; want 1ms, true", at, ok)
-	}
-	e.RunUntil(Time(2 * Millisecond))
-	if at, ok := e.NextAt(); !ok || at != Time(3*Millisecond) {
-		t.Fatalf("NextAt after the cancelled head was discarded = %v, %v; want 3ms, true", at, ok)
 	}
 }
 

@@ -20,51 +20,22 @@ func TestEventPooling(t *testing.T) {
 	}
 }
 
-// TestCancelledEventPooled checks a cancelled event is recycled when it is
-// discarded at the head of the queue, and that its Cancelled flag stays
-// observable until the event is handed out again.
-func TestCancelledEventPooled(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.Schedule(5, "doomed", func(*Engine) { fired = true })
-	ev.Cancel()
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() lost after discard")
-	}
-	if got := e.PoolSize(); got != 1 {
-		t.Fatalf("PoolSize after discarding cancelled event = %d, want 1", got)
-	}
-	// Reuse must clear the stale cancel flag.
-	ev2 := e.Schedule(1, "fresh", func(*Engine) {})
-	if ev2.Cancelled() {
-		t.Fatal("recycled event handed out with stale cancel flag")
-	}
-	if got := e.Run(); got != 1 {
-		t.Fatalf("recycled event did not fire: fired %d events", got)
-	}
-}
-
 // TestRecycledEventNeverFiresOldCallback is the pool's safety property: an
-// event that fired (or was cancelled and discarded) and then got recycled
-// for a new Schedule call must run only the new callback, exactly once.
-// Exercised with a seeded randomized schedule so recycling happens under
-// realistic interleavings of fire, cancel, and re-schedule.
+// event that fired and then got recycled for a new Schedule call must run
+// only the new callback, exactly once. Exercised with a seeded randomized
+// schedule so recycling happens under realistic interleavings of fire and
+// re-schedule.
 func TestRecycledEventNeverFiresOldCallback(t *testing.T) {
 	e := NewEngine()
 	rng := NewRNG(42)
 
 	fires := make(map[int]int) // schedule id -> times fired
-	cancelled := make(map[int]bool)
 	next := 0
 	var schedule func()
 	schedule = func() {
 		id := next
 		next++
-		ev := e.Schedule(Duration(rng.Intn(50)), "rand", func(*Engine) {
+		e.Schedule(Duration(rng.Intn(50)), "rand", func(*Engine) {
 			fires[id]++
 			// Half the firings schedule a replacement, keeping the
 			// pool churning for the whole run.
@@ -72,10 +43,6 @@ func TestRecycledEventNeverFiresOldCallback(t *testing.T) {
 				schedule()
 			}
 		})
-		if rng.Float64() < 0.3 {
-			ev.Cancel()
-			cancelled[id] = true
-		}
 	}
 	for i := 0; i < 500; i++ {
 		schedule()
@@ -86,13 +53,8 @@ func TestRecycledEventNeverFiresOldCallback(t *testing.T) {
 		t.Fatal("randomized run never recycled an event; test is vacuous")
 	}
 	for id := 0; id < next; id++ {
-		want := 1
-		if cancelled[id] {
-			want = 0
-		}
-		if fires[id] != want {
-			t.Fatalf("schedule %d fired %d times, want %d (cancelled=%v)",
-				id, fires[id], want, cancelled[id])
+		if fires[id] != 1 {
+			t.Fatalf("schedule %d fired %d times, want 1", id, fires[id])
 		}
 	}
 }

@@ -12,15 +12,14 @@ import (
 // PoolSize() and the fired count. The reference keeps pending events in a
 // plain slice sorted by (at, seq) before every pop, so it shares no heap
 // logic with the engine; agreement shows the engine's queue pops events
-// in exactly the (at, seq) order with the same lazy-cancel, pooling and
-// sequence-number accounting.
+// in exactly the (at, seq) order with the same pooling and sequence-number
+// accounting.
 
-// queueSide is one implementation under test. Handles are small integers
-// the script assigns: pooled events by id, timers and tickers by index.
+// queueSide is one implementation under test. Timers and tickers are
+// handled by their creation index; pooled events need no handle.
 type queueSide interface {
 	now() Time
-	schedule(d Duration, id int, fn func())
-	cancel(id int)
+	schedule(d Duration, fn func())
 	newTimer(fn func()) int
 	armTimer(k int, d Duration)
 	stopTimer(k int) bool
@@ -37,18 +36,16 @@ type queueSide interface {
 // engineSide adapts *Engine to queueSide.
 type engineSide struct {
 	e       *Engine
-	events  map[int]*Event
 	timers  []*Timer
 	tickers []*Ticker
 }
 
-func newEngineSide() *engineSide { return &engineSide{e: NewEngine(), events: map[int]*Event{}} }
+func newEngineSide() *engineSide { return &engineSide{e: NewEngine()} }
 
 func (s *engineSide) now() Time { return s.e.Now() }
-func (s *engineSide) schedule(d Duration, id int, fn func()) {
-	s.events[id] = s.e.Schedule(d, "ev", func(*Engine) { delete(s.events, id); fn() })
+func (s *engineSide) schedule(d Duration, fn func()) {
+	s.e.Schedule(d, "ev", func(*Engine) { fn() })
 }
-func (s *engineSide) cancel(id int) { s.events[id].Cancel(); delete(s.events, id) }
 func (s *engineSide) newTimer(fn func()) int {
 	s.timers = append(s.timers, s.e.NewTimer("timer", func(*Engine) { fn() }))
 	return len(s.timers) - 1
@@ -72,7 +69,6 @@ type refEvent struct {
 	at      Time
 	seq     uint64
 	queued  bool
-	cancel  bool
 	pinned  bool
 	stopped bool // tickers only
 	period  Duration
@@ -88,15 +84,14 @@ type refSide struct {
 	halted  bool
 	queue   []*refEvent
 	pool    int // events the engine would hold in its free list
-	events  map[int]*refEvent
 	timers  []*refEvent
 	tickers []*refEvent
 }
 
-func newRefSide() *refSide { return &refSide{events: map[int]*refEvent{}} }
+func newRefSide() *refSide { return &refSide{} }
 
 func (r *refSide) enqueue(ev *refEvent, at Time) {
-	ev.at, ev.seq, ev.queued, ev.cancel = at, r.seq, true, false
+	ev.at, ev.seq, ev.queued = at, r.seq, true
 	r.seq++
 	r.queue = append(r.queue, ev)
 }
@@ -111,16 +106,12 @@ func (r *refSide) dequeue(ev *refEvent) bool {
 }
 
 func (r *refSide) now() Time { return r.clock }
-func (r *refSide) schedule(d Duration, id int, fn func()) {
+func (r *refSide) schedule(d Duration, fn func()) {
 	if r.pool > 0 {
 		r.pool--
 	}
-	ev := &refEvent{}
-	ev.fn = func() { delete(r.events, id); fn() }
-	r.events[id] = ev
-	r.enqueue(ev, r.clock.Add(max(d, 0)))
+	r.enqueue(&refEvent{fn: fn}, r.clock.Add(max(d, 0)))
 }
-func (r *refSide) cancel(id int) { r.events[id].cancel = true; delete(r.events, id) }
 func (r *refSide) newTimer(fn func()) int {
 	r.timers = append(r.timers, &refEvent{pinned: true, fn: fn})
 	return len(r.timers) - 1
@@ -168,11 +159,9 @@ func (r *refSide) runUntil(t Time) {
 		}
 		r.queue = r.queue[1:]
 		ev.queued = false
-		if !ev.cancel {
-			r.clock = ev.at
-			r.nfired++
-			ev.fn()
-		}
+		r.clock = ev.at
+		r.nfired++
+		ev.fn()
 		if !ev.pinned {
 			r.pool++
 		}
@@ -187,7 +176,6 @@ type queueScript struct {
 	s       queueSide
 	rng     *RNG
 	trace   []string
-	live    []int // scheduled pooled events neither fired nor cancelled
 	nextID  int
 	timers  int
 	tickers []int // indexes of running tickers
@@ -207,9 +195,7 @@ func (q *queueScript) delay() Duration {
 func (q *queueScript) schedule() {
 	id := q.nextID
 	q.nextID++
-	q.live = append(q.live, id)
-	q.s.schedule(q.delay(), id, func() {
-		q.live = slices.DeleteFunc(q.live, func(v int) bool { return v == id })
+	q.s.schedule(q.delay(), func() {
 		q.log("fire ev%d", id)
 		q.callbackAction()
 	})
@@ -221,12 +207,10 @@ func (q *queueScript) callbackAction() {
 	switch n := q.rng.Intn(20); {
 	case n < 6:
 		q.schedule()
-	case n < 8:
-		q.act(1)
 	case n < 10:
-		q.act(2)
+		q.act(1)
 	case n == 10:
-		q.act(3)
+		q.act(2)
 	case n == 11 && q.rng.Intn(4) == 0:
 		q.log("stop")
 		q.s.stop()
@@ -240,21 +224,13 @@ func (q *queueScript) act(k int) {
 	case 0:
 		q.schedule()
 	case 1:
-		if len(q.live) > 0 {
-			i := q.rng.Intn(len(q.live))
-			id := q.live[i]
-			q.live = slices.Delete(q.live, i, i+1)
-			q.log("cancel ev%d", id)
-			q.s.cancel(id)
-		}
-	case 2:
 		tk, d := q.rng.Intn(q.timers), q.delay()
 		q.log("arm t%d pending=%v +%d", tk, q.s.timerPending(tk), d)
 		q.s.armTimer(tk, d)
-	case 3:
+	case 2:
 		tk := q.rng.Intn(q.timers)
 		q.log("stop t%d -> %v", tk, q.s.stopTimer(tk))
-	case 4:
+	case 3:
 		if len(q.tickers) < 6 {
 			n := len(q.tickers)
 			var k int
@@ -269,7 +245,7 @@ func (q *queueScript) act(k int) {
 			q.tickers = append(q.tickers, k)
 			q.log("every k%d (running %d)", k, n+1)
 		}
-	case 5:
+	case 4:
 		if len(q.tickers) > 0 {
 			i := q.rng.Intn(len(q.tickers))
 			k := q.tickers[i]
@@ -277,7 +253,7 @@ func (q *queueScript) act(k int) {
 			q.log("stop k%d", k)
 			q.s.stopTicker(k)
 		}
-	case 6:
+	case 5:
 		t := q.s.now().Add(Duration(1 + q.rng.Intn(60)))
 		q.log("run until %d", t)
 		q.s.runUntil(t)
@@ -313,9 +289,9 @@ func (q *queueScript) run(steps int) {
 		case q.s.pending() < target && n < 6:
 			k = 0
 		case q.s.pending() >= target && n < 6:
-			k = 6
+			k = 5
 		default:
-			k = 1 + q.rng.Intn(5)
+			k = 1 + q.rng.Intn(4)
 		}
 		q.act(k)
 		p := q.s.pending()

@@ -27,7 +27,7 @@ var servedScenarios = []string{
 
 // FuzzScenarioSpec feeds outside input through the scenario front door —
 // decode, Validate, lower — without running it. Validation failures must
-// wrap the spec sentinels, a valid spec must lower without panicking, and
+// wrap the spec sentinels, a valid spec must lower without error, and
 // the lowered hypervisor must hold the spec's VMs and watch list. The
 // corpus holds every paper cell's scenario document (what vprobe-sim
 // -spec prints) plus the served specs.
@@ -63,7 +63,7 @@ func FuzzScenarioSpec(f *testing.F) {
 		}
 		h, err := s.Hypervisor()
 		if err != nil {
-			return // a valid spec may still not fit the machine's memory
+			t.Fatalf("valid spec does not lower: %v", err)
 		}
 		n := s.Normalize()
 		if len(h.Domains) != len(n.VMs) || len(h.Watched()) != len(n.Watch) {

@@ -626,7 +626,11 @@ func (s ScenarioV1) Validate() error {
 		return err
 	}
 	seen := make(map[string]bool, len(n.VMs))
-	vcpus, cpus := 0, 0
+	vcpus := 0
+	top := numa.Presets[n.Topology]()
+	// freeMB is the memory the VMs so far leave free: lowering allocates
+	// each VM in order from an allocator that starts with all of it.
+	freeMB := top.TotalMemoryMB()
 	for i, vm := range n.VMs {
 		path := fmt.Sprintf("vms[%d]", i)
 		if vm.Name == "" {
@@ -639,6 +643,11 @@ func (s ScenarioV1) Validate() error {
 		if vm.MemoryMB <= 0 {
 			return fmt.Errorf("%w: %s.memory_mb %d must be positive", ErrInvalid, path, vm.MemoryMB)
 		}
+		if vm.MemoryMB > freeMB {
+			return fmt.Errorf("%w: %s %q: memory_mb %d exceeds the %d MB that %s (%d MB in all) has free after the VMs before it",
+				ErrInvalid, path, vm.Name, vm.MemoryMB, freeMB, n.Topology, top.TotalMemoryMB())
+		}
+		freeMB -= vm.MemoryMB
 		if vm.VCPUs <= 0 {
 			return fmt.Errorf("%w: %s.vcpus %d must be positive", ErrInvalid, path, vm.VCPUs)
 		}
@@ -661,11 +670,8 @@ func (s ScenarioV1) Validate() error {
 			return fmt.Errorf("%w: %s.pin lists %d pcpus for %d vcpus",
 				ErrInvalid, path, len(vm.Pin), vm.VCPUs)
 		}
-		if len(vm.Pin) > 0 && cpus == 0 {
-			cpus = numa.Presets[n.Topology]().NumCPUs()
-		}
 		for j, cpu := range vm.Pin {
-			if cpu < 0 || cpu >= cpus {
+			if cpus := top.NumCPUs(); cpu < 0 || cpu >= cpus {
 				return fmt.Errorf("%w: %s.pin[%d] %d is outside %s's pcpus [0, %d)",
 					ErrInvalid, path, j, cpu, n.Topology, cpus)
 			}

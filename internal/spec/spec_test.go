@@ -110,6 +110,43 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestValidateMemoryFits checks that Validate refuses VMs whose memory
+// sums past the machine's, naming the first VM that overflows, so every
+// accepted scenario lowers; a running sum that meets the machine's memory
+// exactly is accepted and lowers.
+func TestValidateMemoryFits(t *testing.T) {
+	total := numa.Presets["xeon-e5620"]().TotalMemoryMB()
+	vm := func(name string, mb int64) spec.VMV1 { return spec.VMV1{Name: name, MemoryMB: mb, VCPUs: 1} }
+	for _, tc := range []struct {
+		name string
+		vms  []spec.VMV1
+		bad  string // the VM the error must name; "" when the spec fits
+	}{
+		{"one vm too large", []spec.VMV1{vm("vm1", 100000000)}, "vm1"},
+		{"two halves too large", []spec.VMV1{vm("a", 20000), vm("b", 20000)}, "b"},
+		{"sum past int64", []spec.VMV1{vm("a", total), vm("b", math.MaxInt64)}, "b"},
+		{"later vm past the first overflow", []spec.VMV1{vm("a", 1), vm("b", total), vm("c", math.MaxInt64)}, "b"},
+		{"exact fit", []spec.VMV1{vm("a", total-1024), vm("b", 1024)}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := spec.ScenarioV1{VMs: tc.vms}
+			err := s.Validate()
+			if tc.bad == "" {
+				if err != nil {
+					t.Fatalf("Validate() = %v, want nil", err)
+				}
+				if _, err := s.Hypervisor(); err != nil {
+					t.Fatalf("accepted spec does not lower: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, spec.ErrInvalid) || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.bad)) {
+				t.Fatalf("Validate() = %v, want ErrInvalid naming %q", err, tc.bad)
+			}
+		})
+	}
+}
+
 // TestClusterValidateErrors covers the cluster-side failures.
 func TestClusterValidateErrors(t *testing.T) {
 	cases := []struct {

@@ -27,10 +27,6 @@ const (
 	EventBlock EventKind = "block"
 	// EventGuestMove: the guest OS parked a thread on another VCPU.
 	EventGuestMove EventKind = "guest-move"
-	// EventDomPause / EventDomResume / EventDomDestroy: domain lifecycle.
-	EventDomPause   EventKind = "domain-pause"
-	EventDomResume  EventKind = "domain-resume"
-	EventDomDestroy EventKind = "domain-destroy"
 )
 
 // Event is one structured scheduling trace record. The typed fields carry
@@ -55,7 +51,7 @@ type Event struct {
 	// used for a dispatch, the wait for a block. Zero for other kinds.
 	Arg sim.Duration
 	// Detail is the rendered line of the cold kinds (app finish, guest
-	// move, domain lifecycle). Dispatch and block leave it empty.
+	// move). Dispatch and block leave it empty.
 	Detail string
 }
 
@@ -76,8 +72,8 @@ type Hypervisor struct {
 	PCPUs   []*PCPU
 	Domains []*Domain
 
+	// vcpus holds every VCPU in creation order; a VCPU's ID is its index.
 	vcpus    []*VCPU
-	vcpuByID map[VCPUID]*VCPU
 	nextVCPU VCPUID
 	nextDom  DomID
 
@@ -108,10 +104,6 @@ type Hypervisor struct {
 	// Tele, when set (AttachTelemetry), is the pre-bound metric handle
 	// set. Hot paths guard on nil so telemetry-off runs pay one branch.
 	Tele *Telemetry
-	// Spans is the span handle set (nil when tracing is off; see
-	// spans.go). The cluster layer leaves this nil on its hosts and
-	// records spans on the cluster engine instead.
-	Spans *Spans
 
 	placeCursor int
 
@@ -141,15 +133,14 @@ type Hypervisor struct {
 // New builds a hypervisor on the given topology with a scheduling policy.
 func New(top *numa.Topology, policy Policy, cfg Config) *Hypervisor {
 	h := &Hypervisor{
-		Engine:   sim.NewEngine(),
-		Top:      top,
-		Perf:     perf.NewSystem(top),
-		Alloc:    mem.NewAllocator(top),
-		RNG:      sim.NewRNG(cfg.Seed),
-		Config:   cfg,
-		Policy:   policy,
-		vcpuByID: make(map[VCPUID]*VCPU),
-		runGen:   1, // so a cache stamped with the zero generation starts stale
+		Engine: sim.NewEngine(),
+		Top:    top,
+		Perf:   perf.NewSystem(top),
+		Alloc:  mem.NewAllocator(top),
+		RNG:    sim.NewRNG(cfg.Seed),
+		Config: cfg,
+		Policy: policy,
+		runGen: 1, // so a cache stamped with the zero generation starts stale
 	}
 	// Pre-bind the callbacks once: the quantum and kick hot paths then
 	// re-arm timers and pooled events instead of allocating closures.
@@ -166,9 +157,9 @@ func New(top *numa.Topology, policy Policy, cfg Config) *Hypervisor {
 }
 
 // emit delivers a structured scheduling event of a cold kind (app finish,
-// guest move, domain lifecycle). The Detail line is only formatted when a
-// listener is attached; the per-quantum kinds send typed fields instead
-// (see detail.go).
+// guest move). The Detail line is only formatted when a listener is
+// attached; the per-quantum kinds send typed fields instead (see
+// detail.go).
 func (h *Hypervisor) emit(kind EventKind, vcpu VCPUID, cpu numa.CPUID,
 	node numa.NodeID, app, format string, args ...any) {
 	if h.EventFn == nil {
@@ -228,10 +219,8 @@ func (h *Hypervisor) AddDomain(name string, memMB int64, vcpus int, pol mem.Poli
 		if h.live != nil {
 			h.live = append(h.live, v)
 		}
-		h.vcpuByID[v.ID] = v
 	}
 	h.Domains = append(h.Domains, d)
-	h.Spans.domainAdded(d)
 	return d, nil
 }
 
@@ -310,11 +299,10 @@ func (h *Hypervisor) retireTerminal() {
 
 // terminal reports that v can never run again: its domain is destroyed,
 // it is blocked, and no PCPU holds it, as current or on its run queue. A
-// destroyed VCPU that is still current (PauseDomain marked it blocked
-// mid-quantum) is not terminal: endQuantum may requeue it. The PCPUs are
-// scanned rather than read off OnPCPU, because after that race and a
-// ResumeDomain a VCPU can be current on one PCPU with OnPCPU naming
-// another.
+// destroyed VCPU that is still current (DestroyDomain's stop step marked
+// it blocked mid-quantum) is not terminal: endQuantum may requeue it. The
+// PCPUs are scanned rather than read off OnPCPU, so the answer rests on
+// the run queues themselves.
 func (h *Hypervisor) terminal(v *VCPU) bool {
 	if !v.Dom.Destroyed || v.State != StateBlocked {
 		return false
@@ -828,8 +816,8 @@ func (h *Hypervisor) endQuantum(p *PCPU) {
 			v.pendingNode = numa.NoNode
 		}
 		if v.State == StateBlocked {
-			// PauseDomain marked v blocked while it was still current;
-			// the requeue makes it runnable again.
+			// DestroyDomain's stop step marked v blocked while it was
+			// still current; the requeue makes it runnable again.
 			h.runGen++
 		}
 		v.Priority = priorityFromCredits(v)
@@ -849,7 +837,7 @@ func (h *Hypervisor) endQuantum(p *PCPU) {
 //
 //vprobe:hotpath
 func (h *Hypervisor) wake(v *VCPU, last *PCPU) {
-	if v.Done || v.paused || v.State != StateBlocked || v.App == nil {
+	if v.Done || v.Dom.Destroyed || v.State != StateBlocked || v.App == nil {
 		return
 	}
 	target := last

@@ -37,62 +37,29 @@ func lifecycleHV(t *testing.T) (*xen.Hypervisor, *xen.Domain, *xen.Domain) {
 	return h, victim, other
 }
 
+// TestPauseStopsExecution checks DestroyDomain's stop step (the pause that
+// starts a teardown): the domain's VCPUs make no progress afterwards.
 func TestPauseStopsExecution(t *testing.T) {
 	h, victim, _ := lifecycleHV(t)
-	h.Engine.Schedule(sim.Second, "pause", func(*sim.Engine) {
-		if err := h.PauseDomain(victim); err != nil {
+	h.Engine.Schedule(sim.Second, "destroy", func(*sim.Engine) {
+		if err := h.DestroyDomain(victim); err != nil {
 			t.Error(err)
 		}
 	})
 	h.Run(3 * sim.Second)
-	var atPause []float64
+	var atDestroy []float64
 	for _, v := range victim.VCPUs {
-		atPause = append(atPause, v.InstrDone)
+		atDestroy = append(atDestroy, v.InstrDone)
 		if v.State != xen.StateBlocked {
-			t.Fatalf("paused VCPU %d in state %v", v.ID, v.State)
+			t.Fatalf("destroyed VCPU %d in state %v", v.ID, v.State)
 		}
 	}
-	// Two more seconds: no progress while paused.
+	// Two more seconds: no progress after the teardown.
 	h.Run(5 * sim.Second)
 	for i, v := range victim.VCPUs {
-		if v.InstrDone != atPause[i] {
-			t.Fatalf("paused VCPU %d progressed: %v -> %v", v.ID, atPause[i], v.InstrDone)
+		if v.InstrDone != atDestroy[i] {
+			t.Fatalf("destroyed VCPU %d progressed: %v -> %v", v.ID, atDestroy[i], v.InstrDone)
 		}
-	}
-}
-
-func TestPauseResumeCompletes(t *testing.T) {
-	h, victim, _ := lifecycleHV(t)
-	h.Engine.Schedule(sim.Second, "pause", func(*sim.Engine) { h.PauseDomain(victim) })
-	h.Engine.Schedule(3*sim.Second, "resume", func(*sim.Engine) { h.ResumeDomain(victim) })
-	h.WatchDomains(victim)
-	h.Run(120 * sim.Second)
-	if !victim.AllDone() {
-		t.Fatal("victim did not finish after resume")
-	}
-	// The pause window must show up in completion time: at least the 2
-	// paused seconds beyond the unpaused baseline.
-	for _, v := range victim.VCPUs {
-		if v.FinishTime < sim.Time(3*sim.Second) {
-			t.Fatalf("VCPU %d finished during the pause window: %v", v.ID, v.FinishTime)
-		}
-	}
-}
-
-func TestPauseDoubleFails(t *testing.T) {
-	h, victim, _ := lifecycleHV(t)
-	h.Run(100 * sim.Millisecond)
-	if err := h.PauseDomain(victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.PauseDomain(victim); err == nil {
-		t.Fatal("double pause accepted")
-	}
-	if err := h.ResumeDomain(victim); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.ResumeDomain(victim); err == nil {
-		t.Fatal("double resume accepted")
 	}
 }
 
@@ -114,9 +81,6 @@ func TestDestroyReleasesMemoryAndWatch(t *testing.T) {
 	if h.Alloc.TotalFreeMB() != free+victim.MemoryMB {
 		t.Fatalf("memory not released: free %d", h.Alloc.TotalFreeMB())
 	}
-	if err := h.ResumeDomain(victim); err == nil {
-		t.Fatal("resumed a destroyed domain")
-	}
 	if err := h.DestroyDomain(victim); err == nil {
 		t.Fatal("double destroy accepted")
 	}
@@ -137,34 +101,26 @@ func TestDestroyDuringSamplingPeriodSafe(t *testing.T) {
 }
 
 func TestPausedVCPUIgnoresWake(t *testing.T) {
-	// Pause while VCPUs are blocked (mid block timer): the pending wake
-	// must not re-enqueue them.
+	// Destroy while VCPUs are blocked (mid block timer): no later wake
+	// may re-enqueue them.
 	h, victim, _ := lifecycleHV(t)
 	h.Run(500 * sim.Millisecond)
-	if err := h.PauseDomain(victim); err != nil {
+	if err := h.DestroyDomain(victim); err != nil {
 		t.Fatal(err)
 	}
-	h.Run(2 * sim.Second) // any pending wakes fire into the pause
+	h.Run(2 * sim.Second) // any pending wakes would fire by now
 	for _, v := range victim.VCPUs {
 		if v.State != xen.StateBlocked {
-			t.Fatalf("VCPU %d woke while paused: %v", v.ID, v.State)
+			t.Fatalf("VCPU %d woke after destroy: %v", v.ID, v.State)
 		}
-	}
-	if err := h.ResumeDomain(victim); err != nil {
-		t.Fatal(err)
-	}
-	h.WatchDomains(victim)
-	h.Run(120 * sim.Second)
-	if !victim.AllDone() {
-		t.Fatal("victim did not recover after blocked-pause-resume")
 	}
 }
 
 func TestWorkConservationAcrossPause(t *testing.T) {
-	// While the victim is paused, the four burners each get a whole
+	// Once the victim is destroyed, the four burners each get a whole
 	// PCPU: their run time jumps from a shared slice to ~full speed.
 	h, victim, other := lifecycleHV(t)
-	h.Engine.Schedule(sim.Second, "pause", func(*sim.Engine) { h.PauseDomain(victim) })
+	h.Engine.Schedule(sim.Second, "destroy", func(*sim.Engine) { h.DestroyDomain(victim) })
 	h.Run(4 * sim.Second)
 	for _, v := range other.VCPUs {
 		if v.App == nil {
@@ -172,19 +128,17 @@ func TestWorkConservationAcrossPause(t *testing.T) {
 		}
 		// ~1s shared (8 VCPUs / 8 PCPUs) + ~3s exclusive.
 		if v.RunTime.Seconds() < 3.5 {
-			t.Fatalf("burner VCPU %d ran only %.2fs; pause did not free CPUs", v.ID, v.RunTime.Seconds())
+			t.Fatalf("burner VCPU %d ran only %.2fs; destroy did not free CPUs", v.ID, v.RunTime.Seconds())
 		}
 	}
 }
 
 // TestLiveVCPUsAndRunnableGen steps a churning host between events —
 // servers blocking and waking, batch phases turning over, a guest-thread
-// swap, a pause, a resume and two teardowns — and checks after every
-// step that LiveVCPUs is AllVCPUs less exactly the terminal VCPUs (domain
-// destroyed, blocked, neither current nor queued), in creation order,
-// and that an
-// unchanged RunnableGen means an unchanged set of runnable VCPUs and
-// phases.
+// swap and two teardowns — and checks after every step that LiveVCPUs is
+// AllVCPUs less exactly the terminal VCPUs (domain destroyed, blocked,
+// neither current nor queued), in creation order, and that an unchanged
+// RunnableGen means an unchanged set of runnable VCPUs and phases.
 func TestLiveVCPUsAndRunnableGen(t *testing.T) {
 	h := newHV(t, sched.KindVProbe)
 	var doms []*xen.Domain
@@ -202,8 +156,6 @@ func TestLiveVCPUsAndRunnableGen(t *testing.T) {
 		}
 		doms = append(doms, d)
 	}
-	h.Engine.Schedule(3*sim.Second, "pause", func(*sim.Engine) { h.PauseDomain(doms[1]) })
-	h.Engine.Schedule(5*sim.Second, "resume", func(*sim.Engine) { h.ResumeDomain(doms[1]) })
 	h.Engine.Schedule(12*sim.Second, "destroy", func(*sim.Engine) { h.DestroyDomain(doms[0]) })
 	h.Engine.Schedule(14*sim.Second, "destroy", func(*sim.Engine) { h.DestroyDomain(doms[1]) })
 

@@ -188,10 +188,7 @@ func (h *Hypervisor) NUMAAwareSteal(p *PCPU, underOnly, localOnly bool) *VCPU {
 	if !ok {
 		return nil
 	}
-	v := h.vcpuByID[VCPUID(d.VCPU)]
-	if v == nil {
-		return nil
-	}
+	v := h.vcpus[d.VCPU]
 	if !h.PCPUs[d.From].Remove(v) {
 		return nil
 	}
@@ -265,10 +262,7 @@ func (h *Hypervisor) ApplyPartition(as []core.Assignment) {
 	//vet:alloc per-period partition application (1s simulated cadence); part of Algorithm 1's tracked per-period cost
 	assigned := make(map[VCPUID]bool, len(as))
 	for _, a := range as {
-		v := h.vcpuByID[VCPUID(a.VCPU)]
-		if v == nil {
-			continue
-		}
+		v := h.vcpus[a.VCPU]
 		assigned[v.ID] = true
 		v.AssignedNode = a.Node
 		h.MigrateToNode(v, a.Node)

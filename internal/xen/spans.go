@@ -1,14 +1,10 @@
-// Span recording for single-host runs: domain lifecycle spans (add →
-// destroy, with pause/resume points) under a root run span. The cluster
-// layer records its own spans on the cluster engine goroutine and leaves
-// h.Spans nil on its hosts — host engines advance in parallel between
-// cluster events, and the tracer is single-goroutine by design.
-//
-// No recording happens on the quantum hot path (dispatch/endQuantum):
-// lifecycle transitions are the only hooks, so the zero-alloc guarantee
-// of the benchmarked path holds with spans attached, and a nil h.Spans
-// (tracing compiled in but disabled) costs one pointer test per
-// lifecycle call.
+// Span recording for single-host runs: a root run span and one span per
+// domain under it, all opened when the tracer is attached. A single-host
+// run builds its domains before attach and never adds or destroys one
+// after, so xen itself holds no span hooks: the caller closes every
+// still-open span at the end of the run (Tracer.CloseOpen). The cluster
+// layer records its own spans on the cluster engine goroutine and
+// attaches no tracer to its hosts.
 package xen
 
 import (
@@ -17,74 +13,15 @@ import (
 	"vprobe/internal/telemetry"
 )
 
-// Spans is the hypervisor's span handle set (nil when tracing is off).
-type Spans struct {
-	h    *Hypervisor
-	t    *telemetry.Tracer
-	host string
-	run  telemetry.SpanRef
-	dom  map[*Domain]telemetry.SpanRef
-}
-
-// AttachSpans binds a tracer to h and opens the root run span. The
-// optional label names the host in exported spans (cluster-style
-// "hostN"); without it spans carry no host and land on the main thread
-// of the Chrome export.
-func AttachSpans(h *Hypervisor, t *telemetry.Tracer, label ...string) *Spans {
-	host := ""
-	if len(label) > 0 {
-		host = label[0]
-	}
-	s := &Spans{h: h, t: t, host: host, dom: map[*Domain]telemetry.SpanRef{}}
-	s.run = t.Begin(h.Engine.Now(), telemetry.NoSpan, telemetry.SpanRun, host, "",
+// AttachSpans opens the root run span on t and, under it, one span per
+// domain of h at the current time. The spans carry no host, so they land
+// on the main thread of the Chrome export.
+func AttachSpans(h *Hypervisor, t *telemetry.Tracer) {
+	now := h.Engine.Now()
+	run := t.Begin(now, telemetry.NoSpan, telemetry.SpanRun, "", "",
 		fmt.Sprintf("xen: %s, %s", h.Top.Name(), h.Policy.Name()))
-	h.Spans = s
-	// Domains built before attach (the common CreateDomain-then-run flow)
-	// get their lifecycle spans opened retroactively at the current time.
 	for _, d := range h.Domains {
-		s.domainAdded(d)
+		ref := t.Begin(now, run, telemetry.SpanDomain, "", d.Name, fmt.Sprintf("domain %s", d.Name))
+		t.SetDetail(ref, fmt.Sprintf("%d MB, %d vcpus", d.MemoryMB, len(d.VCPUs)))
 	}
-	return s
-}
-
-// domainAdded opens d's lifecycle span.
-func (s *Spans) domainAdded(d *Domain) {
-	if s == nil {
-		return
-	}
-	ref := s.t.Begin(s.h.Engine.Now(), s.run, telemetry.SpanDomain, s.host, d.Name,
-		fmt.Sprintf("domain %s", d.Name))
-	s.t.SetDetail(ref, fmt.Sprintf("%d MB, %d vcpus", d.MemoryMB, len(d.VCPUs)))
-	s.dom[d] = ref
-}
-
-// domainPoint records an instant lifecycle annotation under d's span.
-func (s *Spans) domainPoint(d *Domain, name, detail string) {
-	if s == nil {
-		return
-	}
-	s.t.Point(s.h.Engine.Now(), s.dom[d], telemetry.SpanPoint, s.host, d.Name, name, detail)
-}
-
-// domainDestroyed closes d's lifecycle span.
-func (s *Spans) domainDestroyed(d *Domain) {
-	if s == nil {
-		return
-	}
-	ref, ok := s.dom[d]
-	if !ok {
-		return
-	}
-	s.t.End(ref, s.h.Engine.Now())
-	delete(s.dom, d)
-}
-
-// Close ends the run span and every still-open domain span at the
-// current engine time. Safe to call on a nil receiver (tracing off) and
-// after every run segment — already-closed spans are left untouched.
-func (s *Spans) Close() {
-	if s == nil {
-		return
-	}
-	s.t.CloseOpen(s.h.Engine.Now())
 }

@@ -75,7 +75,7 @@ func TestNUMAAwareStealMatchesReference(t *testing.T) {
 		var want *VCPU
 		views, visible := h.QueueViews(p, underOnly)
 		if dec, ok := core.PickSteal(p.Node, order, views); ok {
-			want = h.vcpuByID[VCPUID(dec.VCPU)]
+			want = h.vcpus[dec.VCPU]
 		}
 		switch {
 		case !h.othersQueued(p, localOnly):

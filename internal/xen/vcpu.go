@@ -131,9 +131,6 @@ type VCPU struct {
 	// window; firstTouched flips once the pages settle.
 	nodeTime     []sim.Duration
 	firstTouched bool
-	// paused marks a VCPU stopped by PauseDomain; it ignores wakeups
-	// until ResumeDomain.
-	paused bool
 
 	// PinnedPCPU, when >= 0, hard-pins the VCPU (used by the Fig. 3
 	// calibration run). Pinned VCPUs are never stolen or migrated.
@@ -217,8 +214,7 @@ type Domain struct {
 	// MemDist is the machine-node distribution of the VM's memory.
 	MemDist mem.Dist
 	VCPUs   []*VCPU
-	// Paused and Destroyed are lifecycle flags (see Hypervisor.PauseDomain).
-	Paused    bool
+	// Destroyed is set by Hypervisor.DestroyDomain.
 	Destroyed bool
 	// activated flips once the domain's VCPUs have been placed (by Start,
 	// or by ActivateDomain for domains hot-added to a running host).

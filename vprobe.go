@@ -139,8 +139,10 @@ func (s *Simulator) RunContext(ctx context.Context, horizon time.Duration) (*Rep
 		return nil, fmt.Errorf("vprobe: run interrupted at %v: %w",
 			time.Duration(end)*time.Microsecond, err)
 	}
-	// Close still-open spans (live domains, the run span) at the end time
+	// Close still-open spans (the domains, the run span) at the end time
 	// so exports never contain open intervals.
-	s.h.Spans.Close()
+	if s.opts.Spans != nil {
+		s.opts.Spans.tracer.CloseOpen(end)
+	}
 	return buildReport(s, end), nil
 }
