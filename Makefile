@@ -57,16 +57,19 @@ smoke-serve:
 	sh scripts/serve-smoke.sh
 
 # bench runs the hot-path micro-benchmarks plus SuiteParallel (the
-# paper-batch experiment set through the cell queue) and appends a snapshot
-# (ns/op, B/op, allocs/op per benchmark) to BENCH_hotpath.json. Override
-# LABEL to name the snapshot after the change being measured. -count=3
-# repetitions collapse to min ns/op / max allocs/op in vprobe-bench, so one
-# noisy scheduling window doesn't pollute the committed baseline.
+# paper-batch experiment set through the cell queue) and ClusterChurn (a
+# 256-host cluster run shaped like fleet-churn: the host-advance path) and
+# appends a snapshot (ns/op, B/op, allocs/op per benchmark) to
+# BENCH_hotpath.json. Override LABEL to name the snapshot after the change
+# being measured. -count=3 repetitions collapse to min ns/op / max
+# allocs/op in vprobe-bench, so one noisy scheduling window doesn't
+# pollute the committed baseline.
 # bench-check leaves SuiteParallel out: its time depends on how many CPUs
-# the run gets.
+# the run gets. It leaves ClusterChurn out too: one op is a whole cluster
+# run, recorded for before/after entries rather than gated.
 LABEL ?= local
 bench:
-	$(GO) test -run '^$$' -bench 'QuantumHotPath|SimulationSecond|EngineChurn|PerfExecute|PickSteal|^BenchmarkPartition$$|SpecCompile|ServedScenario|ServedEventsRead|ServedTelemetryRead|ClusterArrival|GangArrival|SuiteParallel' -benchtime 2s -count 3 . ./internal/sim ./internal/cluster \
+	$(GO) test -run '^$$' -bench 'QuantumHotPath|SimulationSecond|EngineChurn|PerfExecute|PickSteal|^BenchmarkPartition$$|SpecCompile|ServedScenario|ServedEventsRead|ServedTelemetryRead|ClusterArrival|GangArrival|ClusterChurn|SuiteParallel' -benchtime 2s -count 3 . ./internal/sim ./internal/cluster \
 		| $(GO) run ./cmd/vprobe-bench -label '$(LABEL)'
 
 # bench-check runs the same benchmark set briefly and compares it against

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"vprobe/internal/sched"
 	"vprobe/internal/sim"
 )
 
@@ -138,5 +140,44 @@ func BenchmarkClusterArrivalFullRescan(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkClusterChurn measures one whole cluster run on the host-advance
+// path, which the arrival benchmarks never reach (their hosts never run):
+// fleet-churn's mechanisms and load on 256 hosts, with its time scaled by
+// a quarter to a 5 s horizon. Lifetimes and the rebalancer and
+// descheduler periods shrink with it, and the arrival rate stays, so a
+// host carries about one VM in steady state and three in four VMs depart
+// inside the horizon, as in fleet-churn. Each iteration builds a fresh
+// cluster outside the timer and runs it to the horizon on one worker.
+func BenchmarkClusterChurn(b *testing.B) {
+	cfg := Config{
+		Hosts:             256,
+		Scheduler:         sched.KindVProbe,
+		Policy:            "numa",
+		Seed:              2 << 16,
+		ArrivalsPerSecond: 100,
+		MeanLifetime:      2500 * sim.Millisecond,
+		Horizon:           5 * sim.Second,
+		Workers:           1,
+		RebalancePeriod:   2500 * sim.Millisecond,
+		Preempt:           true,
+		Gang:              true,
+		GangFraction:      0.2,
+		Backfill:          true,
+		DeschedulePeriod:  2500 * sim.Millisecond,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := c.Run(context.Background()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -10,12 +10,14 @@
 //
 // Determinism: the cluster owns one discrete-event engine for
 // cluster-level events (arrivals, retries, departures, rebalance ticks,
-// migration completions). Between consecutive cluster events the hosts are
-// mutually independent, so before any decision reads host state the
-// cluster advances, in parallel (harness.Map), every host engine with an
-// event due by the decision time; a host with none would fire nothing,
-// so it keeps its clock until it is due or mutated (syncHosts) — results
-// are byte-identical at every worker count. Host seeds
+// migration completions). Between cluster mutations the hosts are
+// mutually independent, so a host is advanced only when its state is read
+// or written: a mutation catches up its own host (touch), a placement the
+// hosts whose views can still move (refreshViews), and the rebalancer,
+// the descheduler, the telemetry sample and the final report every host
+// with an event due (syncHosts), in parallel (harness.Map). An advance
+// split into different chunks fires the same events in the same order,
+// so results are byte-identical at every worker count. Host seeds
 // derive from the cluster seed by name (harness.DeriveSeed), so adding a
 // host never reshuffles the others' streams.
 package cluster
@@ -263,19 +265,23 @@ type Cluster struct {
 	// Priority.
 	pstats [3]priorityStats
 
-	ctx      context.Context
-	err      error // first host-advance failure; stops the run
-	ran      bool  // Run consumes the value; see ErrAlreadyRun
-	syncedTo sim.Time
+	ctx context.Context
+	err error // first host-advance failure; stops the run
+	ran bool  // Run consumes the value; see ErrAlreadyRun
 
 	// Lazy host clocks (syncHosts): due[i] is the time host i must next
 	// advance by, never later than its earliest queued event; dueScratch
-	// is syncHosts' reusable list of the hosts it advances.
+	// is advance's reusable list of the hosts it runs. listAt is the
+	// cluster time refreshViews last advanced the refresh list to.
 	due        []sim.Time
 	dueScratch []*Host
-	// marks holds each host's mutation mark at the last sync, for the
-	// -place-check clock check (placecheck.go); nil when it is off.
-	marks []hostMark
+	listAt     sim.Time
+	// marks holds each host's mutation mark as it was last advanced or
+	// mutated, for the -place-check clock check (placecheck.go); nil when
+	// it is off. lagged counts the lagging hosts that placements and
+	// departures met under that check.
+	marks  []hostMark
+	lagged struct{ placements, departures int }
 }
 
 // ErrAlreadyRun: Run was invoked twice on the same Cluster value. The
@@ -323,7 +329,8 @@ func New(cfg Config) (*Cluster, error) {
 	// Every host is due at t=0: its boot kicks are queued there.
 	c.due = make([]sim.Time, len(c.hosts))
 	if cfg.PlaceCheck {
-		c.markHosts()
+		c.marks = make([]hostMark, len(c.hosts))
+		c.markAll(c.hosts)
 	}
 	c.viewSlice = make([]*HostView, len(c.hosts))
 	for i, ho := range c.hosts {
@@ -386,8 +393,8 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	// Hosts last synced at the final cluster event; play them out to the
-	// horizon so the report covers the full interval.
+	// Hosts last advanced when a cluster event read or mutated them; play
+	// them out to the horizon so the report covers the full interval.
 	if err := c.syncHosts(sim.Time(c.cfg.Horizon)); err != nil {
 		return nil, err
 	}
@@ -397,77 +404,114 @@ func (c *Cluster) Run(ctx context.Context) (*Report, error) {
 	return c.report(), nil
 }
 
-// syncHosts brings the fleet current to absolute time t: it advances the
-// hosts with an event due by t, in parallel across the configured
-// workers, and leaves the rest alone. Hosts are mutually independent
-// between cluster events, so the advance order cannot affect results.
+// syncHosts brings the whole fleet current to absolute time t, for the
+// readers that look at every host: the rebalancer, the descheduler, the
+// telemetry sample and the final report.
 //
-// Lazy-clock invariant: a host's clock lags cluster time only while no
-// event of that host is due by then. due[i] is never later than host i's
-// earliest queued event (sim.Engine.NextAt), so a host skipped here would
-// have fired nothing: an advance would only have moved its clock, and its
-// state is already what the advance would leave. Every cluster→host
-// mutation goes through touch, which brings the host's clock to cluster
-// time first and marks the host due.
+// Sync-on-read invariant: a host is advanced only when its state is read
+// or written, so between those points its clock may lag cluster time,
+// events due and all. Host engines are independent between mutations,
+// and an advance split into different chunks fires the same events in
+// the same order, so lagging changes nothing; what must hold is that no
+// reader sees a lagging host's state where it could differ from a
+// current one:
+//   - a mutation catches up only its own host: every cluster→host
+//     mutation goes through touch, which runs the host to cluster time
+//     first and marks it due, so the next read runs what it queued;
+//   - a placement reads every host's view, but advances only the hosts
+//     on the refresh list (refreshViews): those holding VMs or not yet
+//     settled. A host off the list is settled and empty: no runnable
+//     VCPU and no running PCPU, so nothing its own events do can move
+//     its LLC pressure, and its free memory moves only through touch;
+//   - every other reader syncs the fleet here.
+//
+// due[i] is never later than host i's earliest queued event
+// (sim.Engine.NextAt), so a host skipped here would fire nothing by t.
+// With -place-check on, every placement checks the invariant
+// (checkClocks).
 func (c *Cluster) syncHosts(t sim.Time) error {
-	if t <= c.syncedTo {
-		return nil
-	}
-	if c.cfg.PlaceCheck && !c.checkClocks(c.syncedTo) {
+	if !c.advance(c.hosts, t) {
 		return c.err
-	}
-	run := c.dueScratch[:0]
-	for i, at := range c.due {
-		if at <= t {
-			//vet:alloc the scratch list grows to at most len(hosts) once, then is reused
-			run = append(run, c.hosts[i])
-		}
-	}
-	c.dueScratch = run
-	_, err := harness.Map(c.ctx, c.cfg.Workers, len(run),
-		func(ctx context.Context, k int) (struct{}, error) {
-			return struct{}{}, run[k].advanceTo(ctx, t)
-		})
-	if err != nil {
-		return c.failSync(err)
-	}
-	for _, ho := range run {
-		c.due[ho.Index] = ho.nextDue()
-	}
-	c.syncedTo = t
-	if c.cfg.PlaceCheck {
-		c.markHosts()
 	}
 	return nil
 }
 
+// advance runs the given hosts that lag t with an event due by then up
+// to t, in parallel across the configured workers, and leaves the rest
+// alone. It reports false, with the run stopped, when an advance fails.
+func (c *Cluster) advance(hosts []*Host, t sim.Time) bool {
+	if c.err != nil {
+		return false
+	}
+	run := c.dueScratch[:0]
+	for _, ho := range hosts {
+		if c.due[ho.Index] <= t && ho.H.Engine.Now() < t {
+			//vet:alloc the scratch list grows to at most len(hosts) once, then is reused
+			run = append(run, ho)
+		}
+	}
+	c.dueScratch = run
+	if len(run) == 0 {
+		return true
+	}
+	if c.cfg.PlaceCheck && !c.checkMarks(run) {
+		return false
+	}
+	_, err := harness.Map(c.ctx, c.cfg.Workers, len(run),
+		//vet:alloc one job closure per advance, not per host; Map's result slice holds zero-size values
+		func(ctx context.Context, k int) (struct{}, error) {
+			return struct{}{}, run[k].advanceTo(ctx, t)
+		})
+	if err != nil {
+		c.failSync(err)
+		return false
+	}
+	for _, ho := range run {
+		c.due[ho.Index] = ho.nextDue()
+	}
+	if c.cfg.PlaceCheck {
+		c.markAll(run)
+	}
+	return true
+}
+
 // failSync stops the run on a failed sync.
-func (c *Cluster) failSync(err error) error {
+func (c *Cluster) failSync(err error) {
 	c.err = err
 	c.engine.Stop()
-	return err
 }
 
 // touch prepares ho for a cluster→host mutation (AddDomain, AttachApp,
-// ActivateDomain, DestroyDomain): it brings the host's clock to the time
-// the fleet was synced to, which is cluster time inside every handler,
-// and marks the host due so the next sync runs what the mutation queues.
-// By the lazy-clock invariant no event of the host is due by then, so the
-// catch-up fires nothing; it only moves the clock the mutation schedules
-// from. With -place-check on, it first checks that nothing mutated the
-// lagging host behind its back.
-func (c *Cluster) touch(ho *Host) {
-	if ho.H.Engine.Now() < c.syncedTo {
-		if c.cfg.PlaceCheck && !c.checkClock(ho, c.syncedTo) {
-			return
-		}
-		ho.H.Engine.RunUntil(c.syncedTo)
+// ActivateDomain, DestroyDomain), which reads the host's clock: it runs
+// the host to cluster time, firing whatever fell due since it was last
+// advanced, and marks it due so the next read runs what the mutation
+// queues. It is the only advance a mutation makes. With -place-check on,
+// it first checks that nothing mutated the lagging host behind its back.
+// It reports false when the run is failing and the mutation must not
+// happen.
+func (c *Cluster) touch(ho *Host) bool {
+	if c.err != nil {
+		return false
 	}
-	c.due[ho.Index] = c.syncedTo
+	now := c.engine.Now()
+	if ho.H.Engine.Now() < now {
+		if c.cfg.PlaceCheck && !c.checkMark(ho) {
+			return false
+		}
+		if err := ho.advanceTo(c.ctx, now); err != nil {
+			c.failSync(err)
+			return false
+		}
+		if c.cfg.PlaceCheck {
+			c.marks[ho.Index] = markOf(ho)
+		}
+	}
+	c.due[ho.Index] = now
+	return true
 }
 
-// sync brings hosts current before a handler reads or mutates host state.
-// It reports false when the run is already failing and the handler should
+// sync brings the fleet current before a handler reads every host. It
+// reports false when the run is already failing and the handler should
 // bail.
 func (c *Cluster) sync() bool {
 	if c.err != nil {
@@ -495,9 +539,6 @@ func (c *Cluster) scheduleNextArrival() {
 // byte-identical whatever the admission mechanisms later do with each
 // request.
 func (c *Cluster) onArrival() {
-	if !c.sync() {
-		return
-	}
 	members, group := 1, ""
 	if c.cfg.GangFraction > 0 && c.mixRNG.Float64() < c.cfg.GangFraction {
 		members = c.cfg.GangSize
@@ -647,7 +688,9 @@ func (c *Cluster) drawProfileRef() profileRef {
 // mem.Take). Attach and activate failures are accounting bugs and stop
 // the run.
 func (c *Cluster) admitDomain(vm *VM, ho *Host, plan MemPlan) (*xen.Domain, error) {
-	c.touch(ho)
+	if !c.touch(ho) {
+		return nil, c.err
+	}
 	dom, err := ho.H.AddDomain(vm.Spec.Name, vm.Spec.MemoryMB, vm.Spec.VCPUs,
 		plan.Policy, plan.Preferred)
 	if err != nil {
@@ -727,16 +770,19 @@ func (c *Cluster) finalizePlacement(vm *VM, ho *Host, dom *xen.Domain, plan MemP
 
 // onDepart ends a VM's lifetime: its domain is destroyed (freeing memory)
 // wherever it currently is — even mid-migration, in which case the
-// migration completion becomes a no-op.
+// migration completion becomes a no-op. Only the VM's host is advanced;
+// a placement the freed capacity allows advances what it reads.
 func (c *Cluster) onDepart(vm *VM) {
 	if vm.state != stateRunning && vm.state != stateMigrating {
 		return
 	}
-	if !c.sync() {
-		return
-	}
 	if !vm.dom.Destroyed {
-		c.touch(vm.Host)
+		if c.cfg.PlaceCheck && vm.Host.H.Engine.Now() < c.engine.Now() {
+			c.lagged.departures++
+		}
+		if !c.touch(vm.Host) {
+			return
+		}
 		if err := vm.Host.H.DestroyDomain(vm.dom); err != nil {
 			c.err = fmt.Errorf("cluster: depart %s: %w", vm.Spec.Name, err)
 			c.engine.Stop()
@@ -832,8 +878,13 @@ func (c *Cluster) migrationCandidate(ho *Host) *VM {
 // blackout priced from its memory footprint via the page-migration cost
 // model (mem.Migrator.FullCopyCycles).
 func (c *Cluster) startMigration(vm *VM, target *Host, plan MemPlan) {
+	// The source's remaining work is read before anything mutates, so
+	// both hosts are caught up first.
+	src := vm.Host
+	if !c.touch(src) || !c.touch(target) {
+		return
+	}
 	profiles := vm.migrationProfiles()
-	c.touch(target)
 	dom, err := target.H.AddDomain(vm.Spec.Name, vm.Spec.MemoryMB, vm.Spec.VCPUs,
 		plan.Policy, plan.Preferred)
 	if err != nil {
@@ -842,7 +893,6 @@ func (c *Cluster) startMigration(vm *VM, target *Host, plan MemPlan) {
 		// so an earlier move may have taken this room; skip this tick.
 		return
 	}
-	c.markDirty(target)
 	for i, p := range profiles {
 		if p == nil {
 			continue
@@ -853,8 +903,7 @@ func (c *Cluster) startMigration(vm *VM, target *Host, plan MemPlan) {
 			return
 		}
 	}
-	src := vm.Host
-	c.touch(src)
+	c.markDirty(target)
 	if err := src.H.DestroyDomain(vm.dom); err != nil {
 		c.err = fmt.Errorf("cluster: migrate teardown on %s: %w", src.Name, err)
 		c.engine.Stop()
@@ -883,13 +932,9 @@ func (c *Cluster) migrationBlackout(vm *VM, target *Host) sim.Duration {
 // finishMigration activates the VM on its target host once the copy
 // blackout elapses. A VM that departed mid-copy stays down.
 func (c *Cluster) finishMigration(vm *VM) {
-	if vm.state != stateMigrating {
+	if vm.state != stateMigrating || !c.touch(vm.Host) {
 		return
 	}
-	if !c.sync() {
-		return
-	}
-	c.touch(vm.Host)
 	if err := vm.Host.H.ActivateDomain(vm.dom); err != nil {
 		c.err = fmt.Errorf("cluster: migrate activate on %s: %w", vm.Host.Name, err)
 		c.engine.Stop()

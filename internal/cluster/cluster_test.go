@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vprobe/internal/numa"
 	"vprobe/internal/sched"
@@ -16,6 +19,13 @@ import (
 // runWith runs a small cluster and returns the report plus the rendered
 // event log.
 func runWith(t *testing.T, cfg Config) (*Report, string) {
+	t.Helper()
+	_, rep, log := runCluster(t, cfg)
+	return rep, log
+}
+
+// runCluster is runWith that also returns the cluster it ran.
+func runCluster(t *testing.T, cfg Config) (*Cluster, *Report, string) {
 	t.Helper()
 	var log strings.Builder
 	cfg.Events = func(ev Event) {
@@ -29,7 +39,7 @@ func runWith(t *testing.T, cfg Config) (*Report, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, log.String()
+	return c, rep, log.String()
 }
 
 func TestClusterLifecycle(t *testing.T) {
@@ -223,6 +233,59 @@ func TestClusterCancelledAfterPoll(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("nth=%d: run cancelled after a poll returned %v", nth, err)
 		}
+	}
+}
+
+// mapGoroutines counts the goroutines running harness.Map's workers.
+func mapGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "vprobe/internal/harness.Map[")
+}
+
+// TestClusterCancelledMidSync cancels a run from inside a parallel host
+// advance: the rebalancer's first sync hands every host to harness.Map,
+// an event planted on host0 cancels Run's context, and one planted on
+// host1 keeps its worker busy for a while after the cancellation, as a
+// long advance between context polls would. Run must return the
+// cancellation and leave none of harness.Map's worker goroutines behind,
+// so it may return only once that worker is done.
+func TestClusterCancelledMidSync(t *testing.T) {
+	c, err := New(Config{Hosts: 16, Horizon: 300 * sim.Second, Seed: 1,
+		ArrivalsPerSecond: 5, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	at := sim.Time(10*sim.Second) - 1
+	inMap := false
+	lingering := make(chan struct{})
+	c.hosts[0].H.Engine.ScheduleAt(at, "cancel", func(*sim.Engine) {
+		inMap = strings.Contains(string(debug.Stack()), "harness.Map")
+		select { // host1 on another worker, when the workers split them
+		case <-lingering:
+		case <-time.After(time.Second):
+		}
+		cancel()
+	})
+	c.hosts[1].H.Engine.ScheduleAt(at, "linger", func(*sim.Engine) {
+		close(lingering)
+		select {
+		case <-ctx.Done():
+			time.Sleep(50 * time.Millisecond)
+		case <-time.After(5 * time.Second):
+		}
+	})
+	_, err = c.Run(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("run cancelled mid-sync returned %v", err)
+	}
+	if !inMap {
+		t.Fatal("the cancellation did not land inside a harness.Map host advance")
+	}
+	if n := mapGoroutines(); n != 0 {
+		t.Fatalf("%d harness.Map goroutines outlive the cancelled run", n)
 	}
 }
 

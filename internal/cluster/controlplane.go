@@ -18,9 +18,10 @@ package cluster
 // placed out of order when the shadow-placement check proves the jump
 // cannot delay the head's earliest feasible start.
 //
-// Determinism: every decision here runs inside a cluster-engine event
-// after syncHosts, reads only host state and the queue, and breaks every
-// tie totally (priority, arrival time, unit id; host index; victim id), so
+// Determinism: every decision here runs inside a cluster-engine event,
+// reads only the queue and host views brought current by refreshViews
+// (the descheduler syncs the whole fleet first), and breaks every tie
+// totally (priority, arrival time, unit id; host index; victim id), so
 // reports stay byte-identical at any worker count.
 
 import (
@@ -171,12 +172,7 @@ func (c *Cluster) attemptUnit(u *admitUnit) admitResult {
 		d.gang = u.vms
 	}
 	c.record(d)
-	c.engine.Schedule(backoff, "retry", func(*sim.Engine) {
-		if !c.sync() {
-			return
-		}
-		c.drainQueue()
-	})
+	c.engine.Schedule(backoff, "retry", func(*sim.Engine) { c.drainQueue() })
 	return admitFailed
 }
 
@@ -264,7 +260,9 @@ func (c *Cluster) evictVictim(victim, beneficiary *VM) {
 	}
 	c.stats.PreemptKills++
 	c.record(decision{kind: EventVMPreempted, vm: victim, host: src, peer: beneficiary})
-	c.touch(src)
+	if !c.touch(src) {
+		return
+	}
 	if err := src.H.DestroyDomain(victim.dom); err != nil {
 		c.err = fmt.Errorf("cluster: preempt %s: %w", victim.Spec.Name, err)
 		c.engine.Stop()
@@ -336,7 +334,9 @@ func (c *Cluster) tryAdmitGang(u *admitUnit) bool {
 				// the host where AddDomain itself failed mutated
 				// nothing and stays clean.
 				for j := 0; j < i; j++ {
-					c.touch(slots[j].host)
+					if !c.touch(slots[j].host) {
+						break
+					}
 					if derr := slots[j].host.H.DestroyDomain(doms[j]); derr != nil {
 						c.err = fmt.Errorf("cluster: gang rollback on %s: %w",
 							slots[j].host.Name, derr)

@@ -97,12 +97,13 @@ func (ho *Host) initView() {
 
 // advanceTo runs the host's own event engine up to absolute cluster time
 // t. Host clocks and the cluster clock share t=0, so this brings the
-// host's state current before a cluster-level decision reads it.
+// host's state current before a cluster-level decision reads it. newHost
+// started the hypervisor, so its engine runs directly.
 func (ho *Host) advanceTo(ctx context.Context, t sim.Time) error {
 	if ho.H.Engine.Now() >= t {
 		return nil
 	}
-	_, err := ho.H.RunContext(ctx, sim.Duration(t))
+	_, err := ho.H.Engine.RunUntilContext(ctx, t)
 	return err
 }
 

@@ -20,8 +20,12 @@ package cluster
 //     runnable" alone does not mean "quiescent"; see Host.settled.)
 //
 //   - refreshViews walks only the refresh list (hosts that ever received
-//     a delta and still hold VMs), so bringing the fleet current costs
-//     O(dirty hosts), not O(hosts).
+//     a delta and still hold VMs or are not yet settled): it advances
+//     those with an event due to cluster time and refreshes their views,
+//     so bringing the fleet current costs O(dirty hosts), not O(hosts).
+//     A host off the list is not advanced at all: its view cannot move
+//     until the cluster mutates it, and the mutation catches it up
+//     (touch; the sync-on-read invariant at syncHosts).
 //
 //   - A refresh bumps the host's generation, which is what invalidates
 //     the score cache (scorecache.go), if and only if a placement input
@@ -47,6 +51,9 @@ import "vprobe/internal/numa"
 //
 //vprobe:hotpath
 func (c *Cluster) markDirty(ho *Host) {
+	if c.cfg.PlaceCheck {
+		c.checkMutated(ho)
+	}
 	ho.dirty = true
 	if !ho.queued {
 		ho.queued = true
@@ -55,8 +62,11 @@ func (c *Cluster) markDirty(ho *Host) {
 	}
 }
 
-// refreshViews brings every possibly-stale cached view current. Hosts
-// drop off the refresh list once they are empty and settled (see
+// refreshViews brings every possibly-stale cached view current: it
+// advances the refresh-list hosts to cluster time, once per cluster
+// instant, then refreshes them. A second call at the same instant has
+// nothing to advance: every host that joined the list since was caught up
+// by the touch before its mutation. Hosts drop off the refresh list once they are empty and settled (see
 // Host.settled): nothing on such a host can change a view until the
 // cluster places something there again, and that placement re-queues it.
 // A host that is empty but still winding down guest work (a teardown
@@ -65,6 +75,12 @@ func (c *Cluster) markDirty(ho *Host) {
 //
 //vprobe:hotpath
 func (c *Cluster) refreshViews() {
+	if now := c.engine.Now(); now != c.listAt {
+		if !c.advance(c.refreshList, now) {
+			return
+		}
+		c.listAt = now
+	}
 	kept := c.refreshList[:0]
 	for _, ho := range c.refreshList {
 		if ho.dirty || ho.H.Engine.Now() > ho.viewTime {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"vprobe/internal/mem"
@@ -520,13 +521,17 @@ func TestPlaceCheckAllMechanisms(t *testing.T) {
 // TestPlaceCheckLazyClocks drives every site that catches a lagging host
 // up before mutating it — placement, departure, both ends of a migration
 // and its completion, a preemption kill — under -place-check, whose
-// clock check asserts that a host behind cluster time has no event due
-// by then, and whose fresh views recompute the LLC pressure the hosts
+// clock check asserts the sync-on-read invariant at every placement (a
+// lagging refresh-list host has no event due, a lagging host off the list
+// is settled and empty, and no lagging host was mutated since it was last
+// advanced), and whose fresh views recompute the LLC pressure the hosts
 // serve from their runnable-generation cache. A flash crowd fills the
 // fleet (preemption, gangs, backfill) and then leaves it idle enough for
-// the 10 s descheduler to drain a host. The 7 ms rebalancer keeps cluster
-// events denser than a host's 10 ms credit tick, so hosts do lag when the
-// cluster mutates them. Reports must also agree across worker counts.
+// the 10 s descheduler to drain a host. The 7 ms rebalancer syncs the
+// fleet often, so most placements and departures between two of its
+// ticks find hosts that lag by less than a credit tick. The run must meet
+// lagging hosts at placements and at departures, or the lazy path went
+// unchecked. Reports must also agree across worker counts.
 func TestPlaceCheckLazyClocks(t *testing.T) {
 	base := Config{
 		Hosts:             6,
@@ -548,7 +553,7 @@ func TestPlaceCheckLazyClocks(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := base
 		cfg.Workers = workers
-		rep, log := runWith(t, cfg)
+		c, rep, log := runCluster(t, cfg)
 		if want == "" {
 			for _, m := range []struct {
 				name string
@@ -557,6 +562,8 @@ func TestPlaceCheckLazyClocks(t *testing.T) {
 				{"preemption kills", rep.PreemptKills}, {"gangs", rep.GangsAdmitted},
 				{"backfills", rep.Backfills}, {"descheduler moves", rep.DeschedMoves},
 				{"migrations", rep.Migrations}, {"departures", rep.Departed},
+				{"placements meeting a lagging host", c.lagged.placements},
+				{"departures meeting a lagging host", c.lagged.departures},
 			} {
 				if m.n == 0 {
 					t.Errorf("the run made no %s: a catch-up site went unexercised", m.name)
@@ -571,26 +578,179 @@ func TestPlaceCheckLazyClocks(t *testing.T) {
 	}
 }
 
+// placeOnHost admits one VM on host h at cluster time, through the
+// restricted pipeline the preemption and descheduler paths use.
+func placeOnHost(t *testing.T, c *Cluster, spec VMSpec, h int) *VM {
+	t.Helper()
+	hv, plan, err := c.pipeline.Place(&spec, c.liveView(c.hosts[h]))
+	if err != nil {
+		t.Fatalf("place %s on host%d: %v", spec.Name, h, err)
+	}
+	vm := &VM{ID: len(c.vms), Spec: spec, life: 30 * sim.Second}
+	c.vms = append(c.vms, vm)
+	c.placeOn(vm, c.hosts[hv.Index], plan, 1)
+	if c.err != nil {
+		t.Fatalf("placeOn %s: %v", spec.Name, c.err)
+	}
+	return vm
+}
+
+// clocks copies every host's clock.
+func clocks(c *Cluster) []sim.Time {
+	out := make([]sim.Time, len(c.hosts))
+	for i, ho := range c.hosts {
+		out[i] = ho.H.Engine.Now()
+	}
+	return out
+}
+
+// TestDepartureAdvancesOnlyItsHost pins the mutation half of sync on
+// read: with nothing queued for admission, a departure runs its own host
+// to cluster time and moves no other host's clock, although every other
+// host, busy or empty, has an event due by then.
+func TestDepartureAdvancesOnlyItsHost(t *testing.T) {
+	c, err := New(Config{Hosts: 4, Seed: 5, PlaceCheck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ctx = context.Background()
+	var vms []*VM
+	for h := 0; h < 3; h++ {
+		vms = append(vms, placeOnHost(t, c, VMSpec{Name: fmt.Sprintf("vm%03d", h),
+			MemoryMB: 1024, VCPUs: 1, Profiles: []*workload.Profile{steadyApp()}}, h))
+	}
+	at := sim.Time(50 * sim.Millisecond)
+	c.engine.RunUntil(at)
+	before := clocks(c)
+	for i, ho := range c.hosts {
+		if next, ok := ho.H.Engine.NextAt(); before[i] >= at || !ok || next > at {
+			t.Fatalf("%s at %v (next event %v): it must lag %v with an event due", ho.Name, before[i], next, at)
+		}
+	}
+	vm := vms[1]
+	c.onDepart(vm)
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	if vm.state != stateDeparted || len(c.queue) != 0 {
+		t.Fatalf("vm state %v with %d queued units after the departure", vm.state, len(c.queue))
+	}
+	for i, now := range clocks(c) {
+		want := before[i]
+		if i == vm.Host.Index {
+			want = at
+		}
+		if now != want {
+			t.Errorf("host%d clock %v after the departure from %s, want %v", i, now, vm.Host.Name, want)
+		}
+	}
+}
+
+// TestSettledHostsLagUntilTouched pins the placement half: an arrival
+// advances the refresh-list hosts its placement reads and leaves a
+// settled, empty host behind, events due and all, and placing on that
+// host catches it up before the mutation, which -place-check confirms at
+// markDirty.
+func TestSettledHostsLagUntilTouched(t *testing.T) {
+	c, err := New(Config{Hosts: 3, Seed: 5, PlaceCheck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ctx = context.Background()
+	spec := VMSpec{MemoryMB: 1024, VCPUs: 1, Profiles: []*workload.Profile{steadyApp()}}
+	busy := placeOnHost(t, c, VMSpec{Name: "busy", MemoryMB: spec.MemoryMB, VCPUs: 1,
+		Profiles: spec.Profiles}, 0).Host
+	at := sim.Time(50 * sim.Millisecond)
+	c.engine.RunUntil(at)
+	c.admitArrivals([]arrival{{spec: spec, life: 30 * sim.Second}})
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	arrived := c.vms[len(c.vms)-1]
+	if arrived.state != stateRunning {
+		t.Fatalf("the arrival is %v, not running", arrived.state)
+	}
+	if now := busy.H.Engine.Now(); now != at {
+		t.Fatalf("refresh-list %s at %v after a placement at %v", busy.Name, now, at)
+	}
+	var lag *Host
+	for _, ho := range c.hosts {
+		if ho != busy && ho != arrived.Host {
+			lag = ho
+		}
+	}
+	next, ok := lag.H.Engine.NextAt()
+	if now := lag.H.Engine.Now(); now >= at || !ok || next > at {
+		t.Fatalf("%s at %v (next event %v) after a placement at %v: it must lag with an event due",
+			lag.Name, now, next, at)
+	}
+	if lag.queued || len(lag.VMs) > 0 || !lag.settled() {
+		t.Fatalf("%s lags but is not a settled, empty host off the refresh list", lag.Name)
+	}
+	fired := lag.H.Engine.Fired()
+	placeOnHost(t, c, VMSpec{Name: "late", MemoryMB: spec.MemoryMB, VCPUs: 1,
+		Profiles: []*workload.Profile{steadyApp()}}, lag.Index)
+	if now := lag.H.Engine.Now(); now != at || lag.H.Engine.Fired() == fired {
+		t.Fatalf("%s at %v having fired %d events after the placement on it at %v",
+			lag.Name, now, lag.H.Engine.Fired()-fired, at)
+	}
+}
+
+// TestPlaceCheckCatchesUntouchedMutation plants a cluster event that
+// mutates a lagging host without touch, as a new mutation site that
+// forgot the catch-up would, and checks that -place-check stops the run:
+// at the mutation's markDirty when the site dirties the host, and at the
+// next check that reaches the host when it does not.
+func TestPlaceCheckCatchesUntouchedMutation(t *testing.T) {
+	for _, dirty := range []bool{false, true} {
+		c, err := New(Config{Hosts: 4, Seed: 3, Horizon: 30 * sim.Second, ArrivalsPerSecond: 1,
+			MeanLifetime: 10 * sim.Second, RebalancePeriod: -1, PlaceCheck: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var planted *Host
+		c.engine.ScheduleAt(sim.Time(5*sim.Second), "plant", func(*sim.Engine) {
+			for _, ho := range c.hosts {
+				if ho.H.Engine.Now() < c.engine.Now() {
+					if _, err := ho.H.AddDomain("planted", 1024, 1, mem.PolicyLocal, 0); err != nil {
+						t.Error(err)
+					}
+					if dirty {
+						c.markDirty(ho)
+					}
+					planted = ho
+					return
+				}
+			}
+		})
+		_, err = c.Run(context.Background())
+		if planted == nil {
+			t.Fatalf("dirty=%v: no host lagged at the planted mutation", dirty)
+		}
+		if err == nil || !strings.Contains(err.Error(), "place-check") ||
+			!strings.Contains(err.Error(), planted.Name+" mutated") {
+			t.Fatalf("dirty=%v: a mutation of lagging %s without touch ended the run with %v",
+				dirty, planted.Name, err)
+		}
+	}
+}
+
 // TestPlaceCheckGangRollback makes a gang's commit fail on its last
 // member, after the first member's domain is built on a host that lagged
-// cluster time, so the rollback tears that domain down again. Under
-// -place-check the rollback must leave every clock current or idle, and
-// every cached view equal to a fresh one.
+// cluster time, so the rollback tears that domain down again. Cluster
+// time moves through the cluster engine, since touch catches hosts up to
+// it. Under -place-check the rollback must leave every clock current or
+// idle, and every cached view equal to a fresh one.
 func TestPlaceCheckGangRollback(t *testing.T) {
 	c, err := New(Config{Hosts: 2, Seed: 5, PlaceCheck: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.ctx = context.Background()
-	t1 := sim.Time(sim.Millisecond)
-	t2 := t1.Add(sim.Millisecond)
-	for _, at := range []sim.Time{t1, t2} {
-		if err := c.syncHosts(at); err != nil {
-			t.Fatal(err)
-		}
-	}
+	at := sim.Time(2 * sim.Millisecond)
+	c.engine.RunUntil(at)
 	for _, ho := range c.hosts {
-		if ho.H.Engine.Now() >= t2 {
+		if ho.H.Engine.Now() >= at {
 			t.Fatalf("%s is current at %v: the gang would not commit on a lagging host",
 				ho.Name, ho.H.Engine.Now())
 		}
@@ -614,16 +774,27 @@ func TestPlaceCheckGangRollback(t *testing.T) {
 	if c.err != nil {
 		t.Fatal(c.err)
 	}
+	built := false
 	for i, ho := range c.hosts {
 		if n := ho.H.ActiveVCPUs(); n != 0 || ho.freshView().FreeMB() != free[i] {
 			t.Fatalf("%s keeps %d VCPUs and %d of %d MB free after the rollback",
 				ho.Name, n, ho.freshView().FreeMB(), free[i])
 		}
+		if len(ho.H.AllVCPUs()) > 0 {
+			built = true
+			if now := ho.H.Engine.Now(); now != at {
+				t.Fatalf("%s built the first member at %v, not at cluster time %v", ho.Name, now, at)
+			}
+		}
 	}
-	if err := c.syncHosts(t2.Add(50 * sim.Millisecond)); err != nil {
-		t.Fatal(err)
+	if !built {
+		t.Fatal("the rollback found no member domain built")
 	}
+	c.engine.RunUntil(at.Add(50 * sim.Millisecond))
 	c.refreshViews()
+	if !c.checkClocks(c.engine.Now()) {
+		t.Fatal(c.err)
+	}
 	for _, ho := range c.hosts {
 		if diff := diffViews(&ho.view, ho.freshView()); diff != "" {
 			t.Errorf("%s view diverges after the rollback: %s", ho.Name, diff)

@@ -11,11 +11,17 @@ package cluster
 //     pick the same host, the same memory plan, and agree on
 //     feasibility — this catches heap-order or cache-invalidation bugs.
 //
-// Both run after a clock check: every host whose clock lags cluster time
-// must have no event due by then (the lazy-clock invariant, syncHosts),
-// or the views it serves could be stale in a way no refresh would see.
-// The fresh views walk every VCPU without the cached LLC pressure, so
-// they also check the runnable generation and the live-VCPU list.
+// Both run after a clock check of the sync-on-read invariant (syncHosts):
+// every refresh-list host is current or has no event due, every lagging
+// host off the list is settled and empty, and no lagging host was
+// mutated since it was last advanced. Otherwise the views it serves could
+// be stale in a way no refresh would see. The mutation half also runs
+// wherever a host is advanced or dirtied: before an advance, so no
+// advance absorbs a mutation made at a stale clock, and at markDirty,
+// which a mutation of a host that touch did not catch up reaches with the
+// host still lagging. The fresh views walk every VCPU without the cached
+// LLC pressure, so they also check the runnable generation and the
+// live-VCPU list.
 //
 // A gang's reserve is checked the same way against the what-if
 // reservation over copied views that it replaced (checkGangReserve).
@@ -121,41 +127,72 @@ func (c *Cluster) checkGangReserve(vms []*VM, slots []gangSlot, placed int) {
 	}
 }
 
-// checkClocks asserts the lazy-clock invariant at cluster time t for
-// every host (see checkClock). Besides every decision, syncHosts runs it
-// at the previous sync time before it advances anything.
+// checkClocks asserts the sync-on-read invariant at a placement at
+// cluster time t, after refreshViews: a lagging host on the refresh list
+// has no event due by t, one off the list is settled and empty, and
+// neither was mutated since it was last advanced (checkMark). It reports
+// false, after stopping the run, when a host breaks it.
 func (c *Cluster) checkClocks(t sim.Time) bool {
 	for _, ho := range c.hosts {
-		if !c.checkClock(ho, t) {
+		if ho.H.Engine.Now() >= t {
+			continue
+		}
+		c.lagged.placements++
+		if !c.checkMark(ho) {
+			return false
+		}
+		if ho.queued {
+			if at, ok := ho.H.Engine.NextAt(); ok && at <= t {
+				//vet:alloc divergence reporting runs once, immediately before the run stops
+				c.failCheck("host %s clock %v lags cluster time %v with an event due at %v",
+					ho.Name, ho.H.Engine.Now(), t, at)
+				return false
+			}
+		} else if len(ho.VMs) > 0 || !ho.settled() {
+			//vet:alloc divergence reporting runs once, immediately before the run stops
+			c.failCheck("host %s clock %v lags cluster time %v off the refresh list but is not settled and empty",
+				ho.Name, ho.H.Engine.Now(), t)
 			return false
 		}
 	}
 	return true
 }
 
-// checkClock asserts the lazy-clock invariant at cluster time t for one
-// host: if its clock lags t, it has no event queued at or before t, and
-// it was not mutated since the last sync (a mutation goes through touch,
-// which catches the host up first; touch runs this check before it
-// does). It reports false, after stopping the run, when the host breaks
-// it.
-func (c *Cluster) checkClock(ho *Host, t sim.Time) bool {
-	if ho.H.Engine.Now() >= t {
-		return true
-	}
-	if at, ok := ho.H.Engine.NextAt(); ok && at <= t {
-		//vet:alloc divergence reporting runs once, immediately before the run stops
-		c.failCheck("host %s clock %v lags cluster time %v with an event due at %v",
-			ho.Name, ho.H.Engine.Now(), t, at)
-		return false
-	}
+// checkMark asserts that a lagging host was not mutated since it was last
+// advanced or dirtied: every mutation goes through touch, which catches
+// the host up first. It reports false, after stopping the run, when the
+// host breaks it.
+func (c *Cluster) checkMark(ho *Host) bool {
 	if markOf(ho) != c.marks[ho.Index] {
 		//vet:alloc divergence reporting runs once, immediately before the run stops
 		c.failCheck("host %s mutated at cluster time %v without catching up from %v",
-			ho.Name, t, ho.H.Engine.Now())
+			ho.Name, c.engine.Now(), ho.H.Engine.Now())
 		return false
 	}
 	return true
+}
+
+// checkMarks runs checkMark on every host of an advance.
+func (c *Cluster) checkMarks(hosts []*Host) bool {
+	for _, ho := range hosts {
+		if !c.checkMark(ho) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkMutated runs at markDirty, right after a mutation: the host must
+// be current, since touch caught it up, and its mark is recorded as the
+// one the mutation left.
+func (c *Cluster) checkMutated(ho *Host) {
+	if ho.H.Engine.Now() < c.engine.Now() {
+		//vet:alloc divergence reporting runs once, immediately before the run stops
+		c.failCheck("host %s mutated at cluster time %v without catching up from %v",
+			ho.Name, c.engine.Now(), ho.H.Engine.Now())
+		return
+	}
+	c.marks[ho.Index] = markOf(ho)
 }
 
 // hostMark is what every cluster→host mutation moves: the VCPU count
@@ -170,14 +207,10 @@ func markOf(ho *Host) hostMark {
 	return hostMark{len(ho.H.AllVCPUs()), ho.H.RunnableGen()}
 }
 
-// markHosts records every host's mark after a sync, for checkClocks.
-func (c *Cluster) markHosts() {
-	if c.marks == nil {
-		//vet:alloc the place-check shadow path deliberately pays full-rescan cost; it is diagnostic-only and off by default
-		c.marks = make([]hostMark, len(c.hosts))
-	}
-	for i, ho := range c.hosts {
-		c.marks[i] = markOf(ho)
+// markAll records the marks of hosts just advanced.
+func (c *Cluster) markAll(hosts []*Host) {
+	for _, ho := range hosts {
+		c.marks[ho.Index] = markOf(ho)
 	}
 }
 

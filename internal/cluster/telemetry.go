@@ -52,9 +52,8 @@ type clusterTelemetry struct {
 
 // attachTelemetry registers the cluster's series in the sampler's registry
 // and hooks the refresh. The cluster hook is registered FIRST: it advances
-// every host engine to the sample time (exactly the sync any cluster event
-// performs, so results stay byte-identical), and the per-host xen hooks
-// registered below then read fresh state.
+// every host engine to the sample time (syncHosts), and the per-host xen
+// hooks registered below then read fresh state.
 func (c *Cluster) attachTelemetry(s *telemetry.Sampler) {
 	reg := s.Registry()
 	t := &clusterTelemetry{
@@ -115,8 +114,10 @@ func (c *Cluster) attachTelemetry(s *telemetry.Sampler) {
 }
 
 // sample refreshes the cluster gauges. Reads only — except for the host
-// sync, which advances host engines to the sample time exactly as the next
-// cluster event would, so the simulation outcome is unchanged.
+// sync, which advances every host with an event due to the sample time.
+// Host engines are independent between mutations and fire the same events
+// however their advances are split, so an extra advance leaves the
+// simulation outcome unchanged.
 func (t *clusterTelemetry) sample() {
 	c := t.c
 	if !c.sync() {

@@ -52,6 +52,7 @@ func Workers(requested, n int) int {
 // parent context is cancelled, in-flight jobs are interrupted and Map
 // returns the context's error.
 func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, index int) (T, error)) ([]T, error) {
+	//vet:alloc one result slice per call, not per job; the cluster's host advances get a zero-size one
 	out := make([]T, n)
 	if n == 0 {
 		return out, ctx.Err()
@@ -63,6 +64,7 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 			if err := ctx.Err(); err != nil {
 				return out, err
 			}
+			//vet:alloc the context is passed through, not converted: it is already an interface
 			v, err := fn(ctx, i)
 			if err != nil {
 				return out, err
@@ -72,13 +74,16 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 		return out, nil
 	}
 
+	//vet:alloc the parallel path pays one derived context, error slice and goroutine set per call, not per job
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	//vet:alloc the parallel path pays one derived context, error slice and goroutine set per call, not per job
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < w; g++ {
 		wg.Add(1)
+		//vet:alloc the parallel path pays one derived context, error slice and goroutine set per call, not per job
 		go func() {
 			defer wg.Done()
 			for {
@@ -90,6 +95,7 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 					errs[i] = err
 					continue
 				}
+				//vet:alloc the context is passed through, not converted: it is already an interface
 				v, err := fn(ctx, i)
 				if err != nil {
 					errs[i] = err

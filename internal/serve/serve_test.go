@@ -418,6 +418,61 @@ func TestRunTimeout(t *testing.T) {
 	}
 }
 
+// hungryCluster is a cluster run far longer than any test's RunTimeout,
+// on two workers so its host advances take harness.Map's parallel path.
+const hungryCluster = `{
+  "hosts": 64, "horizon": "3600s", "workers": 2, "arrivals_per_second": 5
+}`
+
+// TestTimedOutRunIsNotCached pins what a cut-short run leaves behind, on
+// both POST endpoints: the 504 it answers enters nothing in the result
+// cache, its goroutines unwind, and a re-POST of the same spec is a miss
+// that simulates again under a fresh run.
+func TestTimedOutRunIsNotCached(t *testing.T) {
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/simulations", hungryScenario},
+		{"/v1/clusters", hungryCluster},
+	} {
+		before := runtime.NumGoroutine()
+		s, ts := testServer(t, Options{RunTimeout: 50 * time.Millisecond})
+		var ids []any
+		for i := 0; i < 2; i++ {
+			status, body := postJSON(t, ts.URL+tc.path, tc.body)
+			if status != http.StatusGatewayTimeout || body["state"] != string(StateCancelled) {
+				t.Fatalf("%s post %d: status %d, body %v; want a cancelled run and 504",
+					tc.path, i, status, body)
+			}
+			if _, hit := body["cached"]; hit {
+				t.Fatalf("%s post %d answered from the cache after a 504: %v", tc.path, i, body)
+			}
+			ids = append(ids, body["id"])
+		}
+		if ids[0] == ids[1] {
+			t.Fatalf("%s: the re-POST reused run %v instead of simulating again", tc.path, ids[0])
+		}
+		s.runs.mu.Lock()
+		cached := len(s.runs.byKey)
+		s.runs.mu.Unlock()
+		if cached != 0 {
+			t.Fatalf("%s: %d cache entries after two timed-out runs", tc.path, cached)
+		}
+		s.metrics.mu.Lock()
+		hits, misses := s.metrics.cacheHit.Value(), s.metrics.cacheMiss.Value()
+		s.metrics.mu.Unlock()
+		if hits != 0 || misses != 2 {
+			t.Fatalf("%s: %v cache hits and %v misses, want 0 and 2", tc.path, hits, misses)
+		}
+		ts.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before+2 && time.Now().Before(deadline) {
+			time.Sleep(20 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before+2 {
+			t.Errorf("%s: goroutines: %d before, %d after two timed-out runs", tc.path, before, n)
+		}
+	}
+}
+
 // TestAsyncPolling drives the ?async=1 path: 202 with an ID, then poll to
 // completion.
 func TestAsyncPolling(t *testing.T) {
