@@ -56,7 +56,8 @@ smoke:
 smoke-serve:
 	sh scripts/serve-smoke.sh
 
-# bench runs the hot-path micro-benchmarks plus SuiteParallel (the
+# bench runs the hot-path micro-benchmarks (PreemptCycle is the BOOST
+# wake-preempt-redispatch cycle in internal/xen) plus SuiteParallel (the
 # paper-batch experiment set through the cell queue) and ClusterChurn (a
 # 256-host cluster run shaped like fleet-churn: the host-advance path) and
 # appends a snapshot (ns/op, B/op, allocs/op per benchmark) to
@@ -69,7 +70,7 @@ smoke-serve:
 # run, recorded for before/after entries rather than gated.
 LABEL ?= local
 bench:
-	$(GO) test -run '^$$' -bench 'QuantumHotPath|SimulationSecond|EngineChurn|PerfExecute|PickSteal|^BenchmarkPartition$$|SpecCompile|ServedScenario|ServedEventsRead|ServedTelemetryRead|ClusterArrival|GangArrival|ClusterChurn|SuiteParallel' -benchtime 2s -count 3 . ./internal/sim ./internal/cluster \
+	$(GO) test -run '^$$' -bench 'QuantumHotPath|SimulationSecond|EngineChurn|PreemptCycle|PerfExecute|PickSteal|^BenchmarkPartition$$|SpecCompile|ServedScenario|ServedEventsRead|ServedTelemetryRead|ClusterArrival|GangArrival|ClusterChurn|SuiteParallel' -benchtime 2s -count 3 . ./internal/sim ./internal/xen ./internal/cluster \
 		| $(GO) run ./cmd/vprobe-bench -label '$(LABEL)'
 
 # bench-check runs the same benchmark set briefly and compares it against
@@ -82,5 +83,5 @@ bench:
 # gating the deliberately-slow path would only add noise-driven failures.
 # A baseline measured on another CPU model gates allocs/op only.
 bench-check:
-	$(GO) test -run '^$$' -bench 'QuantumHotPath|SimulationSecond|EngineChurn|PerfExecute|PickSteal|^BenchmarkPartition$$|SpecCompile|ServedScenario|ServedTelemetryRead|ClusterArrival$$|GangArrival' -benchtime 1s -count 3 . ./internal/sim ./internal/cluster \
+	$(GO) test -run '^$$' -bench 'QuantumHotPath|SimulationSecond|EngineChurn|PreemptCycle|PerfExecute|PickSteal|^BenchmarkPartition$$|SpecCompile|ServedScenario|ServedTelemetryRead|ClusterArrival$$|GangArrival' -benchtime 1s -count 3 . ./internal/sim ./internal/xen ./internal/cluster \
 		| $(GO) run ./cmd/vprobe-bench -check

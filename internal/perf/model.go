@@ -126,6 +126,12 @@ type System struct {
 	// the links connecting it. The topology is immutable, so this is
 	// computed once at construction instead of per epoch.
 	linkCap [][]float64
+
+	// memLat[r][n] is the contended latency in cycles of a memory access
+	// from node r to node n: the topology's latency times n's IMC
+	// multiplier, times the r–n link multiplier when n is remote. The
+	// multipliers move only in EndEpoch, which refills it.
+	memLat [][]float64
 }
 
 // NewSystem builds the model for a topology with default parameters.
@@ -161,7 +167,26 @@ func NewSystemParams(top *numa.Topology, p Params) *System {
 		s.linkCap[l.A][l.B] += bw
 		s.linkCap[l.B][l.A] += bw
 	}
+	s.memLat = make([][]float64, n)
+	for i := range s.memLat {
+		s.memLat[i] = make([]float64, n)
+	}
+	s.fillMemLat()
 	return s
+}
+
+// fillMemLat recomputes the contended-latency table from the current
+// multipliers.
+func (s *System) fillMemLat() {
+	for r, row := range s.memLat {
+		for n := range row {
+			lat := s.top.MemLatencyCycles(numa.NodeID(r), numa.NodeID(n)) * s.imcMult[n]
+			if n != r {
+				lat *= s.linkMult[r][n]
+			}
+			row[n] = lat
+		}
+	}
 }
 
 // Params returns the model constants in use.
@@ -198,17 +223,17 @@ func EffectiveShareKB(llcKB int64, own, co float64) float64 {
 // uses ExecuteInto with a reusable Outcome instead.
 func (s *System) Execute(r Request) Outcome {
 	var out Outcome
-	s.ExecuteInto(&out, r)
+	s.ExecuteInto(&out, &r)
 	return out
 }
 
 // ExecuteInto is Execute writing into a caller-owned Outcome: out's Node
 // slice is reused when it has the capacity, so a VCPU that keeps one
 // Outcome across quanta makes the evaluation allocation-free. All other
-// fields of out are overwritten.
+// fields of out are overwritten. r is only read.
 //
 //vprobe:hotpath
-func (s *System) ExecuteInto(out *Outcome, r Request) {
+func (s *System) ExecuteInto(out *Outcome, r *Request) {
 	node := out.Node
 	if cap(node) < s.top.NumNodes() {
 		node = make([]float64, s.top.NumNodes()) //vet:alloc only when the caller-owned Outcome is too small; VCPUs keep one across quanta
@@ -225,7 +250,7 @@ func (s *System) ExecuteInto(out *Outcome, r Request) {
 	rpi := ph.RPTI / 1000 // LLC references per instruction
 
 	cyclesAvail := float64(r.Quantum.Micros()) * s.top.CyclesPerMicrosecond()
-	overhead := math.Min(r.OverheadCycles, cyclesAvail)
+	overhead := min(r.OverheadCycles, cyclesAvail)
 	cyclesAvail -= overhead
 
 	share := EffectiveShareKB(s.top.LLCSizeKB(r.RunNode), ph.RPTI, r.CoRunnerRPTI)
@@ -233,20 +258,17 @@ func (s *System) ExecuteInto(out *Outcome, r Request) {
 
 	// Average memory latency in cycles over the page distribution,
 	// inflated by last epoch's contention multipliers.
+	lats := s.memLat[r.RunNode]
 	var memLat float64
-	for n := 0; n < s.top.NumNodes(); n++ {
+	for n, lat := range lats {
 		frac := r.PageDist.LocalFraction(numa.NodeID(n))
 		if frac <= 0 {
 			continue
 		}
-		lat := s.top.MemLatencyCycles(r.RunNode, numa.NodeID(n)) * s.imcMult[n]
-		if numa.NodeID(n) != r.RunNode {
-			lat *= s.linkMult[r.RunNode][n]
-		}
 		memLat += frac * lat
 	}
 	if memLat == 0 { // empty page dist: treat as local
-		memLat = s.top.MemLatencyCycles(r.RunNode, r.RunNode) * s.imcMult[r.RunNode]
+		memLat = lats[r.RunNode]
 	}
 
 	mlp := s.params.MLP
@@ -267,7 +289,7 @@ func (s *System) ExecuteInto(out *Outcome, r Request) {
 		instrEst := cyclesAvail / cpiAt(baseMiss)
 		refsEst := instrEst * rpi
 		wouldHit := refsEst * (1 - baseMiss)
-		coldConv := math.Min(r.ColdLines, wouldHit)
+		coldConv := min(r.ColdLines, wouldHit)
 		if refsEst > 0 {
 			missEff = (refsEst*baseMiss + coldConv) / refsEst
 			if missEff > 1 {
@@ -312,7 +334,7 @@ func (s *System) ExecuteInto(out *Outcome, r Request) {
 }
 
 // Record feeds an outcome into the contention accumulators.
-func (s *System) Record(o Outcome, runNode numa.NodeID) {
+func (s *System) Record(o *Outcome, runNode numa.NodeID) {
 	for n := range o.Node {
 		bytes := o.Node[n] * s.params.BytesPerMiss
 		s.nodeBytes[n] += bytes
@@ -359,6 +381,7 @@ func (s *System) EndEpoch(now sim.Time) {
 			s.pairBytes[m][n] = 0
 		}
 	}
+	s.fillMemLat()
 }
 
 // String summarises the current contention state.

@@ -216,7 +216,7 @@ func TestContentionFeedbackLoop(t *testing.T) {
 				Profile: lq, Phase: &lq.Phases[0], Quantum: 25 * sim.Millisecond,
 				RunNode: 0, PageDist: mem.Concentrated(2, 0), CoRunnerRPTI: 67,
 			})
-			s.Record(o, 0)
+			s.Record(&o, 0)
 		}
 	}
 	s.EndEpoch(sim.Time(sim.Second))
@@ -249,10 +249,10 @@ func TestLinkContention(t *testing.T) {
 			Profile: lq, Phase: &lq.Phases[0], Quantum: 25 * sim.Millisecond,
 			RunNode: 0, PageDist: mem.Concentrated(2, 1),
 		})
-		s.Record(o, 0)
-		s.Record(o, 0)
-		s.Record(o, 0)
-		s.Record(o, 0)
+		s.Record(&o, 0)
+		s.Record(&o, 0)
+		s.Record(&o, 0)
+		s.Record(&o, 0)
 	}
 	s.EndEpoch(sim.Time(sim.Second))
 	if s.linkMult[0][1] <= 1.0 {
@@ -267,7 +267,7 @@ func TestMultipliersBounded(t *testing.T) {
 	s := testSystem()
 	// Absurd traffic must still produce finite multipliers.
 	o := Outcome{Node: []float64{1e15, 1e15}, LLCMiss: 2e15}
-	s.Record(o, 0)
+	s.Record(&o, 0)
 	s.EndEpoch(sim.Time(sim.Millisecond))
 	maxMult := 1 / (1 - Defaults().UtilCap) * 1.01
 	if s.imcMult[0] > maxMult || math.IsInf(s.imcMult[0], 0) {

@@ -35,7 +35,7 @@ func NewCounters(nodes int) *Counters {
 }
 
 // Add accumulates d into c. The node vectors must have equal length.
-func (c *Counters) Add(d Delta) {
+func (c *Counters) Add(d *Delta) {
 	c.Instructions += d.Instructions
 	c.Cycles += d.Cycles
 	c.LLCRef += d.LLCRef

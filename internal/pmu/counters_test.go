@@ -8,8 +8,8 @@ import (
 	"vprobe/internal/numa"
 )
 
-func delta(instr, ref, miss float64, node []float64, remote float64) Delta {
-	return Delta{Instructions: instr, Cycles: instr * 1.2, LLCRef: ref,
+func delta(instr, ref, miss float64, node []float64, remote float64) *Delta {
+	return &Delta{Instructions: instr, Cycles: instr * 1.2, LLCRef: ref,
 		LLCMiss: miss, Node: node, Remote: remote}
 }
 

@@ -2,12 +2,13 @@ package sim
 
 import "testing"
 
-// BenchmarkEngineChurn measures the event queue alone at the paper
+// BenchmarkEngineChurn measures the event engine alone at the paper
 // scenario's steady-state shape: about 40 pending events, namely 8 quantum
-// timers, 24 wake timers, 3 tickers (tick, accounting, sampling period)
-// and 5 pooled kicks. Each op fires one event whose callback re-arms it;
-// one wake in four also re-arms a still-pending quantum timer in place,
-// as a BOOST preemption does.
+// timers, 24 wake timers and 5 pooled kicks in the heap, and 3 tickers
+// (tick, accounting, sampling period) keyed beside it. Each op fires one
+// event or tick; an event's callback re-arms it, mostly into the root it
+// vacated, and one wake in four also re-keys a still-pending quantum
+// timer in place, as a BOOST preemption does.
 func BenchmarkEngineChurn(b *testing.B) {
 	e := NewEngine()
 	rng := NewRNG(1)

@@ -8,12 +8,13 @@ import (
 
 // The differential ordering test drives the engine and a naive reference
 // queue through the same seeded script and requires identical traces:
-// every fire (id and time), and after every step the clock, Pending(),
-// PoolSize() and the fired count. The reference keeps pending events in a
-// plain slice sorted by (at, seq) before every pop, so it shares no heap
-// logic with the engine; agreement shows the engine's queue pops events
-// in exactly the (at, seq) order with the same pooling and sequence-number
-// accounting.
+// every fire (id and time) with Pending() and NextAt() as the callback
+// sees them, and after every step the clock, Pending(), PoolSize() and
+// the fired count. The reference keeps pending events, tickers included,
+// in a plain slice sorted by (at, seq) before every pop, so it shares no
+// heap or ticker logic with the engine; agreement shows the engine pops
+// events and ticks in exactly the (at, seq) order with the same pooling
+// and sequence-number accounting.
 
 // queueSide is one implementation under test. Timers and tickers are
 // handled by their creation index; pooled events need no handle.
@@ -29,6 +30,7 @@ type queueSide interface {
 	stop()
 	runUntil(t Time)
 	pending() int
+	nextAt() (Time, bool)
 	poolSize() int
 	fired() uint64
 }
@@ -63,6 +65,8 @@ func (s *engineSide) runUntil(t Time)  { s.e.RunUntil(t) }
 func (s *engineSide) pending() int     { return s.e.Pending() }
 func (s *engineSide) poolSize() int    { return s.e.PoolSize() }
 func (s *engineSide) fired() uint64    { return s.e.Fired() }
+
+func (s *engineSide) nextAt() (Time, bool) { return s.e.NextAt() }
 
 // refEvent is one entry of the reference queue.
 type refEvent struct {
@@ -144,15 +148,27 @@ func (r *refSide) pending() int     { return len(r.queue) }
 func (r *refSide) poolSize() int    { return r.pool }
 func (r *refSide) fired() uint64    { return r.nfired }
 
+func (r *refSide) sort() {
+	slices.SortFunc(r.queue, func(a, b *refEvent) int {
+		if a.at != b.at {
+			return int(a.at - b.at)
+		}
+		return int(a.seq) - int(b.seq)
+	})
+}
+
+func (r *refSide) nextAt() (Time, bool) {
+	if len(r.queue) == 0 {
+		return 0, false
+	}
+	r.sort()
+	return r.queue[0].at, true
+}
+
 func (r *refSide) runUntil(t Time) {
 	r.halted = false
 	for len(r.queue) > 0 && !r.halted {
-		slices.SortFunc(r.queue, func(a, b *refEvent) int {
-			if a.at != b.at {
-				return int(a.at - b.at)
-			}
-			return int(a.seq) - int(b.seq)
-		})
+		r.sort()
 		ev := r.queue[0]
 		if ev.at > t {
 			break
@@ -196,9 +212,16 @@ func (q *queueScript) schedule() {
 	id := q.nextID
 	q.nextID++
 	q.s.schedule(q.delay(), func() {
-		q.log("fire ev%d", id)
+		q.logFire("ev%d", id)
 		q.callbackAction()
 	})
+}
+
+// logFire records a firing with the queue state its callback sees: the
+// firing event or ticker is not pending.
+func (q *queueScript) logFire(format string, id int) {
+	at, ok := q.s.nextAt()
+	q.log("fire "+format+" pending=%d next=%d/%v", id, q.s.pending(), at, ok)
 }
 
 // callbackAction lets a firing callback mutate the queue, as the xen
@@ -235,7 +258,7 @@ func (q *queueScript) act(k int) {
 			n := len(q.tickers)
 			var k int
 			k = q.s.every(q.delay(), Duration(1+q.rng.Intn(150)), func() {
-				q.log("fire k%d", k)
+				q.logFire("k%d", k)
 				if q.rng.Intn(50) == 0 {
 					q.log("self-stop k%d", k)
 					q.s.stopTicker(k)
@@ -270,7 +293,7 @@ func (q *queueScript) log(format string, args ...any) {
 func (q *queueScript) run(steps int) {
 	for i := 0; i < 8; i++ {
 		k := q.s.newTimer(func() {
-			q.log("fire t%d", i)
+			q.logFire("t%d", i)
 			if q.rng.Intn(2) == 0 {
 				q.s.armTimer(i, q.delay()) // self re-arm, like a quantum timer
 			}
@@ -300,25 +323,86 @@ func (q *queueScript) run(steps int) {
 	}
 }
 
+// diffQueues runs the script for seed and steps on the engine and on the
+// reference, fails t at the first record where their traces differ, and
+// returns the engine's script.
+func diffQueues(t *testing.T, seed uint64, steps int) *queueScript {
+	t.Helper()
+	eng := &queueScript{s: newEngineSide(), rng: NewRNG(seed)}
+	ref := &queueScript{s: newRefSide(), rng: NewRNG(seed)}
+	eng.run(steps)
+	ref.run(steps)
+	for i := range min(len(eng.trace), len(ref.trace)) {
+		if eng.trace[i] != ref.trace[i] {
+			t.Fatalf("seed %d: traces diverge at record %d:\n engine: %s\n    ref: %s\n context: %q",
+				seed, i, eng.trace[i], ref.trace[i], eng.trace[max(0, i-5):i])
+		}
+	}
+	if len(eng.trace) != len(ref.trace) {
+		t.Fatalf("seed %d: engine trace has %d records, reference %d", seed, len(eng.trace), len(ref.trace))
+	}
+	return eng
+}
+
 func TestQueueMatchesReference(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
-		eng := &queueScript{s: newEngineSide(), rng: NewRNG(seed)}
-		ref := &queueScript{s: newRefSide(), rng: NewRNG(seed)}
-		eng.run(12000)
-		ref.run(12000)
-		for i := range min(len(eng.trace), len(ref.trace)) {
-			if eng.trace[i] != ref.trace[i] {
-				t.Fatalf("seed %d: traces diverge at record %d:\n engine: %s\n    ref: %s\n context: %q",
-					seed, i, eng.trace[i], ref.trace[i], eng.trace[max(0, i-5):i])
-			}
-		}
-		if len(eng.trace) != len(ref.trace) {
-			t.Fatalf("seed %d: engine trace has %d records, reference %d", seed, len(eng.trace), len(ref.trace))
-		}
+		eng := diffQueues(t, seed, 12000)
 		if eng.ops < 10000 || eng.depths[0] > 1 || eng.depths[1] < 150 {
 			t.Fatalf("seed %d: script too weak: %d ops, depths %v (want >=10000 ops over [<=1, >=150])",
 				seed, eng.ops, eng.depths)
 		}
 		t.Logf("seed %d: %d ops, %d trace records, depths %v", seed, eng.ops, len(eng.trace), eng.depths)
 	}
+}
+
+// TestTickerAndTimerSameInstant pins the (at, seq) order between the
+// ticker keys and the heap: a ticker, a timer and pooled events due at
+// one instant fire in arming order, and each callback sees the others
+// pending. The reference must agree record for record.
+func TestTickerAndTimerSameInstant(t *testing.T) {
+	script := func(s queueSide) []string {
+		var trace []string
+		log := func(name string) {
+			at, ok := s.nextAt()
+			trace = append(trace, fmt.Sprintf("@%d %s pending=%d next=%d/%v", s.now(), name, s.pending(), at, ok))
+		}
+		tm := s.newTimer(func() { log("timer") })
+		s.armTimer(tm, 10) // seq 0: before the ticker's first key
+		k := s.every(10, 10, func() { log("ticker") })
+		s.schedule(10, func() { log("event") }) // seq 2: after it
+		s.runUntil(15)
+		// At 20 the ticker's re-arm (seq 3, taken after its first
+		// callback) precedes a timer armed later for the same instant.
+		s.armTimer(tm, 5)
+		s.runUntil(20)
+		s.stopTicker(k)
+		log("end")
+		return trace
+	}
+	eng, ref := script(newEngineSide()), script(newRefSide())
+	want := []string{
+		"@10 timer pending=2 next=10/true",
+		"@10 ticker pending=1 next=10/true",
+		"@10 event pending=1 next=20/true",
+		"@20 ticker pending=1 next=20/true",
+		"@20 timer pending=1 next=30/true",
+		"@20 end pending=0 next=0/false",
+	}
+	if !slices.Equal(eng, want) {
+		t.Fatalf("engine trace:\n%q\nwant:\n%q", eng, want)
+	}
+	if !slices.Equal(ref, want) {
+		t.Fatalf("reference trace:\n%q\nwant:\n%q", ref, want)
+	}
+}
+
+// FuzzQueueScript runs the differential script at fuzzed seeds and step
+// counts (capped at 4000 so one input stays fast).
+func FuzzQueueScript(f *testing.F) {
+	for _, seed := range []uint64{1, 2, 3} {
+		f.Add(seed, uint16(2000))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, steps uint16) {
+		diffQueues(t, seed, int(steps%4000))
+	})
 }

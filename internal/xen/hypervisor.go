@@ -128,6 +128,9 @@ type Hypervisor struct {
 	stealBufs   core.StealScratch
 	nodeOrders  [][]numa.NodeID
 	statScratch []core.Stat
+
+	// req is dispatch's perf.Request, rewritten for every quantum.
+	req perf.Request
 }
 
 // New builds a hypervisor on the given topology with a scheduling policy.
@@ -238,7 +241,7 @@ func (h *Hypervisor) AttachApp(d *Domain, idx int, app *workload.Profile) (*VCPU
 		return nil, fmt.Errorf("xen: VCPU %d already has app %q", v.ID, v.App.Name)
 	}
 	v.App = app
-	v.phase = app.PhaseAt(v.InstrDone)
+	h.setPhase(v, app.PhaseAt(v.InstrDone))
 	h.runGen++
 	return v, nil
 }
@@ -612,17 +615,18 @@ func (h *Hypervisor) dispatch(p *PCPU, v *VCPU) {
 		v.Priority = priorityFromCredits(v)
 	}
 
-	req := perf.Request{
-		Profile:         v.App,
-		Phase:           v.phase,
-		Quantum:         h.Config.Timeslice,
-		RunNode:         p.Node,
-		PageDist:        v.PageDist,
-		CoRunnerRPTI:    h.coRunnerRPTI(p, v),
-		ColdLines:       v.ColdLines,
-		OverheadCycles:  v.pendingOverhead,
-		MaxInstructions: v.RemainingInstructions(),
-	}
+	// Every field is written, one at a time: a composite literal would
+	// be built on the stack and block-copied into the buffer.
+	req := &h.req
+	req.Profile = v.App
+	req.Phase = v.phase
+	req.Quantum = h.Config.Timeslice
+	req.RunNode = p.Node
+	req.PageDist = v.PageDist
+	req.CoRunnerRPTI = h.coRunnerRPTI(p, v)
+	req.ColdLines = v.ColdLines
+	req.OverheadCycles = v.pendingOverhead
+	req.MaxInstructions = v.RemainingInstructions()
 	if v.App.Endless() {
 		req.MaxInstructions = 0
 	}
@@ -676,35 +680,47 @@ func priorityFromCredits(v *VCPU) Priority {
 
 // preempt truncates the quantum in flight on p (a BOOST wakeup arrived).
 // The partial work is accounted proportionally and the displaced VCPU is
-// requeued; p then reschedules, picking up the BOOST VCPU.
+// requeued; p then reschedules, picking up the BOOST VCPU. The quantum
+// timer stays armed through endQuantum, so the next dispatch re-keys it
+// in place; it is stopped only when p goes idle instead.
 func (h *Hypervisor) preempt(p *PCPU) {
 	if p.flight.v == nil {
 		return
 	}
-	p.quantum.Stop()
 	h.endQuantum(p)
+	if p.Current == nil {
+		p.quantum.Stop()
+	}
+}
+
+// setPhase sets v's cached phase and the two RPTI terms coRunnerRPTI
+// reads: the phase's RPTI while v runs, and its QueuedLLCWeight product
+// while v waits. Both are zero without a phase.
+func (h *Hypervisor) setPhase(v *VCPU, ph *workload.Phase) {
+	v.phase = ph
+	v.rpti, v.queuedRPTI = 0, 0
+	if ph != nil {
+		v.rpti = ph.RPTI
+		v.queuedRPTI = h.Config.QueuedLLCWeight * ph.RPTI
+	}
 }
 
 // coRunnerRPTI sums the reference intensity competing with v for p's
 // socket LLC during this quantum: other VCPUs currently executing on the
 // socket at full weight, plus VCPUs queued on the socket's PCPUs at
 // QueuedLLCWeight — their cache residency persists across the time-slicing
-// even while they wait.
+// even while they wait. A VCPU without a phase adds +0, which leaves the
+// sum's bits unchanged.
 func (h *Hypervisor) coRunnerRPTI(p *PCPU, v *VCPU) float64 {
 	var sum float64
 	for _, cpu := range h.Top.CPUsOf(p.Node) {
 		q := h.PCPUs[cpu]
-		if q != p && q.Current != nil && q.Current != v {
-			if ph := q.Current.Phase(); ph != nil {
-				sum += ph.RPTI
-			}
+		if c := q.Current; q != p && c != nil && c != v {
+			sum += c.rpti
 		}
-		for _, w := range q.Queue() {
-			if w == v {
-				continue
-			}
-			if ph := w.Phase(); ph != nil {
-				sum += h.Config.QueuedLLCWeight * ph.RPTI
+		for _, w := range q.queue {
+			if w != v {
+				sum += w.queuedRPTI
 			}
 		}
 	}
@@ -742,18 +758,19 @@ func (h *Hypervisor) endQuantum(p *PCPU) {
 		out.ColdLines = origCold + (out.ColdLines-origCold)*frac
 		out.Used = elapsed
 	}
-	v.Counters.Add(pmu.Delta{
+	d := pmu.Delta{
 		Instructions: out.Instructions,
 		Cycles:       out.Cycles,
 		LLCRef:       out.LLCRef,
 		LLCMiss:      out.LLCMiss,
 		Node:         out.Node,
 		Remote:       out.Remote,
-	})
-	h.Perf.Record(*out, p.Node)
+	}
+	v.Counters.Add(&d)
+	h.Perf.Record(out, p.Node)
 	v.InstrDone += out.Instructions
 	if ph := v.App.PhaseAt(v.InstrDone); ph != v.phase {
-		v.phase = ph
+		h.setPhase(v, ph)
 		h.runGen++
 	}
 	v.ColdLines = out.ColdLines
@@ -889,7 +906,9 @@ func (h *Hypervisor) swapGuestThreads(d *Domain) {
 	h.runGen++
 	a.App, b.App = b.App, a.App
 	a.InstrDone, b.InstrDone = b.InstrDone, a.InstrDone
-	a.phase, b.phase = b.phase, a.phase
+	pa, pb := a.phase, b.phase
+	h.setPhase(a, pb)
+	h.setPhase(b, pa)
 	a.Counters, b.Counters = b.Counters, a.Counters
 	a.Sampler, b.Sampler = b.Sampler, a.Sampler
 	a.PageDist, b.PageDist = b.PageDist, a.PageDist

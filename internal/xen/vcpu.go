@@ -94,10 +94,13 @@ type VCPU struct {
 	// completion.
 	InstrDone float64
 	// phase caches App.PhaseAt(InstrDone). The writers of App and
-	// InstrDone (AttachApp, endQuantum, swapGuestThreads) keep it current,
-	// so the per-dispatch co-runner scan reads a pointer instead of
-	// re-walking the phase table.
-	phase *workload.Phase
+	// InstrDone (AttachApp, endQuantum, swapGuestThreads) keep it current
+	// through setPhase, which also caches the two terms the per-dispatch
+	// co-runner scan adds: rpti (the phase's RPTI) and queuedRPTI (its
+	// QueuedLLCWeight product).
+	phase      *workload.Phase
+	rpti       float64
+	queuedRPTI float64
 	// PageDist is the VCPU's (its app's) current page placement.
 	PageDist mem.Dist
 
