@@ -1,7 +1,9 @@
 // Package sim provides a deterministic discrete-event simulation engine:
-// a virtual clock in integer microseconds, a binary-heap event queue with
-// stable FIFO ordering for simultaneous events, a seedable SplitMix64 random
-// number generator, and small summary-statistics helpers.
+// a virtual clock in integer microseconds; an event queue that fires
+// events, timers and tickers in one (time, seq) order, FIFO among
+// simultaneous firings, with events and timers in a binary heap and
+// tickers keyed beside it; a seedable SplitMix64 random number generator;
+// and small summary-statistics helpers.
 //
 // The engine is single-threaded by design. Determinism is a hard requirement
 // for the vProbe reproduction: two runs with the same seed and configuration
