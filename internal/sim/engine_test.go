@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -224,5 +225,26 @@ func TestTimeHelpers(t *testing.T) {
 	}
 	if s := (250 * Microsecond).String(); s != "250µs" {
 		t.Fatalf("Duration.String = %q", s)
+	}
+}
+
+// TestRunInsideCallback checks a run started by a callback of the same
+// engine: it fires what is due without firing the calling event again,
+// and the outer run carries on after it.
+func TestRunInsideCallback(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	e.Schedule(10, "outer", func(e *Engine) {
+		order = append(order, "outer")
+		e.RunUntil(e.Now().Add(5))
+	})
+	e.Schedule(12, "inner", func(*Engine) { order = append(order, "inner") })
+	e.Schedule(20, "after", func(*Engine) { order = append(order, "after") })
+	e.Run()
+	if want := []string{"outer", "inner", "after"}; !slices.Equal(order, want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	if e.Fired() != 3 || e.Pending() != 0 {
+		t.Fatalf("Fired = %d, Pending = %d; want 3, 0", e.Fired(), e.Pending())
 	}
 }
