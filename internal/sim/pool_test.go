@@ -180,7 +180,7 @@ func TestTimerSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestTickerSteadyStateZeroAlloc pins the Ticker hot path: a running
-// ticker re-arms its one pinned event without allocating.
+// ticker re-keys itself after each firing without allocating.
 func TestTickerSteadyStateZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	n := 0
