@@ -216,7 +216,7 @@ func (rec TraceArrival) Validate() error {
 		return fmt.Errorf("%d profiles for %d vcpus", len(rec.Profiles), rec.VCPUs)
 	}
 	for _, ref := range rec.Profiles {
-		if _, err := parseProfileRef(ref); err != nil {
+		if _, err := parseTraceRef(ref); err != nil {
 			return err
 		}
 	}
@@ -340,70 +340,32 @@ func (c *Cluster) onTraceArrival(lo, hi int) {
 
 // ---- workload references ----
 
-type refKind uint8
-
-const (
-	refBatch refKind = iota
-	refMemcached
-	refRedis
-)
-
-// profileRef names one per-VCPU workload in the trace schema: a batch
-// workload by catalog name, or a server workload with its load parameter
-// ("memcached:<concurrency>", "redis:<connections>").
-type profileRef struct {
-	kind  refKind
-	name  string // batch catalog name
-	param int    // memcached concurrency / redis connections
-}
-
-// String renders the ref in the trace schema.
-func (r profileRef) String() string {
-	switch r.kind {
-	case refMemcached:
-		return "memcached:" + strconv.Itoa(r.param)
-	case refRedis:
-		return "redis:" + strconv.Itoa(r.param)
-	}
-	return r.name
-}
-
-// resolve builds the workload profile the ref names. Refs are validated
-// at parse time (and generated refs draw from static tables), so a
-// failure here is a programming error.
-func (r profileRef) resolve() *workload.Profile {
-	switch r.kind {
-	case refMemcached:
-		return workload.Memcached(r.param)
-	case refRedis:
-		return workload.Redis(r.param)
-	}
-	p, err := workload.ByName(r.name)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// parseProfileRef parses the trace schema's workload reference.
-func parseProfileRef(s string) (profileRef, error) {
+// parseTraceRef parses the trace schema's per-VCPU workload reference: a
+// batch workload by catalog name, or a server workload with its load
+// parameter ("memcached:<concurrency>", "redis:<connections>").
+func parseTraceRef(s string) (workload.Ref, error) {
 	if name, param, ok := strings.Cut(s, ":"); ok {
 		v, err := strconv.Atoi(param)
 		if err != nil || v <= 0 {
-			return profileRef{}, fmt.Errorf("workload ref %q: bad parameter %q", s, param)
+			return workload.Ref{}, fmt.Errorf("workload ref %q: bad parameter %q", s, param)
 		}
-		switch name {
-		case "memcached":
-			return profileRef{kind: refMemcached, param: v}, nil
-		case "redis":
-			return profileRef{kind: refRedis, param: v}, nil
+		if name != "memcached" && name != "redis" {
+			return workload.Ref{}, fmt.Errorf("workload ref %q: parameters apply to memcached and redis only", s)
 		}
-		return profileRef{}, fmt.Errorf("workload ref %q: parameters apply to memcached and redis only", s)
+		return workload.Ref{Name: name, Load: v}, nil
 	}
 	if _, err := workload.ByName(s); err != nil {
-		return profileRef{}, fmt.Errorf("workload ref %q: %v", s, err) //vet:nowrap the catalog's not-found error is context, not a matchable sentinel
+		return workload.Ref{}, fmt.Errorf("workload ref %q: %v", s, err) //vet:nowrap the catalog's not-found error is context, not a matchable sentinel
 	}
-	return profileRef{kind: refBatch, name: s}, nil
+	return workload.Ref{Name: s}, nil
+}
+
+// traceRef renders r in the trace schema that parseTraceRef reads.
+func traceRef(r workload.Ref) string {
+	if r.Load > 0 {
+		return r.Name + ":" + strconv.Itoa(r.Load)
+	}
+	return r.Name
 }
 
 // resolveProfiles parses and resolves a record's workload references.
@@ -413,11 +375,15 @@ func resolveProfiles(refs []string) ([]*workload.Profile, error) {
 	}
 	profs := make([]*workload.Profile, 0, len(refs))
 	for _, s := range refs {
-		ref, err := parseProfileRef(s)
+		ref, err := parseTraceRef(s)
 		if err != nil {
 			return nil, err
 		}
-		profs = append(profs, ref.resolve())
+		p, err := ref.Profile()
+		if err != nil {
+			return nil, err
+		}
+		profs = append(profs, p)
 	}
 	return profs, nil
 }

@@ -645,9 +645,13 @@ func (c *Cluster) nextSpec() (VMSpec, []string) {
 	}
 	for i := 0; i < sc.vcpus; i++ {
 		ref := c.drawProfileRef()
-		spec.Profiles = append(spec.Profiles, ref.resolve())
+		p, err := ref.Profile()
+		if err != nil {
+			panic(err) // the draw tables name catalog workloads only
+		}
+		spec.Profiles = append(spec.Profiles, p)
 		if refs != nil {
-			refs = append(refs, ref.String())
+			refs = append(refs, traceRef(ref))
 		}
 	}
 	return spec, refs
@@ -656,17 +660,15 @@ func (c *Cluster) nextSpec() (VMSpec, []string) {
 // drawProfileRef picks one per-VCPU workload according to the mix. It
 // consumes exactly the RNG draws the pre-trace generator did, so adding
 // the exportable ref changed no byte of any existing run.
-func (c *Cluster) drawProfileRef() profileRef {
-	server := func() profileRef {
+func (c *Cluster) drawProfileRef() workload.Ref {
+	server := func() workload.Ref {
 		if c.mixRNG.Intn(2) == 0 {
-			conc := []int{16, 64, 128}[c.mixRNG.Intn(3)]
-			return profileRef{kind: refMemcached, param: conc}
+			return workload.Ref{Name: "memcached", Load: []int{16, 64, 128}[c.mixRNG.Intn(3)]}
 		}
-		conns := []int{1000, 2000, 4000}[c.mixRNG.Intn(3)]
-		return profileRef{kind: refRedis, param: conns}
+		return workload.Ref{Name: "redis", Load: []int{1000, 2000, 4000}[c.mixRNG.Intn(3)]}
 	}
-	batch := func() profileRef {
-		return profileRef{kind: refBatch, name: batchNames[c.mixRNG.Intn(len(batchNames))]}
+	batch := func() workload.Ref {
+		return workload.Ref{Name: batchNames[c.mixRNG.Intn(len(batchNames))]}
 	}
 	switch c.cfg.Mix {
 	case "batch":

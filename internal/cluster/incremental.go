@@ -39,8 +39,10 @@ package cluster
 //
 // Every value the cached path serves is defined to equal what the
 // from-scratch path (Host.freshView + Pipeline.Place) would produce at the
-// same instant; the -place-check shadow mode (placecheck.go) enforces that
-// equivalence decision by decision.
+// same instant. Both paths rank with the one score, order and memory plan
+// of plugin.go, so the two can differ only through a stale view or a
+// stale cache entry; the -place-check shadow mode (placecheck.go) checks
+// both decision by decision.
 
 import "vprobe/internal/numa"
 

@@ -121,8 +121,8 @@ type MemPlan struct {
 
 // Pipeline is a kube-style two-phase placement policy: Filter plugins veto
 // hosts, Score plugins rank the survivors, and MemPlan chooses how the
-// winner lays the VM's memory out. Ties break toward the lowest host
-// index.
+// winner lays the VM's memory out. The ranking is defined once, by score
+// and ranksAbove; Place, the score cache and Explain all rank with them.
 type Pipeline struct {
 	Name    string
 	Filters []FilterPlugin
@@ -130,24 +130,14 @@ type Pipeline struct {
 	// MemPlan maps the winning (spec, view) to a memory layout. When nil
 	// the pipeline defaults to striping across nodes.
 	MemPlan func(spec *VMSpec, host *HostView) MemPlan
-
-	// Place's scratch, reused across calls per the caller-owned-scratch
-	// convention (a Pipeline serves one cluster, whose events are
-	// serial). Without it every placement pass rebuilt both slices.
-	vetoScratch     []veto
-	feasibleScratch []*HostView
 }
 
-// veto records one filter rejection for the every-host-filtered error.
-type veto struct {
-	host, plugin, reason string
-}
-
-// ErrNoHostFits is wrapped into Place's error when every host filters out.
+// ErrNoHostFits is Place's error when every host filters out. Explain's
+// filter reports name the plugin that vetoed each host.
 var ErrNoHostFits = errors.New("cluster: no host fits")
 
-// fits reports whether every filter admits spec on hv: Place's filter
-// phase as one boolean, for the score cache and the control-plane
+// fits reports whether every filter admits spec on hv: the filter phase
+// as one boolean, for Place, the score cache and the control-plane
 // planners, which need the verdict but not the veto reason.
 func (pl *Pipeline) fits(spec *VMSpec, hv *HostView) bool {
 	for _, f := range pl.Filters {
@@ -158,67 +148,52 @@ func (pl *Pipeline) fits(spec *VMSpec, hv *HostView) bool {
 	return true
 }
 
-// Place runs the two phases over the views and returns the winning view
-// and the memory plan for it.
-func (pl *Pipeline) Place(spec *VMSpec, views []*HostView) (*HostView, MemPlan, error) {
-	vetoes := pl.vetoScratch[:0]
-	feasible := pl.feasibleScratch[:0]
-	for _, hv := range views {
-		admitted := true
-		for _, f := range pl.Filters {
-			if err := f.Filter(spec, hv); err != nil {
-				//vet:alloc veto capture grows the reused scratch at most once per fleet size; the incremental fast path never reaches Place
-				vetoes = append(vetoes, veto{hv.Name, f.Name(), err.Error()})
-				admitted = false
-				break
-			}
-		}
-		if admitted {
-			//vet:alloc grows the reused scratch at most once per fleet size
-			feasible = append(feasible, hv)
-		}
+// score is spec's placement score on hv: the weighted sum over Scorers,
+// in scorer order.
+func (pl *Pipeline) score(spec *VMSpec, hv *HostView) float64 {
+	var s float64
+	for _, ws := range pl.Scorers {
+		s += ws.Weight * ws.Plugin.Score(spec, hv)
 	}
-	// Hand the (possibly grown) backing arrays back before any return.
-	pl.vetoScratch = vetoes[:0]
-	pl.feasibleScratch = feasible[:0]
-	if len(feasible) == 0 {
-		//vet:alloc the every-host-vetoed error renders once per failed generic placement; the incremental path returns bare ErrNoHostFits instead
-		reasons := make([]string, 0, len(vetoes))
-		for _, v := range vetoes {
-			//vet:alloc failure-path rendering only
-			reasons = append(reasons, fmt.Sprintf("%s: %s: %s", v.host, v.plugin, v.reason))
-		}
-		sort.Strings(reasons)
-		// Cap the rendered reasons: on big clusters an every-host veto
-		// would otherwise put hundreds of lines into one error string.
-		// Sorting first keeps the surviving prefix deterministic.
-		const maxReasons = 8
-		if extra := len(reasons) - maxReasons; extra > 0 {
-			//vet:alloc failure-path rendering only
-			reasons = append(reasons[:maxReasons], fmt.Sprintf("… and %d more", extra))
-		}
-		//vet:alloc failure-path rendering only
-		return nil, MemPlan{}, fmt.Errorf("%w for %s (%d MB, %d vcpus): %v",
-			ErrNoHostFits, spec.Name, spec.MemoryMB, spec.VCPUs, reasons)
-	}
+	return s
+}
 
+// ranksAbove reports whether a host with score s and index i ranks above
+// one with score t and index j: the higher score wins, and a tie breaks
+// toward the lower host index.
+func ranksAbove(s float64, i int, t float64, j int) bool {
+	if s != t {
+		return s > t
+	}
+	return i < j
+}
+
+// memPlan is the memory layout for spec on the winning view: the
+// pipeline's MemPlan, or striping when it sets none.
+func (pl *Pipeline) memPlan(spec *VMSpec, hv *HostView) MemPlan {
+	if pl.MemPlan == nil {
+		return MemPlan{Policy: mem.PolicyStripe}
+	}
+	return pl.MemPlan(spec, hv)
+}
+
+// Place returns the top-ranked view that every filter admits, and the
+// memory plan for it.
+func (pl *Pipeline) Place(spec *VMSpec, views []*HostView) (*HostView, MemPlan, error) {
 	var best *HostView
 	var bestScore float64
-	for _, hv := range feasible {
-		var score float64
-		for _, ws := range pl.Scorers {
-			score += ws.Weight * ws.Plugin.Score(spec, hv)
+	for _, hv := range views {
+		if !pl.fits(spec, hv) {
+			continue
 		}
-		if best == nil || score > bestScore ||
-			(score == bestScore && hv.Index < best.Index) {
-			best, bestScore = hv, score
+		if s := pl.score(spec, hv); best == nil || ranksAbove(s, hv.Index, bestScore, best.Index) {
+			best, bestScore = hv, s
 		}
 	}
-	plan := MemPlan{Policy: mem.PolicyStripe}
-	if pl.MemPlan != nil {
-		plan = pl.MemPlan(spec, best)
+	if best == nil {
+		return nil, MemPlan{}, ErrNoHostFits
 	}
-	return best, plan, nil
+	return best, pl.memPlan(spec, best), nil
 }
 
 // PluginVeto is one host a filter plugin excluded, with its reason.
@@ -254,64 +229,61 @@ type CandidateReport struct {
 }
 
 // Explanation is the complete provenance of one placement decision:
-// every filter's verdict and the top-scoring candidates with per-plugin
+// every filter's verdict and the top-ranked candidates with per-plugin
 // breakdowns. Candidates[0] is the winner when Feasible > 0.
 type Explanation struct {
 	Feasible   int
 	Filters    []FilterReport
-	Candidates []CandidateReport // sorted by (Total desc, Index asc), capped at topN
+	Candidates []CandidateReport // in ranksAbove order, capped at topN
 }
 
 // Explain recomputes the decision Place (and the incremental score cache,
-// which -place-check proves equivalent) makes over views, reporting the
-// full per-plugin breakdown. It mirrors Place exactly — same first-veto
-// filter loop, same weighted sum, same lowest-index tie-break — so
-// Candidates[0].Host is the host Place returns. Explain allocates freely:
-// it runs once per recorded decision on the provenance path, never on the
-// placement hot path.
+// which -place-check proves equivalent) makes over views, reporting every
+// filter's vetoes and the per-plugin breakdown of the topN candidates. It
+// ranks with Place's score and ranksAbove, so Candidates[0].Host is the
+// host Place returns. Explain allocates freely: it runs once per recorded
+// decision on the provenance path, never on the placement hot path.
 func (pl *Pipeline) Explain(spec *VMSpec, views []*HostView, topN int) Explanation {
-	ex := Explanation{}
-	filters := make([]FilterReport, len(pl.Filters))
+	ex := Explanation{Filters: make([]FilterReport, len(pl.Filters))}
 	for i, f := range pl.Filters {
-		filters[i].Plugin = f.Name()
+		ex.Filters[i].Plugin = f.Name()
 	}
-	var feasible []*HostView
+	type ranked struct {
+		hv    *HostView
+		total float64
+	}
+	var feasible []ranked
 	for _, hv := range views {
 		admitted := true
 		for i, f := range pl.Filters {
 			if err := f.Filter(spec, hv); err != nil {
-				filters[i].Vetoes = append(filters[i].Vetoes, PluginVeto{hv.Name, err.Error()})
+				ex.Filters[i].Vetoes = append(ex.Filters[i].Vetoes, PluginVeto{hv.Name, err.Error()})
 				admitted = false
 				break
 			}
-			filters[i].Admitted++
+			ex.Filters[i].Admitted++
 		}
 		if admitted {
-			feasible = append(feasible, hv)
+			feasible = append(feasible, ranked{hv, pl.score(spec, hv)})
 		}
 	}
 	ex.Feasible = len(feasible)
-	for _, hv := range feasible {
-		cand := CandidateReport{Host: hv.Name, Index: hv.Index,
+	sort.Slice(feasible, func(i, j int) bool {
+		return ranksAbove(feasible[i].total, feasible[i].hv.Index, feasible[j].total, feasible[j].hv.Index)
+	})
+	if topN > 0 && len(feasible) > topN {
+		feasible = feasible[:topN]
+	}
+	for _, r := range feasible {
+		cand := CandidateReport{Host: r.hv.Name, Index: r.hv.Index, Total: r.total,
 			Scores: make([]ScoreReport, len(pl.Scorers))}
 		for i, ws := range pl.Scorers {
-			raw := ws.Plugin.Score(spec, hv)
+			raw := ws.Plugin.Score(spec, r.hv)
 			cand.Scores[i] = ScoreReport{Plugin: ws.Plugin.Name(), Weight: ws.Weight,
 				Raw: raw, Weighted: ws.Weight * raw}
-			cand.Total += ws.Weight * raw
 		}
 		ex.Candidates = append(ex.Candidates, cand)
 	}
-	sort.SliceStable(ex.Candidates, func(i, j int) bool {
-		if ex.Candidates[i].Total != ex.Candidates[j].Total {
-			return ex.Candidates[i].Total > ex.Candidates[j].Total
-		}
-		return ex.Candidates[i].Index < ex.Candidates[j].Index
-	})
-	if topN > 0 && len(ex.Candidates) > topN {
-		ex.Candidates = ex.Candidates[:topN]
-	}
-	ex.Filters = filters
 	return ex
 }
 

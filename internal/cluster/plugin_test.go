@@ -125,6 +125,19 @@ func TestPipelineTieBreak(t *testing.T) {
 	if hv.Index != 0 {
 		t.Fatalf("tie broke to host %d, want lowest index 0", hv.Index)
 	}
+	ex := pl.Explain(spec, views, 0)
+	if ex.Feasible != 3 || len(ex.Candidates) != 3 || ex.Candidates[0].Host != hv.Name {
+		t.Fatalf("Explain ranked %+v, want all three with Place's %s first", ex.Candidates, hv.Name)
+	}
+
+	// Every host vetoed: Place fails, and Explain finds nothing feasible.
+	big := &VMSpec{Name: "vm", MemoryMB: 64 * 1024, VCPUs: 1}
+	if _, _, err := pl.Place(big, views); !errors.Is(err, ErrNoHostFits) {
+		t.Fatalf("all-vetoed err = %v, want ErrNoHostFits", err)
+	}
+	if ex := pl.Explain(big, views, 0); ex.Feasible != 0 || len(ex.Candidates) != 0 {
+		t.Fatalf("all-vetoed Explain: %d feasible, %d candidates, want none", ex.Feasible, len(ex.Candidates))
+	}
 }
 
 func TestPipelineNoHostFits(t *testing.T) {
@@ -138,8 +151,13 @@ func TestPipelineNoHostFits(t *testing.T) {
 	if !errors.Is(err, ErrNoHostFits) {
 		t.Fatalf("err = %v, want ErrNoHostFits", err)
 	}
-	if !strings.Contains(err.Error(), "capacity") {
-		t.Fatalf("veto reason missing plugin name: %v", err)
+	// The diagnostic lives in Explain: the capacity filter's report
+	// names the vetoed host and why.
+	ex := pl.Explain(spec, views, 0)
+	fr := ex.Filters[0]
+	if fr.Plugin != "capacity" || len(fr.Vetoes) != 1 || fr.Vetoes[0].Host != "host0" ||
+		!strings.Contains(fr.Vetoes[0].Reason, "MB free") {
+		t.Fatalf("capacity filter report = %+v, want host0 vetoed for memory", fr)
 	}
 }
 
@@ -159,38 +177,6 @@ func TestNUMAFitScoreZeroMemory(t *testing.T) {
 	roomy := view(1, []int64{4096, 1024}, 24576, 0, 24)
 	if got := (NUMAFitScore{}).Score(spec, roomy); got != 100 {
 		t.Fatalf("zero-memory spec with full headroom scores %v, want 100", got)
-	}
-}
-
-// TestPipelineVetoCap checks the every-host-filtered error path at scale:
-// reasons come out sorted and capped at 8 with a "… and N more" tail.
-func TestPipelineVetoCap(t *testing.T) {
-	pl := &Pipeline{Name: "flat", Filters: []FilterPlugin{CapacityFilter{}}}
-	spec := &VMSpec{Name: "vm", MemoryMB: 64 * 1024, VCPUs: 2}
-	var views []*HostView
-	for i := 0; i < 12; i++ {
-		views = append(views, view(i, []int64{1024, 1024}, 24576, 0, 24))
-	}
-	_, _, err := pl.Place(spec, views)
-	if !errors.Is(err, ErrNoHostFits) {
-		t.Fatalf("err = %v, want ErrNoHostFits", err)
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "… and 4 more") {
-		t.Fatalf("12 vetoes not capped at 8: %v", msg)
-	}
-	if got := strings.Count(msg, "capacity:"); got != 8 {
-		t.Fatalf("%d rendered reasons, want 8: %v", got, msg)
-	}
-	// Sorted: host0 and host1 survive the cap, and in order.
-	if !strings.Contains(msg, "host0") || strings.Index(msg, "host0") > strings.Index(msg, "host1") {
-		t.Fatalf("capped reasons not sorted: %v", msg)
-	}
-
-	// At or under the cap no tail is rendered.
-	_, _, err = pl.Place(spec, views[:8])
-	if err == nil || strings.Contains(err.Error(), "more") {
-		t.Fatalf("8 vetoes should render uncapped: %v", err)
 	}
 }
 

@@ -20,15 +20,13 @@ package cluster
 // frees memory, a busy host cools down), so checking only the top entry's
 // generation would return stale winners.
 //
-// The heap order is (feasible first, score desc, host index asc) — the
-// exact total order the pre-refactor linear scan induced, so the heap max
-// is always the host that scan would have picked.
+// An entry holds Pipeline.score and the heap orders by feasibility, then
+// by ranksAbove: the ranking Pipeline.Place and Explain use, defined once
+// in plugin.go. So the heap max is always the host Place would pick, and
+// place returns the same bare ErrNoHostFits when none fits; the per-host
+// veto reasons come from Explain.
 
-import (
-	"container/heap"
-
-	"vprobe/internal/mem"
-)
+import "container/heap"
 
 type scoreCache struct {
 	c       *Cluster
@@ -85,11 +83,9 @@ func (sc *scoreCache) settle(host int) {
 }
 
 // place returns the winning view, memory plan, and error for one spec,
-// deciding exactly as Pipeline.Place over fresh views would. The failure
-// error is the bare ErrNoHostFits: the admission path only branches on
-// err != nil, and rendering per-host veto reasons would put an O(hosts)
-// string build on the hot path. Callers that want the diagnostic rerun
-// the generic pipeline (as -place-check does).
+// deciding exactly as Pipeline.Place over fresh views would, down to the
+// bare ErrNoHostFits when no host fits. Callers that want the per-host
+// veto reasons run Pipeline.Explain, as the span recorder does.
 //
 //vprobe:hotpath
 func (sc *scoreCache) place(spec *VMSpec) (*HostView, MemPlan, error) {
@@ -102,16 +98,11 @@ func (sc *scoreCache) place(spec *VMSpec) (*HostView, MemPlan, error) {
 		cs.dirty = cs.dirty[:0]
 	}
 	top := cs.order[0]
-	e := &cs.entries[top]
-	if !e.feasible {
+	if !cs.entries[top].feasible {
 		return nil, MemPlan{}, ErrNoHostFits
 	}
 	hv := sc.c.viewSlice[top]
-	plan := MemPlan{Policy: mem.PolicyStripe}
-	if sc.c.pipeline.MemPlan != nil {
-		plan = sc.c.pipeline.MemPlan(spec, hv)
-	}
-	return hv, plan, nil
+	return hv, sc.c.pipeline.memPlan(spec, hv), nil
 }
 
 // class finds or builds the cache for a spec's (memMB, vcpus) class. The
@@ -159,9 +150,7 @@ func (cs *classScores) compute(c *Cluster, h int) {
 	e.feasible = c.pipeline.fits(&cs.spec, hv)
 	e.score = 0
 	if e.feasible {
-		for _, ws := range c.pipeline.Scorers {
-			e.score += ws.Weight * ws.Plugin.Score(&cs.spec, hv)
-		}
+		e.score = c.pipeline.score(&cs.spec, hv)
 	}
 }
 
@@ -180,7 +169,7 @@ func (cs *classScores) rescore(c *Cluster, h int) {
 
 // Len, Less, Swap, Push, Pop implement heap.Interface over order. Less
 // ranks i before j when i's host must win: feasible beats infeasible,
-// then higher score, then lower host index — the linear scan's order.
+// then Pipeline.Place's order, ranksAbove.
 func (cs *classScores) Len() int { return len(cs.order) }
 
 func (cs *classScores) Less(i, j int) bool {
@@ -189,10 +178,7 @@ func (cs *classScores) Less(i, j int) bool {
 	if ea.feasible != eb.feasible {
 		return ea.feasible
 	}
-	if ea.score != eb.score {
-		return ea.score > eb.score
-	}
-	return a < b
+	return ranksAbove(ea.score, int(a), eb.score, int(b))
 }
 
 func (cs *classScores) Swap(i, j int) {

@@ -105,8 +105,8 @@ func (sp *clusterSpans) placeDecision(vm *VM, views []*HostView, chosen *HostVie
 	} else if len(ex.Candidates) > 0 {
 		sp.t.SetScore(ps, ex.Candidates[0].Total)
 		if ex.Candidates[0].Host != host {
-			// Should be impossible: Explain mirrors Place, and -place-check
-			// proves Place ≡ the incremental cache. Record loudly, not
+			// Should be impossible: Explain ranks as Place does, and
+			// -place-check proves Place ≡ the incremental cache. Record loudly, not
 			// silently, if the invariant ever breaks.
 			sp.t.Note(ps, fmt.Sprintf("MISMATCH: decision chose %s, explain computed %s",
 				host, ex.Candidates[0].Host))

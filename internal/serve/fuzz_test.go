@@ -29,23 +29,22 @@ func TestOversizedScenarioIs400(t *testing.T) {
 	}
 }
 
-// FuzzServePost POSTs arbitrary bodies to the two run front doors and
+// FuzzServePost POSTs arbitrary bodies to the three POST endpoints and
 // asserts no answer is a 500: a body the spec layer accepts must run (or
 // time out under the short RunTimeout, a 504), and anything else is the
-// client's fault. path picks the endpoint: even for /v1/simulations, odd
-// for /v1/clusters. The corpus holds the served specs, a cluster spec and
-// the bodies that once answered 500.
+// client's fault. path picks the endpoint: /v1/simulations, /v1/clusters
+// or /v1/capacity, by path mod 3. The corpus holds the served specs, a
+// cluster spec and the bodies that once answered 500.
 func FuzzServePost(f *testing.F) {
 	for _, body := range []string{servedScenarioJSON, scenarioJSON, oversizedVMJSON, oversizedSumJSON} {
 		f.Add(uint8(0), []byte(body))
 	}
 	f.Add(uint8(1), []byte(clusterJSON))
+	f.Add(uint8(2), []byte(clusterJSON))
 	s := New(Options{MaxConcurrent: 1, RunTimeout: 50 * time.Millisecond})
+	paths := []string{"/v1/simulations", "/v1/clusters", "/v1/capacity"}
 	f.Fuzz(func(t *testing.T, path uint8, body []byte) {
-		url := "/v1/simulations"
-		if path%2 == 1 {
-			url = "/v1/clusters"
-		}
+		url := paths[int(path)%len(paths)]
 		req := httptest.NewRequest(http.MethodPost, url, strings.NewReader(string(body)))
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, req)

@@ -5,30 +5,39 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"net/url"
+	"strconv"
 
 	"vprobe"
 	"vprobe/internal/spec"
 	"vprobe/internal/telemetry"
 )
 
-// decodeSpec reads and decodes a request body into dst, enforcing the
-// body cap and rejecting unknown fields so typos fail loudly instead of
-// silently running the default scenario.
-func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request, dst any) error {
+// decodeSpec reads, decodes and validates a request body into dst,
+// enforcing the body cap and rejecting unknown fields so typos fail
+// loudly instead of silently running the default scenario. A false
+// return means the 400 has been written.
+func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request, dst interface{ Validate() error }) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("%w: %v", spec.ErrInvalid, err) //vet:nowrap decode errors carry no sentinel worth chaining
+	err := dec.Decode(dst)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("%w: %v", spec.ErrInvalid, err) //vet:nowrap decode errors carry no sentinel worth chaining
+	case dec.More():
+		err = fmt.Errorf("%w: trailing data after spec", spec.ErrInvalid)
+	default:
+		err = dst.Validate()
 	}
-	if dec.More() {
-		return fmt.Errorf("%w: trailing data after spec", spec.ErrInvalid)
+	if err != nil {
+		writeError(w, err)
+		return false
 	}
-	return nil
+	return true
 }
 
 // handleSimulations accepts a ScenarioV1 and runs it. Synchronous by
@@ -37,59 +46,52 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request, dst any) err
 // immediately with the run ID for polling.
 func (s *Server) handleSimulations(w http.ResponseWriter, r *http.Request) {
 	var sp spec.ScenarioV1
-	if err := s.decodeSpec(w, r, &sp); err != nil {
-		writeError(w, err)
-		return
+	if s.decodeSpec(w, r, &sp) {
+		s.dispatch(w, r, "scenario", sp.Key(), s.scenarioBody(sp.Normalize()))
 	}
-	if err := sp.Validate(); err != nil {
-		writeError(w, err)
-		return
-	}
-	s.dispatch(w, r, "scenario", sp.Key(), s.scenarioBody(sp.Normalize()))
 }
 
 // handleClusters is handleSimulations for ClusterV1 specs.
 func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 	var sp spec.ClusterV1
-	if err := s.decodeSpec(w, r, &sp); err != nil {
-		writeError(w, err)
-		return
+	if s.decodeSpec(w, r, &sp) {
+		s.dispatch(w, r, "cluster", sp.Key(), s.clusterBody(sp.Normalize()))
 	}
-	if err := sp.Validate(); err != nil {
-		writeError(w, err)
-		return
-	}
-	s.dispatch(w, r, "cluster", sp.Key(), s.clusterBody(sp.Normalize()))
 }
 
-// dispatch answers a validated POST: from the cache when the canonical
-// key has already completed, otherwise by executing the body — inline for
-// sync requests, on a fresh goroutine rooted in the server's BaseContext
-// for ?async=1.
+// dispatch answers a validated POST with its run: the cached one when
+// the canonical key has already completed, else a fresh one — run inline
+// for sync requests, or queued for ?async=1 and answered 202.
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, kind, key string, body func(ctx context.Context, rn *Run) error) {
+	async := r.URL.Query().Get("async") == "1"
+	rn, cached := s.obtain(r.Context(), async, kind, key, body)
+	switch {
+	case cached:
+		rn.writeSnapshot(w, http.StatusOK, true)
+	case async:
+		rn.writeSnapshot(w, http.StatusAccepted, false)
+	default:
+		status, _ := rn.outcome()
+		rn.writeSnapshot(w, status, false)
+	}
+}
+
+// obtain returns the cached completed run for key, or creates its run and
+// executes body: inline under ctx, or, when async, on a fresh goroutine
+// rooted in the server's BaseContext. cached reports a cache hit.
+func (s *Server) obtain(ctx context.Context, async bool, kind, key string, body func(ctx context.Context, rn *Run) error) (rn *Run, cached bool) {
 	if rn, ok := s.runs.lookup(key); ok {
 		s.metrics.inc(s.metrics.cacheHit)
-		rn.writeSnapshot(w, http.StatusOK, true)
-		return
+		return rn, true
 	}
 	s.metrics.inc(s.metrics.cacheMiss)
-	rn := s.runs.create(kind, key)
-	if r.URL.Query().Get("async") == "1" {
+	rn = s.runs.create(kind, key)
+	if async {
 		go s.execute(s.opts.BaseContext, rn, body)
-		rn.writeSnapshot(w, http.StatusAccepted, false)
-		return
+	} else {
+		s.execute(ctx, rn, body)
 	}
-	s.execute(r.Context(), rn, body)
-	rn.mu.Lock()
-	status := http.StatusOK
-	if rn.state != StateDone {
-		status = rn.status
-		if status == 0 {
-			status = http.StatusInternalServerError
-		}
-	}
-	rn.mu.Unlock()
-	rn.writeSnapshot(w, status, false)
+	return rn, false
 }
 
 // runFromPath resolves the {id} wildcard; a nil return means the 404 has
@@ -98,13 +100,29 @@ func (s *Server) runFromPath(w http.ResponseWriter, r *http.Request) *Run {
 	id := r.PathValue("id")
 	rn, ok := s.runs.get(id)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]any{
-			"error":  fmt.Sprintf("serve: no run %q", id),
-			"status": http.StatusNotFound,
-		})
+		writeStatus(w, http.StatusNotFound, fmt.Sprintf("serve: no run %q", id))
 		return nil
 	}
 	return rn
+}
+
+// ready reports whether rn's artifacts can be served: the run is done
+// and, when spans are asked for, traced. Otherwise it writes the 409 or
+// 404 and reports false. A done run's artifacts never change, so the
+// caller reads them after ready without the lock.
+func ready(w http.ResponseWriter, rn *Run, spans bool) bool {
+	rn.mu.Lock()
+	state, traced := rn.state, rn.traced
+	rn.mu.Unlock()
+	switch {
+	case state != StateDone:
+		writeStatus(w, http.StatusConflict, fmt.Sprintf("serve: run %s is %s, artifacts exist once done", rn.ID, state))
+	case spans && !traced:
+		writeStatus(w, http.StatusNotFound, fmt.Sprintf("serve: run %s recorded no spans; POST the spec with \"trace\": true", rn.ID))
+	default:
+		return true
+	}
+	return false
 }
 
 // handleRunGet reports a run's state and, once done, its result.
@@ -123,10 +141,7 @@ func (s *Server) handleRunCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !rn.requestCancel() {
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error":  fmt.Sprintf("serve: run %s already finished", rn.ID),
-			"status": http.StatusConflict,
-		})
+		writeStatus(w, http.StatusConflict, fmt.Sprintf("serve: run %s already finished", rn.ID))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"id": rn.ID, "cancelling": true})
@@ -204,26 +219,12 @@ func (s *Server) handleRunSpans(w http.ResponseWriter, r *http.Request) {
 			spec.ErrInvalid, r.URL.Query().Get("format")))
 		return
 	}
-	rn.mu.Lock()
-	state, traced, body := rn.state, rn.traced, pick(rn)
-	rn.mu.Unlock()
-	if state != StateDone {
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error":  fmt.Sprintf("serve: run %s is %s, artifacts exist once done", rn.ID, state),
-			"status": http.StatusConflict,
-		})
-		return
-	}
-	if !traced {
-		writeJSON(w, http.StatusNotFound, map[string]any{
-			"error":  fmt.Sprintf("serve: run %s recorded no spans; POST the spec with \"trace\": true", rn.ID),
-			"status": http.StatusNotFound,
-		})
+	if !ready(w, rn, true) {
 		return
 	}
 	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	_, _ = w.Write(pick(rn))
 }
 
 // handleRunExplain answers placement provenance queries over a traced
@@ -236,24 +237,10 @@ func (s *Server) handleRunExplain(w http.ResponseWriter, r *http.Request) {
 	if rn == nil {
 		return
 	}
-	rn.mu.Lock()
-	state, traced, body := rn.state, rn.traced, rn.spans
-	rn.mu.Unlock()
-	if state != StateDone {
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error":  fmt.Sprintf("serve: run %s is %s, artifacts exist once done", rn.ID, state),
-			"status": http.StatusConflict,
-		})
+	if !ready(w, rn, true) {
 		return
 	}
-	if !traced {
-		writeJSON(w, http.StatusNotFound, map[string]any{
-			"error":  fmt.Sprintf("serve: run %s recorded no spans; POST the spec with \"trace\": true", rn.ID),
-			"status": http.StatusNotFound,
-		})
-		return
-	}
-	spans, err := telemetry.ReadSpans(bytes.NewReader(body))
+	spans, err := telemetry.ReadSpans(bytes.NewReader(rn.spans))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -278,10 +265,7 @@ func (s *Server) handleRunExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		writeJSON(w, http.StatusNotFound, map[string]any{
-			"error":  err.Error(),
-			"status": http.StatusNotFound,
-		})
+		writeStatus(w, http.StatusNotFound, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -311,34 +295,35 @@ func (s *Server) serveTelemetry(w http.ResponseWriter, r *http.Request, contentT
 	if rn == nil {
 		return
 	}
-	rn.mu.Lock()
-	state, tele := rn.state, rn.tele
-	rn.mu.Unlock()
-	if state != StateDone {
-		writeJSON(w, http.StatusConflict, map[string]any{
-			"error":  fmt.Sprintf("serve: run %s is %s, artifacts exist once done", rn.ID, state),
-			"status": http.StatusConflict,
-		})
+	if !ready(w, rn, false) {
 		return
 	}
 	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(http.StatusOK)
-	_ = render(tele, w) // a failed write means the client left; nothing to do
+	_ = render(rn.tele, w) // a failed write means the client left; nothing to do
 }
 
 // handleCapacity answers the planning question "can this fleet absorb a
-// demand spike?" by running the described cluster twice — at the baseline
+// demand spike?" by running the ClusterV1 in the body twice — at its
 // arrival rate and at rate*factor — and comparing rejection rates against
-// the allowed ceiling. Both runs flow through the result cache, so
-// repeated what-ifs over the same fleet are free.
+// the allowed ceiling, max_rejection. Both runs flow through the result
+// cache, so repeated what-ifs over the same fleet are free.
 func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
-	base, factor, maxRejection, err := capacityQuery(r)
+	q := r.URL.Query()
+	factor, err := queryFloat(q, "factor", 1.2, "positive and finite",
+		func(f float64) bool { return f > 0 && !math.IsInf(f, 0) })
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	if err := base.Validate(); err != nil {
+	maxRejection, err := queryFloat(q, "max_rejection", 0.05, "in [0, 1]",
+		func(f float64) bool { return f >= 0 && f <= 1 })
+	if err != nil {
 		writeError(w, err)
+		return
+	}
+	var base spec.ClusterV1
+	if !s.decodeSpec(w, r, &base) {
 		return
 	}
 	// Scale the concrete rate: an omitted rate is the default, not zero.
@@ -357,23 +342,13 @@ func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
 		RejectionRate float64 `json:"rejection_rate"`
 		Utilization   float64 `json:"utilization"`
 	}
-	runLeg := func(sp spec.ClusterV1) (leg, error) {
-		l := leg{Rate: sp.ArrivalsPerSecond}
-		rn, ok := s.runs.lookup(sp.Key())
-		if ok {
-			s.metrics.inc(s.metrics.cacheHit)
-			l.Cached = true
-		} else {
-			s.metrics.inc(s.metrics.cacheMiss)
-			rn = s.runs.create("cluster", sp.Key())
-			s.execute(r.Context(), rn, s.clusterBody(sp.Normalize()))
-		}
-		rn.mu.Lock()
-		state, runErr, body := rn.state, rn.err, rn.body
-		rn.mu.Unlock()
-		l.RunID = rn.ID
-		if state != StateDone {
-			return l, fmt.Errorf("serve: capacity leg %s: %s", rn.ID, runErr)
+	// runLeg runs one leg; a false return means its failure is written.
+	runLeg := func(sp spec.ClusterV1) (leg, bool) {
+		rn, cached := s.obtain(r.Context(), false, "cluster", sp.Key(), s.clusterBody(sp.Normalize()))
+		l := leg{Rate: sp.ArrivalsPerSecond, RunID: rn.ID, Cached: cached}
+		if status, runErr := rn.outcome(); status != http.StatusOK {
+			writeStatus(w, status, fmt.Sprintf("serve: capacity leg %s: %s", rn.ID, runErr))
+			return l, false
 		}
 		var done struct {
 			Summary *struct {
@@ -381,21 +356,20 @@ func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
 				Utilization   float64 `json:"utilization"`
 			} `json:"summary"`
 		}
-		if err := json.Unmarshal(body, &done); err != nil || done.Summary == nil {
-			return l, fmt.Errorf("serve: capacity leg %s has no cluster summary", rn.ID)
+		if err := json.Unmarshal(rn.body, &done); err != nil || done.Summary == nil {
+			writeStatus(w, http.StatusInternalServerError, fmt.Sprintf("serve: capacity leg %s has no cluster summary", rn.ID))
+			return l, false
 		}
 		l.RejectionRate, l.Utilization = done.Summary.RejectionRate, done.Summary.Utilization
-		return l, nil
+		return l, true
 	}
 
-	baseLeg, err := runLeg(base)
-	if err != nil {
-		writeError(w, err)
+	baseLeg, ok := runLeg(base)
+	if !ok {
 		return
 	}
-	scaledLeg, err := runLeg(scaled)
-	if err != nil {
-		writeError(w, err)
+	scaledLeg, ok := runLeg(scaled)
+	if !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -407,39 +381,18 @@ func (s *Server) handleCapacity(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// capacityQuery builds the baseline ClusterV1 from query parameters. A
-// flag set parses them, one flag per parameter, so each value parses as
-// it would on a command line; other parameters are ignored.
-func capacityQuery(r *http.Request) (base spec.ClusterV1, factor, maxRejection float64, err error) {
-	fs := flag.NewFlagSet("capacity", flag.ContinueOnError)
-	fs.StringVar(&base.Topology, "topology", "", "")
-	fs.StringVar(&base.Scheduler, "sched", "", "")
-	fs.StringVar(&base.Policy, "policy", "", "")
-	fs.StringVar(&base.Mix, "mix", "", "")
-	fs.Float64Var(&base.ArrivalsPerSecond, "rate", 0, "")
-	fs.IntVar(&base.Hosts, "hosts", 0, "")
-	fs.IntVar(&base.Workers, "workers", 0, "")
-	fs.Uint64Var(&base.Seed, "seed", 0, "")
-	fs.Var(&base.MeanLifetime, "lifetime", "")
-	fs.Var(&base.Horizon, "horizon", "")
-	fs.Float64Var(&factor, "factor", 1.2, "")
-	fs.Float64Var(&maxRejection, "max_rejection", 0.05, "")
-	q := r.URL.Query()
-	fs.VisitAll(func(f *flag.Flag) {
-		if v := q.Get(f.Name); v != "" && err == nil {
-			if perr := f.Value.Set(v); perr != nil {
-				err = fmt.Errorf("%w: query %s=%q: %v", spec.ErrInvalid, f.Name, v, perr) //vet:nowrap parse errors carry no sentinel worth chaining
-			}
+// queryFloat parses the query parameter name as a float, def when it is
+// absent, and rejects a value ok refuses as not being want.
+func queryFloat(q url.Values, name string, def float64, want string, ok func(float64) bool) (float64, error) {
+	f := def
+	if v := q.Get(name); v != "" {
+		var err error
+		if f, err = strconv.ParseFloat(v, 64); err != nil {
+			return 0, fmt.Errorf("%w: query %s=%q: %v", spec.ErrInvalid, name, v, err) //vet:nowrap parse errors carry no sentinel worth chaining
 		}
-	})
-	if err != nil {
-		return base, factor, maxRejection, err
 	}
-	if !(factor > 0) || math.IsInf(factor, 0) {
-		return base, factor, maxRejection, fmt.Errorf("%w: factor %v must be positive and finite", spec.ErrInvalid, factor)
+	if !ok(f) {
+		return 0, fmt.Errorf("%w: %s %v must be %s", spec.ErrInvalid, name, f, want)
 	}
-	if !(maxRejection >= 0 && maxRejection <= 1) {
-		return base, factor, maxRejection, fmt.Errorf("%w: max_rejection %v must be in [0, 1]", spec.ErrInvalid, maxRejection)
-	}
-	return base, factor, maxRejection, nil
+	return f, nil
 }

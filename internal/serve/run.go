@@ -53,6 +53,9 @@ type Run struct {
 	status int // HTTP status of the failure, when state == StateFailed
 	cancel context.CancelFunc
 
+	// The artifacts below are set before the run enters StateDone and
+	// never change after, so a reader that saw StateDone under mu reads
+	// them without it.
 	body []byte // JSON view of the done run, rendered at completion
 	// tele is the run's sealed telemetry, set at completion; the
 	// telemetry and metrics endpoints render it when they are read.
@@ -110,6 +113,21 @@ func (rn *Run) writeSnapshot(w http.ResponseWriter, status int, cached bool) {
 		body = body[1:]
 	}
 	_, _ = w.Write(body) // a failed write means the client left; nothing to do
+}
+
+// outcome is the HTTP status a finished synchronous run answers with,
+// and its error: 200 when done, else the failure's status (500 when it
+// has none).
+func (rn *Run) outcome() (int, string) {
+	rn.mu.Lock()
+	defer rn.mu.Unlock()
+	switch {
+	case rn.state == StateDone:
+		return http.StatusOK, ""
+	case rn.status == 0:
+		return http.StatusInternalServerError, rn.err
+	}
+	return rn.status, rn.err
 }
 
 // setRunning publishes the transition out of the queue.

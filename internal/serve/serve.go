@@ -27,7 +27,7 @@
 //	GET  /v1/runs/{id}/telemetry  JSONL metric time series of the run
 //	GET  /v1/runs/{id}/metrics    Prometheus text exposition of the run
 //	DELETE /v1/runs/{id}          cancel a live run
-//	GET  /v1/capacity             what-if: can the fleet absorb +N% arrivals?
+//	POST /v1/capacity             what-if: can a ClusterV1 fleet absorb +N% arrivals?
 //	GET  /healthz                 liveness
 //	GET  /metrics                 server metrics, Prometheus text
 //
@@ -107,7 +107,7 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("GET /v1/runs/{id}/explain", s.instrument("explain", s.handleRunExplain))
 	s.mux.HandleFunc("GET /v1/runs/{id}/telemetry", s.instrument("telemetry", s.handleRunTelemetry))
 	s.mux.HandleFunc("GET /v1/runs/{id}/metrics", s.instrument("telemetry", s.handleRunMetrics))
-	s.mux.HandleFunc("GET /v1/capacity", s.instrument("capacity", s.handleCapacity))
+	s.mux.HandleFunc("POST /v1/capacity", s.instrument("capacity", s.handleCapacity))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s
@@ -155,13 +155,14 @@ func encodeJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
+// writeStatus writes the one error shape every failure answers with.
+func writeStatus(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, map[string]any{"error": msg, "status": status})
+}
+
 // writeError renders err with the status the table in status.go assigns.
 func writeError(w http.ResponseWriter, err error) {
-	status := statusFor(err)
-	writeJSON(w, status, map[string]any{
-		"error":  err.Error(),
-		"status": status,
-	})
+	writeStatus(w, statusFor(err), err.Error())
 }
 
 // serverMetrics is the daemon's own instrumentation: a telemetry.Registry

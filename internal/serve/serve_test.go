@@ -621,10 +621,27 @@ func TestEventsFollowLiveRun(t *testing.T) {
 	}
 }
 
+// postCapacity POSTs a ClusterV1 body to the what-if endpoint with the
+// given query.
+func postCapacity(t *testing.T, base, query, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/capacity?"+query, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, b
+}
+
 // TestCapacity runs the what-if endpoint on a small fleet.
 func TestCapacity(t *testing.T) {
 	_, ts := testServer(t, Options{})
-	st, b := getBody(t, ts.URL+"/v1/capacity?hosts=2&horizon=30s&rate=0.1&factor=2&workers=1")
+	const fleet = `{"hosts": 2, "horizon": "30s", "arrivals_per_second": 0.1, "workers": 1}`
+	st, b := postCapacity(t, ts.URL, "factor=2", fleet)
 	if st != http.StatusOK {
 		t.Fatalf("capacity status = %d: %s", st, b)
 	}
@@ -652,7 +669,7 @@ func TestCapacity(t *testing.T) {
 	}
 
 	// A repeat of the same question must be answered entirely from cache.
-	st, b2 := getBody(t, ts.URL+"/v1/capacity?hosts=2&horizon=30s&rate=0.1&factor=2&workers=1")
+	st, b2 := postCapacity(t, ts.URL, "factor=2", fleet)
 	if st != http.StatusOK {
 		t.Fatalf("repeat capacity status = %d", st)
 	}
@@ -661,7 +678,7 @@ func TestCapacity(t *testing.T) {
 	}
 
 	// An omitted rate is the default rate, and the scaled leg scales it.
-	st, b3 := getBody(t, ts.URL+"/v1/capacity?hosts=2&horizon=30s&factor=2&workers=1")
+	st, b3 := postCapacity(t, ts.URL, "factor=2", `{"hosts": 2, "horizon": "30s", "workers": 1}`)
 	if st != http.StatusOK {
 		t.Fatalf("default-rate capacity status = %d: %s", st, b3)
 	}
@@ -672,14 +689,19 @@ func TestCapacity(t *testing.T) {
 		t.Fatalf("default-rate capacity legs ran at %v and %v, want 0.35 and 0.7", v.Baseline.Rate, v.Scaled.Rate)
 	}
 
-	// Bad knobs are 400s, the scaled leg's included: neither leg runs.
-	for _, q := range []string{"factor=0", "rate=lots", "horizon=later", "hosts=two",
-		"factor=-1", "factor=Inf", "factor=NaN", "rate=NaN", "rate=Inf", "rate=1e308",
-		"max_rejection=NaN", "max_rejection=2", "hosts=100000000",
-		"hosts=2&horizon=30s&rate=1000&factor=1e6"} {
-		st, _ := getBody(t, ts.URL+"/v1/capacity?"+q)
-		if st != http.StatusBadRequest {
-			t.Errorf("capacity?%s = %d, want 400", q, st)
+	// Bad knobs and bad bodies are 400s, the scaled leg's included:
+	// neither leg runs.
+	for _, c := range []struct{ query, body string }{
+		{"factor=0", fleet}, {"factor=lots", fleet}, {"factor=-1", fleet},
+		{"factor=Inf", fleet}, {"factor=NaN", fleet},
+		{"max_rejection=NaN", fleet}, {"max_rejection=2", fleet},
+		{"", ""}, {"", `{"rate": 0.1}`}, {"", `{"arrivals_per_second": "lots"}`},
+		{"", `{"arrivals_per_second": NaN}`}, {"", `{"arrivals_per_second": 1e308}`},
+		{"", `{"horizon": "later"}`}, {"", `{"hosts": "two"}`}, {"", `{"hosts": 100000000}`},
+		{"factor=1e6", `{"hosts": 2, "horizon": "30s", "arrivals_per_second": 1000}`},
+	} {
+		if st, b := postCapacity(t, ts.URL, c.query, c.body); st != http.StatusBadRequest {
+			t.Errorf("capacity?%s %s = %d, want 400: %s", c.query, c.body, st, b)
 		}
 	}
 }
