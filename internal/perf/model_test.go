@@ -343,3 +343,61 @@ func TestOutcomeInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUncappedQuantumUsesItAll is the property ExecuteInto's uncapped
+// path rests on: when MaxInstructions does not cap the work, the used
+// time is the whole quantum, and equals what rounding the quantum's
+// cycles up to microseconds and capping at the quantum gives. Random
+// requests cover overhead below, at and above the quantum's cycles, cold
+// lines, burst quanta of a few hundred microseconds, remote pages, and a
+// MaxInstructions that is set but does not bind, on a system whose
+// contention multipliers have moved off 1.
+func TestUncappedQuantumUsesItAll(t *testing.T) {
+	s := testSystem()
+	apps := append(workload.Fig3Apps(), workload.Soplex(), workload.Hungry(),
+		workload.GuestIdle(), workload.Memcached(32), workload.Redis(50))
+	r := sim.NewRNG(40)
+	for epoch := 1; epoch <= 20; epoch++ {
+		o := s.Execute(baseRequest(workload.Libquantum()))
+		for range 200 {
+			s.Record(&o, numa.NodeID(r.Intn(2)))
+		}
+		s.EndEpoch(sim.Time(epoch) * sim.Time(30*sim.Millisecond))
+		for range 500 {
+			app := apps[r.Intn(len(apps))]
+			req := baseRequest(app)
+			req.Phase = app.PhaseAt(r.Float64() * app.TotalInstructions)
+			req.Quantum = sim.Duration(1 + r.Intn(int(30*sim.Millisecond)))
+			if r.Intn(2) == 0 {
+				req.Quantum = sim.Duration(1 + r.Intn(1000)) // burst quanta
+			}
+			req.RunNode = numa.NodeID(r.Intn(2))
+			local := r.Float64()
+			req.PageDist = mem.Dist{local, 1 - local}
+			req.CoRunnerRPTI = r.Float64() * 80
+			if r.Intn(2) == 0 {
+				req.ColdLines = r.Float64() * 2e5
+			}
+			quantumCycles := float64(req.Quantum.Micros()) * s.Topology().CyclesPerMicrosecond()
+			switch r.Intn(4) {
+			case 0:
+				req.OverheadCycles = r.Float64() * quantumCycles
+			case 1:
+				req.OverheadCycles = quantumCycles
+			case 2:
+				req.OverheadCycles = (1 + r.Float64()) * quantumCycles
+			}
+			out := s.Execute(req)
+			if r.Intn(2) == 0 {
+				// A cap at or above the work retired does not bind.
+				req.MaxInstructions = out.Instructions * (1 + r.Float64())
+				out = s.Execute(req)
+			}
+			rounded := min(sim.Duration(math.Ceil(out.Cycles/s.Topology().CyclesPerMicrosecond())), req.Quantum)
+			if out.Used != req.Quantum || rounded != req.Quantum {
+				t.Fatalf("%s, quantum %v, overhead %.6g cycles, cold %.6g: used %v, rounded cycles %v; want the quantum",
+					app.Name, req.Quantum, req.OverheadCycles, req.ColdLines, out.Used, rounded)
+			}
+		}
+	}
+}

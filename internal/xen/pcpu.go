@@ -60,7 +60,11 @@ func (p *PCPU) Enqueue(v *VCPU) {
 		}
 	}
 	p.queue = append(p.queue, nil) //vet:alloc queue grows to resident VCPU count during warmup, then slots are reused
-	copy(p.queue[pos+1:], p.queue[pos:])
+	// Shift with a loop, not copy: run queues hold a few VCPUs, and copy
+	// of a pointer slice goes through the runtime's typedslicecopy.
+	for i := len(p.queue) - 1; i > pos; i-- {
+		p.queue[i] = p.queue[i-1]
+	}
 	p.queue[pos] = v
 	p.Workload++
 }
@@ -79,11 +83,21 @@ func (p *PCPU) Dequeue() *VCPU {
 		return nil
 	}
 	v := p.queue[0]
-	copy(p.queue, p.queue[1:])
-	p.queue[len(p.queue)-1] = nil
-	p.queue = p.queue[:len(p.queue)-1]
-	p.Workload--
+	p.shiftOut(0)
 	return v
+}
+
+// shiftOut removes the queue entry at i, shifting the rest down with a
+// loop (see Enqueue).
+func (p *PCPU) shiftOut(i int) {
+	q := p.queue
+	n := len(q) - 1
+	for ; i < n; i++ {
+		q[i] = q[i+1]
+	}
+	q[n] = nil
+	p.queue = q[:n]
+	p.Workload--
 }
 
 // Remove extracts a specific VCPU from the queue; it returns false if the
@@ -91,10 +105,7 @@ func (p *PCPU) Dequeue() *VCPU {
 func (p *PCPU) Remove(v *VCPU) bool {
 	for i, q := range p.queue {
 		if q == v {
-			copy(p.queue[i:], p.queue[i+1:])
-			p.queue[len(p.queue)-1] = nil
-			p.queue = p.queue[:len(p.queue)-1]
-			p.Workload--
+			p.shiftOut(i)
 			return true
 		}
 	}
