@@ -22,7 +22,10 @@ type DynamicBounds struct {
 	Floor float64
 
 	samples []float64
-	bounds  Bounds
+	// active is Observe's reusable buffer of the samples at or above
+	// Floor.
+	active []float64
+	bounds Bounds
 }
 
 // NewDynamicBounds returns an adaptor seeded with the paper's static
@@ -47,15 +50,17 @@ func (d *DynamicBounds) Observe(pressures []float64) {
 		d.samples = append(d.samples, p) //vet:alloc ring grows to Window once, then slides in place
 	}
 	if d.Window > 0 && len(d.samples) > d.Window {
-		d.samples = d.samples[len(d.samples)-d.Window:]
+		// Slide the window down in place, so the buffer stops growing.
+		n := copy(d.samples, d.samples[len(d.samples)-d.Window:])
+		d.samples = d.samples[:n]
 	}
-	//vet:alloc bounds adaptation runs once per sampling period (1s simulated), not per quantum
-	active := make([]float64, 0, len(d.samples))
+	active := d.active[:0]
 	for _, p := range d.samples {
 		if p >= d.Floor {
-			active = append(active, p) //vet:alloc capacity pre-sized to len(samples) above
+			active = append(active, p) //vet:alloc d.active is reused; grows to Window during warmup
 		}
 	}
+	d.active = active
 	if len(active) < 8 {
 		return
 	}

@@ -28,23 +28,55 @@ type Assignment struct {
 //
 // VCPUs with no affinity signal (numa.NoNode) are grouped under node 0;
 // for a memory-intensive VCPU this only happens in degenerate windows.
+func Partition(stats []Stat, numNodes int) []Assignment {
+	var s PartitionScratch
+	return s.Partition(stats, numNodes)
+}
+
+// PartitionScratch holds Partition's working buffers so the caller of
+// the once-per-period pass can reuse them across calls. The zero value is
+// ready to use; a scratch must not be shared by concurrent callers.
+type PartitionScratch struct {
+	// groups[c][p] is groupOfVc(c, p): the VCPUs of category c (0 =
+	// LLC-T, 1 = LLC-FI, the assignment priority order) with affinity p,
+	// in input order. head[c][p] indexes the first one not yet assigned.
+	groups [2][][]int
+	head   [2][]int
+	// load is reassigned_load per node.
+	load []int
+	out  []Assignment
+}
+
+// Partition is the allocation-free form of the package-level Partition,
+// reusing the scratch's buffers once they have grown to the node and
+// VCPU counts. The returned assignments are the scratch's own, valid
+// until its next call.
 //
 //vprobe:hotpath
-func Partition(stats []Stat, numNodes int) []Assignment {
+func (s *PartitionScratch) Partition(stats []Stat, numNodes int) []Assignment {
 	if numNodes <= 0 {
 		return nil
 	}
-
-	// groupOfVc(c, p): unassigned VCPUs of category c with affinity p.
-	// Index 0 = LLC-T, 1 = LLC-FI (assignment priority order).
-	groups := [2][]([]int){}
-	for i := range groups {
-		//vet:alloc Algorithm 1 runs once per sampling period (1s simulated); trimming its 23 allocs/op is a tracked ROADMAP item
-		groups[i] = make([][]int, numNodes)
+	for cat := range s.groups {
+		if len(s.groups[cat]) < numNodes {
+			s.groups[cat] = make([][]int, numNodes) //vet:alloc warmup growth to the node count, then reused
+			s.head[cat] = make([]int, numNodes)     //vet:alloc warmup growth to the node count, then reused
+		}
+		for n := range s.groups[cat] {
+			s.groups[cat][n] = s.groups[cat][n][:0]
+			s.head[cat][n] = 0
+		}
 	}
-	for _, s := range stats {
+	if len(s.load) < numNodes {
+		s.load = make([]int, numNodes) //vet:alloc warmup growth to the node count, then reused
+	}
+	load := s.load[:numNodes]
+	clear(load)
+
+	remaining := 0
+	for _, st := range stats {
 		var cat int
-		switch s.Type {
+		switch st.Type {
 		case TypeT:
 			cat = 0
 		case TypeFI:
@@ -52,73 +84,75 @@ func Partition(stats []Stat, numNodes int) []Assignment {
 		default:
 			continue // LLC-FR: default strategy
 		}
-		aff := int(s.Affinity)
+		aff := int(st.Affinity)
 		if aff < 0 || aff >= numNodes {
 			aff = 0
 		}
-		groups[cat][aff] = append(groups[cat][aff], s.VCPU) //vet:alloc per-period grouping pass, see make above
+		//vet:alloc each group's buffer grows to its peak VCPU count during warmup, then is reused
+		s.groups[cat][aff] = append(s.groups[cat][aff], st.VCPU)
+		remaining++
 	}
 
-	remaining := 0
-	for cat := range groups {
-		for _, g := range groups[cat] {
-			remaining += len(g)
-		}
-	}
-
-	load := make([]int, numNodes) //vet:alloc per-period scratch, see the grouping pass above
-	//vet:alloc the returned assignment slice is the function's product; callers own it across the period
-	out := make([]Assignment, 0, remaining)
-
-	// getMinNode: smallest reassigned_load, ties toward lowest id.
-	minNode := func() int { //vet:alloc per-period helper; one closure header per Partition call
-		best := 0
-		for i := 1; i < numNodes; i++ {
-			if load[i] < load[best] {
-				best = i
-			}
-		}
-		return best
-	}
-	// Largest group of a category, ties toward lowest node id.
-	maxGroup := func(cat int) int { //vet:alloc per-period helper; one closure header per Partition call
-		best := -1
-		for i := 0; i < numNodes; i++ {
-			if len(groups[cat][i]) == 0 {
-				continue
-			}
-			if best == -1 || len(groups[cat][i]) > len(groups[cat][best]) {
-				best = i
-			}
-		}
-		return best
-	}
-	catEmpty := func(cat int) bool { //vet:alloc per-period helper; one closure header per Partition call
-		for _, g := range groups[cat] {
-			if len(g) > 0 {
-				return false
-			}
-		}
-		return true
-	}
-
-	for remaining > 0 {
-		node := minNode()
+	out := s.out[:0]
+	for ; remaining > 0; remaining-- {
+		node := minNode(load)
 		cat := 0 // prefer LLC-T
-		if catEmpty(0) {
+		if s.catEmpty(0, numNodes) {
 			cat = 1
 		}
 		src := node
-		if len(groups[cat][node]) == 0 {
-			src = maxGroup(cat)
+		if s.left(cat, node) == 0 {
+			src = s.maxGroup(cat, numNodes)
 		}
-		vc := groups[cat][src][0]
-		groups[cat][src] = groups[cat][src][1:]
-		out = append(out, Assignment{VCPU: vc, Node: numa.NodeID(node)}) //vet:alloc capacity pre-sized to remaining above
+		vc := s.groups[cat][src][s.head[cat][src]]
+		s.head[cat][src]++
+		out = append(out, Assignment{VCPU: vc, Node: numa.NodeID(node)}) //vet:alloc grows to the memory-intensive VCPU count during warmup, then is reused
 		load[node]++
-		remaining--
 	}
+	s.out = out
 	return out
+}
+
+// left counts the unassigned VCPUs of group (cat, node).
+func (s *PartitionScratch) left(cat, node int) int {
+	return len(s.groups[cat][node]) - s.head[cat][node]
+}
+
+// maxGroup returns the node of category cat's largest unassigned group,
+// ties toward the lowest node id, or -1 when the category is empty.
+func (s *PartitionScratch) maxGroup(cat, numNodes int) int {
+	best := -1
+	for i := 0; i < numNodes; i++ {
+		if s.left(cat, i) == 0 {
+			continue
+		}
+		if best == -1 || s.left(cat, i) > s.left(cat, best) {
+			best = i
+		}
+	}
+	return best
+}
+
+// catEmpty reports whether every group of category cat is assigned.
+func (s *PartitionScratch) catEmpty(cat, numNodes int) bool {
+	for i := 0; i < numNodes; i++ {
+		if s.left(cat, i) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// minNode is getMinNode: the node with the smallest reassigned load,
+// ties toward the lowest id.
+func minNode(load []int) int {
+	best := 0
+	for i := 1; i < len(load); i++ {
+		if load[i] < load[best] {
+			best = i
+		}
+	}
+	return best
 }
 
 // NodeLoads tallies how many assignments landed on each node.

@@ -259,3 +259,95 @@ func TestNodeLoadsIgnoresOutOfRange(t *testing.T) {
 		t.Fatalf("loads = %v", loads)
 	}
 }
+
+// TestPartitionScratchMatchesReference runs one reused PartitionScratch
+// over random inputs, node counts changing between calls, and requires
+// each call to return exactly what referencePartition, the algorithm
+// written with fresh per-call buffers, returns. Once grown, the scratch
+// must partition without allocating.
+func TestPartitionScratchMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	var s PartitionScratch
+	for trial := 0; trial < 2000; trial++ {
+		numNodes := rng.Intn(4) + 1
+		stats := make([]Stat, rng.Intn(30))
+		for i := range stats {
+			stats[i] = Stat{
+				VCPU:     i,
+				Type:     VCPUType(rng.Intn(3)),
+				Affinity: numa.NodeID(rng.Intn(numNodes+2) - 1), // NoNode and out-of-range too
+			}
+		}
+		got := s.Partition(stats, numNodes)
+		want := referencePartition(stats, numNodes)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d assignments, reference %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: assignment %d is %v, reference %v", trial, i, got[i], want[i])
+			}
+		}
+	}
+	stats := make([]Stat, 24)
+	for i := range stats {
+		stats[i] = Stat{VCPU: i, Type: TypeFI + VCPUType(i%2), Affinity: numa.NodeID(i % 4)}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { s.Partition(stats, 4) }); allocs != 0 {
+		t.Fatalf("a grown scratch allocates %.1f times per Partition, want 0", allocs)
+	}
+}
+
+// referencePartition is Algorithm 1 as first written: groups popped from
+// the front of freshly built slices and helper closures over them.
+func referencePartition(stats []Stat, numNodes int) []Assignment {
+	groups := [2][][]int{make([][]int, numNodes), make([][]int, numNodes)}
+	remaining := 0
+	for _, s := range stats {
+		cat := 0
+		switch s.Type {
+		case TypeT:
+		case TypeFI:
+			cat = 1
+		default:
+			continue
+		}
+		aff := int(s.Affinity)
+		if aff < 0 || aff >= numNodes {
+			aff = 0
+		}
+		groups[cat][aff] = append(groups[cat][aff], s.VCPU)
+		remaining++
+	}
+	load := make([]int, numNodes)
+	var out []Assignment
+	for ; remaining > 0; remaining-- {
+		node := 0
+		for i := 1; i < numNodes; i++ {
+			if load[i] < load[node] {
+				node = i
+			}
+		}
+		cat := 0
+		empty := true
+		for _, g := range groups[0] {
+			empty = empty && len(g) == 0
+		}
+		if empty {
+			cat = 1
+		}
+		src := node
+		if len(groups[cat][node]) == 0 {
+			src = -1
+			for i := 0; i < numNodes; i++ {
+				if len(groups[cat][i]) > 0 && (src == -1 || len(groups[cat][i]) > len(groups[cat][src])) {
+					src = i
+				}
+			}
+		}
+		out = append(out, Assignment{VCPU: groups[cat][src][0], Node: numa.NodeID(node)})
+		groups[cat][src] = groups[cat][src][1:]
+		load[node]++
+	}
+	return out
+}

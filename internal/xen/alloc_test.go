@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vprobe"
+	"vprobe/internal/core"
 	"vprobe/internal/mem"
 	"vprobe/internal/numa"
 	"vprobe/internal/sched"
@@ -175,5 +176,58 @@ func TestIdleKickSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if idle == 0 {
 		t.Fatal("no PCPU was ever idle; the idle-kick result is vacuous")
+	}
+}
+
+// TestPeriodSteadyStateZeroAlloc pins vProbe's 1 Hz period pass at zero
+// allocations once its buffers have grown: PMU sampling of every VCPU
+// (the samplers' delta and window buffers), the dynamic bounds' pressure
+// vector and window, Algorithm 1 on its scratch, and the partition's
+// application with its reused mark slice. Twelve endless memory-intensive
+// VCPUs on eight PCPUs keep Algorithm 1 assigning every period; each
+// measured run simulates one second, so it holds one period pass and the
+// quantum loop around it. The warm-up fills the dynamic bounds' sample
+// window (256 samples, twelve a period) before anything is measured.
+func TestPeriodSteadyStateZeroAlloc(t *testing.T) {
+	for _, dynamic := range []bool{false, true} {
+		pol := sched.NewVProbe()
+		if dynamic {
+			pol.Dynamic = core.NewDynamicBounds()
+		}
+		t.Run(pol.Name(), func(t *testing.T) {
+			cfg := xen.DefaultConfig()
+			cfg.GuestThreadMigrationMean = 0
+			h := xen.New(numa.XeonE5620(), pol, cfg)
+			vm, err := h.CreateDomain("vm", 8192, 12, mem.PolicyStripe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			builders := []func() *workload.Profile{workload.Soplex, workload.Libquantum, workload.Milc}
+			for i := range 12 {
+				app := builders[i%len(builders)]()
+				app.TotalInstructions = 1e18 // endless: the steady state never drains
+				if _, err := h.AttachApp(vm, i, app); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h.Run(30 * sim.Second)
+			next := sim.Time(30 * sim.Second)
+			allocs := testing.AllocsPerRun(5, func() {
+				next = next.Add(sim.Second)
+				h.Engine.RunUntil(next)
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state period pass allocates %.1f times per simulated second, want 0", allocs)
+			}
+			assigned := 0
+			for _, v := range vm.VCPUs {
+				if v.AssignedNode != numa.NoNode {
+					assigned++
+				}
+			}
+			if assigned == 0 {
+				t.Fatal("Algorithm 1 assigned no VCPU; the zero-alloc result is vacuous")
+			}
+		})
 	}
 }
