@@ -18,12 +18,21 @@
 //
 // A field that legitimately needs no validation (a seed: every int64 is
 // valid) is waived with `//vet:spec <reason>` on the field.
+//
+// One more rule keeps the spec the only way into a cluster run: a
+// composite literal of internal/cluster's Config type may appear only in
+// the spec lowering ClusterV1.Config. Every other cluster configuration
+// is a lowered ClusterV1, so no front end can grow a field the document
+// lacks. Test files are not loaded, so they are exempt, and so is a
+// nested module (the benchmark harness), which the rule does not cover.
 package specfield
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 
@@ -34,7 +43,8 @@ import (
 var Analyzer = &framework.ModuleAnalyzer{
 	Name: "specfield",
 	Doc: "require every exported internal/spec field to carry a json tag, " +
-		"be consumed by the compile layer, and be validated or defaulted " +
+		"be consumed by the compile layer, and be validated or defaulted, " +
+		"and build cluster.Config literals only in spec.ClusterV1.Config " +
 		"(suppress with //vet:spec <reason>)",
 	Run:        run,
 	Directives: []string{"spec"},
@@ -86,7 +96,79 @@ func run(pass *framework.ModulePass) (any, error) {
 			return false
 		})
 	}
+	checkClusterConfigs(pass, spec)
 	return nil, nil
+}
+
+// checkClusterConfigs reports every composite literal of
+// internal/cluster's Config type outside spec's ClusterV1.Config method,
+// including literals whose type is elided inside an enclosing literal, in
+// the packages of the module that declares internal/cluster.
+func checkClusterConfigs(pass *framework.ModulePass, spec *framework.Package) {
+	cluster := pass.FindPackage("internal/cluster")
+	if cluster == nil {
+		return
+	}
+	config, ok := cluster.Types.Scope().Lookup("Config").(*types.TypeName)
+	if !ok {
+		return
+	}
+	module := moduleRoot(cluster.Dir)
+	for _, pkg := range pass.Pkgs {
+		if moduleRoot(pkg.Dir) != module {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if pkg == spec && isClusterLowering(decl) {
+					continue
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					lit, ok := n.(*ast.CompositeLit)
+					if !ok {
+						return true
+					}
+					named, ok := pkg.Info.TypeOf(lit).(*types.Named)
+					if !ok || named.Obj() != config || pass.Suppressed(lit.Pos(), "spec") {
+						return true
+					}
+					pass.Reportf(lit.Pos(), "cluster.Config literal outside spec.ClusterV1.Config: "+
+						"a cluster configuration is built by lowering a ClusterV1 document")
+					return true
+				})
+			}
+		}
+	}
+}
+
+// moduleRoot returns the directory of the go.mod nearest above dir, or ""
+// when there is none.
+func moduleRoot(dir string) string {
+	for dir != "" {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			break
+		}
+		dir = parent
+	}
+	return ""
+}
+
+// isClusterLowering reports whether decl is the method ClusterV1.Config.
+func isClusterLowering(decl ast.Decl) bool {
+	fd, ok := decl.(*ast.FuncDecl)
+	if !ok || fd.Name.Name != "Config" || fd.Recv == nil || len(fd.Recv.List) != 1 {
+		return false
+	}
+	recv := fd.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	id, ok := recv.(*ast.Ident)
+	return ok && id.Name == "ClusterV1"
 }
 
 func checkField(pass *framework.ModulePass, spec *framework.Package, structName string,

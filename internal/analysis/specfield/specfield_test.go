@@ -9,5 +9,5 @@ import (
 
 func TestSpecField(t *testing.T) {
 	analysistest.RunModule(t, analysistest.TestData(), specfield.Analyzer,
-		"internal/spec", "compilefix", "runtimefix")
+		"internal/cluster", "internal/spec", "compilefix", "runtimefix", "othermod")
 }

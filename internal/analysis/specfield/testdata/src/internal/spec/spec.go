@@ -5,6 +5,7 @@ package spec
 import (
 	"errors"
 
+	"internal/cluster"
 	"runtimefix"
 )
 
@@ -56,9 +57,15 @@ func (c ClusterV1) Validate() error {
 }
 
 // Config lowers the spec onto the runtime type: every field it reads is
-// consumed.
-func (c ClusterV1) Config() runtimefix.Config {
-	return runtimefix.Config{Hosts: c.Hosts}
+// consumed, and it is the one place a cluster.Config literal may appear.
+func (c ClusterV1) Config() cluster.Config {
+	return cluster.Config{Hosts: c.Hosts}
+}
+
+// defaults builds a cluster configuration of its own inside the spec
+// package, but outside the lowering.
+func defaults() cluster.Config {
+	return cluster.Config{Hosts: 1} // want `cluster.Config literal outside spec.ClusterV1.Config`
 }
 
 // shadow reads Shadow but returns a plain int, so it lowers nothing.
