@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race smoke smoke-serve bench bench-check escape-baseline
+.PHONY: all build vet lint test race smoke smoke-serve bench bench-check
 
 all: build lint test
 
@@ -18,20 +18,15 @@ vet:
 	$(GO) vet ./...
 
 # lint = gofmt + go vet + the determinism contract (mapiter, walltime, ctxflow,
-# eventswitch, errsentinel), the module-wide contract analyzers (hotpath,
-# specfield, telemetryhandle), and the compiler's escape-analysis
-# baseline (vprobe-escape -diff).
+# eventswitch, errsentinel) and the module-wide contract analyzers (hotpath,
+# specfield, telemetryhandle). hotpath checks both sides of the allocation
+# contract: the constructs reachable from //vprobe:hotpath roots, and the
+# compiler's escape sites in those functions, from a -gcflags=-m compile
+# under VPROBE_ESCAPE_GOCACHE (a temp-dir cache by default).
 # `go run ./cmd/vprobe-vet -list` shows the analyzers.
 lint: vet
 	test -z "$$(gofmt -l .)"
 	$(GO) run ./cmd/vprobe-vet ./...
-	$(GO) run ./cmd/vprobe-escape -diff
-
-# escape-baseline rewrites ESCAPES_hotpath.json from the current compiler
-# output. Run it after deliberately changing hot-path allocation behaviour
-# and commit the refreshed manifest with the change that caused it.
-escape-baseline:
-	$(GO) run ./cmd/vprobe-escape -update
 
 test:
 	$(GO) test ./...

@@ -120,14 +120,20 @@ func claim(wants []*want, file string, line int, msg string) bool {
 	return false
 }
 
-// collectWants parses `// want "re" "re" ...` comments from the package
-// sources. The expectation applies to the line the comment starts on.
+// collectWants parses `// want "re" "re" ...` comments, or the same in a
+// /* */ comment for a line whose line comment is taken (a //vet: directive
+// the analyzer reports), from the package sources. The expectation applies
+// to the line the comment starts on.
 func collectWants(pkg *framework.Package) ([]*want, error) {
 	var wants []*want
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				text := strings.TrimPrefix(c.Text, "//")
+				if text == c.Text {
+					text = strings.TrimSuffix(strings.TrimPrefix(text, "/*"), "*/")
+				}
+				text = strings.TrimSpace(text)
 				rest, ok := strings.CutPrefix(text, "want ")
 				if !ok {
 					continue

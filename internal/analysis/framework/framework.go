@@ -112,6 +112,19 @@ func lookupDirective(idx map[string]map[int][]Directive, fset *token.FileSet,
 // keyed by the line the comment starts on.
 func collectDirectives(fset *token.FileSet, files []*ast.File) map[string]map[int][]Directive {
 	out := make(map[string]map[int][]Directive)
+	for _, d := range fileDirectives(files) {
+		pos := fset.Position(d.Pos)
+		if out[pos.Filename] == nil {
+			out[pos.Filename] = make(map[int][]Directive)
+		}
+		out[pos.Filename][pos.Line] = append(out[pos.Filename][pos.Line], d)
+	}
+	return out
+}
+
+// fileDirectives returns every //vet: directive of files in source order.
+func fileDirectives(files []*ast.File) []Directive {
+	var out []Directive
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -127,12 +140,7 @@ func collectDirectives(fset *token.FileSet, files []*ast.File) map[string]map[in
 				if name == "" {
 					continue
 				}
-				pos := fset.Position(c.Pos())
-				if out[pos.Filename] == nil {
-					out[pos.Filename] = make(map[int][]Directive)
-				}
-				out[pos.Filename][pos.Line] = append(out[pos.Filename][pos.Line],
-					Directive{Name: name, Reason: strings.TrimSpace(reason), Pos: c.Pos()})
+				out = append(out, Directive{Name: name, Reason: strings.TrimSpace(reason), Pos: c.Pos()})
 			}
 		}
 	}

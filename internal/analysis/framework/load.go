@@ -60,7 +60,7 @@ func newLoader(resolve func(string) (string, bool)) *Loader {
 // import paths under the module path resolve into the module tree. It fails
 // when no go.mod is found walking up from dir.
 func NewModuleLoader(dir string) (*Loader, string, error) {
-	root, err := findModuleRoot(dir)
+	root, err := ModuleRoot(dir)
 	if err != nil {
 		return nil, "", err
 	}
@@ -100,7 +100,8 @@ func ModulePath(root string) (string, error) {
 	return readModulePath(filepath.Join(root, "go.mod"))
 }
 
-func findModuleRoot(dir string) (string, error) {
+// ModuleRoot returns the directory of the go.mod enclosing dir.
+func ModuleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return "", err

@@ -67,6 +67,21 @@ func (p *ModulePass) Suppression(pos token.Pos, name string) (Directive, bool) {
 	return lookupDirective(p.directives, p.Fset, pos, name)
 }
 
+// Directives returns every `//vet:<name>` directive of the loaded
+// packages in source order, so an analyzer can report the ones it never
+// consulted.
+func (p *ModulePass) Directives(name string) []Directive {
+	var out []Directive
+	for _, pkg := range p.Pkgs {
+		for _, d := range fileDirectives(pkg.Files) {
+			if d.Name == name {
+				out = append(out, d)
+			}
+		}
+	}
+	return out
+}
+
 // ExportObjectFact attaches a fact to obj. Facts are the cross-analyzer /
 // cross-package plumbing: a module analyzer derives a property once (this
 // function is hot-path reachable; this field is consumed by the compile

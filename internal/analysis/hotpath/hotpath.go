@@ -4,8 +4,11 @@
 // the perf/mem evaluation kernels, Algorithm 1's partition pass, and the
 // cluster numa admission path) become roots of a reachability walk over
 // the module-wide call graph — including calls made through interfaces,
-// resolved to every module implementation — and any reachable function
-// containing an allocating construct is a diagnostic:
+// resolved to every module implementation — and every reached function is
+// checked from both sides.
+//
+// The source side: any allocating construct in a reached body is a
+// diagnostic:
 //
 //   - append (may grow its backing array)
 //   - make / new / map and slice literals / &composite literals
@@ -16,13 +19,23 @@
 //     types at call arguments or assignments, and variadic interface
 //     calls (the argument slice itself allocates)
 //
-// Constructs that only feed panic() are exempt (a crash path is not the
+// The compiler side: the packages the walk reached are compiled with
+// -gcflags=<module>/...=-m, and every "escapes to heap" or "moved to
+// heap" site inside a reached declaration (its signature included) is a
+// diagnostic too. A site the compiler places at an inlined call belongs to
+// the caller.
+//
+// Sites inside a panic() argument are exempt (a crash path is not the
 // steady state). Everything else must carry an explicit, written
-// justification: `//vet:alloc <reason>` on the same line or the line
-// above. A bare `//vet:alloc` with no reason is itself a diagnostic — the
-// contract requires the why, not just the waiver. The runtime guardrail
-// (TestQuantumSteadyStateZeroAlloc) catches regressions that execute;
-// this analyzer catches the ones hiding in rarely-taken branches.
+// justification: `//vet:alloc <reason>` on the site's line or the line
+// above, or on or above the first line of the innermost statement
+// enclosing the site (the compiler may place a site on a continuation
+// line of a multi-line call). A bare `//vet:alloc` with no reason is
+// itself a diagnostic — the contract requires the why, not just the
+// waiver — and so is a `//vet:alloc` that covers no site at all. The
+// runtime guardrail (TestQuantumSteadyStateZeroAlloc) catches regressions
+// that execute; this analyzer catches the ones hiding in rarely-taken
+// branches.
 package hotpath
 
 import (
@@ -39,8 +52,8 @@ const Marker = "vprobe:hotpath"
 // Analyzer is the hot-path allocation check.
 var Analyzer = &framework.ModuleAnalyzer{
 	Name: "hotpath",
-	Doc: "flag allocating constructs reachable from //vprobe:hotpath roots " +
-		"(suppress with //vet:alloc <reason>; the reason is required)",
+	Doc: "flag allocating constructs and compiler escape sites reachable from " +
+		"//vprobe:hotpath roots (suppress with //vet:alloc <reason>; the reason is required)",
 	Run:        run,
 	Directives: []string{"alloc"},
 }
@@ -97,8 +110,12 @@ func run(pass *framework.ModulePass) (any, error) {
 		pass.ExportObjectFact(fn, HotFact(shortName(root)))
 	}
 
-	// Scan reachable bodies in deterministic package/file order.
+	// Reachable declarations in deterministic package/file order, and the
+	// packages that hold them: the compiler half builds only those.
+	var hot []*framework.FuncNode
+	var hotPkgs []*framework.Package
 	for _, pkg := range pass.Pkgs {
+		n := len(hot)
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -106,28 +123,89 @@ func run(pass *framework.ModulePass) (any, error) {
 					continue
 				}
 				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
+				if _, reached := rootOf[fn]; ok && reached {
+					hot = append(hot, g.Nodes[fn])
 				}
-				root, hot := rootOf[fn]
-				if !hot {
-					continue
-				}
-				s := &scanner{pass: pass, info: pkg.Info, fn: fn, root: root}
-				s.scan(fd.Body)
 			}
+		}
+		if len(hot) > n {
+			hotPkgs = append(hotPkgs, pkg)
+		}
+	}
+	found, err := compilerSites(hotPkgs)
+	if err != nil {
+		return nil, err
+	}
+	sites := siteIndex(pass.Fset, hot, found)
+
+	used := map[token.Pos]bool{}
+	for _, node := range hot {
+		s := &scanner{pass: pass, info: node.Pkg.Info, body: node.Decl.Body,
+			fn: node.Fn, root: rootOf[node.Fn], used: used}
+		s.scan()
+		for _, site := range sites[node] {
+			s.report(site.pos, "escape analysis: "+site.msg)
+		}
+	}
+
+	// A waiver no construct or escape site consulted waives nothing.
+	for _, d := range pass.Directives("alloc") {
+		if !used[d.Pos] {
+			pass.Reportf(d.Pos, "//vet:alloc waives nothing: no allocating construct or "+
+				"escape site reachable from a //vprobe:hotpath root is on its line, the next, "+
+				"or a statement starting there; delete it")
 		}
 	}
 	return nil, nil
 }
 
+// hotSite is a compiler escape site placed in a reachable declaration.
+type hotSite struct {
+	pos token.Pos
+	msg string
+}
+
+// siteIndex keeps the escape sites that fall inside a reachable
+// declaration, signature included (a parameter moved to the heap
+// allocates on every call), grouped by that declaration. A function
+// literal's sites belong to its enclosing declaration, as its callees do.
+func siteIndex(fset *token.FileSet, hot []*framework.FuncNode, sites []escapeSite) map[*framework.FuncNode][]hotSite {
+	byFile := map[string][]*framework.FuncNode{}
+	for _, node := range hot {
+		name := fset.File(node.Decl.Pos()).Name()
+		byFile[name] = append(byFile[name], node)
+	}
+	out := map[*framework.FuncNode][]hotSite{}
+	for _, site := range sites {
+		nodes := byFile[site.file]
+		if len(nodes) == 0 {
+			continue
+		}
+		tf := fset.File(nodes[0].Decl.Pos())
+		if site.line < 1 || site.line > tf.LineCount() {
+			continue
+		}
+		pos := tf.LineStart(site.line) + token.Pos(site.col-1)
+		for _, node := range nodes {
+			if node.Decl.Pos() <= pos && pos < node.Decl.End() {
+				out[node] = append(out[node], hotSite{pos: pos, msg: site.msg})
+				break
+			}
+		}
+	}
+	return out
+}
+
 // scanner walks one reachable function body and reports allocating
-// constructs.
+// constructs and escape sites.
 type scanner struct {
 	pass *framework.ModulePass
 	info *types.Info
+	body *ast.BlockStmt
 	fn   *types.Func
 	root *types.Func
+	// used collects the //vet:alloc directives that covered a site.
+	used map[token.Pos]bool
 	// panicSpans are the argument ranges of panic() calls: allocation on a
 	// crash path is exempt.
 	panicSpans []span
@@ -135,8 +213,8 @@ type scanner struct {
 
 type span struct{ lo, hi token.Pos }
 
-func (s *scanner) scan(body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
+func (s *scanner) scan() {
+	ast.Inspect(s.body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -148,7 +226,7 @@ func (s *scanner) scan(body *ast.BlockStmt) {
 		}
 		return true
 	})
-	ast.Inspect(body, func(n ast.Node) bool {
+	ast.Inspect(s.body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			s.checkCall(n)
@@ -183,7 +261,8 @@ func (s *scanner) report(pos token.Pos, what string) {
 			return
 		}
 	}
-	if d, ok := s.pass.Suppression(pos, "alloc"); ok {
+	if d, ok := s.waiver(pos); ok {
+		s.used[d.Pos] = true
 		if d.Reason == "" {
 			s.pass.Reportf(pos, "//vet:alloc requires a written reason (suppressing: %s)", what)
 		}
@@ -192,6 +271,32 @@ func (s *scanner) report(pos token.Pos, what string) {
 	s.pass.Reportf(pos, "%s in %s, reachable from //vprobe:hotpath root %s; "+
 		"justify with //vet:alloc <reason> or move it off the hot path",
 		what, shortName(s.fn), shortName(s.root))
+}
+
+// waiver returns the //vet:alloc covering pos: on its line or the line
+// above, or on or above the first line of the innermost statement
+// enclosing pos, so one waiver at a statement's start covers a site the
+// compiler places on a continuation line.
+func (s *scanner) waiver(pos token.Pos) (framework.Directive, bool) {
+	if d, ok := s.pass.Suppression(pos, "alloc"); ok {
+		return d, true
+	}
+	start := token.NoPos
+	ast.Inspect(s.body, func(n ast.Node) bool {
+		if n == nil || pos < n.Pos() || pos >= n.End() {
+			return false
+		}
+		if _, block := n.(*ast.BlockStmt); !block {
+			if _, stmt := n.(ast.Stmt); stmt {
+				start = n.Pos()
+			}
+		}
+		return true
+	})
+	if !start.IsValid() {
+		return framework.Directive{}, false
+	}
+	return s.pass.Suppression(start, "alloc")
 }
 
 func (s *scanner) checkCall(call *ast.CallExpr) {

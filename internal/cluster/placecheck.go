@@ -88,12 +88,10 @@ func (c *Cluster) checkGangReserve(vms []*VM, slots []gangSlot, placed int) {
 	if c.err != nil || !c.checkClocks(c.engine.Now()) {
 		return
 	}
-	//vet:alloc the place-check shadow path deliberately pays full-rescan cost; it is diagnostic-only and off by default
 	what := make([]*HostView, len(c.hosts))
 	for i, ho := range c.hosts {
 		what[i] = ho.freshView()
 		if diff := diffViews(&ho.view, what[i]); diff != "" {
-			//vet:alloc divergence reporting runs once, immediately before the run stops
 			c.failCheck("host %s view not restored after a gang reserve: %s", ho.Name, diff)
 			return
 		}
@@ -104,17 +102,14 @@ func (c *Cluster) checkGangReserve(vms []*VM, slots []gangSlot, placed int) {
 		case err != nil && i == placed:
 			return
 		case err != nil:
-			//vet:alloc divergence reporting runs once, immediately before the run stops
 			c.failCheck("gang member %s: incremental reserved it on %s, what-if found no host",
 				vm.Spec.Name, slots[i].host.Name)
 			return
 		case i == placed:
-			//vet:alloc divergence reporting runs once, immediately before the run stops
 			c.failCheck("gang member %s: incremental found no host, what-if reserved it on %s",
 				vm.Spec.Name, hv.Name)
 			return
 		case hv.Index != slots[i].host.Index || plan != slots[i].plan:
-			//vet:alloc divergence reporting runs once, immediately before the run stops
 			c.failCheck("gang member %s: incremental reserved %s %+v, what-if %s %+v",
 				vm.Spec.Name, slots[i].host.Name, slots[i].plan, hv.Name, plan)
 			return

@@ -51,6 +51,8 @@ func Workers(requested, n int) int {
 // secondary cancellation errors, so the reported cause is stable. When the
 // parent context is cancelled, in-flight jobs are interrupted and Map
 // returns the context's error.
+//
+//vet:alloc the parallel path's workers share ctx, so it moves to the heap once per call, not per job
 func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, index int) (T, error)) ([]T, error) {
 	//vet:alloc one result slice per call, not per job; the cluster's host advances get a zero-size one
 	out := make([]T, n)
@@ -79,7 +81,9 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 	defer cancel()
 	//vet:alloc the parallel path pays one derived context, error slice and goroutine set per call, not per job
 	errs := make([]error, n)
+	//vet:alloc the workers share one job counter, moved to the heap once per call, not per job
 	var next atomic.Int64
+	//vet:alloc the workers share one WaitGroup, moved to the heap once per call, not per job
 	var wg sync.WaitGroup
 	for g := 0; g < w; g++ {
 		wg.Add(1)

@@ -54,11 +54,6 @@ func (d Dist) Validate() error {
 	return nil
 }
 
-// Clone returns an independent copy.
-func (d Dist) Clone() Dist {
-	return d.CloneInto(nil)
-}
-
 // CloneInto copies d into dst, reusing dst's storage when it has the
 // capacity, and returns the result. dst may be nil (a fresh vector is
 // allocated) but must not alias d unless identical.

@@ -243,9 +243,6 @@ func (t *Topology) MemLatencyNS(from, to NodeID) float64 {
 	return t.remoteMemLatencyNS
 }
 
-// LLCHitLatencyNS returns the uncontended LLC hit latency.
-func (t *Topology) LLCHitLatencyNS() float64 { return t.llcHitLatencyNS }
-
 // MemLatencyCycles converts MemLatencyNS to core cycles.
 func (t *Topology) MemLatencyCycles(from, to NodeID) float64 {
 	return t.MemLatencyNS(from, to) * t.clockGHz

@@ -197,9 +197,6 @@ func (s *System) fillMemLat() {
 	}
 }
 
-// Params returns the model constants in use.
-func (s *System) Params() Params { return s.params }
-
 // Topology returns the machine model.
 func (s *System) Topology() *numa.Topology { return s.top }
 
@@ -283,7 +280,7 @@ func (s *System) ExecuteInto(out *Outcome, r *Request) {
 	if r.Profile.LatencyExposure > 0 {
 		mlp = r.Profile.LatencyExposure
 	}
-	//vet:alloc non-escaping helper: called twice below and never stored, so it stays on the stack (escape baseline agrees)
+	//vet:alloc non-escaping helper: called twice below and never stored, so it stays on the stack (the compiler's escape analysis agrees)
 	cpiAt := func(miss float64) float64 {
 		hit := rpi * (1 - miss) * s.llcHit * s.params.HitVisible
 		mm := rpi * miss * memLat * mlp

@@ -146,6 +146,7 @@ func (e *Engine) ScheduleAt(at Time, label string, fn func(*Engine)) {
 	if at < e.now {
 		panic(fmt.Errorf("%w: now=%v at=%v label=%q", ErrPastEvent, e.now, at, label))
 	}
+	//vet:alloc the inlined alloc's pool warmup: only when the free list is empty; steady state recycles released events
 	ev := e.alloc()
 	ev.at = at
 	ev.seq = e.seq
@@ -405,9 +406,6 @@ func (t *Ticker) Stop() {
 	e.disarmTicker(t)
 	e.tickers = slices.DeleteFunc(e.tickers, func(u *Ticker) bool { return u == t })
 }
-
-// Period returns the ticker period.
-func (t *Ticker) Period() Duration { return t.period }
 
 // Stop halts the run loop after the currently-firing event returns.
 func (e *Engine) Stop() { e.stopped = true }

@@ -417,9 +417,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	return &Histogram{bounds: d.bounds, v: v}
 }
 
-// Len returns the number of registered series.
-func (r *Registry) Len() int { return len(r.at.seq) }
-
 // seal freezes the registry and drops its registration checks; further
 // registration panics.
 func (r *Registry) seal() {
