@@ -4,9 +4,11 @@
 // contract (§13). Per-package analyzers run over each loaded package;
 // module analyzers (hotpath, specfield, telemetryhandle) run once over the
 // whole loaded set so they can follow call edges and contracts across
-// package boundaries; hotpath also compiles the packages its reach walk
-// touches with -gcflags=-m, under VPROBE_ESCAPE_GOCACHE, to check the
-// compiler's escape sites. A final pass
+// package boundaries. hotpath and telemetryhandle check the same reach
+// walk from the //vprobe:hotpath roots (hotpath.Reach), each over a fresh
+// pass; hotpath also compiles the packages that walk touches with
+// -gcflags=-m, under VPROBE_ESCAPE_GOCACHE, to check the compiler's
+// escape sites. A final pass
 // reports dangling //vet: directives — suppressions naming no known
 // analyzer, which would otherwise silently suppress nothing forever.
 //

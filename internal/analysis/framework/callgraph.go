@@ -32,6 +32,8 @@ type FuncNode struct {
 type CallGraph struct {
 	// Nodes maps each declared function to its node.
 	Nodes map[*types.Func]*FuncNode
+	// Funcs holds the same nodes in package, file and declaration order.
+	Funcs []*FuncNode
 }
 
 // BuildCallGraph constructs the call graph for the loaded package set.
@@ -87,7 +89,7 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 					if !ok {
 						return true
 					}
-					callee := calleeOf(pkg.Info, call)
+					callee := CalleeOf(pkg.Info, call)
 					if callee == nil {
 						return true
 					}
@@ -101,15 +103,16 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 					return true
 				})
 				g.Nodes[fn] = node
+				g.Funcs = append(g.Funcs, node)
 			}
 		}
 	}
 	return g
 }
 
-// calleeOf resolves a call expression to the *types.Func it invokes, or
+// CalleeOf resolves a call expression to the *types.Func it invokes, or
 // nil for calls of func values, conversions, and builtins.
-func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
+func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		fn, _ := info.Uses[fun].(*types.Func)

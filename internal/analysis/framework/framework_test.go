@@ -226,33 +226,6 @@ func TestBuildCallGraphCrossPackage(t *testing.T) {
 	}
 }
 
-func TestModulePassFacts(t *testing.T) {
-	_, pkgs := loadTree(t, map[string]string{"f/f.go": `package f
-
-func A() {}
-func B() {}
-`}, "f")
-	pkg := pkgs[0]
-	pass := &framework.ModulePass{Fset: pkg.Fset, Pkgs: pkgs}
-
-	objA := pkg.Types.Scope().Lookup("A")
-	objB := pkg.Types.Scope().Lookup("B")
-	pass.ExportObjectFact(objA, "hot via Root")
-	pass.ExportObjectFact(objA, true)
-
-	var s string
-	if !pass.ImportObjectFact(objA, &s) || s != "hot via Root" {
-		t.Errorf("string fact on A = %q, found = %v", s, s != "")
-	}
-	var b bool
-	if !pass.ImportObjectFact(objA, &b) || !b {
-		t.Errorf("bool fact on A not found")
-	}
-	if pass.ImportObjectFact(objB, &s) {
-		t.Errorf("B has no facts but ImportObjectFact returned true")
-	}
-}
-
 func TestFindPackageSuffix(t *testing.T) {
 	_, pkgs := loadTree(t, map[string]string{"internal/spec/spec.go": "package spec\n"}, "internal/spec")
 	pass := &framework.ModulePass{Pkgs: pkgs}

@@ -3,7 +3,6 @@ package framework
 import (
 	"fmt"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -27,8 +26,9 @@ type ModuleAnalyzer struct {
 
 // ModulePass carries the full typechecked package set through a
 // ModuleAnalyzer.Run call, with the same Report/Suppressed vocabulary as
-// the per-package Pass plus object-fact plumbing for analyzers that derive
-// cross-package properties (reachability, consumed-field sets).
+// the per-package Pass. Each Run gets a fresh pass and no state crosses
+// between analyzers: one that needs another's derived set recomputes it
+// (telemetryhandle calls hotpath.Reach).
 type ModulePass struct {
 	Analyzer *ModuleAnalyzer
 	Fset     *token.FileSet
@@ -37,7 +37,6 @@ type ModulePass struct {
 	Report func(Diagnostic)
 
 	directives map[string]map[int][]Directive
-	facts      map[types.Object][]any
 }
 
 // Reportf reports a formatted diagnostic at pos.
@@ -80,48 +79,6 @@ func (p *ModulePass) Directives(name string) []Directive {
 		}
 	}
 	return out
-}
-
-// ExportObjectFact attaches a fact to obj. Facts are the cross-analyzer /
-// cross-package plumbing: a module analyzer derives a property once (this
-// function is hot-path reachable; this field is consumed by the compile
-// layer) and later passes or tests read it back with ImportObjectFact.
-func (p *ModulePass) ExportObjectFact(obj types.Object, fact any) {
-	if p.facts == nil {
-		p.facts = map[types.Object][]any{}
-	}
-	p.facts[obj] = append(p.facts[obj], fact)
-}
-
-// ImportObjectFact copies the first fact attached to obj whose type
-// matches the type of *ptr into ptr, reporting whether one was found.
-func (p *ModulePass) ImportObjectFact(obj types.Object, ptr any) bool {
-	for _, f := range p.facts[obj] {
-		if assignFact(ptr, f) {
-			return true
-		}
-	}
-	return false
-}
-
-// assignFact stores fact through ptr when the dynamic types line up.
-func assignFact(ptr, fact any) bool {
-	switch dst := ptr.(type) {
-	case *bool:
-		if v, ok := fact.(bool); ok {
-			*dst = v
-			return true
-		}
-	case *string:
-		if v, ok := fact.(string); ok {
-			*dst = v
-			return true
-		}
-	case *any:
-		*dst = fact
-		return true
-	}
-	return false
 }
 
 // FindPackage returns the loaded package whose import path equals path or

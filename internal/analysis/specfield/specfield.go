@@ -31,8 +31,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 
@@ -113,9 +111,9 @@ func checkClusterConfigs(pass *framework.ModulePass, spec *framework.Package) {
 	if !ok {
 		return
 	}
-	module := moduleRoot(cluster.Dir)
+	module, _ := framework.ModuleRoot(cluster.Dir)
 	for _, pkg := range pass.Pkgs {
-		if moduleRoot(pkg.Dir) != module {
+		if root, _ := framework.ModuleRoot(pkg.Dir); root != module {
 			continue
 		}
 		for _, f := range pkg.Files {
@@ -139,22 +137,6 @@ func checkClusterConfigs(pass *framework.ModulePass, spec *framework.Package) {
 			}
 		}
 	}
-}
-
-// moduleRoot returns the directory of the go.mod nearest above dir, or ""
-// when there is none.
-func moduleRoot(dir string) string {
-	for dir != "" {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			break
-		}
-		dir = parent
-	}
-	return ""
 }
 
 // isClusterLowering reports whether decl is the method ClusterV1.Config.
