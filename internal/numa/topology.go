@@ -66,22 +66,39 @@ type Topology struct {
 	distance [][]int
 }
 
-// Config is the input for building a Topology.
+// Config is the input for building a Topology. Its JSON form, with
+// lower-camel keys, is the machine file schema vprobe-topo -json prints
+// and Decode reads:
+//
+//	{
+//	  "name": "my-box",
+//	  "nodes": 2,
+//	  "cpusPerNode": 8,
+//	  "memoryPerNodeMB": 65536,
+//	  "imcBandwidthGBs": 40,
+//	  "llcSizeKB": 32768,
+//	  "clockGHz": 3.0,
+//	  "localMemLatencyNS": 80,
+//	  "remoteMemLatencyNS": 140,
+//	  "llcHitLatencyNS": 14,
+//	  "linkBandwidthGTs": 9.6,
+//	  "linksPerPair": 1
+//	}
 type Config struct {
-	Name               string
-	Nodes              int
-	CPUsPerNode        int
-	MemoryPerNodeMB    int64
-	IMCBandwidthGBs    float64
-	LLCSizeKB          int64
-	ClockGHz           float64
-	LocalMemLatencyNS  float64
-	RemoteMemLatencyNS float64
-	LLCHitLatencyNS    float64
-	LinkBandwidthGTs   float64
+	Name               string  `json:"name"`
+	Nodes              int     `json:"nodes"`
+	CPUsPerNode        int     `json:"cpusPerNode"`
+	MemoryPerNodeMB    int64   `json:"memoryPerNodeMB"`
+	IMCBandwidthGBs    float64 `json:"imcBandwidthGBs"`
+	LLCSizeKB          int64   `json:"llcSizeKB"`
+	ClockGHz           float64 `json:"clockGHz"`
+	LocalMemLatencyNS  float64 `json:"localMemLatencyNS"`
+	RemoteMemLatencyNS float64 `json:"remoteMemLatencyNS"`
+	LLCHitLatencyNS    float64 `json:"llcHitLatencyNS"`
+	LinkBandwidthGTs   float64 `json:"linkBandwidthGTs"`
 	// LinksPerPair is the number of parallel interconnect links between
 	// each node pair (Table I lists 2 QPI links).
-	LinksPerPair int
+	LinksPerPair int `json:"linksPerPair"`
 }
 
 // Size caps on a Config, so building one stays bounded: New allocates

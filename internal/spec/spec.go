@@ -220,7 +220,7 @@ type ClusterV1 struct {
 	// -json prints, for a machine no preset covers. It is mutually
 	// exclusive with a non-default Topology; a normalized spec with a
 	// machine has no topology.
-	Machine *numa.FileConfig `json:"machine,omitempty"`
+	Machine *numa.Config `json:"machine,omitempty"`
 	// Scheduler is the per-host VCPU scheduler (default "credit").
 	Scheduler string `json:"scheduler,omitempty"`
 	// Policy is the placement policy (default "numa").
@@ -409,10 +409,10 @@ func (c ClusterV1) Config() cluster.Config {
 // to a description numa.New rejects, so cluster.New fails on it.
 func (c ClusterV1) machine() numa.Config {
 	if c.Machine != nil {
-		return c.Machine.Config()
+		return *c.Machine
 	}
 	if mk, ok := numa.Presets[c.Topology]; ok {
-		return numa.Export(mk()).Config()
+		return numa.Export(mk())
 	}
 	return numa.Config{Name: c.Topology}
 }
@@ -822,8 +822,7 @@ func (c ClusterV1) Validate() error {
 	if n.Machine != nil {
 		// numa's rules include the caps on nodes, PCPUs and links that
 		// keep building the machine bounded.
-		cfg := n.Machine.Config()
-		if err := cfg.Validate(); err != nil {
+		if err := n.Machine.Validate(); err != nil {
 			return fmt.Errorf("%w: machine: %v", ErrInvalid, err) //vet:nowrap numa's rule text only; ErrInvalid carries the chain
 		}
 	} else if _, ok := numa.Presets[n.Topology]; !ok {

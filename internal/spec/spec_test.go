@@ -184,7 +184,7 @@ func TestClusterValidateErrors(t *testing.T) {
 // floats: each case alone would otherwise build or run without bound.
 // The largest in-repo shapes (a thousand hosts, a custom machine) pass.
 func TestClusterValidateBounds(t *testing.T) {
-	machine := func(edit func(*numa.FileConfig)) *numa.FileConfig {
+	machine := func(edit func(*numa.Config)) *numa.Config {
 		m := numa.Export(numa.XeonE5620())
 		edit(&m)
 		return &m
@@ -212,12 +212,12 @@ func TestClusterValidateBounds(t *testing.T) {
 		{"diurnal-amplitude-nan", spec.ClusterV1{ArrivalProcess: "diurnal", DiurnalAmplitude: nan}, "diurnal_amplitude"},
 		{"flash-factor-inf", spec.ClusterV1{ArrivalProcess: "flash", FlashFactor: inf}, "flash_factor"},
 		{"machine-and-topology", spec.ClusterV1{Topology: "four-node",
-			Machine: machine(func(*numa.FileConfig) {})}, "mutually exclusive"},
-		{"machine-nodes", spec.ClusterV1{Machine: machine(func(m *numa.FileConfig) { m.Nodes = 1000 })}, "Nodes = 1000"},
-		{"machine-pcpus", spec.ClusterV1{Machine: machine(func(m *numa.FileConfig) { m.CPUsPerNode = 1 << 20 })}, "at most 1024 CPUs"},
-		{"machine-links", spec.ClusterV1{Machine: machine(func(m *numa.FileConfig) { m.LinksPerPair = 1 << 30 })}, "LinksPerPair"},
-		{"machine-clock-nan", spec.ClusterV1{Machine: machine(func(m *numa.FileConfig) { m.ClockGHz = nan })}, "NaN or infinite"},
-		{"machine-numa-rule", spec.ClusterV1{Machine: machine(func(m *numa.FileConfig) { m.RemoteMemLatencyNS = 1 })}, "RemoteMemLatencyNS"},
+			Machine: machine(func(*numa.Config) {})}, "mutually exclusive"},
+		{"machine-nodes", spec.ClusterV1{Machine: machine(func(m *numa.Config) { m.Nodes = 1000 })}, "Nodes = 1000"},
+		{"machine-pcpus", spec.ClusterV1{Machine: machine(func(m *numa.Config) { m.CPUsPerNode = 1 << 20 })}, "at most 1024 CPUs"},
+		{"machine-links", spec.ClusterV1{Machine: machine(func(m *numa.Config) { m.LinksPerPair = 1 << 30 })}, "LinksPerPair"},
+		{"machine-clock-nan", spec.ClusterV1{Machine: machine(func(m *numa.Config) { m.ClockGHz = nan })}, "NaN or infinite"},
+		{"machine-numa-rule", spec.ClusterV1{Machine: machine(func(m *numa.Config) { m.RemoteMemLatencyNS = 1 })}, "RemoteMemLatencyNS"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -232,7 +232,7 @@ func TestClusterValidateBounds(t *testing.T) {
 		{Hosts: 1000, Horizon: spec.Duration(20 * time.Second), ArrivalsPerSecond: 20,
 			Gang: true, GangFraction: 0.2, Backfill: true, Preempt: true},
 		{Hosts: 1024, Horizon: spec.Duration(20 * time.Second), ArrivalsPerSecond: 100},
-		{Topology: "xeon-e5620", Machine: machine(func(m *numa.FileConfig) { m.Nodes = 4 })},
+		{Topology: "xeon-e5620", Machine: machine(func(m *numa.Config) { m.Nodes = 4 })},
 	} {
 		if err := ok.Validate(); err != nil {
 			t.Errorf("in-range spec rejected: %v", err)
@@ -482,7 +482,7 @@ func TestClusterKeyArrivalFields(t *testing.T) {
 // machine description, and a machine document to itself.
 func TestClusterConfigLowering(t *testing.T) {
 	d := spec.ClusterV1{}.Config()
-	if d.Hosts != 4 || d.Topology != numa.Export(numa.XeonE5620()).Config() || d.Scheduler != "credit" ||
+	if d.Hosts != 4 || d.Topology != numa.Export(numa.XeonE5620()) || d.Scheduler != "credit" ||
 		d.Policy != "numa" || d.Seed != 1 || d.Mix != "mixed" ||
 		d.Arrival.Process != "poisson" || d.RebalancePeriod != 10*sim.Second ||
 		d.Horizon != 300*sim.Second || d.MeanLifetime != 60*sim.Second {
@@ -502,7 +502,7 @@ func TestClusterConfigLowering(t *testing.T) {
 			Profiles: []string{"mcf"}}},
 	}
 	c := s.Config()
-	if c.Hosts != 3 || c.Topology != numa.Export(numa.FourNode()).Config() || c.Scheduler != "vprobe" || c.Policy != "pack" ||
+	if c.Hosts != 3 || c.Topology != numa.Export(numa.FourNode()) || c.Scheduler != "vprobe" || c.Policy != "pack" ||
 		c.Seed != 9 || c.ArrivalsPerSecond != 0.5 || c.MeanLifetime != 90*sim.Second ||
 		c.Horizon != 45*sim.Second || c.Workers != 2 || c.Mix != "batch" ||
 		!c.Preempt || !c.Gang || c.GangFraction != 0.25 || c.GangSize != 3 || !c.Backfill ||
@@ -520,8 +520,8 @@ func TestClusterConfigLowering(t *testing.T) {
 
 	m := numa.Export(numa.SingleNode())
 	m.Name = "edited"
-	if got := (spec.ClusterV1{Machine: &m}).Config().Topology; got != m.Config() {
-		t.Errorf("machine lowers to %+v, want %+v", got, m.Config())
+	if got := (spec.ClusterV1{Machine: &m}).Config().Topology; got != m {
+		t.Errorf("machine lowers to %+v, want %+v", got, m)
 	}
 
 	f := spec.ClusterV1{ArrivalProcess: "flash", Horizon: spec.Duration(30 * time.Second)}.Config()
