@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"vprobe/internal/golden"
+	"vprobe/internal/spec"
 )
 
 // cliCases cover every flag at small sizes. An argument starting with "@"
@@ -199,5 +202,37 @@ func TestSeedZeroSpans(t *testing.T) {
 	}
 	if !bytes.Equal(spans("0"), spans("1")) {
 		t.Fatal("-seed 0 -spans differs from -seed 1 -spans")
+	}
+}
+
+// TestFlagsBuildTheDocumentSpec: the spec the flags build has the
+// canonical key and the Validate verdict of the document with the same
+// settings. An offered load near the cap tells a CLI spec carrying a
+// gang size without gangs (which triples the offered VMs) from the
+// document.
+func TestFlagsBuildTheDocumentSpec(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		doc  string
+	}{
+		{nil, `{}`},
+		{[]string{"-rate", "1000", "-horizon", "500s"}, `{"arrivals_per_second": 1000, "horizon": "500s"}`},
+	} {
+		s, _, err := parse(tc.args, io.Discard)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		var doc spec.ClusterV1
+		dec := json.NewDecoder(strings.NewReader(tc.doc))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&doc); err != nil {
+			t.Fatal(err)
+		}
+		if s.Key() != doc.Key() {
+			t.Errorf("%v: key %s, the document's %s", tc.args, s.Key(), doc.Key())
+		}
+		if got, want := fmt.Sprint(s.Validate()), fmt.Sprint(doc.Validate()); got != want {
+			t.Errorf("%v: Validate() = %s, the document's %s", tc.args, got, want)
+		}
 	}
 }
