@@ -107,7 +107,9 @@ func (r *ClusterReport) Tracing() *Tracing { return r.spans }
 // and spans exactly as it does for CompileScenario, and opts.Arrivals
 // receives the run's arrival stream.
 func RunCluster(ctx context.Context, s ClusterSpec, opts CompileOptions) (*ClusterReport, error) {
-	defer sealEvents(opts.Events)
+	// What this run claims, sealed when it returns.
+	claimed := CompileOptions{Events: opts.Events}
+	defer func() { claimed.seal() }()
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -116,7 +118,7 @@ func RunCluster(ctx context.Context, s ClusterSpec, opts CompileOptions) (*Clust
 		if err := opts.Telemetry.attach(); err != nil {
 			return nil, err
 		}
-		defer opts.Telemetry.seal()
+		claimed.Telemetry = opts.Telemetry
 		cfg.Telemetry = opts.Telemetry.sampler
 	}
 	spans := compileSpans(opts, s.Trace, s.TraceLimit)
@@ -125,6 +127,7 @@ func RunCluster(ctx context.Context, s ClusterSpec, opts CompileOptions) (*Clust
 		if err != nil {
 			return nil, err
 		}
+		claimed.Spans = spans
 		cfg.Spans = tracer
 	}
 	if sink := opts.Events; sink != nil {

@@ -72,6 +72,19 @@ type CompileOptions struct {
 	Arrivals io.Writer
 }
 
+// seal ends collection for the attachments of a run that has returned,
+// done or not: the event log, telemetry and span recorder in o, which
+// must be only those the run claimed.
+func (o CompileOptions) seal() {
+	sealEvents(o.Events)
+	if o.Telemetry != nil {
+		o.Telemetry.seal()
+	}
+	if o.Spans != nil {
+		o.Spans.seal()
+	}
+}
+
 // compileSpans resolves the recorder for a compiled run: the caller's, or
 // a fresh one when the spec asks for tracing.
 func compileSpans(opts CompileOptions, trace bool, limit int) *Tracing {

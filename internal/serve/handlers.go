@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -112,7 +111,7 @@ func (s *Server) runFromPath(w http.ResponseWriter, r *http.Request) *Run {
 // caller reads them after ready without the lock.
 func ready(w http.ResponseWriter, rn *Run, spans bool) bool {
 	rn.mu.Lock()
-	state, traced := rn.state, rn.traced
+	state, traced := rn.state, rn.spans != nil
 	rn.mu.Unlock()
 	switch {
 	case state != StateDone:
@@ -197,23 +196,21 @@ func isClosed(c <-chan struct{}) bool {
 	}
 }
 
-// handleRunSpans streams the run's span flight recorder: the JSONL span
-// stream by default (vprobe-explain's input format), Chrome trace-event
-// JSON with ?format=chrome. Runs whose spec did not set trace answer 404
-// — including cache hits, where the cached result was recorded without
-// tracing (the canonical key zeroes the trace fields).
+// handleRunSpans renders the run's span flight recorder as it is read:
+// the JSONL span stream by default (vprobe-explain's input format),
+// Chrome trace-event JSON with ?format=chrome. Runs whose spec did not set
+// trace answer 404 — including cache hits, where the cached result was
+// recorded without tracing (the canonical key zeroes the trace fields).
 func (s *Server) handleRunSpans(w http.ResponseWriter, r *http.Request) {
 	rn := s.runFromPath(w, r)
 	if rn == nil {
 		return
 	}
-	contentType := "application/jsonl"
-	pick := func(rn *Run) []byte { return rn.spans }
+	contentType, render := "application/jsonl", (*vprobe.Tracing).WriteSpans
 	switch r.URL.Query().Get("format") {
 	case "", "jsonl":
 	case "chrome":
-		contentType = "application/json"
-		pick = func(rn *Run) []byte { return rn.chrome }
+		contentType, render = "application/json", (*vprobe.Tracing).WriteChromeTrace
 	default:
 		writeError(w, fmt.Errorf("%w: format %q (have jsonl, chrome)",
 			spec.ErrInvalid, r.URL.Query().Get("format")))
@@ -224,7 +221,7 @@ func (s *Server) handleRunSpans(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(pick(rn))
+	_ = render(rn.spans, w) // a failed write means the client left; nothing to do
 }
 
 // handleRunExplain answers placement provenance queries over a traced
@@ -240,12 +237,7 @@ func (s *Server) handleRunExplain(w http.ResponseWriter, r *http.Request) {
 	if !ready(w, rn, true) {
 		return
 	}
-	spans, err := telemetry.ReadSpans(bytes.NewReader(rn.spans))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	ix := telemetry.NewSpanIndex(spans)
+	ix := rn.spans.Index()
 	q := r.URL.Query()
 	vm, query := q.Get("vm"), q.Get("q")
 	if vm == "" {

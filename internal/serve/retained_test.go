@@ -14,16 +14,25 @@ import (
 
 // retainedBytesPerRun bounds the heap one cached serve-mix-shaped run
 // keeps alive: its sealed event log, its sealed telemetry (about 1.2 KB of
-// values and sample rows), its exact-size artifacts and its registry
-// entry. Measured at 14.4 KB on linux/amd64; the bound leaves about 18%
+// values and sample rows), its exact-size result body, its registry entry
+// and, when traced, its sealed span recorder. Measured at 14.4 KB on
+// linux/amd64 untraced and 15.0 KB traced; the bound leaves about 18%
 // for allocator and toolchain drift.
 const retainedBytesPerRun = 17000
 
 // TestServedRunRetainedBytes posts distinct scenarios shaped like the
-// serve-mix benchmark's (two VMs, four apps, a 0.5 s horizon) and checks
-// what the result cache keeps per run once the garbage collector has
-// dropped everything else.
+// serve-mix benchmark's (two VMs, four apps, a 0.5 s horizon), untraced
+// and traced, and checks what the result cache keeps per run once the
+// garbage collector has dropped everything else.
 func TestServedRunRetainedBytes(t *testing.T) {
+	for _, trace := range []bool{false, true} {
+		t.Run(map[bool]string{false: "untraced", true: "traced"}[trace], func(t *testing.T) {
+			retainedPerRun(t, trace)
+		})
+	}
+}
+
+func retainedPerRun(t *testing.T, trace bool) {
 	s := New(Options{MaxConcurrent: 1})
 	h := s.Handler()
 	apps := []string{"povray", "ep", "lu", "mg", "bt", "cg", "sp", "soplex", "mcf", "milc", "libquantum"}
@@ -37,6 +46,7 @@ func TestServedRunRetainedBytes(t *testing.T) {
 			Scheduler: string(scheds[i%len(scheds)]),
 			Seed:      uint64(i + 1),
 			Horizon:   vprobe.SpecDuration(500 * time.Millisecond),
+			Trace:     trace,
 			VMs: []vprobe.VMSpec{
 				{Name: "vm1", MemoryMB: 4096, VCPUs: 4, Memory: "stripe", FillGuestIdle: true, Apps: pick(0)},
 				{Name: "vm2", MemoryMB: 2048, VCPUs: 4, Apps: pick(5)},

@@ -57,12 +57,12 @@ type Run struct {
 	// never change after, so a reader that saw StateDone under mu reads
 	// them without it.
 	body []byte // JSON view of the done run, rendered at completion
-	// tele is the run's sealed telemetry, set at completion; the
-	// telemetry and metrics endpoints render it when they are read.
-	tele   *vprobe.Telemetry
-	traced bool   // the spec asked for span tracing
-	spans  []byte // JSONL span stream, set at completion when traced
-	chrome []byte // Chrome trace-event JSON, set at completion when traced
+	// tele is the run's sealed telemetry and spans its sealed span
+	// recorder (nil when the spec did not ask for tracing), both set at
+	// completion; the telemetry, metrics, spans and explain endpoints
+	// render them when they are read.
+	tele  *vprobe.Telemetry
+	spans *vprobe.Tracing
 }
 
 func newRun(id, kind, key string) *Run {
@@ -324,59 +324,37 @@ func (s *Server) clusterBody(sp spec.ClusterV1) func(ctx context.Context, rn *Ru
 }
 
 // storeResult keeps the run's immutable artifacts: the JSON view of the
-// done run (report and summary included) and, when traced, spans, each
-// rendered and kept at its exact length. The events stay in the (sealed)
-// log and the numbers in the (sealed) telemetry until they are read.
-// spans is nil for untraced runs — the spans and explain endpoints then
-// answer 404.
+// done run (report and summary included), rendered and kept at its exact
+// length. The events stay in the (sealed) log, the numbers in the
+// (sealed) telemetry and the spans in the (sealed) recorder until they
+// are read. spans is nil for untraced runs — the spans and explain
+// endpoints then answer 404.
 func (rn *Run) storeResult(report string, summary any, tele *vprobe.Telemetry, spans *vprobe.Tracing) error {
 	buf := renderBufs.Get().(*bytes.Buffer)
 	defer renderBufs.Put(buf)
-	render := func(write func(io.Writer) error) ([]byte, error) {
-		buf.Reset()
-		if err := write(buf); err != nil {
-			return nil, err
-		}
-		return append(make([]byte, 0, buf.Len()), buf.Bytes()...), nil
-	}
-	var spanJSONL, chrome []byte
-	var err error
-	if spans != nil {
-		if spanJSONL, err = render(spans.WriteSpans); err != nil {
-			return fmt.Errorf("serve: span export: %w", err)
-		}
-		if chrome, err = render(spans.WriteChromeTrace); err != nil {
-			return fmt.Errorf("serve: span export: %w", err)
-		}
-	}
-	body, err := render(func(w io.Writer) error {
-		return encodeJSON(w, map[string]any{
-			"id":      rn.ID,
-			"kind":    rn.Kind,
-			"key":     rn.Key,
-			"state":   StateDone,
-			"report":  report,
-			"summary": summary,
-		})
-	})
-	if err != nil {
+	buf.Reset()
+	if err := encodeJSON(buf, map[string]any{
+		"id":      rn.ID,
+		"kind":    rn.Kind,
+		"key":     rn.Key,
+		"state":   StateDone,
+		"report":  report,
+		"summary": summary,
+	}); err != nil {
 		return fmt.Errorf("serve: encoding the result: %w", err)
 	}
+	body := append(make([]byte, 0, buf.Len()), buf.Bytes()...)
 	rn.mu.Lock()
 	rn.body = body
 	rn.tele = tele
-	if spans != nil {
-		rn.traced = true
-		rn.spans = spanJSONL
-		rn.chrome = chrome
-	}
+	rn.spans = spans
 	rn.mu.Unlock()
 	return nil
 }
 
-// renderBufs holds the buffers storeResult renders into. A run keeps
-// exact-size copies of what they hold, so a buffer's grown capacity
-// serves the next run instead of being left to the collector.
+// renderBufs holds the buffers storeResult renders into. A run keeps an
+// exact-size copy of what one holds, so a buffer's grown capacity serves
+// the next run instead of being left to the collector.
 var renderBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // scenarioSummary is the JSON-friendly digest of a scenario report.

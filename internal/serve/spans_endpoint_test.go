@@ -2,11 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
+	"slices"
 	"strings"
 	"testing"
 
+	"vprobe"
 	"vprobe/internal/telemetry"
 )
 
@@ -107,9 +114,7 @@ func TestExplainEndpoint(t *testing.T) {
 // exports domain lifecycle spans.
 func TestScenarioTraceSpans(t *testing.T) {
 	_, ts := testServer(t, Options{})
-	traced := strings.Replace(scenarioJSON, `"scheduler": "vprobe",`,
-		`"scheduler": "vprobe", "trace": true,`, 1)
-	status, run := postJSON(t, ts.URL+"/v1/simulations", traced)
+	status, run := postJSON(t, ts.URL+"/v1/simulations", tracedScenarioJSON)
 	if status != http.StatusOK {
 		t.Fatalf("POST status = %d, body %v", status, run)
 	}
@@ -166,5 +171,162 @@ func TestUntracedRunSpans404(t *testing.T) {
 	}
 	if status, _ := getBody(t, fmt.Sprintf("%s/v1/runs/%s/spans", ts.URL, id2)); status != http.StatusNotFound {
 		t.Fatalf("cache-hit spans = %d, want 404 (cached result was untraced)", status)
+	}
+}
+
+// tracedRuns are the traced specs the served-span tests POST, one per
+// front door, each with the library run it must match.
+var tracedRuns = []struct {
+	path, body string
+	run        func(t *testing.T, body string) *vprobe.Tracing
+}{
+	{"/v1/clusters", tracedClusterJSON, func(t *testing.T, body string) *vprobe.Tracing {
+		var sp vprobe.ClusterSpec
+		decodeStrict(t, body, &sp)
+		rep, err := vprobe.RunCluster(context.Background(), sp, vprobe.CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Tracing()
+	}},
+	{"/v1/simulations", tracedScenarioJSON, func(t *testing.T, body string) *vprobe.Tracing {
+		var sp vprobe.ScenarioSpec
+		decodeStrict(t, body, &sp)
+		sim, horizon, err := vprobe.CompileScenario(sp, vprobe.CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.RunContext(context.Background(), horizon); err != nil {
+			t.Fatal(err)
+		}
+		return sim.Tracing()
+	}},
+}
+
+// tracedScenarioJSON is scenarioJSON with the flight recorder on.
+var tracedScenarioJSON = strings.Replace(scenarioJSON, `"scheduler": "vprobe",`,
+	`"scheduler": "vprobe", "trace": true,`, 1)
+
+func decodeStrict(t *testing.T, body string, dst any) {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(dst); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// postTraced POSTs a traced spec and returns its run's URL.
+func postTraced(t *testing.T, base, path, body string) string {
+	t.Helper()
+	status, run := postJSON(t, base+path, body)
+	if status != http.StatusOK {
+		t.Fatalf("POST %s = %d: %v", path, status, run)
+	}
+	return fmt.Sprintf("%s/v1/runs/%s", base, run["id"])
+}
+
+// TestServedSpansMatchLibrary: a traced run's served JSONL and Chrome
+// trace are the bytes Tracing.WriteSpans and WriteChromeTrace write for
+// the same spec run through the library.
+func TestServedSpansMatchLibrary(t *testing.T) {
+	_, ts := testServer(t, Options{})
+	for _, tr := range tracedRuns {
+		runURL := postTraced(t, ts.URL, tr.path, tr.body)
+		tracing := tr.run(t, tr.body)
+		for _, f := range []struct {
+			query string
+			write func(*vprobe.Tracing, io.Writer) error
+		}{
+			{"", (*vprobe.Tracing).WriteSpans},
+			{"?format=chrome", (*vprobe.Tracing).WriteChromeTrace},
+		} {
+			status, got := getBody(t, runURL+"/spans"+f.query)
+			if status != http.StatusOK {
+				t.Fatalf("GET %s/spans%s = %d", tr.path, f.query, status)
+			}
+			var want bytes.Buffer
+			if err := f.write(tracing, &want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("%s spans%s: served %d bytes differ from the library's %d", tr.path, f.query, len(got), want.Len())
+			}
+		}
+	}
+}
+
+// TestServedExplainMatchesSpanFile: every explain query over every
+// recorded VM (why-not against every recorded host) answers as a
+// SpanIndex read back from the served JSONL does, errors included.
+func TestServedExplainMatchesSpanFile(t *testing.T) {
+	_, ts := testServer(t, Options{})
+	for _, tr := range tracedRuns {
+		runURL := postTraced(t, ts.URL, tr.path, tr.body)
+		_, raw := getBody(t, runURL+"/spans")
+		spans, err := telemetry.ReadSpans(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := telemetry.NewSpanIndex(spans)
+		hosts := []string{""}
+		seen := map[string]bool{}
+		for i := range spans {
+			if h := spans[i].Host; h != "" && !seen[h] {
+				seen[h] = true
+				hosts = append(hosts, h)
+			}
+		}
+
+		var list struct {
+			VMs     []string `json:"vms"`
+			Summary string   `json:"summary"`
+		}
+		_, body := getBody(t, runURL+"/explain")
+		if err := json.Unmarshal(body, &list); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(list.VMs, ix.VMs()) || list.Summary != ix.Summary() || len(list.VMs) == 0 {
+			t.Fatalf("%s explain lists %v (%q), the span file %v (%q)", tr.path, list.VMs, list.Summary, ix.VMs(), ix.Summary())
+		}
+		answered := 0
+		for _, vm := range ix.VMs() {
+			for _, q := range strings.Split(telemetry.ExplainQueries, ", ") {
+				for _, host := range hosts {
+					if q != "why-not" && host != "" {
+						continue
+					}
+					want, wantErr := ix.Explain(q, vm, host)
+					v := url.Values{"vm": {vm}, "q": {q}, "host": {host}}
+					status, body := getBody(t, runURL+"/explain?"+v.Encode())
+					var got struct {
+						Answer string `json:"answer"`
+						Error  string `json:"error"`
+					}
+					if err := json.Unmarshal(body, &got); err != nil {
+						t.Fatal(err)
+					}
+					switch {
+					case wantErr == nil:
+						if status != http.StatusOK || got.Answer != want {
+							t.Errorf("%s q=%s vm=%s host=%s: %d %q, the span file answers %q", tr.path, q, vm, host, status, got.Answer, want)
+						}
+						answered++
+					case errors.Is(wantErr, telemetry.ErrExplainQuery):
+						if status != http.StatusBadRequest {
+							t.Errorf("%s q=%s vm=%s host=%s: %d, want 400 (%v)", tr.path, q, vm, host, status, wantErr)
+						}
+					default:
+						if status != http.StatusNotFound || got.Error != wantErr.Error() {
+							t.Errorf("%s q=%s vm=%s host=%s: %d %q, the span file fails %q", tr.path, q, vm, host, status, got.Error, wantErr)
+						}
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d VMs, %d hosts, %d queries answered", tr.path, len(list.VMs), len(hosts)-1, answered)
+		if answered == 0 {
+			t.Errorf("%s: no explain query answered", tr.path)
+		}
 	}
 }

@@ -16,24 +16,21 @@ import (
 	"vprobe/internal/telemetry"
 )
 
-// TestTelemetryReadsRace GETs the telemetry and metrics of a done scenario
-// run and a done two-host cluster run from several goroutines while other
-// runs execute — scenarios under every scheduler and clusters of two to
-// four hosts, which extend the interned series layouts the done runs
-// share. Every read must return the bytes of the first read; run it under
-// -race.
+// TestTelemetryReadsRace GETs the telemetry, metrics, spans (JSONL and
+// Chrome) and explain listing of a done traced scenario run and a done
+// traced two-host cluster run from several goroutines while other runs
+// execute — scenarios under every scheduler and clusters of two to four
+// hosts, which extend the interned series layouts the done runs share.
+// Every read must return the bytes of the first read; run it under -race.
 func TestTelemetryReadsRace(t *testing.T) {
 	_, ts := testServer(t, Options{MaxConcurrent: 2})
 	var urls []string
-	for _, post := range []struct{ path, body string }{
-		{"/v1/simulations", scenarioJSON},
-		{"/v1/clusters", clusterJSON},
-	} {
+	for _, post := range tracedRuns {
 		status, v := postJSON(t, ts.URL+post.path, post.body)
 		if status != http.StatusOK {
 			t.Fatalf("POST %s: status %d: %v", post.path, status, v)
 		}
-		for _, artifact := range []string{"telemetry", "metrics"} {
+		for _, artifact := range []string{"telemetry", "metrics", "spans", "spans?format=chrome", "explain"} {
 			urls = append(urls, fmt.Sprintf("%s/v1/runs/%s/%s", ts.URL, v["id"], artifact))
 		}
 	}

@@ -13,9 +13,10 @@
 #   4. the run's /metrics and the server's own /metrics parse as
 #      Prometheus text exposition (via vprobe-explain check);
 #   5. the cluster front doors agree: a traced cluster spec file POSTed to
-#      /v1/clusters reports and records spans byte-identically to the same
-#      file run by vprobe-sim -spec and to vprobe-cluster with the same
-#      settings, and its explain endpoint answers for the first recorded VM;
+#      /v1/clusters reports and records spans byte-identically, as JSONL and
+#      as a Chrome trace, to the same file run by vprobe-sim -spec and to
+#      vprobe-cluster with the same settings, and its explain endpoint
+#      answers for the first recorded VM;
 #   6. a paper cell served from its spec document (vprobe-sim -spec, with
 #      "trace": true) reports and records spans byte-identically to
 #      vprobe-sim running the same cell with -spans.
@@ -83,20 +84,23 @@ curl -sf "http://$ADDR/metrics" >"$TMP/serve.prom"
 
 go build -o "$TMP/vprobe-cluster" ./cmd/vprobe-cluster
 "$TMP/vprobe-cluster" -hosts 2 -horizon 30s -seed 1 -spans "$TMP/cli-spans.jsonl" \
-    >"$TMP/cli-report.txt" 2>/dev/null
+    -chrome "$TMP/cli-chrome.json" >"$TMP/cli-report.txt" 2>/dev/null
 echo '{"hosts":2,"horizon":"30s","trace":true}' >"$TMP/cluster-spec.json"
 "$TMP/vprobe-sim" -spec "$TMP/cluster-spec.json" -spans "$TMP/doc-spans.jsonl" \
-    >"$TMP/doc-report.txt" 2>/dev/null
+    -chrome "$TMP/doc-chrome.json" >"$TMP/doc-report.txt" 2>/dev/null
 curl -sf -d @"$TMP/cluster-spec.json" "http://$ADDR/v1/clusters" >"$TMP/cluster.json"
 CID=$(jq -r .id "$TMP/cluster.json")
 # -j: the report text exactly, without the newline -r appends.
 jq -j .report "$TMP/cluster.json" >"$TMP/served-report.txt"
 curl -sf "http://$ADDR/v1/runs/$CID/spans" >"$TMP/served-spans.jsonl"
+curl -sf "http://$ADDR/v1/runs/$CID/spans?format=chrome" >"$TMP/served-chrome.json"
 for front in cli doc; do
     cmp "$TMP/$front-report.txt" "$TMP/served-report.txt" || {
         echo "serve-smoke: served cluster report differs from the $front run's" >&2; exit 1; }
     cmp "$TMP/$front-spans.jsonl" "$TMP/served-spans.jsonl" || {
         echo "serve-smoke: served cluster spans differ from the $front run's -spans" >&2; exit 1; }
+    cmp "$TMP/$front-chrome.json" "$TMP/served-chrome.json" || {
+        echo "serve-smoke: served cluster Chrome trace differs from the $front run's -chrome" >&2; exit 1; }
 done
 VM=$(curl -sf "http://$ADDR/v1/runs/$CID/explain" | jq -r '.vms[0]')
 CODE=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/v1/runs/$CID/explain?vm=$VM")

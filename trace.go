@@ -21,6 +21,11 @@ type TracingOptions struct {
 // with WriteSpans (JSONL, the vprobe-explain input format) or
 // WriteChromeTrace (loadable in Perfetto or chrome://tracing).
 //
+// The recorder is sealed when its run returns, as an EventLog and a
+// Telemetry are: its storage is cut to the recorded spans, and it holds no
+// reference to the simulation, so keeping it keeps no model alive. Both
+// exports render from those spans whenever they are called.
+//
 // Span IDs derive deterministically from the run seed, and all recording
 // happens on the deterministic engine goroutine off the quantum hot path:
 // the same seed yields the same span file byte for byte at every worker
@@ -49,6 +54,9 @@ func (t *Tracing) attach(seed uint64) (*telemetry.Tracer, error) {
 	return t.tracer, nil
 }
 
+// seal ends recording once the run has returned.
+func (t *Tracing) seal() { t.tracer.Seal() }
+
 // Spans is the number of spans recorded so far.
 func (t *Tracing) Spans() int { return t.tracer.Len() }
 
@@ -66,4 +74,10 @@ func (t *Tracing) WriteSpans(w io.Writer) error {
 // loadable in Perfetto or chrome://tracing. Hosts map to threads.
 func (t *Tracing) WriteChromeTrace(w io.Writer) error {
 	return t.tracer.WriteChromeTrace(w)
+}
+
+// Index returns the recorded spans indexed for provenance queries: the
+// index vprobe-explain builds by reading a span file back.
+func (t *Tracing) Index() *telemetry.SpanIndex {
+	return telemetry.NewSpanIndex(t.tracer.Spans())
 }

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"weak"
 
 	"vprobe"
 	"vprobe/internal/telemetry"
+	"vprobe/internal/xen"
 )
 
 // TestTracingExports covers the public flight recorder end to end: a
@@ -142,5 +145,64 @@ func TestClusterTracing(t *testing.T) {
 	}
 	if !strings.Contains(why, "decision place") {
 		t.Fatalf("ExplainWhy(%s) = %q", vms[0], why)
+	}
+}
+
+// TestSealedTracingReleasesRun checks that a recorder sealed by its run
+// keeps no reference to the simulation: holding it (as vprobe-serve holds
+// a done run's) keeps neither the hypervisor of a scenario alive nor the
+// cluster of a cluster run — watched through its arrival buffer, which
+// only the cluster holds — and both exports still render.
+func TestSealedTracingReleasesRun(t *testing.T) {
+	var hv weak.Pointer[xen.Hypervisor]
+	var scenario *vprobe.Tracing
+	func() {
+		sim, horizon := compile(t, instrumented(3*time.Second), vprobe.CompileOptions{
+			Spans: vprobe.NewTracing(vprobe.TracingOptions{})})
+		hv = weak.Make(sim.Hypervisor())
+		if _, err := sim.RunContext(context.Background(), horizon); err != nil {
+			t.Fatal(err)
+		}
+		scenario = sim.Tracing()
+	}()
+	var arrivals weak.Pointer[bytes.Buffer]
+	var cluster *vprobe.Tracing
+	func() {
+		w := new(bytes.Buffer)
+		arrivals = weak.Make(w)
+		rep, err := vprobe.RunCluster(context.Background(), vprobe.ClusterSpec{
+			Hosts: 2, Horizon: vprobe.SpecDuration(30 * time.Second), Workers: 1, Trace: true,
+		}, vprobe.CompileOptions{Arrivals: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Len() == 0 {
+			t.Fatal("the cluster wrote no arrivals")
+		}
+		cluster = rep.Tracing()
+	}()
+	runtime.GC()
+	runtime.GC()
+	if hv.Value() != nil {
+		t.Error("the sealed recorder keeps the hypervisor alive")
+	}
+	if arrivals.Value() != nil {
+		t.Error("the sealed recorder keeps the cluster alive")
+	}
+	for name, tr := range map[string]*vprobe.Tracing{"scenario": scenario, "cluster": cluster} {
+		var jsonl, chrome bytes.Buffer
+		if err := tr.WriteSpans(&jsonl); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.WriteChromeTrace(&chrome); err != nil {
+			t.Fatal(err)
+		}
+		spans, err := telemetry.ReadSpans(&jsonl)
+		if err != nil || len(spans) == 0 || len(spans) != tr.Spans() || tr.Index().Len() != len(spans) {
+			t.Fatalf("%s: sealed recorder exports %d spans of %d, err %v", name, len(spans), tr.Spans(), err)
+		}
+		if _, err := telemetry.ValidateChromeTrace(chrome.Bytes()); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 }

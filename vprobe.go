@@ -108,7 +108,6 @@ func (s *Simulator) Tracing() *Tracing { return s.opts.Spans }
 // the context's (so errors.Is matches context.Canceled or
 // context.DeadlineExceeded).
 func (s *Simulator) RunContext(ctx context.Context, horizon time.Duration) (*Report, error) {
-	defer sealEvents(s.opts.Events)
 	if horizon <= 0 {
 		return nil, fmt.Errorf("vprobe: non-positive horizon %v", horizon)
 	}
@@ -118,9 +117,7 @@ func (s *Simulator) RunContext(ctx context.Context, horizon time.Duration) (*Rep
 	// The value is consumed the moment the engine advances — even a
 	// cancelled run leaves state a re-run would silently corrupt.
 	s.ran = true
-	if s.opts.Telemetry != nil {
-		defer s.opts.Telemetry.seal()
-	}
+	defer s.opts.seal()
 	if err := s.h.Start(); err != nil {
 		return nil, err
 	}
