@@ -102,8 +102,8 @@ func TestTable1MatchesPaper(t *testing.T) {
 func TestVProbeBeatsCredit(t *testing.T) {
 	opts := testOpts()
 	opts.Schedulers = []sched.Kind{sched.KindCredit, sched.KindVProbe}
-	outs, err := RunSchedulers(context.Background(), "xeon-e5620", "",
-		named("soplex", 4), named("soplex", 4), opts)
+	outs, err := RunPaired(context.Background(),
+		standard("xeon-e5620", "", opts.Seed, named("soplex", 4), named("soplex", 4), opts), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,8 @@ func TestVCPUPAndLBBetweenExtremes(t *testing.T) {
 	opts.Schedulers = []sched.Kind{
 		sched.KindCredit, sched.KindVProbe, sched.KindVCPUP, sched.KindLB,
 	}
-	outs, err := RunSchedulers(context.Background(), "xeon-e5620", "",
-		named("milc", 4), named("milc", 4), opts)
+	outs, err := RunPaired(context.Background(),
+		standard("xeon-e5620", "", opts.Seed, named("milc", 4), named("milc", 4), opts), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +146,8 @@ func TestVCPUPAndLBBetweenExtremes(t *testing.T) {
 func TestVProbeReducesRemoteAccesses(t *testing.T) {
 	opts := testOpts()
 	opts.Schedulers = []sched.Kind{sched.KindCredit, sched.KindVProbe}
-	outs, err := RunSchedulers(context.Background(), "xeon-e5620", "",
-		named("libquantum", 4), named("libquantum", 4), opts)
+	outs, err := RunPaired(context.Background(),
+		standard("xeon-e5620", "", opts.Seed, named("libquantum", 4), named("libquantum", 4), opts), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestFig6ImprovementGrowsWithConcurrency(t *testing.T) {
 	opts.Schedulers = []sched.Kind{sched.KindCredit, sched.KindVProbe}
 	run := func(conc int) float64 {
 		app := spec.AppV1{Server: "memcached", Load: conc, Requests: 40000}
-		outs, err := RunSchedulers(context.Background(), "xeon-e5620", "", replicate(app, 8), replicate(app, 8), opts)
+		outs, err := RunPaired(context.Background(), standard("xeon-e5620", "", opts.Seed, replicate(app, 8), replicate(app, 8), opts), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -138,7 +138,8 @@ func schedColumns(opts Options) []string {
 func comparisonCells(prefix string, ws []workloadApps, opts Options) []Cell {
 	var cells []Cell
 	for _, w := range ws {
-		cells = append(cells, schedulerCells("xeon-e5620", prefix+w.Name, w.Apps1, w.Apps2, opts)...)
+		base := standard("xeon-e5620", "", opts.Seed, w.Apps1, w.Apps2, opts)
+		cells = append(cells, schedulerCells(base, prefix+w.Name, opts)...)
 	}
 	return cells
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"vprobe/internal/cluster"
@@ -69,14 +68,12 @@ func (c Cell) cost() float64 {
 			if vm.FillGuestIdle {
 				busy += vm.VCPUs - len(vm.Apps)
 			}
-			for _, app := range vm.Apps {
-				if p, err := app.Profile(n.Scale); err == nil && slices.Contains(n.Watch, vm.Name) {
-					if p.Endless() {
-						longest = horizon
-					}
-					longest = math.Max(longest, p.TotalInstructions*p.BaseCPI/(top.ClockGHz()*1e9))
-				}
+		}
+		for _, p := range watchedProfiles(n) {
+			if p.Endless() {
+				longest = horizon
 			}
+			longest = math.Max(longest, p.TotalInstructions*p.BaseCPI/(top.ClockGHz()*1e9))
 		}
 		return float64(min(busy, top.NumCPUs())) * math.Min(longest, horizon)
 	case spec.ClusterV1:

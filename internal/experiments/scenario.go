@@ -72,36 +72,37 @@ func runScenario(ctx context.Context, s spec.ScenarioV1) (ScenarioRun, error) {
 	return run, nil
 }
 
-// RunSchedulers runs apps1 in VM1 against apps2 in VM2 of the standard
-// scenario on the topology preset, once per scheduler in opts.Schedulers
-// and repeat in [0, opts.Repeats), and returns the runs by scheduler in
-// repeat order. Repeat rep runs at seed opts.Seed+rep for every
-// scheduler, so same-seed runs share the initial placement and per-seed
-// normalization compares like with like. opts is used as given: callers
-// normalize it first. label prefixes progress-event scenario names. The
-// runs go through the cell queue RunSuite uses.
-func RunSchedulers(ctx context.Context, topology, label string, apps1, apps2 []spec.AppV1, opts Options) (map[sched.Kind][]ScenarioRun, error) {
-	outs, err := runCells(ctx, opts, schedulerCells(topology, label, apps1, apps2, opts))
+// RunPaired runs base once per scheduler in opts.Schedulers and seed in
+// s … s+opts.Repeats−1, where s is base's normalized seed, and returns
+// the runs by scheduler in seed order. Every scheduler runs every seed,
+// so same-seed runs share the initial placement and Pair compares like
+// with like. opts is used as given, and base's own scheduler is replaced.
+// The runs go through the cell queue RunSuite uses.
+func RunPaired(ctx context.Context, base spec.ScenarioV1, opts Options) (map[sched.Kind][]ScenarioRun, error) {
+	outs, err := runCells(ctx, opts, schedulerCells(base, "", opts))
 	if err != nil {
 		return nil, err
 	}
 	return byScheduler(as[ScenarioRun](outs), opts), nil
 }
 
-// schedulerCells declares RunSchedulers' cells, scheduler-major.
-func schedulerCells(topology, label string, apps1, apps2 []spec.AppV1, opts Options) []Cell {
+// schedulerCells declares RunPaired's cells, scheduler-major. label
+// prefixes their progress-event names.
+func schedulerCells(base spec.ScenarioV1, label string, opts Options) []Cell {
+	seed := base.Normalize().Seed
 	cells := make([]Cell, 0, len(opts.Schedulers)*opts.Repeats)
 	for _, k := range opts.Schedulers {
 		for rep := 0; rep < opts.Repeats; rep++ {
-			cells = append(cells, Cell{Name: scenarioName(label, string(k), rep),
-				Spec: standard(topology, k, opts.Seed+uint64(rep), apps1, apps2, opts)})
+			s := base
+			s.Scheduler, s.Seed = string(k), seed+uint64(rep)
+			cells = append(cells, Cell{Name: scenarioName(label, string(k), rep), Spec: s})
 		}
 	}
 	return cells
 }
 
 // byScheduler groups the outputs of schedulerCells by scheduler, each in
-// repeat order.
+// seed order.
 func byScheduler(runs []ScenarioRun, opts Options) map[sched.Kind][]ScenarioRun {
 	out := make(map[sched.Kind][]ScenarioRun, len(opts.Schedulers))
 	for v, k := range opts.Schedulers {
