@@ -62,8 +62,8 @@ func planFig7(opts Options) plan {
 			for _, k := range opts.Schedulers {
 				var thrs []float64
 				for _, so := range byLabel[label][k] {
-					if secs := so.End.Seconds(); secs > 0 {
-						thrs = append(thrs, metrics.SumRequests(so.Runs)/secs)
+					if thr, ok := throughput(so); ok {
+						thrs = append(thrs, thr)
 					}
 				}
 				thr := sim.Mean(thrs)
@@ -76,9 +76,12 @@ func planFig7(opts Options) plan {
 		r.Tables = append(r.Tables, tput)
 
 		// Panels (b) and (c): normalized total/remote accesses.
-		for _, panel := range []struct{ name, series string }{
-			{"Fig. 7(b) Normalized Total Memory Accesses (per request)", "total"},
-			{"Fig. 7(c) Normalized Remote Memory Accesses (per request)", "remote"},
+		for _, panel := range []struct {
+			name, series string
+			sum          func([]metrics.AppRun) float64
+		}{
+			{"Fig. 7(b) Normalized Total Memory Accesses (per request)", "total", metrics.SumTotal},
+			{"Fig. 7(c) Normalized Remote Memory Accesses (per request)", "remote", metrics.SumRemote},
 		} {
 			t := metrics.NewTable(panel.name, append([]string{"connections"}, schedColumns(opts)...)...)
 			for _, label := range labels {
@@ -94,13 +97,7 @@ func planFig7(opts Options) plan {
 						if req <= 0 || baseReq <= 0 {
 							continue
 						}
-						var v, baseVal float64
-						if panel.series == "total" {
-							v, baseVal = metrics.SumTotal(so.Runs)/req, metrics.SumTotal(baseRuns)/baseReq
-						} else {
-							v, baseVal = metrics.SumRemote(so.Runs)/req, metrics.SumRemote(baseRuns)/baseReq
-						}
-						if baseVal > 0 {
+						if v, baseVal := panel.sum(so.Runs)/req, panel.sum(baseRuns)/baseReq; baseVal > 0 {
 							ratios = append(ratios, v/baseVal)
 						}
 					}
