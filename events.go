@@ -1,8 +1,9 @@
 package vprobe
 
 import (
+	"encoding/binary"
 	"math"
-	"math/bits"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -213,22 +214,19 @@ type EventFunc func(Event)
 func (f EventFunc) HandleEvent(ev Event) { f(ev) }
 
 // EventLog records a run's events in a compact form and renders them as
-// JSON Lines only when they are read. Its records are 32 bytes each,
-// held in blocks that never move, and hold no pointers, so a log the
-// garbage collector keeps alive costs it no scanning: kinds index a
-// per-log kind table, and names and the text Details of the cold kinds
-// are refs into one per-log string table. A dispatch or block line is
-// not stored at all; AppendJSONL builds it from the record's typed
-// fields. An event whose fields do not fit the compact record (a VCPU
-// beyond int32, a CPU beyond int16, a node beyond int8, a 256th distinct
-// kind, or an Arg beside a text Detail) keeps them in a full-width side
-// record, so every event renders exactly.
+// JSON Lines only when they are read. Each event is one varint record,
+// about 10 bytes for a dispatch or block, appended to byte chunks that
+// never move and hold no pointers, so a log the garbage collector keeps
+// alive costs it no scanning. Kinds, names and the text Details of the
+// cold kinds are refs into one per-log string table. A dispatch or block
+// line is not stored at all; AppendJSONL builds it from the record's
+// typed fields. A varint holds any int64, so every event renders exactly.
 //
 // EventLog is an EventSink. As a compiled Simulator's
 // Events it takes the hypervisor's typed events directly, so a run
 // builds no Event per event; as RunCluster's it records the cluster
 // events. When that run returns, done or not, the log is sealed: its last
-// block and tables shrink to exact-length copies and its intern map
+// chunk and string table shrink to exact-length copies and its intern map
 // goes, so a stored log costs only its records. A later append still
 // works. The
 // zero value is an empty log ready for use. One goroutine appends while
@@ -236,60 +234,54 @@ func (f EventFunc) HandleEvent(ev Event) { f(ev) }
 // the run.
 type EventLog struct {
 	mu sync.Mutex
-	// blocks holds the records, block k logBlock<<k of them; n counts
-	// them. Only the last block has unused slots (none once sealed).
-	blocks [][]logRecord
+	// chunks holds the records; n counts them. The last chunk holds used
+	// bytes of records and is cut to them by the seal; an earlier chunk
+	// may end in a few bytes that the next record did not fit.
+	chunks []logChunk
 	n      int
-	wide   []wideRecord // the fields of the events that overflow a logRecord
-	kinds  []int32      // the kind table: string refs, by kind index
-	strs   []string     // the string table; ref i > 0 is strs[i-1]
-	// names interns kinds and names by ref, and kindOf[ref] is 1 + the
-	// kind index of ref (0 when ref is not a kind yet). The seal drops
-	// both; a later append rebuilds them as it goes.
-	names  map[string]int32
-	kindOf []uint8
-	grown  chan struct{} // closed by the next append; nil while nobody waits
+	used   int
+	at     time.Duration // the last record's time, the next delta's base
+	strs   []string      // the string table; ref i > 0 is strs[i-1]
+	// names interns kinds and names by ref. The seal drops it; a later
+	// append rebuilds it as it goes.
+	names map[string]int32
+	grown chan struct{} // closed by the next append; nil while nobody waits
 }
 
-// logRecord is one event of an EventLog. The string refs index the log's
-// string table (0 is the empty string).
-type logRecord struct {
-	at int64 // time.Duration
-	// arg is the xen.Event.Arg of a typed record. A text record, which
-	// has none, packs its host and VM refs here (host<<32 | vm). An
-	// overflowed record holds its index into the log's wide table.
-	arg  int64
-	vcpu int32
-	app  int32
-	// detail is the ref of the Detail text, or typedDetail when the line
-	// is built from the typed fields by xen.Event.AppendDetail.
-	detail int32
-	cpu    int16
-	node   int8
-	kind   uint8 // an index into the kind table, or wideKind
-}
-
-// wideRecord holds the full-width fields of an event that overflowed its
-// logRecord, which keeps only its time, app and detail.
-type wideRecord struct {
-	arg             sim.Duration
-	vcpu, cpu, node int
-	kind, host, vm  int32
+// logChunk holds whole records, in order. Its buf is allocated at full
+// length and never re-sliced, so a reader's snapshot of the chunk list
+// stays valid while the writer fills the rest of the last chunk.
+//
+// A record is these varints, in order:
+//
+//	kind ref<<1 | ns   (ns is 1 when the delta is in ns, 0 in whole µs)
+//	time delta         from the previous record, zigzag
+//	detail ref + 1     0 for a typed dispatch or block line
+//	vcpu, node         zigzag
+//	app ref
+//	cpu, arg           zigzag, a typed record only
+//	host ref, vm ref   a text record only
+//
+// A text record keeps no cpu or arg: only a typed line renders them.
+type logChunk struct {
+	first int           // the index of the chunk's first record
+	at    time.Duration // the time its first record's delta counts from
+	buf   []byte
 }
 
 const (
-	// logBlock is how many records an EventLog's first block holds;
-	// each next block holds twice as many. A block never moves, so a
-	// growing log allocates O(log n) times, as a doubling slice would,
-	// but copies no records and leaves no garbage behind; blockOf finds
-	// any record in O(1).
-	logBlock = 64
+	// logChunkMin is the size in bytes of an EventLog's first chunk; each
+	// next chunk is twice the size of the one before, up to
+	// logChunkMin<<logChunkDoublings. A chunk never moves, so a growing
+	// log copies no records and leaves no garbage behind, and a seek
+	// decodes at most one chunk.
+	logChunkMin       = 256
+	logChunkDoublings = 8
+	// maxRecord bounds one record's encoding: eight varints.
+	maxRecord = 8 * binary.MaxVarintLen64
 	// typedDetail marks a record whose Detail xen.Event.AppendDetail
 	// renders.
 	typedDetail = -1
-	// wideKind marks a record whose fields live in the wide table; the
-	// kind table holds at most wideKind kinds.
-	wideKind = math.MaxUint8
 )
 
 // closedChan is what Grown returns when the log has already grown.
@@ -320,73 +312,42 @@ func (l *EventLog) handleXen(ev xen.Event) {
 	l.mu.Unlock()
 }
 
-// push appends one event and wakes a waiting reader. l.mu is held.
+// push appends one event's record, in a new chunk when the last has no
+// room for it, and wakes a waiting reader. l.mu is held.
 func (l *EventLog) push(at time.Duration, kind string, vcpu, cpu, node int, arg sim.Duration, app, host, vm, detail int32) {
-	r := logRecord{at: int64(at), vcpu: int32(vcpu), app: app, detail: detail,
-		cpu: int16(cpu), node: int8(node), arg: int64(arg)}
-	fits := int(r.vcpu) == vcpu && int(r.cpu) == cpu && int(r.node) == node
-	if detail != typedDetail {
-		// Only hypervisor events are typed, and they name no host or VM;
-		// a text record's arg holds those refs instead of an Arg.
-		fits = fits && arg == 0
-		r.arg = int64(host)<<32 | int64(uint32(vm))
-	}
-	ref := l.intern(kind)
-	k, ok := l.kindIndex(ref)
-	if fits && ok {
-		r.kind = k
+	// The delta may wrap; the reader's sum wraps back to at.
+	delta, ns := at-l.at, uint64(0)
+	if delta%time.Microsecond == 0 {
+		delta /= time.Microsecond
 	} else {
-		r.kind = wideKind
-		r.vcpu, r.cpu, r.node = 0, 0, 0
-		r.arg = int64(len(l.wide))
-		l.wide = append(l.wide, wideRecord{arg: arg, vcpu: vcpu, cpu: cpu, node: node, kind: ref, host: host, vm: vm})
+		ns = 1
 	}
-	*l.slot() = r
+	var buf [maxRecord]byte
+	r := binary.AppendUvarint(buf[:0], uint64(l.intern(kind))<<1|ns)
+	r = binary.AppendVarint(r, int64(delta))
+	r = binary.AppendUvarint(r, uint64(detail+1))
+	r = binary.AppendVarint(r, int64(vcpu))
+	r = binary.AppendVarint(r, int64(node))
+	r = binary.AppendUvarint(r, uint64(app))
+	if detail == typedDetail {
+		r = binary.AppendVarint(r, int64(cpu))
+		r = binary.AppendVarint(r, int64(arg))
+	} else {
+		r = binary.AppendUvarint(r, uint64(host))
+		r = binary.AppendUvarint(r, uint64(vm))
+	}
+	if k := len(l.chunks) - 1; k < 0 || l.used+len(r) > len(l.chunks[k].buf) {
+		size := logChunkMin << min(len(l.chunks), logChunkDoublings)
+		l.chunks = append(l.chunks, logChunk{first: l.n, at: l.at, buf: make([]byte, size)})
+		l.used = 0
+	}
+	l.used += copy(l.chunks[len(l.chunks)-1].buf[l.used:], r)
+	l.at = at
+	l.n++
 	if l.grown != nil {
 		close(l.grown)
 		l.grown = nil
 	}
-}
-
-// blockOf returns the block holding record i and i's offset in it.
-func blockOf(i int) (k, off int) {
-	k = bits.Len(uint(i/logBlock+1)) - 1
-	return k, i - logBlock*(1<<k-1)
-}
-
-// slot returns the next record's place, adding a block when the last is
-// full. l.mu is held.
-func (l *EventLog) slot() *logRecord {
-	k, off := blockOf(l.n)
-	switch size := logBlock << k; {
-	case k == len(l.blocks):
-		l.blocks = append(l.blocks, make([]logRecord, size))
-	case len(l.blocks[k]) < size:
-		// The seal cut the last block to its records. Restore its room
-		// in a new outer slice: readers may hold the old one.
-		full := make([]logRecord, size)
-		copy(full, l.blocks[k])
-		l.blocks = append(l.blocks[:k:k], full)
-	}
-	l.n++
-	return &l.blocks[k][off]
-}
-
-// kindIndex returns the kind-table index of the kind string ref, adding
-// it while the table has room. l.mu is held.
-func (l *EventLog) kindIndex(ref int32) (uint8, bool) {
-	if int(ref) < len(l.kindOf) && l.kindOf[ref] != 0 {
-		return l.kindOf[ref] - 1, true
-	}
-	if len(l.kinds) == wideKind {
-		return 0, false
-	}
-	if int(ref) >= len(l.kindOf) {
-		l.kindOf = append(l.kindOf, make([]uint8, int(ref)+1-len(l.kindOf))...)
-	}
-	l.kinds = append(l.kinds, ref)
-	l.kindOf[ref] = uint8(len(l.kinds))
-	return uint8(len(l.kinds) - 1), true
 }
 
 // intern returns the ref of s, adding it to the string table once.
@@ -415,22 +376,20 @@ func (l *EventLog) add(s string) int32 {
 	return int32(len(l.strs))
 }
 
-// seal trims the log of a run that has returned: the last block of
-// records and every table become exact-length copies, and the intern
-// state goes. The block list is copied too, so no reader's snapshot
-// changes.
+// seal trims the log of a run that has returned: the last chunk and the
+// string table become exact-length copies, and the intern map goes. The
+// chunk list is copied too, so no reader's snapshot changes; the next
+// append, finding no room, starts a new chunk.
 func (l *EventLog) seal() {
 	l.mu.Lock()
-	blocks := make([][]logRecord, len(l.blocks))
-	copy(blocks, l.blocks)
-	if k, off := blockOf(l.n); off != 0 {
-		blocks[k] = exactCopy(blocks[k][:off])
+	chunks := make([]logChunk, len(l.chunks))
+	copy(chunks, l.chunks)
+	if k := len(chunks) - 1; k >= 0 {
+		chunks[k].buf = exactCopy(chunks[k].buf[:l.used])
 	}
-	l.blocks = blocks
-	l.wide = exactCopy(l.wide)
-	l.kinds = exactCopy(l.kinds)
+	l.chunks = chunks
 	l.strs = exactCopy(l.strs)
-	l.names, l.kindOf = nil, nil
+	l.names = nil
 	l.mu.Unlock()
 }
 
@@ -483,47 +442,74 @@ func (l *EventLog) AppendJSONL(b []byte, from, to int) []byte {
 	// Records and table entries never change once appended, so a reader
 	// renders outside the lock from a snapshot of the slices.
 	l.mu.Lock()
-	blocks, wide, kinds, strs := l.blocks, l.wide, l.kinds, l.strs
+	chunks, strs := l.chunks, l.strs
 	l.mu.Unlock()
-	str := func(ref int32) string {
+	if from >= to {
+		return b
+	}
+	str := func(ref uint64) string {
 		if ref == 0 {
 			return ""
 		}
 		return strs[ref-1]
 	}
+	// Seek: decode from the start of the chunk holding from.
+	c := sort.Search(len(chunks), func(c int) bool { return chunks[c].first > from }) - 1
+	r, at := recordReader(chunks[c].buf), chunks[c].at
 	var scratch [128]byte // a typed line fits; a longer one moves to the heap
 	line := scratch[:0]
-	for i := from; i < to; i++ {
-		k, off := blockOf(i)
-		r := &blocks[k][off]
-		vcpu, cpu, node, arg := int(r.vcpu), int(r.cpu), int(r.node), sim.Duration(r.arg)
-		var kind, host, vm int32
-		switch {
-		case r.kind == wideKind:
-			w := &wide[r.arg]
-			vcpu, cpu, node, arg = w.vcpu, w.cpu, w.node, w.arg
-			kind, host, vm = w.kind, w.host, w.vm
-		case r.detail == typedDetail:
-			kind = kinds[r.kind]
-		default:
-			kind, host, vm = kinds[r.kind], int32(r.arg>>32), int32(r.arg)
+	for i := chunks[c].first; i < to; i++ {
+		if c+1 < len(chunks) && i == chunks[c+1].first {
+			c++
+			r = recordReader(chunks[c].buf)
 		}
-		at, app := time.Duration(r.at), str(r.app)
-		if r.detail == typedDetail {
+		kindNS, delta := r.uvarint(), time.Duration(r.varint())
+		if kindNS&1 == 0 {
+			delta *= time.Microsecond
+		}
+		at += delta
+		detail, vcpu, node, app := r.uvarint(), int(r.varint()), int(r.varint()), str(r.uvarint())
+		var cpu, arg int64
+		var host, vm string
+		if detail == 0 {
+			cpu, arg = r.varint(), r.varint()
+		} else {
+			host, vm = str(r.uvarint()), str(r.uvarint())
+		}
+		if i < from {
+			continue
+		}
+		kind := str(kindNS >> 1)
+		if detail == 0 {
 			line = xen.Event{
-				Kind: xen.EventKind(str(kind)),
+				Kind: xen.EventKind(kind),
 				VCPU: xen.VCPUID(vcpu),
 				CPU:  numa.CPUID(cpu),
 				App:  app,
-				Arg:  arg,
+				Arg:  sim.Duration(arg),
 			}.AppendDetail(line[:0])
-			b = appendEventJSON(b, at, str(kind), vcpu, node, app, str(host), str(vm), line)
+			b = appendEventJSON(b, at, kind, vcpu, node, app, host, vm, line)
 		} else {
-			b = appendEventJSON(b, at, str(kind), vcpu, node, app, str(host), str(vm), str(r.detail))
+			b = appendEventJSON(b, at, kind, vcpu, node, app, host, vm, str(detail-1))
 		}
 		b = append(b, '\n')
 	}
 	return b
+}
+
+// recordReader decodes a chunk's varints in order.
+type recordReader []byte
+
+func (r *recordReader) uvarint() uint64 {
+	v, n := binary.Uvarint(*r)
+	*r = (*r)[n:]
+	return v
+}
+
+func (r *recordReader) varint() int64 {
+	v, n := binary.Varint(*r)
+	*r = (*r)[n:]
+	return v
 }
 
 // eventHook builds the xen-level event hook delivering to sink (nil when

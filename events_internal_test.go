@@ -5,9 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
-	"unsafe"
+
+	"vprobe/internal/numa"
+	"vprobe/internal/sim"
+	"vprobe/internal/xen"
 )
 
 // XenEventHook exposes eventHook to the external tests: it builds the
@@ -15,35 +19,53 @@ import (
 var XenEventHook = eventHook
 
 // TestEventLogRecordsHoldNoPointers keeps the log's records out of the
-// garbage collector's scan: every field must be a number (or an array or
-// struct of numbers), so a cached run's events cost no mark work however
-// many it holds. The overflow records are held to the same rule.
+// garbage collector's scan: a chunk holds its record bytes and numbers
+// only, so a cached run's events cost no mark work however many it holds.
 func TestEventLogRecordsHoldNoPointers(t *testing.T) {
-	var check func(path string, typ reflect.Type)
-	check = func(path string, typ reflect.Type) {
-		switch typ.Kind() {
-		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-			reflect.Float32, reflect.Float64:
-		case reflect.Array:
-			check(path+"[]", typ.Elem())
-		case reflect.Struct:
-			for i := 0; i < typ.NumField(); i++ {
-				check(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+	typ := reflect.TypeOf(logChunk{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		case reflect.Slice:
+			if f.Type.Elem().Kind() != reflect.Uint8 {
+				t.Errorf("logChunk.%s is a %s, whose elements the collector scans", f.Name, f.Type)
 			}
 		default:
-			t.Errorf("%s is a %s, which holds a pointer", path, typ.Kind())
+			t.Errorf("logChunk.%s is a %s, which holds a pointer", f.Name, f.Type)
 		}
 	}
-	check("logRecord", reflect.TypeOf(logRecord{}))
-	check("wideRecord", reflect.TypeOf(wideRecord{}))
 }
 
-// TestEventLogRecordSize pins the compact record at 32 bytes or less: a
-// cached serve run holds a few hundred of them.
+// TestEventLogRecordSize bounds what a record costs on the serve-mix
+// spec shape (a 0.5 s two-VM scenario, nearly all dispatch and block
+// records): at most 12 bytes an event, chunk slack included; 10.3
+// measured.
 func TestEventLogRecordSize(t *testing.T) {
-	if size := unsafe.Sizeof(logRecord{}); size > 32 {
-		t.Errorf("logRecord is %d bytes, want at most 32", size)
+	log := new(EventLog)
+	s, horizon, err := CompileScenario(ScenarioSpec{
+		Scheduler: string(SchedulerVProbe), Seed: 7, Horizon: SpecDuration(500 * time.Millisecond),
+		VMs: []VMSpec{
+			{Name: "vm1", MemoryMB: 4096, VCPUs: 4, Memory: "stripe", FillGuestIdle: true,
+				Apps: []AppSpec{{Name: "soplex"}, {Name: "mcf"}}},
+			{Name: "vm2", MemoryMB: 2048, VCPUs: 4, Apps: []AppSpec{{Name: "milc"}, {Name: "lu"}}},
+		},
+	}, CompileOptions{Events: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunContext(context.Background(), horizon); err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	for _, c := range log.chunks {
+		held += len(c.buf)
+	}
+	per := float64(held) / float64(log.Len())
+	t.Logf("%d events in %d B: %.1f B an event", log.Len(), held, per)
+	if log.Len() < 100 || per > 12 {
+		t.Errorf("%d events hold %.1f B each, want at most 12", log.Len(), per)
 	}
 }
 
@@ -108,9 +130,10 @@ func TestEventLogSealedAfterRun(t *testing.T) {
 			}, CompileOptions{Events: log})
 			return err
 		}},
-		// Sealed by hand: a last block cut short, and one left full.
-		{"partial block", func(log *EventLog) error { return fill(log, logBlock+6) }},
-		{"full block", func(log *EventLog) error { return fill(log, 3*logBlock) }},
+		// Sealed by hand. Each fill record is 8 bytes, so 96 of them fill
+		// the 256 and 512 B chunks exactly.
+		{"partial chunk", func(log *EventLog) error { return fill(log, 38) }},
+		{"full chunk", func(log *EventLog) error { return fill(log, 96) }},
 	}
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
@@ -121,23 +144,22 @@ func TestEventLogSealedAfterRun(t *testing.T) {
 			if log.Len() == 0 {
 				t.Fatal("the run recorded no events")
 			}
-			held := 0
-			for _, b := range log.blocks {
-				held += len(b)
-				if len(b) != cap(b) {
-					t.Errorf("sealed log keeps a record block at %d/%d", len(b), cap(b))
+			if len(log.chunks) != cap(log.chunks) {
+				t.Errorf("sealed log keeps %d/%d chunk slots", len(log.chunks), cap(log.chunks))
+			}
+			for i, c := range log.chunks {
+				if len(c.buf) != cap(c.buf) {
+					t.Errorf("chunk %d is sliced to %d/%d bytes", i, len(c.buf), cap(c.buf))
 				}
 			}
-			if held != log.Len() || len(log.blocks) != cap(log.blocks) {
-				t.Errorf("sealed log holds %d record slots in %d/%d blocks for %d events",
-					held, len(log.blocks), cap(log.blocks), log.Len())
+			if last := log.chunks[len(log.chunks)-1].buf; log.used != len(last) {
+				t.Errorf("sealed log's last chunk holds %d bytes, %d used", len(last), log.used)
 			}
-			if len(log.strs) != cap(log.strs) || len(log.kinds) != cap(log.kinds) {
-				t.Errorf("sealed log keeps spare table capacity: strs %d/%d, kinds %d/%d",
-					len(log.strs), cap(log.strs), len(log.kinds), cap(log.kinds))
+			if len(log.strs) != cap(log.strs) {
+				t.Errorf("sealed log keeps spare string table capacity: %d/%d", len(log.strs), cap(log.strs))
 			}
-			if log.names != nil || log.kindOf != nil {
-				t.Error("sealed log keeps its intern state")
+			if log.names != nil {
+				t.Error("sealed log keeps its intern map")
 			}
 
 			want := log.AppendJSONL(nil, 0, log.Len())
@@ -154,4 +176,100 @@ func TestEventLogSealedAfterRun(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzEventLogRanges appends a fuzz-driven event sequence long enough to
+// span several chunks, seals the log part way through and appends the
+// rest after the seal, then checks that every range it reads renders as
+// the concatenated Event.AppendJSON of the same events. Each script byte
+// picks one event's shape (a cluster event, a public event with an app,
+// a typed or a text hypervisor event), its time step (forward in whole
+// µs or in ns, backward, none, or a jump to ±1<<62, in µs for a
+// hypervisor event) and its field values.
+func FuzzEventLogRanges(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3}, uint16(300), uint16(150), uint8(7))
+	f.Add([]byte{0x15, 0x19, 0x41, 0x5e, 0x67, 0x8d}, uint16(900), uint16(0), uint8(1))
+	f.Add([]byte{0xff, 0x35, 0x11}, uint16(1200), uint16(1200), uint8(50))
+	f.Add([]byte("dispatch"), uint16(640), uint16(333), uint8(13))
+	f.Fuzz(func(t *testing.T, script []byte, count, sealAt uint16, stride uint8) {
+		if len(script) == 0 {
+			script = []byte{0}
+		}
+		n := 200 + int(count)%1000
+		vcpus := [...]int{-1, 0, 3, 127, 1 << 40, -1 << 40}
+		nodes := [...]int{-1, 0, 1, 300}
+		cpus := [...]int{-1, 0, 5, 1 << 16}
+		args := [...]sim.Duration{0, 1, 30000, 1 << 53, -1500}
+		kinds := [...]string{string(EventDispatch), string(EventBlock), string(EventVMPlace), "kind <&>"}
+		log := new(EventLog)
+		hook := eventHook(log)
+		var lines []string
+		at := time.Duration(0)
+		for i := range n {
+			if i == int(sealAt)%(n+1) {
+				log.seal()
+			}
+			b := script[i%len(script)] + byte(i/len(script))
+			j := i + int(b)
+			step := (b >> 2) & 7
+			switch step {
+			case 0, 1:
+				at += time.Duration(j%40000) * time.Microsecond
+			case 2:
+				at += time.Duration(j % 1999)
+			case 3:
+				at -= time.Duration(j) * time.Millisecond
+			case 4:
+				at = 1 << 62
+			case 5:
+				at = -1 << 62
+			}
+			kind, vcpu, node := kinds[(j/3)%len(kinds)], vcpus[j%len(vcpus)], nodes[(j/2)%len(nodes)]
+			var ev Event
+			switch b & 3 {
+			case 0, 1:
+				ev = Event{At: at, Kind: EventKind(kind), VCPU: vcpu, Node: node, Detail: fmt.Sprintf("event %d", i)}
+				if b&3 == 0 {
+					ev.Host, ev.VM = fmt.Sprintf("host-%02d", j%7), fmt.Sprintf("vm-%d", j%11)
+				} else {
+					ev.App = "mcf"
+				}
+				log.HandleEvent(ev)
+			default:
+				xe := xen.Event{At: sim.Time(at / time.Microsecond), Kind: xen.EventKind(kind), VCPU: xen.VCPUID(vcpu),
+					CPU: numa.CPUID(cpus[j%len(cpus)]), Node: numa.NodeID(node), App: "lu", Arg: args[j%len(args)]}
+				if step == 4 || step == 5 {
+					// ±1<<62 µs: the conversion to a Duration wraps.
+					xe.At = sim.Time(at)
+				}
+				if b&3 == 3 {
+					xe.Detail = fmt.Sprintf("domain vm%d", j%3)
+				}
+				hook(xe)
+				eventHook(EventFunc(func(e Event) { ev = e }))(xe)
+			}
+			lines = append(lines, string(ev.AppendJSON(nil))+"\n")
+		}
+		if log.Len() != n {
+			t.Fatalf("the log holds %d events, want %d", log.Len(), n)
+		}
+		if len(log.chunks) < 3 {
+			t.Fatalf("%d events fill only %d chunks", n, len(log.chunks))
+		}
+		check := func(from, to int) {
+			if got, want := string(log.AppendJSONL(nil, from, to)), strings.Join(lines[from:to], ""); got != want {
+				t.Fatalf("AppendJSONL(%d, %d)\n got: %s\nwant: %s", from, to, got, want)
+			}
+		}
+		check(0, n)
+		span := 1 + int(stride)%61
+		for from := 0; from <= n; from += span {
+			check(from, from)
+			check(from, min(from+span, n))
+		}
+		// Every chunk boundary, entered from either side.
+		for _, c := range log.chunks {
+			check(max(c.first-1, 0), min(c.first+1, n))
+		}
+	})
 }

@@ -34,9 +34,10 @@ type wireEvent struct {
 // arbitrary field values, and an EventLog's rendering with both. The
 // corpus is seeded from vprobe-sim's traced soplex event golden plus
 // strings that exercise every escape: HTML-sensitive bytes, quotes,
-// control bytes, invalid UTF-8, U+2028/U+2029 and µs; and with fields
-// that overflow the log's compact record (a node beyond int8, a VCPU
-// beyond int32, a CPU beyond int16, an Arg beside a text Detail).
+// control bytes, invalid UTF-8, U+2028/U+2029 and µs; and with wide
+// field values (a node beyond int8, a VCPU beyond int32, a CPU beyond
+// int16, a time of 1<<62, an Arg beside a text Detail). Its logs hold two
+// events; FuzzEventLogRanges covers logs that span several chunks.
 func FuzzEventJSON(f *testing.F) {
 	file, err := os.Open("cmd/vprobe-sim/testdata/soplex_events.jsonl")
 	if err != nil {
@@ -276,10 +277,11 @@ func TestEventLogGrown(t *testing.T) {
 	}
 }
 
-// TestEventLogManyKinds puts 300 distinct kinds into one log, past the
-// 255 its kind table holds, in every record shape: a cluster event, a
-// text-Detail hypervisor event and a typed dispatch. Each renders as the
-// Event another sink receives, and every range renders its own lines.
+// TestEventLogManyKinds puts 300 distinct kinds into one log, enough
+// that kind refs take two varint bytes, in every record shape: a cluster
+// event, a text-Detail hypervisor event and a typed dispatch. Each
+// renders as the Event another sink receives, and every range renders
+// its own lines.
 func TestEventLogManyKinds(t *testing.T) {
 	shapes := []struct {
 		name string

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -146,10 +147,18 @@ func (s *Server) handleRunCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"id": rn.ID, "cancelling": true})
 }
 
+// eventsPerWrite is how many events /events renders into one write. A
+// rendered event is about 100 bytes, ten times its packed record, so
+// rendering a done run's whole log at once would hold its full JSONL per
+// reader; a batch bounds that at about 100 KB, small enough to render
+// into a pooled buffer that serves the next read.
+const eventsPerWrite = 1024
+
 // handleRunEvents streams the run's JSONL event log, rendered from the
-// run's EventLog as it is read. For a live run it follows: each wake-up
-// renders and flushes the events appended since the last, and the stream
-// ends when the run reaches a terminal state or the client disconnects.
+// run's EventLog as it is read, eventsPerWrite events per write. For a
+// live run it follows: each wake-up renders and flushes the events
+// appended since the last, and the stream ends when the run reaches a
+// terminal state or the client disconnects.
 func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	rn := s.runFromPath(w, r)
 	if rn == nil {
@@ -159,7 +168,8 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	var chunk []byte
+	buf := renderBufs.Get().(*bytes.Buffer)
+	defer renderBufs.Put(buf)
 	for offset := 0; ; {
 		select {
 		case <-rn.log.Grown(offset):
@@ -170,10 +180,12 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request) {
 		// A terminal run appends nothing more, so reading the state
 		// before the length cannot miss a last event.
 		terminal := isClosed(rn.done)
-		if n := rn.log.Len(); n > offset {
-			chunk = rn.log.AppendJSONL(chunk[:0], offset, n)
-			offset = n
-			if _, err := w.Write(chunk); err != nil {
+		for n := rn.log.Len(); offset < n; {
+			to := min(offset+eventsPerWrite, n)
+			buf.Reset()
+			buf.Write(rn.log.AppendJSONL(buf.AvailableBuffer(), offset, to))
+			offset = to
+			if _, err := w.Write(buf.Bytes()); err != nil {
 				return
 			}
 			if flusher != nil {

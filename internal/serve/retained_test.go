@@ -13,12 +13,13 @@ import (
 )
 
 // retainedBytesPerRun bounds the heap one cached serve-mix-shaped run
-// keeps alive: its sealed event log, its sealed telemetry (about 1.2 KB of
-// values and sample rows), its exact-size result body, its registry entry
-// and, when traced, its sealed span recorder. Measured at 14.4 KB on
-// linux/amd64 untraced and 15.0 KB traced; the bound leaves about 18%
-// for allocator and toolchain drift.
-const retainedBytesPerRun = 17000
+// keeps alive: its sealed event log (about 3.3 KB of varint records for
+// its 325 events), its sealed telemetry (about 1.2 KB of values and
+// sample rows), its exact-size result body, its registry entry and, when
+// traced, its sealed span recorder. Measured at 7.2 KB on linux/amd64
+// untraced and 7.9 KB traced; the bound leaves about 18% for allocator
+// and toolchain drift.
+const retainedBytesPerRun = 9300
 
 // TestServedRunRetainedBytes posts distinct scenarios shaped like the
 // serve-mix benchmark's (two VMs, four apps, a 0.5 s horizon), untraced

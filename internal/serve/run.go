@@ -352,9 +352,10 @@ func (rn *Run) storeResult(report string, summary any, tele *vprobe.Telemetry, s
 	return nil
 }
 
-// renderBufs holds the buffers storeResult renders into. A run keeps an
-// exact-size copy of what one holds, so a buffer's grown capacity serves
-// the next run instead of being left to the collector.
+// renderBufs holds the buffers storeResult and /events render into. A
+// run keeps an exact-size copy of what one holds, and /events writes
+// each batch out before the next, so a buffer's grown capacity serves
+// the next run or read instead of being left to the collector.
 var renderBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // scenarioSummary is the JSON-friendly digest of a scenario report.

@@ -8,13 +8,14 @@
 // completed runs keyed by the spec's canonical hash — determinism makes a
 // cached result byte-identical to re-running it.
 //
-// A run records its events in a vprobe.EventLog, whose records hold no
-// pointers, and renders them as JSONL only when /events is read; a done
-// run's JSON reply is rendered once at completion and written as is to
-// every later GET and cache hit. When the run ends, the log is sealed to
-// exact length and every rendered artifact is kept at its exact size. So
-// a cached run keeps 32-byte records and a few rendered artifacts, not
-// its whole event stream as text (TestServedRunRetainedBytes bounds it).
+// A run records its events in a vprobe.EventLog, whose varint records
+// hold no pointers, and renders them as JSONL only when /events is read,
+// a bounded batch of events per write; a done run's JSON reply is
+// rendered once at completion and written as is to every later GET and
+// cache hit. When the run ends, the log is sealed to exact length and
+// every rendered artifact is kept at its exact size. So a cached run
+// keeps about 10 bytes an event and a few rendered artifacts, not its
+// whole event stream as text (TestServedRunRetainedBytes bounds it).
 //
 // Endpoints (see cmd/vprobe-serve for the daemon):
 //

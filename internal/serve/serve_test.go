@@ -621,6 +621,68 @@ func TestEventsFollowLiveRun(t *testing.T) {
 	}
 }
 
+// writeCounter is a ResponseRecorder that counts its body writes.
+type writeCounter struct {
+	*httptest.ResponseRecorder
+	writes int
+}
+
+func (w *writeCounter) Write(b []byte) (int, error) {
+	w.writes++
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestEventsWrittenInBatches reads a done run whose log is several times
+// eventsPerWrite long: /events must write it in batches, no one holding
+// the whole JSONL, and the batches must join into the run's event stream
+// byte for byte.
+func TestEventsWrittenInBatches(t *testing.T) {
+	doc := strings.Replace(servedScenarioJSON, `"horizon": "500ms"`, `"horizon": "4s"`, 1)
+	var sp spec.ScenarioV1
+	if err := json.Unmarshal([]byte(doc), &sp); err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	events := 0
+	sim, horizon, err := vprobe.CompileScenario(sp, vprobe.CompileOptions{
+		Events: vprobe.EventFunc(func(ev vprobe.Event) {
+			want = append(ev.AppendJSON(want), '\n')
+			events++
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.RunContext(context.Background(), horizon); err != nil {
+		t.Fatal(err)
+	}
+	if events <= 2*eventsPerWrite {
+		t.Fatalf("the run has %d events, want more than two batches of %d", events, eventsPerWrite)
+	}
+
+	h := New(Options{}).Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/simulations", strings.NewReader(doc)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST status %d: %s", rec.Code, rec.Body)
+	}
+	var run struct{ ID string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &run); err != nil {
+		t.Fatal(err)
+	}
+	w := &writeCounter{ResponseRecorder: httptest.NewRecorder()}
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/runs/"+run.ID+"/events", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("events status %d", w.Code)
+	}
+	if got := w.Body.Bytes(); !bytes.Equal(got, want) {
+		t.Errorf("batched stream differs from the run's events (%d vs %d bytes)", len(got), len(want))
+	}
+	if batches := (events + eventsPerWrite - 1) / eventsPerWrite; w.writes != batches {
+		t.Errorf("%d events came in %d writes, want %d", events, w.writes, batches)
+	}
+}
+
 // postCapacity POSTs a ClusterV1 body to the what-if endpoint with the
 // given query.
 func postCapacity(t *testing.T, base, query, body string) (int, []byte) {

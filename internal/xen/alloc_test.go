@@ -79,11 +79,11 @@ func TestQuantumSteadyStateZeroAllocSpans(t *testing.T) {
 // TestQuantumSteadyStateZeroAllocEventLog re-runs the guardrail recording
 // every event into a vprobe.EventLog, wired the way a Simulator wires it:
 // a dispatch or block is stored as typed fields, so the traced loop
-// allocates nothing per event. The log still adds a record block when
-// the last is full, each twice the size of the one before; the warm-up
-// grows it to about as many records as the measured window adds, so the
-// window's one block at most rounds away in AllocsPerRun's per-run
-// count.
+// allocates nothing per event. The log still adds a byte chunk when the
+// last is full, each twice the size of the one before up to 64 KB; the
+// warm-up grows it to about as many records as the measured window adds,
+// so the window's one chunk at most rounds away in AllocsPerRun's
+// per-run count.
 func TestQuantumSteadyStateZeroAllocEventLog(t *testing.T) {
 	testQuantumSteadyStateZeroAlloc(t, newSteadyStateHV(t, sched.KindCredit), func(h *xen.Hypervisor) func() int {
 		log := new(vprobe.EventLog)
